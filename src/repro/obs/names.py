@@ -110,6 +110,9 @@ METRICS: Tuple[MetricSpec, ...] = (
                "TELEMETRY probes answered with a metrics snapshot."),
     MetricSpec("daemon.transferred_bytes", COUNTER,
                "Payload bytes actually received over the wire."),
+    MetricSpec("daemon.writebehind.batches", COUNTER,
+               "Write-behind backlogs handed to the repository, one "
+               "thread hop each."),
     # --- analytic migration engine --------------------------------------
     MetricSpec("engine.announce_bytes", COUNTER,
                "Checksum-announce bytes charged by the analytic model."),

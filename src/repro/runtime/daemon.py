@@ -346,24 +346,42 @@ class _SinkSession:
 
 
 class _WriteBehind:
-    """Bounded write-behind queue for repository segment writes.
+    """Bounded write-behind queue batching repository segment writes.
 
-    Incoming page frames used to pay a synchronous ``put_page`` (temp
-    file + fsync + rename) each, serializing disk I/O with frame
-    reception.  Now :meth:`defer` just enqueues the (digest, page) pair
-    and a single worker task writes it through in a thread, overlapping
-    segment I/O with the socket.  Durability semantics are unchanged
-    because every commit point drains first:
+    :meth:`defer` only enqueues the (digest, page) pair.  A single
+    worker task takes *everything queued* each time it runs and hands
+    it to :meth:`CheckpointRepository.put_pages` in one thread hop, so
+    segment I/O overlaps the socket and the cost of crossing into the
+    thread is paid per backlog, not per page.  The batch is as large as
+    reception got ahead of the disk and never larger than
+    ``max_pending_bytes`` lets the queue grow.
+
+    What is batched: thread hops here, and the fan-out directory fsyncs
+    the repository already group-commits.  What is not: every new
+    segment is still its own temp file, file fsync and rename, and the
+    manifest rename is still the single commit point.  Durability
+    semantics are unchanged because every commit point drains first:
 
     * the COMPLETE path awaits :meth:`drain` before verifying/adopting,
       so everything is on disk before the manifest commits and the
-      RESULT is acked — and any error the worker swallowed (fault-hook
-      ``kill -9`` simulations included) re-raises right there, exactly
-      where the old synchronous write would have raised;
+      RESULT is acked;
     * synchronous installs call :meth:`flush_sync`, which writes the
       backlog inline.
 
-    ``max_pending_bytes`` bounds the backlog; :meth:`throttle` (awaited
+    Errors and cancellation, per batch:
+
+    * ``put_pages`` attempts every item even after one fails and raises
+      the first error; the worker keeps the first error it sees (fault
+      hooks simulating ``kill -9`` raise ``BaseException``) and
+      :meth:`drain` / :meth:`flush_sync` re-raise it — exactly where a
+      synchronous write would have raised, before any manifest commits.
+    * On ``CancelledError`` (shutdown) the thread cannot be recalled,
+      so the whole batch goes back to the front of the queue in order
+      and :meth:`close` → :meth:`flush_sync` puts it again.  That is
+      safe while the abandoned thread is still writing: puts are
+      idempotent and every write uses its own temp file.
+
+    ``max_pending_bytes`` bounds the queue; :meth:`throttle` (awaited
     per applied frame) blocks reception while the writer is more than
     that far behind, turning disk pressure into socket backpressure.
     """
@@ -374,7 +392,7 @@ class _WriteBehind:
         self.max_pending_bytes = max_pending_bytes
         self._queue: Deque[Tuple[bytes, bytes]] = deque()
         self.pending_bytes = 0
-        self._inflight: Optional[Tuple[bytes, bytes]] = None
+        self._inflight: List[Tuple[bytes, bytes]] = []
         self._error: Optional[BaseException] = None
         self._task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
@@ -382,7 +400,7 @@ class _WriteBehind:
 
     @property
     def idle(self) -> bool:
-        return not self._queue and self._inflight is None
+        return not self._queue and not self._inflight
 
     def defer(self, digest: bytes, page: bytes) -> None:
         """Queue one segment write (the content store's spill hook)."""
@@ -403,31 +421,33 @@ class _WriteBehind:
         self._wake = asyncio.Event()
         self._task = loop.create_task(self._run())
 
+    def _take_queue(self) -> List[Tuple[bytes, bytes]]:
+        batch = list(self._queue)
+        self._queue.clear()
+        self.pending_bytes = 0
+        return batch
+
     async def _run(self) -> None:
         while True:
             while not self._queue:
                 self._wake.clear()
                 await self._wake.wait()
-            digest, page = self._queue.popleft()
-            self.pending_bytes -= len(page)
-            self._inflight = (digest, page)
+            batch = self._inflight = self._take_queue()
+            get_registry().counter("daemon.writebehind.batches").add()
             try:
-                await asyncio.to_thread(self._repository.put_page, digest, page)
+                await asyncio.to_thread(self._repository.put_pages, batch)
             except asyncio.CancelledError:
-                # Shutdown: leave the item for flush_sync (put_page is
-                # idempotent, a half-written temp file is harmless).
-                self._queue.appendleft((digest, page))
-                self.pending_bytes += len(page)
-                self._inflight = None
-                self._notify()
+                # Shutdown: the thread cannot be recalled, so hand the
+                # batch back in order for flush_sync to put again.
+                self._queue.extendleft(reversed(batch))
+                self.pending_bytes += sum(len(page) for _, page in batch)
                 raise
             except BaseException as exc:  # fault hooks raise BaseException
                 if self._error is None:
                     self._error = exc
             finally:
-                if self._inflight is not None:
-                    self._inflight = None
-                    self._notify()
+                self._inflight = []
+                self._notify()
 
     def _notify(self) -> None:
         waiters, self._waiters = self._waiters, []
@@ -469,18 +489,15 @@ class _WriteBehind:
     def flush_sync(self) -> None:
         """Write the backlog inline (synchronous install path).
 
-        An item the worker currently holds in flight may get written
-        twice; ``put_page`` is idempotent and atomic, so the duplicate
-        is harmless — what matters is that ``has_page`` is true for
-        everything deferred before the caller commits a manifest.
+        A batch the worker currently holds in flight is put again;
+        ``put_pages`` is idempotent and atomic per segment, so the
+        duplicate is harmless — what matters is that ``has_page`` is
+        true for everything deferred before the caller commits a
+        manifest.
         """
-        inflight = self._inflight
-        if inflight is not None:
-            self._repository.put_page(*inflight)
-        while self._queue:
-            digest, page = self._queue.popleft()
-            self.pending_bytes -= len(page)
-            self._repository.put_page(digest, page)
+        batch = self._inflight + self._take_queue()
+        if batch:
+            self._repository.put_pages(batch)
         if self._error is not None:
             error, self._error = self._error, None
             raise error
@@ -757,6 +774,7 @@ class CheckpointDaemon:
         if self._persist is not None:
             self._persist.flush_sync()
         generation = self._generations.get(vm_id, 0) + 1
+        distinct = frozenset(slot_digests)
         self.store.retain_many(slot_digests)
         previous = self.checkpoints.get(vm_id)
         hosted = HostedCheckpoint(
@@ -769,7 +787,7 @@ class CheckpointDaemon:
         self.checkpoints[vm_id] = hosted
         self._generations[vm_id] = generation
         history = self._delta_history.setdefault(vm_id, OrderedDict())
-        history[generation] = frozenset(slot_digests)
+        history[generation] = distinct
         while len(history) > _MAX_DELTA_HISTORY:
             history.popitem(last=False)
         if self.repository is not None:
@@ -781,7 +799,7 @@ class CheckpointDaemon:
             # anything we still hold resident before committing; content
             # resident nowhere stays missing and the commit raises, which
             # is correct — the daemon genuinely lost it.
-            for digest in set(hosted.slot_digests):
+            for digest in distinct:
                 if self.repository.has_segment(digest):
                     continue
                 page = self.store.get(digest)

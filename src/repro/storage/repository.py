@@ -58,12 +58,13 @@ directory simulates the restart.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-import tempfile
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 from urllib.parse import quote, unquote
 
 from repro.core.checksum import ChecksumAlgorithm, MD5, get_algorithm
@@ -253,9 +254,13 @@ class CheckpointRepository:
         # digest → number of manifests referencing it (not per-slot).
         self._refcounts: Dict[bytes, int] = {}
         self._quarantine_serial = 0
+        # The per-page paths below are plain strings handled by ``os``
+        # calls: a pathlib object per segment cost more than the write.
+        self._segments_root = str(self.segments_dir)
+        self._temp_serial = itertools.count()
         # Fanout directories whose segment renames await their batched
         # fsync (group commit); drained by sync_pending_dirs().
-        self._pending_dir_syncs: set[Path] = set()
+        self._pending_dir_syncs: set[str] = set()
 
     # --- low-level atomic writes ---------------------------------------
 
@@ -263,7 +268,7 @@ class CheckpointRepository:
         if self.fault_hook is not None:
             self.fault_hook(point)
 
-    def _fsync_dir(self, directory: Path) -> None:
+    def _fsync_dir(self, directory: str | Path) -> None:
         if not self.fsync:
             return
         fd = os.open(directory, os.O_RDONLY)
@@ -272,9 +277,33 @@ class CheckpointRepository:
         finally:
             os.close(fd)
 
+    def _open_temp(self, directory: str) -> Tuple[int, str]:
+        """Create a fresh ``.tmp-`` file in ``directory``: (fd, path).
+
+        The name comes from the process id and a counter, never from
+        what is being written: two writers of the same content (the
+        write-behind thread and a ``flush_sync`` overtaking it) must not
+        share a temp file.  ``O_EXCL`` steps over a leftover of an
+        earlier process with the same pid; a missing fan-out directory
+        is created on first use.
+        """
+        while True:
+            path = (
+                f"{directory}/{_TMP_PREFIX}{os.getpid()}-"
+                f"{next(self._temp_serial)}.partial"
+            )
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+            except FileExistsError:
+                continue
+            except FileNotFoundError:
+                os.makedirs(directory, exist_ok=True)
+                continue
+            return fd, path
+
     def _write_atomic(
         self,
-        final: Path,
+        final: str,
         data: bytes,
         fault_point: Optional[str] = None,
         defer_dir_sync: bool = False,
@@ -285,28 +314,34 @@ class CheckpointRepository:
         for :meth:`sync_pending_dirs` instead of issued inline (the
         group-commit path for segment writes).
         """
-        final.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=_TMP_PREFIX, suffix=".partial", dir=final.parent
-        )
-        tmp = Path(tmp_name)
+        directory = os.path.dirname(final)
+        defer_dir_sync = defer_dir_sync and self.fsync
+        fd, tmp = self._open_temp(directory)
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
+            try:
+                view = memoryview(data)
+                while view:
+                    written = os.write(fd, view)
+                    view = view[written:]
                 if self.fsync:
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                    os.fsync(fd)
+            finally:
+                os.close(fd)
             if fault_point is not None:
                 self._fault(fault_point)
+            if defer_dir_sync:
+                # Queued before the rename: whoever sees the final name
+                # then also finds its directory awaiting the barrier.
+                self._pending_dir_syncs.add(directory)
             os.replace(tmp, final)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
             raise
-        if defer_dir_sync and self.fsync:
-            self._pending_dir_syncs.add(final.parent)
+        if defer_dir_sync:
             get_registry().counter("repo.fsync_batched").add()
         else:
-            self._fsync_dir(final.parent)
+            self._fsync_dir(directory)
 
     def sync_pending_dirs(self) -> int:
         """Issue the deferred directory fsyncs; returns how many.
@@ -322,47 +357,70 @@ class CheckpointRepository:
 
     # --- naming ---------------------------------------------------------
 
-    def _segment_path(self, digest: bytes) -> Path:
+    def _segment_path(self, digest: bytes) -> str:
         name = digest.hex()
-        return self.segments_dir / name[:2] / (name + _SEGMENT_SUFFIX)
+        return f"{self._segments_root}/{name[:2]}/{name}{_SEGMENT_SUFFIX}"
 
-    def _manifest_path(self, vm_id: str) -> Path:
-        return self.manifests_dir / (quote(vm_id, safe="") + _MANIFEST_SUFFIX)
+    def _manifest_path(self, vm_id: str) -> str:
+        return f"{self.manifests_dir}/{quote(vm_id, safe='')}{_MANIFEST_SUFFIX}"
 
-    def _session_path(self, session_id: str) -> Path:
-        return self.sessions_dir / (quote(session_id, safe="") + _MANIFEST_SUFFIX)
+    def _session_path(self, session_id: str) -> str:
+        return f"{self.sessions_dir}/{quote(session_id, safe='')}{_MANIFEST_SUFFIX}"
 
-    def _quarantine(self, path: Path, reason: str) -> None:
+    def _quarantine(self, path: str | Path, reason: str) -> None:
         """Move a bad file aside; never raises, never deletes evidence."""
         self._quarantine_serial += 1
-        target = self.quarantine_dir / f"{self._quarantine_serial:04d}-{path.name}"
+        name = os.path.basename(path)
+        target = self.quarantine_dir / f"{self._quarantine_serial:04d}-{name}"
         try:
             os.replace(path, target)
         except OSError:  # pragma: no cover - best effort
-            path.unlink(missing_ok=True)
+            with suppress(FileNotFoundError):
+                os.unlink(path)
         get_registry().counter("repo.quarantined").add()
         log.warning("quarantined corrupt entry", path=str(path), reason=reason)
 
     # --- segments -------------------------------------------------------
 
-    def put_page(self, digest: bytes, page: bytes) -> bool:
-        """Durably store ``page`` under ``digest``; True if newly written.
+    def put_pages(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
+        """Durably store each ``(digest, page)``; returns how many were new.
 
         Idempotent: re-putting existing content is a no-op, so a resumed
-        migration or a recovering daemon can replay puts freely.  Under
-        group commit the fanout-directory fsync is deferred to the next
-        :meth:`commit_checkpoint` / :meth:`sync_pending_dirs`.
+        migration or a recovering daemon can replay puts freely.  Every
+        new segment is its own atomic write (temp file, file fsync,
+        rename); under group commit the fanout-directory fsyncs are
+        deferred to the next :meth:`commit_checkpoint` /
+        :meth:`sync_pending_dirs`.
+
+        A failing write does not stop the batch: the remaining items
+        are still attempted and the first error is raised afterwards
+        (fault hooks raise ``BaseException``, hence the wide catch).
         """
-        final = self._segment_path(digest)
-        if final.exists():
-            return False
-        self._write_atomic(
-            final,
-            page,
-            fault_point=FAULT_SEGMENT_WRITTEN,
-            defer_dir_sync=self.group_commit,
-        )
-        return True
+        written = 0
+        error: Optional[BaseException] = None
+        for digest, page in items:
+            final = self._segment_path(digest)
+            if os.path.exists(final):
+                continue
+            try:
+                self._write_atomic(
+                    final,
+                    page,
+                    fault_point=FAULT_SEGMENT_WRITTEN,
+                    defer_dir_sync=self.group_commit,
+                )
+            except BaseException as exc:
+                if error is None:
+                    error = exc
+            else:
+                written += 1
+        if error is not None:
+            raise error
+        return written
+
+    def put_page(self, digest: bytes, page: bytes) -> bool:
+        """:meth:`put_pages` of one item; True if newly written."""
+        return self.put_pages(((digest, page),)) == 1
 
     def has_segment(self, digest: bytes) -> bool:
         """Whether a durable segment exists for ``digest``.
@@ -371,7 +429,7 @@ class CheckpointRepository:
         daemon about to commit a manifest uses this to re-spill any
         referenced content it still holds resident.
         """
-        return self._segment_path(digest).exists()
+        return os.path.exists(self._segment_path(digest))
 
     def corrupt_segment(self, digest: bytes) -> bool:
         """Flip one byte of the stored segment (fault injection only).
@@ -382,34 +440,35 @@ class CheckpointRepository:
         discovered on the next scrub.  Returns False when no such
         segment exists.
         """
-        path = self._segment_path(digest)
-        try:
-            data = bytearray(path.read_bytes())
-        except OSError:
-            return False
+        data = self.get_page(digest)
         if not data:
             return False
-        data[0] ^= 0xFF
-        path.write_bytes(bytes(data))
+        with open(self._segment_path(digest), "wb") as handle:
+            handle.write(bytes([data[0] ^ 0xFF]) + data[1:])
         get_registry().counter("repo.injected_corruptions").add()
         return True
 
     def get_page(self, digest: bytes) -> Optional[bytes]:
         """The stored page bytes for ``digest``, or None."""
         try:
-            return self._segment_path(digest).read_bytes()
+            with open(self._segment_path(digest), "rb") as handle:
+                return handle.read()
         except FileNotFoundError:
             return None
 
     def has_page(self, digest: bytes) -> bool:
         """Whether a committed segment exists for ``digest``."""
-        return self._segment_path(digest).exists()
+        return os.path.exists(self._segment_path(digest))
 
-    def _iter_segments(self):
-        for fan in sorted(self.segments_dir.iterdir()):
-            if not fan.is_dir():
+    def _iter_segments(self) -> Iterator[bytes]:
+        """The digest of every segment file, in sorted order."""
+        for fan in sorted(os.listdir(self._segments_root)):
+            directory = f"{self._segments_root}/{fan}"
+            if not os.path.isdir(directory):
                 continue
-            yield from sorted(fan.glob("*" + _SEGMENT_SUFFIX))
+            for name in sorted(os.listdir(directory)):
+                if name.endswith(_SEGMENT_SUFFIX):
+                    yield bytes.fromhex(name[: -len(_SEGMENT_SUFFIX)])
 
     # --- refcounts ------------------------------------------------------
 
@@ -441,8 +500,8 @@ class CheckpointRepository:
     def _delete_segment(self, digest: bytes) -> int:
         path = self._segment_path(digest)
         try:
-            size = path.stat().st_size
-            path.unlink()
+            size = os.stat(path).st_size
+            os.unlink(path)
         except FileNotFoundError:
             return 0
         return size
@@ -463,7 +522,8 @@ class CheckpointRepository:
                 caller forgot :meth:`put_page`, and committing would
                 create a checkpoint that cannot be recovered.
         """
-        missing = [d for d in manifest.unique_digests if not self.has_page(d)]
+        distinct = set(manifest.slot_digests)
+        missing = sorted(d for d in distinct if not self.has_page(d))
         if missing:
             raise RepositoryError(
                 f"checkpoint {manifest.vm_id!r} references "
@@ -475,14 +535,13 @@ class CheckpointRepository:
         self.sync_pending_dirs()
         self._fault(FAULT_SEGMENTS_SYNCED)
         previous = self.load_manifest(manifest.vm_id)
-        path = self._manifest_path(manifest.vm_id)
         self._write_atomic(
-            path,
+            self._manifest_path(manifest.vm_id),
             manifest.to_json().encode("utf-8"),
             fault_point=FAULT_MANIFEST_WRITTEN,
         )
         self._fault(FAULT_MANIFEST_COMMITTED)
-        self._retain_all(manifest.slot_digests)
+        self._retain_all(distinct)
         reclaimed = 0
         if previous is not None:
             reclaimed = self._release_all(previous.slot_digests)
@@ -490,9 +549,9 @@ class CheckpointRepository:
 
     def load_manifest(self, vm_id: str) -> Optional[CheckpointManifest]:
         """Parse the committed manifest for ``vm_id``, or None."""
-        path = self._manifest_path(vm_id)
         try:
-            text = path.read_text("utf-8")
+            with open(self._manifest_path(vm_id), encoding="utf-8") as handle:
+                text = handle.read()
         except FileNotFoundError:
             return None
         return CheckpointManifest.from_json(text)
@@ -502,8 +561,8 @@ class CheckpointRepository:
         manifest = self.load_manifest(vm_id)
         if manifest is None:
             return 0
-        path = self._manifest_path(vm_id)
-        path.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(self._manifest_path(vm_id))
         self._fsync_dir(self.manifests_dir)
         return self._release_all(manifest.slot_digests)
 
@@ -530,19 +589,20 @@ class CheckpointRepository:
         stats: Dict[str, dict] = {}
         sizes: Dict[bytes, int] = {}
         for manifest in self.list_checkpoints():
+            distinct = set(manifest.slot_digests)
             stored = 0
-            for digest in manifest.unique_digests:
+            for digest in distinct:
                 size = sizes.get(digest)
                 if size is None:
                     try:
-                        size = self._segment_path(digest).stat().st_size
+                        size = os.stat(self._segment_path(digest)).st_size
                     except OSError:
                         size = 0
                     sizes[digest] = size
                 stored += size
             stats[manifest.vm_id] = {
                 "pages": manifest.num_pages,
-                "unique_pages": len(manifest.unique_digests),
+                "unique_pages": len(distinct),
                 "stored_bytes": stored,
                 "timestamp": manifest.timestamp,
             }
@@ -560,7 +620,8 @@ class CheckpointRepository:
 
     def drop_session(self, session_id: str) -> None:
         """Forget a persisted session result (idempotent)."""
-        self._session_path(session_id).unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(self._session_path(session_id))
 
     def load_sessions(self) -> Dict[str, dict]:
         """session_id → persisted payload; corrupt entries quarantined."""
@@ -580,15 +641,19 @@ class CheckpointRepository:
 
     def _remove_temp_files(self) -> int:
         """Delete leftovers of writes that never reached their rename."""
+        directories = [str(self.manifests_dir), str(self.sessions_dir)]
+        directories += (
+            f"{self._segments_root}/{fan}"
+            for fan in os.listdir(self._segments_root)
+        )
         removed = 0
-        for directory in (self.manifests_dir, self.sessions_dir):
-            for tmp in directory.glob(_TMP_PREFIX + "*"):
-                tmp.unlink(missing_ok=True)
-                removed += 1
-        for fan in self.segments_dir.iterdir():
-            if fan.is_dir():
-                for tmp in fan.glob(_TMP_PREFIX + "*"):
-                    tmp.unlink(missing_ok=True)
+        for directory in directories:
+            if not os.path.isdir(directory):
+                continue
+            for name in os.listdir(directory):
+                if name.startswith(_TMP_PREFIX):
+                    with suppress(FileNotFoundError):
+                        os.unlink(f"{directory}/{name}")
                     removed += 1
         return removed
 
@@ -625,8 +690,8 @@ class CheckpointRepository:
         report.sessions = self.load_sessions()
         report.orphan_segments = sum(
             1
-            for segment in self._iter_segments()
-            if bytes.fromhex(segment.stem) not in self._refcounts
+            for digest in self._iter_segments()
+            if digest not in self._refcounts
         )
         registry = get_registry()
         registry.counter("repo.recovered_checkpoints").add(report.recovered)
@@ -683,18 +748,19 @@ class CheckpointRepository:
             for name in algorithms
         }
         corrupt: set[bytes] = set()
-        for segment in list(self._iter_segments()):
-            digest = bytes.fromhex(segment.stem)
+        for digest in list(self._iter_segments()):
             report.segments_checked += 1
             algorithm = by_size.get(len(digest), MD5)
             try:
-                page = segment.read_bytes()
+                page = self.get_page(digest)
             except OSError:
                 page = None
             if page is None or algorithm.digest(page) != digest:
                 corrupt.add(digest)
-                report.corrupt_segments.append(segment.stem)
-                self._quarantine(segment, "segment digest mismatch")
+                report.corrupt_segments.append(digest.hex())
+                self._quarantine(
+                    self._segment_path(digest), "segment digest mismatch"
+                )
         if corrupt:
             for path in sorted(self.manifests_dir.glob("*" + _MANIFEST_SUFFIX)):
                 try:
@@ -721,15 +787,9 @@ class CheckpointRepository:
         for manifest in self.list_checkpoints():
             live.update(manifest.slot_digests)
         reclaimed = 0
-        for segment in list(self._iter_segments()):
-            if bytes.fromhex(segment.stem) in live:
-                continue
-            try:
-                size = segment.stat().st_size
-                segment.unlink()
-            except OSError:  # pragma: no cover - racing deletes
-                continue
-            reclaimed += size
+        for digest in list(self._iter_segments()):
+            if digest not in live:
+                reclaimed += self._delete_segment(digest)
         if reclaimed:
             get_registry().counter("repo.bytes_reclaimed").add(reclaimed)
         return reclaimed
@@ -737,4 +797,7 @@ class CheckpointRepository:
     @property
     def stored_bytes(self) -> int:
         """Total segment bytes currently on disk."""
-        return sum(segment.stat().st_size for segment in self._iter_segments())
+        return sum(
+            os.stat(self._segment_path(digest)).st_size
+            for digest in self._iter_segments()
+        )

@@ -9,6 +9,7 @@ with its session token after the restart still gets its RESULT.
 """
 
 import asyncio
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ class TestCorruptionQuarantine:
 
         repository = CheckpointRepository(tmp_path)
         digest = expected_digests(current)[0]
-        victim = repository._segment_path(digest)
+        victim = Path(repository._segment_path(digest))
         victim.write_bytes(b"\xde\xad" + victim.read_bytes()[2:])
 
         reborn = CheckpointDaemon(state_dir=tmp_path)

@@ -1,0 +1,238 @@
+"""Batch write-behind: one thread hop per backlog, today's semantics.
+
+The durable sink hands whatever is queued to
+``CheckpointRepository.put_pages`` in one ``to_thread`` call.  These
+tests pin what that batching must not change: where a fault surfaces,
+what a cancelled batch leaves behind, that a ``flush_sync`` overtaking
+the writer thread is harmless, and that batching saves thread hops
+without saving a single barrier.
+"""
+
+import asyncio
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.core.checksum import MD5
+from repro.mem.pagestore import PageStore
+from repro.obs.metrics import get_registry
+from repro.runtime import CheckpointDaemon
+from repro.runtime.daemon import _WriteBehind
+from repro.storage.repository import (
+    FAULT_SEGMENT_WRITTEN,
+    CheckpointRepository,
+)
+from tests.runtime.test_daemon_persistence import migrate
+
+
+class KillNine(BaseException):
+    """Simulated hard kill inside the writer."""
+
+
+def items(count):
+    pages = [bytes([i]) * 64 for i in range(count)]
+    return [(MD5.digest(page), page) for page in pages]
+
+
+def temp_files(root):
+    return list(root.rglob(".tmp-*"))
+
+
+def counter(name):
+    return get_registry().counter(name).value
+
+
+async def join_writer_threads():
+    """Wait for threads ``to_thread`` started, abandoned ones included."""
+    await asyncio.wait_for(
+        asyncio.get_running_loop().shutdown_default_executor(), timeout=20
+    )
+
+
+def fail_kth(repo, k):
+    """Arm ``repo`` to die at the k-th ``segment.written`` (1-based)."""
+    reached = []
+
+    def hook(point):
+        if point == FAULT_SEGMENT_WRITTEN:
+            reached.append(point)
+            if len(reached) == k:
+                raise KillNine(point)
+
+    repo.fault_hook = hook
+    return reached
+
+
+class TestFaultInsideABatch:
+    def assert_fault_outcome(self, repo, tmp_path, batch, reached):
+        # Items after the fault were still attempted; only the faulted
+        # one is missing, nothing committed, nothing left half-written.
+        assert len(reached) == len(batch)
+        assert [repo.has_page(d) for d, _ in batch] == [
+            True, True, False, True, True, True,
+        ]
+        assert not list(repo.manifests_dir.iterdir())
+        CheckpointRepository(tmp_path).recover()
+        assert not temp_files(tmp_path)
+
+    def test_drain_reraises_the_first_error_once(self, tmp_path):
+        repo = CheckpointRepository(tmp_path)
+        batch = items(6)
+        reached = fail_kth(repo, 3)
+
+        async def scenario():
+            writer = _WriteBehind(repo)
+            before = counter("daemon.writebehind.batches")
+            for digest, page in batch:
+                writer.defer(digest, page)
+            with pytest.raises(KillNine):
+                await writer.drain()
+            # One backlog, one hop — and the error is not raised twice.
+            assert counter("daemon.writebehind.batches") == before + 1
+            await writer.drain()
+            await writer.close()
+
+        asyncio.run(scenario())
+        self.assert_fault_outcome(repo, tmp_path, batch, reached)
+
+    def test_flush_sync_reraises_the_first_error(self, tmp_path):
+        repo = CheckpointRepository(tmp_path)
+        batch = items(6)
+        reached = fail_kth(repo, 3)
+        writer = _WriteBehind(repo)
+        for digest, page in batch:
+            writer.defer(digest, page)  # no loop: queued for flush_sync
+        with pytest.raises(KillNine):
+            writer.flush_sync()
+        assert writer.idle and writer.pending_bytes == 0
+        self.assert_fault_outcome(repo, tmp_path, batch, reached)
+
+
+class TestCancelledBatch:
+    def test_batch_requeued_in_order_and_reput_by_close(self, tmp_path):
+        repo = CheckpointRepository(tmp_path)
+        batch = items(8)
+        entered, gate = threading.Event(), threading.Event()
+
+        def hold_the_writer_thread(point):
+            if threading.current_thread() is not threading.main_thread():
+                entered.set()
+                assert gate.wait(timeout=20)
+
+        repo.fault_hook = hold_the_writer_thread
+
+        async def scenario():
+            writer = _WriteBehind(repo)
+            for digest, page in batch[:5]:
+                writer.defer(digest, page)
+            while not entered.is_set():
+                await asyncio.sleep(0.001)
+            for digest, page in batch[5:]:
+                writer.defer(digest, page)  # queued behind the batch
+            task = writer._task
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            assert list(writer._queue) == batch
+            assert writer.pending_bytes == sum(len(p) for _, p in batch)
+            # The abandoned thread still sits inside its first write.
+            assert len(temp_files(tmp_path)) == 1
+            await writer.close()
+            assert writer.idle and writer.pending_bytes == 0
+            assert all(repo.has_page(d) for d, _ in batch)
+            gate.set()
+            await join_writer_threads()
+
+        try:
+            asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+        finally:
+            gate.set()
+        assert all(repo.get_page(d) == p for d, p in batch)
+        reopened = CheckpointRepository(tmp_path)
+        reopened.recover()
+        assert not temp_files(tmp_path)
+        assert reopened.verify().ok
+
+
+def fresh_image(pages, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(1, 2**62, size=pages, dtype=np.uint64)
+
+
+class TestDurableMigration:
+    def test_hops_are_per_backlog_and_barriers_per_segment(self, tmp_path):
+        pages = 4096
+        hashes = fresh_image(pages, seed=13)
+        new_segments = len(set(hashes.tolist()))
+
+        async def scenario():
+            pagestore = PageStore(cache_limit=2 * pages)
+            async with CheckpointDaemon(
+                pagestore=pagestore, state_dir=tmp_path
+            ) as daemon:
+                before = {
+                    name: counter(name)
+                    for name in ("daemon.writebehind.batches", "repo.fsync_batched")
+                }
+                metrics, _ = await migrate(daemon, hashes, pagestore)
+                assert metrics.outcome == "completed"
+                return {name: counter(name) - was for name, was in before.items()}
+
+        moved = asyncio.run(scenario())
+        assert 1 <= moved["daemon.writebehind.batches"] <= pages // 8
+        assert moved["repo.fsync_batched"] == new_segments
+        assert sum(1 for _ in tmp_path.glob("segments/*/*.page")) == new_segments
+
+    def test_flush_sync_overtaking_an_inflight_batch(self, tmp_path):
+        """The race PR 12 documented, provoked on purpose.
+
+        The process runs on every CPU it is allowed (the benchmark pins
+        itself to one to hide this), the interpreter switches threads
+        far more often than usual, and a second task calls
+        ``flush_sync()`` whenever the writer thread holds a batch, so
+        both write the same segments at the same time.
+        """
+        pages = 2048
+        hashes = fresh_image(pages, seed=17)
+        pagestore = PageStore(cache_limit=2 * pages)
+        digests = [pagestore.digest_for(int(c)) for c in hashes]
+        overtaken = 0
+
+        async def overtake(writer, done):
+            nonlocal overtaken
+            while not done.is_set():
+                if writer._inflight:
+                    writer.flush_sync()
+                    overtaken += 1
+                await asyncio.sleep(0)
+
+        async def scenario():
+            async with CheckpointDaemon(
+                pagestore=pagestore, state_dir=tmp_path
+            ) as daemon:
+                done = asyncio.Event()
+                poker = asyncio.create_task(overtake(daemon._persist, done))
+                try:
+                    metrics, _ = await migrate(daemon, hashes, pagestore)
+                finally:
+                    done.set()
+                    await poker
+                assert metrics.outcome == "completed"
+                assert all(daemon.repository.has_page(d) for d in digests)
+                assert daemon.audit_store() == []
+            await join_writer_threads()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            asyncio.run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+        assert overtaken >= 1
+        reopened = CheckpointRepository(tmp_path)
+        report = reopened.recover()
+        assert [m.slot_digests for m in report.checkpoints] == [digests]
+        assert not temp_files(tmp_path)
+        assert reopened.verify().ok

@@ -1,6 +1,7 @@
 """Unit tests for the durable checkpoint repository."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -161,7 +162,7 @@ class TestRecovery:
         repo = CheckpointRepository(tmp_path, fsync=False)
         commit(repo, "good", [b"g"])
         commit(repo, "bad", [b"x", b"y"])
-        victim = repo._segment_path(digest(b"x"))
+        victim = Path(repo._segment_path(digest(b"x")))
         victim.write_bytes(b"\xff" + victim.read_bytes()[1:])
 
         reopened = CheckpointRepository(tmp_path, fsync=False)
@@ -203,7 +204,7 @@ class TestVerify:
     def test_full_scrub_quarantines_corruption(self, tmp_path):
         repo = CheckpointRepository(tmp_path, fsync=False)
         commit(repo, "vm", [b"a", b"b"])
-        victim = repo._segment_path(digest(b"b"))
+        victim = Path(repo._segment_path(digest(b"b")))
         victim.write_bytes(b"\x00" * 64)
         repo.recover(verify_digests=False)
         report = repo.verify()
@@ -245,3 +246,80 @@ class TestHostileNames:
         assert manifests[0].parent == repo.manifests_dir
         restored = CheckpointRepository(tmp_path, fsync=False).recover()
         assert [m.vm_id for m in restored.checkpoints] == [vm_id]
+
+
+class TestOnDiskLayout:
+    """The layout is a contract between commits sharing a state directory.
+
+    The paths and manifest keys are spelled out here with ``pathlib``
+    and ``json`` alone, the way the first repository wrote them, so a
+    change of layout has to change this test.
+    """
+
+    TAGS = [b"a", b"b", b"a"]
+
+    def reference_write(self, root, vm_id):
+        """A state directory as the pathlib-era repository laid it out."""
+        table = []
+        for tag in self.TAGS:
+            name = digest(tag).hex()
+            segment = root / "segments" / name[:2] / (name + ".page")
+            segment.parent.mkdir(parents=True, exist_ok=True)
+            segment.write_bytes(page(tag))
+            if name not in table:
+                table.append(name)
+        manifest = {
+            "version": 1,
+            "vm_id": vm_id,
+            "algorithm": "md5",
+            "page_size": 64,
+            "timestamp": 7.0,
+            "generation": 3,
+            "digests": table,
+            "slots": [table.index(digest(t).hex()) for t in self.TAGS],
+        }
+        (root / "manifests").mkdir(parents=True, exist_ok=True)
+        (root / "manifests" / (vm_id + ".json")).write_text(
+            json.dumps(manifest), "utf-8"
+        )
+
+    def test_reference_directory_recovers(self, tmp_path):
+        self.reference_write(tmp_path, "vm")
+        repo = CheckpointRepository(tmp_path, fsync=False)
+        report = repo.recover()
+        assert not report.quarantined and report.orphan_segments == 0
+        (manifest,) = report.checkpoints
+        assert manifest.slot_digests == [digest(t) for t in self.TAGS]
+        assert (manifest.generation, manifest.timestamp) == (3, 7.0)
+        assert repo.get_page(digest(b"b")) == page(b"b")
+        assert repo.verify().ok
+
+    def test_written_directory_matches_the_reference(self, tmp_path):
+        ours, reference = tmp_path / "ours", tmp_path / "reference"
+        repo = CheckpointRepository(ours)
+        repo.put_pages([(digest(t), page(t)) for t in self.TAGS])
+        repo.commit_checkpoint(
+            CheckpointManifest(
+                vm_id="vm",
+                slot_digests=[digest(t) for t in self.TAGS],
+                page_size=64,
+                timestamp=7.0,
+                generation=3,
+            )
+        )
+        self.reference_write(reference, "vm")
+
+        def files(root):
+            return {
+                str(path.relative_to(root)): path.read_bytes()
+                for path in root.rglob("*")
+                if path.is_file()
+            }
+
+        written, expected = files(ours), files(reference)
+        assert written.keys() == expected.keys()
+        for name in expected:
+            if name.endswith(".json"):
+                assert json.loads(written[name]) == json.loads(expected[name])
+            else:
+                assert written[name] == expected[name]

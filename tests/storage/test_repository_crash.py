@@ -42,10 +42,13 @@ def digest(tag: bytes) -> bytes:
     return MD5.digest(page(tag))
 
 
-def commit(repo, vm_id, tags, timestamp=0.0):
+def commit(repo, vm_id, tags, timestamp=0.0, batched=False):
     digests = [digest(t) for t in tags]
-    for tag, d in zip(tags, digests):
-        repo.put_page(d, page(tag))
+    if batched:
+        repo.put_pages([(d, page(tag)) for tag, d in zip(tags, digests)])
+    else:
+        for tag, d in zip(tags, digests):
+            repo.put_page(d, page(tag))
     repo.commit_checkpoint(
         CheckpointManifest(
             vm_id=vm_id, slot_digests=digests, page_size=64, timestamp=timestamp
@@ -80,18 +83,24 @@ def assert_committed_intact(root, vm_id, tags):
 @pytest.mark.parametrize("repeat", range(REPEATS))
 @pytest.mark.parametrize("point", FAULT_POINTS)
 class TestCrashMatrix:
+    batched = False
+    """Whether segments go through one ``put_pages`` call."""
+
+    def commit(self, repo, vm_id, tags):
+        return commit(repo, vm_id, tags, batched=self.batched)
+
     def test_crash_loses_at_most_the_inflight_checkpoint(
         self, tmp_path, point, repeat
     ):
         repo = CheckpointRepository(tmp_path)
-        commit(repo, "committed", [b"a", b"b"])
+        self.commit(repo, "committed", [b"a", b"b"])
 
         arm(repo, point)
         with pytest.raises(KillNine):
             if point == FAULT_SESSION_WRITTEN:
                 repo.save_session("s1", {"result": {"ok": True}})
             else:
-                commit(repo, "inflight", [b"b", b"c"])
+                self.commit(repo, "inflight", [b"b", b"c"])
 
         recovered, report = assert_committed_intact(
             tmp_path, "committed", [b"a", b"b"]
@@ -108,22 +117,53 @@ class TestCrashMatrix:
 
     def test_recovery_after_crash_can_commit_again(self, tmp_path, point, repeat):
         repo = CheckpointRepository(tmp_path)
-        commit(repo, "vm", [b"a"])
+        self.commit(repo, "vm", [b"a"])
         arm(repo, point)
         with pytest.raises(KillNine):
             if point == FAULT_SESSION_WRITTEN:
                 repo.save_session("s1", {"result": {"ok": False}})
             else:
-                commit(repo, "vm2", [b"b"])
+                self.commit(repo, "vm2", [b"b"])
 
         reborn = CheckpointRepository(tmp_path)
         reborn.recover()
-        commit(reborn, "vm2", [b"b", b"c"])
+        self.commit(reborn, "vm2", [b"b", b"c"])
         reborn.save_session("s1", {"result": {"ok": True}})
         final = CheckpointRepository(tmp_path)
         report = final.recover()
         assert {m.vm_id for m in report.checkpoints} == {"vm", "vm2"}
         assert report.sessions["s1"] == {"result": {"ok": True}}
+
+
+class TestCrashMatrixBatched(TestCrashMatrix):
+    """The same matrix with each checkpoint's segments in one batch."""
+
+    batched = True
+
+
+class TestFaultMidBatch:
+    def test_rest_of_the_batch_is_attempted_and_first_error_raised(
+        self, tmp_path
+    ):
+        repo = CheckpointRepository(tmp_path)
+        tags = [b"a", b"b", b"c", b"d"]
+        seen = []
+
+        def hook(reached):
+            seen.append(reached)
+            if len(seen) == 2:
+                raise KillNine(reached)
+
+        repo.fault_hook = hook
+        with pytest.raises(KillNine):
+            repo.put_pages([(digest(t), page(t)) for t in tags])
+        assert seen == [FAULT_SEGMENT_WRITTEN] * 4
+        assert [repo.has_page(digest(t)) for t in tags] == [
+            True, False, True, True,
+        ]
+        assert not list(tmp_path.glob("segments/*/.tmp-*"))
+        repo.fault_hook = None
+        assert repo.put_pages([(digest(t), page(t)) for t in tags]) == 1
 
 
 class TestCrashDuringReplacement:
