@@ -432,7 +432,6 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
     config = RuntimeConfig(
         time_scale=args.time_scale,
         retry=RetryPolicy(max_attempts=5, base_backoff_s=0.02),
-        pipelined=args.pipelined,
     )
 
     async def run_all() -> str:
@@ -709,10 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pr.add_argument("--updates-percent", type=float, default=1.0,
                     help="memory updated since the destination's checkpoint")
-    pr.add_argument("--pipelined", action="store_true",
-                    help="use the staged source pipeline (digest prefetch "
-                    "overlapped with the bulk announce, frame encode "
-                    "overlapped with paced sends)")
     pr.add_argument("--time-scale", type=float, default=0.0,
                     help="scale modelled delays into real sleeps (0 = no sleeping)")
     pr.add_argument("--inject-disconnect", type=int, default=0, metavar="N",

@@ -9,7 +9,7 @@ protocol: every ``TYPE_*`` tag declared there must
 * be consumed by a branch of ``FrameCodec.read_frame`` (directly or
   through a set constant like ``PAGE_FRAME_TYPES``),
 * be dispatched by every endpoint ``FRAME_CONSUMERS`` assigns it to —
-  the daemon, the source/pipeline, or the controller pollers.
+  the daemon, the source, or the controller pollers.
 
 All checks are AST-level: deleting a dispatch arm in ``daemon.py``
 removes the tag reference and fails ``vecycle lint`` without running a
@@ -31,10 +31,7 @@ FRAMES_PATH = "src/repro/runtime/frames.py"
 #: Files that implement each FRAME_CONSUMERS role.
 ROLE_FILES: Dict[str, Tuple[str, ...]] = {
     "daemon": ("src/repro/runtime/daemon.py",),
-    "source": (
-        "src/repro/runtime/source.py",
-        "src/repro/runtime/pipeline.py",
-    ),
+    "source": ("src/repro/runtime/source.py",),
     "controller": (
         "src/repro/orchestrator/registry.py",
         "src/repro/orchestrator/telemetry.py",

@@ -76,10 +76,10 @@ STALL_SECONDS_BUCKETS: Tuple[float, ...] = (
     1.0,
     5.0,
 )
-"""Histogram boundaries for pipeline-stage stall times (seconds): how
-long one stage of the pipelined data path waited on a bounded queue.
-Finer-grained at the low end than ROUND_SECONDS_BUCKETS because a
-healthy pipeline stalls for microseconds, not milliseconds."""
+"""Histogram boundaries for stage stall times (seconds): how long the
+daemon's receive loop waited on the write-behind backlog.  Finer-grained
+at the low end than ROUND_SECONDS_BUCKETS because a healthy stage stalls
+for microseconds, not milliseconds."""
 
 
 class Counter:

@@ -169,12 +169,12 @@ METRICS: Tuple[MetricSpec, ...] = (
                "Digest-cache entries evicted by the pagestore LRU."),
     MetricSpec("pagestore.page_evictions", COUNTER,
                "Page-cache entries evicted by the pagestore LRU."),
-    # --- pipelined data path --------------------------------------------
+    # --- write-behind stage ---------------------------------------------
     MetricSpec("pipeline.stage_stall_seconds", HISTOGRAM,
-               "How long pipeline stages waited on bounded queues."),
+               "How long a receive loop waited on the write-behind backlog."),
     MetricSpec("pipeline.stall.<stage>", COUNTER,
-               "Stall events per pipeline stage (digest/plan/encode/"
-               "send/writebehind)."),
+               "Seconds stalled per stage; the durable sink's "
+               "writebehind is the only stage."),
     # --- checkpoint repository ------------------------------------------
     MetricSpec("repo.bytes_reclaimed", COUNTER,
                "Segment bytes freed by garbage collection."),

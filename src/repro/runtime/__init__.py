@@ -22,11 +22,7 @@ from repro.runtime.daemon import (
 )
 from repro.runtime.frames import Frame, FrameCodec, FrameError
 from repro.runtime.metrics import MigrationMetrics, RoundMetrics
-from repro.runtime.planner import (
-    FirstRoundPlan,
-    FirstRoundPlanner,
-    plan_first_round,
-)
+from repro.runtime.planner import FirstRoundPlan, plan_first_round
 from repro.runtime.shaping import ShapedStream, open_shaped_connection
 from repro.runtime.source import (
     MigrationError,
@@ -41,7 +37,6 @@ __all__ = [
     "CheckpointInfo",
     "CrossValidation",
     "FirstRoundPlan",
-    "FirstRoundPlanner",
     "Frame",
     "FrameCodec",
     "FrameError",

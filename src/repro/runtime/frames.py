@@ -132,11 +132,10 @@ FRAME_CONSUMERS = {
 }
 """Which endpoint dispatches on each tag: ``daemon`` is the receiving
 :mod:`~repro.runtime.daemon`, ``source`` the sending
-:mod:`~repro.runtime.source`/:mod:`~repro.runtime.pipeline`, and
-``controller`` the orchestrator's registry/telemetry pollers.  The
-protocol lint rule checks every listed consumer actually references the
-tag, so deleting a dispatch arm fails ``vecycle lint`` before any soak
-would notice."""
+:mod:`~repro.runtime.source`, and ``controller`` the orchestrator's
+registry/telemetry pollers.  The protocol lint rule checks every listed
+consumer actually references the tag, so deleting a dispatch arm fails
+``vecycle lint`` before any soak would notice."""
 
 DIGEST_DELTA_OVERHEAD = 17
 """Frame bytes before the digest lists: tag + four u32 fields."""

@@ -18,7 +18,7 @@ id → bytes mapping injective, so both membership tests agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -235,168 +235,6 @@ def plan_first_round(
         content_ids=hashes.copy(),
         checksummed_pages=checksummed,
     )
-
-
-class FirstRoundPlanner:
-    """Incremental, chunk-at-a-time :func:`plan_first_round`.
-
-    The pipelined data path plans slots in ascending chunks as their
-    digests stream out of the digest worker, instead of waiting for the
-    whole VM to be hashed.  The result is *provably identical* to the
-    one-shot planner: membership is a per-slot predicate, and the dedup
-    target of any repeat is the smallest candidate slot holding the same
-    content — which a first-seen dict reproduces exactly when chunks are
-    consumed in ascending slot order (``np.unique``'s ``return_index``
-    picks the first occurrence, i.e. the smallest slot, of each value).
-
-    Usage::
-
-        planner = FirstRoundPlanner(method, hashes, announced, dirty)
-        for stop, digest_table in chunks:      # ascending stop offsets
-            planner.plan_chunk(stop, digest_table)
-        plan = planner.finish()
-    """
-
-    def __init__(
-        self,
-        method: Method,
-        hashes: np.ndarray,
-        announced: Optional[FrozenSet[bytes]] = None,
-        dirty_slots: Optional[np.ndarray] = None,
-    ) -> None:
-        self.method = method
-        self._hashes = np.asarray(hashes, dtype=np.uint64).copy()
-        n = int(self._hashes.shape[0])
-        self._kinds = np.full(n, KIND_SKIP, dtype=np.int8)
-        self._refs = np.full(n, -1, dtype=np.int64)
-        self._checksummed = 0
-        self._planned_to = 0
-        self._announced = announced
-        # content id -> first send-candidate slot, for dedup references.
-        self._first_seen: Dict[int, int] = {}
-
-        if method.uses_hashes and announced is None:
-            raise ValueError(
-                f"method {method.value} needs the announced checksum set"
-            )
-        if method.uses_dirty_tracking:
-            if dirty_slots is None:
-                raise ValueError(f"method {method.value} needs dirty_slots")
-            self._dirty_mask = np.zeros(n, dtype=bool)
-            self._dirty_mask[np.asarray(dirty_slots, dtype=np.int64)] = True
-        else:
-            self._dirty_mask = np.ones(n, dtype=bool)
-
-    @property
-    def num_slots(self) -> int:
-        return int(self._hashes.shape[0])
-
-    @property
-    def planned_to(self) -> int:
-        return self._planned_to
-
-    def chunk_ids(self, start: int, stop: int) -> np.ndarray:
-        """The content ids of slots ``[start, stop)`` (for the digester)."""
-        return self._hashes[start:stop]
-
-    def plan_chunk(
-        self, stop: int, digests: Optional[Mapping[int, bytes]] = None
-    ) -> List[PageSend]:
-        """Plan slots ``[planned_to, stop)``; returns their sends.
-
-        ``digests`` maps every distinct content id appearing in the
-        chunk to its real page checksum (hash-based methods only).
-        """
-        start = self._planned_to
-        if stop < start or stop > self.num_slots:
-            raise ValueError(f"chunk stop {stop} out of range [{start}, "
-                             f"{self.num_slots}]")
-        self._planned_to = stop
-        if stop == start:
-            return []
-        method = self.method
-        hashes = self._hashes
-        kinds = self._kinds
-        refs = self._refs
-        dirty = self._dirty_mask[start:stop]
-
-        if method is Method.FULL:
-            kinds[start:stop] = KIND_PLAIN
-        elif method is Method.DIRTY:
-            kinds[start:stop][dirty] = KIND_PLAIN
-        elif method in (Method.DEDUP, Method.DIRTY_DEDUP):
-            candidates = np.nonzero(dirty)[0] + start
-            self._dedup_chunk(candidates, first_kind=KIND_PLAIN)
-            self._checksummed += int(candidates.size)
-        else:
-            if digests is None:
-                raise ValueError(
-                    f"method {method.value} needs the chunk's digest table"
-                )
-            chunk_ids = hashes[start:stop]
-            uniq, inverse = np.unique(chunk_ids, return_inverse=True)
-            announced = self._announced
-            unique_member = np.fromiter(
-                (digests[int(cid)] in announced for cid in uniq),
-                dtype=bool,
-                count=uniq.shape[0],
-            )
-            member = unique_member[inverse]
-            kinds[start:stop][dirty & member] = KIND_CHECKSUM
-            send_slots = np.nonzero(dirty & ~member)[0] + start
-            if method.uses_dedup:
-                self._dedup_chunk(send_slots, first_kind=KIND_FULL)
-            else:
-                kinds[send_slots] = KIND_FULL
-            self._checksummed += int(np.count_nonzero(dirty))
-        return self._sends_between(start, stop)
-
-    def _dedup_chunk(self, candidate_slots: np.ndarray, first_kind: int) -> None:
-        """Sequential dedup over this chunk's candidates.
-
-        Matching :func:`_dedup_within` globally: ascending slot order
-        means the first-seen dict always records the smallest candidate
-        slot per content id, across chunk boundaries.
-        """
-        first_seen = self._first_seen
-        kinds = self._kinds
-        refs = self._refs
-        hashes = self._hashes
-        for slot in candidate_slots.tolist():
-            cid = int(hashes[slot])
-            first = first_seen.get(cid)
-            if first is None:
-                first_seen[cid] = slot
-                kinds[slot] = first_kind
-            else:
-                kinds[slot] = KIND_REF
-                refs[slot] = first
-
-    def _sends_between(self, start: int, stop: int) -> List[PageSend]:
-        sent = np.nonzero(self._kinds[start:stop] != KIND_SKIP)[0] + start
-        return [
-            PageSend(
-                kind=int(self._kinds[slot]),
-                slot=int(slot),
-                content_id=int(self._hashes[slot]),
-                ref=int(self._refs[slot]),
-            )
-            for slot in sent
-        ]
-
-    def finish(self) -> FirstRoundPlan:
-        """The completed plan; every slot must have been planned."""
-        if self._planned_to != self.num_slots:
-            raise ValueError(
-                f"planned only {self._planned_to} of {self.num_slots} slots"
-            )
-        return FirstRoundPlan(
-            method=self.method,
-            kinds=self._kinds,
-            refs=self._refs,
-            content_ids=self._hashes,
-            checksummed_pages=self._checksummed,
-        )
 
 
 def plan_dirty_round(

@@ -23,7 +23,6 @@ import asyncio
 import time
 import uuid
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
@@ -47,9 +46,7 @@ from repro.runtime.frames import (
     expect_frame,
 )
 from repro.runtime.metrics import MigrationMetrics, RoundMetrics
-from repro.runtime.pipeline import DigestPrefetch, FrameEncoder
 from repro.runtime.planner import (
-    FirstRoundPlanner,
     KIND_CHECKSUM,
     KIND_FULL,
     KIND_NAMES,
@@ -68,6 +65,12 @@ _TRANSPORT_ERRORS = (
     TimeoutError,
     OSError,
 )
+
+BATCH_BYTES = 64 * 1024
+"""Page frames are coalesced into socket writes of about this size."""
+
+DIGEST_SLICE_PAGES = 1024
+"""Distinct pages checksummed between two yields to the event loop."""
 
 DirtyFeed = Callable[[int], Optional[Sequence[int]]]
 """Called once per completed round with the next round number; returns
@@ -185,26 +188,12 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """Knobs shared by source-side runtime operations.
-
-    ``pipelined`` turns on the staged data path: digest computation
-    overlaps the in-flight announce, and frame encoding overlaps the
-    (paced) socket writes.  The wire bytes, protocol sequence, and
-    every :class:`MigrationMetrics` count are identical to the serial
-    path — only wall-clock time changes.  ``pipeline_chunk_pages`` is
-    the digest/encode batch size (the pipelining granularity) and
-    ``pipeline_depth`` bounds each inter-stage queue, so a slow sink
-    backpressures the digest worker instead of buffering the whole VM.
-    """
+    """Timeouts, retry policy and pacing for source-side operations."""
 
     io_timeout_s: float = 10.0
     connect_timeout_s: float = 5.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     time_scale: float = 0.0
-    chunk_bytes: int = 64 * 1024
-    pipelined: bool = False
-    pipeline_chunk_pages: int = 2048
-    pipeline_depth: int = 16
     on_stream: Optional[Callable[[ShapedStream], None]] = None
     """Called with every freshly opened source-side connection, before
     any frame is sent — the fault plane's hook point (``repro.chaos``
@@ -284,40 +273,35 @@ class MigrationSource:
     def _digest_many(self, content_ids: np.ndarray) -> List[bytes]:
         return self.state.pagestore.digests_for(content_ids, self.strategy.checksum)
 
-    def _build_first_round(self, announced: FrozenSet[bytes]) -> None:
-        if self._plan is not None:
-            return
-        uses_hashes = self.strategy.method.uses_hashes
+    async def _digest_sliced(self) -> Dict[int, bytes]:
+        """Checksum the image's distinct contents without starving the loop.
+
+        Runs between READY and the announce read: the kernel (and the
+        stream's receive buffer) collect the announce meanwhile, so the
+        hashing hides under its transfer.  Yielding between slices keeps
+        every other task on the loop — an in-process daemon's paced
+        sends included — moving.  Returns content id → checksum.
+        """
+        distinct = np.unique(self.state.hashes)
+        table: Dict[int, bytes] = {}
+        for start in range(0, distinct.shape[0], DIGEST_SLICE_PAGES):
+            ids = distinct[start : start + DIGEST_SLICE_PAGES]
+            table.update(zip(ids.tolist(), self._digest_many(ids)))
+            await asyncio.sleep(0)
+        return table
+
+    def _build_first_round(
+        self, announced: FrozenSet[bytes], digests: Dict[int, bytes]
+    ) -> None:
+        # Non-hash methods ignore the announced set and the digest table.
         self._plan = plan_first_round(
             self.strategy.method,
             self.state.hashes,
-            announced=announced if uses_hashes else None,
-            digest_of=self._digest_of if uses_hashes else None,
-            dirty_slots=self.state.dirty_slots,
-            digest_many=self._digest_many if uses_hashes else None,
-        )
-        self._rounds = [self._plan.sends()]
-
-    async def _plan_pipelined(
-        self, announced: FrozenSet[bytes], prefetch: DigestPrefetch
-    ) -> None:
-        """Build the first-round plan chunk-by-chunk from the prefetch.
-
-        Digest tables computed while the announce was still in flight
-        are consumed instantly; the rest overlap the planning work
-        itself.  The resulting plan is identical to the one-shot
-        :func:`~repro.runtime.planner.plan_first_round` — the planner
-        equivalence tests hold the two paths to the same answer.
-        """
-        planner = FirstRoundPlanner(
-            self.strategy.method,
-            self.state.hashes,
             announced=announced,
+            digest_of=digests.__getitem__,
             dirty_slots=self.state.dirty_slots,
+            digest_many=lambda ids: [digests[cid] for cid in ids.tolist()],
         )
-        async for stop, table in prefetch.items():
-            planner.plan_chunk(stop, table)
-        self._plan = planner.finish()
         self._rounds = [self._plan.sends()]
 
     def _apply_digest_delta(
@@ -434,7 +418,9 @@ class MigrationSource:
                             cause=type(exc).__name__,
                         ):
                             await asyncio.sleep(
-                                self.config.retry.backoff(retry_index)
+                                self.config.retry.backoff(
+                                    retry_index, key=self.state.vm_id
+                                )
                             )
                         retry_index += 1
             except MigrationError as exc:
@@ -524,16 +510,6 @@ class MigrationSource:
             )
         if cfg.on_stream is not None:
             cfg.on_stream(stream)
-        executor: Optional[ThreadPoolExecutor] = None
-        prefetch: Optional[DigestPrefetch] = None
-        if cfg.pipelined:
-            # One worker by design: every PageStore touch (digesting,
-            # page materialization, frame encoding) serializes through
-            # this thread, while hashlib releases the GIL and the event
-            # loop keeps the socket moving.
-            executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="vecycle-pipeline"
-            )
         try:
             recv = stream.recv_with_timeout(cfg.io_timeout_s)
             with _span("announce") as announce_span:
@@ -564,24 +540,6 @@ class MigrationSource:
                 await stream.send(frame)
                 metrics.control_bytes += len(frame)
 
-                if (
-                    executor is not None
-                    and self._plan is None
-                    and self.strategy.method.uses_hashes
-                ):
-                    # Start checksumming immediately: the digest worker
-                    # runs while READY and the (shaped) announce are
-                    # still in flight, so hashing cost hides under the
-                    # announce transfer instead of following it.
-                    prefetch = DigestPrefetch(
-                        self.state.pagestore,
-                        self.strategy.checksum,
-                        self.state.hashes,
-                        chunk_pages=cfg.pipeline_chunk_pages,
-                        depth=cfg.pipeline_depth,
-                        executor=executor,
-                    ).start()
-
                 ready = await expect_frame(self.codec, recv, TYPE_READY)
                 metrics.control_bytes += ready.wire_bytes
                 if ready.completed:
@@ -591,6 +549,16 @@ class MigrationSource:
                         await expect_frame(self.codec, recv, TYPE_RESULT), metrics
                     )
                     return
+
+                # READY came first, so an ERROR, a replayed RESULT or a
+                # resume (the plan is kept) costs no digesting.  The
+                # planner needs the *whole* announced set, so the only
+                # thing worth overlapping with the announce is hashing.
+                digests: Dict[int, bytes] = {}
+                if self._plan is None and self.strategy.method.uses_hashes:
+                    with _span("digest") as digest_span:
+                        digests = await self._digest_sliced()
+                        digest_span.set(distinct=len(digests))
 
                 announced: FrozenSet[bytes] = (
                     known if announce_known else frozenset()
@@ -608,10 +576,9 @@ class MigrationSource:
                         announced = frozenset(manifest.digests)
                     else:
                         announced = self._apply_digest_delta(manifest, known)
-                if self._plan is None and prefetch is not None:
-                    await self._plan_pipelined(announced, prefetch)
-                else:
-                    self._build_first_round(announced)
+                if self._plan is None:
+                    with _span("plan"):
+                        self._build_first_round(announced, digests)
                 announce_span.set(
                     known=announce_known,
                     announce_bytes=metrics.announce_bytes,
@@ -621,7 +588,6 @@ class MigrationSource:
                 stream, metrics, dirty_feed,
                 resume_round=max(int(ready.round_no), 1),
                 resume_applied=int(ready.applied),
-                executor=executor,
             )
 
             with _span("complete"):
@@ -637,10 +603,6 @@ class MigrationSource:
                     await expect_frame(self.codec, recv, TYPE_RESULT), metrics
                 )
         finally:
-            if prefetch is not None:
-                await prefetch.close()
-            if executor is not None:
-                executor.shutdown(wait=True, cancel_futures=True)
             with _span("close"):
                 metrics.modelled_time_s += stream.modelled_tx_s
                 await stream.close()
@@ -652,9 +614,7 @@ class MigrationSource:
         dirty_feed: Optional[DirtyFeed],
         resume_round: int,
         resume_applied: int,
-        executor: Optional[ThreadPoolExecutor] = None,
     ) -> None:
-        cfg = self.config
         round_no = resume_round
         while True:
             with _span("round", round_no=round_no) as round_span:
@@ -675,7 +635,7 @@ class MigrationSource:
                     )
                 remaining = sends[skip:]
                 header = self.codec.encode_round(round_no, len(remaining))
-                writer = _BatchWriter(stream, cfg.chunk_bytes)
+                writer = _BatchWriter(stream, BATCH_BYTES)
                 # The header is just the first frame of the round's
                 # first batch — no dedicated send for it.
                 await writer.add(header)
@@ -683,36 +643,13 @@ class MigrationSource:
                 round_started = time.monotonic()
                 round_stats = RoundMetrics(round_no=round_no)
                 counted = self._counted.get(round_no, 0)
-                if executor is not None:
-                    # Pipelined: the worker thread encodes the next
-                    # batch while this coroutine accounts and sends the
-                    # previous one.  Identical frames, identical order,
-                    # identical accounting — only the overlap is new.
-                    encoder = FrameEncoder(
-                        self._encode_send, remaining, skip,
-                        chunk_sends=cfg.pipeline_chunk_pages,
-                        depth=cfg.pipeline_depth,
-                        executor=executor,
-                    ).start()
-                    try:
-                        async for first_index, batch, frames in encoder.items():
-                            for offset, frame in enumerate(frames):
-                                self._account(
-                                    metrics, round_stats, round_no,
-                                    first_index + offset, counted,
-                                    batch[offset].kind, len(frame),
-                                )
-                                await writer.add(frame)
-                    finally:
-                        await encoder.close()
-                else:
-                    for index, send in enumerate(remaining, start=skip):
-                        frame = self._encode_send(send)
-                        self._account(
-                            metrics, round_stats, round_no, index, counted,
-                            send.kind, len(frame),
-                        )
-                        await writer.add(frame)
+                for index, send in enumerate(remaining, start=skip):
+                    frame = self._encode_send(send)
+                    self._account(
+                        metrics, round_stats, round_no, index, counted,
+                        send.kind, len(frame),
+                    )
+                    await writer.add(frame)
                 await writer.flush()
                 round_stats.duration_s = time.monotonic() - round_started
                 if round_stats.messages:
@@ -734,7 +671,7 @@ class MigrationSource:
         kind: int,
         frame_len: int,
     ) -> None:
-        """Byte accounting for one page frame, shared by both data paths.
+        """Byte accounting for one page frame.
 
         A frame whose round-index a previous attempt already counted is
         a retransmission; everything else is first-time payload.

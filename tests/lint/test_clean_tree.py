@@ -94,7 +94,7 @@ class TestMutationsExitOne:
             _restore(tree_copy, rel, original)
 
     def test_renaming_a_metric_literal_exits_one(self, tree_copy, capsys):
-        rel = "src/repro/runtime/pipeline.py"
+        rel = "src/repro/runtime/daemon.py"
         original = (tree_copy / rel).read_text()
         try:
             _edit(

@@ -16,7 +16,6 @@ from repro.lint.rules import (
 
 DAEMON = "src/repro/runtime/daemon.py"
 FRAMES = "src/repro/runtime/frames.py"
-PIPELINE = "src/repro/runtime/pipeline.py"
 FAULTPOINTS = "src/repro/chaos/faultpoints.py"
 
 
@@ -63,11 +62,11 @@ class TestMetricNamesRule:
         assert list(metricnames.check(project)) == []
 
     def test_renamed_metric_literal_is_flagged(self, project, mutate):
-        mutated = project.text(PIPELINE).replace(
+        mutated = project.text(DAEMON).replace(
             '"pipeline.stage_stall_seconds"', '"pipeline.stage_stall_secs"'
         )
-        assert mutated != project.text(PIPELINE)
-        findings = list(metricnames.check(mutate({PIPELINE: mutated})))
+        assert mutated != project.text(DAEMON)
+        findings = list(metricnames.check(mutate({DAEMON: mutated})))
         assert any(
             "pipeline.stage_stall_secs" in m for m in _messages(findings)
         )

@@ -1,33 +1,20 @@
-"""The pipelined data path must be a pure latency optimization.
-
-Three contracts pin it down:
-
-* the chunked :class:`FirstRoundPlanner` produces the exact plan of the
-  one-shot :func:`plan_first_round`, at every chunking;
-* a pipelined migration emits byte-for-byte the wire traffic of the
-  serial path — the scrubbed :class:`MigrationMetrics` dicts are equal;
-* DIGEST_DELTA manifests engage only when the daemon can prove the
-  source's base generation, and fall back to the full announce after a
-  restart loses the in-memory delta history.
-"""
+"""DIGEST_DELTA manifests engage only when the daemon can prove the
+source's base generation, and fall back to the full announce after a
+restart loses the in-memory delta history."""
 
 import asyncio
 
 import numpy as np
-import pytest
 
 from repro.core.fingerprint import Fingerprint
 from repro.core.strategies import VECYCLE
-from repro.core.transfer import Method
 from repro.mem.pagestore import PageStore
 from repro.runtime import (
     CheckpointDaemon,
-    FirstRoundPlanner,
     MigrationSource,
     RetryPolicy,
     RuntimeConfig,
     SourceState,
-    plan_first_round,
 )
 
 N = 1024
@@ -36,13 +23,6 @@ FAST = RuntimeConfig(
     connect_timeout_s=5.0,
     retry=RetryPolicy(max_attempts=4, base_backoff_s=0.01, max_backoff_s=0.05),
     time_scale=0.0,
-)
-FAST_PIPELINED = RuntimeConfig(
-    io_timeout_s=5.0,
-    connect_timeout_s=5.0,
-    retry=RetryPolicy(max_attempts=4, base_backoff_s=0.01, max_backoff_s=0.05),
-    time_scale=0.0,
-    pipelined=True,
 )
 
 
@@ -57,23 +37,11 @@ def build_vm(seed: int = 11, updates: int = 100):
     return checkpoint, current, dirty
 
 
-def scrub(metrics) -> dict:
-    """Metrics dict minus the timing fields (which legitimately differ)."""
-    data = metrics.to_dict()
-    data.pop("wall_time_s", None)
-    data.pop("modelled_time_s", None)
-    data.pop("sink", None)
-    for round_data in data.get("rounds", []):
-        round_data.pop("duration_s", None)
-    return data
-
-
 async def migrate_once(
     checkpoint,
     current,
     dirty,
     config=FAST,
-    daemon_setup=None,
     known_digests=None,
     known_generation=None,
 ):
@@ -81,8 +49,6 @@ async def migrate_once(
     async with CheckpointDaemon(pagestore=pagestore) as daemon:
         if checkpoint is not None:
             daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
-        if daemon_setup is not None:
-            daemon_setup(daemon)
         source = MigrationSource(
             SourceState(
                 vm_id="vm",
@@ -96,117 +62,6 @@ async def migrate_once(
         )
         metrics = await source.migrate(daemon.host, daemon.port)
         return metrics, daemon
-
-
-class TestPlannerEquivalence:
-    """Chunked planning must reproduce the one-shot plan exactly."""
-
-    @pytest.mark.parametrize("method", list(Method))
-    @pytest.mark.parametrize("chunk", [1, 7, 64, N, N + 5])
-    def test_any_chunking_matches_one_shot(self, method, chunk):
-        checkpoint, current, dirty = build_vm(seed=3)
-        store = PageStore()
-        announced = None
-        if method.uses_hashes:
-            announced = frozenset(
-                store.digest_for(int(cid)) for cid in np.unique(checkpoint)
-            )
-        dirty_arg = dirty if method.uses_dirty_tracking else None
-
-        reference = plan_first_round(
-            method,
-            current,
-            announced=announced,
-            digest_of=store.digest_for if method.uses_hashes else None,
-            dirty_slots=dirty_arg,
-        )
-
-        planner = FirstRoundPlanner(
-            method, current, announced=announced, dirty_slots=dirty_arg
-        )
-        incremental_sends = []
-        start = 0
-        while start < planner.num_slots:
-            stop = min(start + chunk, planner.num_slots)
-            digests = None
-            if method.uses_hashes:
-                digests = {
-                    int(cid): store.digest_for(int(cid))
-                    for cid in np.unique(planner.chunk_ids(start, stop))
-                }
-            incremental_sends.extend(planner.plan_chunk(stop, digests))
-            start = stop
-        plan = planner.finish()
-
-        np.testing.assert_array_equal(plan.kinds, reference.kinds)
-        np.testing.assert_array_equal(plan.refs, reference.refs)
-        assert plan.checksummed_pages == reference.checksummed_pages
-        assert incremental_sends == reference.sends()
-
-    def test_incomplete_plan_refuses_to_finish(self):
-        _, current, _ = build_vm()
-        planner = FirstRoundPlanner(Method.FULL, current)
-        planner.plan_chunk(10)
-        with pytest.raises(ValueError, match="planned only"):
-            planner.finish()
-
-    def test_chunks_must_be_ascending(self):
-        _, current, _ = build_vm()
-        planner = FirstRoundPlanner(Method.FULL, current)
-        planner.plan_chunk(100)
-        with pytest.raises(ValueError, match="out of range"):
-            planner.plan_chunk(50)
-
-
-class TestPipelinedParity:
-    """Same wire traffic, same decisions — only the timing may differ."""
-
-    def test_metrics_identical_to_serial_path(self):
-        checkpoint, current, dirty = build_vm()
-        serial, serial_daemon = asyncio.run(
-            migrate_once(checkpoint, current, dirty, config=FAST)
-        )
-        pipelined, pipe_daemon = asyncio.run(
-            migrate_once(checkpoint, current, dirty, config=FAST_PIPELINED)
-        )
-        assert pipelined.outcome == "completed"
-        assert scrub(pipelined) == scrub(serial)
-        # Both daemons adopted the same checkpoint content.
-        assert (
-            pipe_daemon.checkpoints["vm"].slot_digests
-            == serial_daemon.checkpoints["vm"].slot_digests
-        )
-
-    def test_pipelined_first_visit_with_empty_announce(self):
-        # No hosted checkpoint: the degraded §3.2 mode (everything in
-        # full) must survive the staged path too.
-        _, current, dirty = build_vm()
-        serial, _ = asyncio.run(migrate_once(None, current, dirty, config=FAST))
-        pipelined, _ = asyncio.run(
-            migrate_once(None, current, dirty, config=FAST_PIPELINED)
-        )
-        assert pipelined.outcome == "completed"
-        assert scrub(pipelined) == scrub(serial)
-
-
-class TestPipelinedFaults:
-    def test_disconnect_mid_transfer_retries_cleanly(self):
-        # The retry tears down the stage tasks mid-flight; the resumed
-        # attempt must still converge to a completed, verified image.
-        checkpoint, current, dirty = build_vm(updates=400)
-        metrics, daemon = asyncio.run(
-            migrate_once(
-                checkpoint, current, dirty,
-                config=FAST_PIPELINED,
-                daemon_setup=lambda d: d.inject_disconnect(after_messages=100),
-            )
-        )
-        assert metrics.outcome == "completed"
-        assert metrics.retries == 1
-        store = PageStore()
-        assert daemon.checkpoints["vm"].slot_digests == [
-            store.digest_for(int(c)) for c in current
-        ]
 
 
 class TestDeltaManifest:

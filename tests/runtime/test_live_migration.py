@@ -157,7 +157,7 @@ class TestDirtyRounds:
 class TestFaultInjection:
     def test_disconnect_mid_transfer_is_retried_and_resumed(self):
         checkpoint, current, dirty = build_vm(updates=400)
-        metrics, _ = asyncio.run(
+        metrics, daemon = asyncio.run(
             migrate_once(
                 VECYCLE, checkpoint, current, dirty,
                 daemon_setup=lambda d: d.inject_disconnect(after_messages=100),
@@ -165,6 +165,10 @@ class TestFaultInjection:
         )
         assert metrics.outcome == "completed"
         assert metrics.retries == 1
+        store = PageStore()
+        assert daemon.checkpoints["vm"].slot_digests == [
+            store.digest_for(int(c)) for c in current
+        ]
 
     def test_repeated_disconnects_exhaust_retries_with_structured_error(self):
         checkpoint, current, dirty = build_vm(updates=400)

@@ -1,0 +1,246 @@
+"""The source has one data path; these tests pin its order, no wall clock.
+
+HELLO → READY → sliced digest → ANNOUNCE → plan → batched send.  A stub
+sink built from :class:`FrameCodec` plays the destination, and a
+:class:`PageStore` subclass counts the checksums actually computed.
+"""
+
+import asyncio
+import math
+import socket
+
+import numpy as np
+import pytest
+
+from repro.core.fingerprint import Fingerprint
+from repro.core.strategies import VECYCLE
+from repro.mem.pagestore import PageStore
+from repro.runtime import (
+    CheckpointDaemon,
+    FrameCodec,
+    MigrationError,
+    MigrationSource,
+    RetryPolicy,
+    RuntimeConfig,
+    SourceState,
+)
+from repro.runtime import source as source_module
+from repro.runtime.frames import TYPE_COMPLETE, TYPE_HELLO, TYPE_ROUND
+
+N = 1024
+LOCALHOST = "127.0.0.1"
+FAST = RuntimeConfig(
+    io_timeout_s=1.0,
+    connect_timeout_s=1.0,
+    retry=RetryPolicy(max_attempts=2, base_backoff_s=0.01, max_backoff_s=0.05),
+    time_scale=0.0,
+)
+
+
+class CountingStore(PageStore):
+    """A page store that reports how many checksums it has computed."""
+
+    @property
+    def computed(self) -> int:
+        # Nothing is evicted at this scale, so every miss is still cached.
+        return len(self._digest_cache)
+
+
+def image(seed: int = 5) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    hashes = rng.integers(1, 2**62, size=N, dtype=np.uint64)
+    hashes[rng.choice(N, size=N // 8, replace=False)] = hashes[0]
+    return hashes
+
+
+def make_source(hashes, store, config=FAST, vm_id="vm") -> MigrationSource:
+    return MigrationSource(
+        SourceState(vm_id=vm_id, hashes=hashes, pagestore=store),
+        VECYCLE,
+        config=config,
+    )
+
+
+async def run_against(sink, source: MigrationSource):
+    """Migrate ``source`` into the stub ``sink(reader, writer)``."""
+
+    async def handler(reader, writer):
+        try:
+            await sink(reader, writer)
+        finally:
+            writer.close()
+
+    server = await asyncio.start_server(handler, LOCALHOST, 0)
+    try:
+        port = server.sockets[0].getsockname()[1]
+        return await source.migrate(LOCALHOST, port)
+    finally:
+        server.close()
+        await server.wait_closed()
+
+
+async def accept_rounds(codec: FrameCodec, reader, writer, before_round=None):
+    """Play the destination from the first ROUND header to the RESULT."""
+    frame = await codec.read_frame(reader.readexactly)
+    assert frame.type == TYPE_ROUND
+    if before_round is not None:
+        before_round()
+    while frame.type != TYPE_COMPLETE:
+        frame = await codec.read_frame(reader.readexactly)
+    writer.write(codec.encode_result({"ok": True}))
+    await writer.drain()
+
+
+class TestSourcePath:
+    def test_digesting_runs_while_the_announce_is_withheld(self):
+        # The old serial order read the announce before hashing anything:
+        # against this sink it would sit in the read until io_timeout_s.
+        hashes = image()
+        distinct = int(np.unique(hashes).size)
+        store = CountingStore()
+        codec = FrameCodec(VECYCLE.wire)
+
+        async def sink(reader, writer):
+            hello = await codec.read_frame(reader.readexactly)
+            assert hello.type == TYPE_HELLO
+            writer.write(codec.encode_ready(1, 0, True, False))
+            await writer.drain()
+            while store.computed < distinct:
+                await asyncio.sleep(0)
+            writer.write(codec.encode_announce([]))
+            await writer.drain()
+            await accept_rounds(codec, reader, writer)
+
+        metrics = asyncio.run(run_against(sink, make_source(hashes, store)))
+        assert metrics.outcome == "completed"
+        assert metrics.retries == 0
+        assert store.computed == distinct
+
+    def test_event_loop_runs_between_digest_slices(self, monkeypatch):
+        # A handful of yields happen anyway (socket reads); 64 slices
+        # make the sliced pass the only way to reach the bound.
+        monkeypatch.setattr(source_module, "DIGEST_SLICE_PAGES", 16)
+        hashes = image()
+        slices = math.ceil(np.unique(hashes).size / 16)
+        codec = FrameCodec(VECYCLE.wire)
+        ticks = 0
+        marks = []
+
+        async def ticker():
+            nonlocal ticks
+            while True:
+                ticks += 1
+                await asyncio.sleep(0)
+
+        async def sink(reader, writer):
+            await codec.read_frame(reader.readexactly)  # HELLO
+            marks.append(ticks)
+            writer.write(
+                codec.encode_ready(1, 0, True, False) + codec.encode_announce([])
+            )
+            await writer.drain()
+            await accept_rounds(
+                codec, reader, writer, before_round=lambda: marks.append(ticks)
+            )
+
+        async def main():
+            task = asyncio.ensure_future(ticker())
+            try:
+                return await run_against(sink, make_source(hashes, CountingStore()))
+            finally:
+                task.cancel()
+
+        assert asyncio.run(main()).outcome == "completed"
+        hello_tick, round_tick = marks
+        assert round_tick - hello_tick >= slices
+
+    def test_error_reply_costs_no_digesting(self):
+        store = CountingStore()
+        codec = FrameCodec(VECYCLE.wire)
+
+        async def sink(reader, writer):
+            await codec.read_frame(reader.readexactly)  # HELLO
+            writer.write(codec.encode_error({"code": "rejected", "message": "full"}))
+            await writer.drain()
+
+        with pytest.raises(MigrationError) as excinfo:
+            asyncio.run(run_against(sink, make_source(image(), store)))
+        assert excinfo.value.code == "protocol"
+        assert store.computed == 0
+
+    def test_replayed_result_costs_no_digesting(self):
+        store = CountingStore()
+        codec = FrameCodec(VECYCLE.wire)
+
+        async def sink(reader, writer):
+            await codec.read_frame(reader.readexactly)  # HELLO
+            writer.write(
+                codec.encode_ready(1, 0, False, True)
+                + codec.encode_result({"ok": True})
+            )
+            await writer.drain()
+
+        metrics = asyncio.run(run_against(sink, make_source(image(), store)))
+        assert metrics.outcome == "completed"
+        assert store.computed == 0
+
+    def test_resumed_attempt_computes_no_new_digests(self):
+        rng = np.random.default_rng(9)
+        checkpoint = image()
+        current = checkpoint.copy()
+        dirty = rng.choice(N, size=400, replace=False)
+        current[dirty] = rng.integers(2**62, 2**63, size=400, dtype=np.uint64)
+        store = CountingStore()
+        computed_at_connect = []
+        config = RuntimeConfig(
+            io_timeout_s=5.0,
+            retry=RetryPolicy(max_attempts=4, base_backoff_s=0.01),
+            on_stream=lambda _stream: computed_at_connect.append(store.computed),
+        )
+
+        async def main():
+            async with CheckpointDaemon(pagestore=PageStore()) as daemon:
+                daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
+                daemon.inject_disconnect(after_messages=100)
+                source = make_source(current, store, config=config)
+                metrics = await source.migrate(daemon.host, daemon.port)
+                return metrics, daemon.checkpoints["vm"].slot_digests
+
+        metrics, slot_digests = asyncio.run(main())
+        assert metrics.outcome == "completed"
+        assert metrics.retries == 1
+        distinct = int(np.unique(current).size)
+        assert computed_at_connect == [0, distinct]
+        assert store.computed == distinct
+        reference = PageStore()
+        assert slot_digests == [reference.digest_for(int(c)) for c in current]
+
+
+class TestRetryJitter:
+    def test_backoff_is_keyed_by_vm_id(self, monkeypatch):
+        policy = RetryPolicy(max_attempts=3, base_backoff_s=0.01, jitter=0.5)
+        slept = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            slept.append(delay)
+            await real_sleep(0)
+
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+        with socket.socket() as probe:
+            probe.bind((LOCALHOST, 0))
+            refused_port = probe.getsockname()[1]
+
+        def delays(vm_id: str):
+            """The backoff sleeps of one migration into a refused port."""
+            del slept[:]
+            config = RuntimeConfig(connect_timeout_s=1.0, retry=policy)
+            source = make_source(image(), PageStore(), config=config, vm_id=vm_id)
+            with pytest.raises(MigrationError):
+                asyncio.run(source.migrate(LOCALHOST, refused_port))
+            return list(slept)
+
+        first = delays("vm-a")
+        assert first == [policy.backoff(i, key="vm-a") for i in range(2)]
+        assert delays("vm-a") == first
+        assert delays("vm-b") != first
