@@ -22,7 +22,10 @@ compares the *scale-free ratios*, never absolute seconds::
     python benchmarks/perf_snapshot.py --quick --check BENCH_perf.json
 
 ``--check`` exits non-zero when a ratio regressed by more than
-``--tolerance`` (default 25%) relative to the committed snapshot.
+``--tolerance`` (default 25%) relative to the committed snapshot.  The
+ratios that time a 4-worker run are compared only when both snapshots
+come from the same multi-core ``cpu_count``; otherwise they are skipped
+with a printed note.
 """
 
 from __future__ import annotations
@@ -70,6 +73,12 @@ CHECKED_RATIOS = (
     "digest.zero_copy_speedup",
     "pipeline.overlap",
 )
+
+PARALLEL_RATIOS = frozenset({"fig1.best_speedup", "fig8.parallel_speedup"})
+"""Checked ratios that time a 4-worker run.  What they read depends on
+the cores available, so --check compares them only between snapshots
+taken with the same ``cpu_count``, and never against a 1-core one
+(there every parallel ratio is ~1 by construction)."""
 
 _ANNOUNCE_WIRE_FACTOR = 1.25
 """The pipeline benchmark calibrates the destination link so the bulk
@@ -346,9 +355,23 @@ def _ratio(snapshot: dict, dotted: str) -> float:
 
 
 def check_against(snapshot: dict, baseline: dict, tolerance: float) -> list[str]:
-    """Scale-free regression check; returns a list of failures."""
+    """Scale-free regression check; returns a list of failures.
+
+    Ratios in :data:`PARALLEL_RATIOS` are skipped, with a note on
+    standard error, unless both snapshots come from the same
+    multi-core ``cpu_count``.
+    """
     failures = []
+    cpus = (baseline.get("cpu_count"), snapshot.get("cpu_count"))
+    same_cores = cpus[0] == cpus[1] and cpus[0] not in (None, 1)
     for name in CHECKED_RATIOS:
+        if name in PARALLEL_RATIOS and not same_cores:
+            print(
+                f"SKIPPED {name}: a parallel ratio, and the baseline has "
+                f"cpu_count {cpus[0]}, this snapshot {cpus[1]}",
+                file=sys.stderr,
+            )
+            continue
         current = _ratio(snapshot, name)
         reference = _ratio(baseline, name)
         floor = reference * (1.0 - tolerance)

@@ -16,6 +16,8 @@ schemes are modelled so the ablation benchmark can quantify the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict
 
 from repro.core.checksum import PAGE_SIZE, ChecksumAlgorithm, MD5
 from repro.core.dedup import DEDUP_REF_BYTES
@@ -70,6 +72,17 @@ class WireFormat:
         """Bytes for a page without checksum (baseline QEMU migration)."""
         return self.header_bytes + self.page_size
 
+    @cached_property
+    def _message_sizes(self) -> Dict[str, int]:
+        # Built on first use and kept: the codec asks per frame kind and
+        # the instance is frozen, so the table can never go stale.
+        return {
+            "full": self.full_page_message,
+            "checksum": self.checksum_message,
+            "ref": self.ref_message,
+            "plain": self.plain_page_message,
+        }
+
     def message_bytes(self, kind: str) -> int:
         """Wire size of one data message by kind.
 
@@ -78,12 +91,7 @@ class WireFormat:
         framing change cannot silently diverge the two paths.  Kinds:
         ``"full"``, ``"checksum"``, ``"ref"``, ``"plain"``.
         """
-        sizes = {
-            "full": self.full_page_message,
-            "checksum": self.checksum_message,
-            "ref": self.ref_message,
-            "plain": self.plain_page_message,
-        }
+        sizes = self._message_sizes
         try:
             return sizes[kind]
         except KeyError:

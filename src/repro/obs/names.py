@@ -71,6 +71,9 @@ METRICS: Tuple[MetricSpec, ...] = (
                "generation."),
     MetricSpec("daemon.announced_digests", COUNTER,
                "Digests carried in full ANNOUNCE frames."),
+    MetricSpec("daemon.apply_batches", COUNTER,
+               "Decoded page-frame batches applied across completed "
+               "sessions."),
     MetricSpec("daemon.close_errors", COUNTER,
                "Connection-cleanup failures swallowed at session end."),
     MetricSpec("daemon.heartbeats", COUNTER,

@@ -36,7 +36,7 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from repro.runtime.frames import (
     FrameCodec,
     FrameError,
     PAGE_FRAME_TYPES,
+    PageFields,
     StreamDesyncError,
     TYPE_COMPLETE,
     TYPE_ERROR,
@@ -196,70 +197,83 @@ class _SinkSession:
         self.reused_from_store = 0
         self.pages_received = 0
         self.rx_payload_bytes = 0
+        self.apply_batches = 0
 
-    def apply(self, frame: Frame) -> None:
-        """Merge one data frame (Listing 1, content-store edition)."""
-        slot = frame.page_no
-        if not 0 <= slot < self.num_pages:
-            raise SinkProtocolError(
-                "bad-slot", f"page number {slot} outside [0, {self.num_pages})"
+    def apply_pages(
+        self, frames: List[PageFields], frame_bytes: Mapping[int, int]
+    ) -> None:
+        """Merge a decoded batch in order (Listing 1, content-store edition).
+
+        ``frames`` are :meth:`FrameCodec.decode_pages` tuples and
+        ``frame_bytes`` the codec's tag → wire size table.  Every frame
+        gets the checks a lone frame would; a violation raises after
+        the frames ahead of it were applied and counted, and leaves the
+        rest of the batch untouched.
+        """
+        slot_digests, store, num_pages = self.slot_digests, self.store, self.num_pages
+        set_slot = self._set_slot
+        applied = in_place = from_store = 0
+        try:
+            # One arm per PAGE_FRAME_TYPES member; repro.lint rule
+            # protocol-exhaustiveness checks this stays in sync with
+            # frames.py.
+            for tag, slot, digest, payload, ref in frames:
+                if not 0 <= slot < num_pages:
+                    raise SinkProtocolError(
+                        "bad-slot",
+                        f"page number {slot} outside [0, {num_pages})",
+                    )
+                if tag == TYPE_PAGE_CHECKSUM:
+                    if slot_digests[slot] == digest:
+                        in_place += 1
+                    elif digest in store:
+                        set_slot(slot, digest)
+                        from_store += 1
+                    else:
+                        raise SinkProtocolError(
+                            "missing-content",
+                            f"page {slot}: checksum announced but absent "
+                            "from the content store",
+                        )
+                elif tag == TYPE_PAGE_FULL:
+                    # §3.2: the attached checksum saves the receiver
+                    # from re-hashing the page; the sender is trusted
+                    # here exactly as in the prototype.
+                    store.put(digest, payload)
+                    set_slot(slot, digest)
+                elif tag == TYPE_PAGE_PLAIN:
+                    digest = self.algorithm.digest(payload)
+                    store.put(digest, payload)
+                    set_slot(slot, digest)
+                elif tag == TYPE_PAGE_REF:
+                    if not 0 <= ref < num_pages:
+                        raise SinkProtocolError(
+                            "bad-ref",
+                            f"dedup reference to slot {ref} out of range",
+                        )
+                    target = slot_digests[ref]
+                    if target is None:
+                        raise SinkProtocolError(
+                            "bad-ref",
+                            f"page {slot}: dedup reference to slot {ref}, "
+                            "which has not been received",
+                        )
+                    set_slot(slot, target)
+                else:  # pragma: no cover - decode_pages yields page tags only
+                    raise SinkProtocolError(
+                        "bad-frame", f"unexpected frame tag 0x{tag:02x}"
+                    )
+                applied += 1
+        finally:
+            self.reused_in_place += in_place
+            self.reused_from_store += from_store
+            self.pages_received += applied
+            self.applied_in_round += applied
+            self.total_applied += applied
+            self.rx_payload_bytes += sum(
+                frame_bytes[frame[0]] for frame in frames[:applied]
             )
-        applier = self._PAGE_APPLIERS.get(frame.type)
-        if applier is None:  # pragma: no cover - the connection loop filters
-            raise SinkProtocolError("bad-frame", f"unexpected frame {frame.name}")
-        applier(self, slot, frame)
-        self.pages_received += 1
-        self.rx_payload_bytes += frame.wire_bytes
-        self.applied_in_round += 1
-        self.total_applied += 1
-
-    def _apply_plain(self, slot: int, frame: Frame) -> None:
-        digest = self.algorithm.digest(frame.payload)
-        self.store.put(digest, frame.payload)
-        self._set_slot(slot, digest)
-
-    def _apply_full(self, slot: int, frame: Frame) -> None:
-        # §3.2: the attached checksum saves the receiver from
-        # re-hashing the page; the sender is trusted here exactly as
-        # in the prototype.
-        self.store.put(frame.digest, frame.payload)
-        self._set_slot(slot, frame.digest)
-
-    def _apply_checksum(self, slot: int, frame: Frame) -> None:
-        if self.slot_digests[slot] == frame.digest:
-            self.reused_in_place += 1
-            return
-        if frame.digest not in self.store:
-            raise SinkProtocolError(
-                "missing-content",
-                f"page {slot}: checksum announced but absent from "
-                "the content store",
-            )
-        self._set_slot(slot, frame.digest)
-        self.reused_from_store += 1
-
-    def _apply_ref(self, slot: int, frame: Frame) -> None:
-        if not 0 <= frame.ref < self.num_pages:
-            raise SinkProtocolError(
-                "bad-ref", f"dedup reference to slot {frame.ref} out of range"
-            )
-        target = self.slot_digests[frame.ref]
-        if target is None:
-            raise SinkProtocolError(
-                "bad-ref",
-                f"page {slot}: dedup reference to slot {frame.ref}, "
-                "which has not been received",
-            )
-        self._set_slot(slot, target)
-
-    # One dispatch arm per PAGE_FRAME_TYPES member; repro.lint rule
-    # protocol-exhaustiveness checks this stays in sync with frames.py.
-    _PAGE_APPLIERS = {
-        TYPE_PAGE_PLAIN: _apply_plain,
-        TYPE_PAGE_FULL: _apply_full,
-        TYPE_PAGE_CHECKSUM: _apply_checksum,
-        TYPE_PAGE_REF: _apply_ref,
-    }
+            self.apply_batches += 1
 
     def _set_slot(self, slot: int, digest: bytes) -> None:
         """Assign ``digest`` to ``slot``, moving the store references."""
@@ -382,8 +396,11 @@ class _WriteBehind:
       idempotent and every write uses its own temp file.
 
     ``max_pending_bytes`` bounds the queue; :meth:`throttle` (awaited
-    per applied frame) blocks reception while the writer is more than
-    that far behind, turning disk pressure into socket backpressure.
+    once per decoded batch) blocks reception while the writer is more
+    than that far behind, turning disk pressure into socket
+    backpressure.  A batch is what one receive chunk held, so the queue
+    overshoots the bound by at most one receive chunk
+    (:data:`~repro.runtime.shaping._RECV_CHUNK_BYTES`).
     """
 
     def __init__(self, repository: CheckpointRepository,
@@ -1010,14 +1027,19 @@ class CheckpointDaemon:
         """
         self._fault = plan
 
-    def _should_abort(self, session: _SinkSession) -> bool:
+    def _abort_due_in(self, session: _SinkSession) -> Optional[int]:
+        """Frames left to apply before an armed mid-transfer abort fires
+        (0: it is due now); None when no such abort is armed."""
         fault = self._fault
         if fault is None or fault.times <= 0 or fault.mid_result:
+            return None
+        return max(fault.after_messages - session.total_applied, 0)
+
+    def _should_abort(self, session: _SinkSession) -> bool:
+        if self._abort_due_in(session) != 0:
             return False
-        if session.total_applied >= fault.after_messages:
-            fault.times -= 1
-            return True
-        return False
+        self._fault.times -= 1
+        return True
 
     def _should_abort_result(self) -> bool:
         fault = self._fault
@@ -1357,6 +1379,51 @@ class CheckpointDaemon:
             applied=session.total_applied,
         )
 
+    async def _receive_pages(
+        self, stream: ShapedStream, recv, session: _SinkSession,
+        codec: FrameCodec, expected: int,
+    ) -> Tuple[int, bool]:
+        """Apply one round's ``expected`` page frames, a buffer at a time.
+
+        Each pass decodes and applies every complete page frame the
+        receive buffer holds — any mix of kinds — and awaits only to
+        refill it and, with a repository, once on the write-behind
+        throttle.  While an abort is armed a pass stops at the frame the
+        abort is due after, so it fires after exactly that many applied
+        frames.  Returns ``(received, aborted)``.
+        """
+        received = 0
+        while received < expected:
+            budget = expected - received
+            due = self._abort_due_in(session)
+            if due is not None:
+                budget = min(budget, max(due, 1))
+            data = stream.peek()
+            frames, consumed = codec.decode_pages(data, budget)
+            if not frames:
+                if data and data[0] not in PAGE_FRAME_TYPES:
+                    # Not a page frame: read_frame tells a control frame
+                    # (a protocol violation) from a desync.
+                    frame = await codec.read_frame(recv)
+                    raise SinkProtocolError(
+                        "bad-frame",
+                        f"expected a page frame mid-round, got {frame.name}",
+                    )
+                await stream.fill(self.io_timeout_s)
+                continue
+            stream.consume(consumed)
+            session.apply_pages(frames, codec.page_frame_bytes)
+            received += len(frames)
+            if self._persist is not None:
+                # Disk pressure becomes socket backpressure when the
+                # write-behind queue is full.
+                await self._persist.throttle()
+            if self._should_abort(session):
+                self._count("daemon.injected_aborts")
+                stream.abort()
+                return received, True
+        return received, False
+
     async def _serve_frames(
         self, stream: ShapedStream, recv, session: _SinkSession,
         codec: FrameCodec, hello: Frame,
@@ -1430,25 +1497,12 @@ class CheckpointDaemon:
                 with _span(
                     "daemon.round", round_no=frame.round_no, expected=frame.count
                 ) as round_span:
-                    received = 0
-                    while received < frame.count:
-                        page = await codec.read_frame(recv)
-                        if page.type not in PAGE_FRAME_TYPES:
-                            raise SinkProtocolError(
-                                "bad-frame",
-                                f"expected a page frame mid-round, got {page.name}",
-                            )
-                        session.apply(page)
-                        received += 1
-                        if self._persist is not None:
-                            # Disk pressure becomes socket backpressure
-                            # when the write-behind queue is full.
-                            await self._persist.throttle()
-                        if self._should_abort(session):
-                            round_span.set(received=received, aborted=True)
-                            self._count("daemon.injected_aborts")
-                            stream.abort()
-                            return
+                    received, aborted = await self._receive_pages(
+                        stream, recv, session, codec, frame.count
+                    )
+                    if aborted:
+                        round_span.set(received=received, aborted=True)
+                        return
                     round_span.set(received=received)
             elif frame.type == TYPE_COMPLETE:
                 if self._persist is not None:
@@ -1481,6 +1535,7 @@ class CheckpointDaemon:
                     )
                 self._count("daemon.sessions.completed")
                 self._count("daemon.pages_received", session.pages_received)
+                self._count("daemon.apply_batches", session.apply_batches)
                 self._count("daemon.reused_in_place", session.reused_in_place)
                 self._count("daemon.reused_from_store", session.reused_from_store)
                 # The headline VeCycle numbers, per host and per VM:

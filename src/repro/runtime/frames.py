@@ -56,8 +56,11 @@ from __future__ import annotations
 
 import json
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.protocol import ANNOUNCE_FRAME_OVERHEAD, WireFormat
 
@@ -177,11 +180,12 @@ class PeerError(FrameError):
 
 @dataclass(frozen=True, slots=True)
 class Frame:
-    """One decoded protocol frame.
+    """One decoded protocol frame, as :meth:`FrameCodec.read_frame` returns it.
 
-    ``slots=True`` is deliberate: a round of small frames allocates one
-    ``Frame`` per page, and slot-based instances construct measurably
-    faster than ``__dict__``-backed ones on that hot path.
+    Control frames and single page frames come back in this shape.  A
+    round's page frames do not: the daemon decodes them a buffer at a
+    time with :meth:`FrameCodec.decode_pages`, which yields plain
+    tuples, so no ``Frame`` is allocated per page on that path.
     """
 
     type: int
@@ -206,12 +210,23 @@ class Frame:
         return FRAME_NAMES.get(self.type, f"0x{self.type:02x}")
 
 
+PageFields = Tuple[int, int, bytes, bytes, int]
+"""One decoded page frame: ``(tag, page_no, digest, payload, ref)``, with
+``b""`` / ``-1`` for the fields its kind does not carry — the same
+values the corresponding :class:`Frame` attributes hold."""
+
+
 class FrameCodec:
     """Encode/decode frames for one migration session.
 
     Page and digest sizes are negotiated in the HELLO exchange; the
     codec is constructed once per session and validates that the data
     frames it produces match the analytic wire format byte for byte.
+
+    ``page_frame_bytes`` maps each page-frame tag to its wire size,
+    computed once from the :class:`~repro.core.protocol.WireFormat`.
+    Every page encoder and decoder here — single frame or batch — takes
+    its sizes from that one table.
     """
 
     def __init__(self, wire: WireFormat = WireFormat()) -> None:
@@ -225,6 +240,10 @@ class FrameCodec:
             raise ValueError(f"header_bytes must be >= 2, got {wire.header_bytes}")
         self._page_no_bytes = wire.header_bytes - 1
         self._ref_bytes = wire.ref_bytes
+        self.page_frame_bytes: Dict[int, int] = {
+            tag: wire.message_bytes(FRAME_NAMES[tag])
+            for tag in sorted(PAGE_FRAME_TYPES)
+        }
 
     # --- encode ---------------------------------------------------------
 
@@ -236,13 +255,13 @@ class FrameCodec:
         frame = (
             bytes((TYPE_PAGE_FULL,)) + self._page_no(page_no) + digest + page
         )
-        assert len(frame) == self.wire.message_bytes("full")
+        assert len(frame) == self.page_frame_bytes[TYPE_PAGE_FULL]
         return frame
 
     def encode_page_checksum(self, page_no: int, digest: bytes) -> bytes:
         """A checksum-only data frame: content already at the destination."""
         frame = bytes((TYPE_PAGE_CHECKSUM,)) + self._page_no(page_no) + digest
-        assert len(frame) == self.wire.message_bytes("checksum")
+        assert len(frame) == self.page_frame_bytes[TYPE_PAGE_CHECKSUM]
         return frame
 
     def encode_page_ref(self, page_no: int, ref: int) -> bytes:
@@ -252,14 +271,101 @@ class FrameCodec:
             + self._page_no(page_no)
             + ref.to_bytes(self._ref_bytes, "big")
         )
-        assert len(frame) == self.wire.message_bytes("ref")
+        assert len(frame) == self.page_frame_bytes[TYPE_PAGE_REF]
         return frame
 
     def encode_page_plain(self, page_no: int, page: bytes) -> bytes:
         """A plain page frame (baseline QEMU format, no checksum)."""
         frame = bytes((TYPE_PAGE_PLAIN,)) + self._page_no(page_no) + page
-        assert len(frame) == self.wire.message_bytes("plain")
+        assert len(frame) == self.page_frame_bytes[TYPE_PAGE_PLAIN]
         return frame
+
+    def encode_pages(
+        self,
+        tags: Sequence[int],
+        page_nos: Sequence[int],
+        digests: Iterable[bytes],
+        pages: Iterable[bytes],
+        refs: Iterable[int],
+        batch_bytes: int,
+        queued: int = 0,
+    ) -> Iterator[Tuple[List[int], bytes]]:
+        """Encode a sequence of page frames, one blob per write batch.
+
+        Yields ``(batch_tags, blob)``: ``blob`` is byte for byte the
+        concatenation of what :meth:`encode_page_full` and its siblings
+        produce for those rows.  A batch closes at the first frame
+        boundary where ``batch_bytes`` are queued; ``queued`` bytes
+        already wait ahead of the first batch (the ROUND header).
+
+        ``tags`` and ``page_nos`` have one entry per frame.  The other
+        three are read in row order by the kinds that carry them:
+        ``digests`` by FULL and CHECKSUM rows, ``pages`` by FULL and
+        PLAIN rows, ``refs`` by REF rows.  ``pages`` may be lazy; it is
+        consumed one batch at a time.
+
+        The ``tag | page_no`` headers of the whole sequence come from
+        one big-endian pack, each blob from one ``join``, and the
+        wire-size assertion is made once per blob.
+        """
+        tags = np.asarray(tags, dtype=np.uint8)
+        sizes = np.zeros(256, dtype=np.int64)
+        for tag, size in self.page_frame_bytes.items():
+            sizes[tag] = size
+        row_bytes = sizes[tags]
+        if not row_bytes.all():
+            raise FrameError("encode_pages got a tag that is not a page frame")
+        ends = np.cumsum(row_bytes).tolist()
+        heads = self._pack_page_heads(tags, np.asarray(page_nos, dtype=np.int64))
+        head_bytes = self.wire.header_bytes
+        ref_bytes = self._ref_bytes
+        next_digest = iter(digests).__next__
+        next_page = iter(pages).__next__
+        next_ref = iter(refs).__next__
+        tag_list = tags.tolist()
+        start, sent = 0, -queued
+        while start < len(tag_list):
+            stop = min(
+                bisect_left(ends, sent + batch_bytes, start) + 1, len(tag_list)
+            )
+            batch_tags = tag_list[start:stop]
+            pieces: List[bytes] = []
+            append = pieces.append
+            at = start * head_bytes
+            for tag in batch_tags:
+                append(heads[at : at + head_bytes])
+                at += head_bytes
+                if tag == TYPE_PAGE_CHECKSUM:
+                    append(next_digest())
+                elif tag == TYPE_PAGE_FULL:
+                    append(next_digest())
+                    append(next_page())
+                elif tag == TYPE_PAGE_PLAIN:
+                    append(next_page())
+                else:
+                    append(next_ref().to_bytes(ref_bytes, "big"))
+            blob = b"".join(pieces)
+            assert len(blob) == ends[stop - 1] - (ends[start - 1] if start else 0)
+            yield batch_tags, blob
+            start, sent = stop, ends[stop - 1]
+
+    def _pack_page_heads(self, tags: np.ndarray, page_nos: np.ndarray) -> bytes:
+        """``tag | page_no`` for every row, packed big-endian in one go."""
+        width = self._page_no_bytes
+        if page_nos.size and (
+            int(page_nos.min()) < 0
+            or (width < 8 and int(page_nos.max()) >> (8 * width))
+        ):
+            # What int.to_bytes raises in the single-frame encoders.
+            raise OverflowError(f"page number does not fit {width} bytes")
+        heads = np.zeros((tags.shape[0], 1 + width), dtype=np.uint8)
+        heads[:, 0] = tags
+        octets = page_nos.astype(">u8").view(np.uint8).reshape(-1, 8)
+        if width >= 8:
+            heads[:, 1 + width - 8 :] = octets
+        else:
+            heads[:, 1:] = octets[:, 8 - width :]
+        return heads.tobytes()
 
     def encode_hello(self, body: Dict[str, Any]) -> bytes:
         """The session-opening handshake frame (JSON body)."""
@@ -352,34 +458,59 @@ class FrameCodec:
 
     # --- decode ---------------------------------------------------------
 
+    def decode_pages(
+        self, data: bytes, max_frames: int
+    ) -> Tuple[List[PageFields], int]:
+        """Decode the complete page frames at the front of ``data``.
+
+        Returns ``(frames, consumed)``: up to ``max_frames`` tuples
+        ``(tag, page_no, digest, payload, ref)`` and the number of bytes
+        they occupied.  The scan stops — consuming nothing further — at
+        a frame whose tail has not arrived yet and at any tag that is
+        not a page frame (a control frame or a desync, for
+        :meth:`read_frame` to judge).  Synchronous: the caller awaits
+        once per buffer, not once per frame.
+        """
+        sizes = self.page_frame_bytes
+        split = self._split_page
+        frames: List[PageFields] = []
+        position, end = 0, len(data)
+        while position < end and len(frames) < max_frames:
+            tag = data[position]
+            size = sizes.get(tag)
+            if size is None or position + size > end:
+                break
+            frames.append(split(tag, data, position + 1))
+            position += size
+        return frames, position
+
+    def _split_page(self, tag: int, data: bytes, start: int) -> PageFields:
+        """The fields of one page frame whose tag byte precedes ``start``."""
+        body = start + self._page_no_bytes
+        page_no = int.from_bytes(data[start:body], "big")
+        if tag == TYPE_PAGE_CHECKSUM:
+            return tag, page_no, data[body : body + self.digest_size], b"", -1
+        if tag == TYPE_PAGE_FULL:
+            page = body + self.digest_size
+            return (tag, page_no, data[body:page],
+                    data[page : page + self.page_size], -1)
+        if tag == TYPE_PAGE_PLAIN:
+            return tag, page_no, b"", data[body : body + self.page_size], -1
+        ref = int.from_bytes(data[body : body + self._ref_bytes], "big")
+        return tag, page_no, b"", b"", ref
+
     async def read_frame(self, recv) -> Frame:
         """Read one frame via ``recv`` (an ``async (n) -> bytes`` reader)."""
         tag = (await recv(1))[0]
         if tag in PAGE_FRAME_TYPES:
-            # The fixed-size fields after the tag are read in one recv
-            # per frame: page frames dominate a round, and each await is
-            # a measurable slice of the per-frame budget.
-            pn = self._page_no_bytes
-            if tag == TYPE_PAGE_FULL:
-                head = await recv(pn + self.digest_size + self.page_size)
-                return Frame(tag, page_no=int.from_bytes(head[:pn], "big"),
-                             digest=head[pn : pn + self.digest_size],
-                             payload=head[pn + self.digest_size :],
-                             wire_bytes=self.wire.message_bytes("full"))
-            if tag == TYPE_PAGE_CHECKSUM:
-                head = await recv(pn + self.digest_size)
-                return Frame(tag, page_no=int.from_bytes(head[:pn], "big"),
-                             digest=head[pn:],
-                             wire_bytes=self.wire.message_bytes("checksum"))
-            if tag == TYPE_PAGE_REF:
-                head = await recv(pn + self._ref_bytes)
-                return Frame(tag, page_no=int.from_bytes(head[:pn], "big"),
-                             ref=int.from_bytes(head[pn:], "big"),
-                             wire_bytes=self.wire.message_bytes("ref"))
-            head = await recv(pn + self.page_size)
-            return Frame(tag, page_no=int.from_bytes(head[:pn], "big"),
-                         payload=head[pn:],
-                         wire_bytes=self.wire.message_bytes("plain"))
+            # One recv for everything after the tag; the layout itself
+            # is decode_pages', shared through _split_page.
+            size = self.page_frame_bytes[tag]
+            _, page_no, digest, payload, ref = self._split_page(
+                tag, await recv(size - 1), 0
+            )
+            return Frame(tag, page_no=page_no, digest=digest, payload=payload,
+                         ref=ref, wire_bytes=size)
         if tag in JSON_FRAME_TYPES:
             (length,) = struct.unpack(">I", await recv(4))
             if length > _MAX_JSON_BODY:

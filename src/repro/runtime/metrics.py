@@ -75,10 +75,13 @@ class MigrationMetrics:
     error: Optional[str] = None
     sink_stats: Dict[str, Any] = field(default_factory=dict)
 
-    def count(self, kind: str, num_bytes: int) -> None:
-        """Record one sent data frame of ``kind``."""
+    def count(self, kind: str, num_bytes: int, messages: int = 1) -> None:
+        """Record ``messages`` sent data frames of ``kind``, ``num_bytes``
+        in total."""
         self.bytes_by_type[kind] = self.bytes_by_type.get(kind, 0) + num_bytes
-        self.messages_by_type[kind] = self.messages_by_type.get(kind, 0) + 1
+        self.messages_by_type[kind] = (
+            self.messages_by_type.get(kind, 0) + messages
+        )
 
     @property
     def payload_bytes(self) -> int:

@@ -40,12 +40,42 @@ KIND_NAMES = {
 
 @dataclass(frozen=True)
 class PageSend:
-    """One planned first-round message."""
+    """One planned message."""
 
     kind: int
     slot: int
     content_id: int
     ref: int = -1
+
+
+@dataclass(frozen=True)
+class RoundSends:
+    """One round's message sequence as parallel arrays, in send order.
+
+    This is the form the source streams from: row ``i`` is the message
+    ``PageSend(kinds[i], slots[i], content_ids[i], refs[i])``, and
+    "skip the first N messages" is a slice.
+    """
+
+    kinds: np.ndarray
+    slots: np.ndarray
+    content_ids: np.ndarray
+    refs: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.slots.shape[0])
+
+    def as_list(self) -> List[PageSend]:
+        """The same sequence as one :class:`PageSend` per message."""
+        return [
+            PageSend(kind, slot, content_id, ref)
+            for kind, slot, content_id, ref in zip(
+                self.kinds.tolist(),
+                self.slots.tolist(),
+                self.content_ids.tolist(),
+                self.refs.tolist(),
+            )
+        ]
 
 
 @dataclass
@@ -83,7 +113,7 @@ class FirstRoundPlan:
     def skipped_pages(self) -> int:
         return self.count(KIND_SKIP)
 
-    def sends(self) -> List[PageSend]:
+    def round_sends(self) -> RoundSends:
         """The message sequence, in ascending slot order.
 
         Slot order is deterministic, which is what makes mid-round
@@ -93,16 +123,17 @@ class FirstRoundPlan:
         slot (the first occurrence of the content precedes every
         repeat).
         """
-        sent_slots = np.nonzero(self.kinds != KIND_SKIP)[0]
-        return [
-            PageSend(
-                kind=int(self.kinds[slot]),
-                slot=int(slot),
-                content_id=int(self.content_ids[slot]),
-                ref=int(self.refs[slot]),
-            )
-            for slot in sent_slots
-        ]
+        slots = np.nonzero(self.kinds != KIND_SKIP)[0]
+        return RoundSends(
+            kinds=self.kinds[slots],
+            slots=slots,
+            content_ids=self.content_ids[slots],
+            refs=self.refs[slots],
+        )
+
+    def sends(self) -> List[PageSend]:
+        """:meth:`round_sends` as a list of :class:`PageSend`."""
+        return self.round_sends().as_list()
 
 
 def _dedup_within(
@@ -237,9 +268,7 @@ def plan_first_round(
     )
 
 
-def plan_dirty_round(
-    hashes: np.ndarray, dirty_slots: np.ndarray
-) -> List[PageSend]:
+def dirty_round_sends(hashes: np.ndarray, dirty_slots: np.ndarray) -> RoundSends:
     """Plan one post-first-round dirty round: plain pages, slot order.
 
     VeCycle adapts only the first round (§3.1); later rounds resend
@@ -248,7 +277,16 @@ def plan_dirty_round(
     separated by a reconnect.
     """
     slots = np.unique(np.asarray(dirty_slots, dtype=np.int64))
-    return [
-        PageSend(kind=KIND_PLAIN, slot=int(slot), content_id=int(hashes[slot]))
-        for slot in slots
-    ]
+    return RoundSends(
+        kinds=np.full(slots.shape[0], KIND_PLAIN, dtype=np.int8),
+        slots=slots,
+        content_ids=np.asarray(hashes, dtype=np.uint64)[slots],
+        refs=np.full(slots.shape[0], -1, dtype=np.int64),
+    )
+
+
+def plan_dirty_round(
+    hashes: np.ndarray, dirty_slots: np.ndarray
+) -> List[PageSend]:
+    """:func:`dirty_round_sends` as a list of :class:`PageSend`."""
+    return dirty_round_sends(hashes, dirty_slots).as_list()

@@ -46,10 +46,11 @@ _WRITE_BUFFER_LIMIT = 256 * 1024
 
 _RECV_CHUNK_BYTES = 64 * 1024
 """Socket reads pull up to this much into the stream's receive buffer.
-Frame decoding issues several tiny reads per frame (tag, page number,
-digest); satisfying them from a local buffer costs a few slice
-operations, where per-read ``asyncio.wait_for`` costs a Task each — the
-dominant non-compute cost of applying a round of small frames."""
+A reader takes what it needs from there: :meth:`ShapedStream.recv`
+slices exact lengths off the front for control frames, and the daemon's
+round loop decodes every complete page frame the buffer holds in one
+pass.  This is therefore also the most page data applied between two
+awaits, and the most a sink runs past its write-behind limit."""
 
 
 class ShapedStream:
@@ -115,30 +116,46 @@ class ShapedStream:
                     await asyncio.sleep(owed * self.time_scale)
         await self.writer.drain()
 
+    async def fill(self, timeout_s: Optional[float] = None) -> None:
+        """Append one socket read (at most :data:`_RECV_CHUNK_BYTES`) to
+        the receive buffer; raises ``IncompleteReadError`` on EOF.
+
+        ``timeout_s`` bounds the read, so a silent peer cannot hang a
+        migration.
+        """
+        read = self.reader.read(_RECV_CHUNK_BYTES)
+        chunk = await (
+            read if timeout_s is None else asyncio.wait_for(read, timeout_s)
+        )
+        if not chunk:
+            raise asyncio.IncompleteReadError(bytes(self._rx_buf), None)
+        self._rx_buf += chunk
+
+    def peek(self) -> bytes:
+        """A snapshot of everything received and not yet consumed."""
+        return bytes(self._rx_buf)
+
+    def consume(self, num_bytes: int) -> None:
+        """Drop ``num_bytes`` from the front of the receive buffer."""
+        del self._rx_buf[:num_bytes]
+        self.rx_bytes += num_bytes
+
     async def recv(
         self, num_bytes: int, timeout_s: Optional[float] = None
     ) -> bytes:
         """Read exactly ``num_bytes`` (raises ``IncompleteReadError`` on EOF).
 
-        Reads are buffered: the socket is drained in
-        :data:`_RECV_CHUNK_BYTES` gulps and small reads are sliced off
-        the buffer without touching the event loop.  ``timeout_s``
-        bounds each *socket* read — a silent peer still cannot hang a
-        migration, but a read satisfied from the buffer never pays for
-        an ``asyncio.wait_for`` Task.
+        Reads are buffered: the socket is drained by :meth:`fill` and
+        small reads are sliced off the buffer without touching the
+        event loop.  ``timeout_s`` bounds each *socket* read — a read
+        satisfied from the buffer never pays for an
+        ``asyncio.wait_for`` Task.
         """
         buf = self._rx_buf
         while len(buf) < num_bytes:
-            read = self.reader.read(_RECV_CHUNK_BYTES)
-            chunk = await (
-                read if timeout_s is None else asyncio.wait_for(read, timeout_s)
-            )
-            if not chunk:
-                raise asyncio.IncompleteReadError(bytes(buf), num_bytes)
-            buf += chunk
+            await self.fill(timeout_s)
         data = bytes(memoryview(buf)[:num_bytes])
-        del buf[:num_bytes]
-        self.rx_bytes += num_bytes
+        self.consume(num_bytes)
         return data
 
     def recv_with_timeout(self, timeout_s: Optional[float]):

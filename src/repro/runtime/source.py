@@ -24,7 +24,16 @@ import time
 import uuid
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -34,6 +43,8 @@ from repro.net.link import Link
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as _span
 from repro.runtime.frames import (
+    FRAME_NAMES,
+    FRAME_TYPES,
     Frame,
     FrameCodec,
     FrameError,
@@ -52,8 +63,8 @@ from repro.runtime.planner import (
     KIND_NAMES,
     KIND_PLAIN,
     KIND_REF,
-    PageSend,
-    plan_dirty_round,
+    RoundSends,
+    dirty_round_sends,
     plan_first_round,
 )
 from repro.runtime.shaping import ShapedStream, open_shaped_connection
@@ -71,6 +82,11 @@ BATCH_BYTES = 64 * 1024
 
 DIGEST_SLICE_PAGES = 1024
 """Distinct pages checksummed between two yields to the event loop."""
+
+_TAG_OF_KIND = np.zeros(max(KIND_NAMES) + 1, dtype=np.uint8)
+"""Planner kind → frame tag; the two vocabularies share their names."""
+for _kind, _name in KIND_NAMES.items():
+    _TAG_OF_KIND[_kind] = FRAME_TYPES[_name]
 
 DirtyFeed = Callable[[int], Optional[Sequence[int]]]
 """Called once per completed round with the next round number; returns
@@ -111,37 +127,41 @@ class MigrationError(RuntimeError):
 class _BatchWriter:
     """Size-bounded write coalescing for the page stream.
 
-    Encoded frames accumulate in one buffer and hit the socket as a
-    single writer flush once ``limit`` bytes are queued — one send (and
-    one shaping computation) per batch instead of per page.  The round
-    header simply rides in the first batch of its round; frame framing
-    makes the concatenation self-describing, so the receiver never
-    notices the batching.  Flushes are counted in the shared metrics
-    registry (``runtime.batch_flushes``).
+    Whatever is added — the round header, then a round's pre-joined
+    batch blobs — queues until ``limit`` bytes wait, then hits the socket
+    as a single send (and one shaping computation).  The queue holds
+    references, not a copy: a blob that meets the limit on its own goes
+    to the stream as is, and only the first batch of a round, which the
+    header rides in, is joined once more.  Frame framing makes the
+    concatenation self-describing, so the receiver never notices the
+    batching.  A send that fails leaves everything queued for the retry.
+    Flushes are counted in the shared metrics registry
+    (``runtime.batch_flushes``).
     """
 
     def __init__(self, stream: "ShapedStream", limit: int) -> None:
         self._stream = stream
         self._limit = max(int(limit), 1)
-        self._buffer = bytearray()
+        self._queue: List[bytes] = []
+        self.pending_bytes = 0
         self.flushes = 0
 
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
-
     async def add(self, frame: bytes) -> None:
-        """Queue one frame, flushing when the batch limit is reached."""
-        self._buffer += frame
-        if len(self._buffer) >= self._limit:
+        """Queue ``frame``, flushing when the batch limit is reached."""
+        self._queue.append(frame)
+        self.pending_bytes += len(frame)
+        if self.pending_bytes >= self._limit:
             await self.flush()
 
     async def flush(self) -> None:
         """Send everything queued as one write; no-op when empty."""
-        if not self._buffer:
+        if not self._queue:
             return
-        await self._stream.send(bytes(self._buffer))
-        self._buffer.clear()
+        if len(self._queue) > 1:
+            self._queue = [b"".join(self._queue)]
+        await self._stream.send(self._queue[0])
+        self._queue.clear()
+        self.pending_bytes = 0
         self.flushes += 1
         obs_metrics.get_registry().counter("runtime.batch_flushes").add()
 
@@ -258,7 +278,7 @@ class MigrationSource:
         self.config = config or RuntimeConfig()
         self.codec = FrameCodec(strategy.wire)
         self.session_id = f"{state.vm_id}-{uuid.uuid4().hex[:12]}"
-        self._rounds: List[List[PageSend]] = []
+        self._rounds: List[RoundSends] = []
         self._plan = None
         self._feed_done = False
         self._counted: Dict[int, int] = {}
@@ -302,7 +322,7 @@ class MigrationSource:
             dirty_slots=self.state.dirty_slots,
             digest_many=lambda ids: [digests[cid] for cid in ids.tolist()],
         )
-        self._rounds = [self._plan.sends()]
+        self._rounds = [self._plan.round_sends()]
 
     def _apply_digest_delta(
         self, frame: Frame, known: Optional[FrozenSet[bytes]]
@@ -331,7 +351,9 @@ class MigrationSource:
                 self._feed_done = True
                 return False
             self._rounds.append(
-                plan_dirty_round(self.state.hashes, np.asarray(slots, dtype=np.int64))
+                dirty_round_sends(
+                    self.state.hashes, np.asarray(slots, dtype=np.int64)
+                )
             )
         return True
 
@@ -339,8 +361,7 @@ class MigrationSource:
         """Per-slot digests of the image after all planned rounds."""
         final = self._plan.content_ids.copy()
         for sends in self._rounds[1:]:
-            for send in sends:
-                final[send.slot] = send.content_id
+            final[sends.slots] = sends.content_ids
         return self._digest_many(final)
 
     def final_digests(self) -> Optional[FrozenSet[bytes]]:
@@ -633,8 +654,7 @@ class MigrationSource:
                         f"destination claims {skip} applied messages of "
                         f"round {round_no}, which only has {len(sends)}"
                     )
-                remaining = sends[skip:]
-                header = self.codec.encode_round(round_no, len(remaining))
+                header = self.codec.encode_round(round_no, len(sends) - skip)
                 writer = _BatchWriter(stream, BATCH_BYTES)
                 # The header is just the first frame of the round's
                 # first batch — no dedicated send for it.
@@ -642,14 +662,13 @@ class MigrationSource:
                 metrics.control_bytes += len(header)
                 round_started = time.monotonic()
                 round_stats = RoundMetrics(round_no=round_no)
-                counted = self._counted.get(round_no, 0)
-                for index, send in enumerate(remaining, start=skip):
-                    frame = self._encode_send(send)
-                    self._account(
-                        metrics, round_stats, round_no, index, counted,
-                        send.kind, len(frame),
-                    )
-                    await writer.add(frame)
+                first = skip
+                for tags, blob in self._encode_round(
+                    sends, skip, writer.pending_bytes
+                ):
+                    self._account_batch(metrics, round_stats, round_no, first, tags)
+                    first += len(tags)
+                    await writer.add(blob)
                 await writer.flush()
                 round_stats.duration_s = time.monotonic() - round_started
                 if round_stats.messages:
@@ -661,50 +680,66 @@ class MigrationSource:
                 )
             round_no += 1
 
-    def _account(
+    def _encode_round(
+        self, sends: RoundSends, skip: int, queued: int
+    ) -> Iterator[Tuple[List[int], bytes]]:
+        """Wire bytes of ``sends`` from message ``skip`` on, a batch at a time.
+
+        Per round: the kind → tag map, one ``digests_for`` call over
+        the rows that carry a checksum, and the codec's header pack.
+        Per page: one ``page_bytes`` lookup, made as the codec reaches
+        the row, so no more than a batch of pages is held at once.
+        """
+        kinds = sends.kinds[skip:]
+        content_ids = sends.content_ids[skip:]
+        with_digest = (kinds == KIND_FULL) | (kinds == KIND_CHECKSUM)
+        with_page = (kinds == KIND_FULL) | (kinds == KIND_PLAIN)
+        return self.codec.encode_pages(
+            _TAG_OF_KIND[kinds],
+            sends.slots[skip:],
+            digests=self._digest_many(content_ids[with_digest]),
+            pages=map(
+                self.state.pagestore.page_bytes, content_ids[with_page].tolist()
+            ),
+            refs=sends.refs[skip:][kinds == KIND_REF].tolist(),
+            batch_bytes=BATCH_BYTES,
+            queued=queued,
+        )
+
+    def _account_batch(
         self,
         metrics: MigrationMetrics,
         round_stats: RoundMetrics,
         round_no: int,
-        index: int,
-        counted: int,
-        kind: int,
-        frame_len: int,
+        first: int,
+        tags: List[int],
     ) -> None:
-        """Byte accounting for one page frame.
+        """Byte accounting for one batch, messages ``first`` onward.
 
         A frame whose round-index a previous attempt already counted is
         a retransmission; everything else is first-time payload.
         ``self._counted`` survives reconnects, so a frame is never
         counted as payload twice no matter how the stream is resumed.
+        Frame sizes depend on the tag alone, so both sums are a count
+        per tag times its size.
         """
-        if index < counted:
-            metrics.retransmitted_bytes += frame_len
-        else:
-            metrics.count(KIND_NAMES[kind], frame_len)
-            round_stats.messages += 1
-            round_stats.bytes_sent += frame_len
-            self._counted[round_no] = index + 1
+        resent = min(max(self._counted.get(round_no, 0) - first, 0), len(tags))
+        for _, _, num_bytes in self._tally(tags[:resent]):
+            metrics.retransmitted_bytes += num_bytes
+        if resent == len(tags):
+            return
+        for name, messages, num_bytes in self._tally(tags[resent:]):
+            metrics.count(name, num_bytes, messages)
+            round_stats.messages += messages
+            round_stats.bytes_sent += num_bytes
+        self._counted[round_no] = first + len(tags)
 
-    def _encode_send(self, send: PageSend) -> bytes:
-        store = self.state.pagestore
-        if send.kind == KIND_PLAIN:
-            return self.codec.encode_page_plain(
-                send.slot, store.page_bytes(send.content_id)
-            )
-        if send.kind == KIND_FULL:
-            return self.codec.encode_page_full(
-                send.slot,
-                self._digest_of(send.content_id),
-                store.page_bytes(send.content_id),
-            )
-        if send.kind == KIND_CHECKSUM:
-            return self.codec.encode_page_checksum(
-                send.slot, self._digest_of(send.content_id)
-            )
-        if send.kind == KIND_REF:
-            return self.codec.encode_page_ref(send.slot, send.ref)
-        raise MigrationError("protocol", f"unplannable send kind {send.kind}")
+    def _tally(self, tags: List[int]) -> Iterator[Tuple[str, int, int]]:
+        """``(kind name, frames, wire bytes)`` for each kind among ``tags``."""
+        for tag, size in self.codec.page_frame_bytes.items():
+            frames = tags.count(tag)
+            if frames:
+                yield FRAME_NAMES[tag], frames, frames * size
 
     async def _finish_result(self, frame, metrics: MigrationMetrics) -> None:
         metrics.control_bytes += frame.wire_bytes

@@ -87,7 +87,9 @@ class TestMutationsExitOne:
         rel = "src/repro/runtime/daemon.py"
         original = (tree_copy / rel).read_text()
         try:
-            _edit(tree_copy, rel, "TYPE_PAGE_REF: _apply_ref,", "")
+            _edit(
+                tree_copy, rel, "elif tag == TYPE_PAGE_REF:", "elif tag == 0x12:"
+            )
             assert lint_run(["--root", str(tree_copy)]) == 1
             assert "TYPE_PAGE_REF" in capsys.readouterr().out
         finally:

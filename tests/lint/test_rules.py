@@ -32,7 +32,7 @@ class TestProtocolRule:
 
     def test_deleted_dispatch_arm_is_flagged(self, project, mutate):
         mutated = project.text(DAEMON).replace(
-            "TYPE_PAGE_REF: _apply_ref,", ""
+            "elif tag == TYPE_PAGE_REF:", "elif tag == 0x12:"
         )
         assert mutated != project.text(DAEMON)
         findings = list(protocol.check(mutate({DAEMON: mutated})))
