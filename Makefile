@@ -13,8 +13,7 @@ test:
 
 # Requires ruff (`pip install ruff`); CI runs the same checks and
 # archives the JSON report.  `vecycle lint` is the project-aware pass:
-# wire-protocol exhaustiveness, metric/fault-point registries, async
-# safety, seeded determinism (see docs/static-analysis.md).
+# async safety and seeded determinism (see docs/static-analysis.md).
 lint:
 	ruff check src tests benchmarks
 	python -m repro lint --format json > lint-report.json || \

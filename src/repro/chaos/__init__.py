@@ -1,9 +1,10 @@
 """Deterministic chaos plane: seeded fault schedules and invariant checks.
 
 The cluster already has fault *hooks* scattered through it — the
-daemon's :class:`~repro.runtime.daemon._FaultPlan`, the repository's
-crash points, the registry's and aggregator's ``probe_fault``
-callables.  This package unifies them behind one seeded
+daemon's :class:`~repro.runtime.faults.FaultInjector`, the repository's
+:class:`~repro.storage.repository.CrashPoint` hook, the registry's and
+aggregator's ``probe_fault`` callables.  This package unifies them
+behind the :class:`~repro.chaos.schedule.FaultKind` vocabulary, one seeded
 :class:`~repro.chaos.schedule.FaultSchedule` and a soak runner
 (:func:`~repro.chaos.soak.run_soak`) that replays a live migration
 schedule through real localhost daemons while injecting the scheduled
@@ -16,16 +17,10 @@ pinned as a regression test.
 """
 
 from repro.chaos.invariants import InvariantChecker, InvariantViolation
-from repro.chaos.schedule import (
-    FAULT_KINDS,
-    FaultKind,
-    FaultSchedule,
-    FaultSpec,
-)
+from repro.chaos.schedule import FaultKind, FaultSchedule, FaultSpec
 from repro.chaos.soak import RoundRecord, SoakReport, run_soak
 
 __all__ = [
-    "FAULT_KINDS",
     "FaultKind",
     "FaultSchedule",
     "FaultSpec",

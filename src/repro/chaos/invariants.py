@@ -32,9 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.obs import flight
+from repro.obs import flight, names
 from repro.obs.log import get_logger
-from repro.obs.metrics import get_registry
 from repro.orchestrator.telemetry import TelemetryAggregator, _counter_value
 
 log = get_logger(__name__)
@@ -79,7 +78,7 @@ class InvariantChecker:
         """Record one violation (public: the soak reports its own)."""
         violation = InvariantViolation(name=name, detail=detail)
         self.violations.append(violation)
-        get_registry().counter("chaos.invariant_violations").add()
+        names.CHAOS_INVARIANT_VIOLATIONS.add()
         recorder = flight.default_recorder()
         recorder.note("chaos.invariant_violation", invariant=name, detail=detail)
         log.error("invariant violated", invariant=name, detail=detail)

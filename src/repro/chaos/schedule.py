@@ -18,72 +18,78 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
-class FaultKind:
-    """The fault vocabulary, one constant per unified hook.
+class FaultKind(str, Enum):
+    """The fault vocabulary: one member per fault the soak can inject.
 
-    Each kind maps to an existing fault point in the cluster:
+    Iterating the enum *is* the sweep, and the member order is part of
+    what a seed means: :meth:`FaultSchedule.generate` draws from the
+    members in this order with these weights, so reordering or
+    re-weighting changes every pinned schedule.  Protocol-level faults
+    dominate (they exercise the retry/resume machinery, where the bugs
+    historically were); restarts and corruption are rarer, like in
+    production.
 
-    * ``DISCONNECT`` — daemon aborts the connection after ``param``
-      protocol messages (the ``inject_disconnect`` hook).
-    * ``MID_RESULT`` — daemon sends half the RESULT frame, then aborts.
-    * ``STALL_OVER`` / ``STALL_UNDER`` — daemon stalls before READY for
-      longer / shorter than the source's ``io_timeout_s``.
-    * ``TRUNCATE_READY`` — daemon drops the last ``param`` bytes of a
-      READY frame but keeps the connection open (stream desync).
-    * ``RESTART`` — daemon is killed mid-session and restarted on the
-      same port, recovering from its durable state directory.
-    * ``CORRUPT_SEGMENT`` — one durable segment's bytes are flipped on
-      disk; the next scrub must quarantine it, nothing else.
-    * ``TELEMETRY_LOSS`` — one aggregator poll of one host is dropped.
-    * ``HEARTBEAT_LOSS`` — one registry heartbeat of one host is
-      dropped (the host looks dead until the next poll).
-    * ``SLOW_LINK`` — the migration runs over a shaped WAN link instead
-      of loopback (modelled time; no wall-clock sleeps).
+    A member is its wire/JSON string (``FaultKind("restart")`` parses
+    one); use ``.value`` wherever the string is formatted, because
+    ``format()`` of a ``str`` enum differs between Python 3.10 and 3.11.
     """
 
-    DISCONNECT = "disconnect"
-    MID_RESULT = "mid_result"
-    STALL_OVER = "stall_over"
-    STALL_UNDER = "stall_under"
-    TRUNCATE_READY = "truncate_ready"
-    RESTART = "restart"
-    CORRUPT_SEGMENT = "corrupt_segment"
-    TELEMETRY_LOSS = "telemetry_loss"
-    HEARTBEAT_LOSS = "heartbeat_loss"
-    SLOW_LINK = "slow_link"
+    def __new__(cls, value: str, weight: int, doc: str) -> "FaultKind":
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.weight = weight
+        member.__doc__ = doc
+        return member
 
+    @classmethod
+    def _missing_(cls, value: object) -> "FaultKind":
+        raise ValueError(f"unknown fault kind {value!r}")
 
-FAULT_KINDS: Tuple[str, ...] = (
-    FaultKind.DISCONNECT,
-    FaultKind.MID_RESULT,
-    FaultKind.STALL_OVER,
-    FaultKind.STALL_UNDER,
-    FaultKind.TRUNCATE_READY,
-    FaultKind.RESTART,
-    FaultKind.CORRUPT_SEGMENT,
-    FaultKind.TELEMETRY_LOSS,
-    FaultKind.HEARTBEAT_LOSS,
-    FaultKind.SLOW_LINK,
-)
-
-#: Generation weights.  Protocol-level faults dominate (they exercise
-#: the retry/resume machinery, where the bugs historically were);
-#: restarts and corruption are rarer, like in production.
-_WEIGHTS: Dict[str, int] = {
-    FaultKind.DISCONNECT: 4,
-    FaultKind.MID_RESULT: 3,
-    FaultKind.STALL_OVER: 2,
-    FaultKind.STALL_UNDER: 2,
-    FaultKind.TRUNCATE_READY: 3,
-    FaultKind.RESTART: 2,
-    FaultKind.CORRUPT_SEGMENT: 2,
-    FaultKind.TELEMETRY_LOSS: 2,
-    FaultKind.HEARTBEAT_LOSS: 2,
-    FaultKind.SLOW_LINK: 2,
-}
+    DISCONNECT = (
+        "disconnect", 4,
+        "Daemon aborts the connection after ``param`` applied page frames: "
+        "transport retry and session resume.")
+    MID_RESULT = (
+        "mid_result", 3,
+        "Daemon sends half the RESULT frame, then aborts: idempotent "
+        "RESULT replay.")
+    STALL_OVER = (
+        "stall_over", 2,
+        "Daemon stalls before READY for longer than the source's "
+        "``io_timeout_s``: timeout and reconnect.")
+    STALL_UNDER = (
+        "stall_under", 2,
+        "Daemon stalls before READY for just under the source's "
+        "``io_timeout_s``: a slow link must *not* fail.")
+    TRUNCATE_READY = (
+        "truncate_ready", 3,
+        "Daemon drops the last ``param`` bytes of a READY frame but keeps "
+        "the connection open: stream desync classification.")
+    RESTART = (
+        "restart", 2,
+        "Daemon is killed mid-session and restarted on the same port: "
+        "durable recovery, RESULT replay across a restart.")
+    CORRUPT_SEGMENT = (
+        "corrupt_segment", 2,
+        "One durable segment's bytes are flipped on disk: the next scrub "
+        "must quarantine it and nothing else; re-adoption re-spills.")
+    TELEMETRY_LOSS = (
+        "telemetry_loss", 2,
+        "One aggregator telemetry poll of one host is dropped: "
+        "cumulative-counter catch-up.")
+    HEARTBEAT_LOSS = (
+        "heartbeat_loss", 2,
+        "One registry heartbeat of one host is dropped (it looks dead "
+        "until the next poll): liveness bookkeeping, placement starvation.")
+    SLOW_LINK = (
+        "slow_link", 2,
+        "The migration runs over a shaped WAN link instead of loopback "
+        "(modelled time, no wall-clock sleeps): shaping under the "
+        "orchestrator.")
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,8 @@ class FaultSpec:
 
     Attributes:
         round_no: Zero-based soak round the fault fires in.
-        kind: One of :data:`FAULT_KINDS`.
+        kind: A :class:`FaultKind` (its string value is accepted and
+            converted).
         param: Kind-specific integer (message count for disconnects and
             restarts, bytes cut for truncation, digest selector for
             corruption; unused otherwise).
@@ -102,20 +109,19 @@ class FaultSpec:
     """
 
     round_no: int
-    kind: str
+    kind: FaultKind
     param: int = 0
     host_index: int = 0
 
     def __post_init__(self) -> None:
         if self.round_no < 0:
             raise ValueError(f"round_no must be >= 0, got {self.round_no}")
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}")
+        object.__setattr__(self, "kind", FaultKind(self.kind))
 
     def describe(self) -> str:
         """One human-readable line, stable across runs."""
         return (
-            f"round {self.round_no:3d}: {self.kind}"
+            f"round {self.round_no:3d}: {self.kind.value}"
             f"(param={self.param}, host_index={self.host_index})"
         )
 
@@ -133,7 +139,7 @@ class FaultSchedule:
         seed: int,
         rounds: int,
         intensity: float = 0.8,
-        kinds: Optional[Sequence[str]] = None,
+        kinds: Optional[Sequence[FaultKind]] = None,
     ) -> "FaultSchedule":
         """Draw at most one weighted fault per round from ``seed``.
 
@@ -148,12 +154,11 @@ class FaultSchedule:
             raise ValueError(f"rounds must be >= 0, got {rounds}")
         if not 0.0 <= intensity <= 1.0:
             raise ValueError(f"intensity must be in [0, 1], got {intensity}")
-        chosen = tuple(kinds) if kinds is not None else FAULT_KINDS
-        for kind in chosen:
-            if kind not in FAULT_KINDS:
-                raise ValueError(f"unknown fault kind {kind!r}")
+        chosen = tuple(
+            FaultKind(kind) for kind in (FaultKind if kinds is None else kinds)
+        )
         rng = random.Random(seed)
-        weights = [_WEIGHTS[kind] for kind in chosen]
+        weights = [kind.weight for kind in chosen]
         faults: List[FaultSpec] = []
         for round_no in range(rounds):
             if rng.random() >= intensity:
@@ -177,7 +182,7 @@ class FaultSchedule:
         """How many times each kind appears (only non-zero entries)."""
         counts: Dict[str, int] = {}
         for fault in self.faults:
-            counts[fault.kind] = counts.get(fault.kind, 0) + 1
+            counts[fault.kind.value] = counts.get(fault.kind.value, 0) + 1
         return dict(sorted(counts.items()))
 
     def describe(self) -> str:
@@ -196,7 +201,7 @@ class FaultSchedule:
                 "faults": [
                     {
                         "round": f.round_no,
-                        "kind": f.kind,
+                        "kind": f.kind.value,
                         "param": f.param,
                         "host_index": f.host_index,
                     }
@@ -216,7 +221,7 @@ class FaultSchedule:
         faults = tuple(
             FaultSpec(
                 round_no=int(entry["round"]),
-                kind=str(entry["kind"]),
+                kind=entry["kind"],
                 param=int(entry.get("param", 0)),
                 host_index=int(entry.get("host_index", 0)),
             )

@@ -35,14 +35,15 @@ from repro.cluster.schedule import (
 )
 from repro.mem.pagestore import PageStore
 from repro.net.link import WAN_CLOUDNET
+from repro.obs import names
 from repro.obs.log import get_logger
-from repro.obs.metrics import get_registry
 from repro.orchestrator import Orchestrator, get_policy
 from repro.orchestrator.placement import PlacementError
 from repro.orchestrator.executor import AdmissionLimits, MigrationExecutor
 from repro.orchestrator.registry import ClusterRegistry
 from repro.orchestrator.telemetry import TelemetryAggregator
-from repro.runtime.daemon import CheckpointDaemon, _FaultPlan
+from repro.runtime.daemon import CheckpointDaemon
+from repro.runtime.faults import FaultInjector
 from repro.runtime.source import RetryPolicy, RuntimeConfig
 
 log = get_logger(__name__)
@@ -254,37 +255,39 @@ class _Soak:
     def _target_host(self, spec: FaultSpec) -> str:
         return self.names[spec.host_index % len(self.names)]
 
-    def _arm(self, spec: Optional[FaultSpec]) -> Optional[_FaultPlan]:
-        """Install the round's fault; returns the daemon-side plan.
+    def _arm(self, spec: Optional[FaultSpec]) -> Optional[FaultInjector]:
+        """Install the round's fault; returns the daemon-side injector.
 
-        One plan *instance* is shared by every daemon for the
+        One injector *instance* is shared by every daemon for the
         migration-path faults: only the destination serves the HELLO,
         so sharing makes the occurrence budget cluster-wide.
         """
         if spec is None:
             return None
-        self.report.faults_injected[spec.kind] = (
-            self.report.faults_injected.get(spec.kind, 0) + 1
+        kind = spec.kind
+        self.report.faults_injected[kind.value] = (
+            self.report.faults_injected.get(kind.value, 0) + 1
         )
-        get_registry().counter(f"chaos.faults.{spec.kind}").add()
-        plan: Optional[_FaultPlan] = None
-        if spec.kind in (FaultKind.DISCONNECT, FaultKind.RESTART):
-            plan = _FaultPlan(after_messages=spec.param, times=1)
-        elif spec.kind == FaultKind.MID_RESULT:
-            plan = _FaultPlan(mid_result=True, times=1)
-        elif spec.kind == FaultKind.STALL_OVER:
-            plan = _FaultPlan(stall_ready_s=STALL_OVER_S, stall_times=1)
-        elif spec.kind == FaultKind.STALL_UNDER:
-            plan = _FaultPlan(stall_ready_s=STALL_UNDER_S, stall_times=1)
-        elif spec.kind == FaultKind.TRUNCATE_READY:
-            plan = _FaultPlan(truncate_ready_bytes=spec.param, truncate_times=1)
-        elif spec.kind == FaultKind.TELEMETRY_LOSS:
+        names.CHAOS_FAULTS.labelled(kind.value).add()
+        if kind in (FaultKind.DISCONNECT, FaultKind.RESTART):
+            injector = FaultInjector(after_messages=spec.param, times=1)
+        elif kind is FaultKind.MID_RESULT:
+            injector = FaultInjector(mid_result=True, times=1)
+        elif kind is FaultKind.STALL_OVER:
+            injector = FaultInjector(stall_ready_s=STALL_OVER_S, stall_times=1)
+        elif kind is FaultKind.STALL_UNDER:
+            injector = FaultInjector(stall_ready_s=STALL_UNDER_S, stall_times=1)
+        elif kind is FaultKind.TRUNCATE_READY:
+            injector = FaultInjector(
+                truncate_ready_bytes=spec.param, truncate_times=1
+            )
+        elif kind is FaultKind.TELEMETRY_LOSS:
             # Installed on one host only: its next TELEMETRY probe is
             # aborted on the wire, end to end through the aggregator.
-            plan = _FaultPlan(drop_telemetry_times=1)
-            self.daemons[self._target_host(spec)].install_fault_plan(plan)
-            return plan
-        elif spec.kind == FaultKind.HEARTBEAT_LOSS:
+            injector = FaultInjector(drop_telemetry_times=1)
+            self.daemons[self._target_host(spec)].faults = injector
+            return injector
+        elif kind is FaultKind.HEARTBEAT_LOSS:
             target = self._target_host(spec)
             budget = {"left": 1}
 
@@ -296,7 +299,7 @@ class _Soak:
 
             self.registry.probe_fault = drop
             return None
-        elif spec.kind == FaultKind.SLOW_LINK:
+        elif kind is FaultKind.SLOW_LINK:
 
             def shape(stream) -> None:
                 stream.link = WAN_CLOUDNET
@@ -305,29 +308,28 @@ class _Soak:
                 self.base_config, on_stream=shape
             )
             return None
-        elif spec.kind == FaultKind.CORRUPT_SEGMENT:
+        elif kind is FaultKind.CORRUPT_SEGMENT:
             self._corrupt_segment(spec)
             return None
-        if plan is not None:
-            for daemon in self.daemons.values():
-                daemon.install_fault_plan(plan)
-        return plan
-
-    def _disarm(self, plan: Optional[_FaultPlan]) -> None:
+        else:
+            raise NotImplementedError(f"no arm for fault kind {kind!r}")
         for daemon in self.daemons.values():
-            daemon.install_fault_plan(None)
+            daemon.faults = injector
+        return injector
+
+    def _disarm(self, injector: Optional[FaultInjector]) -> None:
+        for daemon in self.daemons.values():
+            daemon.faults = FaultInjector()
         self.registry.probe_fault = None
         self.orchestrator.config = self.base_config
-        if plan is not None and (
-            plan.times > 0
-            or plan.stall_times > 0
-            or plan.truncate_times > 0
-            or plan.drop_telemetry_times > 0
-        ):
+        if injector is not None and injector.armed:
             # The migration finished without reaching the fault point
             # (e.g. a deferred placement): no occurrence to account.
-            self.report.faults_skipped += 1
-            get_registry().counter("chaos.faults.skipped").add()
+            self._skip()
+
+    def _skip(self) -> None:
+        self.report.faults_skipped += 1
+        names.CHAOS_FAULTS_SKIPPED.add()
 
     def _corrupt_segment(self, spec: FaultSpec) -> None:
         """Flip one durable segment; the scrub must catch exactly it."""
@@ -338,8 +340,7 @@ class _Soak:
             and self.daemons[name].repository.list_checkpoints()
         ]
         if not candidates:
-            self.report.faults_skipped += 1
-            get_registry().counter("chaos.faults.skipped").add()
+            self._skip()
             return
         target = candidates[spec.host_index % len(candidates)]
         repository = self.daemons[target].repository
@@ -352,8 +353,7 @@ class _Soak:
         )
         digest = digests[spec.param % len(digests)]
         if not repository.corrupt_segment(digest):
-            self.report.faults_skipped += 1
-            get_registry().counter("chaos.faults.skipped").add()
+            self._skip()
             return
         self.checker.record_corruption(target, digest.hex())
         # The scrub must quarantine the injected segment — and nothing
@@ -377,8 +377,9 @@ class _Soak:
         fresh one over the same state directory, and rebinds the same
         port so the retrying source reconnects to the recovered host.
         """
+        aborts = names.DAEMON_INJECTED_ABORTS
         before = {
-            name: daemon.telemetry.counter("daemon.injected_aborts").value
+            name: aborts.on(daemon.telemetry.registry).value
             for name, daemon in self.daemons.items()
         }
         loop = asyncio.get_running_loop()
@@ -386,8 +387,7 @@ class _Soak:
         target: Optional[str] = None
         while target is None and not task.done() and loop.time() < deadline:
             for name, daemon in self.daemons.items():
-                value = daemon.telemetry.counter("daemon.injected_aborts").value
-                if value > before[name]:
+                if aborts.on(daemon.telemetry.registry).value > before[name]:
                     target = name
                     break
             else:
@@ -395,7 +395,7 @@ class _Soak:
         if target is None:
             return
         old = self.daemons[target]
-        recovered_counter = get_registry().counter("repo.recovered_checkpoints")
+        recovered_counter = names.REPO_RECOVERED_CHECKPOINTS.on()
         counted_before = recovered_counter.value
         await old.stop()
         fresh = CheckpointDaemon(
@@ -417,7 +417,7 @@ class _Soak:
         self.daemons[target] = fresh
         self.registry.register(target, fresh.host, fresh.port)
         self.report.restarts += 1
-        get_registry().counter("chaos.restarts").add()
+        names.CHAOS_RESTARTS.add()
         log.info("chaos restarted daemon", host=target)
 
     async def _migrate(self):
@@ -435,11 +435,11 @@ class _Soak:
             return None, None
 
     async def _round(self, round_no: int, gap_hours: float) -> None:
-        get_registry().counter("chaos.rounds").add()
+        names.CHAOS_ROUNDS.add()
         self._mutate_hashes(gap_hours)
         specs = self.schedule.for_round(round_no)
         spec = specs[0] if specs else None
-        plan = self._arm(spec)
+        injector = self._arm(spec)
         try:
             if spec is not None and spec.kind == FaultKind.RESTART:
                 task = asyncio.create_task(self._migrate())
@@ -448,15 +448,15 @@ class _Soak:
             else:
                 decision, outcome = await self._migrate()
         finally:
-            # Telemetry-drop plans stay armed through the end-of-round
+            # A telemetry-drop injector stays armed through the end-of-round
             # poll below; everything else is cleared first.
             if spec is None or spec.kind != FaultKind.TELEMETRY_LOSS:
-                self._disarm(plan)
+                self._disarm(injector)
         self.report.records.append(
             RoundRecord(
                 round_no=round_no,
                 vm_id=self.vm_id,
-                fault=spec.kind if spec is not None else None,
+                fault=spec.kind.value if spec is not None else None,
                 destination=None if outcome is None else outcome.destination,
                 ok=bool(outcome is not None and outcome.ok),
                 deferred=bool(outcome is None),
@@ -475,7 +475,7 @@ class _Soak:
         )
         await self.aggregator.poll_all()
         if spec is not None and spec.kind == FaultKind.TELEMETRY_LOSS:
-            self._disarm(plan)
+            self._disarm(injector)
         self.checker.check_store_accounting(self.daemons, round_no)
         self.checker.check_rollups(self.aggregator, round_no)
 

@@ -29,7 +29,7 @@ from typing import Dict, List, Protocol
 
 from repro.core.checkpoint import Checkpoint, CheckpointStore
 from repro.core.prediction import SimilarityPredictor
-from repro.obs.metrics import get_registry
+from repro.obs import names
 
 
 class RetentionPolicy(Protocol):
@@ -153,5 +153,5 @@ def reclaim_hosted(
             reclaimed += owner.drop_checkpoint(vm_id)
             evicted.append(vm_id)
     if reclaimed and getattr(owner, "repository", None) is None:
-        get_registry().counter("repo.bytes_reclaimed").add(reclaimed)
+        names.REPO_BYTES_RECLAIMED.add(reclaimed)
     return ReclaimReport(evicted=evicted, bytes_reclaimed=reclaimed)

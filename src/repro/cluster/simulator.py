@@ -29,8 +29,8 @@ from repro.migration.engine import migrate_between_hosts
 from repro.migration.report import MigrationReport
 from repro.migration.vm import SimVM
 from repro.net.link import Link
+from repro.obs import names
 from repro.obs.log import get_logger
-from repro.obs.metrics import get_registry
 from repro.obs.trace import span as _span
 from repro.storage.disk import Disk, HDD_HD204UI
 
@@ -176,7 +176,6 @@ class DatacenterSimulator:
             hosts=len(self.hosts),
             epochs=epochs,
         )
-        registry = get_registry()
         with _span(
             "cluster.run",
             strategy=self.strategy.name,
@@ -215,8 +214,8 @@ class DatacenterSimulator:
                         move_span.set(
                             tx_bytes=migration.tx_bytes
                         ).add_modelled(migration.total_time_s)
-                    registry.counter("cluster.migrations").add(1)
-                    registry.counter("cluster.tx_bytes").add(migration.tx_bytes)
+                    names.CLUSTER_MIGRATIONS.add(1)
+                    names.CLUSTER_TX_BYTES.add(migration.tx_bytes)
                     member.host = move.destination
                     report.migrations.append(migration)
             run_span.set(migrations=report.num_migrations)

@@ -12,21 +12,22 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.chaos import FaultSchedule, SoakReport, run_soak
+from repro.obs import names
 from repro.obs.metrics import get_registry
 
 #: Chaos-plane counters surfaced in the report.
 REPORTED_COUNTERS = (
-    "chaos.rounds",
-    "chaos.restarts",
-    "chaos.invariant_violations",
-    "chaos.faults.skipped",
-    "daemon.injected_aborts",
-    "daemon.injected_stalls",
-    "daemon.injected_truncations",
-    "daemon.injected_telemetry_drops",
-    "daemon.sessions.poisoned",
-    "daemon.respilled_segments",
-    "repo.injected_corruptions",
+    names.CHAOS_ROUNDS,
+    names.CHAOS_RESTARTS,
+    names.CHAOS_INVARIANT_VIOLATIONS,
+    names.CHAOS_FAULTS_SKIPPED,
+    names.DAEMON_INJECTED_ABORTS,
+    names.DAEMON_INJECTED_STALLS,
+    names.DAEMON_INJECTED_TRUNCATIONS,
+    names.DAEMON_INJECTED_TELEMETRY_DROPS,
+    names.DAEMON_SESSIONS_POISONED,
+    names.DAEMON_RESPILLED_SEGMENTS,
+    names.REPO_INJECTED_CORRUPTIONS,
 )
 
 
@@ -106,12 +107,11 @@ def format_table(reports: List[SoakReport]) -> str:
         else:
             lines.append("all invariants held")
         lines.append("")
-    registry = get_registry()
-    names = set(registry.names())
+    emitted = set(get_registry().names())
     lines.append("chaos counters:")
-    for name in REPORTED_COUNTERS:
-        if name in names:
-            lines.append(f"  {name:<36s} {registry.counter(name).value:.0f}")
+    for counter in REPORTED_COUNTERS:
+        if counter.name in emitted:
+            lines.append(f"  {counter.name:<36s} {counter.on().value:.0f}")
     verdict = all(report.ok for report in reports)
     lines.append("")
     lines.append(

@@ -16,6 +16,7 @@ from typing import Optional
 
 from repro.cluster.schedule import ping_pong_schedule, vdi_schedule
 from repro.core.strategies import VECYCLE_DEDUP, MigrationStrategy
+from repro.obs import names
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.orchestrator import LiveVdiCrossValidation, get_policy, run_live_vdi_crossval
@@ -30,11 +31,11 @@ MIB = 2**20
 
 #: Orchestrator metrics surfaced in the report (ISSUE acceptance).
 REPORTED_COUNTERS = (
-    "orchestrator.placements",
-    "orchestrator.placements.deferred",
-    "orchestrator.migrations.completed",
-    "orchestrator.migrations.retried",
-    "orchestrator.migrations.failed",
+    names.ORCHESTRATOR_PLACEMENTS,
+    names.ORCHESTRATOR_PLACEMENTS_DEFERRED,
+    names.ORCHESTRATOR_MIGRATIONS_COMPLETED,
+    names.ORCHESTRATOR_MIGRATIONS_RETRIED,
+    names.ORCHESTRATOR_MIGRATIONS_FAILED,
 )
 
 
@@ -143,18 +144,17 @@ def format_table(result: LiveVdiCrossValidation) -> str:
     lines += ["", result.summary()]
     verdict = "PASS" if result.within(0.05) else "FAIL"
     lines.append(f"5% cross-validation tolerance: {verdict}")
-    registry = get_registry()
-    names = set(registry.names())
+    emitted = set(get_registry().names())
     lines.append("")
     lines.append("orchestrator metrics:")
-    for name in REPORTED_COUNTERS:
-        if name in names:
-            lines.append(f"  {name:<36s} {registry.counter(name).value}")
-    score_metric = f"orchestrator.score.{result.policy}"
-    if score_metric in names:
-        histogram = registry.histogram(score_metric)
+    for counter in REPORTED_COUNTERS:
+        if counter.name in emitted:
+            lines.append(f"  {counter.name:<36s} {counter.on().value}")
+    score = names.ORCHESTRATOR_SCORE.labelled(result.policy)
+    if score.name in emitted:
+        histogram = score.on()
         lines.append(
-            f"  {score_metric:<36s} n={histogram.total} "
+            f"  {score.name:<36s} n={histogram.total} "
             f"mean={histogram.mean:.3f}"
         )
     if result.telemetry:

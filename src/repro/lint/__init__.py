@@ -1,49 +1,39 @@
 """Project-aware static analysis for the VeCycle reproduction.
 
-Five rule families, each guarding a registry that used to exist only as
-scattered string literals:
+Two rule families, both about conventions no type or import can
+enforce:
 
-* ``protocol`` — every wire-frame tag is distinct, named, encoded,
-  decoded, and dispatched (:mod:`repro.lint.rules.protocol`);
-* ``metric-names`` — every emitted metric literal matches
-  :mod:`repro.obs.names` and is documented
-  (:mod:`repro.lint.rules.metricnames`);
-* ``fault-points`` — the fault vocabulary is declared once in
-  :mod:`repro.chaos.faultpoints` and covered by tests
-  (:mod:`repro.lint.rules.faults`);
 * ``async-safety`` — no blocking calls or dropped coroutines on the
   event loop (:mod:`repro.lint.rules.asyncsafety`);
 * ``determinism`` — seeded modules never read wallclock or unseeded
   randomness (:mod:`repro.lint.rules.determinism`).
 
+(The frame tags, metric names and fault vocabulary need no rule: each
+is declared once, as a table, typed handles and enums, and a misuse is
+an import-time or attribute error.)
+
 Run it as ``vecycle lint`` (or ``make lint``); suppress a deliberate
-finding with ``# lint: ignore[rule-id]`` on the flagged line; baseline
-workflow and rule-authoring notes live in ``docs/static-analysis.md``.
+finding with ``# lint: ignore[rule-id]`` on the flagged line;
+rule-authoring notes live in ``docs/static-analysis.md``.
 """
 
 from repro.lint.core import (
-    BASELINE_FILENAME,
     Finding,
     LintReport,
     Project,
     Rule,
     default_root,
-    load_baseline,
     run_lint,
-    write_baseline,
 )
 from repro.lint.rules import ALL_RULES, rules_by_id
 
 __all__ = [
     "ALL_RULES",
-    "BASELINE_FILENAME",
     "Finding",
     "LintReport",
     "Project",
     "Rule",
     "default_root",
-    "load_baseline",
     "rules_by_id",
     "run_lint",
-    "write_baseline",
 ]

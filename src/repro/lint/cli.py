@@ -1,10 +1,9 @@
 """The ``vecycle lint`` entry point.
 
-Runs the project-aware rule families over the repository, applies the
-committed baseline, and prints either a human-readable listing or a
-machine-readable JSON report (what CI uploads as an artifact).  Exit
-status is 0 when no *new* findings remain, 1 otherwise — grandfathered
-baseline entries and suppressed findings never fail the run.
+Runs the project-aware rule families over the repository and prints
+either a human-readable listing or a machine-readable JSON report (what
+CI uploads as an artifact).  Exit status is 0 when no finding remains,
+1 otherwise — suppressed findings never fail the run.
 """
 
 from __future__ import annotations
@@ -15,15 +14,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.lint.core import (
-    BASELINE_FILENAME,
-    LintReport,
-    Project,
-    default_root,
-    load_baseline,
-    run_lint,
-    write_baseline,
-)
+from repro.lint.core import Project, default_root, run_lint
 from repro.lint.rules import ALL_RULES, rules_by_id
 
 
@@ -44,23 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="report format (json is what CI archives)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: <root>/{BASELINE_FILENAME})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report grandfathered findings as new",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="grandfather every current finding into the baseline file "
-        "and exit 0",
     )
     parser.add_argument(
         "--rules",
@@ -96,19 +70,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    baseline_path = args.baseline or (root / BASELINE_FILENAME)
-    baseline = {} if args.no_baseline else load_baseline(baseline_path)
-    project = Project(root)
-    report = run_lint(project, rules, baseline)
-    if args.write_baseline:
-        write_baseline(
-            baseline_path, list(report.findings) + list(report.baselined)
-        )
-        print(
-            f"wrote {len(report.findings) + len(report.baselined)} "
-            f"finding(s) to {baseline_path}"
-        )
-        return 0
+    report = run_lint(Project(root), rules)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:

@@ -1,37 +1,27 @@
-"""The lint engine: project model, findings, suppressions, baseline.
+"""The lint engine: project model, findings, suppressions.
 
 ``repro.lint`` is a project-aware static-analysis suite: its rules know
-this codebase's registries (frame tags, metric names, fault points) and
-its conventions (seeded determinism, async-only I/O paths) and check
-them from the AST, before any test or chaos soak runs.
+this codebase's conventions (seeded determinism, async-only I/O paths)
+and check them from the AST, before any test or chaos soak runs.
 
 The engine is deliberately small:
 
 * a :class:`Project` wraps the repository root and serves file text and
   parsed ASTs, with an ``overrides`` map so tests can lint a mutated
   tree without touching disk;
-* a :class:`Finding` is one defect, carrying a stable ``fingerprint``
-  (rule + path + message, no line numbers) so baselines survive
-  unrelated edits;
+* a :class:`Finding` is one defect: rule, path, line, message;
 * suppression is per line — ``# lint: ignore[rule-id]`` on the flagged
   line, or ``# lint: ignore-file[rule-id]`` anywhere in the file;
-* the committed baseline (``lint-baseline.json``) grandfathers known
-  findings: :func:`run_lint` reports them separately and only *new*
-  findings fail the build.
+  every finding that is not suppressed fails the run.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-BASELINE_FILENAME = "lint-baseline.json"
-BASELINE_VERSION = 1
 
 _SUPPRESS_RE = re.compile(
     r"#\s*lint:\s*ignore(?P<scope>-file)?(?:\[(?P<rules>[a-z0-9_,\- ]+)\])?"
@@ -47,12 +37,6 @@ class Finding:
     line: int
     message: str
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baselining: ignores line numbers."""
-        blob = f"{self.rule}|{self.path}|{self.message}".encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:16]
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-able form of the finding (the CI report entry)."""
         return {
@@ -60,7 +44,6 @@ class Finding:
             "path": self.path,
             "line": self.line,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
 
     def render(self) -> str:
@@ -116,8 +99,8 @@ class Project:
         """True when ``rel`` is present (and not hidden by an override)."""
         return self.try_text(rel) is not None
 
-    def source_files(self, *prefixes: str, suffix: str = ".py") -> List[str]:
-        """Repo-relative files under ``prefixes``, overrides included."""
+    def source_files(self, *prefixes: str) -> List[str]:
+        """Repo-relative ``.py`` files under ``prefixes``, overrides included."""
         found = set()
         for prefix in prefixes:
             base = self.root / prefix
@@ -125,14 +108,14 @@ class Project:
                 found.add(prefix)
                 continue
             if base.is_dir():
-                for path in base.rglob(f"*{suffix}"):
+                for path in base.rglob("*.py"):
                     found.add(path.relative_to(self.root).as_posix())
         for rel, text in self.overrides.items():
             matches = any(
                 rel == p or rel.startswith(p.rstrip("/") + "/")
                 for p in prefixes
             )
-            if matches and rel.endswith(suffix):
+            if matches and rel.endswith(".py"):
                 if text is None:
                     found.discard(rel)
                 else:
@@ -189,14 +172,12 @@ class LintReport:
     """The outcome of one lint run."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed: int = 0
-    unused_baseline: List[str] = field(default_factory=list)
     rules_run: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """True when no *new* (non-baselined) findings remain."""
+        """True when no unsuppressed finding remains."""
         return not self.findings
 
     def to_dict(self) -> Dict[str, object]:
@@ -205,9 +186,7 @@ class LintReport:
             "ok": self.ok,
             "rules": self.rules_run,
             "findings": [f.to_dict() for f in self.findings],
-            "baselined": [f.to_dict() for f in self.baselined],
             "suppressed": self.suppressed,
-            "unused_baseline": self.unused_baseline,
         }
 
     def render_text(self) -> str:
@@ -215,16 +194,6 @@ class LintReport:
         lines = []
         for finding in self.findings:
             lines.append(finding.render())
-        if self.baselined:
-            lines.append(
-                f"({len(self.baselined)} grandfathered finding(s) in the "
-                "baseline, not failing the run)"
-            )
-        if self.unused_baseline:
-            lines.append(
-                f"warning: {len(self.unused_baseline)} baseline entr(ies) "
-                "no longer match any finding — regenerate the baseline"
-            )
         status = "clean" if self.ok else f"{len(self.findings)} finding(s)"
         lines.append(
             f"vecycle lint: {status} "
@@ -233,57 +202,18 @@ class LintReport:
         return "\n".join(lines)
 
 
-def load_baseline(path: Path) -> Dict[str, str]:
-    """Fingerprint → description map from a baseline file (or empty)."""
-    if not path.is_file():
-        return {}
-    data = json.loads(path.read_text())
-    if data.get("version") != BASELINE_VERSION:
-        raise ValueError(
-            f"unsupported baseline version {data.get('version')!r} in {path}"
-        )
-    findings = data.get("findings", {})
-    if not isinstance(findings, dict):
-        raise ValueError(f"malformed baseline file {path}")
-    return {str(k): str(v) for k, v in findings.items()}
-
-
-def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    """Persist ``findings`` as the new grandfathered baseline."""
-    payload = {
-        "version": BASELINE_VERSION,
-        "findings": {
-            f.fingerprint: f.render() for f in sorted(
-                findings, key=lambda f: (f.rule, f.path, f.line)
-            )
-        },
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def run_lint(
-    project: Project,
-    rules: Sequence[Rule],
-    baseline: Optional[Dict[str, str]] = None,
-) -> LintReport:
-    """Run ``rules`` over ``project`` and split the findings three ways:
-    suppressed (dropped), baselined (reported, non-fatal), new (fatal).
+def run_lint(project: Project, rules: Sequence[Rule]) -> LintReport:
+    """Run ``rules`` over ``project``; suppressed findings are counted,
+    every other one is reported and fails the run.
     """
-    baseline = baseline or {}
     report = LintReport(rules_run=[rule.id for rule in rules])
-    matched_fingerprints = set()
     for rule in rules:
         for finding in rule.check(project):
             if _is_suppressed(project, finding):
                 report.suppressed += 1
-            elif finding.fingerprint in baseline:
-                matched_fingerprints.add(finding.fingerprint)
-                report.baselined.append(finding)
             else:
                 report.findings.append(finding)
     report.findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-    report.baselined.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-    report.unused_baseline = sorted(set(baseline) - matched_fingerprints)
     return report
 
 

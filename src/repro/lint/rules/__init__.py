@@ -9,30 +9,9 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.lint.core import Rule
-from repro.lint.rules import (
-    asyncsafety,
-    determinism,
-    faults,
-    metricnames,
-    protocol,
-)
+from repro.lint.rules import asyncsafety, determinism
 
 ALL_RULES: Tuple[Rule, ...] = (
-    Rule(
-        protocol.RULE_ID,
-        "wire-frame tags are exhaustive and non-colliding",
-        protocol.check,
-    ),
-    Rule(
-        metricnames.RULE_ID,
-        "metric literals match the central name registry",
-        metricnames.check,
-    ),
-    Rule(
-        faults.RULE_ID,
-        "fault points are declared once and covered by tests",
-        faults.check,
-    ),
     Rule(
         asyncsafety.RULE_ID,
         "no blocking calls or dropped coroutines on the event loop",

@@ -21,7 +21,7 @@ from repro.migration.precopy import PrecopyConfig, simulate_migration
 from repro.migration.report import MigrationReport
 from repro.migration.vm import SimVM
 from repro.net.link import Link
-from repro.obs.metrics import get_registry
+from repro.obs import names
 from repro.obs.trace import span as _span
 
 
@@ -133,7 +133,7 @@ def migrate_between_hosts(
         with _span("engine.record_outcome"):
             record_migration_outcome(vm, source, destination)
         sp.add_modelled(report.total_time_s)
-        get_registry().counter("engine.host_migrations").add(1)
+        names.ENGINE_HOST_MIGRATIONS.add(1)
         return report
 
 

@@ -40,7 +40,7 @@ from repro.core.transfer import Method, compute_transfer_set
 from repro.migration.report import MigrationReport, RoundStats
 from repro.migration.vm import SimVM
 from repro.net.link import Link
-from repro.obs import metrics as obs_metrics
+from repro.obs import names
 from repro.obs.trace import span as _span
 from repro.storage.disk import Disk, HDD_HD204UI
 
@@ -128,19 +128,14 @@ def simulate_migration(
 
 def _record_engine_metrics(report: MigrationReport) -> None:
     """Fold one analytic migration into the shared metrics registry."""
-    registry = obs_metrics.get_registry()
-    registry.counter("engine.migrations").add(1)
-    registry.counter("engine.tx_bytes").add(report.tx_bytes)
-    registry.counter("engine.announce_bytes").add(report.announce_bytes)
-    registry.counter("engine.pages_full").add(report.pages_full)
-    registry.counter("engine.pages_ref").add(report.pages_ref)
-    registry.counter("engine.pages_checksum_only").add(report.pages_checksum_only)
-    rounds = registry.histogram(
-        "engine.round_seconds", obs_metrics.ROUND_SECONDS_BUCKETS
-    )
-    sizes = registry.histogram(
-        "engine.round_bytes", obs_metrics.PAGE_BYTES_BUCKETS
-    )
+    names.ENGINE_MIGRATIONS.add(1)
+    names.ENGINE_TX_BYTES.add(report.tx_bytes)
+    names.ENGINE_ANNOUNCE_BYTES.add(report.announce_bytes)
+    names.ENGINE_PAGES_FULL.add(report.pages_full)
+    names.ENGINE_PAGES_REF.add(report.pages_ref)
+    names.ENGINE_PAGES_CHECKSUM_ONLY.add(report.pages_checksum_only)
+    rounds = names.ENGINE_ROUND_SECONDS.on()
+    sizes = names.ENGINE_ROUND_BYTES.on()
     for stats in report.rounds:
         rounds.observe(stats.duration_s)
         sizes.observe(stats.bytes_sent)

@@ -37,6 +37,7 @@ from typing import (
     Tuple,
 )
 
+from repro.obs import names
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 #: Label value that absorbs per-VM series past the cardinality cap.
@@ -344,7 +345,7 @@ class TelemetrySource:
                 len(self._per_vm) >= self.max_vm_labels
                 and vm_id != OVERFLOW_LABEL
             ):
-                self.registry.counter("telemetry.labels_folded").add(1)
+                names.TELEMETRY_LABELS_FOLDED.on(self.registry).add(1)
                 self.vm_count(OVERFLOW_LABEL, name, amount)
                 return
             values = self._per_vm[vm_id] = {}

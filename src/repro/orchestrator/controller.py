@@ -19,8 +19,8 @@ import numpy as np
 
 from repro.core.strategies import MigrationStrategy, VECYCLE_DEDUP
 from repro.mem.pagestore import PageStore
+from repro.obs import names
 from repro.obs.log import get_logger
-from repro.obs.metrics import SCORE_BUCKETS, get_registry as _metrics
 from repro.obs.trace import span as _span
 from repro.orchestrator.executor import MigrationExecutor, MigrationOutcome
 from repro.orchestrator.inventory import digest_sketch
@@ -96,14 +96,13 @@ class Orchestrator:
                 score=round(decision.score, 4),
                 deferred=decision.deferred,
             )
-        registry = _metrics()
-        registry.counter("orchestrator.placements").add(1)
+        names.ORCHESTRATOR_PLACEMENTS.add(1)
         if decision.deferred:
-            registry.counter("orchestrator.placements.deferred").add(1)
+            names.ORCHESTRATOR_PLACEMENTS_DEFERRED.add(1)
         else:
-            registry.histogram(
-                f"orchestrator.score.{self.policy.name}", SCORE_BUCKETS
-            ).observe(decision.score)
+            names.ORCHESTRATOR_SCORE.labelled(self.policy.name).observe(
+                decision.score
+            )
         self.decisions.append(decision)
         log.info(
             "placement decided",

@@ -29,8 +29,8 @@ from repro.cluster.schedule import MigrationEvent, vdi_schedule
 from repro.cluster.vdi import fingerprint_at, replay_vdi
 from repro.core.strategies import MigrationStrategy, VECYCLE_DEDUP
 from repro.mem.pagestore import PageStore
+from repro.obs import names
 from repro.obs.log import get_logger
-from repro.obs.metrics import get_registry as _metrics
 from repro.obs.prometheus import MetricsServer
 from repro.obs.telemetry import set_active_aggregator
 from repro.obs.trace import span as _span
@@ -239,7 +239,7 @@ async def replay_vdi_live(
                 )
                 outcomes.append(outcome)
                 location = decision.destination
-                _metrics().counter("orchestrator.crossval.migrations").add(1)
+                names.ORCHESTRATOR_CROSSVAL_MIGRATIONS.add(1)
                 await aggregator.poll_all()
         if metrics_server is not None:
             if metrics_linger_s > 0:

@@ -26,9 +26,8 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.obs import flight
+from repro.obs import flight, names
 from repro.obs.log import get_logger
-from repro.obs.metrics import ROUND_SECONDS_BUCKETS, get_registry as _metrics
 from repro.obs.trace import span as _span
 from repro.runtime.metrics import MigrationMetrics
 from repro.runtime.source import (
@@ -138,9 +137,8 @@ class MigrationExecutor:
         """
         vm_id = source.state.vm_id
         async with self._cluster, self._host_slot(destination):
-            registry = _metrics()
             self._active += 1
-            registry.gauge("orchestrator.migrations.active").set(self._active)
+            names.ORCHESTRATOR_MIGRATIONS_ACTIVE.set(self._active)
             try:
                 with _span(
                     "orchestrator.migrate",
@@ -157,19 +155,16 @@ class MigrationExecutor:
                     )
             finally:
                 self._active -= 1
-                registry.gauge("orchestrator.migrations.active").set(self._active)
-        registry.counter(
-            "orchestrator.migrations.completed"
-            if outcome.ok
-            else "orchestrator.migrations.failed"
-        ).add(1)
+                names.ORCHESTRATOR_MIGRATIONS_ACTIVE.set(self._active)
+        if outcome.ok:
+            names.ORCHESTRATOR_MIGRATIONS_COMPLETED.add(1)
+        else:
+            names.ORCHESTRATOR_MIGRATIONS_FAILED.add(1)
         if outcome.ok and outcome.metrics is not None:
             # Stop-and-copy downtime (last round's wall time) feeds the
             # vecycle_migration_downtime_seconds histogram that
             # `vecycle top` and the Prometheus endpoint report.
-            registry.histogram(
-                "orchestrator.downtime_seconds", ROUND_SECONDS_BUCKETS
-            ).observe(outcome.metrics.downtime_s)
+            names.ORCHESTRATOR_DOWNTIME_SECONDS.observe(outcome.metrics.downtime_s)
         if not outcome.ok:
             # A failed migration is exactly when the recent-event ring
             # matters: snapshot it now, while the context is fresh.
@@ -236,7 +231,7 @@ class MigrationExecutor:
                         reset = getattr(source, "reset_session", None)
                         if reset is not None:
                             reset()
-                    _metrics().counter("orchestrator.migrations.retried").add(1)
+                    names.ORCHESTRATOR_MIGRATIONS_RETRIED.add(1)
                     log.warning(
                         "migration attempt failed; retrying",
                         vm=source.state.vm_id,

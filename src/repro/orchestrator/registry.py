@@ -20,8 +20,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.obs import names
 from repro.obs.log import get_logger
-from repro.obs.metrics import get_registry as _metrics
 from repro.obs.trace import span as _span
 from repro.orchestrator.inventory import (
     DEFAULT_SKETCH_K,
@@ -125,7 +125,7 @@ class ClusterRegistry:
                 record.alive = False
                 record.consecutive_failures += 1
                 hb_span.set(alive=False, cause=type(exc).__name__)
-                _metrics().counter("orchestrator.heartbeats.failed").add(1)
+                names.ORCHESTRATOR_HEARTBEATS_FAILED.add(1)
                 log.warning(
                     "heartbeat failed",
                     host=name,
@@ -142,7 +142,7 @@ class ClusterRegistry:
                 checkpoints=len(inventory.checkpoints),
                 active_sessions=inventory.active_sessions,
             )
-            _metrics().counter("orchestrator.heartbeats.ok").add(1)
+            names.ORCHESTRATOR_HEARTBEATS_OK.add(1)
             return record
 
     async def _probe(self, record: HostRecord) -> HostInventory:
@@ -177,7 +177,7 @@ class ClusterRegistry:
         for name in self.hosts():
             await self.poll(name)
         view = self.view()
-        _metrics().gauge("orchestrator.hosts.alive").set(len(view.inventories))
+        names.ORCHESTRATOR_HOSTS_ALIVE.set(len(view.inventories))
         return view
 
     # --- the merged picture ---------------------------------------------

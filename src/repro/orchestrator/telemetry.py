@@ -29,6 +29,7 @@ import collections
 import time
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.obs import names
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry as _metrics
 from repro.obs.metrics import quantile_from_state
@@ -125,7 +126,7 @@ class TelemetryAggregator:
             except (FrameError, *_TRANSPORT_ERRORS) as exc:
                 self.poll_failures += 1
                 probe_span.set(ok=False, cause=type(exc).__name__)
-                _metrics().counter("orchestrator.telemetry.failed").add(1)
+                names.ORCHESTRATOR_TELEMETRY_FAILED.add(1)
                 log.warning(
                     "telemetry probe failed", host=name, cause=str(exc)
                 )
@@ -133,7 +134,7 @@ class TelemetryAggregator:
             finally:
                 self.poll_seconds += time.monotonic() - started
             probe_span.set(ok=True, seq=snapshot.seq)
-            _metrics().counter("orchestrator.telemetry.ok").add(1)
+            names.ORCHESTRATOR_TELEMETRY_OK.add(1)
             self._ingest(name, snapshot)
             return snapshot
 

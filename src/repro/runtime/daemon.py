@@ -36,7 +36,7 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,13 +46,15 @@ from repro.core.protocol import WireFormat
 from repro.core.transfer import Method
 from repro.mem.pagestore import ContentAddressedStore, PageStore
 from repro.net.link import Link
+from repro.obs import names
 from repro.obs.flight import FlightRecorder
 from repro.obs.log import get_logger
-from repro.obs.metrics import SCORE_BUCKETS, STALL_SECONDS_BUCKETS, get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.prometheus import MetricsServer, render_sections
 from repro.obs.telemetry import TelemetrySource
 from repro.obs.trace import span as _span
 from repro.storage.repository import CheckpointManifest, CheckpointRepository
+from repro.runtime.faults import FaultInjector
 from repro.runtime.frames import (
     Frame,
     FrameCodec,
@@ -85,6 +87,9 @@ _MAX_DELTA_HISTORY = 4
 in memory for delta-manifest computation.  History is deliberately
 *not* persisted: after a restart the daemon cannot prove what changed
 since an older generation, so it falls back to the full announce."""
+
+_WRITEBEHIND_STALL = names.PIPELINE_STALL.labelled("writebehind")
+"""Seconds reception waited on the write-behind backlog."""
 
 
 class SinkProtocolError(RuntimeError):
@@ -214,9 +219,6 @@ class _SinkSession:
         set_slot = self._set_slot
         applied = in_place = from_store = 0
         try:
-            # One arm per PAGE_FRAME_TYPES member; repro.lint rule
-            # protocol-exhaustiveness checks this stays in sync with
-            # frames.py.
             for tag, slot, digest, payload, ref in frames:
                 if not 0 <= slot < num_pages:
                     raise SinkProtocolError(
@@ -401,11 +403,17 @@ class _WriteBehind:
     backpressure.  A batch is what one receive chunk held, so the queue
     overshoots the bound by at most one receive chunk
     (:data:`~repro.runtime.shaping._RECV_CHUNK_BYTES`).
+
+    Batches handed over and time stalled are counted in every registry
+    of ``registries`` — for a daemon, the process-wide one and its own
+    :class:`~repro.obs.telemetry.TelemetrySource`.
     """
 
     def __init__(self, repository: CheckpointRepository,
+                 registries: Sequence[MetricsRegistry],
                  max_pending_bytes: int = 8 << 20) -> None:
         self._repository = repository
+        self._registries = registries
         self.max_pending_bytes = max_pending_bytes
         self._queue: Deque[Tuple[bytes, bytes]] = deque()
         self.pending_bytes = 0
@@ -450,7 +458,8 @@ class _WriteBehind:
                 self._wake.clear()
                 await self._wake.wait()
             batch = self._inflight = self._take_queue()
-            get_registry().counter("daemon.writebehind.batches").add()
+            for registry in self._registries:
+                names.DAEMON_WRITEBEHIND_BATCHES.on(registry).add()
             try:
                 await asyncio.to_thread(self._repository.put_pages, batch)
             except asyncio.CancelledError:
@@ -484,13 +493,10 @@ class _WriteBehind:
         started = time.perf_counter()
         while self.pending_bytes > self.max_pending_bytes and not self.idle:
             await self._wait_progress()
-        registry = get_registry()
-        registry.histogram(
-            "pipeline.stage_stall_seconds", STALL_SECONDS_BUCKETS
-        ).observe(time.perf_counter() - started)
-        registry.counter("pipeline.stall.writebehind").add(
-            time.perf_counter() - started
-        )
+        stalled = time.perf_counter() - started
+        for registry in self._registries:
+            names.PIPELINE_STAGE_STALL_SECONDS.on(registry).observe(stalled)
+            _WRITEBEHIND_STALL.on(registry).add(stalled)
 
     async def drain(self) -> None:
         """Wait until the backlog has durably landed; re-raise errors."""
@@ -529,37 +535,6 @@ class _WriteBehind:
             except asyncio.CancelledError:
                 pass
         self.flush_sync()
-
-
-@dataclass
-class _FaultPlan:
-    """Fault hook: disturb the protocol at a chosen point.
-
-    ``mid_result`` aborts while the RESULT frame is on the wire (the
-    session is already completed and persisted); otherwise the abort
-    happens after ``after_messages`` total applied data frames.  The
-    remaining knobs are the daemon-side vocabulary of the
-    :mod:`repro.chaos` fault plane; each has its own occurrence budget
-    so one plan can compose several fault kinds.  Every knob is
-    deterministic — no randomness, so runs are seed-stable.
-    """
-
-    after_messages: int = 0
-    times: int = 0
-    mid_result: bool = False
-    stall_ready_s: float = 0.0
-    """Sleep this long before sending READY — chosen just over the
-    source's ``io_timeout_s`` it looks like a dead peer (transport
-    retry), just under it models a slow link that must NOT fail."""
-    stall_times: int = 0
-    truncate_ready_bytes: int = 0
-    """Send READY short by this many bytes and *keep talking* on the
-    live connection: the source desyncs mid-stream instead of seeing a
-    clean EOF — the fault that distinguishes a retryable desync from a
-    genuine codec violation."""
-    truncate_times: int = 0
-    drop_telemetry_times: int = 0
-    """Abort this many TELEMETRY probes instead of answering them."""
 
 
 class CheckpointDaemon:
@@ -610,11 +585,19 @@ class CheckpointDaemon:
         if repository is None and state_dir is not None:
             repository = CheckpointRepository(state_dir)
         self.repository = repository
+        # Telemetry: every instrument lands in the process-wide registry
+        # (the pre-existing contract tests and exporters rely on) *and*
+        # in a per-daemon source, so co-hosted daemons in one process
+        # stay separable on the wire and in Prometheus labels.
+        self.telemetry = TelemetrySource(name)
+        self._registries = (get_registry(), self.telemetry.registry)
         # Write-behind persistence: incoming pages spill to the
         # repository through a bounded queue instead of a synchronous
         # write-through, drained before any commit point.
         self._persist = (
-            _WriteBehind(repository) if repository is not None else None
+            _WriteBehind(repository, self._registries)
+            if repository is not None
+            else None
         )
         self.store = ContentAddressedStore(
             repository=repository,
@@ -628,24 +611,23 @@ class CheckpointDaemon:
         self._sessions: "OrderedDict[str, _SinkSession]" = OrderedDict()
         self._server: Optional[asyncio.AbstractServer] = None
         self._handlers: Set[asyncio.Task] = set()
-        self._fault: Optional[_FaultPlan] = None
+        # Consulted at every injectable protocol point; the default
+        # never fires.  Tests and the chaos soak assign an armed one (one
+        # instance may be shared by several daemons, which makes its
+        # budgets cluster-wide).
+        self.faults = FaultInjector()
         self.host: Optional[str] = None
         self.port: Optional[int] = None
-        # Telemetry: counters land in the process-wide registry (the
-        # pre-existing contract tests and exporters rely on) *and* in a
-        # per-daemon source, so co-hosted daemons in one process stay
-        # separable on the wire and in Prometheus labels.
-        self.telemetry = TelemetrySource(name)
         self.flight = FlightRecorder(f"daemon-{name}")
         self.metrics_port = metrics_port
         self.metrics_server: Optional[MetricsServer] = None
         if self.repository is not None:
             self._recover()
 
-    def _count(self, name: str, amount: float = 1.0) -> None:
+    def _count(self, counter: names.CounterName, amount: float = 1.0) -> None:
         """Increment a counter in both the global and per-daemon registries."""
-        get_registry().counter(name).add(amount)
-        self.telemetry.counter(name).add(amount)
+        for registry in self._registries:
+            counter.on(registry).add(amount)
 
     def _recover(self) -> None:
         """Rebuild hosted checkpoints and sessions from the repository.
@@ -822,7 +804,7 @@ class CheckpointDaemon:
                 page = self.store.get(digest)
                 if page is not None:
                     self.repository.put_page(digest, page)
-                    self._count("daemon.respilled_segments")
+                    self._count(names.DAEMON_RESPILLED_SEGMENTS)
             self.repository.commit_checkpoint(
                 CheckpointManifest(
                     vm_id=vm_id,
@@ -1012,66 +994,12 @@ class CheckpointDaemon:
         persisted, but the source never sees the acknowledgement — the
         nastiest spot for a disconnect, exercising the idempotent
         RESULT-replay path on reconnect.  Either way the abort happens
-        ``times`` times, then the daemon behaves normally.  The hook is
-        deterministic: no randomness, so runs are seed-stable.
+        ``times`` times, then the daemon behaves normally.  Shorthand
+        for assigning :attr:`faults` an injector with only these set.
         """
-        self._fault = _FaultPlan(
+        self.faults = FaultInjector(
             after_messages=after_messages, times=times, mid_result=mid_result
         )
-
-    def install_fault_plan(self, plan: Optional[_FaultPlan]) -> None:
-        """Install (or clear, with None) the daemon-side fault plan.
-
-        The unified entry point the :mod:`repro.chaos` fault plane uses;
-        :meth:`inject_disconnect` remains as the narrow legacy spelling.
-        """
-        self._fault = plan
-
-    def _abort_due_in(self, session: _SinkSession) -> Optional[int]:
-        """Frames left to apply before an armed mid-transfer abort fires
-        (0: it is due now); None when no such abort is armed."""
-        fault = self._fault
-        if fault is None or fault.times <= 0 or fault.mid_result:
-            return None
-        return max(fault.after_messages - session.total_applied, 0)
-
-    def _should_abort(self, session: _SinkSession) -> bool:
-        if self._abort_due_in(session) != 0:
-            return False
-        self._fault.times -= 1
-        return True
-
-    def _should_abort_result(self) -> bool:
-        fault = self._fault
-        if fault is None or not fault.mid_result or fault.times <= 0:
-            return False
-        fault.times -= 1
-        return True
-
-    def _take_ready_stall(self) -> float:
-        fault = self._fault
-        if fault is None or fault.stall_times <= 0 or fault.stall_ready_s <= 0:
-            return 0.0
-        fault.stall_times -= 1
-        return fault.stall_ready_s
-
-    def _take_ready_truncation(self) -> int:
-        fault = self._fault
-        if (
-            fault is None
-            or fault.truncate_times <= 0
-            or fault.truncate_ready_bytes <= 0
-        ):
-            return 0
-        fault.truncate_times -= 1
-        return fault.truncate_ready_bytes
-
-    def _should_drop_telemetry(self) -> bool:
-        fault = self._fault
-        if fault is None or fault.drop_telemetry_times <= 0:
-            return False
-        fault.drop_telemetry_times -= 1
-        return True
 
     # --- connection handling -------------------------------------------
 
@@ -1114,15 +1042,15 @@ class CheckpointDaemon:
 
     async def _send_ready(self, stream: ShapedStream, payload: bytes) -> None:
         """Send a READY frame, applying any planned stall/truncation fault."""
-        stall = self._take_ready_stall()
+        stall = self.faults.take_ready_stall()
         if stall > 0:
-            self._count("daemon.injected_stalls")
+            self._count(names.DAEMON_INJECTED_STALLS)
             await asyncio.sleep(stall)
-        cut = self._take_ready_truncation()
+        cut = self.faults.take_ready_truncation()
         if cut > 0:
             # Short READY, connection kept alive: the peer's next reads
             # land mid-frame and desync instead of seeing a clean EOF.
-            self._count("daemon.injected_truncations")
+            self._count(names.DAEMON_INJECTED_TRUNCATIONS)
             payload = payload[: max(1, len(payload) - cut)]
         await stream.send(payload)
 
@@ -1141,7 +1069,7 @@ class CheckpointDaemon:
         except (ConnectionError, OSError) as close_exc:
             # The peer is gone; the ERROR frame is best-effort courtesy.
             # Swallowing is correct — losing the *signal* was not.
-            self._count("daemon.close_errors")
+            self._count(names.DAEMON_CLOSE_ERRORS)
             log.debug(
                 "error frame undeliverable",
                 host=self.name,
@@ -1221,8 +1149,8 @@ class CheckpointDaemon:
                     cap=_MAX_RETAINED_SESSIONS,
                 )
                 overflow = len(self._sessions) - _MAX_RETAINED_SESSIONS
-                get_registry().gauge("daemon.sessions.live_overflow").set(overflow)
-                self.telemetry.gauge("daemon.sessions.live_overflow").set(overflow)
+                for registry in self._registries:
+                    names.DAEMON_SESSIONS_LIVE_OVERFLOW.on(registry).set(overflow)
                 return
             victim = self._sessions.pop(victim_id)
             victim.release_refs()
@@ -1261,7 +1189,7 @@ class CheckpointDaemon:
         base_generation = int(base_generation)
         hosted = self.checkpoints.get(session.vm_id)
         if hosted is not None and base_generation == hosted.generation:
-            self._count("daemon.announce.skipped")
+            self._count(names.DAEMON_ANNOUNCE_SKIPPED)
             return False, None
         base = self._delta_history.get(session.vm_id, {}).get(base_generation)
         if (
@@ -1282,7 +1210,7 @@ class CheckpointDaemon:
                                 codec: FrameCodec, hello: Frame) -> None:
         # Control-plane liveness probe: answer with the inventory
         # report and close — no migration session is created.
-        self._count("daemon.heartbeats")
+        self._count(names.DAEMON_HEARTBEATS)
         body = self.inventory_report(
             sketch_k=int(hello.body.get("sketch_k", 0)) or None
         )
@@ -1291,16 +1219,16 @@ class CheckpointDaemon:
 
     async def _answer_telemetry(self, stream: ShapedStream,
                                 codec: FrameCodec, hello: Frame) -> None:
-        if self._should_drop_telemetry():
+        if self.faults.take_telemetry_drop():
             # Telemetry poll loss: tear the probe connection down
             # unanswered.  The aggregator must count a poll failure
             # and carry on; accumulated history must not reset.
-            self._count("daemon.injected_telemetry_drops")
+            self._count(names.DAEMON_INJECTED_TELEMETRY_DROPS)
             stream.abort()
             return
         # Metrics probe: answer with the next sequence-numbered
         # snapshot and close — same passive shape as HEARTBEAT.
-        self._count("daemon.telemetry_probes")
+        self._count(names.DAEMON_TELEMETRY_PROBES)
         body = self.telemetry.snapshot().to_dict()
         body["probe_seq"] = hello.body.get("seq")
         await stream.send(codec.encode_telemetry(body))
@@ -1311,7 +1239,7 @@ class CheckpointDaemon:
         # error (e.g. a confused controller).  Replying with our own
         # ERROR would only bounce back at it; log and close instead.
         body = hello.body or {}
-        self._count("daemon.peer_errors")
+        self._count(names.DAEMON_PEER_ERRORS)
         log.warning(
             "peer opened with ERROR frame",
             host=self.name,
@@ -1371,7 +1299,7 @@ class CheckpointDaemon:
         session.release_refs()
         if self.repository is not None:
             self.repository.drop_session(session.session_id)
-        self._count("daemon.sessions.poisoned")
+        self._count(names.DAEMON_SESSIONS_POISONED)
         self.flight.note(
             "daemon.session_poisoned",
             vm=session.vm_id,
@@ -1395,7 +1323,7 @@ class CheckpointDaemon:
         received = 0
         while received < expected:
             budget = expected - received
-            due = self._abort_due_in(session)
+            due = self.faults.abort_due_in(session.total_applied)
             if due is not None:
                 budget = min(budget, max(due, 1))
             data = stream.peek()
@@ -1418,8 +1346,8 @@ class CheckpointDaemon:
                 # Disk pressure becomes socket backpressure when the
                 # write-behind queue is full.
                 await self._persist.throttle()
-            if self._should_abort(session):
-                self._count("daemon.injected_aborts")
+            if self.faults.take_abort(session.total_applied):
+                self._count(names.DAEMON_INJECTED_ABORTS)
                 stream.abort()
                 return received, True
         return received, False
@@ -1429,7 +1357,7 @@ class CheckpointDaemon:
         codec: FrameCodec, hello: Frame,
     ) -> None:
         if session.completed:
-            self._count("daemon.result_replays")
+            self._count(names.DAEMON_RESULT_REPLAYS)
             self.flight.note(
                 "daemon.result",
                 vm=session.vm_id,
@@ -1471,21 +1399,22 @@ class CheckpointDaemon:
                         removed=len(removed),
                         generation=generation,
                     )
-                    self._count("daemon.announce.delta")
+                    self._count(names.DAEMON_ANNOUNCE_DELTA)
                     self._count(
-                        "daemon.announced_digests", len(added) + len(removed)
+                        names.DAEMON_ANNOUNCED_DIGESTS, len(added) + len(removed)
                     )
-                    get_registry().histogram(
-                        "manifest.delta_ratio", SCORE_BUCKETS
-                    ).observe(len(payload) / max(1, full_bytes))
+                    for registry in self._registries:
+                        names.MANIFEST_DELTA_RATIO.on(registry).observe(
+                            len(payload) / max(1, full_bytes)
+                        )
                 else:
                     digests = (
                         hosted.announce_digests() if hosted is not None else []
                     )
                     await stream.send(codec.encode_announce(digests))
                     announce_span.set(digests=len(digests))
-                    self._count("daemon.announce.full")
-                    self._count("daemon.announced_digests", len(digests))
+                    self._count(names.DAEMON_ANNOUNCE_FULL)
+                    self._count(names.DAEMON_ANNOUNCED_DIGESTS, len(digests))
 
         while True:
             frame = await codec.read_frame(recv)
@@ -1533,11 +1462,11 @@ class CheckpointDaemon:
                             "applied_in_round": session.applied_in_round,
                         },
                     )
-                self._count("daemon.sessions.completed")
-                self._count("daemon.pages_received", session.pages_received)
-                self._count("daemon.apply_batches", session.apply_batches)
-                self._count("daemon.reused_in_place", session.reused_in_place)
-                self._count("daemon.reused_from_store", session.reused_from_store)
+                self._count(names.DAEMON_SESSIONS_COMPLETED)
+                self._count(names.DAEMON_PAGES_RECEIVED, session.pages_received)
+                self._count(names.DAEMON_APPLY_BATCHES, session.apply_batches)
+                self._count(names.DAEMON_REUSED_IN_PLACE, session.reused_in_place)
+                self._count(names.DAEMON_REUSED_FROM_STORE, session.reused_from_store)
                 # The headline VeCycle numbers, per host and per VM:
                 # bytes the recycled checkpoint saved (pages NOT resent
                 # because they were reused in place or resolved from the
@@ -1548,8 +1477,8 @@ class CheckpointDaemon:
                 recycled = (
                     session.reused_in_place + session.reused_from_store
                 ) * session.page_size
-                self._count("daemon.recycled_bytes", recycled)
-                self._count("daemon.transferred_bytes", session.rx_payload_bytes)
+                self._count(names.DAEMON_RECYCLED_BYTES, recycled)
+                self._count(names.DAEMON_TRANSFERRED_BYTES, session.rx_payload_bytes)
                 self.telemetry.vm_count(session.vm_id, "recycled_bytes", recycled)
                 self.telemetry.vm_count(
                     session.vm_id, "transferred_bytes", session.rx_payload_bytes
@@ -1569,10 +1498,10 @@ class CheckpointDaemon:
                     rounds=session.round_no,
                 )
                 payload = codec.encode_result(result)
-                if self._should_abort_result():
+                if self.faults.take_result_abort():
                     # Drop the link with the RESULT half-sent: the
                     # session is committed, the source is left hanging.
-                    self._count("daemon.injected_aborts")
+                    self._count(names.DAEMON_INJECTED_ABORTS)
                     await stream.send(payload[: max(1, len(payload) // 2)])
                     stream.abort()
                     return

@@ -64,81 +64,59 @@ import numpy as np
 
 from repro.core.protocol import ANNOUNCE_FRAME_OVERHEAD, WireFormat
 
-TYPE_HELLO = 0x01
-TYPE_READY = 0x02
-TYPE_ANNOUNCE = 0x03
-TYPE_RESULT = 0x04
-TYPE_ERROR = 0x05
-TYPE_PAGE_FULL = 0x10
-TYPE_PAGE_CHECKSUM = 0x11
-TYPE_PAGE_REF = 0x12
-TYPE_PAGE_PLAIN = 0x13
-TYPE_ROUND = 0x20
-TYPE_COMPLETE = 0x21
-TYPE_HEARTBEAT = 0x30
-TYPE_INVENTORY = 0x31
-TYPE_TELEMETRY = 0x32
-TYPE_DIGEST_DELTA = 0x33
+
+def declare_frames(*rows: Tuple[int, str, str]) -> Dict[int, Tuple[str, str]]:
+    """``{tag: (name, body)}`` from ``(tag, name, body)`` rows.
+
+    A tag or a name declared twice is an error, so two frames can never
+    share a byte on the wire or a key in the by-kind accounting.
+    """
+    table: Dict[int, Tuple[str, str]] = {}
+    for tag, name, body in rows:
+        if tag in table or any(name == known for known, _ in table.values()):
+            raise ValueError(f"frame 0x{tag:02x} {name!r} is declared twice")
+        table[tag] = (name, body)
+    return table
+
+
+# The one declaration of every frame: each row binds the TYPE_* constant
+# (a plain int), names the frame and says how its body is laid out —
+# "json" (u32 len | JSON), "page" (a data frame sized by the WireFormat)
+# or "fixed" (a layout of its own in FrameCodec).  Everything below that
+# groups or names tags derives from this table.
+_FRAMES = declare_frames(
+    (TYPE_HELLO := 0x01, "hello", "json"),
+    (TYPE_READY := 0x02, "ready", "fixed"),
+    (TYPE_ANNOUNCE := 0x03, "announce", "fixed"),
+    (TYPE_RESULT := 0x04, "result", "json"),
+    (TYPE_ERROR := 0x05, "error", "json"),
+    (TYPE_PAGE_FULL := 0x10, "full", "page"),
+    (TYPE_PAGE_CHECKSUM := 0x11, "checksum", "page"),
+    (TYPE_PAGE_REF := 0x12, "ref", "page"),
+    (TYPE_PAGE_PLAIN := 0x13, "plain", "page"),
+    (TYPE_ROUND := 0x20, "round", "fixed"),
+    (TYPE_COMPLETE := 0x21, "complete", "fixed"),
+    (TYPE_HEARTBEAT := 0x30, "heartbeat", "json"),
+    (TYPE_INVENTORY := 0x31, "inventory", "json"),
+    (TYPE_TELEMETRY := 0x32, "telemetry", "json"),
+    (TYPE_DIGEST_DELTA := 0x33, "digest_delta", "fixed"),
+)
+
+FRAME_NAMES = {tag: name for tag, (name, _) in _FRAMES.items()}
+"""Type tag → frame name."""
+
+FRAME_TYPES = {name: tag for tag, name in FRAME_NAMES.items()}
+"""Frame name → type tag, the inverse of :data:`FRAME_NAMES`."""
 
 PAGE_FRAME_TYPES = frozenset(
-    (TYPE_PAGE_FULL, TYPE_PAGE_CHECKSUM, TYPE_PAGE_REF, TYPE_PAGE_PLAIN)
+    tag for tag, (_, body) in _FRAMES.items() if body == "page"
 )
 
 JSON_FRAME_TYPES = frozenset(
-    (TYPE_HELLO, TYPE_RESULT, TYPE_ERROR, TYPE_HEARTBEAT, TYPE_INVENTORY,
-     TYPE_TELEMETRY)
+    tag for tag, (_, body) in _FRAMES.items() if body == "json"
 )
 """Tags whose payload is ``u32 len | JSON`` — decoded by one shared
 branch of :meth:`FrameCodec.read_frame`."""
-
-FRAME_NAMES = {
-    TYPE_HELLO: "hello",
-    TYPE_READY: "ready",
-    TYPE_ANNOUNCE: "announce",
-    TYPE_RESULT: "result",
-    TYPE_ERROR: "error",
-    TYPE_PAGE_FULL: "full",
-    TYPE_PAGE_CHECKSUM: "checksum",
-    TYPE_PAGE_REF: "ref",
-    TYPE_PAGE_PLAIN: "plain",
-    TYPE_ROUND: "round",
-    TYPE_COMPLETE: "complete",
-    TYPE_HEARTBEAT: "heartbeat",
-    TYPE_INVENTORY: "inventory",
-    TYPE_TELEMETRY: "telemetry",
-    TYPE_DIGEST_DELTA: "digest_delta",
-}
-
-FRAME_TYPES = {name: tag for tag, name in FRAME_NAMES.items()}
-"""Frame name → type tag, the inverse of :data:`FRAME_NAMES`.  This is
-the registry ``repro.lint`` treats as the single source of truth: every
-``TYPE_*`` constant must appear here, carry a distinct tag, and be
-encoded, decoded, and dispatched somewhere — see
-:mod:`repro.lint.rules.protocol`."""
-
-FRAME_CONSUMERS = {
-    TYPE_HELLO: ("daemon",),
-    TYPE_READY: ("source",),
-    TYPE_ANNOUNCE: ("source",),
-    TYPE_RESULT: ("source",),
-    TYPE_ERROR: ("daemon",),
-    TYPE_PAGE_FULL: ("daemon",),
-    TYPE_PAGE_CHECKSUM: ("daemon",),
-    TYPE_PAGE_REF: ("daemon",),
-    TYPE_PAGE_PLAIN: ("daemon",),
-    TYPE_ROUND: ("daemon",),
-    TYPE_COMPLETE: ("daemon",),
-    TYPE_HEARTBEAT: ("daemon",),
-    TYPE_INVENTORY: ("controller",),
-    TYPE_TELEMETRY: ("daemon", "controller"),
-    TYPE_DIGEST_DELTA: ("source",),
-}
-"""Which endpoint dispatches on each tag: ``daemon`` is the receiving
-:mod:`~repro.runtime.daemon`, ``source`` the sending
-:mod:`~repro.runtime.source`, and ``controller`` the orchestrator's
-registry/telemetry pollers.  The protocol lint rule checks every listed
-consumer actually references the tag, so deleting a dispatch arm fails
-``vecycle lint`` before any soak would notice."""
 
 DIGEST_DELTA_OVERHEAD = 17
 """Frame bytes before the digest lists: tag + four u32 fields."""

@@ -175,9 +175,6 @@ class MigrationMetrics:
             "sink": dict(self.sink_stats),
         }
 
-    # Historical name for the flat JSON view (CLI and log shipping).
-    as_dict = to_dict
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "MigrationMetrics":
         """Rebuild metrics from :meth:`to_dict` output (JSONL ingestion)."""

@@ -283,10 +283,3 @@ def dirty_round_sends(hashes: np.ndarray, dirty_slots: np.ndarray) -> RoundSends
         content_ids=np.asarray(hashes, dtype=np.uint64)[slots],
         refs=np.full(slots.shape[0], -1, dtype=np.int64),
     )
-
-
-def plan_dirty_round(
-    hashes: np.ndarray, dirty_slots: np.ndarray
-) -> List[PageSend]:
-    """:func:`dirty_round_sends` as a list of :class:`PageSend`."""
-    return dirty_round_sends(hashes, dirty_slots).as_list()

@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.strategies import MigrationStrategy
 from repro.mem.pagestore import PageStore
 from repro.net.link import Link
-from repro.obs import metrics as obs_metrics
+from repro.obs import names
 from repro.obs.trace import span as _span
 from repro.runtime.frames import (
     FRAME_NAMES,
@@ -163,7 +163,7 @@ class _BatchWriter:
         self._queue.clear()
         self.pending_bytes = 0
         self.flushes += 1
-        obs_metrics.get_registry().counter("runtime.batch_flushes").add()
+        names.RUNTIME_BATCH_FLUSHES.add()
 
 
 @dataclass(frozen=True)
@@ -384,9 +384,7 @@ class MigrationSource:
         messages the daemon never actually applied.  A new session id
         makes the daemon start a clean session (applied = 0) on the
         next :meth:`migrate`.  The planned rounds are kept (the plan is
-        a pure function of the VM state), and so is the per-message
-        payload accounting, so everything resent under the new session
-        is counted as retransmitted bytes rather than fresh payload.
+        a pure function of the VM state).
         """
         self.session_id = f"{self.state.vm_id}-{uuid.uuid4().hex[:12]}"
         self._final_result = None
@@ -411,6 +409,10 @@ class MigrationSource:
             mode=self.strategy.name,
             link=self.link.name if self.link else "unshaped",
         )
+        # A frame is a retransmission only against what *these* metrics
+        # counted: a caller retrying with a second migrate() gets a fresh
+        # account, not one that is all resends and no payload.
+        self._counted = {}
         with _span(
             "runtime.migrate",
             vm=self.state.vm_id,
@@ -494,24 +496,17 @@ class MigrationSource:
         source of truth; the registry is the aggregated view the
         exporters ship alongside the span timeline.
         """
-        registry = obs_metrics.get_registry()
         for kind, num_bytes in metrics.bytes_by_type.items():
-            registry.counter(f"runtime.bytes.{kind}").add(num_bytes)
+            names.RUNTIME_BYTES.labelled(kind).add(num_bytes)
         for kind, count in metrics.messages_by_type.items():
-            registry.counter(f"runtime.messages.{kind}").add(count)
-        registry.counter("runtime.announce_bytes").add(metrics.announce_bytes)
-        registry.counter("runtime.control_bytes").add(metrics.control_bytes)
-        registry.counter("runtime.retries").add(metrics.retries)
-        registry.counter("runtime.retransmitted_bytes").add(
-            metrics.retransmitted_bytes
-        )
-        registry.counter(f"runtime.migrations.{metrics.outcome}").add(1)
-        durations = registry.histogram(
-            "runtime.round_seconds", obs_metrics.ROUND_SECONDS_BUCKETS
-        )
-        sizes = registry.histogram(
-            "runtime.round_bytes", obs_metrics.PAGE_BYTES_BUCKETS
-        )
+            names.RUNTIME_MESSAGES.labelled(kind).add(count)
+        names.RUNTIME_ANNOUNCE_BYTES.add(metrics.announce_bytes)
+        names.RUNTIME_CONTROL_BYTES.add(metrics.control_bytes)
+        names.RUNTIME_RETRIES.add(metrics.retries)
+        names.RUNTIME_RETRANSMITTED_BYTES.add(metrics.retransmitted_bytes)
+        names.RUNTIME_MIGRATIONS.labelled(metrics.outcome).add(1)
+        durations = names.RUNTIME_ROUND_SECONDS.on()
+        sizes = names.RUNTIME_ROUND_BYTES.on()
         for round_stats in metrics.rounds:
             durations.observe(round_stats.duration_s)
             sizes.observe(round_stats.bytes_sent)
@@ -718,8 +713,9 @@ class MigrationSource:
 
         A frame whose round-index a previous attempt already counted is
         a retransmission; everything else is first-time payload.
-        ``self._counted`` survives reconnects, so a frame is never
-        counted as payload twice no matter how the stream is resumed.
+        ``self._counted`` survives reconnects within one
+        :meth:`migrate`, so a frame is never counted as payload twice
+        no matter how the stream is resumed.
         Frame sizes depend on the tag alone, so both sums are a count
         per tag times its size.
         """

@@ -9,9 +9,9 @@ from repro.storage.blocksync import (
 )
 from repro.storage.disk import HDD_HD204UI, SSD_INTEL330, TMPFS, Disk, get_disk
 from repro.storage.repository import (
-    FAULT_POINTS,
     CheckpointManifest,
     CheckpointRepository,
+    CrashPoint,
     RecoveryReport,
     RepositoryError,
     VerifyReport,
@@ -21,7 +21,7 @@ __all__ = [
     "BLOCK_SIZE",
     "CheckpointManifest",
     "CheckpointRepository",
-    "FAULT_POINTS",
+    "CrashPoint",
     "RecoveryReport",
     "RepositoryError",
     "VerifyReport",

@@ -50,7 +50,7 @@ checkpoint that references a segment deletes the segment file
 writes are swept by :meth:`gc`.
 
 Test hooks: :attr:`CheckpointRepository.fault_hook` is called with a
-named fault point (``"segment.written"``, ``"manifest.written"``, ...)
+:class:`CrashPoint` (``"segment.written"``, ``"manifest.written"``, ...)
 between the temp-file write and the rename; a hook that raises
 simulates ``kill -9`` at exactly that instant, and re-opening the same
 directory simulates the restart.
@@ -63,13 +63,14 @@ import json
 import os
 from contextlib import suppress
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 from urllib.parse import quote, unquote
 
 from repro.core.checksum import ChecksumAlgorithm, MD5, get_algorithm
+from repro.obs import names
 from repro.obs.log import get_logger
-from repro.obs.metrics import get_registry
 
 log = get_logger(__name__)
 
@@ -77,31 +78,31 @@ _SEGMENT_SUFFIX = ".page"
 _MANIFEST_SUFFIX = ".json"
 _TMP_PREFIX = ".tmp-"
 
-FAULT_SEGMENT_WRITTEN = "segment.written"
-"""Fault point: segment temp file written + fsynced, not yet renamed."""
 
-FAULT_SEGMENTS_SYNCED = "segments.synced"
-"""Fault point: batched fanout-directory fsyncs done, manifest not yet
-written — the instant between the group commit's data barrier and its
-commit point."""
+class CrashPoint(str, Enum):
+    """Where :attr:`CheckpointRepository.fault_hook` is called: the
+    instants between durable steps at which a ``kill -9`` matters.
 
-FAULT_MANIFEST_WRITTEN = "manifest.written"
-"""Fault point: manifest temp file written + fsynced, not yet renamed."""
+    Iterating the enum is the crash matrix.  A member is its string
+    (``CrashPoint.MANIFEST_WRITTEN == "manifest.written"``).
+    """
 
-FAULT_MANIFEST_COMMITTED = "manifest.committed"
-"""Fault point: manifest renamed into place, directory not yet fsynced."""
+    SEGMENT_WRITTEN = "segment.written"
+    """Segment temp file written + fsynced, not yet renamed."""
 
-FAULT_SESSION_WRITTEN = "session.written"
-"""Fault point: session temp file written + fsynced, not yet renamed."""
+    SEGMENTS_SYNCED = "segments.synced"
+    """Batched fanout-directory fsyncs done, manifest not yet written —
+    the instant between the group commit's data barrier and its commit
+    point."""
 
-FAULT_POINTS = (
-    FAULT_SEGMENT_WRITTEN,
-    FAULT_SEGMENTS_SYNCED,
-    FAULT_MANIFEST_WRITTEN,
-    FAULT_MANIFEST_COMMITTED,
-    FAULT_SESSION_WRITTEN,
-)
-"""Every named persistence fault point, for crash-matrix tests."""
+    MANIFEST_WRITTEN = "manifest.written"
+    """Manifest temp file written + fsynced, not yet renamed."""
+
+    MANIFEST_COMMITTED = "manifest.committed"
+    """Manifest renamed into place, directory not yet fsynced."""
+
+    SESSION_WRITTEN = "session.written"
+    """Session temp file written + fsynced, not yet renamed."""
 
 
 class RepositoryError(RuntimeError):
@@ -250,7 +251,7 @@ class CheckpointRepository:
             directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.group_commit = group_commit
-        self.fault_hook: Optional[Callable[[str], None]] = None
+        self.fault_hook: Optional[Callable[[CrashPoint], None]] = None
         # digest → number of manifests referencing it (not per-slot).
         self._refcounts: Dict[bytes, int] = {}
         self._quarantine_serial = 0
@@ -264,7 +265,7 @@ class CheckpointRepository:
 
     # --- low-level atomic writes ---------------------------------------
 
-    def _fault(self, point: str) -> None:
+    def _fault(self, point: CrashPoint) -> None:
         if self.fault_hook is not None:
             self.fault_hook(point)
 
@@ -305,7 +306,7 @@ class CheckpointRepository:
         self,
         final: str,
         data: bytes,
-        fault_point: Optional[str] = None,
+        fault_point: Optional[CrashPoint] = None,
         defer_dir_sync: bool = False,
     ) -> None:
         """Temp file + fsync + rename + directory fsync.
@@ -339,7 +340,7 @@ class CheckpointRepository:
                 os.unlink(tmp)
             raise
         if defer_dir_sync:
-            get_registry().counter("repo.fsync_batched").add()
+            names.REPO_FSYNC_BATCHED.add()
         else:
             self._fsync_dir(directory)
 
@@ -377,7 +378,7 @@ class CheckpointRepository:
         except OSError:  # pragma: no cover - best effort
             with suppress(FileNotFoundError):
                 os.unlink(path)
-        get_registry().counter("repo.quarantined").add()
+        names.REPO_QUARANTINED.add()
         log.warning("quarantined corrupt entry", path=str(path), reason=reason)
 
     # --- segments -------------------------------------------------------
@@ -406,7 +407,7 @@ class CheckpointRepository:
                 self._write_atomic(
                     final,
                     page,
-                    fault_point=FAULT_SEGMENT_WRITTEN,
+                    fault_point=CrashPoint.SEGMENT_WRITTEN,
                     defer_dir_sync=self.group_commit,
                 )
             except BaseException as exc:
@@ -445,7 +446,7 @@ class CheckpointRepository:
             return False
         with open(self._segment_path(digest), "wb") as handle:
             handle.write(bytes([data[0] ^ 0xFF]) + data[1:])
-        get_registry().counter("repo.injected_corruptions").add()
+        names.REPO_INJECTED_CORRUPTIONS.add()
         return True
 
     def get_page(self, digest: bytes) -> Optional[bytes]:
@@ -494,7 +495,7 @@ class CheckpointRepository:
             self._refcounts.pop(digest, None)
             reclaimed += self._delete_segment(digest)
         if reclaimed:
-            get_registry().counter("repo.bytes_reclaimed").add(reclaimed)
+            names.REPO_BYTES_RECLAIMED.add(reclaimed)
         return reclaimed
 
     def _delete_segment(self, digest: bytes) -> int:
@@ -533,14 +534,14 @@ class CheckpointRepository:
         # fsync lands here, once per dirty directory, before the
         # manifest rename can make the checkpoint reachable.
         self.sync_pending_dirs()
-        self._fault(FAULT_SEGMENTS_SYNCED)
+        self._fault(CrashPoint.SEGMENTS_SYNCED)
         previous = self.load_manifest(manifest.vm_id)
         self._write_atomic(
             self._manifest_path(manifest.vm_id),
             manifest.to_json().encode("utf-8"),
-            fault_point=FAULT_MANIFEST_WRITTEN,
+            fault_point=CrashPoint.MANIFEST_WRITTEN,
         )
-        self._fault(FAULT_MANIFEST_COMMITTED)
+        self._fault(CrashPoint.MANIFEST_COMMITTED)
         self._retain_all(distinct)
         reclaimed = 0
         if previous is not None:
@@ -615,7 +616,7 @@ class CheckpointRepository:
         self._write_atomic(
             self._session_path(session_id),
             json.dumps(payload, separators=(",", ":")).encode("utf-8"),
-            fault_point=FAULT_SESSION_WRITTEN,
+            fault_point=CrashPoint.SESSION_WRITTEN,
         )
 
     def drop_session(self, session_id: str) -> None:
@@ -693,8 +694,7 @@ class CheckpointRepository:
             for digest in self._iter_segments()
             if digest not in self._refcounts
         )
-        registry = get_registry()
-        registry.counter("repo.recovered_checkpoints").add(report.recovered)
+        names.REPO_RECOVERED_CHECKPOINTS.add(report.recovered)
         if report.quarantined or report.orphan_segments:
             log.warning(
                 "repository recovery found damage",
@@ -791,7 +791,7 @@ class CheckpointRepository:
             if digest not in live:
                 reclaimed += self._delete_segment(digest)
         if reclaimed:
-            get_registry().counter("repo.bytes_reclaimed").add(reclaimed)
+            names.REPO_BYTES_RECLAIMED.add(reclaimed)
         return reclaimed
 
     @property

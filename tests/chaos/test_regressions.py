@@ -24,7 +24,8 @@ from repro.runtime import (
     RuntimeConfig,
     SourceState,
 )
-from repro.runtime.daemon import SinkProtocolError, _FaultPlan
+from repro.runtime.daemon import SinkProtocolError
+from repro.runtime.faults import FaultInjector
 from repro.runtime.frames import FrameCodec
 
 N = 256
@@ -52,7 +53,7 @@ async def _run_with_plan(plan, max_attempts=2):
     checkpoint, current, dirty = build_vm()
     async with CheckpointDaemon(pagestore=pagestore) as daemon:
         daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
-        daemon.install_fault_plan(plan)
+        daemon.faults = plan
         source = MigrationSource(
             SourceState(
                 vm_id="vm",
@@ -90,7 +91,7 @@ def test_truncated_ready_desync_is_retried(cut):
     must retry — deterministically, for every truncation size.
     """
     outcome, telemetry = asyncio.run(
-        _run_with_plan(_FaultPlan(truncate_ready_bytes=cut, truncate_times=1))
+        _run_with_plan(FaultInjector(truncate_ready_bytes=cut, truncate_times=1))
     )
     assert outcome.ok, f"cut={cut}: {outcome.error_code}: {outcome.error}"
     assert outcome.attempts == 2
@@ -101,7 +102,7 @@ def test_truncation_exhausting_attempts_reports_desync():
     """With no attempts left, the failure keeps its desync classification."""
     outcome, _ = asyncio.run(
         _run_with_plan(
-            _FaultPlan(truncate_ready_bytes=4, truncate_times=4),
+            FaultInjector(truncate_ready_bytes=4, truncate_times=4),
             max_attempts=1,
         )
     )
@@ -121,7 +122,7 @@ def test_mid_result_replay_installs_one_generation():
     a second generation or complete the session twice.
     """
     outcome, telemetry = asyncio.run(
-        _run_with_plan(_FaultPlan(mid_result=True, times=1))
+        _run_with_plan(FaultInjector(mid_result=True, times=1))
     )
     assert outcome.ok
     assert outcome.checkpoint_generation == 2  # install=1, migration=2
@@ -392,7 +393,7 @@ def test_stop_cancels_stalled_handlers_cleanly():
         daemon = CheckpointDaemon(pagestore=pagestore)
         await daemon.start()
         daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
-        daemon.install_fault_plan(_FaultPlan(stall_ready_s=30.0, stall_times=1))
+        daemon.faults = FaultInjector(stall_ready_s=30.0, stall_times=1)
         reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
         codec = FrameCodec()
         writer.write(
@@ -448,7 +449,7 @@ def test_telemetry_drop_knob_aborts_probe_and_counts():
         registry = ClusterRegistry()
         aggregator = TelemetryAggregator(registry, poll_timeout_s=1.0)
         async with CheckpointDaemon(name="lossy") as daemon:
-            daemon.install_fault_plan(_FaultPlan(drop_telemetry_times=1))
+            daemon.faults = FaultInjector(drop_telemetry_times=1)
             registry.register("lossy", daemon.host, daemon.port)
             dropped = await aggregator.poll("lossy")
             recovered = await aggregator.poll("lossy")

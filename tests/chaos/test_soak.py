@@ -1,9 +1,13 @@
 """Seed-sweep soak tests: invariants hold, runs are reproducible."""
 
 import asyncio
+from enum import Enum
+from types import SimpleNamespace
 
-from repro.chaos import FaultKind, FaultSchedule, run_soak
-from repro.chaos.soak import run_soak_async
+import pytest
+
+from repro.chaos import FaultKind, FaultSchedule, FaultSpec, run_soak
+from repro.chaos.soak import _Soak, run_soak_async
 
 # Seeds chosen to jointly cover every fault kind at these parameters
 # (verified by the kind_counts assertions below), while staying small
@@ -73,3 +77,38 @@ def test_soak_runs_inside_existing_loop():
     report = asyncio.run(scenario())
     assert report.rounds == 3
     assert report.ok, report.violations
+
+
+@pytest.mark.parametrize("kind", FaultKind, ids=lambda kind: kind.value)
+def test_every_fault_kind_is_armed_and_accounted(kind):
+    # Coverage by construction: a member added to FaultKind is soaked
+    # here without anyone listing it.  The fault sits in round 1 so the
+    # destination already hosts a checkpoint to corrupt, resume or scrub.
+    # param=3 is the READY cut that borrows the ANNOUNCE tag as a
+    # *plausible* applied count: the first attempt streams its round
+    # before desyncing, and the executor's retry used to die in
+    # MigrationMetrics.validate() (all resends, no payload).
+    schedule = FaultSchedule(
+        seed=5, faults=(FaultSpec(1, kind, param=3, host_index=1),)
+    )
+    report = run_soak(
+        seed=5, schedule=schedule, migrations=2, hosts=2, num_pages=64
+    )
+    assert report.ok, report.violations
+    assert report.faults_injected == {kind.value: 1}
+    assert report.faults_skipped == 0  # it reached its fault point
+
+
+def test_arming_a_kind_without_an_arm_raises(tmp_path):
+    class Unarmed(str, Enum):
+        COFFEE_SPILL = "coffee_spill"
+
+    soak = _Soak(
+        seed=0, events=[], schedule=FaultSchedule(seed=0, faults=()),
+        hosts=2, num_pages=8, state_root=tmp_path, policy="best-checkpoint",
+    )
+    spec = SimpleNamespace(
+        round_no=0, kind=Unarmed.COFFEE_SPILL, param=0, host_index=0
+    )
+    with pytest.raises(NotImplementedError, match="COFFEE_SPILL"):
+        soak._arm(spec)

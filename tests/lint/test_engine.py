@@ -1,18 +1,6 @@
-"""The lint engine itself: project model, suppression, baseline."""
+"""The lint engine itself: project model, suppression, report."""
 
-import json
-
-import pytest
-
-from repro.lint import (
-    BASELINE_FILENAME,
-    Finding,
-    Project,
-    Rule,
-    load_baseline,
-    run_lint,
-    write_baseline,
-)
+from repro.lint import Finding, Project, Rule, run_lint
 from repro.lint.core import suppressed_rules
 
 
@@ -70,7 +58,7 @@ class TestSuppressions:
             overrides={rel: "bad = 1  # lint: ignore[demo]\n"},
         )
         finding = Finding("demo", rel, 1, "synthetic defect")
-        report = run_lint(project, [_rule_returning(finding)], {})
+        report = run_lint(project, [_rule_returning(finding)])
         assert report.ok
         assert report.suppressed == 1
         assert report.findings == []
@@ -82,61 +70,25 @@ class TestSuppressions:
             overrides={rel: "bad = 1  # lint: ignore[other-rule]\n"},
         )
         finding = Finding("demo", rel, 1, "synthetic defect")
-        report = run_lint(project, [_rule_returning(finding)], {})
+        report = run_lint(project, [_rule_returning(finding)])
         assert not report.ok
-
-
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        finding = Finding("demo", "src/x.py", 3, "synthetic defect")
-        path = tmp_path / BASELINE_FILENAME
-        write_baseline(path, [finding])
-        assert load_baseline(path) == {
-            finding.fingerprint: finding.render()
-        }
-
-    def test_baselined_finding_does_not_fail(self, repo_root, tmp_path):
-        finding = Finding("demo", "src/x.py", 3, "synthetic defect")
-        report = run_lint(
-            Project(repo_root),
-            [_rule_returning(finding)],
-            {finding.fingerprint: finding.render()},
-        )
-        assert report.ok
-        assert [f.fingerprint for f in report.baselined] == [
-            finding.fingerprint
-        ]
-
-    def test_fingerprint_ignores_line_numbers(self):
-        a = Finding("demo", "src/x.py", 3, "synthetic defect")
-        b = Finding("demo", "src/x.py", 33, "synthetic defect")
-        assert a.fingerprint == b.fingerprint
-
-    def test_stale_baseline_entries_are_reported(self, repo_root):
-        report = run_lint(
-            Project(repo_root), [], {"deadbeefdeadbeef": "gone finding"}
-        )
-        assert report.ok
-        assert report.unused_baseline == ["deadbeefdeadbeef"]
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / BASELINE_FILENAME
-        path.write_text(json.dumps({"version": 99, "findings": {}}))
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(path)
 
 
 class TestReport:
     def test_json_shape(self, repo_root):
         finding = Finding("demo", "src/x.py", 3, "synthetic defect")
-        report = run_lint(Project(repo_root), [_rule_returning(finding)], {})
+        report = run_lint(Project(repo_root), [_rule_returning(finding)])
         data = report.to_dict()
         assert data["ok"] is False
         assert data["rules"] == ["demo"]
         (entry,) = data["findings"]
-        assert entry["rule"] == "demo"
-        assert entry["fingerprint"] == finding.fingerprint
+        assert entry == {
+            "rule": "demo",
+            "path": "src/x.py",
+            "line": 3,
+            "message": "synthetic defect",
+        }
 
     def test_text_render_mentions_status(self, repo_root):
-        report = run_lint(Project(repo_root), [], {})
+        report = run_lint(Project(repo_root), [])
         assert "clean" in report.render_text()

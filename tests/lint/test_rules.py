@@ -6,164 +6,11 @@ introduces — these are the acceptance checks that the linter would
 catch the regression classes it was built for.
 """
 
-from repro.lint.rules import (
-    asyncsafety,
-    determinism,
-    faults,
-    metricnames,
-    protocol,
-)
-
-DAEMON = "src/repro/runtime/daemon.py"
-FRAMES = "src/repro/runtime/frames.py"
-FAULTPOINTS = "src/repro/chaos/faultpoints.py"
+from repro.lint.rules import asyncsafety, determinism
 
 
 def _messages(findings):
     return [f.message for f in findings]
-
-
-# --- protocol --------------------------------------------------------------
-
-
-class TestProtocolRule:
-    def test_clean_tree_has_no_findings(self, project):
-        assert list(protocol.check(project)) == []
-
-    def test_deleted_dispatch_arm_is_flagged(self, project, mutate):
-        mutated = project.text(DAEMON).replace(
-            "elif tag == TYPE_PAGE_REF:", "elif tag == 0x12:"
-        )
-        assert mutated != project.text(DAEMON)
-        findings = list(protocol.check(mutate({DAEMON: mutated})))
-        assert any(
-            "TYPE_PAGE_REF" in m and "daemon" in m for m in _messages(findings)
-        )
-
-    def test_tag_collision_is_flagged(self, project, mutate):
-        mutated = project.text(FRAMES).replace(
-            "TYPE_READY = 0x02", "TYPE_READY = 0x01"
-        )
-        findings = list(protocol.check(mutate({FRAMES: mutated})))
-        assert any("collide" in m for m in _messages(findings))
-
-    def test_unnamed_tag_is_flagged(self, project, mutate):
-        mutated = project.text(FRAMES) + "\nTYPE_EXTRA = 0x40\n"
-        findings = list(protocol.check(mutate({FRAMES: mutated})))
-        messages = _messages(findings)
-        assert any("TYPE_EXTRA" in m for m in messages)
-
-
-# --- metric-names ----------------------------------------------------------
-
-
-class TestMetricNamesRule:
-    def test_clean_tree_has_no_findings(self, project):
-        assert list(metricnames.check(project)) == []
-
-    def test_renamed_metric_literal_is_flagged(self, project, mutate):
-        mutated = project.text(DAEMON).replace(
-            '"pipeline.stage_stall_seconds"', '"pipeline.stage_stall_secs"'
-        )
-        assert mutated != project.text(DAEMON)
-        findings = list(metricnames.check(mutate({DAEMON: mutated})))
-        assert any(
-            "pipeline.stage_stall_secs" in m for m in _messages(findings)
-        )
-
-    def test_undeclared_emission_is_flagged(self, mutate):
-        rel = "src/repro/runtime/_lintdemo.py"
-        project = mutate({rel: (
-            "from repro.obs.metrics import get_registry\n"
-            "get_registry().counter('runtime.surprise_counter').add(1)\n"
-        )})
-        findings = list(metricnames.check(project))
-        assert any(
-            "runtime.surprise_counter" in m for m in _messages(findings)
-        )
-
-    def test_suppression_comment_is_honoured(self, mutate):
-        rel = "src/repro/runtime/_lintdemo.py"
-        project = mutate({rel: (
-            "from repro.obs.metrics import get_registry\n"
-            "get_registry().counter('runtime.surprise_counter')"
-            ".add(1)  # lint: ignore[metric-names]\n"
-        )})
-        from repro.lint import run_lint
-        from repro.lint.rules import rules_by_id
-
-        report = run_lint(project, rules_by_id(["metric-names"]), {})
-        assert report.ok
-        assert report.suppressed >= 1
-
-    def test_undocumented_declared_name_is_flagged(self, project, mutate):
-        docs = "docs/observability.md"
-        mutated = project.text(docs).replace(
-            "`daemon.peer_errors`", "`daemon.peer_mistakes`"
-        )
-        assert mutated != project.text(docs)
-        findings = list(metricnames.check(mutate({docs: mutated})))
-        assert any(
-            "daemon.peer_errors" in m and "not documented" in m
-            for m in _messages(findings)
-        )
-
-
-# --- fault-points ----------------------------------------------------------
-
-
-class TestFaultPointsRule:
-    def test_clean_tree_has_no_findings(self, project):
-        assert list(faults.check(project)) == []
-
-    def test_undeclared_fault_literal_is_flagged(self, mutate):
-        rel = "src/repro/storage/_lintdemo.py"
-        project = mutate({rel: (
-            "class Demo:\n"
-            "    def _fault(self, point):\n"
-            "        pass\n"
-            "    def go(self):\n"
-            "        self._fault('bogus.point')\n"
-        )})
-        findings = list(faults.check(project))
-        assert any("bogus.point" in m for m in _messages(findings))
-
-    def test_registry_missing_a_point_is_flagged(self, project, mutate):
-        mutated = project.text(FAULTPOINTS).replace(
-            '"session.written": '
-            '"A completed session record is durably on disk.",',
-            "",
-        )
-        assert mutated != project.text(FAULTPOINTS)
-        findings = list(faults.check(mutate({FAULTPOINTS: mutated})))
-        assert any(
-            "session.written" in m and "not declare" in m
-            for m in _messages(findings)
-        )
-
-    def test_registry_extra_knob_is_flagged(self, project, mutate):
-        mutated = project.text(FAULTPOINTS).replace(
-            '"drop_telemetry_times": "Abort this many TELEMETRY probes.",',
-            '"drop_telemetry_times": "Abort this many TELEMETRY probes.",\n'
-            '    "phantom_knob": "Not actually implemented anywhere.",',
-        )
-        findings = list(faults.check(mutate({FAULTPOINTS: mutated})))
-        assert any("phantom_knob" in m for m in _messages(findings))
-
-    def test_untested_point_is_flagged(self, project, mutate):
-        # Hide the only test referencing the knob: the rule demands
-        # every declared knob be exercised somewhere under tests/.
-        hidden = {
-            rel: None
-            for rel in project.source_files("tests")
-            if "drop_telemetry_times" in (project.try_text(rel) or "")
-        }
-        assert hidden, "expected at least one test to reference the knob"
-        findings = list(faults.check(mutate(hidden)))
-        assert any(
-            "drop_telemetry_times" in m and "not referenced" in m
-            for m in _messages(findings)
-        )
 
 
 # --- async-safety ----------------------------------------------------------

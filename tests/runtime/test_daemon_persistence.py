@@ -24,7 +24,7 @@ from repro.runtime import (
     RuntimeConfig,
     SourceState,
 )
-from repro.storage.repository import FAULT_MANIFEST_WRITTEN, CheckpointRepository
+from repro.storage.repository import CheckpointRepository, CrashPoint
 
 N = 512
 FAST = RuntimeConfig(
@@ -154,7 +154,7 @@ class TestCrashMidCommit:
         doomed = CheckpointDaemon(repository=repository)
 
         def hook(point):
-            if point == FAULT_MANIFEST_WRITTEN:
+            if point == CrashPoint.MANIFEST_WRITTEN:
                 raise KillNine(point)
 
         repository.fault_hook = hook

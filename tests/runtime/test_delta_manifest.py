@@ -106,6 +106,10 @@ class TestDeltaManifest:
         assert metrics.outcome == "completed"
         assert daemon.telemetry.counter("daemon.announce.delta").value == 1
         assert daemon.telemetry.counter("daemon.announce.full").value == 0
+        # The ratio reaches the daemon's own TELEMETRY snapshot, not
+        # only the process registry.
+        ratio = daemon.telemetry.snapshot().instruments["manifest.delta_ratio"]
+        assert ratio["total"] == 1 and 0 < ratio["sum"] < 0.5
         # O(churn) manifest: far smaller than the full announce the
         # control migration paid for the same checkpoint.
         assert control.announce_bytes > 0

@@ -9,6 +9,9 @@ from repro.core.checksum import get_algorithm
 from repro.core.protocol import ANNOUNCE_FRAME_OVERHEAD, WireFormat
 from repro.runtime.frames import (
     DIGEST_DELTA_OVERHEAD,
+    FRAME_TYPES,
+    JSON_FRAME_TYPES,
+    PAGE_FRAME_TYPES,
     Frame,
     FrameCodec,
     FrameError,
@@ -24,6 +27,7 @@ from repro.runtime.frames import (
     TYPE_READY,
     TYPE_ROUND,
     TYPE_TELEMETRY,
+    declare_frames,
     expect_frame,
 )
 
@@ -159,6 +163,56 @@ class TestRoundtrip:
         frame = roundtrip(codec, codec.encode_telemetry(body))
         assert frame.type == TYPE_TELEMETRY
         assert frame.body == body
+
+
+ONE_OF_EACH = {
+    "hello": lambda codec: codec.encode_hello({"session": "s"}),
+    "ready": lambda codec: codec.encode_ready(1, 2, True, False),
+    "announce": lambda codec: codec.encode_announce([DIGEST, DIGEST]),
+    "result": lambda codec: codec.encode_result({"ok": True}),
+    "error": lambda codec: codec.encode_error({"code": "desync"}),
+    "full": lambda codec: codec.encode_page_full(1, DIGEST, PAGE),
+    "checksum": lambda codec: codec.encode_page_checksum(1, DIGEST),
+    "ref": lambda codec: codec.encode_page_ref(1, 0),
+    "plain": lambda codec: codec.encode_page_plain(1, PAGE),
+    "round": lambda codec: codec.encode_round(1, 64),
+    "complete": lambda codec: codec.encode_complete(1, DIGEST),
+    "heartbeat": lambda codec: codec.encode_heartbeat({"seq": 1}),
+    "inventory": lambda codec: codec.encode_inventory({"host": "a"}),
+    "telemetry": lambda codec: codec.encode_telemetry({"seq": 1}),
+    "digest_delta": lambda codec: codec.encode_digest_delta(2, 1, [DIGEST], []),
+}
+"""One encoded frame of every kind, keyed by frame name."""
+
+
+class TestFrameTable:
+    """What the one declaration table promises, frame by frame."""
+
+    def test_the_cases_are_exactly_the_declared_frames(self):
+        assert set(ONE_OF_EACH) == set(FRAME_TYPES)
+
+    @pytest.mark.parametrize("name", sorted(ONE_OF_EACH))
+    def test_every_declared_tag_round_trips(self, name):
+        codec = FrameCodec(WIRE)
+        encoded = ONE_OF_EACH[name](codec)
+        frame = roundtrip(codec, encoded)
+        assert (frame.type, frame.name) == (FRAME_TYPES[name], name)
+        assert encoded[0] == frame.type
+        assert frame.wire_bytes == len(encoded)
+
+    def test_groups_derive_from_the_table(self):
+        assert PAGE_FRAME_TYPES == {
+            TYPE_PAGE_FULL, TYPE_PAGE_CHECKSUM, TYPE_PAGE_REF, TYPE_PAGE_PLAIN,
+        }
+        assert {TYPE_HELLO, TYPE_ERROR, TYPE_TELEMETRY} <= JSON_FRAME_TYPES
+        assert not JSON_FRAME_TYPES & PAGE_FRAME_TYPES
+        assert isinstance(TYPE_PAGE_REF, int) and TYPE_PAGE_REF == 0x12
+
+    def test_a_tag_or_a_name_declared_twice_fails(self):
+        with pytest.raises(ValueError, match="declared twice"):
+            declare_frames((0x01, "hello", "json"), (0x01, "ready", "fixed"))
+        with pytest.raises(ValueError, match="declared twice"):
+            declare_frames((0x01, "hello", "json"), (0x02, "hello", "json"))
 
 
 class TestErrors:

@@ -44,11 +44,6 @@ def test_to_dict_from_dict_round_trip():
     assert rebuilt.rounds[1].bytes_sent == 4128
 
 
-def test_as_dict_alias_preserved():
-    metrics = _sample()
-    assert metrics.as_dict() == metrics.to_dict()
-
-
 def test_from_dict_tolerates_minimal_payload():
     rebuilt = MigrationMetrics.from_dict(
         {"vm_id": "v", "mode": "qemu", "link": "unshaped"}

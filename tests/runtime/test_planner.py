@@ -18,7 +18,7 @@ from repro.runtime.planner import (
     KIND_PLAIN,
     KIND_REF,
     KIND_SKIP,
-    plan_dirty_round,
+    dirty_round_sends,
     plan_first_round,
 )
 
@@ -135,7 +135,7 @@ def test_missing_required_inputs_rejected():
 
 def test_plan_dirty_round_is_sorted_unique_plain():
     hashes = np.arange(100, 164, dtype=np.uint64)
-    sends = plan_dirty_round(hashes, np.array([5, 3, 5, 60, 3]))
+    sends = dirty_round_sends(hashes, np.array([5, 3, 5, 60, 3])).as_list()
     assert [s.slot for s in sends] == [3, 5, 60]
     assert all(s.kind == KIND_PLAIN for s in sends)
     assert [s.content_id for s in sends] == [103, 105, 160]

@@ -17,13 +17,10 @@ import pytest
 
 from repro.core.checksum import MD5
 from repro.mem.pagestore import PageStore
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.runtime import CheckpointDaemon
 from repro.runtime.daemon import _WriteBehind
-from repro.storage.repository import (
-    FAULT_SEGMENT_WRITTEN,
-    CheckpointRepository,
-)
+from repro.storage.repository import CheckpointRepository, CrashPoint
 from tests.runtime.test_daemon_persistence import migrate
 
 
@@ -56,7 +53,7 @@ def fail_kth(repo, k):
     reached = []
 
     def hook(point):
-        if point == FAULT_SEGMENT_WRITTEN:
+        if point == CrashPoint.SEGMENT_WRITTEN:
             reached.append(point)
             if len(reached) == k:
                 raise KillNine(point)
@@ -83,7 +80,7 @@ class TestFaultInsideABatch:
         reached = fail_kth(repo, 3)
 
         async def scenario():
-            writer = _WriteBehind(repo)
+            writer = _WriteBehind(repo, (get_registry(),))
             before = counter("daemon.writebehind.batches")
             for digest, page in batch:
                 writer.defer(digest, page)
@@ -101,7 +98,7 @@ class TestFaultInsideABatch:
         repo = CheckpointRepository(tmp_path)
         batch = items(6)
         reached = fail_kth(repo, 3)
-        writer = _WriteBehind(repo)
+        writer = _WriteBehind(repo, (get_registry(),))
         for digest, page in batch:
             writer.defer(digest, page)  # no loop: queued for flush_sync
         with pytest.raises(KillNine):
@@ -124,7 +121,7 @@ class TestCancelledBatch:
         repo.fault_hook = hold_the_writer_thread
 
         async def scenario():
-            writer = _WriteBehind(repo)
+            writer = _WriteBehind(repo, (get_registry(),))
             for digest, page in batch[:5]:
                 writer.defer(digest, page)
             while not entered.is_set():
@@ -156,6 +153,41 @@ class TestCancelledBatch:
         assert reopened.verify().ok
 
 
+class TestThrottle:
+    def test_a_stall_is_recorded_in_every_registry(self, tmp_path):
+        repo = CheckpointRepository(tmp_path)
+        batch = items(4)
+        gate = threading.Event()
+        repo.fault_hook = lambda point: gate.wait(timeout=20)
+        host = MetricsRegistry()
+
+        async def scenario():
+            writer = _WriteBehind(
+                repo, (get_registry(), host), max_pending_bytes=64
+            )
+            for digest, page in batch[:2]:
+                writer.defer(digest, page)
+            while not writer._inflight:  # the held thread owns batch one
+                await asyncio.sleep(0.001)
+            for digest, page in batch[2:]:
+                writer.defer(digest, page)  # 128 bytes behind it: over the bound
+            asyncio.get_running_loop().call_later(0.02, gate.set)
+            await writer.throttle()
+            await writer.close()
+
+        stalls_before = counter("pipeline.stall.writebehind")
+        try:
+            asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+        finally:
+            gate.set()
+        stalled = host.counter("pipeline.stall.writebehind").value
+        assert stalled > 0.01
+        assert counter("pipeline.stall.writebehind") - stalls_before == stalled
+        histogram = host.snapshot()["pipeline.stage_stall_seconds"]
+        assert histogram["total"] == 1 and histogram["sum"] == stalled
+        assert all(repo.has_page(digest) for digest, _ in batch)
+
+
 def fresh_image(pages, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(1, 2**62, size=pages, dtype=np.uint64)
@@ -178,10 +210,17 @@ class TestDurableMigration:
                 }
                 metrics, _ = await migrate(daemon, hashes, pagestore)
                 assert metrics.outcome == "completed"
-                return {name: counter(name) - was for name, was in before.items()}
+                moved = {name: counter(name) - was for name, was in before.items()}
+                return moved, daemon.telemetry.snapshot().instruments
 
-        moved = asyncio.run(scenario())
+        moved, telemetry = asyncio.run(scenario())
         assert 1 <= moved["daemon.writebehind.batches"] <= pages // 8
+        # The sink-disk-bound signal is visible per host, not only in
+        # the process registry.
+        assert (
+            telemetry["daemon.writebehind.batches"]["value"]
+            == moved["daemon.writebehind.batches"]
+        )
         assert moved["repo.fsync_batched"] == new_segments
         assert sum(1 for _ in tmp_path.glob("segments/*/*.page")) == new_segments
 

@@ -18,13 +18,9 @@ import pytest
 
 from repro.core.checksum import MD5
 from repro.storage.repository import (
-    FAULT_MANIFEST_COMMITTED,
-    FAULT_MANIFEST_WRITTEN,
-    FAULT_POINTS,
-    FAULT_SEGMENT_WRITTEN,
-    FAULT_SESSION_WRITTEN,
     CheckpointManifest,
     CheckpointRepository,
+    CrashPoint,
 )
 
 REPEATS = max(1, int(os.environ.get("REPRO_CRASH_REPEATS", "1")))
@@ -81,7 +77,7 @@ def assert_committed_intact(root, vm_id, tags):
 
 
 @pytest.mark.parametrize("repeat", range(REPEATS))
-@pytest.mark.parametrize("point", FAULT_POINTS)
+@pytest.mark.parametrize("point", CrashPoint, ids=lambda point: point.value)
 class TestCrashMatrix:
     batched = False
     """Whether segments go through one ``put_pages`` call."""
@@ -97,7 +93,7 @@ class TestCrashMatrix:
 
         arm(repo, point)
         with pytest.raises(KillNine):
-            if point == FAULT_SESSION_WRITTEN:
+            if point == CrashPoint.SESSION_WRITTEN:
                 repo.save_session("s1", {"result": {"ok": True}})
             else:
                 self.commit(repo, "inflight", [b"b", b"c"])
@@ -106,13 +102,13 @@ class TestCrashMatrix:
             tmp_path, "committed", [b"a", b"b"]
         )
         assert not report.quarantined
-        if point == FAULT_MANIFEST_COMMITTED:
+        if point == CrashPoint.MANIFEST_COMMITTED:
             # The manifest rename IS the commit: crashing after it means
             # the checkpoint survived.
             assert recovered.load_manifest("inflight") is not None
         else:
             assert recovered.load_manifest("inflight") is None
-        if point == FAULT_SESSION_WRITTEN:
+        if point == CrashPoint.SESSION_WRITTEN:
             assert report.sessions == {}
 
     def test_recovery_after_crash_can_commit_again(self, tmp_path, point, repeat):
@@ -120,7 +116,7 @@ class TestCrashMatrix:
         self.commit(repo, "vm", [b"a"])
         arm(repo, point)
         with pytest.raises(KillNine):
-            if point == FAULT_SESSION_WRITTEN:
+            if point == CrashPoint.SESSION_WRITTEN:
                 repo.save_session("s1", {"result": {"ok": False}})
             else:
                 self.commit(repo, "vm2", [b"b"])
@@ -157,7 +153,7 @@ class TestFaultMidBatch:
         repo.fault_hook = hook
         with pytest.raises(KillNine):
             repo.put_pages([(digest(t), page(t)) for t in tags])
-        assert seen == [FAULT_SEGMENT_WRITTEN] * 4
+        assert seen == [CrashPoint.SEGMENT_WRITTEN] * 4
         assert [repo.has_page(digest(t)) for t in tags] == [
             True, False, True, True,
         ]
@@ -170,7 +166,7 @@ class TestCrashDuringReplacement:
     """Replacing a VM's checkpoint must never leave the VM with none."""
 
     @pytest.mark.parametrize(
-        "point", [FAULT_SEGMENT_WRITTEN, FAULT_MANIFEST_WRITTEN]
+        "point", [CrashPoint.SEGMENT_WRITTEN, CrashPoint.MANIFEST_WRITTEN]
     )
     def test_old_checkpoint_survives_pre_commit_crash(self, tmp_path, point):
         repo = CheckpointRepository(tmp_path)
@@ -183,7 +179,7 @@ class TestCrashDuringReplacement:
     def test_post_commit_crash_keeps_the_new_checkpoint(self, tmp_path):
         repo = CheckpointRepository(tmp_path)
         commit(repo, "vm", [b"old1"])
-        arm(repo, FAULT_MANIFEST_COMMITTED)
+        arm(repo, CrashPoint.MANIFEST_COMMITTED)
         with pytest.raises(KillNine):
             commit(repo, "vm", [b"new1"])
         recovered, _ = assert_committed_intact(tmp_path, "vm", [b"new1"])
@@ -197,7 +193,7 @@ class TestOrphanSweep:
     def test_gc_reclaims_segments_of_the_lost_checkpoint(self, tmp_path):
         repo = CheckpointRepository(tmp_path)
         commit(repo, "vm", [b"a"])
-        arm(repo, FAULT_MANIFEST_WRITTEN)
+        arm(repo, CrashPoint.MANIFEST_WRITTEN)
         with pytest.raises(KillNine):
             commit(repo, "vm2", [b"b", b"c"])
 
