@@ -500,33 +500,39 @@ def _cmd_repo(args: argparse.Namespace) -> str:
                 f"unique={len(manifest.unique_digests):>8d} "
                 f"algo={manifest.algorithm} ts={manifest.timestamp:.0f}"
             )
+        packs = repo.pack_stats()
+        lines.append(
+            f"{packs['packs']} pack(s): live={packs['live_bytes']} "
+            f"dead={packs['dead_bytes']} physical={packs['physical_bytes']} bytes"
+        )
         if report.sessions:
             lines.append(f"{len(report.sessions)} persisted session result(s)")
         if report.quarantined:
             lines.append(f"{len(report.quarantined)} entr(ies) quarantined")
         if report.orphan_segments:
             lines.append(
-                f"{report.orphan_segments} orphan segment(s) — run "
-                "'vecycle repo gc' to reclaim them"
+                f"{report.orphan_segments} unreferenced record(s) — run "
+                "'vecycle repo gc' on a stopped daemon's directory to "
+                "reclaim them"
             )
         return "\n".join(lines)
     if args.action == "verify":
         repo.recover(verify_digests=False)
         report = repo.verify()
-        lines = [f"checked {report.segments_checked} segment(s)"]
+        lines = [f"checked {report.segments_checked} record(s)"]
         if report.ok:
-            lines.append("all segment digests verify: repository is clean")
+            lines.append("all record digests verify: repository is clean")
         else:
             lines.append(
                 f"quarantined {len(report.corrupt_segments)} corrupt "
-                f"segment(s) and {len(report.quarantined_manifests)} "
+                f"record(s) and {len(report.quarantined_manifests)} "
                 "manifest(s) referencing them"
             )
         return "\n".join(lines)
     # args.action == "gc"
     repo.recover(verify_digests=False)
     freed = repo.gc()
-    return f"reclaimed {freed} bytes of unreferenced segments"
+    return f"released {freed} bytes of unreferenced records and compacted the packs"
 
 
 def _cmd_obs(args: argparse.Namespace) -> str:
@@ -849,9 +855,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prepo.add_argument(
         "action", choices=("ls", "verify", "gc"),
-        help="ls: list committed checkpoints; verify: re-hash every "
-        "segment and quarantine corruption; gc: delete unreferenced "
-        "segments left by crashed commits",
+        help="ls: list committed checkpoints and pack state; verify: "
+        "re-hash every record and quarantine corruption; gc: forget "
+        "records no checkpoint references and compact the packs (run "
+        "it on a stopped daemon's directory)",
     )
     prepo.add_argument(
         "--state-dir", required=True, metavar="DIR",

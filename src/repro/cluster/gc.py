@@ -19,7 +19,7 @@ Dropping a checkpoint must also *reclaim* what it exclusively owned:
 ``checkpoints`` / ``drop_checkpoint`` shape) and routes every drop
 through the daemon's refcounted content store and durable repository,
 so the last checkpoint referencing a page actually frees its bytes —
-both the resident copy and the on-disk segment.
+the resident copy at once, the on-disk record at the next compaction.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def reclaim_hosted(
     Where :func:`collect_garbage` only forgets metadata, this path
     reclaims storage: each rejected checkpoint is dropped through
     ``owner.drop_checkpoint``, which releases its per-slot content-store
-    references and deletes repository segments whose *last* referencing
+    references and releases repository records whose *last* referencing
     checkpoint just went away.  The hosted checkpoints duck-type the
     policy's ``Checkpoint`` (``vm_id`` + ``timestamp`` is all the
     policies read).  Reclaimed bytes land on the ``repo.bytes_reclaimed``

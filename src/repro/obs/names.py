@@ -194,7 +194,7 @@ DAEMON_RESULT_REPLAYS = CounterName(
     "daemon.result_replays", "RESULT frames replayed to reconnecting sources.")
 DAEMON_RESPILLED_SEGMENTS = CounterName(
     "daemon.respilled_segments",
-    "Resident segments re-spilled after quarantine freed their durable copy.")
+    "Resident pages re-spilled after quarantine dropped their durable record.")
 DAEMON_REUSED_FROM_STORE = CounterName(
     "daemon.reused_from_store",
     "Pages resolved from the content store instead of the wire.")
@@ -300,13 +300,17 @@ PIPELINE_STALL = Family(
     "only stage.")
 # --- checkpoint repository ----------------------------------------------
 REPO_BYTES_RECLAIMED = CounterName(
-    "repo.bytes_reclaimed", "Segment bytes freed by garbage collection.")
+    "repo.bytes_reclaimed",
+    "Payload bytes of records released with their last reference (and by "
+    "gc); the pack space returns at compaction.")
 REPO_FSYNC_BATCHED = CounterName(
-    "repo.fsync_batched", "Segment-directory fsyncs saved by group commit.")
+    "repo.fsync_batched",
+    "Records appended without an fsync of their own, made durable by a "
+    "shared barrier.")
 REPO_INJECTED_CORRUPTIONS = CounterName(
-    "repo.injected_corruptions", "Segment corruptions injected by tests/chaos.")
+    "repo.injected_corruptions", "Record corruptions injected by tests/chaos.")
 REPO_QUARANTINED = CounterName(
-    "repo.quarantined", "Corrupt segments/manifests moved to quarantine.")
+    "repo.quarantined", "Corrupt records/manifests moved or copied to quarantine.")
 REPO_RECOVERED_CHECKPOINTS = CounterName(
     "repo.recovered_checkpoints",
     "Checkpoints rebuilt from durable state on recovery.")

@@ -22,7 +22,7 @@ inject mid-transfer disconnects to exercise exactly that path.
 
 Durability: give the daemon a ``state_dir`` and every committed
 checkpoint (and completed session result) survives a daemon restart —
-``kill -9`` included.  Pages are written through to a
+``kill -9`` included.  Pages are appended to the packs of a
 :class:`~repro.storage.repository.CheckpointRepository` as they arrive,
 the per-checkpoint manifest commits atomically on RESULT, and startup
 recovery rebuilds the hosted checkpoints and checksum state from the
@@ -144,8 +144,8 @@ class CheckpointInfo:
         pages: Slots in the checkpoint image.
         unique_pages: Distinct page contents (post-dedup).
         stored_bytes: Bytes the distinct contents occupy (durable
-            segment bytes when the repository holds them, resident page
-            bytes otherwise).
+            record payloads when the repository holds them, resident
+            page bytes otherwise).
         timestamp: When the checkpoint was taken.
         last_used: Last time the checkpoint served a migration (adopt,
             announce, or session preload); equals ``timestamp`` until
@@ -362,51 +362,38 @@ class _SinkSession:
 
 
 class _WriteBehind:
-    """Bounded write-behind queue batching repository segment writes.
+    """Bounded write-behind queue feeding the repository's packs.
 
-    :meth:`defer` only enqueues the (digest, page) pair.  A single
-    worker task takes *everything queued* each time it runs and hands
-    it to :meth:`CheckpointRepository.put_pages` in one thread hop, so
-    segment I/O overlaps the socket and the cost of crossing into the
-    thread is paid per backlog, not per page.  The batch is as large as
-    reception got ahead of the disk and never larger than
-    ``max_pending_bytes`` lets the queue grow.
+    :meth:`defer` only enqueues a decoded batch's ``(digest, page)``
+    pairs.  A single worker task takes *everything queued* each time it
+    runs and, in one thread hop, appends it
+    (:meth:`CheckpointRepository.put_pages`) and issues the data barrier
+    (:meth:`CheckpointRepository.sync_pending_dirs`, one ``fsync`` of the
+    pack) — so pack I/O overlaps the socket, the hop is paid per backlog,
+    not per page, and the barrier before the manifest finds nothing left
+    to sync.  After a commit the same thread compacts packs that are more
+    than half dead: never on the event loop between COMPLETE and RESULT.
 
-    What is batched: thread hops here, and the fan-out directory fsyncs
-    the repository already group-commits.  What is not: every new
-    segment is still its own temp file, file fsync and rename, and the
-    manifest rename is still the single commit point.  Durability
-    semantics are unchanged because every commit point drains first:
+    Durability is that of a synchronous write: every commit point drains
+    first — COMPLETE awaits :meth:`drain`, synchronous installs call
+    :meth:`flush_sync` — and the commit's own barrier covers the rest.
 
-    * the COMPLETE path awaits :meth:`drain` before verifying/adopting,
-      so everything is on disk before the manifest commits and the
-      RESULT is acked;
-    * synchronous installs call :meth:`flush_sync`, which writes the
-      backlog inline.
+    * A ``put_pages`` batch is all or nothing; the worker keeps the first
+      error it sees (fault hooks simulating ``kill -9`` raise
+      ``BaseException``) and :meth:`drain` / :meth:`flush_sync` re-raise
+      it — where a synchronous write would have, before any commit.
+    * On ``CancelledError`` (shutdown) the thread cannot be recalled, so
+      the whole batch goes back to the front of the queue in order and
+      :meth:`close` → :meth:`flush_sync` puts it again: the flush waits
+      on the repository's lock for the abandoned thread's append, then
+      finds it already indexed.
 
-    Errors and cancellation, per batch:
-
-    * ``put_pages`` attempts every item even after one fails and raises
-      the first error; the worker keeps the first error it sees (fault
-      hooks simulating ``kill -9`` raise ``BaseException``) and
-      :meth:`drain` / :meth:`flush_sync` re-raise it — exactly where a
-      synchronous write would have raised, before any manifest commits.
-    * On ``CancelledError`` (shutdown) the thread cannot be recalled,
-      so the whole batch goes back to the front of the queue in order
-      and :meth:`close` → :meth:`flush_sync` puts it again.  That is
-      safe while the abandoned thread is still writing: puts are
-      idempotent and every write uses its own temp file.
-
-    ``max_pending_bytes`` bounds the queue; :meth:`throttle` (awaited
-    once per decoded batch) blocks reception while the writer is more
-    than that far behind, turning disk pressure into socket
-    backpressure.  A batch is what one receive chunk held, so the queue
-    overshoots the bound by at most one receive chunk
-    (:data:`~repro.runtime.shaping._RECV_CHUNK_BYTES`).
-
-    Batches handed over and time stalled are counted in every registry
-    of ``registries`` — for a daemon, the process-wide one and its own
-    :class:`~repro.obs.telemetry.TelemetrySource`.
+    :meth:`throttle` (awaited once per decoded batch) blocks reception
+    while the writer is more than ``max_pending_bytes`` behind — disk
+    pressure becomes socket backpressure — so the queue overshoots the
+    bound by at most one receive chunk.  Batches and stall time are
+    counted in every registry of ``registries`` (for a daemon, the
+    process-wide one and its own ``TelemetrySource``).
     """
 
     def __init__(self, repository: CheckpointRepository,
@@ -418,6 +405,7 @@ class _WriteBehind:
         self._queue: Deque[Tuple[bytes, bytes]] = deque()
         self.pending_bytes = 0
         self._inflight: List[Tuple[bytes, bytes]] = []
+        self._compact_due = False
         self._error: Optional[BaseException] = None
         self._task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
@@ -427,10 +415,12 @@ class _WriteBehind:
     def idle(self) -> bool:
         return not self._queue and not self._inflight
 
-    def defer(self, digest: bytes, page: bytes) -> None:
-        """Queue one segment write (the content store's spill hook)."""
-        self._queue.append((digest, page))
-        self.pending_bytes += len(page)
+    def defer(self, batch: Sequence[Tuple[bytes, bytes]] = (), compact: bool = False) -> None:
+        """Queue a batch of page writes (the content store's spill hook)
+        or, after a commit, a compaction for the worker's thread."""
+        self._queue.extend(batch)
+        self.pending_bytes += sum(len(page) for _, page in batch)
+        self._compact_due |= compact
         try:
             loop = asyncio.get_running_loop()
         except RuntimeError:
@@ -452,16 +442,28 @@ class _WriteBehind:
         self.pending_bytes = 0
         return batch
 
+    def _write(self, batch: List[Tuple[bytes, bytes]], compact: bool) -> None:
+        if batch:
+            self._repository.put_pages(batch)
+            self._repository.sync_pending_dirs()
+        if compact:
+            try:
+                self._repository.compact()
+            except Exception:  # space not reclaimed is not a failed write
+                log.exception("pack compaction failed")
+
     async def _run(self) -> None:
         while True:
-            while not self._queue:
+            while not self._queue and not self._compact_due:
                 self._wake.clear()
                 await self._wake.wait()
             batch = self._inflight = self._take_queue()
-            for registry in self._registries:
-                names.DAEMON_WRITEBEHIND_BATCHES.on(registry).add()
+            compact, self._compact_due = self._compact_due, False
+            if batch:
+                for registry in self._registries:
+                    names.DAEMON_WRITEBEHIND_BATCHES.on(registry).add()
             try:
-                await asyncio.to_thread(self._repository.put_pages, batch)
+                await asyncio.to_thread(self._write, batch, compact)
             except asyncio.CancelledError:
                 # Shutdown: the thread cannot be recalled, so hand the
                 # batch back in order for flush_sync to put again.
@@ -500,9 +502,8 @@ class _WriteBehind:
 
     async def drain(self) -> None:
         """Wait until the backlog has durably landed; re-raise errors."""
-        if self._queue and (self._task is None or self._task.done()):
-            self._ensure_worker(asyncio.get_running_loop())
-            self._wake.set()
+        if self._queue:
+            self.defer()  # (re)start the worker for a backlog queued without one
         while not self.idle:
             await self._wait_progress()
         if self._error is not None:
@@ -510,13 +511,11 @@ class _WriteBehind:
             raise error
 
     def flush_sync(self) -> None:
-        """Write the backlog inline (synchronous install path).
+        """Append the backlog inline (synchronous install path).
 
-        A batch the worker currently holds in flight is put again;
-        ``put_pages`` is idempotent and atomic per segment, so the
-        duplicate is harmless — what matters is that ``has_page`` is
-        true for everything deferred before the caller commits a
-        manifest.
+        A batch the worker holds in flight is put again (waiting on the
+        repository's lock, then skipping what the thread indexed): all
+        that was deferred must be indexed before the caller's commit.
         """
         batch = self._inflight + self._take_queue()
         if batch:
@@ -555,7 +554,7 @@ class CheckpointDaemon:
             rooted there and recovered on construction — a daemon
             restart keeps every committed checkpoint.
         repository: Pre-built repository to use instead of
-            ``state_dir`` (tests share one across simulated restarts).
+            ``state_dir``; the daemon owns it and :meth:`stop` closes it.
         max_concurrent_migrations: Advertised migration capacity for
             the cluster control plane's admission control; the daemon
             itself accepts any number of concurrent sessions.
@@ -632,7 +631,7 @@ class CheckpointDaemon:
     def _recover(self) -> None:
         """Rebuild hosted checkpoints and sessions from the repository.
 
-        Segment digests are verified during recovery; corrupt entries
+        Record digests are verified during recovery; corrupt entries
         are quarantined by the repository, so a damaged checkpoint costs
         that checkpoint only and the daemon still starts.
         """
@@ -709,6 +708,7 @@ class CheckpointDaemon:
             self.metrics_server = None
         if self._persist is not None:
             await self._persist.close()
+            self.repository.close()
 
     async def __aenter__(self) -> "CheckpointDaemon":
         await self.start()
@@ -771,6 +771,7 @@ class CheckpointDaemon:
         if timestamp is None:
             timestamp = time.time()
         if self._persist is not None:
+            self.store.flush_spill()
             self._persist.flush_sync()
         generation = self._generations.get(vm_id, 0) + 1
         distinct = frozenset(slot_digests)
@@ -790,17 +791,13 @@ class CheckpointDaemon:
         while len(history) > _MAX_DELTA_HISTORY:
             history.popitem(last=False)
         if self.repository is not None:
-            # A verify() scrub may have quarantined segments this image
-            # still references (the resident copy arrived in an earlier
-            # session and was spilled long ago — the write-behind queue
-            # only carries *new* content).  commit_checkpoint refuses to
-            # commit a manifest referencing missing segments, so re-spill
-            # anything we still hold resident before committing; content
-            # resident nowhere stays missing and the commit raises, which
-            # is correct — the daemon genuinely lost it.
-            for digest in distinct:
-                if self.repository.has_segment(digest):
-                    continue
+            # A verify() scrub may have quarantined records this image
+            # still references (the write-behind queue only carries *new*
+            # content), and commit_checkpoint refuses a manifest with
+            # missing records: re-spill what is still resident.  Content
+            # resident nowhere stays missing and the commit raises —
+            # correct: the daemon genuinely lost it.
+            for digest in self.repository.missing(distinct):
                 page = self.store.get(digest)
                 if page is not None:
                     self.repository.put_page(digest, page)
@@ -815,6 +812,8 @@ class CheckpointDaemon:
                     generation=generation,
                 )
             )
+            # The replaced checkpoint's records are dead: the writer thread compacts.
+            self._persist.defer(compact=True)
         if previous is not None:
             self.store.release_many(previous.slot_digests)
         return hosted
@@ -822,8 +821,8 @@ class CheckpointDaemon:
     def drop_checkpoint(self, vm_id: str) -> int:
         """Stop hosting ``vm_id``'s checkpoint; free its last-owner pages.
 
-        Returns the number of bytes actually reclaimed (durable segment
-        bytes when a repository is attached, resident bytes otherwise).
+        Returns the number of bytes actually released (durable payload
+        bytes when a repository is attached, plus resident bytes).
         The retention policies in :mod:`repro.cluster.gc` call this so
         dropped checkpoints stop leaking content-store entries.
         """
@@ -1343,8 +1342,9 @@ class CheckpointDaemon:
             session.apply_pages(frames, codec.page_frame_bytes)
             received += len(frames)
             if self._persist is not None:
-                # Disk pressure becomes socket backpressure when the
-                # write-behind queue is full.
+                # The batch's new pages reach the write-behind queue in
+                # one call; a full queue becomes socket backpressure.
+                self.store.flush_spill()
                 await self._persist.throttle()
             if self.faults.take_abort(session.total_applied):
                 self._count(names.DAEMON_INJECTED_ABORTS)
@@ -1437,7 +1437,7 @@ class CheckpointDaemon:
                 if self._persist is not None:
                     # Everything received must be durably on disk before
                     # the image is verified and the RESULT acked — the
-                    # write-behind queue changes *when* segment I/O
+                    # write-behind queue changes *when* pack I/O
                     # happens, never what has happened by this point.
                     await self._persist.drain()
                 result = session.finish(frame)

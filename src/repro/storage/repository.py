@@ -1,99 +1,173 @@
 """Durable, crash-safe on-disk checkpoint repository.
 
 VeCycle's premise is that a checkpoint written at migration time is
-*still on the source host's disk* when the VM ping-pongs back (§3.3,
-"local storage is cheap and abundant").  A daemon that keeps its
-checkpoints and content store purely in memory forfeits exactly that
-state on every restart, so :class:`CheckpointRepository` puts both on
-disk with crash-safe semantics:
+*still on the source host's disk* when the VM ping-pongs back (§3.3);
+the paper keeps it as one file read sequentially, with a checksum →
+offset list for out-of-order reuse.  This is that design, content
+addressed (``docs/architecture.md`` has the long form):
 
-* **Segments** — one file per distinct page content, named by the page's
-  checksum and fanned out over 256 subdirectories
-  (``segments/ab/ab12...page``).  Content addressing means a page shared
-  by many checkpoints (or many VMs on a consolidation host) occupies
-  one file; equality of names is equality of bytes.
+* **Packs** — page contents live in append-only files
+  (``segments/000000.pack``, ...) of self-delimiting records ``header |
+  digest | payload``; the 14-byte header is ``"VCPK"``, the digest
+  length (u16), the payload length (u32) and a CRC-32 of those ten
+  bytes, little-endian.  A page shared by many checkpoints is stored once.
+* **The index** — ``digest → (pack, offset, length)``, in memory only,
+  one small integer per record, rebuilt by ``recover`` from the packs.
+  A reader that meets a damaged header resynchronises on the next one
+  whose CRC holds, so a flipped byte costs its own record and no other.
 * **Manifests** — one JSON file per hosted checkpoint
-  (``manifests/<vm>.json``) holding the slot → digest map plus metadata.
-  The manifest is the *commit point*: a checkpoint exists iff its
-  manifest file exists.
-* **Sessions** — completed migration results
-  (``sessions/<session>.json``) so a source reconnecting after a daemon
-  restart still gets its RESULT replayed idempotently.
+  (``manifests/<vm>.json``): the slot → digest map plus metadata.  The
+  manifest is the *commit point*: a checkpoint exists iff it does.
+* **Sessions** — completed migration results (``sessions/<id>.json``),
+  replayed to a source that reconnects after a daemon restart.
 
-Every file is written atomically: write to a temp file in the same
-directory, ``fsync``, ``rename`` over the final name, then ``fsync`` the
-directory.  A crash (``kill -9`` included) between any two steps leaves
-either the old state or the new state, never a torn file — segments are
-written *before* the manifest that references them, so the rename of the
-manifest is the single commit point and a crash mid-checkpoint loses at
-most the in-flight checkpoint.
+Write ordering is *records → barrier → manifest*: ``put_pages`` appends
+with ``pwritev`` and no fsync, ``sync_pending_dirs`` is the data barrier
+(one ``fsync`` per pack appended to, plus the directory when a pack was
+created), and ``commit_checkpoint`` issues it before the manifest's
+temp file + ``fsync`` + ``rename``.  A crash — ``kill -9`` or power loss
+— can tear or lose only records appended after the last barrier, which
+no committed manifest references.  A handle appends only to packs it
+created (``O_EXCL``), always at the offset it accounts for: a
+predecessor's torn tail is never appended after, and a failed append is
+overwritten by the next.
 
-Segment writes are *group-committed*: each segment file is fsynced
-before its rename as always, but the directory fsyncs that make the
-renames durable are batched and issued once per dirty fanout directory
-at :meth:`CheckpointRepository.commit_checkpoint` time (the
-``segments.synced`` barrier), immediately before the manifest rename.
-A checkpoint of N new pages costs ~N/256 + 2 directory fsyncs instead
-of N + 2, with identical crash semantics — anything a crash can unwind
-was never reachable from a committed manifest.
+Releasing a checkpoint is bookkeeping (records forgotten and counted
+dead, ``repo.bytes_reclaimed``); the space comes back by *compaction* —
+a sealed pack more than half dead has its surviving records appended to
+the current pack, barrier, then is unlinked (``compact``, run by the
+daemon's write-behind thread after a commit; ``gc`` also drops what no
+manifest references and compacts every pack with dead bytes).  Reads
+are ``os.pread``: an ``mmap`` would count every touched page in the
+process's resident set.  Damage is *quarantined*, never fatal: a bad
+record a manifest needs is copied to ``quarantine/`` and the manifest
+follows — one flipped bit costs one checkpoint, not the daemon.
 
-On startup :meth:`recover` rebuilds the in-memory refcount index from
-the manifests, verifies that every referenced segment exists and (when
-``verify_digests``) hashes back to its name, and *quarantines* rather
-than crashes on corrupt entries: a bad segment is moved to
-``quarantine/`` and every manifest referencing it follows, so one
-flipped bit costs one checkpoint, not the daemon.
-
-Refcounts make retention actually free bytes: dropping the last
-checkpoint that references a segment deletes the segment file
-(``repo.bytes_reclaimed``).  Orphan segments from crashed mid-commit
-writes are swept by :meth:`gc`.
-
-Test hooks: :attr:`CheckpointRepository.fault_hook` is called with a
-:class:`CrashPoint` (``"segment.written"``, ``"manifest.written"``, ...)
-between the temp-file write and the rename; a hook that raises
-simulates ``kill -9`` at exactly that instant, and re-opening the same
-directory simulates the restart.
+One handle owns a directory's writes.  A second may commit beside it
+(to packs of its own) and is seen on the cold ``checkpoint_stats`` path,
+but ``gc`` and ``compact`` assume no other live handle: run ``vecycle
+repo gc`` on a stopped daemon's directory.  The earlier file-per-page
+layout is refused (:class:`RepositoryError`).  Test hook: ``fault_hook``
+is called with a :class:`CrashPoint` between durable steps; raising
+there simulates ``kill -9``, re-opening the directory the restart.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
+import struct
+import threading
+import weakref
+import zlib
 from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 from urllib.parse import quote, unquote
 
-from repro.core.checksum import ChecksumAlgorithm, MD5, get_algorithm
+from repro.core.checksum import MD5, available_algorithms, get_algorithm
 from repro.obs import names
 from repro.obs.log import get_logger
 
 log = get_logger(__name__)
 
-_SEGMENT_SUFFIX = ".page"
+_PACK_SUFFIX = ".pack"
+_EVIDENCE_SUFFIX = ".page"
 _MANIFEST_SUFFIX = ".json"
 _TMP_PREFIX = ".tmp-"
+
+_MAGIC = b"VCPK"
+_LENGTHS = struct.Struct("<4sHI")
+_HEADER = struct.Struct("<4sHII")
+
+_PACK_ROLL_BYTES = 256 << 20
+"""A pack this large is sealed and a new one started: a 4 GiB checkpoint
+is 16 files and descriptors, and compacting one is a bounded copy."""
+_COMPACT_DEAD_FRACTION = 0.5
+"""Compact a sealed pack once more than this much of it is dead: disk use
+stays under twice the live bytes, and a record is copied about once per
+halving of its pack."""
+_SCAN_CHUNK = 1 << 20  # packs are read back this many bytes at a time
+# Records per pwritev: three buffers each, at most IOV_MAX a call.
+_RECORDS_PER_WRITE = (os.sysconf("SC_IOV_MAX") if hasattr(os, "sysconf") else 1024) // 3
+_MAX_PAYLOAD = (1 << 24) - 1  # an index entry has 24 bits of payload length
+
+_ALGORITHM_BY_DIGEST_SIZE = {
+    get_algorithm(name).digest_size: get_algorithm(name)
+    for name in available_algorithms()
+}
+
+
+def _locate(pack: int, offset: int, length: int) -> int:
+    """An index entry: pack number, payload offset and length in one int."""
+    return ((pack << 32 | offset) << 24) | length
+
+
+def _located(entry: int) -> Tuple[int, int, int]:
+    return entry >> 56, (entry >> 24) & 0xFFFFFFFF, entry & _MAX_PAYLOAD
+
+
+@functools.lru_cache(maxsize=16)
+def _header(digest_length: int, payload_length: int) -> bytes:
+    if payload_length > _MAX_PAYLOAD:
+        raise ValueError(f"page of {payload_length} bytes exceeds {_MAX_PAYLOAD}")
+    lengths = _LENGTHS.pack(_MAGIC, digest_length, payload_length)
+    return lengths + struct.pack("<I", zlib.crc32(lengths))
+
+
+def _verifies(digest: bytes, payload) -> bool:
+    """Whether ``payload`` hashes to ``digest`` (algorithm by digest size)."""
+    algorithm = _ALGORITHM_BY_DIGEST_SIZE.get(len(digest))
+    return algorithm is not None and algorithm.digest(payload) == digest
+
+
+def _read_records(fd: int, start: int) -> Tuple[List[Tuple[int, bytes, memoryview]], int]:
+    """The whole records in the chunk of a pack at ``start``, as
+    ``([(record offset, digest, payload view), ...], resume)``: call again
+    with ``resume``, and ``resume == start`` means nothing more can be
+    read (end of file, or a torn tail).  Bytes that are not a record — a
+    header whose magic or CRC is wrong — are skipped by resynchronising
+    on the next magic."""
+    buf = os.pread(fd, _SCAN_CHUNK, start)
+    records = []
+    at = 0
+    while len(buf) - at >= _HEADER.size:
+        magic, digest_length, payload_length, crc = _HEADER.unpack_from(buf, at)
+        if magic != _MAGIC or crc != zlib.crc32(buf[at : at + _LENGTHS.size]):
+            found = buf.find(_MAGIC, at + 1)
+            # Keep a tail a magic could straddle for the next call.
+            at = found if found >= 0 else len(buf) - len(_MAGIC) + 1
+            continue
+        body = at + _HEADER.size + digest_length
+        end = body + payload_length
+        if end > len(buf):
+            if at or end <= _SCAN_CHUNK:
+                break  # continues in the next chunk, or torn at end of file
+            buf = os.pread(fd, end, start)  # one record longer than a chunk
+            if end > len(buf):
+                break
+        payload = memoryview(buf)[body:end]
+        records.append((start + at, buf[at + _HEADER.size : body], payload))
+        at = end
+    return records, start + at
 
 
 class CrashPoint(str, Enum):
     """Where :attr:`CheckpointRepository.fault_hook` is called: the
     instants between durable steps at which a ``kill -9`` matters.
-
     Iterating the enum is the crash matrix.  A member is its string
-    (``CrashPoint.MANIFEST_WRITTEN == "manifest.written"``).
-    """
+    (``CrashPoint.MANIFEST_WRITTEN == "manifest.written"``)."""
 
     SEGMENT_WRITTEN = "segment.written"
-    """Segment temp file written + fsynced, not yet renamed."""
+    """A batch's records appended; not yet indexed, no barrier issued."""
 
     SEGMENTS_SYNCED = "segments.synced"
-    """Batched fanout-directory fsyncs done, manifest not yet written —
-    the instant between the group commit's data barrier and its commit
-    point."""
+    """Data barrier done, manifest not yet written."""
 
     MANIFEST_WRITTEN = "manifest.written"
     """Manifest temp file written + fsynced, not yet renamed."""
@@ -103,6 +177,10 @@ class CrashPoint(str, Enum):
 
     SESSION_WRITTEN = "session.written"
     """Session temp file written + fsynced, not yet renamed."""
+
+    COMPACTION_COPIED = "compaction.copied"
+    """A pack's surviving records copied and synced, the pack not yet
+    unlinked: both copies exist."""
 
 
 class RepositoryError(RuntimeError):
@@ -213,55 +291,94 @@ class VerifyReport:
         return not self.corrupt_segments and not self.quarantined_manifests
 
 
+class _Pack:
+    """One pack file as a handle accounts for it.  ``size`` is how far it
+    has read or written whole records: where a scan resumes and its own
+    next append lands.  ``dead`` estimates the bytes below ``size`` a
+    compaction would drop; it only schedules one, never deletes."""
+
+    __slots__ = ("number", "fd", "size", "dead")
+
+    def __init__(self, number: int, fd: int) -> None:
+        self.number, self.fd, self.size, self.dead = number, fd, 0, 0
+
+
+_Suspects = Dict[bytes, Tuple[_Pack, int, int]]  # digest → (pack, record offset, size)
+
+
+def _pack_number(name: str) -> int:
+    if name.endswith(_PACK_SUFFIX) and name[: -len(_PACK_SUFFIX)].isdigit():
+        return int(name[: -len(_PACK_SUFFIX)])
+    raise RepositoryError(
+        f"segments/{name} is not a pack file: the file-per-page layout "
+        "(segments/<xx>/<digest>.page) of an earlier version is not read; "
+        "start from an empty state directory"
+    )
+
+
+def _close_packs(packs: Dict[int, _Pack]) -> None:
+    """Close every pack descriptor (``close()`` and the finalizer)."""
+    while packs:
+        with suppress(OSError):
+            os.close(packs.popitem()[1].fd)
+
+
 class CheckpointRepository:
-    """Content-addressed segment files + atomic per-checkpoint manifests.
+    """Content-addressed pack files + atomic per-checkpoint manifests.
 
     Args:
         root: State directory; created (with subdirectories) if absent.
         fsync: Durability barriers on every write.  Tests may disable
-            them for speed; the write *ordering* (temp → rename) is kept
-            either way.
-        group_commit: Batch segment *directory* fsyncs per checkpoint.
-            Each segment file is still fsynced before its rename (bytes
-            are durable before the manifest can reference them), but the
-            fanout-directory fsync that makes the rename itself durable
-            is deferred and issued once per dirty directory by
-            :meth:`sync_pending_dirs` — which :meth:`commit_checkpoint`
-            calls right before writing the manifest.  Ordering is
-            unchanged: data barrier, then the manifest-rename commit
-            point.  A crash before the batch fsync can lose segment
-            renames, but only ones no committed manifest references.
+            them for speed; the write *ordering* (records → manifest
+            temp → rename) is kept either way.
     """
 
-    def __init__(
-        self, root: Path | str, fsync: bool = True, group_commit: bool = True
-    ) -> None:
+    def __init__(self, root: Path | str, fsync: bool = True) -> None:
         self.root = Path(root)
         self.segments_dir = self.root / "segments"
         self.manifests_dir = self.root / "manifests"
         self.sessions_dir = self.root / "sessions"
         self.quarantine_dir = self.root / "quarantine"
-        for directory in (
-            self.root,
-            self.segments_dir,
-            self.manifests_dir,
-            self.sessions_dir,
-            self.quarantine_dir,
-        ):
+        for directory in (self.segments_dir, self.manifests_dir,
+                          self.sessions_dir, self.quarantine_dir):
             directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
-        self.group_commit = group_commit
         self.fault_hook: Optional[Callable[[CrashPoint], None]] = None
-        # digest → number of manifests referencing it (not per-slot).
-        self._refcounts: Dict[bytes, int] = {}
-        self._quarantine_serial = 0
-        # The per-page paths below are plain strings handled by ``os``
-        # calls: a pathlib object per segment cost more than the write.
         self._segments_root = str(self.segments_dir)
+        # (Anything that is not a pack is the earlier layout: refused.)
+        self._next_pack = 1 + max(map(_pack_number, os.listdir(self._segments_root)), default=-1)
+        # One lock for append + index update + barrier: the write-behind
+        # thread and a synchronous flush can reach them together.
+        self._lock = threading.RLock()
+        self._closed = False
+        self._index: Dict[bytes, int] = {}  # digest → _locate(...)
+        self._packs: Dict[int, _Pack] = {}
+        self._active: Optional[_Pack] = None  # the pack this handle appends to
+        self._unsynced: Set[_Pack] = set()
+        self._pack_created = False
+        # digest → manifests referencing it (not slots); the manifests; and
+        # the records recover() found none for (a predecessor's releases,
+        # crashed commits): indexed, but dropped when their pack is compacted.
+        self._refcounts: Dict[bytes, int] = {}
+        self._committed: Dict[str, CheckpointManifest] = {}
+        self._orphans: Set[bytes] = set()
+        self._quarantine_serial = itertools.count(1)
         self._temp_serial = itertools.count()
-        # Fanout directories whose segment renames await their batched
-        # fsync (group commit); drained by sync_pending_dirs().
-        self._pending_dir_syncs: set[str] = set()
+        # A handle dropped without close() still releases its descriptors.
+        self._finalizer = weakref.finalize(self, _close_packs, self._packs)
+
+    def close(self) -> None:
+        """Release descriptors and index: reads and writes raise from now on."""
+        with self._lock:
+            self._closed = True
+            self._active = None
+            self._unsynced.clear()
+            self._index.clear()
+            self._finalizer()
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RepositoryError(f"repository {self.root} is closed")
 
     # --- low-level atomic writes ---------------------------------------
 
@@ -270,97 +387,63 @@ class CheckpointRepository:
             self.fault_hook(point)
 
     def _fsync_dir(self, directory: str | Path) -> None:
-        if not self.fsync:
-            return
-        fd = os.open(directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-    def _open_temp(self, directory: str) -> Tuple[int, str]:
-        """Create a fresh ``.tmp-`` file in ``directory``: (fd, path).
-
-        The name comes from the process id and a counter, never from
-        what is being written: two writers of the same content (the
-        write-behind thread and a ``flush_sync`` overtaking it) must not
-        share a temp file.  ``O_EXCL`` steps over a leftover of an
-        earlier process with the same pid; a missing fan-out directory
-        is created on first use.
-        """
-        while True:
-            path = (
-                f"{directory}/{_TMP_PREFIX}{os.getpid()}-"
-                f"{next(self._temp_serial)}.partial"
-            )
+        if self.fsync:
+            fd = os.open(directory, os.O_RDONLY)
             try:
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-            except FileExistsError:
-                continue
-            except FileNotFoundError:
-                os.makedirs(directory, exist_ok=True)
-                continue
-            return fd, path
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
-    def _write_atomic(
-        self,
-        final: str,
-        data: bytes,
-        fault_point: Optional[CrashPoint] = None,
-        defer_dir_sync: bool = False,
-    ) -> None:
-        """Temp file + fsync + rename + directory fsync.
+    def _create_exclusive(self, paths: Iterable[str], flags: int) -> Tuple[int, str]:
+        """``(fd, path)`` of the first of ``paths`` that did not exist:
+        ``O_EXCL`` steps over earlier incarnations' and siblings' files."""
+        for path in paths:
+            with suppress(FileExistsError):
+                return os.open(path, flags | os.O_CREAT | os.O_EXCL, 0o600), path
 
-        With ``defer_dir_sync`` the trailing directory fsync is queued
-        for :meth:`sync_pending_dirs` instead of issued inline (the
-        group-commit path for segment writes).
-        """
+    def _write_atomic(self, final: str, data: bytes, fault_point: CrashPoint) -> None:
+        """Temp file + fsync + rename + directory fsync (manifests, sessions)."""
         directory = os.path.dirname(final)
-        defer_dir_sync = defer_dir_sync and self.fsync
-        fd, tmp = self._open_temp(directory)
+        stem = f"{directory}/{_TMP_PREFIX}{os.getpid()}"
+        fd, tmp = self._create_exclusive(
+            (f"{stem}-{serial}.partial" for serial in self._temp_serial), os.O_WRONLY
+        )
         try:
             try:
                 view = memoryview(data)
                 while view:
-                    written = os.write(fd, view)
-                    view = view[written:]
+                    view = view[os.write(fd, view) :]
                 if self.fsync:
                     os.fsync(fd)
             finally:
                 os.close(fd)
-            if fault_point is not None:
-                self._fault(fault_point)
-            if defer_dir_sync:
-                # Queued before the rename: whoever sees the final name
-                # then also finds its directory awaiting the barrier.
-                self._pending_dir_syncs.add(directory)
+            self._fault(fault_point)
             os.replace(tmp, final)
         except BaseException:
             with suppress(FileNotFoundError):
                 os.unlink(tmp)
             raise
-        if defer_dir_sync:
-            names.REPO_FSYNC_BATCHED.add()
-        else:
-            self._fsync_dir(directory)
+        self._fsync_dir(directory)
 
-    def sync_pending_dirs(self) -> int:
-        """Issue the deferred directory fsyncs; returns how many.
-
-        One fsync per dirty fanout directory, no matter how many
-        segments landed in it since the last batch — the group-commit
-        data barrier.
-        """
-        pending, self._pending_dir_syncs = self._pending_dir_syncs, set()
-        for directory in sorted(pending):
-            self._fsync_dir(directory)
-        return len(pending)
+    def sync_pending_dirs(self) -> None:
+        """The data barrier: one ``fsync`` per pack appended to since the
+        last, plus one of the segments directory when a pack was created
+        — however many records landed.  Everything :meth:`put_pages`
+        returned for is durable once this returns."""
+        with self._lock:
+            self._check_open()
+            if self.fsync:
+                for pack in self._unsynced:
+                    os.fsync(pack.fd)
+                if self._pack_created:
+                    self._fsync_dir(self._segments_root)
+            self._unsynced.clear()
+            self._pack_created = False
 
     # --- naming ---------------------------------------------------------
 
-    def _segment_path(self, digest: bytes) -> str:
-        name = digest.hex()
-        return f"{self._segments_root}/{name[:2]}/{name}{_SEGMENT_SUFFIX}"
+    def _pack_path(self, number: int) -> str:
+        return f"{self._segments_root}/{number:06d}{_PACK_SUFFIX}"
 
     def _manifest_path(self, vm_id: str) -> str:
         return f"{self.manifests_dir}/{quote(vm_id, safe='')}{_MANIFEST_SUFFIX}"
@@ -368,108 +451,134 @@ class CheckpointRepository:
     def _session_path(self, session_id: str) -> str:
         return f"{self.sessions_dir}/{quote(session_id, safe='')}{_MANIFEST_SUFFIX}"
 
-    def _quarantine(self, path: str | Path, reason: str) -> None:
-        """Move a bad file aside; never raises, never deletes evidence."""
-        self._quarantine_serial += 1
-        name = os.path.basename(path)
-        target = self.quarantine_dir / f"{self._quarantine_serial:04d}-{name}"
-        try:
-            os.replace(path, target)
-        except OSError:  # pragma: no cover - best effort
-            with suppress(FileNotFoundError):
-                os.unlink(path)
+    def _quarantine(self, path: str | Path, reason: str, record: bytes = None) -> None:
+        """Move a bad file aside as ``quarantine/NNNN-<name>`` — or, given
+        ``record``, write those bytes there (the pack keeps its dead copy).
+        The name is claimed by creating it: evidence is never overwritten."""
+        stem, name = str(self.quarantine_dir), os.path.basename(path)
+        fd, target = self._create_exclusive(
+            (f"{stem}/{serial:04d}-{name}" for serial in self._quarantine_serial), os.O_WRONLY
+        )
+        with open(fd, "wb") as evidence:
+            evidence.write(record or b"")
+        if record is None:
+            try:
+                os.replace(path, target)
+            except OSError:  # pragma: no cover - best effort
+                with suppress(OSError):
+                    os.unlink(target)
         names.REPO_QUARANTINED.add()
         log.warning("quarantined corrupt entry", path=str(path), reason=reason)
 
-    # --- segments -------------------------------------------------------
+    def _quarantine_record(self, digest: bytes, pack: _Pack, start: int, size: int) -> None:
+        """Copy a bad record out as found, as ``NNNN-<digest>.page``."""
+        self._quarantine(
+            digest.hex() + _EVIDENCE_SUFFIX,
+            f"record at {self._pack_path(pack.number)}@{start} fails its digest",
+            os.pread(pack.fd, size, start),
+        )
+
+    # --- records --------------------------------------------------------
 
     def put_pages(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
-        """Durably store each ``(digest, page)``; returns how many were new.
+        """Append each new ``(digest, page)``; returns how many were new.
 
-        Idempotent: re-putting existing content is a no-op, so a resumed
-        migration or a recovering daemon can replay puts freely.  Every
-        new segment is its own atomic write (temp file, file fsync,
-        rename); under group commit the fanout-directory fsyncs are
-        deferred to the next :meth:`commit_checkpoint` /
-        :meth:`sync_pending_dirs`.
-
-        A failing write does not stop the batch: the remaining items
-        are still attempted and the first error is raised afterwards
-        (fault hooks raise ``BaseException``, hence the wide catch).
+        Idempotent: re-putting known content is a no-op.  The batch is
+        all or nothing — one filter against the index, one ``pwritev`` run,
+        then indexed together — and *not* yet durable:
+        :meth:`sync_pending_dirs` is the barrier.
         """
-        written = 0
-        error: Optional[BaseException] = None
-        for digest, page in items:
-            final = self._segment_path(digest)
-            if os.path.exists(final):
-                continue
-            try:
-                self._write_atomic(
-                    final,
-                    page,
-                    fault_point=CrashPoint.SEGMENT_WRITTEN,
-                    defer_dir_sync=self.group_commit,
-                )
-            except BaseException as exc:
-                if error is None:
-                    error = exc
-            else:
-                written += 1
-        if error is not None:
-            raise error
-        return written
+        with self._lock:
+            self._check_open()
+            index = self._index
+            new: Dict[bytes, bytes] = {}
+            for digest, page in items:
+                if digest not in index and digest not in new:
+                    new[digest] = page
+            if new:
+                self._append(list(new.items()))
+                if self.fsync:
+                    names.REPO_FSYNC_BATCHED.add(len(new))
+            return len(new)
 
     def put_page(self, digest: bytes, page: bytes) -> bool:
         """:meth:`put_pages` of one item; True if newly written."""
         return self.put_pages(((digest, page),)) == 1
 
-    def has_segment(self, digest: bytes) -> bool:
-        """Whether a durable segment exists for ``digest``.
+    def _append(self, records: List[Tuple[bytes, bytes]]) -> None:
+        """Write ``records`` to this handle's own pack and index them.
+        Each ``pwritev`` lands at the offset the handle accounts for; sizes
+        and index move only once every record is written, so a failure (or
+        a raising fault hook) leaves both untouched and the next append
+        overwrites the bytes.  Caller holds the lock."""
+        entries: Dict[bytes, int] = {}
+        tails: Dict[_Pack, int] = {}
+        for first in range(0, len(records), _RECORDS_PER_WRITE):
+            pack = self._active
+            if pack is None or tails.get(pack, pack.size) >= _PACK_ROLL_BYTES:
+                pack = self._active = self._create_pack()
+            start = offset = tails.get(pack, pack.size)
+            buffers: List[bytes] = []
+            for digest, page in records[first : first + _RECORDS_PER_WRITE]:
+                header = _header(len(digest), len(page))
+                buffers += (header, digest, page)
+                offset += len(header) + len(digest)
+                entries[digest] = _locate(pack.number, offset, len(page))
+                offset += len(page)
+            self._unsynced.add(pack)
+            while buffers:
+                written = os.pwritev(pack.fd, buffers, start)
+                start += written
+                while buffers and written >= len(buffers[0]):
+                    written -= len(buffers.pop(0))
+                if written:
+                    buffers[0] = buffers[0][written:]
+            tails[pack] = offset
+        self._fault(CrashPoint.SEGMENT_WRITTEN)
+        for pack, size in tails.items():
+            pack.size = size
+        self._index.update(entries)
 
-        A segment quarantined by :meth:`verify` no longer exists; a
-        daemon about to commit a manifest uses this to re-spill any
-        referenced content it still holds resident.
-        """
-        return os.path.exists(self._segment_path(digest))
+    def _create_pack(self) -> _Pack:
+        candidates = map(self._pack_path, itertools.count(self._next_pack))
+        fd, path = self._create_exclusive(candidates, os.O_RDWR)
+        number = _pack_number(os.path.basename(path))
+        self._next_pack, self._pack_created = number + 1, True
+        pack = self._packs[number] = _Pack(number, fd)
+        return pack
 
-    def corrupt_segment(self, digest: bytes) -> bool:
-        """Flip one byte of the stored segment (fault injection only).
+    def missing(self, digests: Iterable[bytes]) -> Set[bytes]:
+        """Which of ``digests`` have no record: index lookups, no I/O."""
+        index = self._index
+        return {digest for digest in digests if digest not in index}
 
-        The deterministic disk-corruption primitive of the
-        :mod:`repro.chaos` fault plane: the segment keeps its length and
-        location but stops verifying, exactly like a latent media error
-        discovered on the next scrub.  Returns False when no such
-        segment exists.
-        """
-        data = self.get_page(digest)
-        if not data:
-            return False
-        with open(self._segment_path(digest), "wb") as handle:
-            handle.write(bytes([data[0] ^ 0xFF]) + data[1:])
-        names.REPO_INJECTED_CORRUPTIONS.add()
-        return True
+    def has_page(self, digest: bytes) -> bool:
+        """Whether a record exists for ``digest`` (not once quarantined or released)."""
+        return digest in self._index
 
     def get_page(self, digest: bytes) -> Optional[bytes]:
         """The stored page bytes for ``digest``, or None."""
-        try:
-            with open(self._segment_path(digest), "rb") as handle:
-                return handle.read()
-        except FileNotFoundError:
-            return None
+        with self._lock:
+            self._check_open()
+            entry = self._index.get(digest)
+            if entry is None:
+                return None
+            number, offset, length = _located(entry)
+            return os.pread(self._packs[number].fd, length, offset)
 
-    def has_page(self, digest: bytes) -> bool:
-        """Whether a committed segment exists for ``digest``."""
-        return os.path.exists(self._segment_path(digest))
-
-    def _iter_segments(self) -> Iterator[bytes]:
-        """The digest of every segment file, in sorted order."""
-        for fan in sorted(os.listdir(self._segments_root)):
-            directory = f"{self._segments_root}/{fan}"
-            if not os.path.isdir(directory):
-                continue
-            for name in sorted(os.listdir(directory)):
-                if name.endswith(_SEGMENT_SUFFIX):
-                    yield bytes.fromhex(name[: -len(_SEGMENT_SUFFIX)])
+    def corrupt_segment(self, digest: bytes) -> bool:
+        """Flip one byte of the stored record — the :mod:`repro.chaos`
+        disk-corruption primitive: the record keeps its length and place
+        but stops verifying, like a latent media error found by the next
+        scrub.  Returns False when no such record exists."""
+        with self._lock:
+            data = self.get_page(digest)
+            if not data:
+                return False
+            number, offset, _ = _located(self._index[digest])
+            os.pwrite(self._packs[number].fd, bytes([data[0] ^ 0xFF]), offset)
+        names.REPO_INJECTED_CORRUPTIONS.add()
+        return True
 
     # --- refcounts ------------------------------------------------------
 
@@ -477,147 +586,131 @@ class CheckpointRepository:
         """How many committed manifests reference ``digest``."""
         return self._refcounts.get(digest, 0)
 
-    def _retain_all(self, digests) -> None:
-        for digest in set(digests):
-            self._refcounts[digest] = self._refcounts.get(digest, 0) + 1
+    def _retain_all(self, distinct: Set[bytes]) -> None:
+        refcounts = self._refcounts
+        for digest in distinct:
+            refcounts[digest] = refcounts.get(digest, 0) + 1
+        if self._orphans:
+            self._orphans -= distinct
 
-    def _release_all(self, digests) -> int:
-        """Release one manifest's references; delete dead segments.
-
-        Returns the number of segment bytes actually reclaimed.
-        """
-        reclaimed = 0
+    def _release_all(self, digests: Iterable[bytes]) -> int:
+        """Release one manifest's references, forgetting records left with
+        none (bookkeeping: the bytes stay until compaction); payload bytes."""
+        released = 0
         for digest in set(digests):
             count = self._refcounts.get(digest, 0) - 1
             if count > 0:
                 self._refcounts[digest] = count
-                continue
-            self._refcounts.pop(digest, None)
-            reclaimed += self._delete_segment(digest)
-        if reclaimed:
-            names.REPO_BYTES_RECLAIMED.add(reclaimed)
-        return reclaimed
+            else:
+                self._refcounts.pop(digest, None)
+                released += self._drop(digest)
+        if released:
+            names.REPO_BYTES_RECLAIMED.add(released)
+        return released
 
-    def _delete_segment(self, digest: bytes) -> int:
-        path = self._segment_path(digest)
-        try:
-            size = os.stat(path).st_size
-            os.unlink(path)
-        except FileNotFoundError:
+    def _drop(self, digest: bytes) -> int:
+        """Forget ``digest``'s record and count it dead; its payload bytes."""
+        entry = self._index.pop(digest, None)
+        if entry is None:
             return 0
-        return size
+        self._orphans.discard(digest)
+        number, _, length = _located(entry)
+        self._packs[number].dead += _HEADER.size + len(digest) + length
+        return length
 
     # --- checkpoints ----------------------------------------------------
 
     def commit_checkpoint(self, manifest: CheckpointManifest) -> int:
-        """Atomically commit ``manifest``; pages must already be stored.
-
-        The manifest rename is the commit point.  Replacing an earlier
-        checkpoint of the same VM releases its references afterwards, so
-        a crash in between leaves *some* committed checkpoint for the
-        VM, never none.  Returns segment bytes reclaimed from the
-        replaced checkpoint.
-
-        Raises:
-            RepositoryError: if a referenced segment is missing — the
-                caller forgot :meth:`put_page`, and committing would
-                create a checkpoint that cannot be recovered.
-        """
-        distinct = set(manifest.slot_digests)
-        missing = sorted(d for d in distinct if not self.has_page(d))
-        if missing:
-            raise RepositoryError(
-                f"checkpoint {manifest.vm_id!r} references "
-                f"{len(missing)} unstored segment(s), e.g. {missing[0].hex()}"
-            )
-        # Group-commit data barrier: every deferred fanout-directory
-        # fsync lands here, once per dirty directory, before the
-        # manifest rename can make the checkpoint reachable.
-        self.sync_pending_dirs()
-        self._fault(CrashPoint.SEGMENTS_SYNCED)
-        previous = self.load_manifest(manifest.vm_id)
-        self._write_atomic(
-            self._manifest_path(manifest.vm_id),
-            manifest.to_json().encode("utf-8"),
-            fault_point=CrashPoint.MANIFEST_WRITTEN,
-        )
-        self._fault(CrashPoint.MANIFEST_COMMITTED)
-        self._retain_all(distinct)
-        reclaimed = 0
-        if previous is not None:
-            reclaimed = self._release_all(previous.slot_digests)
-        return reclaimed
+        """Atomically commit ``manifest``; pages must already be stored
+        (:class:`RepositoryError` if a record is missing: the checkpoint
+        could not be recovered).  Barrier, then the manifest rename — the
+        commit point.  A replaced checkpoint of the same VM is released
+        afterwards, so a crash in between leaves *some* checkpoint for
+        the VM, never none.  Returns payload bytes released from it."""
+        with self._lock:
+            distinct = set(manifest.slot_digests)
+            missing = self.missing(distinct)
+            if missing:
+                raise RepositoryError(
+                    f"checkpoint {manifest.vm_id!r} references "
+                    f"{len(missing)} unstored segment(s), e.g. {min(missing).hex()}"
+                )
+            self.sync_pending_dirs()
+            self._fault(CrashPoint.SEGMENTS_SYNCED)
+            path, data = self._manifest_path(manifest.vm_id), manifest.to_json().encode("utf-8")
+            self._write_atomic(path, data, CrashPoint.MANIFEST_WRITTEN)
+            self._fault(CrashPoint.MANIFEST_COMMITTED)
+            previous = self._committed.get(manifest.vm_id)
+            self._committed[manifest.vm_id] = manifest
+            self._retain_all(distinct)
+            return self._release_all(previous.slot_digests) if previous else 0
 
     def load_manifest(self, vm_id: str) -> Optional[CheckpointManifest]:
         """Parse the committed manifest for ``vm_id``, or None."""
         try:
-            with open(self._manifest_path(vm_id), encoding="utf-8") as handle:
-                text = handle.read()
+            text = Path(self._manifest_path(vm_id)).read_text("utf-8")
         except FileNotFoundError:
             return None
         return CheckpointManifest.from_json(text)
 
     def delete_checkpoint(self, vm_id: str) -> int:
-        """Drop the checkpoint for ``vm_id``; returns bytes reclaimed."""
-        manifest = self.load_manifest(vm_id)
-        if manifest is None:
-            return 0
-        with suppress(FileNotFoundError):
-            os.unlink(self._manifest_path(vm_id))
-        self._fsync_dir(self.manifests_dir)
-        return self._release_all(manifest.slot_digests)
+        """Drop the checkpoint for ``vm_id``; returns payload bytes released."""
+        with self._lock:
+            manifest = self._committed.pop(vm_id, None)
+            with suppress(FileNotFoundError):
+                os.unlink(self._manifest_path(vm_id))
+            self._fsync_dir(self.manifests_dir)
+            return self._release_all(manifest.slot_digests) if manifest else 0
 
     def list_checkpoints(self) -> List[CheckpointManifest]:
         """All committed manifests, sorted by vm_id; skips corrupt ones."""
         manifests = []
         for path in sorted(self.manifests_dir.glob("*" + _MANIFEST_SUFFIX)):
-            try:
+            with suppress(ValueError, KeyError, TypeError, OSError):
                 manifests.append(CheckpointManifest.from_json(path.read_text("utf-8")))
-            except (ValueError, KeyError, TypeError, OSError):
-                continue
         return manifests
 
     def checkpoint_stats(self) -> Dict[str, dict]:
-        """Per-VM durable summary feeding the daemon's inventory report.
+        """Per-VM durable summary for the daemon's inventory report:
+        vm_id → ``{"pages", "unique_pages", "stored_bytes", "timestamp"}``.
+        ``stored_bytes`` is the payload size of the distinct records
+        referenced (a shared record is billed to each checkpoint).  This
+        is the cold path on which a handle learns what a sibling handle
+        appended: unseen pack bytes are read first."""
+        with self._lock:
+            self._check_open()
+            self._scan_unseen(verify=False)
+            index = self._index
+            stats: Dict[str, dict] = {}
+            for manifest in self.list_checkpoints():
+                distinct = set(manifest.slot_digests)
+                stored = sum(index.get(d, 0) & _MAX_PAYLOAD for d in distinct)
+                stats[manifest.vm_id] = dict(pages=manifest.num_pages, unique_pages=len(distinct),
+                                             stored_bytes=stored, timestamp=manifest.timestamp)
+            return stats
 
-        Maps vm_id → ``{"pages", "unique_pages", "stored_bytes",
-        "timestamp"}`` where ``stored_bytes`` is the on-disk size of the
-        distinct segments the checkpoint references (a segment shared by
-        several checkpoints is billed to each — this is an inventory
-        summary, not an accounting of disk usage).  Segment sizes are
-        stat'd once per distinct digest.
-        """
-        stats: Dict[str, dict] = {}
-        sizes: Dict[bytes, int] = {}
-        for manifest in self.list_checkpoints():
-            distinct = set(manifest.slot_digests)
-            stored = 0
-            for digest in distinct:
-                size = sizes.get(digest)
-                if size is None:
-                    try:
-                        size = os.stat(self._segment_path(digest)).st_size
-                    except OSError:
-                        size = 0
-                    sizes[digest] = size
-                stored += size
-            stats[manifest.vm_id] = {
-                "pages": manifest.num_pages,
-                "unique_pages": len(distinct),
-                "stored_bytes": stored,
-                "timestamp": manifest.timestamp,
-            }
-        return stats
+    def pack_stats(self) -> Dict[str, int]:
+        """``packs``, ``live_bytes`` (records a committed manifest references,
+        headers included), ``dead_bytes`` (the rest), ``physical_bytes``."""
+        with self._lock:
+            index = self._index
+            live = sum(_HEADER.size + len(d) + (index[d] & _MAX_PAYLOAD)
+                       for d in self._refcounts if d in index)
+            physical = self.stored_bytes
+            return dict(packs=len(self._packs), live_bytes=live,
+                        dead_bytes=physical - live, physical_bytes=physical)
+
+    @property
+    def stored_bytes(self) -> int:
+        """Physical pack bytes this handle accounts for."""
+        return sum(pack.size for pack in list(self._packs.values()))
 
     # --- sessions -------------------------------------------------------
 
     def save_session(self, session_id: str, payload: dict) -> None:
         """Durably record a completed session's RESULT for replay."""
-        self._write_atomic(
-            self._session_path(session_id),
-            json.dumps(payload, separators=(",", ":")).encode("utf-8"),
-            fault_point=CrashPoint.SESSION_WRITTEN,
-        )
+        data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        self._write_atomic(self._session_path(session_id), data, CrashPoint.SESSION_WRITTEN)
 
     def drop_session(self, session_id: str) -> None:
         """Forget a persisted session result (idempotent)."""
@@ -642,60 +735,109 @@ class CheckpointRepository:
 
     def _remove_temp_files(self) -> int:
         """Delete leftovers of writes that never reached their rename."""
-        directories = [str(self.manifests_dir), str(self.sessions_dir)]
-        directories += (
-            f"{self._segments_root}/{fan}"
-            for fan in os.listdir(self._segments_root)
-        )
-        removed = 0
-        for directory in directories:
-            if not os.path.isdir(directory):
-                continue
-            for name in os.listdir(directory):
-                if name.startswith(_TMP_PREFIX):
-                    with suppress(FileNotFoundError):
-                        os.unlink(f"{directory}/{name}")
-                    removed += 1
-        return removed
+        directories = (self.manifests_dir, self.sessions_dir)
+        stale = [path for d in directories for path in d.glob(_TMP_PREFIX + "*")]
+        for path in stale:
+            path.unlink(missing_ok=True)
+        return len(stale)
 
-    def recover(self, verify_digests: bool = True) -> RecoveryReport:
-        """Rebuild the refcount index from disk; quarantine corruption.
+    def _scan_unseen(self, verify: bool) -> _Suspects:
+        """Index every whole record beyond what this handle has seen.
+        The first record seen for a digest is indexed; later copies,
+        bytes skipped as damage and — with ``verify`` — records whose
+        payload does not hash to their digest are counted dead.  Those
+        last are returned, ``digest → (pack, record offset, record
+        size)``, to be quarantined if a manifest needed them."""
+        suspects: _Suspects = {}
+        index = self._index
+        for name in sorted(os.listdir(self._segments_root)):
+            number = _pack_number(name)
+            pack = self._packs.get(number)
+            if pack is None:
+                try:
+                    fd = os.open(f"{self._segments_root}/{name}", os.O_RDWR)
+                except FileNotFoundError:
+                    continue
+                pack = self._packs[number] = _Pack(number, fd)
+                self._next_pack = max(self._next_pack, number + 1)
+            cursor = pack.size
+            while os.fstat(pack.fd).st_size > cursor:
+                records, resume = _read_records(pack.fd, cursor)
+                if resume == cursor:
+                    break
+                cursor = resume
+                for offset, digest, payload in records:
+                    size = _HEADER.size + len(digest) + len(payload)
+                    pack.dead += offset - pack.size  # damage skipped
+                    pack.size = offset + size
+                    if verify and not _verifies(digest, payload):
+                        suspects.setdefault(digest, (pack, offset, size))
+                        pack.dead += size
+                    elif digest in index:
+                        pack.dead += size
+                    else:
+                        at = pack.size - len(payload)
+                        index[digest] = _locate(number, at, len(payload))
+        return suspects
 
-        Every committed manifest is parsed and its referenced segments
-        checked for existence; with ``verify_digests`` each referenced
-        segment is also re-hashed and compared against its name.  A
-        manifest that fails any check is quarantined along with the
-        offending segment — recovery never raises on per-entry damage.
-        """
-        report = RecoveryReport()
-        report.temp_files_removed = self._remove_temp_files()
+    def _load_manifests(self, suspects: _Suspects) -> Tuple[List[CheckpointManifest], List[str]]:
+        """Rebuild the refcounts from the manifests on disk.  One that
+        does not parse, or references a digest the index lacks, is
+        quarantined (with the record from ``suspects`` that failed it,
+        if any).  Returns ``(kept, quarantined names)``."""
         self._refcounts = {}
-        checked: Dict[bytes, bool] = {}
+        self._committed = {}
+        kept: List[CheckpointManifest] = []
+        quarantined: List[str] = []
         for path in sorted(self.manifests_dir.glob("*" + _MANIFEST_SUFFIX)):
             try:
                 manifest = CheckpointManifest.from_json(path.read_text("utf-8"))
             except (ValueError, KeyError, TypeError, OSError) as exc:
                 self._quarantine(path, f"unreadable manifest: {exc}")
-                report.quarantined.append(path.name)
+                quarantined.append(path.name)
                 continue
-            algorithm = get_algorithm(manifest.algorithm)
-            bad = self._check_segments(
-                manifest, algorithm, checked, verify_digests
-            )
-            if bad is not None:
+            distinct = set(manifest.slot_digests)
+            missing = self.missing(distinct)
+            if missing:
+                bad = min(missing)
+                if bad in suspects:
+                    self._quarantine_record(bad, *suspects.pop(bad))
                 self._quarantine(path, f"references corrupt segment {bad.hex()}")
-                report.quarantined.append(path.name)
+                quarantined.append(path.name)
                 continue
-            self._retain_all(manifest.slot_digests)
-            report.checkpoints.append(manifest)
-        report.sessions = self.load_sessions()
-        report.orphan_segments = sum(
-            1
-            for digest in self._iter_segments()
-            if digest not in self._refcounts
-        )
+            self._retain_all(distinct)
+            self._committed[manifest.vm_id] = manifest
+            kept.append(manifest)
+        return kept, quarantined
+
+    def recover(self, verify_digests: bool = True) -> RecoveryReport:
+        """Rebuild the index and refcounts from disk; quarantine corruption.
+
+        Every whole record of every pack is indexed — with
+        ``verify_digests`` only if its payload hashes to its digest, so
+        neither a torn tail nor a flipped bit can be referenced later.
+        A manifest needing a digest the index then lacks is quarantined
+        with the offending record; per-entry damage never raises.
+        Records no manifest references (a replaced checkpoint's or a
+        crashed commit's) count in ``orphan_segments``, and as dead.
+        """
+        with self._lock:
+            self._check_open()
+            report = RecoveryReport()
+            report.temp_files_removed = self._remove_temp_files()
+            self._index.clear()
+            for pack in self._packs.values():
+                pack.size = pack.dead = 0
+            suspects = self._scan_unseen(verify_digests)
+            report.checkpoints, report.quarantined = self._load_manifests(suspects)
+            report.sessions = self.load_sessions()
+            self._orphans = {d for d in self._index if d not in self._refcounts}
+            for digest in self._orphans:
+                number, _, length = _located(self._index[digest])
+                self._packs[number].dead += _HEADER.size + len(digest) + length
+            report.orphan_segments = len(self._orphans)
         names.REPO_RECOVERED_CHECKPOINTS.add(report.recovered)
-        if report.quarantined or report.orphan_segments:
+        if report.quarantined:
             log.warning(
                 "repository recovery found damage",
                 quarantined=len(report.quarantined),
@@ -703,101 +845,103 @@ class CheckpointRepository:
             )
         return report
 
-    def _check_segments(
-        self,
-        manifest: CheckpointManifest,
-        algorithm: ChecksumAlgorithm,
-        checked: Dict[bytes, bool],
-        verify_digests: bool,
-    ) -> Optional[bytes]:
-        """First corrupt/missing digest referenced by ``manifest``, or None.
-
-        A corrupt segment is quarantined on first sight; the verdict is
-        memoized so shared segments are hashed once per recovery.
-        """
-        for digest in manifest.unique_digests:
-            verdict = checked.get(digest)
-            if verdict is None:
-                page = self.get_page(digest)
-                if page is None:
-                    verdict = False
-                elif verify_digests and algorithm.digest(page) != digest:
-                    self._quarantine(
-                        self._segment_path(digest), "segment digest mismatch"
-                    )
-                    verdict = False
-                else:
-                    verdict = True
-                checked[digest] = verdict
-            if not verdict:
-                return digest
-        return None
-
     def verify(self) -> VerifyReport:
-        """Audit every segment against its name; quarantine mismatches.
-
-        Unlike :meth:`recover` (which only hashes *referenced*
-        segments), this walks the whole segment tree — the
-        ``vecycle repo verify`` scrub.  Manifests left referencing a
-        quarantined segment are quarantined too.
-        """
-        report = VerifyReport()
-        algorithms = {m.algorithm for m in self.list_checkpoints()} or {MD5.name}
-        by_size = {
-            get_algorithm(name).digest_size: get_algorithm(name)
-            for name in algorithms
-        }
-        corrupt: set[bytes] = set()
-        for digest in list(self._iter_segments()):
-            report.segments_checked += 1
-            algorithm = by_size.get(len(digest), MD5)
-            try:
-                page = self.get_page(digest)
-            except OSError:
-                page = None
-            if page is None or algorithm.digest(page) != digest:
-                corrupt.add(digest)
-                report.corrupt_segments.append(digest.hex())
-                self._quarantine(
-                    self._segment_path(digest), "segment digest mismatch"
-                )
-        if corrupt:
-            for path in sorted(self.manifests_dir.glob("*" + _MANIFEST_SUFFIX)):
-                try:
-                    manifest = CheckpointManifest.from_json(path.read_text("utf-8"))
-                except (ValueError, KeyError, TypeError, OSError):
+        """The ``vecycle repo verify`` scrub.  Each indexed record (unseen
+        pack bytes are read first) is read back from where the index says
+        it is and must be, byte for byte, the header and digest a scan
+        needs to find it plus a payload that hashes to the digest.  A
+        mismatch is quarantined; manifests left referencing it follow."""
+        with self._lock:
+            self._check_open()
+            self._scan_unseen(verify=False)
+            report = VerifyReport()
+            for digest, entry in sorted(self._index.items(), key=itemgetter(1)):
+                number, offset, length = _located(entry)
+                prefix = _header(len(digest), length) + digest
+                pack, start = self._packs[number], offset - len(prefix)
+                record = os.pread(pack.fd, len(prefix) + length, start)
+                report.segments_checked += 1
+                if record.startswith(prefix) and _verifies(digest, record[len(prefix) :]):
                     continue
-                if corrupt.intersection(manifest.slot_digests):
-                    self._quarantine(path, "references corrupt segment")
-                    report.quarantined_manifests.append(path.name)
-        if report.quarantined_manifests:
-            # Segments stranded by the quarantined manifests are swept
-            # by gc(); refcounts are rebuilt by the next recover().
-            self.recover(verify_digests=False)
-        return report
+                report.corrupt_segments.append(digest.hex())
+                self._quarantine_record(digest, pack, start, len(prefix) + length)
+                self._drop(digest)
+            if report.corrupt_segments:
+                report.corrupt_segments.sort()
+                _, report.quarantined_manifests = self._load_manifests({})
+            return report
 
     def gc(self) -> int:
-        """Delete unreferenced segments (orphans of crashed commits).
-
-        Recomputes the live set from the committed manifests, so it is
-        safe to run on a freshly opened repository.  Returns bytes
-        reclaimed.
+        """Forget records no manifest references, then compact every pack
+        with dead bytes — the one being appended to included, which is
+        sealed first.  The live set comes from the manifests on disk
+        (and unseen pack bytes are read first), so it is safe on a
+        freshly opened repository.  Returns the payload bytes released.
         """
-        live: set[bytes] = set()
-        for manifest in self.list_checkpoints():
-            live.update(manifest.slot_digests)
-        reclaimed = 0
-        for digest in list(self._iter_segments()):
-            if digest not in live:
-                reclaimed += self._delete_segment(digest)
-        if reclaimed:
-            names.REPO_BYTES_RECLAIMED.add(reclaimed)
-        return reclaimed
+        with self._lock:
+            self._check_open()
+            self._scan_unseen(verify=False)
+            live: Set[bytes] = set()
+            for manifest in self.list_checkpoints():
+                live.update(manifest.slot_digests)
+            released = 0
+            for digest in [d for d in self._index if d not in live]:
+                self._refcounts.pop(digest, None)
+                released += self._drop(digest)
+            if released:
+                names.REPO_BYTES_RECLAIMED.add(released)
+            self._active = None
+        self._compact(0.0)
+        return released
 
-    @property
-    def stored_bytes(self) -> int:
-        """Total segment bytes currently on disk."""
-        return sum(
-            os.stat(self._segment_path(digest)).st_size
-            for digest in self._iter_segments()
-        )
+    def compact(self) -> None:
+        """Rewrite the sealed packs that are more than half dead — what
+        the daemon's write-behind thread runs after a commit."""
+        self._compact(_COMPACT_DEAD_FRACTION)
+
+    def _compact(self, dead_fraction: float) -> None:
+        with self._lock:
+            self._check_open()
+            victims = [p for p in self._packs.values()
+                       if p is not self._active and p.dead > dead_fraction * p.size]
+        for pack in victims:
+            self._compact_pack(pack)
+
+    def _compact_pack(self, pack: _Pack) -> None:
+        """Move ``pack``'s indexed records to the current pack; unlink it.
+        The pack is re-read a chunk at a time, under the lock per chunk so
+        appends and flushes interleave; a record moves, by the ordinary
+        append path, only if the index still points at it, and an orphan
+        is dropped instead.  Barrier before the unlink: a crash in between
+        leaves both copies; :meth:`recover` indexes one, the other is dead."""
+        cursor, done = 0, False
+        while not done:
+            with self._lock:
+                if self._closed or self._packs.get(pack.number) is not pack:
+                    return
+                records, resume = _read_records(pack.fd, cursor)
+                done, cursor = resume == cursor, resume
+                moving = []
+                for offset, digest, payload in records:
+                    at = offset + _HEADER.size + len(digest)
+                    if self._index.get(digest) != _locate(pack.number, at, len(payload)):
+                        continue
+                    if digest in self._orphans:
+                        self._drop(digest)
+                    else:
+                        moving.append((digest, payload))
+                if moving:
+                    self._append(moving)
+                if not done:
+                    continue
+                self.sync_pending_dirs()
+                self._fault(CrashPoint.COMPACTION_COPIED)
+                # A record the chunked read could not parse (a damaged
+                # header) goes with the pack: stop claiming to have it.
+                stale = [d for d, e in self._index.items() if e >> 56 == pack.number]
+                for digest in stale:
+                    del self._index[digest]
+                del self._packs[pack.number]
+                os.close(pack.fd)
+                with suppress(FileNotFoundError):
+                    os.unlink(self._pack_path(pack.number))

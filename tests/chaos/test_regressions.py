@@ -355,19 +355,19 @@ def test_adoption_respills_quarantined_segment(tmp_path):
     checkpoint, _, _ = build_vm()
     hosted = daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
     digest = hosted.slot_digests[0]
-    assert daemon.repository.has_segment(digest)
+    assert daemon.repository.has_page(digest)
 
     assert daemon.repository.corrupt_segment(digest)
     report = daemon.repository.verify()
     assert report.corrupt_segments  # the scrub caught the damage
-    assert not daemon.repository.has_segment(digest)
+    assert not daemon.repository.has_page(digest)
 
     # Re-adopting content the daemon still holds resident must re-spill
     # the quarantined segment before committing the new manifest
     # (pre-fix: commit_checkpoint raised on the missing segment).
     daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
     assert daemon.telemetry.counter("daemon.respilled_segments").value >= 1
-    assert daemon.repository.has_segment(digest)
+    assert daemon.repository.has_page(digest)
     assert not daemon.repository.verify().corrupt_segments
 
 

@@ -101,12 +101,23 @@ class TestNetZeroGrowth:
         daemon.install_checkpoint(
             "new", fingerprint([2, 3], timestamp=2 * DAY)
         )
-        before = daemon.repository.stored_bytes
+        exclusive = daemon.checkpoints["old"].slot_digests[0]
+        before = daemon.repository.pack_stats()
         report = reclaim_hosted(
             daemon, TtlRetention(ttl_s=DAY), now_s=2 * DAY + HOUR
         )
         assert report.evicted == ["old"]
-        # The exclusive segment is gone from disk, not just from memory.
-        assert daemon.repository.stored_bytes == before - 64
+        # The exclusive record is released on disk, not just in memory:
+        # resident and durable payload bytes are both reported, the
+        # record is gone from the index, and its bytes are dead in the
+        # pack (64 of payload + 30 of header and digest) until gc.
+        assert report.bytes_reclaimed == 2 * 64
+        assert not daemon.repository.has_page(exclusive)
+        after = daemon.repository.pack_stats()
+        assert after["live_bytes"] == before["live_bytes"] - 94
+        assert after["dead_bytes"] == before["dead_bytes"] + 94
+        daemon.repository.close()
         reopened = CheckpointRepository(tmp_path)
         assert [m.vm_id for m in reopened.recover().checkpoints] == ["new"]
+        assert reopened.gc() == 64
+        assert reopened.stored_bytes == after["live_bytes"]

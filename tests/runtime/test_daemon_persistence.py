@@ -4,12 +4,12 @@ The acceptance scenario from the ISSUE: a daemon given a ``state_dir``
 persists every committed checkpoint; killing it between a checkpoint
 write and the manifest rename loses at most the in-flight checkpoint;
 restart recovers prior checkpoints bit-identically; a deliberately
-corrupted segment is quarantined, not fatal; and a source reconnecting
+corrupted record is quarantined, not fatal; and a source reconnecting
 with its session token after the restart still gets its RESULT.
 """
 
 import asyncio
-from pathlib import Path
+import gc
 
 import numpy as np
 import pytest
@@ -24,7 +24,12 @@ from repro.runtime import (
     RuntimeConfig,
     SourceState,
 )
-from repro.storage.repository import CheckpointRepository, CrashPoint
+from repro.storage.repository import (
+    CheckpointRepository,
+    CrashPoint,
+    RepositoryError,
+)
+from tests.storage.test_repository import open_descriptors_under
 
 N = 512
 FAST = RuntimeConfig(
@@ -78,7 +83,7 @@ class TestRestartRecovery:
 
         reborn = CheckpointDaemon(state_dir=tmp_path)
         assert reborn.checkpoints["vm"].slot_digests == expected_digests(current)
-        # Page bytes recovered bit-identically from the segments.
+        # Page bytes recovered bit-identically from the packs.
         pagestore = PageStore()
         for content_id in current[:32]:
             digest = pagestore.digest_for(int(content_id))
@@ -182,9 +187,9 @@ class TestCorruptionQuarantine:
         asyncio.run(first_life())
 
         repository = CheckpointRepository(tmp_path)
-        digest = expected_digests(current)[0]
-        victim = Path(repository._segment_path(digest))
-        victim.write_bytes(b"\xde\xad" + victim.read_bytes()[2:])
+        repository.recover()
+        assert repository.corrupt_segment(expected_digests(current)[0])
+        repository.close()
 
         reborn = CheckpointDaemon(state_dir=tmp_path)
         assert "vm" not in reborn.checkpoints  # quarantined, not fatal
@@ -198,3 +203,31 @@ class TestCorruptionQuarantine:
         assert asyncio.run(still_serves()).outcome == "completed"
         fresh = CheckpointDaemon(state_dir=tmp_path)
         assert fresh.checkpoints["vm"].slot_digests == expected_digests(current)
+
+
+class TestHandleLifetime:
+    """A pack descriptor left open after the state directory is removed
+    pins its blocks; neither ``stop()`` nor a dropped daemon may leak one."""
+
+    def test_stop_closes_the_repository(self, tmp_path):
+        _, current, _ = build_vm()
+
+        async def life():
+            async with CheckpointDaemon(state_dir=tmp_path) as daemon:
+                await migrate(daemon, current, PageStore())
+                assert open_descriptors_under(tmp_path)
+            return daemon
+
+        daemon = asyncio.run(life())
+        assert not open_descriptors_under(tmp_path)
+        with pytest.raises(RepositoryError):
+            daemon.repository.put_page(b"d" * 16, b"page")
+
+    def test_a_daemon_dropped_without_stop_releases_its_descriptors(self, tmp_path):
+        _, current, _ = build_vm()
+        daemon = CheckpointDaemon(state_dir=tmp_path)
+        daemon.install_checkpoint("vm", Fingerprint(hashes=current, timestamp=1.0))
+        assert open_descriptors_under(tmp_path)
+        del daemon
+        gc.collect()
+        assert not open_descriptors_under(tmp_path)

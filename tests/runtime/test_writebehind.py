@@ -1,14 +1,17 @@
-"""Batch write-behind: one thread hop per backlog, today's semantics.
+"""Batch write-behind: one thread hop and one barrier per backlog.
 
 The durable sink hands whatever is queued to
-``CheckpointRepository.put_pages`` in one ``to_thread`` call.  These
-tests pin what that batching must not change: where a fault surfaces,
-what a cancelled batch leaves behind, that a ``flush_sync`` overtaking
-the writer thread is harmless, and that batching saves thread hops
-without saving a single barrier.
+``CheckpointRepository.put_pages`` in one ``to_thread`` call and
+issues the data barrier in the same hop.  These tests pin what that
+batching must not change: where a fault surfaces, what a cancelled
+batch leaves behind, that a ``flush_sync`` overtaking the writer thread
+is harmless — and what it costs: a barrier a batch, and system calls
+per batch and per pack, never per page.
 """
 
 import asyncio
+import gc
+import os
 import sys
 import threading
 
@@ -48,14 +51,14 @@ async def join_writer_threads():
     )
 
 
-def fail_kth(repo, k):
-    """Arm ``repo`` to die at the k-th ``segment.written`` (1-based)."""
+def fail_once(repo):
+    """Arm ``repo`` to die at its next ``segment.written``."""
     reached = []
 
     def hook(point):
         if point == CrashPoint.SEGMENT_WRITTEN:
             reached.append(point)
-            if len(reached) == k:
+            if len(reached) == 1:
                 raise KillNine(point)
 
     repo.fault_hook = hook
@@ -64,26 +67,26 @@ def fail_kth(repo, k):
 
 class TestFaultInsideABatch:
     def assert_fault_outcome(self, repo, tmp_path, batch, reached):
-        # Items after the fault were still attempted; only the faulted
-        # one is missing, nothing committed, nothing left half-written.
-        assert len(reached) == len(batch)
-        assert [repo.has_page(d) for d, _ in batch] == [
-            True, True, False, True, True, True,
-        ]
+        # The batch is all or nothing: the fault (after the write, before
+        # the index update) leaves none of it indexed, nothing committed,
+        # nothing left half-written, and a re-put writes it once more.
+        assert len(reached) == 1
+        assert [repo.has_page(d) for d, _ in batch] == [False] * 6
         assert not list(repo.manifests_dir.iterdir())
+        assert repo.put_pages(batch) == 6
+        assert all(repo.get_page(d) == page for d, page in batch)
         CheckpointRepository(tmp_path).recover()
         assert not temp_files(tmp_path)
 
     def test_drain_reraises_the_first_error_once(self, tmp_path):
         repo = CheckpointRepository(tmp_path)
         batch = items(6)
-        reached = fail_kth(repo, 3)
+        reached = fail_once(repo)
 
         async def scenario():
             writer = _WriteBehind(repo, (get_registry(),))
             before = counter("daemon.writebehind.batches")
-            for digest, page in batch:
-                writer.defer(digest, page)
+            writer.defer(batch)
             with pytest.raises(KillNine):
                 await writer.drain()
             # One backlog, one hop — and the error is not raised twice.
@@ -97,10 +100,9 @@ class TestFaultInsideABatch:
     def test_flush_sync_reraises_the_first_error(self, tmp_path):
         repo = CheckpointRepository(tmp_path)
         batch = items(6)
-        reached = fail_kth(repo, 3)
+        reached = fail_once(repo)
         writer = _WriteBehind(repo, (get_registry(),))
-        for digest, page in batch:
-            writer.defer(digest, page)  # no loop: queued for flush_sync
+        writer.defer(batch)  # no loop: queued for flush_sync
         with pytest.raises(KillNine):
             writer.flush_sync()
         assert writer.idle and writer.pending_bytes == 0
@@ -122,24 +124,24 @@ class TestCancelledBatch:
 
         async def scenario():
             writer = _WriteBehind(repo, (get_registry(),))
-            for digest, page in batch[:5]:
-                writer.defer(digest, page)
+            writer.defer(batch[:5])
             while not entered.is_set():
                 await asyncio.sleep(0.001)
-            for digest, page in batch[5:]:
-                writer.defer(digest, page)  # queued behind the batch
+            writer.defer(batch[5:])  # queued behind the batch
             task = writer._task
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await task
             assert list(writer._queue) == batch
             assert writer.pending_bytes == sum(len(p) for _, p in batch)
-            # The abandoned thread still sits inside its first write.
-            assert len(temp_files(tmp_path)) == 1
+            # The abandoned thread still sits inside its append: written,
+            # not yet indexed, and holding the repository's lock — which
+            # close()'s flush has to wait for, so let it go shortly.
+            assert not any(repo.has_page(d) for d, _ in batch)
+            threading.Timer(0.05, gate.set).start()
             await writer.close()
             assert writer.idle and writer.pending_bytes == 0
             assert all(repo.has_page(d) for d, _ in batch)
-            gate.set()
             await join_writer_threads()
 
         try:
@@ -147,8 +149,10 @@ class TestCancelledBatch:
         finally:
             gate.set()
         assert all(repo.get_page(d) == p for d, p in batch)
+        # The thread's five and the flush's three: each record once.
+        assert repo.stored_bytes == 8 * (14 + 16 + 64)
         reopened = CheckpointRepository(tmp_path)
-        reopened.recover()
+        assert reopened.recover().orphan_segments == 8
         assert not temp_files(tmp_path)
         assert reopened.verify().ok
 
@@ -165,12 +169,10 @@ class TestThrottle:
             writer = _WriteBehind(
                 repo, (get_registry(), host), max_pending_bytes=64
             )
-            for digest, page in batch[:2]:
-                writer.defer(digest, page)
+            writer.defer(batch[:2])
             while not writer._inflight:  # the held thread owns batch one
                 await asyncio.sleep(0.001)
-            for digest, page in batch[2:]:
-                writer.defer(digest, page)  # 128 bytes behind it: over the bound
+            writer.defer(batch[2:])  # 128 bytes behind it: over the bound
             asyncio.get_running_loop().call_later(0.02, gate.set)
             await writer.throttle()
             await writer.close()
@@ -193,11 +195,37 @@ def fresh_image(pages, seed):
     return rng.integers(1, 2**62, size=pages, dtype=np.uint64)
 
 
+class CountedCalls:
+    """Count calls of ``os`` functions on paths under ``root`` (and every
+    ``os.fsync``) while the patches are in place."""
+
+    NAMES = ("stat", "unlink", "replace", "open", "fsync")
+
+    def __init__(self, monkeypatch, root):
+        self.root = str(root)
+        self.calls = dict.fromkeys(self.NAMES + ("exists",), 0)
+        for name in self.NAMES:
+            monkeypatch.setattr(os, name, self._counting(name, getattr(os, name)))
+        monkeypatch.setattr(
+            os.path, "exists", self._counting("exists", os.path.exists)
+        )
+
+    def _counting(self, name, real):
+        def counted(target, *args, **kwargs):
+            if name == "fsync" or str(target).startswith(self.root):
+                self.calls[name] += 1
+            return real(target, *args, **kwargs)
+
+        return counted
+
+
 class TestDurableMigration:
-    def test_hops_are_per_backlog_and_barriers_per_segment(self, tmp_path):
+    def test_hops_and_barriers_are_per_backlog(
+        self, tmp_path, monkeypatch
+    ):
         pages = 4096
         hashes = fresh_image(pages, seed=13)
-        new_segments = len(set(hashes.tolist()))
+        new_records = len(set(hashes.tolist()))
 
         async def scenario():
             pagestore = PageStore(cache_limit=2 * pages)
@@ -208,21 +236,34 @@ class TestDurableMigration:
                     name: counter(name)
                     for name in ("daemon.writebehind.batches", "repo.fsync_batched")
                 }
+                gc.collect()
+                calls = CountedCalls(monkeypatch, tmp_path).calls
                 metrics, _ = await migrate(daemon, hashes, pagestore)
+                monkeypatch.undo()
                 assert metrics.outcome == "completed"
                 moved = {name: counter(name) - was for name, was in before.items()}
-                return moved, daemon.telemetry.snapshot().instruments
+                return moved, calls, daemon.telemetry.snapshot().instruments
 
-        moved, telemetry = asyncio.run(scenario())
-        assert 1 <= moved["daemon.writebehind.batches"] <= pages // 8
+        moved, calls, telemetry = asyncio.run(scenario())
+        batches = moved["daemon.writebehind.batches"]
+        assert 1 <= batches <= pages // 8
         # The sink-disk-bound signal is visible per host, not only in
         # the process registry.
-        assert (
-            telemetry["daemon.writebehind.batches"]["value"]
-            == moved["daemon.writebehind.batches"]
-        )
-        assert moved["repo.fsync_batched"] == new_segments
-        assert sum(1 for _ in tmp_path.glob("segments/*/*.page")) == new_segments
+        assert telemetry["daemon.writebehind.batches"]["value"] == batches
+        # Every new record was made durable by a barrier it shared.
+        assert moved["repo.fsync_batched"] == new_records
+        # One barrier a batch (the pack), plus once each: the segments
+        # directory for the new pack, the manifest and the session file
+        # and their two directories, and slack for the commit's own.
+        assert batches <= calls["fsync"] <= batches + 8
+        # Nothing is paid per page: no stat, no unlink, and opens and
+        # renames only for the pack, the manifest, the session file and
+        # the directories being fsynced.
+        assert calls["stat"] == calls["exists"] == calls["unlink"] == 0
+        assert calls["replace"] == 2
+        assert calls["open"] <= 8
+        (pack,) = tmp_path.glob("segments/*.pack")
+        assert pack.stat().st_size == new_records * (14 + 16 + 4096)
 
     def test_flush_sync_overtaking_an_inflight_batch(self, tmp_path):
         """The race PR 12 documented, provoked on purpose.

@@ -1,7 +1,10 @@
 """Unit tests for the durable checkpoint repository."""
 
+import gc
 import json
-from pathlib import Path
+import os
+import struct
+import zlib
 
 import pytest
 
@@ -162,17 +165,18 @@ class TestRecovery:
         repo = CheckpointRepository(tmp_path, fsync=False)
         commit(repo, "good", [b"g"])
         commit(repo, "bad", [b"x", b"y"])
-        victim = Path(repo._segment_path(digest(b"x")))
-        victim.write_bytes(b"\xff" + victim.read_bytes()[1:])
+        assert repo.corrupt_segment(digest(b"x"))
 
         reopened = CheckpointRepository(tmp_path, fsync=False)
         report = reopened.recover()
         assert [m.vm_id for m in report.checkpoints] == ["good"]
-        # Segment + manifest both quarantined, evidence preserved.
+        # Record + manifest both quarantined, evidence preserved.
         assert len(report.quarantined) == 1
         assert registry.counter("repo.quarantined").value >= before + 2
-        assert list(reopened.quarantine_dir.iterdir())
+        evidence = sorted(p.name for p in reopened.quarantine_dir.iterdir())
+        assert evidence == [f"0001-{digest(b'x').hex()}.page", "0002-bad.json"]
         assert reopened.load_manifest("bad") is None
+        assert not reopened.has_page(digest(b"x"))
 
     def test_unparseable_manifest_quarantined(self, tmp_path):
         repo = CheckpointRepository(tmp_path, fsync=False)
@@ -204,8 +208,7 @@ class TestVerify:
     def test_full_scrub_quarantines_corruption(self, tmp_path):
         repo = CheckpointRepository(tmp_path, fsync=False)
         commit(repo, "vm", [b"a", b"b"])
-        victim = Path(repo._segment_path(digest(b"b")))
-        victim.write_bytes(b"\x00" * 64)
+        assert repo.corrupt_segment(digest(b"b"))
         repo.recover(verify_digests=False)
         report = repo.verify()
         assert not report.ok
@@ -248,26 +251,86 @@ class TestHostileNames:
         assert [m.vm_id for m in restored.checkpoints] == [vm_id]
 
 
+class TestQuarantine:
+    def test_two_incarnations_never_overwrite_each_others_evidence(self, tmp_path):
+        for _incarnation in range(2):
+            repo = CheckpointRepository(tmp_path, fsync=False)
+            (repo.manifests_dir / "vm.json").write_text("{not json", "utf-8")
+            assert repo.recover().quarantined == ["vm.json"]
+        evidence = sorted(p.name for p in repo.quarantine_dir.iterdir())
+        assert evidence == ["0001-vm.json", "0002-vm.json"]
+
+    def test_verify_leaves_the_startup_counter_alone(self, tmp_path):
+        repo = CheckpointRepository(tmp_path, fsync=False)
+        commit(repo, "good", [b"g"])
+        commit(repo, "bad", [b"x", b"y"])
+        assert repo.corrupt_segment(digest(b"x"))
+        recovered = get_registry().counter("repo.recovered_checkpoints")
+        before = recovered.value
+        report = repo.verify()
+        assert report.quarantined_manifests == ["bad.json"]
+        assert recovered.value == before
+        # The survivor's references were rebuilt all the same.
+        assert repo.refcount(digest(b"g")) == 1 and repo.refcount(digest(b"y")) == 0
+        assert repo.verify().ok
+
+
+def open_descriptors_under(root):
+    links = []
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            links.append(os.readlink(f"/proc/self/fd/{name}"))
+        except OSError:
+            continue
+    return [link for link in links if link.startswith(str(root))]
+
+
+class TestHandleLifetime:
+    def test_close_releases_descriptors_and_later_use_raises(self, tmp_path):
+        repo = CheckpointRepository(tmp_path, fsync=False)
+        commit(repo, "vm", [b"a"])
+        assert open_descriptors_under(tmp_path)
+        repo.close()
+        assert not open_descriptors_under(tmp_path)
+        with pytest.raises(RepositoryError):
+            repo.put_page(digest(b"b"), page(b"b"))
+        with pytest.raises(RepositoryError):
+            repo.get_page(digest(b"a"))
+        repo.close()  # idempotent
+
+    def test_a_dropped_handle_releases_its_descriptors(self, tmp_path):
+        repo = CheckpointRepository(tmp_path, fsync=False)
+        commit(repo, "vm", [b"a"])
+        del repo
+        gc.collect()
+        assert not open_descriptors_under(tmp_path)
+
+
 class TestOnDiskLayout:
     """The layout is a contract between commits sharing a state directory.
 
-    The paths and manifest keys are spelled out here with ``pathlib``
-    and ``json`` alone, the way the first repository wrote them, so a
-    change of layout has to change this test.
+    The pack record and the manifest keys are spelled out here with
+    ``struct``, ``pathlib`` and ``json`` alone, so a change of layout
+    has to change this test.
     """
 
     TAGS = [b"a", b"b", b"a"]
 
+    @staticmethod
+    def record(tag):
+        lengths = struct.pack("<4sHI", b"VCPK", 16, 64)
+        return lengths + struct.pack("<I", zlib.crc32(lengths)) + digest(tag) + page(tag)
+
     def reference_write(self, root, vm_id):
-        """A state directory as the pathlib-era repository laid it out."""
+        """A state directory as a reference writer lays it out."""
         table = []
         for tag in self.TAGS:
-            name = digest(tag).hex()
-            segment = root / "segments" / name[:2] / (name + ".page")
-            segment.parent.mkdir(parents=True, exist_ok=True)
-            segment.write_bytes(page(tag))
-            if name not in table:
-                table.append(name)
+            if digest(tag).hex() not in table:
+                table.append(digest(tag).hex())
+        (root / "segments").mkdir(parents=True, exist_ok=True)
+        (root / "segments" / "000000.pack").write_bytes(
+            b"".join(self.record(tag) for tag in (b"a", b"b"))
+        )
         manifest = {
             "version": 1,
             "vm_id": vm_id,
@@ -282,6 +345,22 @@ class TestOnDiskLayout:
         (root / "manifests" / (vm_id + ".json")).write_text(
             json.dumps(manifest), "utf-8"
         )
+
+    @staticmethod
+    def reference_read(root):
+        """digest → payload of every record, the way any reader must."""
+        contents = {}
+        for path in sorted((root / "segments").glob("*.pack")):
+            data, at = path.read_bytes(), 0
+            while at < len(data):
+                magic, digest_length, payload_length, crc = struct.unpack_from(
+                    "<4sHII", data, at
+                )
+                assert magic == b"VCPK" and crc == zlib.crc32(data[at : at + 10])
+                body = at + 14 + digest_length
+                contents[data[at + 14 : body]] = data[body : body + payload_length]
+                at = body + payload_length
+        return contents
 
     def test_reference_directory_recovers(self, tmp_path):
         self.reference_write(tmp_path, "vm")
@@ -323,3 +402,15 @@ class TestOnDiskLayout:
                 assert json.loads(written[name]) == json.loads(expected[name])
             else:
                 assert written[name] == expected[name]
+        assert self.reference_read(ours) == {
+            digest(t): page(t) for t in self.TAGS
+        }
+
+    def test_file_per_page_directory_is_refused(self, tmp_path):
+        name = digest(b"a").hex()
+        old = tmp_path / "segments" / name[:2] / (name + ".page")
+        old.parent.mkdir(parents=True)
+        old.write_bytes(page(b"a"))
+        with pytest.raises(RepositoryError, match="file-per-page"):
+            CheckpointRepository(tmp_path)
+        assert old.read_bytes() == page(b"a")  # refused, not touched

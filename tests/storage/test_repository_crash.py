@@ -2,11 +2,14 @@
 
 Each test arms :attr:`CheckpointRepository.fault_hook` so the write path
 dies (the in-process stand-in for ``kill -9``) at one named instant
-between a temp-file write and its rename, then re-opens the same
-directory — a fresh process recovering after the crash — and asserts
-the invariant the repository promises: *previously committed
-checkpoints are intact bit-identically; at most the in-flight one is
-lost; corruption is quarantined, never fatal.*
+between two durable steps — records appended but no barrier yet, a
+manifest temp file written but not renamed, a pack compacted but the
+old one not yet unlinked — then re-opens the same directory — a fresh
+process recovering after the crash — and asserts the invariant the
+repository promises: *previously committed checkpoints are intact
+bit-identically; at most the in-flight one is lost; corruption is
+quarantined, never fatal.*  (Power loss, which can also tear what a
+raised exception leaves whole, is ``test_repository_packs.py``.)
 
 Set ``REPRO_CRASH_REPEATS`` (the CI corruption-injection job does) to
 run each scenario multiple times with the fault re-armed.
@@ -80,10 +83,21 @@ def assert_committed_intact(root, vm_id, tags):
 @pytest.mark.parametrize("point", CrashPoint, ids=lambda point: point.value)
 class TestCrashMatrix:
     batched = False
-    """Whether segments go through one ``put_pages`` call."""
+    """Whether records go through one ``put_pages`` call."""
 
     def commit(self, repo, vm_id, tags):
         return commit(repo, vm_id, tags, batched=self.batched)
+
+    def reach(self, repo, point, vm_id, tags, ok):
+        """Do what passes ``point``: a commit, a session save, or a gc
+        that has an unreferenced record to drop and so a pack to compact."""
+        if point == CrashPoint.SESSION_WRITTEN:
+            repo.save_session("s1", {"result": {"ok": ok}})
+        elif point == CrashPoint.COMPACTION_COPIED:
+            repo.put_page(digest(b"never committed"), page(b"never committed"))
+            repo.gc()
+        else:
+            self.commit(repo, vm_id, tags)
 
     def test_crash_loses_at_most_the_inflight_checkpoint(
         self, tmp_path, point, repeat
@@ -93,10 +107,7 @@ class TestCrashMatrix:
 
         arm(repo, point)
         with pytest.raises(KillNine):
-            if point == CrashPoint.SESSION_WRITTEN:
-                repo.save_session("s1", {"result": {"ok": True}})
-            else:
-                self.commit(repo, "inflight", [b"b", b"c"])
+            self.reach(repo, point, "inflight", [b"b", b"c"], ok=True)
 
         recovered, report = assert_committed_intact(
             tmp_path, "committed", [b"a", b"b"]
@@ -110,16 +121,23 @@ class TestCrashMatrix:
             assert recovered.load_manifest("inflight") is None
         if point == CrashPoint.SESSION_WRITTEN:
             assert report.sessions == {}
+        if point == CrashPoint.COMPACTION_COPIED:
+            # Both packs exist: of each committed record one copy is
+            # indexed and the other dead; the record gc dropped is still
+            # in the old pack, an orphan again.
+            assert len(list(tmp_path.glob("segments/*.pack"))) == 2
+            assert report.orphan_segments == 1
+            assert recovered.gc() == 64
+            assert len(list(tmp_path.glob("segments/*.pack"))) == 1
+            assert recovered.pack_stats()["dead_bytes"] == 0
+            assert_committed_intact(tmp_path, "committed", [b"a", b"b"])
 
     def test_recovery_after_crash_can_commit_again(self, tmp_path, point, repeat):
         repo = CheckpointRepository(tmp_path)
         self.commit(repo, "vm", [b"a"])
         arm(repo, point)
         with pytest.raises(KillNine):
-            if point == CrashPoint.SESSION_WRITTEN:
-                repo.save_session("s1", {"result": {"ok": False}})
-            else:
-                self.commit(repo, "vm2", [b"b"])
+            self.reach(repo, point, "vm2", [b"b"], ok=False)
 
         reborn = CheckpointRepository(tmp_path)
         reborn.recover()
@@ -132,34 +150,37 @@ class TestCrashMatrix:
 
 
 class TestCrashMatrixBatched(TestCrashMatrix):
-    """The same matrix with each checkpoint's segments in one batch."""
+    """The same matrix with each checkpoint's records in one batch."""
 
     batched = True
 
 
 class TestFaultMidBatch:
-    def test_rest_of_the_batch_is_attempted_and_first_error_raised(
-        self, tmp_path
-    ):
+    def test_a_faulted_batch_is_all_or_nothing(self, tmp_path):
+        """A fault between the write and the index update loses the
+        whole batch from the index, and a re-put writes it once more —
+        over the same bytes, so the pack holds each record once."""
         repo = CheckpointRepository(tmp_path)
         tags = [b"a", b"b", b"c", b"d"]
+        batch = [(digest(t), page(t)) for t in tags]
         seen = []
 
         def hook(reached):
             seen.append(reached)
-            if len(seen) == 2:
-                raise KillNine(reached)
+            raise KillNine(reached)
 
         repo.fault_hook = hook
         with pytest.raises(KillNine):
-            repo.put_pages([(digest(t), page(t)) for t in tags])
-        assert seen == [CrashPoint.SEGMENT_WRITTEN] * 4
-        assert [repo.has_page(digest(t)) for t in tags] == [
-            True, False, True, True,
-        ]
-        assert not list(tmp_path.glob("segments/*/.tmp-*"))
+            repo.put_pages(batch)
+        assert seen == [CrashPoint.SEGMENT_WRITTEN]
+        assert [repo.has_page(digest(t)) for t in tags] == [False] * 4
+        assert repo.stored_bytes == 0
         repo.fault_hook = None
-        assert repo.put_pages([(digest(t), page(t)) for t in tags]) == 1
+        assert repo.put_pages(batch) == 4
+        assert repo.put_pages(batch) == 0
+        assert [repo.get_page(digest(t)) for t in tags] == [page(t) for t in tags]
+        (pack,) = tmp_path.glob("segments/*.pack")
+        assert pack.stat().st_size == repo.stored_bytes == 4 * (14 + 16 + 64)
 
 
 class TestCrashDuringReplacement:
@@ -183,8 +204,8 @@ class TestCrashDuringReplacement:
         with pytest.raises(KillNine):
             commit(repo, "vm", [b"new1"])
         recovered, _ = assert_committed_intact(tmp_path, "vm", [b"new1"])
-        # The replaced checkpoint's exclusive segment was never released
-        # (the crash beat the release); gc reclaims it.
+        # The replaced checkpoint's exclusive record was never released
+        # (the crash beat the release); gc releases it.
         assert recovered.gc() == 64
         assert_committed_intact(tmp_path, "vm", [b"new1"])
 
