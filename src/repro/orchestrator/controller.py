@@ -13,7 +13,7 @@ traffic it produced.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,10 +121,17 @@ class Orchestrator:
         source_host: Optional[str] = None,
         active: bool = False,
         deferrals: int = 0,
+        digests: Optional[Sequence[bytes]] = None,
     ) -> PlacementRequest:
-        """Build a placement request, sketching the VM's current memory."""
+        """Build a placement request, sketching the VM's current memory.
+
+        ``digests`` are the image's per-slot checksums when the caller
+        has them already (:meth:`migrate_vm` shares its one digest pass
+        with the migration); they are computed here otherwise.
+        """
         hashes = np.asarray(hashes, dtype=np.uint64)
-        digests = self.pagestore.digests_for(hashes, self.strategy.checksum)
+        if digests is None:
+            digests = self.pagestore.digests_for(hashes, self.strategy.checksum)
         return PlacementRequest(
             vm_id=vm_id,
             source_host=(
@@ -160,9 +167,13 @@ class Orchestrator:
         """
         if refresh:
             await self.registry.poll_all()
+        # The hop's one digest pass: the placement sketch reads it here,
+        # the migration below is seeded with it.
+        hashes = np.asarray(hashes, dtype=np.uint64)
+        digests = self.pagestore.digests_for(hashes, self.strategy.checksum)
         request = self.request_for(
             vm_id, hashes, source_host=source_host, active=active,
-            deferrals=deferrals,
+            deferrals=deferrals, digests=digests,
         )
         decision = self.place(request)
         if decision.deferred:
@@ -178,6 +189,7 @@ class Orchestrator:
             ),
             self.strategy,
             config=self.config,
+            digests=dict(zip(hashes.tolist(), digests)),
         )
         host, port = self.registry.address_of(decision.destination)
         outcome = await self.executor.run(
@@ -188,10 +200,10 @@ class Orchestrator:
             self.policy.record_migration(
                 vm_id, request.source_host, decision.destination
             )
-            digests = source.final_digests()
-            if digests is not None:
+            final = source.final_digests()
+            if final is not None:
                 self._checkpoint_knowledge[(vm_id, decision.destination)] = (
                     source.result_generation,
-                    digests,
+                    final,
                 )
         return decision, outcome

@@ -19,6 +19,7 @@ consuming it) share one implementation without import cycles.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -34,12 +35,13 @@ def digest_sketch(
     """Bottom-k sketch of a digest set, as sorted hex strings.
 
     Hex encoding preserves byte order, so "k smallest hex strings" and
-    "k smallest digests" agree; hex also makes the sketch JSON-safe for
-    the INVENTORY frame.
+    "k smallest digests" agree: the bottom-k is taken on the raw bytes
+    and only the k survivors are encoded.  Hex also makes the sketch
+    JSON-safe for the INVENTORY frame.
     """
     if k <= 0:
         raise ValueError(f"sketch size must be positive, got {k}")
-    return sorted({d.hex() for d in digests})[:k]
+    return [d.hex() for d in heapq.nsmallest(k, set(digests))]
 
 
 def sketch_similarity(a: Sequence[str], b: Sequence[str]) -> float:

@@ -35,6 +35,7 @@ import asyncio
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Deque, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -113,19 +114,42 @@ class HostedCheckpoint:
 
     vm_id: str
     slot_digests: List[bytes]
+    """Never mutated once the checkpoint exists (an adoption builds a
+    new object), which is what lets the views below be computed once."""
     timestamp: float = field(default=0.0, compare=False)
     last_used: float = field(default=0.0, compare=False)
     generation: int = field(default=0, compare=False)
     """Monotonic per-VM adoption counter; lets a returning source prove
     its remembered digest set is current (or get a delta against it)."""
+    _sketches: Dict[int, List[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def num_pages(self) -> int:
         return len(self.slot_digests)
 
+    @cached_property
+    def distinct(self) -> FrozenSet[bytes]:
+        """The distinct checksums — the one walk over ``slot_digests``
+        every other view (and the delta history) is derived from."""
+        return frozenset(self.slot_digests)
+
+    @cached_property
     def announce_digests(self) -> List[bytes]:
         """Sorted distinct checksums — the §3.2 bulk announce body."""
-        return sorted(set(self.slot_digests))
+        return sorted(self.distinct)
+
+    def sketch(self, k: int) -> List[str]:
+        """Bottom-``k`` similarity sketch of :attr:`distinct` (once per ``k``)."""
+        sketch = self._sketches.get(k)
+        if sketch is None:
+            # Local import: repro.orchestrator imports the runtime at
+            # module load; only the sketch math flows the other way.
+            from repro.orchestrator.inventory import digest_sketch
+
+            sketch = self._sketches[k] = digest_sketch(self.distinct, k=k)
+        return sketch
 
 
 @dataclass(frozen=True)
@@ -300,6 +324,13 @@ class _SinkSession:
         self.slot_digests = []
         return freed
 
+    def hand_over(self) -> None:
+        """The image became a checkpoint: its slot list and per-slot
+        references are that checkpoint's now.  What stays is the shape
+        :meth:`restore` builds — a RESULT to replay, nothing to release."""
+        self.slot_digests = []
+        self._refs_released = True
+
     @classmethod
     def restore(
         cls,
@@ -334,7 +365,8 @@ class _SinkSession:
         return self.algorithm.digest(blob)
 
     def finish(self, frame: Frame) -> dict:
-        """Handle COMPLETE: verify the image and freeze the result."""
+        """Handle COMPLETE: verify the image and freeze the result.  The
+        daemon marks the session completed once it has acted on it."""
         missing = sum(1 for d in self.slot_digests if d is None)
         ok = missing == 0 and self.verification_digest() == frame.digest
         self.result = {
@@ -357,7 +389,6 @@ class _SinkSession:
                 else "final image digest mismatch"
             ),
         }
-        self.completed = True
         return self.result
 
 
@@ -756,40 +787,35 @@ class CheckpointDaemon:
         algorithm: ChecksumAlgorithm,
         timestamp: Optional[float] = None,
         page_size: int = 4096,
+        session: Optional[_SinkSession] = None,
     ) -> HostedCheckpoint:
         """Install ``slot_digests`` as the VM's hosted checkpoint.
 
-        Takes content-store references for the new checkpoint, releases
-        the replaced one's, and — with a repository — commits the
-        manifest durably.  Any write-behind backlog is flushed first,
-        so every page the manifest references is on disk before the
-        manifest rename (still the single commit point).  Each adoption
-        bumps the VM's generation counter and records the distinct
-        digest set in the bounded delta history that powers
-        DIGEST_DELTA manifests.
+        The list becomes the checkpoint's own (callers pass one nobody
+        will mutate).  With a repository the manifest commits first —
+        any write-behind backlog is flushed before it, so every page the
+        manifest references is on disk before the rename, still the
+        single commit point — and only then does memory change: a commit
+        that raises leaves the hosted map, the references and ``session``
+        as they were.  The checkpoint then takes one content-store
+        reference per slot — from ``session`` (a verified COMPLETE hands
+        over the ones it holds for exactly this list) or freshly — the
+        replaced checkpoint's are released, the VM's generation counter
+        is bumped and the distinct digest set enters the bounded delta
+        history that powers DIGEST_DELTA manifests.
         """
         if timestamp is None:
             timestamp = time.time()
         if self._persist is not None:
             self.store.flush_spill()
             self._persist.flush_sync()
-        generation = self._generations.get(vm_id, 0) + 1
-        distinct = frozenset(slot_digests)
-        self.store.retain_many(slot_digests)
-        previous = self.checkpoints.get(vm_id)
         hosted = HostedCheckpoint(
             vm_id=vm_id,
-            slot_digests=list(slot_digests),
+            slot_digests=slot_digests,
             timestamp=timestamp,
             last_used=timestamp,
-            generation=generation,
+            generation=self._generations.get(vm_id, 0) + 1,
         )
-        self.checkpoints[vm_id] = hosted
-        self._generations[vm_id] = generation
-        history = self._delta_history.setdefault(vm_id, OrderedDict())
-        history[generation] = distinct
-        while len(history) > _MAX_DELTA_HISTORY:
-            history.popitem(last=False)
         if self.repository is not None:
             # A verify() scrub may have quarantined records this image
             # still references (the write-behind queue only carries *new*
@@ -797,7 +823,7 @@ class CheckpointDaemon:
             # missing records: re-spill what is still resident.  Content
             # resident nowhere stays missing and the commit raises —
             # correct: the daemon genuinely lost it.
-            for digest in self.repository.missing(distinct):
+            for digest in self.repository.missing(hosted.distinct):
                 page = self.store.get(digest)
                 if page is not None:
                     self.repository.put_page(digest, page)
@@ -805,15 +831,26 @@ class CheckpointDaemon:
             self.repository.commit_checkpoint(
                 CheckpointManifest(
                     vm_id=vm_id,
-                    slot_digests=list(slot_digests),
+                    slot_digests=slot_digests,
                     algorithm=algorithm.name,
                     page_size=page_size,
                     timestamp=timestamp,
-                    generation=generation,
+                    generation=hosted.generation,
                 )
             )
             # The replaced checkpoint's records are dead: the writer thread compacts.
             self._persist.defer(compact=True)
+        if session is not None:
+            session.hand_over()
+        else:
+            self.store.retain_many(slot_digests)
+        previous = self.checkpoints.get(vm_id)
+        self.checkpoints[vm_id] = hosted
+        self._generations[vm_id] = hosted.generation
+        history = self._delta_history.setdefault(vm_id, OrderedDict())
+        history[hosted.generation] = hosted.distinct
+        while len(history) > _MAX_DELTA_HISTORY:
+            history.popitem(last=False)
         if previous is not None:
             self.store.release_many(previous.slot_digests)
         return hosted
@@ -883,9 +920,7 @@ class CheckpointDaemon:
     def checkpoint_digests(self, vm_id: str) -> Optional[frozenset]:
         """Distinct checksums of the hosted checkpoint (ping-pong state)."""
         hosted = self.checkpoints.get(vm_id)
-        if hosted is None:
-            return None
-        return frozenset(hosted.slot_digests)
+        return hosted.distinct if hosted is not None else None
 
     def hosted_checkpoints(self) -> List[CheckpointInfo]:
         """Per-VM inventory: the live map merged with the repository.
@@ -896,6 +931,11 @@ class CheckpointDaemon:
         would otherwise be invisible to the control plane even though a
         migration could use it after a restart.  Sorted by vm_id.
         """
+        return self._inventory()[0]
+
+    def _inventory(self) -> Tuple[List[CheckpointInfo], Dict[str, dict]]:
+        """:meth:`hosted_checkpoints` plus the repository stats behind it,
+        so one manifest parse serves the listing and the report's sketch."""
         page_size = self.pagestore.page_size
         durable: Dict[str, dict] = (
             self.repository.checkpoint_stats()
@@ -904,7 +944,7 @@ class CheckpointDaemon:
         )
         infos: List[CheckpointInfo] = []
         for vm_id, hosted in self.checkpoints.items():
-            unique = len(set(hosted.slot_digests))
+            unique = len(hosted.distinct)
             stats = durable.get(vm_id)
             stored = (
                 stats["stored_bytes"] if stats is not None else unique * page_size
@@ -934,25 +974,26 @@ class CheckpointDaemon:
                     resident=False,
                 )
             )
-        return sorted(infos, key=lambda info: info.vm_id)
+        return sorted(infos, key=lambda info: info.vm_id), durable
 
     def inventory_report(self, sketch_k: Optional[int] = None) -> dict:
         """JSON body answering a HEARTBEAT: capacity + checkpoint digest
         summaries (per-VM page counts and a bottom-k similarity sketch).
+        Resident checkpoints answer from their cached views, so between
+        adoptions a heartbeat walks no image's digests.
         """
         # Local import: repro.orchestrator imports the runtime at module
         # load; only the sketch math flows the other way.
         from repro.orchestrator.inventory import DEFAULT_SKETCH_K, digest_sketch
 
         k = sketch_k or DEFAULT_SKETCH_K
+        infos, durable = self._inventory()
         checkpoints = []
-        for info in self.hosted_checkpoints():
-            hosted = self.checkpoints.get(info.vm_id)
-            if hosted is not None:
-                digests = hosted.slot_digests
+        for info in infos:
+            if info.resident:
+                sketch = self.checkpoints[info.vm_id].sketch(k)
             else:
-                manifest = self.repository.load_manifest(info.vm_id)
-                digests = manifest.slot_digests if manifest is not None else []
+                sketch = digest_sketch(durable[info.vm_id]["distinct"], k=k)
             checkpoints.append(
                 {
                     "vm_id": info.vm_id,
@@ -962,7 +1003,7 @@ class CheckpointDaemon:
                     "timestamp": info.timestamp,
                     "last_used": info.last_used,
                     "resident": info.resident,
-                    "sketch": digest_sketch(digests, k=k),
+                    "sketch": list(sketch),
                 }
             )
         return {
@@ -1196,7 +1237,7 @@ class CheckpointDaemon:
             and base is not None
             and hosted.generation > base_generation
         ):
-            current = frozenset(hosted.slot_digests)
+            current = hosted.distinct
             return True, (
                 hosted.generation,
                 base_generation,
@@ -1389,9 +1430,7 @@ class CheckpointDaemon:
                     payload = codec.encode_digest_delta(
                         generation, base_generation, added, removed
                     )
-                    full_bytes = codec.wire.announce_frame_bytes(
-                        len(set(hosted.slot_digests))
-                    )
+                    full_bytes = codec.wire.announce_frame_bytes(len(hosted.distinct))
                     await stream.send(payload)
                     announce_span.set(
                         delta=True,
@@ -1408,9 +1447,7 @@ class CheckpointDaemon:
                             len(payload) / max(1, full_bytes)
                         )
                 else:
-                    digests = (
-                        hosted.announce_digests() if hosted is not None else []
-                    )
+                    digests = hosted.announce_digests if hosted is not None else []
                     await stream.send(codec.encode_announce(digests))
                     announce_span.set(digests=len(digests))
                     self._count(names.DAEMON_ANNOUNCE_FULL)
@@ -1444,14 +1481,22 @@ class CheckpointDaemon:
                 if result["ok"]:
                     adopted = self._adopt_checkpoint(
                         session.vm_id,
-                        list(session.slot_digests),
+                        session.slot_digests,
                         algorithm=session.algorithm,
                         page_size=session.page_size,
+                        session=session,
                     )
                     # Tell the source which generation its image became,
                     # so the next migration back can name it and get a
                     # delta (or skip) instead of the full announce.
                     result["checkpoint_generation"] = adopted.generation
+                else:
+                    # A rejected image is nobody's checkpoint: free it
+                    # now, not when the session is pruned.
+                    session.release_refs()
+                # Only now: an adoption that raised leaves a live session
+                # owning its image, and a reconnect sends COMPLETE again.
+                session.completed = True
                 if self.repository is not None:
                     self.repository.save_session(
                         session.session_id,

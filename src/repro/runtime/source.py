@@ -263,6 +263,9 @@ class MigrationSource:
             (the same registry entries the analytic path uses).
         link: Traffic shaping for outgoing data; None for unshaped.
         config: Timeouts, retry policy, pacing scale, send chunking.
+        digests: Content id → checksum pairs the caller already computed
+            for this image (the orchestrator's placement sketch); the
+            migration then digests only what the table lacks.
     """
 
     def __init__(
@@ -271,6 +274,7 @@ class MigrationSource:
         strategy: MigrationStrategy,
         link: Optional[Link] = None,
         config: Optional[RuntimeConfig] = None,
+        digests: Optional[Dict[int, bytes]] = None,
     ) -> None:
         self.state = state
         self.strategy = strategy
@@ -278,6 +282,10 @@ class MigrationSource:
         self.config = config or RuntimeConfig()
         self.codec = FrameCodec(strategy.wire)
         self.session_id = f"{state.vm_id}-{uuid.uuid4().hex[:12]}"
+        # The migration's one digest pass: content id → checksum, read by
+        # the planner, the encoder and the final-image check alike.
+        self._digests: Dict[int, bytes] = digests if digests is not None else {}
+        self._final_slots: Optional[List[bytes]] = None
         self._rounds: List[RoundSends] = []
         self._plan = None
         self._feed_done = False
@@ -287,40 +295,43 @@ class MigrationSource:
 
     # --- planning -------------------------------------------------------
 
-    def _digest_of(self, content_id: int) -> bytes:
-        return self.state.pagestore.digest_for(content_id, self.strategy.checksum)
+    def _digests_of(self, content_ids: np.ndarray) -> List[bytes]:
+        """Per-row checksums from the migration's table; only ids it has
+        not seen (a dirty round's new contents) go to the page store."""
+        table, ids = self._digests, content_ids.tolist()
+        try:
+            return [table[cid] for cid in ids]
+        except KeyError:
+            unseen = np.array(
+                [cid for cid in set(ids) if cid not in table], dtype=np.uint64
+            )
+            digests = self.state.pagestore.digests_for(unseen, self.strategy.checksum)
+            table.update(zip(unseen.tolist(), digests))
+            return [table[cid] for cid in ids]
 
-    def _digest_many(self, content_ids: np.ndarray) -> List[bytes]:
-        return self.state.pagestore.digests_for(content_ids, self.strategy.checksum)
-
-    async def _digest_sliced(self) -> Dict[int, bytes]:
+    async def _digest_sliced(self) -> None:
         """Checksum the image's distinct contents without starving the loop.
 
         Runs between READY and the announce read: the kernel (and the
         stream's receive buffer) collect the announce meanwhile, so the
         hashing hides under its transfer.  Yielding between slices keeps
         every other task on the loop — an in-process daemon's paced
-        sends included — moving.  Returns content id → checksum.
+        sends included — moving.  Fills the content id → checksum table.
         """
         distinct = np.unique(self.state.hashes)
-        table: Dict[int, bytes] = {}
         for start in range(0, distinct.shape[0], DIGEST_SLICE_PAGES):
-            ids = distinct[start : start + DIGEST_SLICE_PAGES]
-            table.update(zip(ids.tolist(), self._digest_many(ids)))
+            self._digests_of(distinct[start : start + DIGEST_SLICE_PAGES])
             await asyncio.sleep(0)
-        return table
 
-    def _build_first_round(
-        self, announced: FrozenSet[bytes], digests: Dict[int, bytes]
-    ) -> None:
+    def _build_first_round(self, announced: FrozenSet[bytes]) -> None:
         # Non-hash methods ignore the announced set and the digest table.
         self._plan = plan_first_round(
             self.strategy.method,
             self.state.hashes,
             announced=announced,
-            digest_of=digests.__getitem__,
+            digest_of=self._digests.__getitem__,
             dirty_slots=self.state.dirty_slots,
-            digest_many=lambda ids: [digests[cid] for cid in ids.tolist()],
+            digest_many=self._digests_of,
         )
         self._rounds = [self._plan.round_sends()]
 
@@ -355,14 +366,19 @@ class MigrationSource:
                     self.state.hashes, np.asarray(slots, dtype=np.int64)
                 )
             )
+            self._final_slots = None
         return True
 
     def _final_slot_digests(self) -> List[bytes]:
-        """Per-slot digests of the image after all planned rounds."""
-        final = self._plan.content_ids.copy()
-        for sends in self._rounds[1:]:
-            final[sends.slots] = sends.content_ids
-        return self._digest_many(final)
+        """Per-slot digests of the image after all planned rounds
+        (COMPLETE and :meth:`final_digests` read one list; a new dirty
+        round drops it)."""
+        if self._final_slots is None:
+            final = self._plan.content_ids.copy()
+            for sends in self._rounds[1:]:
+                final[sends.slots] = sends.content_ids
+            self._final_slots = self._digests_of(final)
+        return self._final_slots
 
     def final_digests(self) -> Optional[FrozenSet[bytes]]:
         """The distinct per-slot checksums of the migrated image.
@@ -570,11 +586,10 @@ class MigrationSource:
                 # resume (the plan is kept) costs no digesting.  The
                 # planner needs the *whole* announced set, so the only
                 # thing worth overlapping with the announce is hashing.
-                digests: Dict[int, bytes] = {}
                 if self._plan is None and self.strategy.method.uses_hashes:
                     with _span("digest") as digest_span:
-                        digests = await self._digest_sliced()
-                        digest_span.set(distinct=len(digests))
+                        await self._digest_sliced()
+                        digest_span.set(distinct=len(self._digests))
 
                 announced: FrozenSet[bytes] = (
                     known if announce_known else frozenset()
@@ -594,7 +609,7 @@ class MigrationSource:
                         announced = self._apply_digest_delta(manifest, known)
                 if self._plan is None:
                     with _span("plan"):
-                        self._build_first_round(announced, digests)
+                        self._build_first_round(announced)
                 announce_span.set(
                     known=announce_known,
                     announce_bytes=metrics.announce_bytes,
@@ -680,8 +695,8 @@ class MigrationSource:
     ) -> Iterator[Tuple[List[int], bytes]]:
         """Wire bytes of ``sends`` from message ``skip`` on, a batch at a time.
 
-        Per round: the kind → tag map, one ``digests_for`` call over
-        the rows that carry a checksum, and the codec's header pack.
+        Per round: the kind → tag map, one digest-table read over the
+        rows that carry a checksum, and the codec's header pack.
         Per page: one ``page_bytes`` lookup, made as the codec reaches
         the row, so no more than a batch of pages is held at once.
         """
@@ -692,7 +707,7 @@ class MigrationSource:
         return self.codec.encode_pages(
             _TAG_OF_KIND[kinds],
             sends.slots[skip:],
-            digests=self._digest_many(content_ids[with_digest]),
+            digests=self._digests_of(content_ids[with_digest]),
             pages=map(
                 self.state.pagestore.page_bytes, content_ids[with_page].tolist()
             ),

@@ -672,11 +672,13 @@ class CheckpointRepository:
 
     def checkpoint_stats(self) -> Dict[str, dict]:
         """Per-VM durable summary for the daemon's inventory report:
-        vm_id → ``{"pages", "unique_pages", "stored_bytes", "timestamp"}``.
-        ``stored_bytes`` is the payload size of the distinct records
-        referenced (a shared record is billed to each checkpoint).  This
-        is the cold path on which a handle learns what a sibling handle
-        appended: unseen pack bytes are read first."""
+        vm_id → ``{"pages", "unique_pages", "stored_bytes", "timestamp",
+        "distinct"}``.  ``distinct`` is the set of digests referenced
+        (the report sketches it: one manifest parse serves both) and
+        ``stored_bytes`` the payload size of those records (a shared
+        record is billed to each checkpoint).  This is the cold path on
+        which a handle learns what a sibling handle appended: unseen
+        pack bytes are read first."""
         with self._lock:
             self._check_open()
             self._scan_unseen(verify=False)
@@ -686,7 +688,8 @@ class CheckpointRepository:
                 distinct = set(manifest.slot_digests)
                 stored = sum(index.get(d, 0) & _MAX_PAYLOAD for d in distinct)
                 stats[manifest.vm_id] = dict(pages=manifest.num_pages, unique_pages=len(distinct),
-                                             stored_bytes=stored, timestamp=manifest.timestamp)
+                                             stored_bytes=stored, timestamp=manifest.timestamp,
+                                             distinct=distinct)
             return stats
 
     def pack_stats(self) -> Dict[str, int]:

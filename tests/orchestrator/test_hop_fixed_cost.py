@@ -1,0 +1,202 @@
+"""What one steady-state hop derives, as counts (no clock).
+
+Three in-memory daemons, six VMs, one orchestrator — the
+``fleet_pingpong`` shape — at 3% churn a hop.  After every VM has
+visited every host, one ``Orchestrator.migrate_vm`` hop may compute two
+bottom-k sketches (the request's, and that of the one checkpoint adopted
+since the previous poll) and may hand ``PageStore.digests_for`` the
+image once: everything else is read from what a checkpoint generation,
+or the migration, already derived.
+"""
+
+import asyncio
+
+import numpy as np
+
+from repro.core.strategies import VECYCLE_DEDUP
+from repro.mem.pagestore import PageStore
+from repro.orchestrator import (
+    BestCheckpoint,
+    ClusterRegistry,
+    Orchestrator,
+    PlacementDecision,
+    PlacementPolicy,
+)
+from repro.orchestrator import controller, inventory
+from repro.runtime import CheckpointDaemon, RuntimeConfig
+from repro.runtime.source import DIGEST_SLICE_PAGES
+
+HOSTS, VMS, PAGES = 3, 6, 1024
+CHURN = round(0.03 * PAGES)
+FAST = RuntimeConfig(io_timeout_s=5.0, connect_timeout_s=5.0, time_scale=0.0)
+
+
+class Ring(PlacementPolicy):
+    """Warm-up placement: every VM moves to the next host of the ring."""
+
+    name = "ring"
+
+    def decide(self, request, view):
+        hosts = sorted(view.hosts())
+        nxt = hosts[(hosts.index(request.source_host) + 1) % len(hosts)]
+        return PlacementDecision(
+            vm_id=request.vm_id, destination=nxt, policy=self.name,
+            score=0.0, reason="ring",
+        )
+
+
+class Counts:
+    """Counting wrappers around the two derivations a hop must not repeat."""
+
+    def __init__(self, monkeypatch, store):
+        self.sketches = 0
+        self.digested_ids = 0
+        real_sketch = inventory.digest_sketch
+        real_digests_for = store.digests_for
+
+        def sketch(digests, k=inventory.DEFAULT_SKETCH_K):
+            self.sketches += 1
+            return real_sketch(digests, k=k)
+
+        def digests_for(content_ids, *args, **kwargs):
+            self.digested_ids += len(np.asarray(content_ids))
+            return real_digests_for(content_ids, *args, **kwargs)
+
+        # The daemon looks the function up in its module on every call;
+        # the controller bound it at import.
+        monkeypatch.setattr(inventory, "digest_sketch", sketch)
+        monkeypatch.setattr(controller, "digest_sketch", sketch)
+        monkeypatch.setattr(store, "digests_for", digests_for)
+
+    def reset(self):
+        self.sketches = self.digested_ids = 0
+
+
+class Fleet:
+    def __init__(self, seed=5):
+        self.rng = np.random.default_rng(seed)
+        self.store = PageStore(cache_limit=4 * VMS * PAGES)
+        self.images = {
+            f"vm-{i}": self.rng.integers(1, 2**62, size=PAGES, dtype=np.uint64)
+            for i in range(VMS)
+        }
+        self.daemons = {}
+        self.registry = ClusterRegistry()
+        self.orchestrator = None
+        self.hops = 0
+
+    async def __aenter__(self):
+        for index in range(HOSTS):
+            daemon = CheckpointDaemon(
+                name=f"h{index}", time_scale=0.0, pagestore=self.store
+            )
+            await daemon.start()
+            self.daemons[daemon.name] = daemon
+            self.registry.register(daemon.name, daemon.host, daemon.port)
+        self.orchestrator = Orchestrator(
+            self.registry, Ring(), strategy=VECYCLE_DEDUP, config=FAST,
+            pagestore=self.store,
+        )
+        hosts = sorted(self.daemons)
+        for index, vm_id in enumerate(self.images):
+            self.orchestrator.locations[vm_id] = hosts[index % HOSTS]
+        # Every VM visits every host, so every later hop finds a checkpoint.
+        for _ in range(HOSTS * VMS):
+            await self.hop()
+        self.orchestrator.policy = BestCheckpoint()
+        return self
+
+    async def __aexit__(self, *_exc):
+        for daemon in self.daemons.values():
+            await daemon.stop()
+
+    async def hop(self):
+        """Rewrite 3% of the next VM's pages, then place and move it."""
+        vm_id = f"vm-{self.hops % VMS}"
+        image = self.images[vm_id]
+        slots = self.rng.choice(PAGES, size=CHURN, replace=False)
+        image[slots] = self.rng.integers(2**62, 2**63, size=CHURN, dtype=np.uint64)
+        decision, outcome = await self.orchestrator.migrate_vm(vm_id, image.copy())
+        assert outcome is not None and outcome.ok, outcome
+        self.hops += 1
+        return vm_id, self.daemons[decision.destination]
+
+
+def test_a_steady_state_hop_sketches_twice_and_digests_the_image_once(monkeypatch):
+    async def main():
+        async with Fleet() as fleet:
+            counts = Counts(monkeypatch, fleet.store)
+            # Every hop leaves one checkpoint newer than the last poll,
+            # which the next hop's poll sketches.
+            await fleet.hop()
+            readings = []
+            for _ in range(3):
+                counts.reset()
+                await fleet.hop()
+                readings.append((counts.sketches, counts.digested_ids))
+            return readings
+
+    readings = asyncio.run(main())
+    assert readings[0] == readings[1] == readings[2], "the counts must repeat"
+    sketches, digested_ids = readings[0]
+    # The request's sketch and the newly adopted checkpoint's; the other
+    # 17 hosted checkpoints did not change (19 before the views were cached).
+    assert sketches <= 2
+    # One pass over the image, shared by placement and migration; the
+    # budget leaves room for the rewritten pages and one slice (five
+    # passes, ≈ 5 × PAGES, before the source kept its table).
+    assert PAGES - CHURN <= digested_ids <= PAGES + CHURN + DIGEST_SLICE_PAGES
+
+
+def test_heartbeats_between_adoptions_recompute_nothing(monkeypatch):
+    async def main():
+        async with Fleet() as fleet:
+            counts = Counts(monkeypatch, fleet.store)
+            _, daemon = await fleet.hop()
+            k = fleet.registry.sketch_k
+            counts.reset()
+            await fleet.registry.poll_all()
+            first = daemon.inventory_report(sketch_k=k)
+            assert counts.sketches == 1  # the checkpoint the hop just adopted
+            await fleet.registry.poll_all()
+            assert counts.sketches == 1
+            assert daemon.inventory_report(sketch_k=k) == first
+            # A different k is a different sketch, also computed once.
+            other = daemon.inventory_report(sketch_k=8)
+            assert counts.sketches == 1 + len(first["checkpoints"])
+            assert daemon.inventory_report(sketch_k=8) == other
+            assert counts.sketches == 1 + len(first["checkpoints"])
+
+    asyncio.run(main())
+
+
+def test_a_heartbeat_after_an_adoption_reports_the_new_image():
+    async def main():
+        async with Fleet() as fleet:
+            await fleet.registry.poll_all()
+            before = {
+                name: daemon.inventory_report()
+                for name, daemon in fleet.daemons.items()
+            }
+            vm_id, daemon = await fleet.hop()
+            record = await fleet.registry.poll(daemon.name)
+            summary = record.inventory.checkpoint_for(vm_id)
+            digests = fleet.store.digests_for(fleet.images[vm_id])
+            assert summary.unique_pages == len(set(digests))
+            assert list(summary.sketch) == sorted(d.hex() for d in set(digests))[
+                : fleet.registry.sketch_k
+            ]
+            old = next(
+                entry for entry in before[daemon.name]["checkpoints"]
+                if entry["vm_id"] == vm_id
+            )
+            assert list(summary.sketch) != old["sketch"]
+            # The view is the adopted generation's, not a stale object's.
+            assert daemon.checkpoint_digests(vm_id) == frozenset(digests)
+            assert daemon.checkpoints[vm_id].announce_digests == sorted(set(digests))
+            # Nobody else's report moved.
+            for name, other in fleet.daemons.items():
+                if other is not daemon:
+                    assert other.inventory_report() == before[name]
+
+    asyncio.run(main())

@@ -1,6 +1,7 @@
 """Inventory data model: sketches, JSON round trips, the cluster view."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.orchestrator.inventory import (
     CheckpointSummary,
@@ -33,6 +34,20 @@ class TestDigestSketch:
         a = digest_sketch(digests_of([5, 1, 9, 7]), k=2)
         b = digest_sketch(digests_of([9, 7, 5, 1]), k=2)
         assert a == b
+
+    @given(
+        # Mixed sizes, with a few values drawn often enough that
+        # duplicates and digests that are prefixes of others turn up; k
+        # runs from 1 to past the distinct count.
+        digests=st.lists(st.binary(min_size=1, max_size=4) | st.sampled_from(
+            [b"\x00", b"\x00\x00", b"\x00\xff", b"\x0f", b"\xf0", b"\xff"]
+        ), max_size=40),
+        k=st.integers(min_value=1, max_value=50),
+    )
+    def test_bottom_k_on_bytes_equals_sorting_every_hex_string(self, digests, k):
+        # The definition the sketch replaced: encode all, sort all, cut.
+        assert digest_sketch(digests, k=k) == sorted({d.hex() for d in digests})[:k]
+        assert digest_sketch(iter(digests), k=k) == digest_sketch(digests, k=k)
 
 
 class TestSketchSimilarity:

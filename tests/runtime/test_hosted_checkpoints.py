@@ -7,6 +7,7 @@ import numpy as np
 from repro.core.fingerprint import Fingerprint
 from repro.core.strategies import VECYCLE_DEDUP
 from repro.mem.pagestore import PageStore
+from repro.orchestrator.inventory import digest_sketch
 from repro.runtime import (
     CheckpointDaemon,
     MigrationSource,
@@ -79,6 +80,42 @@ def test_durable_only_checkpoint_is_listed_nonresident(tmp_path):
     assert live.resident
     # Resident + durable: stored size comes from the real segments.
     assert live.stored_bytes == live.unique_pages * store.page_size
+
+
+def test_heartbeat_parses_each_manifest_once(tmp_path, monkeypatch):
+    daemon = CheckpointDaemon(state_dir=tmp_path)
+    daemon.install_checkpoint("vm-live", fingerprint(seed=1))
+    other = CheckpointRepository(tmp_path)
+    store = PageStore()
+    cold = {}
+    for vm_id, content_ids in (("vm-cold-a", (100, 101, 100)), ("vm-cold-b", (7,))):
+        cold[vm_id] = store.digests_for(np.array(content_ids, dtype=np.uint64))
+        for content_id in content_ids:
+            other.put_page(store.digest_for(content_id), store.page_bytes(content_id))
+        other.commit_checkpoint(
+            CheckpointManifest(vm_id=vm_id, slot_digests=cold[vm_id])
+        )
+    parsed = []
+    real = CheckpointManifest.from_json.__func__
+
+    def counting(cls, text):
+        manifest = real(cls, text)
+        parsed.append(manifest.vm_id)
+        return manifest
+
+    monkeypatch.setattr(CheckpointManifest, "from_json", classmethod(counting))
+    report = daemon.inventory_report(sketch_k=8)
+    # The listing and the durable-only sketches share one read of each
+    # manifest (the sketch used to load the cold ones a second time).
+    assert sorted(parsed) == ["vm-cold-a", "vm-cold-b", "vm-live"]
+    entries = {entry["vm_id"]: entry for entry in report["checkpoints"]}
+    for vm_id, digests in cold.items():
+        assert entries[vm_id]["resident"] is False
+        assert entries[vm_id]["unique_pages"] == len(set(digests))
+        assert entries[vm_id]["sketch"] == digest_sketch(digests, k=8)
+    assert entries["vm-live"]["sketch"] == digest_sketch(
+        daemon.checkpoints["vm-live"].slot_digests, k=8
+    )
 
 
 def test_last_used_advances_when_checkpoint_is_recycled():

@@ -7,16 +7,23 @@ fixed policy retires only completed sessions, and when every retained
 session is live it grows past the soft cap with a warning instead.
 """
 
+import asyncio
 import logging
 
+import numpy as np
+
 from repro.core.checksum import MD5
+from repro.core.strategies import VECYCLE
 from repro.core.transfer import Method
+from repro.mem.pagestore import PageStore
 from repro.obs.metrics import get_registry
+from repro.runtime import MigrationSource, RetryPolicy, RuntimeConfig, SourceState
 from repro.runtime.daemon import (
     _MAX_RETAINED_SESSIONS,
     CheckpointDaemon,
     _SinkSession,
 )
+from repro.storage.repository import CrashPoint
 
 
 def make_session(daemon, session_id, completed):
@@ -108,3 +115,112 @@ class TestSessionRetention:
         # content store reclaimed the bytes (the leak this PR fixes).
         assert daemon.store.refcount(digest) == 0
         assert daemon.store.stored_bytes == 0
+
+
+PAGES = 1024  # a 4 MiB VM
+FAST = RuntimeConfig(
+    io_timeout_s=5.0,
+    connect_timeout_s=5.0,
+    retry=RetryPolicy(max_attempts=3, base_backoff_s=0.01, max_backoff_s=0.05),
+    time_scale=0.0,
+)
+
+
+def rewritten_image(visit):
+    """Every page new, every page distinct — nothing of an earlier visit."""
+    return np.arange(1 + visit * PAGES, 1 + (visit + 1) * PAGES, dtype=np.uint64)
+
+
+def source_for(hashes, pagestore):
+    return MigrationSource(SourceState("vm", hashes, pagestore), VECYCLE, config=FAST)
+
+
+class TestCompletedSessionHandsOver:
+    """A verified COMPLETE gives the session's slots and references to the
+    checkpoint it became; the retained session only replays its RESULT."""
+
+    def test_rewritten_returns_keep_one_image_resident(self):
+        async def main():
+            pagestore = PageStore(cache_limit=8 * PAGES)
+            replays = get_registry().counter("daemon.result_replays")
+            async with CheckpointDaemon(pagestore=pagestore) as daemon:
+                for visit in range(6):
+                    hashes = rewritten_image(visit)
+                    source = source_for(hashes, pagestore)
+                    metrics = await source.migrate(daemon.host, daemon.port)
+                    assert metrics.outcome == "completed"
+                    # Before the hand-over this read 4, 8, 12, … MiB: each
+                    # completed session pinned an image no checkpoint
+                    # references, and the audit counted it as an owner.
+                    assert daemon.store.stored_bytes == PAGES * pagestore.page_size
+                    assert len(daemon.store) == PAGES
+                    assert daemon.audit_store() == []
+                    session = daemon._sessions[source.session_id]
+                    assert session.completed and session.slot_digests == []
+                    assert session.release_refs() == 0
+                    assert daemon.checkpoints["vm"].slot_digests == (
+                        pagestore.digests_for(hashes)
+                    )
+                    # The session id still earns the same RESULT.
+                    replayed_before = replays.value
+                    again = await source.migrate(daemon.host, daemon.port)
+                    assert replays.value == replayed_before + 1
+                    assert again.payload_bytes == 0
+                    assert again.sink_stats == metrics.sink_stats
+                    assert source.result_generation == visit + 1
+                    assert daemon.store.stored_bytes == PAGES * pagestore.page_size
+
+        asyncio.run(main())
+
+    def test_failed_commit_leaves_the_session_owning_its_references(self, tmp_path):
+        seen = []
+
+        async def main():
+            pagestore = PageStore(cache_limit=4 * PAGES)
+            async with CheckpointDaemon(
+                pagestore=pagestore, state_dir=tmp_path
+            ) as daemon:
+                first, second = rewritten_image(0), rewritten_image(1)
+                await source_for(first, pagestore).migrate(daemon.host, daemon.port)
+                source = source_for(second, pagestore)
+
+                def disk_full(point):
+                    # Inside commit_checkpoint, before the manifest is
+                    # written; the connection handler treats an OSError
+                    # as a dropped link and keeps the session.
+                    if point == CrashPoint.SEGMENTS_SYNCED and not seen:
+                        seen.append(daemon._sessions[source.session_id])
+                        raise OSError("injected: no space left on device")
+
+                daemon.repository.fault_hook = disk_full
+                attempt = asyncio.ensure_future(
+                    source.migrate(daemon.host, daemon.port)
+                )
+                while not seen and not attempt.done():
+                    await asyncio.sleep(0)
+                (session,) = seen
+                # The adoption raised: nothing moved.  The session is
+                # live and owns one reference per slot of its image; the
+                # hosted checkpoint is still the first one.
+                assert not session.completed and not session._refs_released
+                assert session.slot_digests == pagestore.digests_for(second)
+                assert daemon.checkpoints["vm"].slot_digests == (
+                    pagestore.digests_for(first)
+                )
+                assert daemon.checkpoints["vm"].generation == 1
+                assert daemon._generations["vm"] == 1
+                assert list(daemon._delta_history["vm"]) == [1]
+                assert daemon.audit_store() == []
+                # The reconnect finds that session, sends COMPLETE again,
+                # and this time the hand-over happens.
+                metrics = await attempt
+                assert metrics.outcome == "completed" and metrics.retries == 1
+                assert session.completed and session.slot_digests == []
+                assert daemon.checkpoints["vm"].slot_digests == (
+                    pagestore.digests_for(second)
+                )
+                assert source.result_generation == 2
+                assert daemon.audit_store() == []
+                assert len(daemon.store) == PAGES
+
+        asyncio.run(main())

@@ -216,6 +216,120 @@ class TestSourcePath:
         assert slot_digests == [reference.digest_for(int(c)) for c in current]
 
 
+class CallCountingStore(PageStore):
+    """A page store that reports every ``digests_for`` call it served."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+        self.ids = 0
+
+    def digests_for(self, content_ids, *args, **kwargs):
+        self.calls += 1
+        self.ids += len(np.asarray(content_ids))
+        return super().digests_for(content_ids, *args, **kwargs)
+
+
+class TestOneDigestPass:
+    """The migration keeps the content id → checksum table it built."""
+
+    def test_a_clean_migration_digests_each_distinct_page_once(self):
+        hashes = image()
+        store = CallCountingStore()
+
+        async def main():
+            async with CheckpointDaemon(pagestore=PageStore()) as daemon:
+                source = make_source(hashes, store)
+                metrics = await source.migrate(daemon.host, daemon.port)
+                return metrics, source.final_digests(), daemon.checkpoint_digests("vm")
+
+        metrics, final, hosted = asyncio.run(main())
+        assert metrics.outcome == "completed"
+        distinct = int(np.unique(hashes).size)
+        # The sliced pass and nothing else: not the encoder, not COMPLETE,
+        # not final_digests().
+        assert store.ids == distinct
+        assert store.calls == math.ceil(distinct / source_module.DIGEST_SLICE_PAGES)
+        assert final == hosted == frozenset(PageStore().digests_for(hashes))
+
+    def test_a_dirty_round_with_unseen_contents_renews_the_final_digests(self):
+        rng = np.random.default_rng(11)
+        hashes = image()
+        store = CallCountingStore()
+        seen_before_round_two = []
+        dirtied = np.sort(rng.choice(N, size=40, replace=False))
+
+        async def main():
+            async with CheckpointDaemon(pagestore=PageStore()) as daemon:
+                source = make_source(hashes, store)
+
+                def dirty_feed(round_no):
+                    if round_no > 2:
+                        return None
+                    # Asked before the round exists: the memo is filled …
+                    seen_before_round_two.append(source.final_digests())
+                    source.state.hashes[dirtied] = rng.integers(
+                        2**62, 2**63, size=dirtied.size, dtype=np.uint64
+                    )
+                    return dirtied
+
+                metrics = await source.migrate(
+                    daemon.host, daemon.port, dirty_feed=dirty_feed
+                )
+                return (
+                    metrics,
+                    source.final_digests(),
+                    daemon.checkpoints["vm"].slot_digests,
+                )
+
+        metrics, final, slot_digests = asyncio.run(main())
+        # … and the sink verified COMPLETE's digest against its own image,
+        # which holds round two's pages: the memo was dropped.
+        assert metrics.outcome == "completed"
+        assert len(metrics.rounds) == 2
+        reference = PageStore().digests_for(hashes)
+        assert slot_digests == reference
+        assert final == frozenset(reference)
+        assert seen_before_round_two == [frozenset(PageStore().digests_for(image()))]
+        assert final != seen_before_round_two[0]
+        # Only the contents round two introduced went back to the store.
+        distinct = int(np.unique(image()).size)
+        assert store.ids == distinct + dirtied.size
+
+    @pytest.mark.parametrize("mid_result", [False, True])
+    def test_a_retry_after_a_disconnect_digests_nothing_more(self, mid_result):
+        checkpoint = image()
+        current = checkpoint.copy()
+        current[:400] = np.arange(2**62, 2**62 + 400, dtype=np.uint64)
+        store = CallCountingStore()
+        calls_at_connect = []
+        config = RuntimeConfig(
+            io_timeout_s=5.0,
+            retry=RetryPolicy(max_attempts=4, base_backoff_s=0.01),
+            on_stream=lambda _stream: calls_at_connect.append(store.calls),
+        )
+
+        async def main():
+            async with CheckpointDaemon(pagestore=PageStore()) as daemon:
+                daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
+                daemon.inject_disconnect(after_messages=100, mid_result=mid_result)
+                source = make_source(current, store, config=config)
+                metrics = await source.migrate(daemon.host, daemon.port)
+                return metrics, source.final_digests(), daemon.checkpoint_digests("vm")
+
+        metrics, final, hosted = asyncio.run(main())
+        assert metrics.outcome == "completed"
+        assert metrics.retries == 1
+        first_attempt = math.ceil(
+            np.unique(current).size / source_module.DIGEST_SLICE_PAGES
+        )
+        # The resumed round, the second COMPLETE (or the replayed RESULT)
+        # and final_digests() all read the table the first attempt built.
+        assert calls_at_connect == [0, first_attempt]
+        assert store.calls == first_attempt
+        assert final == hosted
+
+
 class TestRetryJitter:
     def test_backoff_is_keyed_by_vm_id(self, monkeypatch):
         policy = RetryPolicy(max_attempts=3, base_backoff_s=0.01, jitter=0.5)
