@@ -3,10 +3,11 @@
 Section 4.3: for every fingerprint pair of a machine, compute how many
 pages each technique would transfer if the earlier fingerprint were the
 checkpoint at the destination and the later one the VM's state at
-migration time.  Figure 5 reports (left) the average fraction of
-baseline traffic per method for Server A and (center/right) CDFs of how
-much content-based redundancy elimination + dedup reduces traffic
-relative to dirty tracking + dedup.
+migration time.  The per-slot rule is not restated here: every fraction
+is :func:`repro.core.transfer.slot_kinds`, counted.  Figure 5 reports
+(left) the average fraction of baseline traffic per method for Server A
+and (center/right) CDFs of how much content-based redundancy elimination
++ dedup reduces traffic relative to dirty tracking + dedup.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.checkpoint import ChecksumIndex
-from repro.core.dedup import dedup_split
-from repro.core.fingerprint import Fingerprint, sorted_unique
-from repro.core.transfer import Method, PAPER_METHODS
+from repro.core.fingerprint import Fingerprint
+from repro.core.transfer import Method, PAPER_METHODS, TransferSet, slot_kinds
 from repro.parallel import pmap, resolve_workers
 from repro.traces.generate import Trace
 
@@ -69,57 +69,44 @@ class MethodComparison:
 
 def pair_fractions(
     current_hashes: np.ndarray,
-    checkpoint_hashes: np.ndarray,
-    checkpoint_index: ChecksumIndex,
+    checkpoint_hashes: Optional[np.ndarray],
+    checkpoint_index: Optional[ChecksumIndex],
     methods: Sequence[Method],
 ) -> Dict[Method, float]:
-    """Vectorized per-pair page fractions for all requested methods.
+    """Per-pair full-page fractions for all requested methods.
 
     The building block shared by the Figure 5 comparison and the VDI
     replay: given the current state's hashes and a checkpoint's hashes
-    plus its index, return full-page fractions per method.
+    plus its index, return full-page fractions per method — each one
+    :func:`repro.core.transfer.slot_kinds`' answer, counted.  Pass
+    ``checkpoint_index=None`` when no checkpoint exists anywhere (the
+    VDI replay's first migration): nothing is then at the destination
+    and every slot is a candidate, so each method degrades to its
+    dedup/full behaviour.
     """
     n = current_hashes.shape[0]
-    # Shared intermediates are computed lazily and at most once, no
-    # matter how many requested methods consume them — the VDI replay
+    # The kernel's two inputs are computed at most once per pair, and
+    # only if a requested method consumes them — the VDI replay
     # evaluates four methods per migration against the same pair.
-    dirty_mask: Optional[np.ndarray] = None
-    in_checkpoint: Optional[np.ndarray] = None
-
-    def dirty() -> np.ndarray:
-        nonlocal dirty_mask
-        if dirty_mask is None:
-            dirty_mask = current_hashes != checkpoint_hashes
-        return dirty_mask
-
-    def member() -> np.ndarray:
-        nonlocal in_checkpoint
-        if in_checkpoint is None:
-            in_checkpoint = checkpoint_index.contains_many(current_hashes)
-        return in_checkpoint
-
-    results: Dict[Method, float] = {}
-    for method in methods:
-        if method is Method.FULL:
-            full = n
-        elif method is Method.DEDUP:
-            full = int(sorted_unique(current_hashes).shape[0])
-        elif method is Method.DIRTY:
-            full = int(dirty().sum())
-        elif method is Method.DIRTY_DEDUP:
-            full = int(sorted_unique(current_hashes[dirty()]).shape[0])
-        elif method in (Method.HASHES, Method.DIRTY_HASHES):
-            # Clean slots always hash-match the checkpoint, so the dirty
-            # pre-filter does not change the transfer set (§4.3).
-            full = int((~member()).sum())
-        elif method in (Method.HASHES_DEDUP, Method.DIRTY_HASHES_DEDUP):
-            send_hashes = current_hashes[~member()]
-            full_mask, _ = dedup_split(send_hashes)
-            full = int(full_mask.sum())
-        else:  # pragma: no cover - exhaustive
-            raise AssertionError(method)
-        results[method] = full / n if n else 0.0
-    return results
+    member = dirty = None
+    if any(method.uses_hashes for method in methods):
+        member = (
+            np.zeros(n, dtype=bool)
+            if checkpoint_index is None
+            else checkpoint_index.contains_many(current_hashes)
+        )
+    if any(method.uses_dirty_tracking for method in methods):
+        dirty = (
+            np.ones(n, dtype=bool)
+            if checkpoint_index is None
+            else current_hashes != checkpoint_hashes
+        )
+    return {
+        method: TransferSet.from_kinds(
+            method, *slot_kinds(method, current_hashes, member, dirty)
+        ).page_fraction
+        for method in methods
+    }
 
 
 def _method_fractions_shard(

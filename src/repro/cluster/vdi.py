@@ -25,7 +25,6 @@ import numpy as np
 from repro.analysis.methods import pair_fractions
 from repro.cluster.schedule import MigrationEvent, vdi_schedule
 from repro.core.checkpoint import ChecksumIndex
-from repro.core.dedup import dedup_split
 from repro.core.fingerprint import Fingerprint
 from repro.core.transfer import Method
 from repro.obs.log import get_logger
@@ -95,25 +94,6 @@ def fingerprint_at(trace: Trace, hours: float) -> tuple[Fingerprint, float]:
     return trace.fingerprints[best], timestamps[best] / 3600.0
 
 
-_fingerprint_at = fingerprint_at
-"""Backwards-compatible alias for the pre-export name."""
-
-
-def _first_migration_fractions(
-    current_hashes: np.ndarray, methods: Sequence[Method]
-) -> Dict[Method, float]:
-    """Fractions when no checkpoint exists anywhere yet."""
-    n = current_hashes.shape[0]
-    fractions: Dict[Method, float] = {}
-    for method in methods:
-        if method.uses_dedup:
-            full_mask, _ = dedup_split(current_hashes)
-            fractions[method] = int(full_mask.sum()) / n
-        else:
-            fractions[method] = 1.0
-    return fractions
-
-
 def _vdi_fractions_shard(
     payload: Tuple[List[np.ndarray], bool, Tuple[Method, ...]],
 ) -> List[Dict[Method, float]]:
@@ -129,11 +109,8 @@ def _vdi_fractions_shard(
     previous = hash_arrays[0] if has_carry else None
     out: List[Dict[Method, float]] = []
     for current in hash_arrays[1 if has_carry else 0 :]:
-        if previous is None:
-            out.append(_first_migration_fractions(current, methods))
-        else:
-            index = ChecksumIndex(Fingerprint(hashes=previous))
-            out.append(pair_fractions(current, previous, index, methods))
+        index = None if previous is None else ChecksumIndex(Fingerprint(hashes=previous))
+        out.append(pair_fractions(current, previous, index, methods))
         previous = current
     return out
 
@@ -173,41 +150,33 @@ def replay_vdi(
         ram_gib=round(trace.ram_bytes / 2**30, 2),
     )
     events = sorted(schedule, key=lambda e: e.time_hours)
-    picks = [_fingerprint_at(trace, event.time_hours) for event in events]
+    picks = [fingerprint_at(trace, event.time_hours) for event in events]
     methods = tuple(methods)
     resolved = resolve_workers(workers)
     records: List[VdiMigrationRecord] = []
     with _span("vdi.replay", migrations=len(events)) as replay_span:
         if resolved == 1 or len(events) < 2 * resolved:
-            previous_fingerprint: Optional[Fingerprint] = None
+            # No checkpoint exists at any host before the first migration.
+            previous_hashes: Optional[np.ndarray] = None
             previous_index: Optional[ChecksumIndex] = None
             per_migration: List[Dict[Method, float]] = []
             for index, event in enumerate(events):
                 with _span("vdi.migration", index=index) as sp:
                     current, at_hours = picks[index]
-                    if previous_fingerprint is None:
-                        # First migration: no checkpoint exists at any host.
-                        fractions = _first_migration_fractions(
-                            current.hashes, methods
-                        )
-                    else:
-                        fractions = pair_fractions(
-                            current.hashes,
-                            previous_fingerprint.hashes,
-                            previous_index,
-                            methods,
-                        )
+                    fractions = pair_fractions(
+                        current.hashes, previous_hashes, previous_index, methods
+                    )
                     if sp is not NOOP_SPAN:
                         sp.set(
                             source=event.source,
                             destination=event.destination,
                             hours=round(at_hours, 2),
-                            first=previous_fingerprint is None,
+                            first=previous_index is None,
                         )
                 per_migration.append(fractions)
                 # The source stores this state as the checkpoint the next
                 # migration (back to it) will reuse.
-                previous_fingerprint = current
+                previous_hashes = current.hashes
                 previous_index = ChecksumIndex(current)
         else:
             shards = []

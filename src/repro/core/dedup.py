@@ -63,6 +63,36 @@ def dedup_unique_count(hashes: Iterable[int] | np.ndarray) -> int:
     return int(sorted_unique(array).shape[0])
 
 
+def first_occurrence(values: np.ndarray, return_targets: bool = False):
+    """Which elements are the first occurrence of their value.
+
+    Returns a boolean mask over ``values``; with ``return_targets`` also
+    the position of the first occurrence of every element's value (an
+    element's own position where the mask is true) — the slot a dedup
+    reference points at.  This is the one place "the first copy travels,
+    repeats refer to it" is computed: the decision kernel, the live
+    planner's reference targets and the gang stream all call it.
+
+    An unstable argsort groups equal values and the smallest position in
+    a group is its first occurrence, which avoids the stable sort
+    ``np.unique(..., return_index=True)`` pays for.
+    """
+    values = np.asarray(values)
+    n = values.shape[0]
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.ones(n, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    firsts = np.minimum.reduceat(order, np.flatnonzero(starts)) if n else order
+    is_first = np.zeros(n, dtype=bool)
+    is_first[firsts] = True
+    if not return_targets:
+        return is_first
+    targets = np.empty(n, dtype=np.int64)
+    targets[order] = firsts[np.cumsum(starts) - 1]
+    return is_first, targets
+
+
 def dedup_split(hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split outgoing page slots into (full-page sends, reference sends).
 
@@ -73,9 +103,5 @@ def dedup_split(hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ``(full_mask, ref_mask)`` boolean masks over the input: the first
         occurrence of each content is a full send, repeats are references.
     """
-    hashes = np.asarray(hashes)
-    full_mask = np.zeros(hashes.shape[0], dtype=bool)
-    if hashes.size:
-        _, first_indices = np.unique(hashes, return_index=True)
-        full_mask[first_indices] = True
+    full_mask = first_occurrence(hashes)
     return full_mask, ~full_mask

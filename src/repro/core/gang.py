@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.checkpoint import Checkpoint
-from repro.core.dedup import dedup_split
+from repro.core.dedup import first_occurrence
 from repro.core.fingerprint import Fingerprint
 
 
@@ -105,47 +105,34 @@ def gang_transfer_set(
         if pools:
             merged_checkpoint_hashes = np.unique(np.concatenate(pools))
 
-    per_vm_full: Dict[str, int] = {}
-    per_vm_ref: Dict[str, int] = {}
     per_vm_reused: Dict[str, int] = {}
-    total_pages = 0
-    stream_seen: set[int] = set()
-
+    streams: List[np.ndarray] = []
     for member in members:
         hashes = member.fingerprint.hashes
-        total_pages += len(hashes)
         if cross_vm_checkpoints and merged_checkpoint_hashes is not None:
             reusable = np.isin(hashes, merged_checkpoint_hashes)
         elif member.checkpoint is not None:
             reusable = member.checkpoint.index.contains_many(hashes)
         else:
             reusable = np.zeros(len(hashes), dtype=bool)
-
-        to_send = hashes[~reusable]
-        if cross_vm_dedup:
-            full = 0
-            ref = 0
-            for value in to_send:
-                value_int = int(value)
-                if value_int in stream_seen:
-                    ref += 1
-                else:
-                    stream_seen.add(value_int)
-                    full += 1
-        else:
-            full_mask, ref_mask = dedup_split(to_send)
-            full = int(full_mask.sum())
-            ref = int(ref_mask.sum())
-
-        per_vm_full[member.vm_id] = full
-        per_vm_ref[member.vm_id] = ref
+        streams.append(hashes[~reusable])
         per_vm_reused[member.vm_id] = int(reusable.sum())
+
+    if cross_vm_dedup:
+        # One dedup cache for the whole gang: first occurrence over the
+        # concatenated send stream, cut back into per-VM pieces.
+        bounds = np.cumsum([len(stream) for stream in streams])[:-1]
+        firsts = np.split(first_occurrence(np.concatenate(streams)), bounds)
+    else:
+        firsts = [first_occurrence(stream) for stream in streams]
+    per_vm_full = {m.vm_id: int(first.sum()) for m, first in zip(members, firsts)}
+    per_vm_ref = {m.vm_id: int((~first).sum()) for m, first in zip(members, firsts)}
 
     return GangTransferSet(
         per_vm_full=per_vm_full,
         per_vm_ref=per_vm_ref,
         per_vm_reused=per_vm_reused,
-        total_pages=total_pages,
+        total_pages=sum(len(m.fingerprint.hashes) for m in members),
     )
 
 

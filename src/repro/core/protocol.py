@@ -21,7 +21,7 @@ from typing import Dict
 
 from repro.core.checksum import PAGE_SIZE, ChecksumAlgorithm, MD5
 from repro.core.dedup import DEDUP_REF_BYTES
-from repro.core.transfer import TransferSet
+from repro.core.transfer import KIND_NAMES, TransferSet
 
 ANNOUNCE_FRAME_OVERHEAD = 5
 """Framing overhead of one bulk-announce message on a real byte stream
@@ -142,21 +142,14 @@ def first_round_traffic(
             already knows them (ping-pong, §3.2) or for methods that do
             not exchange hashes.
     """
-    uses_checksums = transfer_set.method.uses_hashes
-    per_full = wire.full_page_message if uses_checksums else wire.plain_page_message
-    payload = (
-        transfer_set.full_pages * per_full
-        + transfer_set.ref_pages * wire.ref_message
-        + transfer_set.checksum_only_pages * wire.checksum_message
-    )
-    announce = announce_unique_pages * wire.checksum_bytes
-    messages = (
-        transfer_set.full_pages
-        + transfer_set.ref_pages
-        + transfer_set.checksum_only_pages
+    counts = transfer_set.message_counts
+    payload = sum(
+        count * wire.message_bytes(KIND_NAMES[kind]) for kind, count in counts.items()
     )
     return TrafficBreakdown(
-        payload_bytes=payload, announce_bytes=announce, messages=messages
+        payload_bytes=payload,
+        announce_bytes=announce_unique_pages * wire.checksum_bytes,
+        messages=sum(counts.values()),
     )
 
 

@@ -1,35 +1,43 @@
-"""Transfer-set computation for every traffic-reduction method.
+"""The decision kernel: how every page slot travels, for every method.
 
 Figure 3 of the paper: each technique identifies a distinct set of pages
-to transfer, and techniques can be combined.  Given the VM's current
-fingerprint and the old checkpoint available at the destination, this
-module computes — per method — how each page slot is handled:
+to transfer, and techniques can be combined.  §4.3 builds the eight
+methods from three composable filters over the slots — a *dirty*
+pre-filter (Miyakodori), checkpoint membership (*hashes*, VeCycle) and
+sender-side *dedup* of the residual — and :func:`slot_kinds` is that
+composition, written once.  Per slot it answers:
 
-* ``full``      — the page's bytes cross the wire,
+* ``full``/``plain`` — the page's bytes cross the wire (with its
+                  checksum under a hash method, without otherwise),
 * ``ref``       — a small dedup reference replaces the page (sender-side
                   dedup hit: identical content already sent this
                   migration),
 * ``checksum``  — only the page's checksum crosses the wire (VeCycle:
                   content already exists in the destination checkpoint),
-* ``skipped``   — nothing is sent (dirty tracking: slot known-clean).
+* ``skip``      — nothing is sent (dirty tracking: slot known-clean).
 
-The methods (§4.3): sender-side *deduplication*, *dirty* page tracking
-(Miyakodori), content-based redundancy elimination (*hashes*, VeCycle),
-and their combinations.  Adding dirty tracking to ``hashes`` does not
-reduce the pages sent — clean slots already hash-match the checkpoint —
-it only reduces how many checksums must be computed.
+Everything else is a caller or a reduction: :func:`compute_transfer_set`
+counts the kinds, :func:`repro.analysis.methods.pair_fractions` takes
+the full-page share, :func:`repro.runtime.planner.plan_first_round`
+streams them (and resolves what each ``ref`` points at).  The
+independent statement of the rule is the loop-per-slot oracle in
+``tests/core/test_slot_kinds_oracle.py``.
+
+Adding dirty tracking to ``hashes`` does not reduce the pages sent —
+clean slots already hash-match the checkpoint — it only reduces how
+many checksums must be computed.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.checkpoint import ChecksumIndex
-from repro.core.dedup import dedup_split
+from repro.core.dedup import first_occurrence
 from repro.core.fingerprint import Fingerprint
 from repro.obs.trace import NOOP_SPAN, span as _span
 
@@ -46,37 +54,27 @@ class Method(enum.Enum):
     DIRTY_HASHES = "dirty+hashes"
     DIRTY_HASHES_DEDUP = "dirty+hashes+dedup"
 
-    @property
-    def uses_checkpoint(self) -> bool:
-        """Whether the method needs a checkpoint at the destination."""
-        return self not in (Method.FULL, Method.DEDUP)
+    def _has(self, part: str) -> bool:
+        # The value *is* the composition: "dirty+hashes+dedup" names the
+        # three filters it stacks.
+        return part in self.value.split("+")
 
     @property
     def uses_dirty_tracking(self) -> bool:
-        return self in (
-            Method.DIRTY,
-            Method.DIRTY_DEDUP,
-            Method.DIRTY_HASHES,
-            Method.DIRTY_HASHES_DEDUP,
-        )
+        return self._has("dirty")
 
     @property
     def uses_hashes(self) -> bool:
-        return self in (
-            Method.HASHES,
-            Method.HASHES_DEDUP,
-            Method.DIRTY_HASHES,
-            Method.DIRTY_HASHES_DEDUP,
-        )
+        return self._has("hashes")
 
     @property
     def uses_dedup(self) -> bool:
-        return self in (
-            Method.DEDUP,
-            Method.DIRTY_DEDUP,
-            Method.HASHES_DEDUP,
-            Method.DIRTY_HASHES_DEDUP,
-        )
+        return self._has("dedup")
+
+    @property
+    def uses_checkpoint(self) -> bool:
+        """Whether the method needs a checkpoint at the destination."""
+        return self.uses_dirty_tracking or self.uses_hashes
 
 
 PAPER_METHODS = (
@@ -87,6 +85,21 @@ PAPER_METHODS = (
     Method.HASHES_DEDUP,
 )
 """The five methods Figure 5 compares, in the paper's bar order."""
+
+KIND_SKIP = 0
+KIND_PLAIN = 1
+KIND_FULL = 2
+KIND_CHECKSUM = 3
+KIND_REF = 4
+
+KIND_NAMES = {
+    KIND_PLAIN: "plain",
+    KIND_FULL: "full",
+    KIND_CHECKSUM: "checksum",
+    KIND_REF: "ref",
+}
+"""Per-slot kind code → :meth:`WireFormat.message_bytes` kind name
+(``KIND_SKIP`` sends no message)."""
 
 
 @dataclass(frozen=True)
@@ -124,6 +137,31 @@ class TransferSet:
                 f"{parts} != {self.num_slots}"
             )
 
+    @classmethod
+    def from_kinds(
+        cls, method: Method, kinds: np.ndarray, checksummed_pages: int
+    ) -> "TransferSet":
+        """Count :func:`slot_kinds`' per-slot answer."""
+        count = [int(np.count_nonzero(kinds == kind)) for kind in range(KIND_REF + 1)]
+        return cls(
+            method,
+            len(kinds),
+            count[KIND_PLAIN] + count[KIND_FULL],
+            count[KIND_REF],
+            count[KIND_CHECKSUM],
+            count[KIND_SKIP],
+            checksummed_pages,
+        )
+
+    @property
+    def message_counts(self) -> Dict[int, int]:
+        """Messages of the round by ``KIND_*`` code (skipped slots send none)."""
+        return {
+            _bytes_kind(self.method): self.full_pages,
+            KIND_REF: self.ref_pages,
+            KIND_CHECKSUM: self.checksum_only_pages,
+        }
+
     @property
     def page_fraction(self) -> float:
         """Full pages sent as a fraction of a baseline full migration.
@@ -135,6 +173,66 @@ class TransferSet:
         if self.num_slots == 0:
             return 0.0
         return self.full_pages / self.num_slots
+
+
+def _bytes_kind(method: Method) -> int:
+    # §3.2: a hash method ships the checksum with the page so the
+    # receiver need not recompute it; the others ship the bare page.
+    return KIND_FULL if method.uses_hashes else KIND_PLAIN
+
+
+def slots_to_mask(slots: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask over ``n`` slots, true at ``slots``.
+
+    Duplicated and unsorted slots are fine.  A slot outside ``[0, n)``
+    raises :class:`ValueError` — plain numpy indexing would wrap a
+    negative one round to the end of the image.
+    """
+    slots = np.asarray(slots, dtype=np.int64)
+    bad = slots[(slots < 0) | (slots >= n)]
+    if bad.size:
+        raise ValueError(f"slot {int(bad[0])} is not one of the image's {n} slots")
+    mask = np.zeros(n, dtype=bool)
+    mask[slots] = True
+    return mask
+
+
+def slot_kinds(
+    method: Method,
+    hashes: np.ndarray,
+    member: Optional[np.ndarray] = None,
+    dirty_mask: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, int]:
+    """How each slot travels under ``method``: the three filters of §4.3.
+
+    Args:
+        hashes: Per-slot content ids of the VM at migration time.
+        member: Per slot, whether its content is in the destination's
+            checkpoint; required when the method uses hashes.
+        dirty_mask: Per slot, whether it was written since the
+            checkpoint; required when the method uses dirty tracking.
+
+    Returns:
+        ``(kinds, checksummed_pages)``: an ``int8`` array of ``KIND_*``
+        codes, and how many pages the source had to hash — every
+        candidate when the method hashes or dedups (dedup's weak hash
+        touches each outgoing page too), none otherwise.
+    """
+    n = hashes.shape[0]
+    candidate = dirty_mask if method.uses_dirty_tracking else np.ones(n, dtype=bool)
+    reuse = candidate & member if method.uses_hashes else np.zeros(n, dtype=bool)
+    send = candidate & ~reuse
+    # send and reuse are disjoint and KIND_SKIP is 0, so the codes add.
+    # (A boolean-mask store per kind costs ~40x this on a 64 MiB image.)
+    kinds = _bytes_kind(method) * send.astype(np.int8)
+    kinds += KIND_CHECKSUM * reuse.astype(np.int8)
+    if method.uses_dedup:
+        # Slot order is send order: the first slot holding a content
+        # carries its bytes, every later one refers back to it.
+        sent = np.flatnonzero(send)
+        kinds[sent[~first_occurrence(hashes[sent])]] = KIND_REF
+    hashed = method.uses_hashes or method.uses_dedup
+    return kinds, int(np.count_nonzero(candidate)) if hashed else 0
 
 
 def compute_transfer_set(
@@ -156,12 +254,31 @@ def compute_transfer_set(
         checkpoint_index: Pre-built index for ``checkpoint`` (avoids
             rebuilding it across many method evaluations).
 
+    Inputs the method does not use are ignored, not validated.
+
     Returns:
         A :class:`TransferSet` partitioning all slots.
     """
     with _span("engine.transfer_set") as sp:
-        result = _compute_transfer_set(
-            method, current, checkpoint, dirty_slots, checkpoint_index
+        n = current.num_pages
+        member = dirty_mask = None
+        if method.uses_checkpoint:
+            if checkpoint is None:
+                raise ValueError(f"method {method.value} requires a checkpoint")
+            if checkpoint.num_pages != n:
+                raise ValueError(
+                    f"checkpoint page count {checkpoint.num_pages} != current {n}"
+                )
+        if method.uses_hashes:
+            if checkpoint_index is None:
+                checkpoint_index = ChecksumIndex(checkpoint)
+            member = checkpoint_index.contains_many(current.hashes)
+        if method.uses_dirty_tracking:
+            if dirty_slots is None:
+                dirty_slots = current.dirty_slots(since=checkpoint)
+            dirty_mask = slots_to_mask(dirty_slots, n)
+        result = TransferSet.from_kinds(
+            method, *slot_kinds(method, current.hashes, member, dirty_mask)
         )
         if sp is not NOOP_SPAN:
             sp.set(
@@ -173,113 +290,6 @@ def compute_transfer_set(
                 skipped=result.skipped_pages,
             )
         return result
-
-
-def _compute_transfer_set(
-    method: Method,
-    current: Fingerprint,
-    checkpoint: Optional[Fingerprint],
-    dirty_slots: Optional[np.ndarray],
-    checkpoint_index: Optional[ChecksumIndex],
-) -> TransferSet:
-    n = current.num_pages
-    hashes = current.hashes
-    if method.uses_checkpoint:
-        if checkpoint is None:
-            raise ValueError(f"method {method.value} requires a checkpoint")
-        if checkpoint.num_pages != n:
-            raise ValueError(
-                f"checkpoint page count {checkpoint.num_pages} != current {n}"
-            )
-
-    if method is Method.FULL:
-        return TransferSet(method, n, n, 0, 0, 0, checksummed_pages=0)
-
-    if method is Method.DEDUP:
-        full_mask, ref_mask = dedup_split(hashes)
-        return TransferSet(
-            method,
-            n,
-            int(full_mask.sum()),
-            int(ref_mask.sum()),
-            0,
-            0,
-            # Dedup needs a (weak) hash of every outgoing page, but the
-            # byte-for-byte confirmation is local; we charge a checksum
-            # per page since the hash pass touches every page.
-            checksummed_pages=n,
-        )
-
-    # All remaining methods consult the checkpoint.
-    assert checkpoint is not None
-    if method.uses_dirty_tracking:
-        if dirty_slots is None:
-            dirty_slots = current.dirty_slots(since=checkpoint)
-        dirty_slots = np.asarray(dirty_slots, dtype=np.int64)
-        dirty_mask = np.zeros(n, dtype=bool)
-        dirty_mask[dirty_slots] = True
-    else:
-        dirty_mask = np.ones(n, dtype=bool)
-
-    if method in (Method.DIRTY, Method.DIRTY_DEDUP):
-        candidate_hashes = hashes[dirty_mask]
-        skipped = int(n - dirty_mask.sum())
-        if method is Method.DIRTY:
-            return TransferSet(
-                method,
-                n,
-                int(dirty_mask.sum()),
-                0,
-                0,
-                skipped,
-                checksummed_pages=0,
-            )
-        full_mask, ref_mask = dedup_split(candidate_hashes)
-        return TransferSet(
-            method,
-            n,
-            int(full_mask.sum()),
-            int(ref_mask.sum()),
-            0,
-            skipped,
-            checksummed_pages=int(dirty_mask.sum()),
-        )
-
-    # Content-based redundancy elimination (with optional dirty
-    # pre-filter and optional dedup).
-    if checkpoint_index is None:
-        checkpoint_index = ChecksumIndex(checkpoint)
-    in_checkpoint = checkpoint_index.contains_many(hashes)
-
-    skipped_mask = ~dirty_mask  # only non-empty for dirty+hashes variants
-    candidate_mask = dirty_mask
-    reuse_mask = candidate_mask & in_checkpoint
-    send_mask = candidate_mask & ~in_checkpoint
-
-    checksummed = int(candidate_mask.sum())
-    if method in (Method.HASHES, Method.DIRTY_HASHES):
-        return TransferSet(
-            method,
-            n,
-            int(send_mask.sum()),
-            0,
-            int(reuse_mask.sum()),
-            int(skipped_mask.sum()),
-            checksummed_pages=checksummed,
-        )
-
-    # hashes+dedup variants: dedup within the pages that must be sent.
-    send_hashes = hashes[send_mask]
-    full_mask, ref_mask = dedup_split(send_hashes)
-    return TransferSet(
-        method,
-        n,
-        int(full_mask.sum()),
-        int(ref_mask.sum()),
-        int(reuse_mask.sum()),
-        int(skipped_mask.sum()),
-        checksummed_pages=checksummed,
-    )
 
 
 def compare_methods(
@@ -295,12 +305,6 @@ def compare_methods(
     """
     index = ChecksumIndex(checkpoint)
     return {
-        method: compute_transfer_set(
-            method,
-            current,
-            checkpoint=checkpoint if method.uses_checkpoint else None,
-            dirty_slots=dirty_slots if method.uses_dirty_tracking else None,
-            checkpoint_index=index if method.uses_hashes else None,
-        )
+        method: compute_transfer_set(method, current, checkpoint, dirty_slots, index)
         for method in methods
     }

@@ -36,7 +36,7 @@ from repro.core.compression import CompressionModel, NO_COMPRESSION
 from repro.core.fingerprint import resize_fingerprint
 from repro.core.protocol import first_round_traffic
 from repro.core.strategies import MigrationStrategy
-from repro.core.transfer import Method, compute_transfer_set
+from repro.core.transfer import Method, compute_transfer_set, slots_to_mask
 from repro.migration.report import MigrationReport, RoundStats
 from repro.migration.vm import SimVM
 from repro.net.link import Link
@@ -186,12 +186,16 @@ def _simulate_migration(
     if method.uses_checkpoint and usable_checkpoint is None:
         # First visit to this host: no checkpoint to recycle.  VeCycle
         # degrades to (at best) dedup semantics; we model the plain
-        # full/dedup fallback.
+        # full/dedup fallback, which charges plain-page messages and no
+        # checksum work.  The live runtime, handed an empty announce,
+        # sends page+checksum instead — a known, pinned divergence
+        # (docs/protocol.md, "First visit").
         method = Method.DEDUP if method.uses_dedup else Method.FULL
 
     # --- Destination setup phase (excluded from migration time, §4.4) ---
+    # From here on a method that uses a checkpoint has one.
     index: Optional[ChecksumIndex] = None
-    if method.uses_checkpoint and usable_checkpoint is not None:
+    if method.uses_checkpoint:
         with _span("migration.setup") as sp:
             ckpt_bytes = usable_checkpoint.size_bytes
             load_time = dest_disk.sequential_read_time(ckpt_bytes)
@@ -207,7 +211,7 @@ def _simulate_migration(
     # --- Bulk checksum announce (destination -> source), §3.2 ---
     announce_pages = 0
     announce_time = 0.0
-    if method.uses_hashes and usable_checkpoint is not None and not config.announce_known:
+    if method.uses_hashes and not config.announce_known:
         with _span("migration.checksum_exchange") as sp:
             announce_pages = len(usable_checkpoint.index)
             announce_time = link.transfer_time(announce_pages * checksum.digest_size)
@@ -215,7 +219,7 @@ def _simulate_migration(
 
     # --- First copy round ---
     dirty_slots = None
-    if method.uses_dirty_tracking and usable_checkpoint is not None:
+    if method.uses_dirty_tracking:
         with _span("migration.dirty_scan") as sp:
             if usable_checkpoint.generation_vector is not None:
                 dirty_slots = vm.tracker.dirty_since(
@@ -229,11 +233,9 @@ def _simulate_migration(
         transfer_set = compute_transfer_set(
             method,
             current,
-            checkpoint=usable_checkpoint.fingerprint
-            if (method.uses_checkpoint and usable_checkpoint is not None)
-            else None,
+            checkpoint=usable_checkpoint.fingerprint if method.uses_checkpoint else None,
             dirty_slots=dirty_slots,
-            checkpoint_index=index if method.uses_hashes else None,
+            checkpoint_index=index,
         )
         traffic = first_round_traffic(
             transfer_set, wire, announce_unique_pages=announce_pages
@@ -241,19 +243,17 @@ def _simulate_migration(
 
     # Split the reusable pages into in-place (checksum verifies against
     # the preloaded image) vs relocated (random checkpoint read,
-    # Listing 1's lseek path).
+    # Listing 1's lseek path).  A candidate slot still holding its
+    # checkpoint content is a member by construction, so the in-place
+    # share needs no second membership pass.
     reused_in_place = transfer_set.checksum_only_pages
     reused_from_disk = 0
-    if method.uses_hashes and usable_checkpoint is not None:
-        in_place_mask = current.hashes == usable_checkpoint.fingerprint.hashes
-        in_checkpoint = usable_checkpoint.index.contains_many(current.hashes)
-        reusable_mask = in_checkpoint & (
-            np.ones(vm.num_pages, dtype=bool)
-            if not method.uses_dirty_tracking
-            else _mask_from_slots(dirty_slots, vm.num_pages)
-        )
-        reused_from_disk = int(np.count_nonzero(reusable_mask & ~in_place_mask))
-        reused_in_place = transfer_set.checksum_only_pages - reused_from_disk
+    if method.uses_hashes:
+        in_place = current.hashes == usable_checkpoint.fingerprint.hashes
+        if dirty_slots is not None:
+            in_place &= slots_to_mask(dirty_slots, vm.num_pages)
+        reused_in_place = int(np.count_nonzero(in_place))
+        reused_from_disk = transfer_set.checksum_only_pages - reused_in_place
 
     cores = config.checksum_cores
     compression = config.compression
@@ -371,9 +371,3 @@ def _simulate_migration(
         sp.add_modelled(report.checkpoint_write_time_s)
     return report
 
-
-def _mask_from_slots(slots: Optional[np.ndarray], num_pages: int) -> np.ndarray:
-    mask = np.zeros(num_pages, dtype=bool)
-    if slots is not None and len(slots):
-        mask[np.asarray(slots, dtype=np.int64)] = True
-    return mask

@@ -1,12 +1,15 @@
 """Per-slot first-round planning for the live runtime.
 
-:func:`repro.core.transfer.compute_transfer_set` *counts* how many slots
-each method handles which way; a live sender needs the actual per-slot
-decision and, for dedup references, the concrete earlier slot to point
-at.  This module computes exactly that, with the same semantics — the
-test suite asserts the planner's counts equal the analytic transfer set
-for every method, which is the hinge the runtime-vs-model
-cross-validation turns on.
+How a slot travels is decided by
+:func:`repro.core.transfer.slot_kinds` — the same call
+:func:`repro.core.transfer.compute_transfer_set` counts for the analytic
+model, so the two cannot disagree about the decision.  What a live
+sender needs on top is planner-only: checkpoint membership from the
+*announced checksums*, the concrete earlier slot each dedup reference
+points at, and the message sequence in send order.  Because the rule is
+shared, the runtime-vs-model cross-validation checks encode, wire and
+accounting, not the decision; the decision's independent witness is the
+loop-per-slot oracle in ``tests/core/test_slot_kinds_oracle.py``.
 
 One representational difference: the analytic path tests checkpoint
 membership on 64-bit content ids, the runtime on the *real checksums*
@@ -18,24 +21,23 @@ id → bytes mapping injective, so both membership tests agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional, Tuple
+from typing import Callable, FrozenSet, List, Optional
 
 import numpy as np
 
-from repro.core.transfer import Method
-
-KIND_SKIP = 0
-KIND_PLAIN = 1
-KIND_FULL = 2
-KIND_CHECKSUM = 3
-KIND_REF = 4
-
-KIND_NAMES = {
-    KIND_PLAIN: "plain",
-    KIND_FULL: "full",
-    KIND_CHECKSUM: "checksum",
-    KIND_REF: "ref",
-}
+from repro.core.dedup import first_occurrence
+from repro.core.transfer import (  # noqa: F401 - re-exports the KIND_* codes
+    KIND_CHECKSUM,
+    KIND_FULL,
+    KIND_NAMES,
+    KIND_PLAIN,
+    KIND_REF,
+    KIND_SKIP,
+    Method,
+    TransferSet,
+    slot_kinds,
+    slots_to_mask,
+)
 
 
 @dataclass(frozen=True)
@@ -78,40 +80,23 @@ class RoundSends:
         ]
 
 
-@dataclass
-class FirstRoundPlan:
-    """Per-slot handling for one migration's first copy round."""
+@dataclass(frozen=True)
+class FirstRoundPlan(TransferSet):
+    """Per-slot handling for one migration's first copy round.
 
-    method: Method
+    The :class:`~repro.core.transfer.TransferSet` counts (``full_pages``
+    — with or without checksum —, ``ref_pages``, ``checksum_only_pages``,
+    ``skipped_pages``, ``checksummed_pages``) plus the per-slot arrays
+    the sender streams from.
+    """
+
     kinds: np.ndarray
     refs: np.ndarray
     content_ids: np.ndarray
-    checksummed_pages: int
-
-    @property
-    def num_slots(self) -> int:
-        return int(self.kinds.shape[0])
 
     def count(self, kind: int) -> int:
         """Number of slots planned as ``kind`` (one of the KIND_* codes)."""
         return int(np.count_nonzero(self.kinds == kind))
-
-    @property
-    def full_pages(self) -> int:
-        """Slots whose page bytes cross the wire (with or without checksum)."""
-        return self.count(KIND_FULL) + self.count(KIND_PLAIN)
-
-    @property
-    def ref_pages(self) -> int:
-        return self.count(KIND_REF)
-
-    @property
-    def checksum_only_pages(self) -> int:
-        return self.count(KIND_CHECKSUM)
-
-    @property
-    def skipped_pages(self) -> int:
-        return self.count(KIND_SKIP)
 
     def round_sends(self) -> RoundSends:
         """The message sequence, in ascending slot order.
@@ -134,27 +119,6 @@ class FirstRoundPlan:
     def sends(self) -> List[PageSend]:
         """:meth:`round_sends` as a list of :class:`PageSend`."""
         return self.round_sends().as_list()
-
-
-def _dedup_within(
-    hashes: np.ndarray, candidate_mask: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split candidate slots into first occurrences and repeats.
-
-    Returns ``(slots, targets, is_first)``: candidate slot indices in
-    slot order, the slot holding the first occurrence of each slot's
-    content, and a mask of which candidates are that first occurrence.
-    Mirrors :func:`repro.core.dedup.dedup_split` applied to the
-    candidate subsequence.
-    """
-    slots = np.nonzero(candidate_mask)[0]
-    if slots.size == 0:
-        return slots, slots.copy(), np.zeros(0, dtype=bool)
-    sub = hashes[slots]
-    _, first_pos, inverse = np.unique(sub, return_index=True, return_inverse=True)
-    targets = slots[first_pos[inverse]]
-    is_first = targets == slots
-    return slots, targets, is_first
 
 
 def membership_mask(
@@ -210,61 +174,31 @@ def plan_first_round(
             array of distinct content ids.
     """
     hashes = np.asarray(hashes, dtype=np.uint64)
-    n = int(hashes.shape[0])
-    kinds = np.full(n, KIND_SKIP, dtype=np.int8)
-    refs = np.full(n, -1, dtype=np.int64)
-
+    member = dirty_mask = None
     if method.uses_hashes:
         if announced is None or digest_of is None:
             raise ValueError(
                 f"method {method.value} needs the announced checksum set "
                 "and a digest function"
             )
+        member = membership_mask(hashes, announced, digest_of, digest_many)
     if method.uses_dirty_tracking:
         if dirty_slots is None:
             raise ValueError(f"method {method.value} needs dirty_slots")
-        dirty_mask = np.zeros(n, dtype=bool)
-        dirty_mask[np.asarray(dirty_slots, dtype=np.int64)] = True
-    else:
-        dirty_mask = np.ones(n, dtype=bool)
+        dirty_mask = slots_to_mask(dirty_slots, hashes.shape[0])
+    kinds, checksummed = slot_kinds(method, hashes, member, dirty_mask)
 
-    if method is Method.FULL:
-        kinds[:] = KIND_PLAIN
-        checksummed = 0
-    elif method in (Method.DEDUP, Method.DIRTY, Method.DIRTY_DEDUP):
-        if method is Method.DIRTY:
-            kinds[dirty_mask] = KIND_PLAIN
-            checksummed = 0
-        else:
-            slots, targets, is_first = _dedup_within(hashes, dirty_mask)
-            kinds[slots[is_first]] = KIND_PLAIN
-            kinds[slots[~is_first]] = KIND_REF
-            refs[slots[~is_first]] = targets[~is_first]
-            # Dedup hashes every outgoing candidate (weak hash + local
-            # byte compare), same charge as the analytic model.
-            checksummed = int(slots.size)
-    else:
-        # Content-based redundancy elimination, optionally pre-filtered
-        # by dirty tracking and post-filtered by dedup.
-        member = membership_mask(hashes, announced, digest_of, digest_many)
-        reuse_mask = dirty_mask & member
-        send_mask = dirty_mask & ~member
-        kinds[reuse_mask] = KIND_CHECKSUM
-        if method.uses_dedup:
-            slots, targets, is_first = _dedup_within(hashes, send_mask)
-            kinds[slots[is_first]] = KIND_FULL
-            kinds[slots[~is_first]] = KIND_REF
-            refs[slots[~is_first]] = targets[~is_first]
-        else:
-            kinds[send_mask] = KIND_FULL
-        checksummed = int(np.count_nonzero(dirty_mask))
+    refs = np.full(hashes.shape[0], -1, dtype=np.int64)
+    if method.uses_dedup:
+        # A reference names the slot that carried its content: the first
+        # occurrence among the slots whose pages are sent at all.
+        sent = np.flatnonzero((kinds != KIND_SKIP) & (kinds != KIND_CHECKSUM))
+        is_first, targets = first_occurrence(hashes[sent], return_targets=True)
+        refs[sent[~is_first]] = sent[targets[~is_first]]
 
+    counts = TransferSet.from_kinds(method, kinds, checksummed)
     return FirstRoundPlan(
-        method=method,
-        kinds=kinds,
-        refs=refs,
-        content_ids=hashes.copy(),
-        checksummed_pages=checksummed,
+        **vars(counts), kinds=kinds, refs=refs, content_ids=hashes.copy()
     )
 
 
@@ -274,12 +208,14 @@ def dirty_round_sends(hashes: np.ndarray, dirty_slots: np.ndarray) -> RoundSends
     VeCycle adapts only the first round (§3.1); later rounds resend
     dirtied pages verbatim.  Content ids are frozen here so a retried
     round resends identical bytes even if planning and sending are
-    separated by a reconnect.
+    separated by a reconnect.  A slot outside the image raises
+    :class:`ValueError` here rather than reaching the encoder.
     """
-    slots = np.unique(np.asarray(dirty_slots, dtype=np.int64))
+    hashes = np.asarray(hashes, dtype=np.uint64)
+    slots = np.flatnonzero(slots_to_mask(dirty_slots, hashes.shape[0]))
     return RoundSends(
         kinds=np.full(slots.shape[0], KIND_PLAIN, dtype=np.int8),
         slots=slots,
-        content_ids=np.asarray(hashes, dtype=np.uint64)[slots],
+        content_ids=hashes[slots],
         refs=np.full(slots.shape[0], -1, dtype=np.int64),
     )

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.transfer import slots_to_mask
 from repro.net.link import Link
 from repro.storage.disk import Disk
 
@@ -166,9 +167,7 @@ def plan_disk_sync(
                 f"source has {n}"
             )
     if dirty_blocks is not None and destination_replica is not None:
-        candidate_mask = np.zeros(n, dtype=bool)
-        dirty_blocks = np.asarray(dirty_blocks, dtype=np.int64)
-        candidate_mask[dirty_blocks] = True
+        candidate_mask = slots_to_mask(dirty_blocks, n)
     else:
         candidate_mask = np.ones(n, dtype=bool)
 

@@ -10,7 +10,11 @@ from repro.core.protocol import (
     first_round_traffic,
     per_page_query_traffic,
 )
+from repro.core.strategies import VECYCLE
 from repro.core.transfer import Method, compute_transfer_set
+from repro.migration.precopy import simulate_migration
+from repro.net.link import LAN_1GBE
+from repro.runtime.planner import KIND_FULL, plan_first_round
 
 
 def fp(values):
@@ -76,6 +80,26 @@ class TestFirstRoundTraffic:
             compute_transfer_set(Method.HASHES, divergent, checkpoint=checkpoint), wire
         )
         assert low.payload_bytes < high.payload_bytes / 10
+
+
+class TestFirstVisitDivergence:
+    """docs/protocol.md, "First visit": a hash method with no checkpoint at
+    the destination is charged differently by model and runtime.  Pinned,
+    not endorsed — changing either side must be a deliberate act."""
+
+    def test_model_charges_plain_pages_and_runtime_sends_page_plus_checksum(
+        self, small_vm
+    ):
+        wire, n = VECYCLE.wire, small_vm.num_pages
+        hashes = small_vm.fingerprint().hashes
+        report = simulate_migration(small_vm, VECYCLE, LAN_1GBE, checkpoint=None)
+        assert report.rounds[0].bytes_sent == n * wire.plain_page_message
+
+        plan = plan_first_round(
+            VECYCLE.method, hashes, announced=frozenset(), digest_of=lambda cid: b""
+        )
+        assert plan.count(KIND_FULL) == n and plan.checksummed_pages == n
+        assert wire.message_bytes("full") - wire.plain_page_message == wire.checksum_bytes
 
 
 class TestPerPageQuery:
