@@ -36,6 +36,7 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Deque, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -61,7 +62,8 @@ from repro.runtime.frames import (
     FrameCodec,
     FrameError,
     PAGE_FRAME_TYPES,
-    PageFields,
+    PageRun,
+    PageRuns,
     StreamDesyncError,
     TYPE_COMPLETE,
     TYPE_ERROR,
@@ -228,78 +230,134 @@ class _SinkSession:
         self.rx_payload_bytes = 0
         self.apply_batches = 0
 
-    def apply_pages(
-        self, frames: List[PageFields], frame_bytes: Mapping[int, int]
-    ) -> None:
+    def apply_pages(self, decoded: PageRuns, frame_bytes: Mapping[int, int]) -> None:
         """Merge a decoded batch in order (Listing 1, content-store edition).
 
-        ``frames`` are :meth:`FrameCodec.decode_pages` tuples and
+        ``decoded`` is what :meth:`FrameCodec.decode_pages` returned and
         ``frame_bytes`` the codec's tag → wire size table.  Every frame
         gets the checks a lone frame would; a violation raises after
         the frames ahead of it were applied and counted, and leaves the
-        rest of the batch untouched.
+        rest of the batch untouched.  A :class:`PageRun` is applied in
+        one piece when that is the same thing (:meth:`_apply_run`) and
+        frame by frame, like every other stretch, when it is not.
         """
         slot_digests, store, num_pages = self.slot_digests, self.store, self.num_pages
         set_slot = self._set_slot
-        applied = in_place = from_store = 0
+        applied: List[int] = []  # the tag of every frame applied
+        in_place = from_store = 0
         try:
-            for tag, slot, digest, payload, ref in frames:
-                if not 0 <= slot < num_pages:
-                    raise SinkProtocolError(
-                        "bad-slot",
-                        f"page number {slot} outside [0, {num_pages})",
-                    )
-                if tag == TYPE_PAGE_CHECKSUM:
-                    if slot_digests[slot] == digest:
-                        in_place += 1
-                    elif digest in store:
+            for run in decoded.runs:
+                if isinstance(run, PageRun):
+                    if self._apply_run(run):
+                        applied += [run.tag] * len(run.slots)
+                        continue
+                    run = run.rows()
+                for tag, slot, digest, payload, ref in run:
+                    if not 0 <= slot < num_pages:
+                        raise SinkProtocolError(
+                            "bad-slot",
+                            f"page number {slot} outside [0, {num_pages})",
+                        )
+                    if tag == TYPE_PAGE_CHECKSUM:
+                        if slot_digests[slot] == digest:
+                            in_place += 1
+                        elif digest in store:
+                            set_slot(slot, digest)
+                            from_store += 1
+                        else:
+                            raise SinkProtocolError(
+                                "missing-content",
+                                f"page {slot}: checksum announced but absent "
+                                "from the content store",
+                            )
+                    elif tag == TYPE_PAGE_FULL:
+                        # §3.2: the attached checksum saves the receiver
+                        # from re-hashing the page; the sender is trusted
+                        # here exactly as in the prototype.
+                        store.put(digest, payload)
                         set_slot(slot, digest)
-                        from_store += 1
-                    else:
+                    elif tag == TYPE_PAGE_PLAIN:
+                        digest = self.algorithm.digest(payload)
+                        store.put(digest, payload)
+                        set_slot(slot, digest)
+                    elif tag == TYPE_PAGE_REF:
+                        if not 0 <= ref < num_pages:
+                            raise SinkProtocolError(
+                                "bad-ref",
+                                f"dedup reference to slot {ref} out of range",
+                            )
+                        target = slot_digests[ref]
+                        if target is None:
+                            raise SinkProtocolError(
+                                "bad-ref",
+                                f"page {slot}: dedup reference to slot {ref}, "
+                                "which has not been received",
+                            )
+                        set_slot(slot, target)
+                    else:  # pragma: no cover - decode_pages yields page tags only
                         raise SinkProtocolError(
-                            "missing-content",
-                            f"page {slot}: checksum announced but absent "
-                            "from the content store",
+                            "bad-frame", f"unexpected frame tag 0x{tag:02x}"
                         )
-                elif tag == TYPE_PAGE_FULL:
-                    # §3.2: the attached checksum saves the receiver
-                    # from re-hashing the page; the sender is trusted
-                    # here exactly as in the prototype.
-                    store.put(digest, payload)
-                    set_slot(slot, digest)
-                elif tag == TYPE_PAGE_PLAIN:
-                    digest = self.algorithm.digest(payload)
-                    store.put(digest, payload)
-                    set_slot(slot, digest)
-                elif tag == TYPE_PAGE_REF:
-                    if not 0 <= ref < num_pages:
-                        raise SinkProtocolError(
-                            "bad-ref",
-                            f"dedup reference to slot {ref} out of range",
-                        )
-                    target = slot_digests[ref]
-                    if target is None:
-                        raise SinkProtocolError(
-                            "bad-ref",
-                            f"page {slot}: dedup reference to slot {ref}, "
-                            "which has not been received",
-                        )
-                    set_slot(slot, target)
-                else:  # pragma: no cover - decode_pages yields page tags only
-                    raise SinkProtocolError(
-                        "bad-frame", f"unexpected frame tag 0x{tag:02x}"
-                    )
-                applied += 1
+                    applied.append(tag)
         finally:
             self.reused_in_place += in_place
             self.reused_from_store += from_store
-            self.pages_received += applied
-            self.applied_in_round += applied
-            self.total_applied += applied
+            self.pages_received += len(applied)
+            self.applied_in_round += len(applied)
+            self.total_applied += len(applied)
             self.rx_payload_bytes += sum(
-                frame_bytes[frame[0]] for frame in frames[:applied]
+                applied.count(tag) * size for tag, size in frame_bytes.items()
             )
             self.apply_batches += 1
+
+    def _apply_run(self, run: PageRun) -> bool:
+        """Apply ``run`` in one piece; False (nothing touched) when only
+        the frame-by-frame loop gives the frame-by-frame result.
+
+        With every slot distinct and in range no frame reads what another
+        wrote, so the run is its frames in any order — except through the
+        store's reference counts.  A FULL run puts its content first and
+        only then swaps references (every new digest retained, then every
+        replaced one released), which ends where the loop ends.  A
+        CHECKSUM frame resolves its digest from the store *at its turn*:
+        the swap is order-free only while no digest a frame needs is one
+        another frame lets go of, and a digest the store lacks is the
+        loop's error to raise at the right frame.
+        """
+        tag, slots, digests, pages = run
+        slot_digests, store = self.slot_digests, self.store
+        if (
+            len(set(slots)) != len(slots)
+            or min(slots) < 0
+            or max(slots) >= self.num_pages
+        ):
+            return False
+        replaced = itemgetter(*slots)(slot_digests)
+        if tag == TYPE_PAGE_FULL:
+            store.put_many(digests, pages)
+        elif replaced == tuple(digests):
+            self.reused_in_place += len(slots)
+            return True
+        else:
+            moved = [
+                (slot, new, old)
+                for slot, new, old in zip(slots, digests, replaced)
+                if new != old
+            ]
+            in_place = len(slots) - len(moved)
+            slots, digests, replaced = zip(*moved)
+            wanted = set(digests)
+            if not wanted.isdisjoint(replaced) or any(
+                digest not in store for digest in wanted
+            ):
+                return False
+            self.reused_in_place += in_place
+            self.reused_from_store += len(moved)
+        store.retain_many(digests)
+        store.release_many(replaced)
+        for slot, digest in zip(slots, digests):
+            slot_digests[slot] = digest
+        return True
 
     def _set_slot(self, slot: int, digest: bytes) -> None:
         """Assign ``digest`` to ``slot``, moving the store references."""
@@ -359,16 +417,14 @@ class _SinkSession:
         session.applied_in_round = int(payload.get("applied_in_round", 0))
         return session
 
-    def verification_digest(self) -> bytes:
-        """Digest over the per-slot digests — the end-to-end image check."""
-        blob = b"".join(d if d is not None else b"\x00" for d in self.slot_digests)
-        return self.algorithm.digest(blob)
-
     def finish(self, frame: Frame) -> dict:
-        """Handle COMPLETE: verify the image and freeze the result.  The
-        daemon marks the session completed once it has acted on it."""
-        missing = sum(1 for d in self.slot_digests if d is None)
-        ok = missing == 0 and self.verification_digest() == frame.digest
+        """Handle COMPLETE: verify the image — the digest over the
+        per-slot digests is the end-to-end check — and freeze the result.
+        The daemon marks the session completed once it has acted on it."""
+        missing = self.slot_digests.count(None)
+        ok = missing == 0 and (
+            self.algorithm.digest(b"".join(self.slot_digests)) == frame.digest
+        )
         self.result = {
             "ok": ok,
             "pages_received": self.pages_received,
@@ -422,7 +478,7 @@ class _WriteBehind:
     :meth:`throttle` (awaited once per decoded batch) blocks reception
     while the writer is more than ``max_pending_bytes`` behind — disk
     pressure becomes socket backpressure — so the queue overshoots the
-    bound by at most one receive chunk.  Batches and stall time are
+    bound by at most one receive arena.  Batches and stall time are
     counted in every registry of ``registries`` (for a daemon, the
     process-wide one and its own ``TelemetrySource``).
     """
@@ -699,7 +755,13 @@ class CheckpointDaemon:
         """Bind and listen; returns the (host, port) actually bound."""
         if self._server is not None:
             raise RuntimeError("daemon already started")
-        self._server = await asyncio.start_server(self._on_connection, host, port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: ShapedStream(
+                link=self.link, time_scale=self.time_scale,
+                on_connect=self._spawn_handler,
+            ),
+            host, port,
+        )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         if self.metrics_port is not None and self.metrics_server is None:
@@ -1043,21 +1105,28 @@ class CheckpointDaemon:
 
     # --- connection handling -------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        stream = ShapedStream(reader, writer, link=self.link,
-                              time_scale=self.time_scale)
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
+    def _spawn_handler(self, stream: ShapedStream) -> None:
+        """An accepted connection is live: serve it in a task of its own."""
+        task = asyncio.get_running_loop().create_task(self._on_connection(stream))
+        self._handlers.add(task)
+        task.add_done_callback(self._handler_done)
+
+    def _handler_done(self, task: asyncio.Task) -> None:
+        self._handlers.discard(task)
+        exc = None if task.cancelled() else task.exception()
+        if exc is not None:
+            task.get_loop().call_exception_handler({
+                "message": f"unhandled exception serving a connection to {self.name}",
+                "exception": exc,
+                "task": task,
+            })
+
+    async def _on_connection(self, stream: ShapedStream) -> None:
         try:
             await self._serve_session(stream)
         except asyncio.CancelledError:
             # The daemon is stopping underneath this connection; the
-            # close below is the entire remaining obligation.  Ending
-            # normally keeps the cancellation out of the event loop's
-            # exception handler (asyncio.streams fetches our result).
+            # close below is the entire remaining obligation.
             pass
         except (
             asyncio.IncompleteReadError,
@@ -1076,8 +1145,6 @@ class CheckpointDaemon:
             )
             await self._send_error(stream, exc)
         finally:
-            if task is not None:
-                self._handlers.discard(task)
             await stream.close()
 
     async def _send_ready(self, stream: ShapedStream, payload: bytes) -> None:
@@ -1354,11 +1421,11 @@ class CheckpointDaemon:
         """Apply one round's ``expected`` page frames, a buffer at a time.
 
         Each pass decodes and applies every complete page frame the
-        receive buffer holds — any mix of kinds — and awaits only to
-        refill it and, with a repository, once on the write-behind
-        throttle.  While an abort is armed a pass stops at the frame the
-        abort is due after, so it fires after exactly that many applied
-        frames.  Returns ``(received, aborted)``.
+        stream's receive arena holds — any mix of kinds — and awaits
+        only to refill it and, with a repository, once on the
+        write-behind throttle.  While an abort is armed a pass stops at
+        the frame the abort is due after, so it fires after exactly that
+        many applied frames.  Returns ``(received, aborted)``.
         """
         received = 0
         while received < expected:
@@ -1367,8 +1434,8 @@ class CheckpointDaemon:
             if due is not None:
                 budget = min(budget, max(due, 1))
             data = stream.peek()
-            frames, consumed = codec.decode_pages(data, budget)
-            if not frames:
+            decoded, consumed = codec.decode_pages(data, budget)
+            if not decoded:
                 if data and data[0] not in PAGE_FRAME_TYPES:
                     # Not a page frame: read_frame tells a control frame
                     # (a protocol violation) from a desync.
@@ -1379,9 +1446,10 @@ class CheckpointDaemon:
                     )
                 await stream.fill(self.io_timeout_s)
                 continue
+            # Decoded fields are copies: the arena's bytes can go.
             stream.consume(consumed)
-            session.apply_pages(frames, codec.page_frame_bytes)
-            received += len(frames)
+            session.apply_pages(decoded, codec.page_frame_bytes)
+            received += len(decoded)
             if self._persist is not None:
                 # The batch's new pages reach the write-behind queue in
                 # one call; a full queue becomes socket backpressure.

@@ -43,6 +43,18 @@ daemon answers with one TELEMETRY frame carrying its sequence-numbered
 :class:`~repro.obs.telemetry.MetricsSnapshot` and closes.  All three
 are JSON control frames and are never mixed into a migration session.
 
+A round's page frames travel in bulk in both directions without
+changing a byte of the layouts above.  :meth:`FrameCodec.encode_pages`
+joins them into one blob per write batch (a batch of one kind straight
+from its columns), and :meth:`FrameCodec.decode_pages` is the one
+decoder of a received buffer's page frames: it returns
+:class:`PageRuns`, in which :data:`RUN_MIN_FRAMES` or more consecutive
+FULL (or CHECKSUM) frames are one :class:`PageRun` split by column —
+each page copied out of the buffer exactly once — and everything
+shorter, mixed, REF or PLAIN keeps its frame-by-frame order.  The
+single-frame encoders and :meth:`FrameCodec.read_frame` remain the
+reference both are tested against.
+
 DIGEST_DELTA is the delta checksum manifest: when a source proves (via
 the ``base_generation`` it sends in HELLO) that it already knows the
 digest set of checkpoint generation *G*, the daemon answers with only
@@ -58,7 +70,19 @@ import json
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, islice, repeat
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -121,6 +145,9 @@ branch of :meth:`FrameCodec.read_frame`."""
 DIGEST_DELTA_OVERHEAD = 17
 """Frame bytes before the digest lists: tag + four u32 fields."""
 
+_INT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+"""``struct`` codes for the unsigned integer widths it knows."""
+
 _MAX_JSON_BODY = 1 << 20
 _MAX_ANNOUNCE_COUNT = 1 << 28
 
@@ -162,8 +189,8 @@ class Frame:
 
     Control frames and single page frames come back in this shape.  A
     round's page frames do not: the daemon decodes them a buffer at a
-    time with :meth:`FrameCodec.decode_pages`, which yields plain
-    tuples, so no ``Frame`` is allocated per page on that path.
+    time with :meth:`FrameCodec.decode_pages`, which yields
+    :class:`PageRuns`, so no ``Frame`` is allocated per page on that path.
     """
 
     type: int
@@ -193,6 +220,75 @@ PageFields = Tuple[int, int, bytes, bytes, int]
 ``b""`` / ``-1`` for the fields its kind does not carry — the same
 values the corresponding :class:`Frame` attributes hold."""
 
+RUN_MIN_FRAMES = 8
+"""Consecutive FULL (or CHECKSUM) frames from this many on are decoded
+and applied by column; a shorter stretch costs less frame by frame than
+a run's fixed set-up does (``docs/runtime.md``, "Receive path")."""
+
+_RUN_SCAN_FRAMES = 256
+"""Frames whose tags one look-ahead reads: a run longer than this simply
+continues as the next run, and a short run inside a buffer of thousands
+of checksum frames does not pay for scanning all of them."""
+
+
+class PageRun(NamedTuple):
+    """:data:`RUN_MIN_FRAMES` or more consecutive page frames of one
+    kind, FULL or CHECKSUM, split by column (``pages`` is empty for
+    CHECKSUM).  Every value is its own object: nothing here refers to
+    the buffer it was decoded from."""
+
+    tag: int
+    slots: Sequence[int]
+    digests: Sequence[bytes]
+    pages: Sequence[bytes] = ()
+
+    def rows(self) -> List[PageFields]:
+        """The run frame by frame, as :meth:`FrameCodec._split_page` tuples."""
+        pages = self.pages or repeat(b"")
+        return [
+            (self.tag, slot, digest, page, -1)
+            for slot, digest, page in zip(self.slots, self.digests, pages)
+        ]
+
+
+class PageRuns:
+    """The page frames :meth:`FrameCodec.decode_pages` found, in wire order.
+
+    ``runs`` alternates between :class:`PageRun` columns and plain lists
+    of :data:`PageFields` — the stretches that are short, mixed, REF or
+    PLAIN and keep their frame-by-frame order.  ``len()`` is the number
+    of frames, and the object compares equal to the list :meth:`rows`
+    returns, so "what was decoded" can be stated frame by frame.
+    """
+
+    __slots__ = ("runs", "_frames")
+
+    def __init__(
+        self, runs: List[Union[PageRun, List[PageFields]]], frames: int
+    ) -> None:
+        self.runs = runs
+        self._frames = frames
+
+    def __len__(self) -> int:
+        return self._frames
+
+    def rows(self) -> List[PageFields]:
+        """Every frame as one tuple, runs flattened."""
+        return list(
+            chain.from_iterable(
+                run.rows() if isinstance(run, PageRun) else run
+                for run in self.runs
+            )
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PageRuns):
+            other = other.rows()
+        return self.rows() == other
+
+    def __repr__(self) -> str:
+        return f"PageRuns({self.rows()!r})"
+
 
 class FrameCodec:
     """Encode/decode frames for one migration session.
@@ -221,6 +317,24 @@ class FrameCodec:
         self.page_frame_bytes: Dict[int, int] = {
             tag: wire.message_bytes(FRAME_NAMES[tag])
             for tag in sorted(PAGE_FRAME_TYPES)
+        }
+        # Each page frame's body as one struct, the page number and the
+        # ref slot as integers where struct has a code of their width
+        # (raw big-endian bytes otherwise).  The two kinds that come in
+        # runs also get a record that spans the tag byte, to iterate.
+        page_no = _INT_CODES.get(self._page_no_bytes, f"{self._page_no_bytes}s")
+        ref = _INT_CODES.get(self._ref_bytes, f"{self._ref_bytes}s")
+        digest, page = f"{self.digest_size}s", f"{self.page_size}s"
+        bodies = {
+            TYPE_PAGE_FULL: page_no + digest + page,
+            TYPE_PAGE_CHECKSUM: page_no + digest,
+            TYPE_PAGE_REF: page_no + ref,
+            TYPE_PAGE_PLAIN: page_no + page,
+        }
+        self._bodies = {tag: struct.Struct(">" + body) for tag, body in bodies.items()}
+        self._run_records = {
+            tag: struct.Struct(">x" + bodies[tag])
+            for tag in (TYPE_PAGE_FULL, TYPE_PAGE_CHECKSUM)
         }
 
     # --- encode ---------------------------------------------------------
@@ -284,7 +398,9 @@ class FrameCodec:
 
         The ``tag | page_no`` headers of the whole sequence come from
         one big-endian pack, each blob from one ``join``, and the
-        wire-size assertion is made once per blob.
+        wire-size assertion is made once per blob.  A batch that is all
+        FULL (or all CHECKSUM) is joined straight from its columns; only
+        a mixed batch walks its frames.
         """
         tags = np.asarray(tags, dtype=np.uint8)
         sizes = np.zeros(256, dtype=np.int64)
@@ -297,8 +413,8 @@ class FrameCodec:
         heads = self._pack_page_heads(tags, np.asarray(page_nos, dtype=np.int64))
         head_bytes = self.wire.header_bytes
         ref_bytes = self._ref_bytes
-        next_digest = iter(digests).__next__
-        next_page = iter(pages).__next__
+        digests, pages = iter(digests), iter(pages)
+        next_digest, next_page = digests.__next__, pages.__next__
         next_ref = iter(refs).__next__
         tag_list = tags.tolist()
         start, sent = 0, -queued
@@ -307,22 +423,35 @@ class FrameCodec:
                 bisect_left(ends, sent + batch_bytes, start) + 1, len(tag_list)
             )
             batch_tags = tag_list[start:stop]
-            pieces: List[bytes] = []
-            append = pieces.append
+            rows = stop - start
             at = start * head_bytes
-            for tag in batch_tags:
-                append(heads[at : at + head_bytes])
-                at += head_bytes
-                if tag == TYPE_PAGE_CHECKSUM:
-                    append(next_digest())
-                elif tag == TYPE_PAGE_FULL:
-                    append(next_digest())
-                    append(next_page())
-                elif tag == TYPE_PAGE_PLAIN:
-                    append(next_page())
-                else:
-                    append(next_ref().to_bytes(ref_bytes, "big"))
-            blob = b"".join(pieces)
+            if batch_tags.count(batch_tags[0]) == rows and batch_tags[0] in (
+                TYPE_PAGE_FULL, TYPE_PAGE_CHECKSUM,
+            ):
+                columns = [
+                    [heads[i : i + head_bytes]
+                     for i in range(at, stop * head_bytes, head_bytes)],
+                    islice(digests, rows),
+                ]
+                if batch_tags[0] == TYPE_PAGE_FULL:
+                    columns.append(islice(pages, rows))
+                blob = b"".join(chain.from_iterable(zip(*columns)))
+            else:
+                pieces: List[bytes] = []
+                append = pieces.append
+                for tag in batch_tags:
+                    append(heads[at : at + head_bytes])
+                    at += head_bytes
+                    if tag == TYPE_PAGE_CHECKSUM:
+                        append(next_digest())
+                    elif tag == TYPE_PAGE_FULL:
+                        append(next_digest())
+                        append(next_page())
+                    elif tag == TYPE_PAGE_PLAIN:
+                        append(next_page())
+                    else:
+                        append(next_ref().to_bytes(ref_bytes, "big"))
+                blob = b"".join(pieces)
             assert len(blob) == ends[stop - 1] - (ends[start - 1] if start else 0)
             yield batch_tags, blob
             start, sent = stop, ends[stop - 1]
@@ -436,45 +565,85 @@ class FrameCodec:
 
     # --- decode ---------------------------------------------------------
 
-    def decode_pages(
-        self, data: bytes, max_frames: int
-    ) -> Tuple[List[PageFields], int]:
+    def decode_pages(self, data, max_frames: int) -> Tuple[PageRuns, int]:
         """Decode the complete page frames at the front of ``data``.
 
-        Returns ``(frames, consumed)``: up to ``max_frames`` tuples
-        ``(tag, page_no, digest, payload, ref)`` and the number of bytes
-        they occupied.  The scan stops — consuming nothing further — at
-        a frame whose tail has not arrived yet and at any tag that is
-        not a page frame (a control frame or a desync, for
-        :meth:`read_frame` to judge).  Synchronous: the caller awaits
-        once per buffer, not once per frame.
+        ``data`` is any bytes-like object — the daemon passes a
+        ``memoryview`` of its stream's receive arena.  Returns
+        ``(runs, consumed)``: up to ``max_frames`` frames as
+        :class:`PageRuns` and the number of bytes they occupied.  The
+        scan stops — consuming nothing further — at a frame whose tail
+        has not arrived yet and at any tag that is not a page frame (a
+        control frame or a desync, for :meth:`read_frame` to judge).
+        Synchronous: the caller awaits once per buffer, not once per
+        frame.
+
+        :data:`RUN_MIN_FRAMES` or more consecutive FULL (or CHECKSUM)
+        frames become one :class:`PageRun`, its columns unpacked by one
+        ``struct`` pass that copies each page out of ``data`` exactly
+        once; everything else goes through :meth:`_split_page` frame by
+        frame.  Nothing returned refers to ``data``.
         """
+        data = memoryview(data)
         sizes = self.page_frame_bytes
+        records = self._run_records
         split = self._split_page
-        frames: List[PageFields] = []
-        position, end = 0, len(data)
-        while position < end and len(frames) < max_frames:
+        runs: List[Union[PageRun, List[PageFields]]] = []
+        ordered: Optional[List[PageFields]] = None
+        position, end, frames = 0, len(data), 0
+        while position < end and frames < max_frames:
             tag = data[position]
             size = sizes.get(tag)
             if size is None or position + size > end:
                 break
-            frames.append(split(tag, data, position + 1))
+            record = records.get(tag)
+            if record is not None:
+                # Two bytes say "no run here" for most mixed traffic.
+                probe = position + (RUN_MIN_FRAMES - 1) * size
+                if probe < end and data[probe] == tag and data[position + size] == tag:
+                    length = self._run_length(
+                        data[position:end], size, max_frames - frames
+                    )
+                    if length >= RUN_MIN_FRAMES:
+                        stop = position + length * size
+                        slots, *columns = zip(*record.iter_unpack(data[position:stop]))
+                        if isinstance(slots[0], bytes):
+                            slots = [int.from_bytes(raw, "big") for raw in slots]
+                        runs.append(PageRun(tag, slots, *columns))
+                        ordered = None
+                        position, frames = stop, frames + length
+                        continue
+            if ordered is None:
+                ordered = []
+                runs.append(ordered)
+            ordered.append(split(tag, data, position + 1))
             position += size
-        return frames, position
+            frames += 1
+        return PageRuns(runs, frames), position
 
-    def _split_page(self, tag: int, data: bytes, start: int) -> PageFields:
-        """The fields of one page frame whose tag byte precedes ``start``."""
-        body = start + self._page_no_bytes
-        page_no = int.from_bytes(data[start:body], "big")
+    @staticmethod
+    def _run_length(data: memoryview, size: int, max_frames: int) -> int:
+        """How many whole ``size``-byte frames at the front of ``data``
+        carry the first one's tag (of at most :data:`_RUN_SCAN_FRAMES`)."""
+        fit = min(len(data) // size, max_frames, _RUN_SCAN_FRAMES)
+        tags = bytes(data[: fit * size : size])
+        return fit - len(tags.lstrip(tags[:1]))
+
+    def _split_page(self, tag: int, data, start: int) -> PageFields:
+        """The fields of one page frame whose tag byte precedes ``start``
+        in the bytes-like ``data``; each field is its own object."""
+        page_no, *fields = self._bodies[tag].unpack_from(data, start)
+        if isinstance(page_no, bytes):
+            page_no = int.from_bytes(page_no, "big")
         if tag == TYPE_PAGE_CHECKSUM:
-            return tag, page_no, data[body : body + self.digest_size], b"", -1
+            return tag, page_no, fields[0], b"", -1
         if tag == TYPE_PAGE_FULL:
-            page = body + self.digest_size
-            return (tag, page_no, data[body:page],
-                    data[page : page + self.page_size], -1)
+            return tag, page_no, fields[0], fields[1], -1
         if tag == TYPE_PAGE_PLAIN:
-            return tag, page_no, b"", data[body : body + self.page_size], -1
-        ref = int.from_bytes(data[body : body + self._ref_bytes], "big")
+            return tag, page_no, b"", fields[0], -1
+        ref = fields[0]
+        if isinstance(ref, bytes):
+            ref = int.from_bytes(ref, "big")
         return tag, page_no, b"", b"", ref
 
     async def read_frame(self, recv) -> Frame:

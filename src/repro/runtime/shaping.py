@@ -2,10 +2,10 @@
 
 The paper's testbed pins down two environments — the gigabit LAN and a
 ``netem``-emulated CloudNet WAN (§4.1/§4.4).  :class:`ShapedStream` is
-the in-process equivalent of that ``netem`` box: it wraps an asyncio
-reader/writer pair and paces writes so one connection experiences
-exactly the :class:`~repro.net.link.Link` cost model the analytic path
-uses — connection setup pays one RTT, serialization runs at
+the in-process equivalent of that ``netem`` box: it is the connection's
+asyncio protocol and paces writes so one connection experiences exactly
+the :class:`~repro.net.link.Link` cost model the analytic path uses —
+connection setup pays one RTT, serialization runs at
 ``link.effective_bandwidth`` (which already encodes the TCP window/RTT
 ceiling that makes the emulated WAN ~6 MiB/s despite its 465 Mbit/s
 line rate).
@@ -17,15 +17,32 @@ link model, not from kernel scheduling: the same scenario over
 the *modelled* clock keeps full-scale seconds; ``time_scale=0`` keeps
 the accounting but never sleeps.
 
-Backpressure is real, not modelled: every send drains the transport, so
-a slow receiver stalls the sender through the kernel socket buffers
-plus asyncio's write high-water mark.
+Receiving copies a byte once.  The stream is an
+:class:`asyncio.BufferedProtocol`: the transport's ``recv_into`` lands
+in the free tail of one ``bytearray`` arena the stream owns,
+:meth:`ShapedStream.peek` is a ``memoryview`` of what has arrived and
+:meth:`ShapedStream.consume` moves an offset.  A reader copies what it
+keeps (a page, a digest, a control frame) out of the arena itself; the
+unconsumed remainder — at most one partial frame on the page path — is
+moved to the front only when the tail reaches the arena's end.  The
+arena sizes itself: it starts at :data:`_ARENA_START_BYTES`, so a
+heartbeat or telemetry probe never pays for a bulk buffer, grows while
+socket reads keep filling what they were offered, up to
+:data:`_ARENA_SOFT_CAP_BYTES`, and past that only to hold one frame a
+reader asked for.
+
+Backpressure is real, not modelled, in both directions: every send
+waits while the transport is over its write high-water mark, so a slow
+receiver stalls the sender through the kernel socket buffers; and an
+arena that is full with no reader waiting on it pauses reading, so a
+consumer that stops consuming bounds this side's memory and fills those
+same socket buffers.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.net.link import Link
 
@@ -44,50 +61,152 @@ tail of a large frame only after (most of) its modelled wire time."""
 
 _WRITE_BUFFER_LIMIT = 256 * 1024
 
-_RECV_CHUNK_BYTES = 64 * 1024
-"""Socket reads pull up to this much into the stream's receive buffer.
-A reader takes what it needs from there: :meth:`ShapedStream.recv`
-slices exact lengths off the front for control frames, and the daemon's
-round loop decodes every complete page frame the buffer holds in one
-pass.  This is therefore also the most page data applied between two
-awaits, and the most a sink runs past its write-behind limit."""
+_ARENA_START_BYTES = 4 * 1024
+"""A new connection's receive arena: enough for a control exchange."""
+
+_ARENA_SOFT_CAP_BYTES = 256 * 1024
+"""How far the arena grows on its own (measured: a 1 MiB arena moved
+``full_churn`` slower than this one — it falls out of cache).  This is
+therefore also the most page data the daemon applies between two awaits,
+and the most a sink runs past its write-behind limit."""
 
 
-class ShapedStream:
-    """An asyncio byte stream with link-model pacing and byte accounting.
+class ShapedStream(asyncio.BufferedProtocol):
+    """One connection: link-model pacing, byte accounting, a receive arena.
+
+    Pass a factory for it to ``loop.create_connection`` /
+    ``loop.create_server`` (:func:`open_shaped_connection` does the
+    former); the stream is usable once the loop has called
+    :meth:`connection_made`.
 
     Args:
-        reader: The connection's ``StreamReader``.
-        writer: The connection's ``StreamWriter``.
         link: Cost model to enforce on writes; None disables shaping
             (loopback-fast, still counted).
         time_scale: Multiplier on real sleeps.  1.0 reproduces modelled
             wall time, 0.0 disables sleeping entirely; either way
             :attr:`modelled_tx_s` advances by the full modelled amount.
+        on_connect: Called with the stream from :meth:`connection_made`
+            — how a server learns of an accepted connection.
     """
 
     def __init__(
         self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
         link: Optional[Link] = None,
         time_scale: float = 1.0,
+        on_connect: Optional[Callable[["ShapedStream"], None]] = None,
     ) -> None:
         if time_scale < 0:
             raise ValueError(f"time_scale must be >= 0, got {time_scale}")
-        self.reader = reader
-        self.writer = writer
         self.link = link
         self.time_scale = time_scale
         self.tx_bytes = 0
         self.rx_bytes = 0
         self.modelled_tx_s = 0.0
         self._debt_s = 0.0
-        self._rx_buf = bytearray()
-        try:
-            writer.transport.set_write_buffer_limits(high=_WRITE_BUFFER_LIMIT)
-        except (AttributeError, NotImplementedError):  # pragma: no cover
-            pass
+        self._on_connect = on_connect
+        self._transport: Optional[asyncio.Transport] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._closed: Optional[asyncio.Future] = None
+        # Received bytes are _arena[_head:_tail]; the transport writes at
+        # _tail, readers consume from _head.
+        self._arena = bytearray(_ARENA_START_BYTES)
+        self._head = 0
+        self._tail = 0
+        self._reading_paused = False
+        self._eof = False
+        self._lost = False
+        self._error: Optional[BaseException] = None
+        self._read_waiter: Optional[asyncio.Future] = None
+        self._writing_paused = False
+        self._drain_waiter: Optional[asyncio.Future] = None
+
+    # --- protocol callbacks (called by the event loop; none may block) ---
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        """The loop attached the transport: the stream is live."""
+        self._transport = transport
+        self._loop = asyncio.get_running_loop()
+        self._closed = self._loop.create_future()
+        transport.set_write_buffer_limits(high=_WRITE_BUFFER_LIMIT)
+        if self._on_connect is not None:
+            self._on_connect(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        """The arena's free tail, for the transport's ``recv_into``."""
+        size = len(self._arena)
+        if self._tail == size:
+            # Normally there is a consumed prefix to reclaim.  Full from
+            # the front means the reader woken for the last read left
+            # without consuming (cancelled, say): one more arena's worth,
+            # and buffer_updated pauses if that fills too.
+            self._compact(size if self._head else 2 * size)
+        return memoryview(self._arena)[self._tail :]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        """``nbytes`` arrived at the tail: account, size the arena, wake."""
+        self._tail += nbytes
+        size = len(self._arena)
+        if self._tail == size:
+            # The read took all it was offered, so more was waiting.
+            # Deciding on the read, not on an arena full from the front,
+            # is what lets it grow under a consumer that keeps up.
+            if size < _ARENA_SOFT_CAP_BYTES:
+                self._compact(min(2 * size, _ARENA_SOFT_CAP_BYTES))
+            elif self._head == 0 and self._read_waiter is None:
+                # Full, and nobody is about to make room.  (A waiting
+                # reader runs before the loop polls the socket again;
+                # pausing under it would cost two epoll_ctl per arena.)
+                self._reading_paused = True
+                self._transport.pause_reading()
+        self._wake(self._read_waiter)
+
+    def eof_received(self) -> bool:
+        """The peer finished writing; keep our half open, as streams do."""
+        self._eof = True
+        self._wake(self._read_waiter)
+        return True
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        """The transport is gone: fail whoever waits on it."""
+        self._eof = self._lost = True
+        self._error = exc
+        self._wake(self._read_waiter)
+        self._wake(self._drain_waiter)
+        if not self._closed.done():
+            self._closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        """The transport's write buffer passed its high-water mark."""
+        self._writing_paused = True
+
+    def resume_writing(self) -> None:
+        """The write buffer drained below its low-water mark."""
+        self._writing_paused = False
+        self._wake(self._drain_waiter)
+
+    @staticmethod
+    def _wake(waiter: Optional[asyncio.Future]) -> None:
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def _compact(self, size: int) -> None:
+        """Move the unconsumed bytes to the front of an arena of ``size``
+        bytes — this one when it already is that big, else a new one (a
+        ``peek`` view handed out earlier pins the old one's size)."""
+        held = self._tail - self._head
+        unconsumed = memoryview(self._arena)[self._head : self._tail]
+        if size == len(self._arena) and held <= self._head:
+            self._arena[:held] = unconsumed
+        else:
+            arena = bytearray(size)
+            arena[:held] = unconsumed
+            self._arena = arena
+        self._head, self._tail = 0, held
+        if self._reading_paused:
+            self._reading_paused = False
+            self._transport.resume_reading()
+
+    # --- sending ----------------------------------------------------------
 
     async def send(self, data: bytes) -> None:
         """Write ``data``, pacing to the link model and draining.
@@ -98,14 +217,14 @@ class ShapedStream:
         not just a sleep the sender takes after the fact.
         """
         if self.link is None:
-            self.writer.write(data)
+            self._transport.write(data)
             self.tx_bytes += len(data)
-            await self.writer.drain()
+            await self._drain()
             return
         view = memoryview(data)
         for start in range(0, len(view), _PACING_CHUNK_BYTES):
             chunk = view[start : start + _PACING_CHUNK_BYTES]
-            self.writer.write(bytes(chunk))
+            self._transport.write(chunk)
             self.tx_bytes += len(chunk)
             delay = self.link.serialization_delay(len(chunk))
             self.modelled_tx_s += delay
@@ -114,47 +233,92 @@ class ShapedStream:
                 owed, self._debt_s = self._debt_s, 0.0
                 if self.time_scale > 0:
                     await asyncio.sleep(owed * self.time_scale)
-        await self.writer.drain()
+        await self._drain()
+
+    async def _drain(self) -> None:
+        """Wait out the transport's write high-water mark.
+
+        A transport error raises here, as does writing to a connection
+        that is gone — the rules of asyncio's own stream ``drain()``.
+        """
+        if self._transport.is_closing():
+            # Yield once so a connection_lost already queued is seen.
+            await asyncio.sleep(0)
+        if self._writing_paused and not self._lost:
+            waiter = self._drain_waiter = self._loop.create_future()
+            try:
+                await waiter
+            finally:
+                self._drain_waiter = None
+        if self._lost:
+            raise self._error or ConnectionResetError("Connection lost")
+
+    # --- receiving --------------------------------------------------------
 
     async def fill(self, timeout_s: Optional[float] = None) -> None:
-        """Append one socket read (at most :data:`_RECV_CHUNK_BYTES`) to
-        the receive buffer; raises ``IncompleteReadError`` on EOF.
+        """Wait for the next socket read to land in the arena.
 
-        ``timeout_s`` bounds the read, so a silent peer cannot hang a
-        migration.
+        Raises ``IncompleteReadError`` on EOF (the transport's own
+        exception if it failed) and ``asyncio.TimeoutError`` after
+        ``timeout_s`` of silence, so a silent peer cannot hang a
+        migration.  The caller has seen all there is (nothing arrives
+        between two awaits), so a full arena is one it found too small:
+        it doubles, whatever the soft cap says.
         """
-        read = self.reader.read(_RECV_CHUNK_BYTES)
-        chunk = await (
-            read if timeout_s is None else asyncio.wait_for(read, timeout_s)
+        if self._eof:
+            raise self._error or asyncio.IncompleteReadError(bytes(self.peek()), None)
+        if self._head == 0 and self._tail == len(self._arena):
+            self._compact(2 * len(self._arena))
+        waiter = self._read_waiter = self._loop.create_future()
+        timer = (
+            None
+            if timeout_s is None
+            else self._loop.call_later(timeout_s, self._expire, waiter)
         )
-        if not chunk:
-            raise asyncio.IncompleteReadError(bytes(self._rx_buf), None)
-        self._rx_buf += chunk
+        try:
+            await waiter
+        finally:
+            self._read_waiter = None
+            if timer is not None:
+                timer.cancel()
 
-    def peek(self) -> bytes:
-        """A snapshot of everything received and not yet consumed."""
-        return bytes(self._rx_buf)
+    @staticmethod
+    def _expire(waiter: asyncio.Future) -> None:
+        if not waiter.done():
+            waiter.set_exception(asyncio.TimeoutError())
+
+    def peek(self) -> memoryview:
+        """Everything received and not yet consumed, without a copy.
+
+        The view is of the arena itself: it is good until the next
+        ``await`` on this stream, and what is to be kept is copied out.
+        """
+        return memoryview(self._arena)[self._head : self._tail]
 
     def consume(self, num_bytes: int) -> None:
-        """Drop ``num_bytes`` from the front of the receive buffer."""
-        del self._rx_buf[:num_bytes]
+        """Drop ``num_bytes`` from the front of the received bytes."""
+        self._head += num_bytes
         self.rx_bytes += num_bytes
+        if self._head == self._tail:
+            self._head = self._tail = 0
+        if self._reading_paused:
+            self._compact(len(self._arena))
 
     async def recv(
         self, num_bytes: int, timeout_s: Optional[float] = None
     ) -> bytes:
         """Read exactly ``num_bytes`` (raises ``IncompleteReadError`` on EOF).
 
-        Reads are buffered: the socket is drained by :meth:`fill` and
-        small reads are sliced off the buffer without touching the
-        event loop.  ``timeout_s`` bounds each *socket* read — a read
-        satisfied from the buffer never pays for an
-        ``asyncio.wait_for`` Task.
+        The bytes are copied off the front of the arena; the event loop
+        is touched only while fewer have arrived, and ``timeout_s``
+        bounds each such wait.  A frame larger than the arena gets an
+        arena of its size up front, so it is never stalled by the cap.
         """
-        buf = self._rx_buf
-        while len(buf) < num_bytes:
+        if len(self._arena) - self._head < num_bytes:
+            self._compact(max(num_bytes, len(self._arena)))
+        while self._tail - self._head < num_bytes:
             await self.fill(timeout_s)
-        data = bytes(memoryview(buf)[:num_bytes])
+        data = bytes(memoryview(self._arena)[self._head : self._head + num_bytes])
         self.consume(num_bytes)
         return data
 
@@ -168,15 +332,12 @@ class ShapedStream:
 
     def abort(self) -> None:
         """Tear the connection down immediately (fault injection)."""
-        self.writer.transport.abort()
+        self._transport.abort()
 
     async def close(self) -> None:
-        """Close the writer, swallowing already-broken-pipe noise."""
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass
+        """Close the transport and wait until the loop has let go of it."""
+        self._transport.close()
+        await self._closed
 
 
 async def open_shaped_connection(
@@ -186,15 +347,19 @@ async def open_shaped_connection(
     time_scale: float = 1.0,
     connect_timeout_s: Optional[float] = None,
 ) -> ShapedStream:
-    """Connect to ``host:port`` and wrap the stream in a :class:`ShapedStream`.
+    """Connect to ``host:port``; the connection's protocol is the returned
+    :class:`ShapedStream`.
 
     Connection setup pays the link's round trip (the handshake the
     analytic :meth:`~repro.net.link.Link.transfer_time` charges).
     """
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), connect_timeout_s
+    loop = asyncio.get_running_loop()
+    _, stream = await asyncio.wait_for(
+        loop.create_connection(
+            lambda: ShapedStream(link=link, time_scale=time_scale), host, port
+        ),
+        connect_timeout_s,
     )
-    stream = ShapedStream(reader, writer, link=link, time_scale=time_scale)
     if link is not None and link.rtt_s > 0:
         stream.modelled_tx_s += link.rtt_s
         if time_scale > 0:

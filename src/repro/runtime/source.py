@@ -28,6 +28,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -81,7 +82,8 @@ BATCH_BYTES = 64 * 1024
 """Page frames are coalesced into socket writes of about this size."""
 
 DIGEST_SLICE_PAGES = 1024
-"""Distinct pages checksummed between two yields to the event loop."""
+"""Distinct pages checksummed between two yields to the event loop, and
+page bytes fetched from the store at a time while encoding a round."""
 
 _TAG_OF_KIND = np.zeros(max(KIND_NAMES) + 1, dtype=np.uint8)
 """Planner kind → frame tag; the two vocabularies share their names."""
@@ -302,25 +304,31 @@ class MigrationSource:
         try:
             return [table[cid] for cid in ids]
         except KeyError:
-            unseen = np.array(
-                [cid for cid in set(ids) if cid not in table], dtype=np.uint64
-            )
-            digests = self.state.pagestore.digests_for(unseen, self.strategy.checksum)
-            table.update(zip(unseen.tolist(), digests))
+            self._learn(set(ids))
             return [table[cid] for cid in ids]
+
+    def _learn(self, content_ids: Iterable[int]) -> None:
+        """Checksum those of ``content_ids`` (distinct) the table lacks."""
+        table = self._digests
+        unseen = [cid for cid in content_ids if cid not in table]
+        if unseen:
+            digests = self.state.pagestore.digests_for(
+                np.array(unseen, dtype=np.uint64), self.strategy.checksum
+            )
+            table.update(zip(unseen, digests))
 
     async def _digest_sliced(self) -> None:
         """Checksum the image's distinct contents without starving the loop.
 
         Runs between READY and the announce read: the kernel (and the
-        stream's receive buffer) collect the announce meanwhile, so the
+        stream's receive arena) collect the announce meanwhile, so the
         hashing hides under its transfer.  Yielding between slices keeps
         every other task on the loop — an in-process daemon's paced
         sends included — moving.  Fills the content id → checksum table.
         """
         distinct = np.unique(self.state.hashes)
         for start in range(0, distinct.shape[0], DIGEST_SLICE_PAGES):
-            self._digests_of(distinct[start : start + DIGEST_SLICE_PAGES])
+            self._learn(distinct[start : start + DIGEST_SLICE_PAGES].tolist())
             await asyncio.sleep(0)
 
     def _build_first_round(self, announced: FrozenSet[bytes]) -> None:
@@ -696,9 +704,9 @@ class MigrationSource:
         """Wire bytes of ``sends`` from message ``skip`` on, a batch at a time.
 
         Per round: the kind → tag map, one digest-table read over the
-        rows that carry a checksum, and the codec's header pack.
-        Per page: one ``page_bytes`` lookup, made as the codec reaches
-        the row, so no more than a batch of pages is held at once.
+        rows that carry a checksum, and the codec's header pack.  Page
+        bytes are fetched :data:`DIGEST_SLICE_PAGES` ids at a time as the
+        codec reaches them, so a round never holds the whole image.
         """
         kinds = sends.kinds[skip:]
         content_ids = sends.content_ids[skip:]
@@ -708,13 +716,16 @@ class MigrationSource:
             _TAG_OF_KIND[kinds],
             sends.slots[skip:],
             digests=self._digests_of(content_ids[with_digest]),
-            pages=map(
-                self.state.pagestore.page_bytes, content_ids[with_page].tolist()
-            ),
+            pages=self._pages_of(content_ids[with_page].tolist()),
             refs=sends.refs[skip:][kinds == KIND_REF].tolist(),
             batch_bytes=BATCH_BYTES,
             queued=queued,
         )
+
+    def _pages_of(self, content_ids: List[int]) -> Iterator[bytes]:
+        pages_for = self.state.pagestore.pages_for
+        for start in range(0, len(content_ids), DIGEST_SLICE_PAGES):
+            yield from pages_for(content_ids[start : start + DIGEST_SLICE_PAGES])
 
     def _account_batch(
         self,

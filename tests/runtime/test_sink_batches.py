@@ -362,9 +362,9 @@ class TestAwaitsPerBufferNotPerPage:
             refills.append(ticks)
             await fill(self, timeout_s)
 
-        def counting_apply(self, frames, frame_bytes):
-            batches.append([FRAME_NAMES[frame[0]] for frame in frames])
-            apply_pages(self, frames, frame_bytes)
+        def counting_apply(self, decoded, frame_bytes):
+            batches.append([FRAME_NAMES[row[0]] for row in decoded.rows()])
+            apply_pages(self, decoded, frame_bytes)
 
         monkeypatch.setattr(ShapedStream, "fill", counting_fill)
         monkeypatch.setattr(
