@@ -2,8 +2,8 @@
 
 The cluster already has fault *hooks* scattered through it — the
 daemon's :class:`~repro.runtime.faults.FaultInjector`, the repository's
-:class:`~repro.storage.repository.CrashPoint` hook, the registry's and
-aggregator's ``probe_fault`` callables.  This package unifies them
+:class:`~repro.storage.repository.CrashPoint` hook, the registry's
+``probe_fault`` callable.  This package unifies them
 behind the :class:`~repro.chaos.schedule.FaultKind` vocabulary, one seeded
 :class:`~repro.chaos.schedule.FaultSchedule` and a soak runner
 (:func:`~repro.chaos.soak.run_soak`) that replays a live migration

@@ -39,7 +39,6 @@ from repro.obs import names
 from repro.obs.log import get_logger
 from repro.orchestrator import Orchestrator, get_policy
 from repro.orchestrator.placement import PlacementError
-from repro.orchestrator.executor import AdmissionLimits, MigrationExecutor
 from repro.orchestrator.registry import ClusterRegistry
 from repro.orchestrator.telemetry import TelemetryAggregator
 from repro.runtime.daemon import CheckpointDaemon
@@ -78,9 +77,9 @@ class RoundRecord:
     def signature(self) -> dict:
         """The seed-deterministic view of this round.
 
-        ``attempts`` is excluded: transport retries during a daemon
-        restart depend on how fast the restart raced the reconnect
-        loop, which is wall-clock, not seed.
+        ``attempts`` — connections the migration opened — is excluded:
+        during a daemon restart it depends on how fast the restart
+        raced the one reconnect loop, which is wall-clock, not seed.
         """
         return {
             "round": self.round_no,
@@ -178,29 +177,23 @@ class _Soak:
         ]
         self.daemons: Dict[str, CheckpointDaemon] = {}
         self.registry = ClusterRegistry(heartbeat_timeout_s=2.0)
-        self.aggregator = TelemetryAggregator(self.registry, poll_timeout_s=2.0)
+        self.aggregator = TelemetryAggregator(self.registry)
         self.base_config = RuntimeConfig(
             io_timeout_s=IO_TIMEOUT_S,
             connect_timeout_s=2.0,
             time_scale=0.0,
+            # One budget for the migration's one reconnect loop; sized
+            # so a RESTART round outlasts the daemon's stop + recover.
             retry=RetryPolicy(
-                max_attempts=8,
+                max_attempts=24,
                 base_backoff_s=0.02,
-                backoff_factor=2.0,
                 max_backoff_s=0.25,
+                jitter=0.25,
             ),
         )
         self.orchestrator = Orchestrator(
             self.registry,
             get_policy(policy),
-            executor=MigrationExecutor(
-                AdmissionLimits(
-                    max_attempts=3,
-                    retry_backoff_s=0.01,
-                    max_backoff_s=0.05,
-                    retry_jitter=0.25,
-                )
-            ),
             config=self.base_config,
             pagestore=self.pagestore,
         )

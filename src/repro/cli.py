@@ -424,6 +424,7 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
     import asyncio
 
     from repro.runtime import cross_validate, idle_vm_scenario
+    from repro.runtime.faults import FaultInjector
     from repro.runtime.source import RetryPolicy, RuntimeConfig
 
     strategy_names = (
@@ -451,32 +452,18 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
             )
             if args.inject_disconnect:
                 # Re-run with a mid-transfer disconnect so the retry path
-                # shows up in the metrics (daemon aborts, source resumes).
-                from repro.runtime import CheckpointDaemon, MigrationSource, SourceState
-                from repro.mem.pagestore import PageStore
-
-                pagestore = PageStore()
-                async with CheckpointDaemon(
-                    pagestore=pagestore, state_dir=args.state_dir
-                ) as daemon:
-                    if scenario.checkpoint is not None:
-                        daemon.install_checkpoint(
-                            scenario.vm_id, scenario.checkpoint,
-                            scenario.strategy.checksum,
-                        )
-                    daemon.inject_disconnect(args.inject_disconnect)
-                    source = MigrationSource(
-                        SourceState(
-                            vm_id=scenario.vm_id,
-                            hashes=scenario.current.hashes,
-                            pagestore=pagestore,
-                            dirty_slots=scenario.dirty_slots,
-                        ),
-                        scenario.strategy,
-                        config=config,
-                    )
-                    metrics = await source.migrate(daemon.host, daemon.port)
-                sections.append(metrics.report())
+                # shows up in the metrics (daemon aborts, source resumes)
+                # and is held to the same analytic account.
+                resumed = await cross_validate(
+                    scenario, config=config, state_dir=args.state_dir,
+                    faults=FaultInjector(
+                        after_messages=args.inject_disconnect, times=1
+                    ),
+                )
+                sections.append(resumed.runtime.report())
+                sections.append(resumed.report())
+                if resumed.payload_delta_bytes:
+                    raise SystemExit("\n\n".join(sections))
             sections.append(result.runtime.report())
             sections.append(result.report())
         return "\n\n".join(sections)

@@ -4,6 +4,10 @@ The ``vecycle chaos`` entry point.  Runs one or more seeds through
 :func:`repro.chaos.soak.run_soak` and renders a per-round table plus
 the invariant verdict.  A failing seed reproduces with exactly the
 same command line — the whole point of the deterministic fault plane.
+
+The table's ``att`` column is the connections each round's migration
+opened (``RoundRecord.attempts``, one plus the reconnects of the
+source's one retry loop).  It is not in the JSON signature.
 """
 
 from __future__ import annotations

@@ -113,7 +113,7 @@ def run(
         strategy=strategy,
         config=RuntimeConfig(
             time_scale=0.0,
-            retry=RetryPolicy(max_attempts=3, base_backoff_s=0.02),
+            retry=RetryPolicy(max_attempts=6, base_backoff_s=0.02),
         ),
         extra_hosts=extra,
         state_root=state_root,

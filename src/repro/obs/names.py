@@ -269,7 +269,7 @@ ORCHESTRATOR_MIGRATIONS_FAILED = CounterName(
     "Live migrations that exhausted their retries.")
 ORCHESTRATOR_MIGRATIONS_RETRIED = CounterName(
     "orchestrator.migrations.retried",
-    "Transport-level retries across live migrations.")
+    "Reconnects across orchestrated live migrations.")
 ORCHESTRATOR_PLACEMENTS = CounterName(
     "orchestrator.placements", "Placement decisions taken.")
 ORCHESTRATOR_PLACEMENTS_DEFERRED = CounterName(
@@ -333,7 +333,7 @@ RUNTIME_MIGRATIONS = Family(
 RUNTIME_RETRANSMITTED_BYTES = CounterName(
     "runtime.retransmitted_bytes", "Bytes resent after reconnects.")
 RUNTIME_RETRIES = CounterName(
-    "runtime.retries", "Transport retries performed by sources.")
+    "runtime.retries", "Reconnects performed by sources.")
 RUNTIME_ROUND_BYTES = HistogramName(
     "runtime.round_bytes", "Bytes per live pre-copy round.", PAGE_BYTES_BUCKETS)
 RUNTIME_ROUND_SECONDS = HistogramName(

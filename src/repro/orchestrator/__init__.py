@@ -15,8 +15,8 @@ wire protocol migrations use:
   :class:`CycleAware`) turns the view into a scored
   :class:`PlacementDecision`, traced via :mod:`repro.obs`.
 * :class:`MigrationExecutor` runs the chosen migration under admission
-  control (per-host and cluster-wide concurrency caps) with bounded
-  retry on daemon disconnect and structured failure reporting.
+  control (per-host and cluster-wide concurrency caps) with structured
+  failure reporting; the source's one retry loop owns every reconnect.
 * :func:`replay_vdi_live` replays the Figure-8 VDI schedule through all
   of the above on localhost daemons and checks the aggregate traffic
   against the analytic :func:`~repro.cluster.vdi.replay_vdi`.

@@ -49,7 +49,7 @@ class Orchestrator:
         executor: Migration executor; a default one (default admission
             limits) is built when omitted.
         strategy: Migration strategy for every orchestrated move.
-        config: Source-side runtime config (timeouts, inner retry).
+        config: Source-side runtime config (timeouts, retry policy).
         pagestore: Content id → bytes expander shared with the VMs.
     """
 

@@ -28,12 +28,14 @@ from repro.orchestrator.inventory import (
     ClusterView,
     HostInventory,
 )
-from repro.runtime.frames import FrameCodec, FrameError, TYPE_INVENTORY, expect_frame
+from repro.runtime.frames import Frame, FrameCodec, FrameError, TYPE_INVENTORY, expect_frame
 from repro.runtime.shaping import open_shaped_connection
 
 log = get_logger(__name__)
 
-_TRANSPORT_ERRORS = (ConnectionError, TimeoutError, OSError, EOFError)
+PROBE_ERRORS = (FrameError, ConnectionError, TimeoutError, OSError, EOFError)
+"""What a probe that got no usable answer raises: a silent, gone or
+garbled daemon.  Callers mark the host and move on."""
 
 
 @dataclass
@@ -47,8 +49,6 @@ class HostRecord:
     last_seen: float = 0.0
     consecutive_failures: int = 0
     inventory: Optional[HostInventory] = None
-    telemetry_seq: int = 0
-    last_telemetry: float = 0.0
 
 
 class ClusterRegistry:
@@ -57,8 +57,9 @@ class ClusterRegistry:
     Args:
         controller_id: Identity sent in heartbeat frames (shows up in
             daemon logs/metrics when debugging multi-controller runs).
-        heartbeat_timeout_s: Per-probe I/O budget; a silent daemon is
-            declared dead after this long, never hung on.
+        heartbeat_timeout_s: Per-probe I/O budget, heartbeat or
+            telemetry poll alike; a silent daemon is declared dead after
+            this long, never hung on.
         sketch_k: Bottom-k sketch size daemons are asked to report.
         clock: Wallclock source for ``last_seen`` stamps.  Injectable
             so chaos soaks and tests replay deterministically (the
@@ -120,8 +121,18 @@ class ClusterRegistry:
         self._seq += 1
         with _span("orchestrator.heartbeat", host=name) as hb_span:
             try:
-                inventory = await self._probe(record)
-            except (FrameError, *_TRANSPORT_ERRORS) as exc:
+                if self.probe_fault is not None and self.probe_fault(name):
+                    raise ConnectionError(f"heartbeat to {name} dropped (injected)")
+                heartbeat = {
+                    "controller": self.controller_id,
+                    "seq": self._seq,
+                    "sketch_k": self.sketch_k,
+                }
+                frame = await self.probe(
+                    record, FrameCodec().encode_heartbeat(heartbeat), TYPE_INVENTORY
+                )
+                inventory = HostInventory.from_report(frame.body)
+            except PROBE_ERRORS as exc:
                 record.alive = False
                 record.consecutive_failures += 1
                 hb_span.set(alive=False, cause=type(exc).__name__)
@@ -145,10 +156,13 @@ class ClusterRegistry:
             names.ORCHESTRATOR_HEARTBEATS_OK.add(1)
             return record
 
-    async def _probe(self, record: HostRecord) -> HostInventory:
-        if self.probe_fault is not None and self.probe_fault(record.name):
-            raise ConnectionError(f"heartbeat to {record.name} dropped (injected)")
-        codec = FrameCodec()
+    async def probe(
+        self, record: HostRecord, request: bytes, reply_type: int
+    ) -> Frame:
+        """The controller's one request/reply client: connect, send the
+        one ``request`` frame, read the one ``reply_type`` frame back,
+        close.  Every step is bounded by ``heartbeat_timeout_s``; raises
+        one of :data:`PROBE_ERRORS` when the daemon does not answer."""
         stream = await open_shaped_connection(
             record.host,
             record.port,
@@ -157,18 +171,9 @@ class ClusterRegistry:
             connect_timeout_s=self.heartbeat_timeout_s,
         )
         try:
-            await stream.send(
-                codec.encode_heartbeat(
-                    {
-                        "controller": self.controller_id,
-                        "seq": self._seq,
-                        "sketch_k": self.sketch_k,
-                    }
-                )
-            )
+            await stream.send(request)
             recv = stream.recv_with_timeout(self.heartbeat_timeout_s)
-            frame = await expect_frame(codec, recv, TYPE_INVENTORY)
-            return HostInventory.from_report(frame.body)
+            return await expect_frame(FrameCodec(), recv, reply_type)
         finally:
             await stream.close()
 

@@ -41,18 +41,10 @@ from repro.obs.telemetry import (
     merge_instruments,
 )
 from repro.obs.trace import span as _span
-from repro.orchestrator.registry import ClusterRegistry
-from repro.runtime.frames import (
-    FrameCodec,
-    FrameError,
-    TYPE_TELEMETRY,
-    expect_frame,
-)
-from repro.runtime.shaping import open_shaped_connection
+from repro.orchestrator.registry import PROBE_ERRORS, ClusterRegistry
+from repro.runtime.frames import FrameCodec, TYPE_TELEMETRY
 
 log = get_logger(__name__)
-
-_TRANSPORT_ERRORS = (ConnectionError, TimeoutError, OSError, EOFError)
 
 #: Default bound on the retained time series (one entry per poll_all).
 DEFAULT_MAX_SERIES = 512
@@ -62,9 +54,9 @@ class TelemetryAggregator:
     """Polls daemons for metrics snapshots and merges them.
 
     Args:
-        registry: The cluster registry providing daemon addresses (the
-            aggregator polls whoever is registered there).
-        poll_timeout_s: Per-probe I/O budget.
+        registry: The cluster registry providing daemon addresses and
+            the request/reply client (the aggregator polls whoever is
+            registered there, under the registry's probe timeout).
         max_series: Bound on the in-memory time series.
         max_vm_labels: Cluster-side per-VM label cap; VMs beyond it
             fold into the overflow label (daemons apply the same guard
@@ -78,13 +70,11 @@ class TelemetryAggregator:
     def __init__(
         self,
         registry: ClusterRegistry,
-        poll_timeout_s: float = 5.0,
         max_series: int = DEFAULT_MAX_SERIES,
         max_vm_labels: int = 64,
         clock: Callable[[], float] = time.time,
     ) -> None:
         self.registry = registry
-        self.poll_timeout_s = poll_timeout_s
         self.max_vm_labels = max_vm_labels
         self._clock = clock
         self._last: Dict[str, MetricsSnapshot] = {}
@@ -98,10 +88,6 @@ class TelemetryAggregator:
         self.seq_gaps = 0
         self.labels_folded = 0
         self.poll_seconds = 0.0
-        self.probe_fault: Optional[Callable[[str], bool]] = None
-        """Fault point for the :mod:`repro.chaos` plane: called with the
-        host name before each probe; returning True drops the poll (a
-        failure is counted, accumulated history is untouched)."""
 
     # --- polling --------------------------------------------------------
 
@@ -118,12 +104,12 @@ class TelemetryAggregator:
         self.polls += 1
         with _span("orchestrator.telemetry", host=name) as probe_span:
             try:
-                if self.probe_fault is not None and self.probe_fault(name):
-                    raise ConnectionError(
-                        f"telemetry poll of {name} dropped (injected)"
-                    )
-                snapshot = await self._probe(record.host, record.port)
-            except (FrameError, *_TRANSPORT_ERRORS) as exc:
+                request = {"controller": self.registry.controller_id, "seq": self.polls}
+                frame = await self.registry.probe(
+                    record, FrameCodec().encode_telemetry(request), TYPE_TELEMETRY
+                )
+                snapshot = MetricsSnapshot.from_dict(frame.body or {})
+            except PROBE_ERRORS as exc:
                 self.poll_failures += 1
                 probe_span.set(ok=False, cause=type(exc).__name__)
                 names.ORCHESTRATOR_TELEMETRY_FAILED.add(1)
@@ -138,30 +124,6 @@ class TelemetryAggregator:
             self._ingest(name, snapshot)
             return snapshot
 
-    async def _probe(self, host: str, port: int) -> MetricsSnapshot:
-        codec = FrameCodec()
-        stream = await open_shaped_connection(
-            host,
-            port,
-            link=None,
-            time_scale=0.0,
-            connect_timeout_s=self.poll_timeout_s,
-        )
-        try:
-            await stream.send(
-                codec.encode_telemetry(
-                    {
-                        "controller": self.registry.controller_id,
-                        "seq": self.polls,
-                    }
-                )
-            )
-            recv = stream.recv_with_timeout(self.poll_timeout_s)
-            frame = await expect_frame(codec, recv, TYPE_TELEMETRY)
-            return MetricsSnapshot.from_dict(frame.body or {})
-        finally:
-            await stream.close()
-
     async def poll_all(self) -> Dict[str, Optional[MetricsSnapshot]]:
         """Probe every registered daemon; appends one series sample."""
         results: Dict[str, Optional[MetricsSnapshot]] = {}
@@ -173,13 +135,6 @@ class TelemetryAggregator:
     # --- ingestion ------------------------------------------------------
 
     def _ingest(self, name: str, snapshot: MetricsSnapshot) -> None:
-        try:
-            record = self.registry.record(name)
-        except KeyError:
-            record = None
-        if record is not None:
-            record.telemetry_seq = snapshot.seq
-            record.last_telemetry = snapshot.taken_at
         previous = self._last.get(name)
         delta, restarted = snapshot.delta(previous)
         if restarted and previous is not None:
@@ -228,13 +183,13 @@ class TelemetryAggregator:
             {
                 "taken_at": self._clock(),
                 "recycled_bytes": _counter_value(
-                    cluster, "daemon.recycled_bytes"
+                    cluster, names.DAEMON_RECYCLED_BYTES.name
                 ),
                 "transferred_bytes": _counter_value(
-                    cluster, "daemon.transferred_bytes"
+                    cluster, names.DAEMON_TRANSFERRED_BYTES.name
                 ),
                 "sessions_completed": _counter_value(
-                    cluster, "daemon.sessions.completed"
+                    cluster, names.DAEMON_SESSIONS_COMPLETED.name
                 ),
                 "hosts": sorted(self._acc),
             }
@@ -259,8 +214,8 @@ class TelemetryAggregator:
         instruments = (
             self._acc.get(host, {}) if host else self.cluster_instruments()
         )
-        recycled = _counter_value(instruments, "daemon.recycled_bytes")
-        transferred = _counter_value(instruments, "daemon.transferred_bytes")
+        recycled = _counter_value(instruments, names.DAEMON_RECYCLED_BYTES.name)
+        transferred = _counter_value(instruments, names.DAEMON_TRANSFERRED_BYTES.name)
         denominator = recycled + transferred
         return recycled / denominator if denominator else 0.0
 
@@ -302,8 +257,8 @@ class TelemetryAggregator:
         for name in sorted(self._acc):
             acc = self._acc[name]
             last = self._last.get(name)
-            recycled = _counter_value(acc, "daemon.recycled_bytes")
-            transferred = _counter_value(acc, "daemon.transferred_bytes")
+            recycled = _counter_value(acc, names.DAEMON_RECYCLED_BYTES.name)
+            transferred = _counter_value(acc, names.DAEMON_TRANSFERRED_BYTES.name)
             hosts.append(
                 {
                     "host": name,
@@ -312,7 +267,7 @@ class TelemetryAggregator:
                         self._clock() - last.taken_at if last else None
                     ),
                     "sessions_completed": _counter_value(
-                        acc, "daemon.sessions.completed"
+                        acc, names.DAEMON_SESSIONS_COMPLETED.name
                     ),
                     "recycled_bytes": recycled,
                     "transferred_bytes": transferred,

@@ -34,6 +34,7 @@ from repro.core.transfer import TransferSet, compute_transfer_set
 from repro.mem.pagestore import PageStore
 from repro.net.link import Link
 from repro.runtime.daemon import CheckpointDaemon
+from repro.runtime.faults import FaultInjector
 from repro.runtime.metrics import MigrationMetrics
 from repro.runtime.source import MigrationSource, RuntimeConfig, SourceState
 
@@ -164,6 +165,7 @@ async def cross_validate(
     announce_known: bool = False,
     state_dir: Optional[str] = None,
     metrics_port: Optional[int] = None,
+    faults: Optional[FaultInjector] = None,
 ) -> CrossValidation:
     """Run ``scenario`` through the live runtime and the analytic model.
 
@@ -175,6 +177,9 @@ async def cross_validate(
             the migrated checkpoint survives there past this run.
         metrics_port: Serve the destination daemon's Prometheus page on
             this port for the duration of the run (0 = ephemeral).
+        faults: An armed injector for the destination daemon (test and
+            demo hook): the comparison must hold through the retries it
+            provokes, payload delta still exactly 0.
     """
     strategy = scenario.strategy
     method = strategy.method
@@ -209,6 +214,8 @@ async def cross_validate(
             )
             if announce_known:
                 known = daemon.checkpoint_digests(scenario.vm_id)
+        if faults is not None:
+            daemon.faults = faults
         source = MigrationSource(
             SourceState(
                 vm_id=scenario.vm_id,

@@ -28,7 +28,9 @@ class RoundMetrics:
 
 @dataclass
 class MigrationMetrics:
-    """Everything measured about one live migration attempt chain.
+    """Everything measured about one live migration — one
+    :meth:`~repro.runtime.source.MigrationSource.migrate` call, every
+    connection it opened.
 
     Attributes:
         vm_id / mode / link: What migrated, how, and over which link.
@@ -40,9 +42,12 @@ class MigrationMetrics:
             (framed; 0 under the ping-pong shortcut).
         control_bytes: HELLO/READY/ROUND/COMPLETE/RESULT framing — the
             runtime-only overhead the analytic model ignores.
-        retries: Reconnection attempts after transport failures.
-        retransmitted_bytes: Payload bytes sent more than once because a
-            retry resumed mid-round.
+        retries: Reconnects — connections opened minus one, whether
+            the reconnect resumed the session (transport failure) or
+            took a fresh one (stream desync).
+        retransmitted_bytes: Data-frame bytes sent again after a
+            reconnect; with ``payload_bytes`` and the sent share of
+            ``control_bytes`` it accounts for every byte the source wrote.
         pages_*: First-round transfer-set composition, matching
             :class:`~repro.core.transfer.TransferSet` semantics.
         checksummed_pages: Pages the source had to hash (the CPU cost
@@ -116,26 +121,28 @@ class MigrationMetrics:
         """Internal-consistency checks; raises ``ValueError`` on violation.
 
         The resume path counts a frame either as fresh payload
-        (``bytes_by_type``) or as a retransmission — never both — so
-        retransmitted bytes can never exceed the counted payload, and a
-        retransmission implies at least one retry happened.  Called when
-        a migration completes, so a double-count bug fails loudly at the
-        source instead of skewing cross-validation silently.
+        (``bytes_by_type``) or as a retransmission — never both.  Each
+        reconnect can re-send at most everything counted so far (a
+        round aborted twice at the same point is re-sent twice), so
+        retransmitted bytes are bounded by ``retries * payload_bytes``,
+        and a retransmission implies at least one retry happened.
+        Called when a migration completes, so a double-count bug fails
+        loudly at the source instead of skewing cross-validation silently.
         """
         if self.retransmitted_bytes < 0:
             raise ValueError(
                 f"retransmitted_bytes is negative: {self.retransmitted_bytes}"
             )
-        if self.retransmitted_bytes > self.payload_bytes:
-            raise ValueError(
-                "retransmitted bytes exceed counted payload "
-                f"({self.retransmitted_bytes} > {self.payload_bytes}): "
-                "a resumed round double-counted frames"
-            )
         if self.retransmitted_bytes and not self.retries:
             raise ValueError(
                 f"{self.retransmitted_bytes} retransmitted bytes recorded "
                 "without any retry"
+            )
+        if self.retransmitted_bytes > self.retries * self.payload_bytes:
+            raise ValueError(
+                "retransmitted bytes exceed what the retries could re-send "
+                f"({self.retransmitted_bytes} > {self.retries} x "
+                f"{self.payload_bytes}): a resumed round double-counted frames"
             )
 
     def to_dict(self) -> Dict[str, Any]:

@@ -7,14 +7,19 @@ sends only content the destination is missing, optional pre-copy style
 dirty rounds, and a verified COMPLETE/RESULT finish.
 
 Failure handling is the part the analytic model has no opinion about:
-every read is bounded by a timeout, transport failures are retried with
-exponential backoff, and a reconnect *resumes* — the destination's
-READY frame reports exactly how many messages of which round it
-applied, and because every round's message sequence is frozen at plan
-time in deterministic slot order, "skip the first N messages of round
-R" reconstructs the stream position without renegotiation.  Protocol
-errors (an ERROR frame, a failed image verification) are never retried;
-they surface as a structured :class:`MigrationError`.
+every read is bounded by a timeout, and :meth:`MigrationSource.migrate`
+is the one place a migration reconnects — one loop, one
+:class:`RetryPolicy` budget, one :class:`MigrationMetrics` for the whole
+call.  After a transport failure the reconnect *resumes*: the
+destination's READY frame reports exactly how many messages of which
+round it applied, and because every round's message sequence is frozen
+at plan time in deterministic slot order, "skip the first N messages of
+round R" reconstructs the stream position without renegotiation.  After
+a stream desync those counts cannot be trusted, so the same loop
+reconnects under a fresh session id and re-sends the frozen rounds.
+Genuine protocol errors (an ERROR frame, a codec violation, a failed
+image verification) are never retried; they surface as a structured
+:class:`MigrationError`.
 """
 
 from __future__ import annotations
@@ -101,29 +106,17 @@ class MigrationError(RuntimeError):
 
     Attributes:
         code: Stable machine-readable failure class ("transport",
-            "protocol", "verification", "rejected").
-        metrics: The metrics collected up to the failure, outcome
-            already marked "failed".
-        retryable: Whether a fresh attempt has a chance of succeeding.
-            Transport failures always are.  Protocol failures normally
-            are not — but a *stream desync* (truncated frame followed by
-            misaligned bytes, surfacing here as
-            :class:`~repro.runtime.frames.StreamDesyncError` or a peer
-            ``desync`` ERROR) is a connection-shaped fault wearing a
-            protocol error's clothes: reconnecting with a fresh session
-            recovers.  Callers that retry a retryable protocol error
-            must call :meth:`MigrationSource.reset_session` first, since
-            the old session's stream position can no longer be trusted.
+            "protocol", "verification", "accounting").
+        metrics: The account of the whole call up to the failure —
+            every connection it opened — outcome already marked "failed".
     """
 
     def __init__(self, code: str, message: str,
-                 metrics: Optional[MigrationMetrics] = None,
-                 retryable: Optional[bool] = None) -> None:
+                 metrics: Optional[MigrationMetrics] = None) -> None:
         super().__init__(f"[{code}] {message}")
         self.code = code
         self.detail = message
         self.metrics = metrics
-        self.retryable = (code == "transport") if retryable is None else retryable
 
 
 class _BatchWriter:
@@ -180,8 +173,8 @@ class RetryPolicy:
     """
 
     max_attempts: int = 4
+    """Connections one :meth:`MigrationSource.migrate` may open."""
     base_backoff_s: float = 0.05
-    backoff_factor: float = 2.0
     max_backoff_s: float = 2.0
     jitter: float = 0.0
 
@@ -194,14 +187,11 @@ class RetryPolicy:
     def backoff(self, retry_index: int, key: str = "") -> float:
         """Sleep before retry number ``retry_index`` (0-based).
 
-        The delay is ``base * factor**retry_index`` capped at
+        The delay is ``base * 2**retry_index`` capped at
         ``max_backoff_s``, then scaled by a deterministic factor in
         ``[1 - jitter, 1 + jitter]`` derived from ``key``.
         """
-        delay = min(
-            self.base_backoff_s * self.backoff_factor**retry_index,
-            self.max_backoff_s,
-        )
+        delay = min(self.base_backoff_s * 2.0**retry_index, self.max_backoff_s)
         if self.jitter:
             fraction = zlib.crc32(f"{key}#{retry_index}".encode()) / 0xFFFFFFFF
             delay *= 1.0 + self.jitter * (2.0 * fraction - 1.0)
@@ -291,8 +281,7 @@ class MigrationSource:
         self._rounds: List[RoundSends] = []
         self._plan = None
         self._feed_done = False
-        self._counted: Dict[int, int] = {}
-        self._final_result: Optional[dict] = None
+        self._counted: Dict[int, bytearray] = {}
         self.result_generation: Optional[int] = None
 
     # --- planning -------------------------------------------------------
@@ -400,18 +389,18 @@ class MigrationSource:
             return None
         return frozenset(self._final_slot_digests())
 
-    def reset_session(self) -> None:
-        """Abandon the wire session and restart the next attempt fresh.
+    def _reset_session(self) -> None:
+        """Abandon the wire session; the next connection starts a fresh one.
 
         After a stream desync the destination's applied counts are no
         longer trustworthy — resuming the same session could skip
         messages the daemon never actually applied.  A new session id
-        makes the daemon start a clean session (applied = 0) on the
-        next :meth:`migrate`.  The planned rounds are kept (the plan is
-        a pure function of the VM state).
+        makes the daemon start a clean session (applied = 0).  The
+        planned rounds and ``_counted`` are kept: the plan is a pure
+        function of the VM state, and everything re-sent under the new
+        session is a retransmission in this migration's account.
         """
         self.session_id = f"{self.state.vm_id}-{uuid.uuid4().hex[:12]}"
-        self._final_result = None
         self.result_generation = None
 
     # --- the protocol ---------------------------------------------------
@@ -427,16 +416,23 @@ class MigrationSource:
         The call either completes (metrics outcome "completed") or fails
         with a structured error after bounded retries — it cannot hang:
         every socket read is capped by ``config.io_timeout_s``.
+
+        Every connection the migration opens is opened here, against one
+        ``config.retry`` budget, and the returned (or attached) metrics
+        cover all of them.  A transport failure resumes the session; a
+        stream desync reconnects under a fresh session id; anything else
+        fails fast.  The account is exported to the obs registry once,
+        whichever way the call ends.
         """
         metrics = MigrationMetrics(
             vm_id=self.state.vm_id,
             mode=self.strategy.name,
             link=self.link.name if self.link else "unshaped",
         )
-        # A frame is a retransmission only against what *these* metrics
-        # counted: a caller retrying with a second migrate() gets a fresh
-        # account, not one that is all resends and no payload.
+        # A frame is a retransmission against what *these* metrics
+        # counted, through every reconnect and fresh session of the call.
         self._counted = {}
+        policy = self.config.retry
         with _span(
             "runtime.migrate",
             vm=self.state.vm_id,
@@ -445,81 +441,78 @@ class MigrationSource:
             session=self.session_id,
         ) as migrate_span:
             started = time.monotonic()
-            retry_index = 0
             try:
                 while True:
                     try:
                         await self._attempt(host, port, metrics, dirty_feed)
                         break
-                    except _TRANSPORT_ERRORS as exc:
-                        if retry_index + 1 >= self.config.retry.max_attempts:
+                    except (FrameError, *_TRANSPORT_ERRORS) as exc:
+                        # A desync (unknown tag, an over-claiming READY,
+                        # or the peer detecting one on its side) is a
+                        # torn-connection symptom, not a codec bug.
+                        # Genuine codec violations (bad JSON, stale
+                        # delta generation, bad slot) fail fast.
+                        desync = isinstance(exc, StreamDesyncError) or (
+                            isinstance(exc, PeerError) and exc.code == "desync"
+                        )
+                        if isinstance(exc, FrameError) and not desync:
+                            raise MigrationError("protocol", str(exc)) from exc
+                        if metrics.retries + 1 >= policy.max_attempts:
                             raise MigrationError(
-                                "transport",
-                                f"gave up after {retry_index + 1} attempts: "
+                                "protocol" if desync else "transport",
+                                f"gave up after {metrics.retries + 1} attempts: "
                                 f"{type(exc).__name__}: {exc}",
                             ) from exc
-                        metrics.retries += 1
+                        if desync:
+                            self._reset_session()
                         with _span(
                             "retry",
-                            attempt=retry_index + 1,
+                            attempt=metrics.retries + 1,
                             cause=type(exc).__name__,
                         ):
                             await asyncio.sleep(
-                                self.config.retry.backoff(
-                                    retry_index, key=self.state.vm_id
+                                policy.backoff(
+                                    metrics.retries, key=self.state.vm_id
                                 )
                             )
-                        retry_index += 1
+                        metrics.retries += 1
+                if self._plan is not None:
+                    metrics.pages_full = self._plan.full_pages
+                    metrics.pages_ref = self._plan.ref_pages
+                    metrics.pages_checksum_only = self._plan.checksum_only_pages
+                    metrics.pages_skipped = self._plan.skipped_pages
+                    metrics.checksummed_pages = self._plan.checksummed_pages
+                try:
+                    metrics.validate()
+                except ValueError as exc:
+                    raise MigrationError("accounting", str(exc)) from exc
             except MigrationError as exc:
-                metrics.outcome = "failed"
                 metrics.error = str(exc)
-                metrics.wall_time_s = time.monotonic() - started
                 exc.metrics = metrics
-                self._export_metrics(metrics)
+                self._close_account(metrics, "failed", started)
                 raise
-            except FrameError as exc:
-                metrics.outcome = "failed"
-                metrics.error = f"[protocol] {exc}"
-                metrics.wall_time_s = time.monotonic() - started
-                self._export_metrics(metrics)
-                # A desync (unknown tag, or the peer detecting one on
-                # its side) is a torn-connection symptom, not a codec
-                # bug: mark it retryable so an orchestrator can re-run
-                # with a fresh session.  Genuine codec violations
-                # (bad JSON, stale delta generation, bad slot) keep
-                # retryable=False and fail fast.
-                desync = isinstance(exc, StreamDesyncError) or (
-                    isinstance(exc, PeerError) and exc.code == "desync"
-                )
-                raise MigrationError(
-                    "protocol", str(exc), metrics, retryable=desync
-                ) from exc
-
-            metrics.outcome = "completed"
-            metrics.wall_time_s = time.monotonic() - started
-            if self._plan is not None:
-                metrics.pages_full = self._plan.full_pages
-                metrics.pages_ref = self._plan.ref_pages
-                metrics.pages_checksum_only = self._plan.checksum_only_pages
-                metrics.pages_skipped = self._plan.skipped_pages
-                metrics.checksummed_pages = self._plan.checksummed_pages
-            metrics.validate()
+            self._close_account(metrics, "completed", started)
             migrate_span.set(
                 outcome=metrics.outcome,
                 payload_bytes=metrics.payload_bytes,
                 retries=metrics.retries,
             ).add_modelled(metrics.modelled_time_s)
-            self._export_metrics(metrics)
             return metrics
 
     @staticmethod
-    def _export_metrics(metrics: MigrationMetrics) -> None:
-        """Fold one migration's counters into the shared obs registry.
+    def _close_account(
+        metrics: MigrationMetrics, outcome: str, started: float
+    ) -> None:
+        """Stamp the outcome and fold the call's counters into the shared
+        obs registry — once per :meth:`migrate`, however many connections
+        it took.
 
         :class:`MigrationMetrics` stays the cross-validation harness's
         source of truth; the registry is the aggregated view the
         exporters ship alongside the span timeline.
         """
+        metrics.outcome = outcome
+        metrics.wall_time_s = time.monotonic() - started
         for kind, num_bytes in metrics.bytes_by_type.items():
             names.RUNTIME_BYTES.labelled(kind).add(num_bytes)
         for kind, count in metrics.messages_by_type.items():
@@ -577,8 +570,10 @@ class MigrationSource:
                         self.state.known_remote_generation
                     )
                 frame = self.codec.encode_hello(hello)
-                await stream.send(frame)
+                # Counted before the send, like every frame this side
+                # writes: a send that dies mid-drain still hit the wire.
                 metrics.control_bytes += len(frame)
+                await stream.send(frame)
 
                 ready = await expect_frame(self.codec, recv, TYPE_READY)
                 metrics.control_bytes += ready.wire_bytes
@@ -636,8 +631,8 @@ class MigrationSource:
                         b"".join(self._final_slot_digests())
                     ),
                 )
-                await stream.send(complete)
                 metrics.control_bytes += len(complete)
+                await stream.send(complete)
                 await self._finish_result(
                     await expect_frame(self.codec, recv, TYPE_RESULT), metrics
                 )
@@ -737,24 +732,32 @@ class MigrationSource:
     ) -> None:
         """Byte accounting for one batch, messages ``first`` onward.
 
-        A frame whose round-index a previous attempt already counted is
-        a retransmission; everything else is first-time payload.
-        ``self._counted`` survives reconnects within one
-        :meth:`migrate`, so a frame is never counted as payload twice
-        no matter how the stream is resumed.
+        ``self._counted`` holds one sent-before flag per message of each
+        round, kept through every reconnect and fresh session of one
+        :meth:`migrate`: a frame already flagged is a retransmission,
+        everything else is first-time payload and gets flagged, so a
+        frame is never counted as payload twice no matter how the
+        stream is resumed.  Flags rather than a high-water mark, because
+        a desynced READY can make a connection start mid-round and the
+        fresh session after it start over.
         Frame sizes depend on the tag alone, so both sums are a count
         per tag times its size.
         """
-        resent = min(max(self._counted.get(round_no, 0) - first, 0), len(tags))
-        for _, _, num_bytes in self._tally(tags[:resent]):
-            metrics.retransmitted_bytes += num_bytes
-        if resent == len(tags):
-            return
-        for name, messages, num_bytes in self._tally(tags[resent:]):
+        end = first + len(tags)
+        counted = self._counted.setdefault(round_no, bytearray())
+        counted.extend(bytes(max(end - len(counted), 0)))
+        sent_before = counted[first:end]
+        fresh = tags
+        if any(sent_before):
+            resent = [tag for tag, seen in zip(tags, sent_before) if seen]
+            for _, _, num_bytes in self._tally(resent):
+                metrics.retransmitted_bytes += num_bytes
+            fresh = [tag for tag, seen in zip(tags, sent_before) if not seen]
+        for name, messages, num_bytes in self._tally(fresh):
             metrics.count(name, num_bytes, messages)
             round_stats.messages += messages
             round_stats.bytes_sent += num_bytes
-        self._counted[round_no] = first + len(tags)
+        counted[first:end] = b"\x01" * len(tags)
 
     def _tally(self, tags: List[int]) -> Iterator[Tuple[str, int, int]]:
         """``(kind name, frames, wire bytes)`` for each kind among ``tags``."""
@@ -766,7 +769,6 @@ class MigrationSource:
     async def _finish_result(self, frame, metrics: MigrationMetrics) -> None:
         metrics.control_bytes += frame.wire_bytes
         body = frame.body or {}
-        self._final_result = body
         generation = body.get("checkpoint_generation")
         if generation is not None:
             self.result_generation = int(generation)

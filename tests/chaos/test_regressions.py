@@ -6,19 +6,18 @@ reproduces with the same bytes on the wire every run.
 """
 
 import asyncio
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.fingerprint import Fingerprint
-from repro.core.strategies import VECYCLE
+from repro.core.strategies import VECYCLE, VECYCLE_DIRTY
 from repro.mem.pagestore import PageStore
 from repro.obs.metrics import get_registry
-from repro.orchestrator.executor import AdmissionLimits, MigrationExecutor
+from repro.orchestrator.executor import MigrationExecutor
 from repro.runtime import (
     CheckpointDaemon,
-    MigrationError,
     MigrationSource,
     RetryPolicy,
     RuntimeConfig,
@@ -47,12 +46,19 @@ def build_vm(seed: int = 5, updates: int = 32):
     return checkpoint, current, dirty
 
 
-async def _run_with_plan(plan, max_attempts=2):
-    """One executor-driven migration against a daemon with ``plan``."""
+async def _run_with_plan(
+    plan, max_attempts=2, vm=None, strategy=VECYCLE, install=True, sessions=None
+):
+    """One executor-driven migration against a daemon with ``plan``.
+
+    ``sessions`` (a list) receives the source's session id at every
+    connection it opens.
+    """
     pagestore = PageStore()
-    checkpoint, current, dirty = build_vm()
+    checkpoint, current, dirty = vm or build_vm()
     async with CheckpointDaemon(pagestore=pagestore) as daemon:
-        daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
+        if install:
+            daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
         daemon.faults = plan
         source = MigrationSource(
             SourceState(
@@ -61,17 +67,18 @@ async def _run_with_plan(plan, max_attempts=2):
                 pagestore=pagestore,
                 dirty_slots=dirty,
             ),
-            VECYCLE,
-            config=CHAOS_CONFIG,
+            strategy,
+            config=replace(
+                CHAOS_CONFIG,
+                retry=replace(CHAOS_CONFIG.retry, max_attempts=max_attempts),
+                on_stream=(
+                    None
+                    if sessions is None
+                    else lambda _stream: sessions.append(source.session_id)
+                ),
+            ),
         )
-        executor = MigrationExecutor(
-            AdmissionLimits(
-                max_attempts=max_attempts,
-                retry_backoff_s=0.01,
-                max_backoff_s=0.02,
-            )
-        )
-        outcome = await executor.run(
+        outcome = await MigrationExecutor().run(
             source, "dest", daemon.host, daemon.port
         )
         return outcome, daemon.telemetry
@@ -87,8 +94,8 @@ def test_truncated_ready_desync_is_retried(cut):
     Pre-fix the source surfaced the garbage it then parsed (an unknown
     tag, or an impossible applied-count over-claim) as a non-retryable
     ``protocol`` error and the migration died on attempt 1.  Both are
-    connection-shaped faults: a fresh session recovers, so the executor
-    must retry — deterministically, for every truncation size.
+    connection-shaped faults: a fresh session recovers, so the source
+    must reconnect — deterministically, for every truncation size.
     """
     outcome, telemetry = asyncio.run(
         _run_with_plan(FaultInjector(truncate_ready_bytes=cut, truncate_times=1))
@@ -129,71 +136,91 @@ def test_mid_result_replay_installs_one_generation():
     assert telemetry.counter("daemon.sessions.completed").value == 1
 
 
-# --- satellite: retry classification -------------------------------------
+# --- bug: a round resumed twice broke validate()'s bound -----------------
 
 
-def test_migration_error_classification_defaults():
-    assert MigrationError("transport", "x").retryable is True
-    assert MigrationError("protocol", "x").retryable is False
-    assert MigrationError("verification", "x").retryable is False
-    # The desync escape hatch: an explicit flag wins over the code.
-    assert MigrationError("protocol", "x", retryable=True).retryable is True
+def _half_rewritten_vm(num_pages=1024):
+    rng = np.random.default_rng(23)
+    checkpoint = rng.integers(1, 2**62, size=num_pages, dtype=np.uint64)
+    current = checkpoint.copy()
+    dirty = np.sort(rng.choice(num_pages, size=num_pages // 2, replace=False))
+    current[dirty] = rng.integers(
+        2**62, 2**63, size=dirty.size, dtype=np.uint64
+    )
+    return checkpoint, current, dirty
 
 
-class _FlakySource:
-    """Executor-facing stub: fails ``failures`` times, then succeeds."""
+def test_second_mid_round_disconnect_keeps_the_account():
+    """Two aborts in one round re-send more than the payload — legally.
 
-    def __init__(self, failures: int, code: str, retryable=None) -> None:
-        self.state = SimpleNamespace(vm_id="vm-flaky")
-        self.failures = failures
-        self.code = code
-        self.retryable = retryable
-        self.resets = 0
-
-    def reset_session(self) -> None:
-        self.resets += 1
-
-    async def migrate(self, host, port, dirty_feed=None):
-        if self.failures > 0:
-            self.failures -= 1
-            raise MigrationError(self.code, "boom", retryable=self.retryable)
-        return None
-
-
-def _executor(max_attempts=3):
-    return MigrationExecutor(
-        AdmissionLimits(
-            max_attempts=max_attempts,
-            retry_backoff_s=0.001,
-            max_backoff_s=0.002,
+    Pre-fix ``MigrationMetrics.validate()`` required ``retransmitted <=
+    payload``, which a round aborted twice at message 300 breaks (each
+    resume re-sends the in-flight tail), and the ``ValueError:
+    retransmitted bytes exceed counted payload`` escaped ``migrate()``
+    and ``MigrationExecutor.run``, which promises never to raise.
+    """
+    outcome, _ = asyncio.run(
+        _run_with_plan(
+            FaultInjector(after_messages=300, times=2),
+            max_attempts=4,
+            vm=_half_rewritten_vm(),
         )
     )
+    assert outcome.ok, f"{outcome.error_code}: {outcome.error}"
+    # 512 full frames of 4,121 B + 512 checksum frames of 25 B.
+    assert outcome.metrics.payload_bytes == 2_122_752
+    assert outcome.metrics.retransmitted_bytes > outcome.metrics.payload_bytes
+    assert outcome.metrics.retries == 2
+    assert outcome.attempts == 3
+
+
+# --- satellite: what the one retry loop retries ---------------------------
 
 
 def test_executor_retries_retryable_protocol_with_fresh_session():
-    source = _FlakySource(failures=1, code="protocol", retryable=True)
-    outcome = asyncio.run(_executor().run(source, "d", "127.0.0.1", 1))
+    sessions = []
+    outcome, _ = asyncio.run(
+        _run_with_plan(
+            FaultInjector(truncate_ready_bytes=4, truncate_times=1),
+            sessions=sessions,
+        )
+    )
     assert outcome.ok
     assert outcome.attempts == 2
     # Desynced sessions cannot be resumed: the retry must start clean.
-    assert source.resets == 1
+    assert len(sessions) == 2 and sessions[0] != sessions[1]
 
 
 def test_executor_fails_fast_on_codec_violation():
-    source = _FlakySource(failures=1, code="protocol")
-    outcome = asyncio.run(_executor().run(source, "d", "127.0.0.1", 1))
+    # Dirty tracking with no checkpoint at the destination: the daemon
+    # answers HELLO with a structured ERROR no reconnect can cure.
+    sessions = []
+    outcome, _ = asyncio.run(
+        _run_with_plan(
+            FaultInjector(),
+            max_attempts=3,
+            strategy=VECYCLE_DIRTY,
+            install=False,
+            sessions=sessions,
+        )
+    )
     assert not outcome.ok
+    assert outcome.error_code == "protocol"
     assert outcome.attempts == 1
-    assert source.resets == 0
+    assert len(sessions) == 1
 
 
 def test_executor_transport_retry_keeps_session():
-    source = _FlakySource(failures=1, code="transport")
-    outcome = asyncio.run(_executor().run(source, "d", "127.0.0.1", 1))
+    sessions = []
+    outcome, _ = asyncio.run(
+        _run_with_plan(
+            FaultInjector(after_messages=100, times=1), sessions=sessions
+        )
+    )
     assert outcome.ok
     assert outcome.attempts == 2
     # A transport drop's applied counts are exact; resume, don't reset.
-    assert source.resets == 0
+    assert len(sessions) == 2 and sessions[0] == sessions[1]
 
 
 # --- satellite: shared capped-exponential backoff -------------------------
@@ -203,7 +230,6 @@ def test_backoff_is_capped_exponential():
     policy = RetryPolicy(
         max_attempts=8,
         base_backoff_s=0.1,
-        backoff_factor=2.0,
         max_backoff_s=0.5,
         jitter=0.0,
     )
@@ -218,7 +244,6 @@ def test_backoff_jitter_is_deterministic_and_bounded():
     policy = RetryPolicy(
         max_attempts=4,
         base_backoff_s=0.1,
-        backoff_factor=2.0,
         max_backoff_s=2.0,
         jitter=0.25,
     )
@@ -232,20 +257,6 @@ def test_backoff_jitter_is_deterministic_and_bounded():
         policy.backoff(i, key="vm-a") != policy.backoff(i, key="vm-b")
         for i in range(4)
     )
-
-
-def test_admission_limits_map_to_shared_retry_policy():
-    limits = AdmissionLimits(
-        max_attempts=3,
-        retry_backoff_s=0.02,
-        max_backoff_s=0.3,
-        retry_jitter=0.1,
-    )
-    policy = limits.retry_policy()
-    assert policy.max_attempts == 3
-    assert policy.base_backoff_s == pytest.approx(0.02)
-    assert policy.max_backoff_s == pytest.approx(0.3)
-    assert policy.jitter == pytest.approx(0.1)
 
 
 def test_retry_policy_rejects_bad_jitter():
@@ -446,8 +457,8 @@ def test_telemetry_drop_knob_aborts_probe_and_counts():
         from repro.orchestrator.registry import ClusterRegistry
         from repro.orchestrator.telemetry import TelemetryAggregator
 
-        registry = ClusterRegistry()
-        aggregator = TelemetryAggregator(registry, poll_timeout_s=1.0)
+        registry = ClusterRegistry(heartbeat_timeout_s=1.0)
+        aggregator = TelemetryAggregator(registry)
         async with CheckpointDaemon(name="lossy") as daemon:
             daemon.faults = FaultInjector(drop_telemetry_times=1)
             registry.register("lossy", daemon.host, daemon.port)

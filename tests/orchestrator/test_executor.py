@@ -1,4 +1,5 @@
-"""Executor semantics: admission control, retry, structured failure."""
+"""Executor semantics: admission control over the source's one retry
+loop, structured failure."""
 
 import asyncio
 from types import SimpleNamespace
@@ -10,12 +11,15 @@ from repro.core.strategies import QEMU
 from repro.mem.pagestore import PageStore
 from repro.orchestrator.executor import AdmissionLimits, MigrationExecutor
 from repro.runtime import (
+    CheckpointDaemon,
+    FrameCodec,
     MigrationError,
     MigrationSource,
     RetryPolicy,
     RuntimeConfig,
     SourceState,
 )
+from repro.runtime.frames import TYPE_COMPLETE
 from repro.runtime.metrics import MigrationMetrics
 
 
@@ -91,44 +95,87 @@ class TestAdmissionControl:
             AdmissionLimits(cluster_max=0)
         with pytest.raises(ValueError):
             AdmissionLimits(per_host_max=0)
-        with pytest.raises(ValueError):
-            AdmissionLimits(max_attempts=0)
+
+
+def live_source(max_attempts, on_stream=None):
+    """A real 64-page QEMU source with a budget of ``max_attempts``."""
+    rng = np.random.default_rng(2)
+    return MigrationSource(
+        SourceState(
+            "vm", rng.integers(1, 2**62, size=64, dtype=np.uint64), PageStore()
+        ),
+        QEMU,
+        config=RuntimeConfig(
+            io_timeout_s=2.0,
+            retry=RetryPolicy(max_attempts=max_attempts, base_backoff_s=0.001),
+            on_stream=on_stream,
+        ),
+    )
 
 
 class TestRetry:
+    """One ``migrate`` call per run; the source's loop does the retrying."""
+
     def test_transport_failure_retried_and_resumed(self):
-        executor = MigrationExecutor(
-            AdmissionLimits(max_attempts=3, retry_backoff_s=0.001)
-        )
-        tracker = {"running": 0, "peak": 0}
-        source = FakeSource("vm", tracker, failures=["transport"])
-        outcome = run(executor.run(source, "host", "h", 0))
+        async def main():
+            async with CheckpointDaemon() as daemon:
+                daemon.inject_disconnect(after_messages=20)
+                source = live_source(max_attempts=3)
+                session = source.session_id
+                outcome = await MigrationExecutor().run(
+                    source, "host", daemon.host, daemon.port
+                )
+                return outcome, session == source.session_id, daemon.telemetry
+
+        outcome, same_session, telemetry = run(main())
         assert outcome.ok
         assert outcome.attempts == 2
-        assert source.calls == 2
+        assert outcome.metrics.retries == 1
+        assert same_session
+        assert telemetry.counter("daemon.sessions.completed").value == 1
 
     def test_retries_are_bounded(self):
-        executor = MigrationExecutor(
-            AdmissionLimits(max_attempts=2, retry_backoff_s=0.001)
-        )
-        tracker = {"running": 0, "peak": 0}
-        source = FakeSource("vm", tracker, failures=["transport"] * 5)
-        outcome = run(executor.run(source, "host", "h", 0))
+        async def main():
+            async with CheckpointDaemon() as daemon:
+                daemon.inject_disconnect(after_messages=5, times=5)
+                return await MigrationExecutor().run(
+                    live_source(max_attempts=2), "host", daemon.host, daemon.port
+                )
+
+        outcome = run(main())
         assert not outcome.ok
         assert outcome.attempts == 2
         assert outcome.error_code == "transport"
 
     def test_protocol_failures_never_retried(self):
-        executor = MigrationExecutor(
-            AdmissionLimits(max_attempts=3, retry_backoff_s=0.001)
-        )
-        tracker = {"running": 0, "peak": 0}
-        source = FakeSource("vm", tracker, failures=["verification"])
-        outcome = run(executor.run(source, "host", "h", 0))
+        connections = []
+        codec = FrameCodec(QEMU.wire)
+
+        async def rejecting_sink(reader, writer):
+            """Takes the whole image, then refuses it."""
+            await codec.read_frame(reader.readexactly)  # HELLO
+            writer.write(codec.encode_ready(1, 0, False, False))
+            frame = await codec.read_frame(reader.readexactly)
+            while frame.type != TYPE_COMPLETE:
+                frame = await codec.read_frame(reader.readexactly)
+            writer.write(codec.encode_result({"ok": False, "error": "mismatch"}))
+            await writer.drain()
+            writer.close()
+
+        async def main():
+            server = await asyncio.start_server(rejecting_sink, "127.0.0.1", 0)
+            async with server:
+                host, port = server.sockets[0].getsockname()[:2]
+                return await MigrationExecutor().run(
+                    live_source(max_attempts=3, on_stream=connections.append),
+                    "host", host, port,
+                )
+
+        outcome = run(main())
         assert not outcome.ok
         assert outcome.attempts == 1
         assert outcome.error_code == "verification"
-        assert source.calls == 1
+        assert len(connections) == 1
 
 
 class TestStructuredFailure:
@@ -139,22 +186,9 @@ class TestStructuredFailure:
             host, port = server.sockets[0].getsockname()[:2]
             server.close()
             await server.wait_closed()
-            rng = np.random.default_rng(2)
-            source = MigrationSource(
-                SourceState(
-                    "vm",
-                    rng.integers(1, 2**62, size=64, dtype=np.uint64),
-                    PageStore(),
-                ),
-                QEMU,
-                config=RuntimeConfig(
-                    retry=RetryPolicy(max_attempts=2, base_backoff_s=0.01)
-                ),
+            return await MigrationExecutor().run(
+                live_source(max_attempts=2), "dead-host", host, port
             )
-            executor = MigrationExecutor(
-                AdmissionLimits(max_attempts=2, retry_backoff_s=0.001)
-            )
-            return await executor.run(source, "dead-host", host, port)
 
         outcome = run(main())
         assert not outcome.ok

@@ -11,7 +11,6 @@ from repro.core.strategies import QEMU
 from repro.mem.pagestore import PageStore
 from repro.obs.metrics import get_registry
 from repro.orchestrator import (
-    AdmissionLimits,
     BestCheckpoint,
     ClusterRegistry,
     MigrationExecutor,
@@ -33,14 +32,20 @@ FAST = RuntimeConfig(
     retry=RetryPolicy(max_attempts=3, base_backoff_s=0.01, max_backoff_s=0.05),
     time_scale=0.0,
 )
-# Inner transport retries disabled: any disconnect must surface to the
-# executor, exercising the *orchestrator's* retry path.
-NO_INNER_RETRY = RuntimeConfig(
-    io_timeout_s=5.0,
-    connect_timeout_s=5.0,
-    retry=RetryPolicy(max_attempts=1, base_backoff_s=0.01),
-    time_scale=0.0,
-)
+
+
+def retrying(max_attempts):
+    """``FAST`` timeouts with a budget of ``max_attempts`` connections."""
+    return RuntimeConfig(
+        io_timeout_s=5.0,
+        connect_timeout_s=5.0,
+        retry=RetryPolicy(max_attempts=max_attempts, base_backoff_s=0.001),
+        time_scale=0.0,
+    )
+
+
+# One connection only: the first disconnect ends the migration.
+NO_RETRY = retrying(1)
 
 
 def build_hashes(seed=7):
@@ -134,11 +139,9 @@ class TestMidResultDisconnect:
                 source = MigrationSource(
                     SourceState("vm", hashes, PageStore()),
                     QEMU,
-                    config=NO_INNER_RETRY,
+                    config=retrying(3),
                 )
-                executor = MigrationExecutor(
-                    AdmissionLimits(max_attempts=3, retry_backoff_s=0.001)
-                )
+                executor = MigrationExecutor()
                 outcome = await executor.run(
                     source, "host", daemon.host, daemon.port
                 )
@@ -146,9 +149,9 @@ class TestMidResultDisconnect:
 
         outcome, daemon = asyncio.run(main())
         registry = get_registry()
-        # The first attempt carried every page and the session committed
-        # before the injected abort; the executor's second attempt got a
-        # pure RESULT replay — nothing re-sent, nothing re-adopted.
+        # The first connection carried every page and the session
+        # committed before the injected abort; the second got a pure
+        # RESULT replay — nothing re-sent, nothing re-adopted.
         assert outcome.ok
         assert outcome.attempts == 2
         assert registry.counter("daemon.result_replays").value == 1
@@ -171,7 +174,7 @@ class TestMidResultDisconnect:
                 source = MigrationSource(
                     SourceState("vm", hashes, PageStore()),
                     QEMU,
-                    config=NO_INNER_RETRY,
+                    config=NO_RETRY,
                 )
                 source.session_id = "vm-sticky"
                 with pytest.raises(Exception):
@@ -182,18 +185,16 @@ class TestMidResultDisconnect:
         assert registry.counter("repo.recovered_checkpoints").value == 0
 
         async def second_life():
-            # The daemon restarts; the source's executor-driven retry
-            # reconnects with the same session and gets the replay.
+            # The daemon restarts; a source reconnecting with the same
+            # session gets the replay.
             async with CheckpointDaemon(state_dir=tmp_path) as daemon:
                 source = MigrationSource(
                     SourceState("vm", hashes, PageStore()),
                     QEMU,
-                    config=NO_INNER_RETRY,
+                    config=retrying(2),
                 )
                 source.session_id = "vm-sticky"
-                executor = MigrationExecutor(
-                    AdmissionLimits(max_attempts=2, retry_backoff_s=0.001)
-                )
+                executor = MigrationExecutor()
                 return await executor.run(
                     source, "host", daemon.host, daemon.port
                 )

@@ -14,7 +14,6 @@ from repro.obs.metrics import get_registry
 from repro.obs.prometheus import parse_exposition
 from repro.obs.telemetry import set_active_aggregator
 from repro.orchestrator import (
-    AdmissionLimits,
     BestCheckpoint,
     ClusterRegistry,
     MigrationExecutor,
@@ -36,7 +35,7 @@ FAST = RuntimeConfig(
     retry=RetryPolicy(max_attempts=3, base_backoff_s=0.01, max_backoff_s=0.05),
     time_scale=0.0,
 )
-NO_INNER_RETRY = RuntimeConfig(
+NO_RETRY = RuntimeConfig(
     io_timeout_s=5.0,
     connect_timeout_s=5.0,
     retry=RetryPolicy(max_attempts=1, base_backoff_s=0.01),
@@ -181,11 +180,9 @@ class TestFlightRecorderAcceptance:
                 source = MigrationSource(
                     SourceState("vm", hashes, PageStore()),
                     QEMU,
-                    config=NO_INNER_RETRY,
+                    config=NO_RETRY,
                 )
-                executor = MigrationExecutor(
-                    AdmissionLimits(max_attempts=1, retry_backoff_s=0.001)
-                )
+                executor = MigrationExecutor()
                 return await executor.run(
                     source, "host", daemon.host, daemon.port
                 )
@@ -246,8 +243,8 @@ class TestAggregatorOverWire:
 
     def test_unreachable_daemon_counts_a_failure(self):
         async def main():
-            registry = ClusterRegistry()
-            aggregator = TelemetryAggregator(registry, poll_timeout_s=0.5)
+            registry = ClusterRegistry(heartbeat_timeout_s=0.5)
+            aggregator = TelemetryAggregator(registry)
             async with CheckpointDaemon(name="gone") as daemon:
                 registry.register("gone", daemon.host, daemon.port)
             # stopped: the address no longer answers

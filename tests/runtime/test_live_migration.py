@@ -270,7 +270,7 @@ class TestConcurrentMigrations:
 
 class TestRetryPolicy:
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(base_backoff_s=0.1, backoff_factor=2.0, max_backoff_s=0.5)
+        policy = RetryPolicy(base_backoff_s=0.1, max_backoff_s=0.5)
         delays = [policy.backoff(i) for i in range(5)]
         assert delays[0] == pytest.approx(0.1)
         assert delays[1] == pytest.approx(0.2)

@@ -8,13 +8,18 @@ sink built from :class:`FrameCodec` plays the destination, and a
 import asyncio
 import math
 import socket
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.fingerprint import Fingerprint
+from repro.core.protocol import first_round_traffic
 from repro.core.strategies import VECYCLE
+from repro.core.transfer import compute_transfer_set
 from repro.mem.pagestore import PageStore
+from repro.obs.metrics import get_registry
 from repro.runtime import (
     CheckpointDaemon,
     FrameCodec,
@@ -25,6 +30,7 @@ from repro.runtime import (
     SourceState,
 )
 from repro.runtime import source as source_module
+from repro.runtime.faults import FaultInjector
 from repro.runtime.frames import TYPE_COMPLETE, TYPE_HELLO, TYPE_ROUND
 
 N = 1024
@@ -328,6 +334,161 @@ class TestOneDigestPass:
         assert calls_at_connect == [0, first_attempt]
         assert store.calls == first_attempt
         assert final == hosted
+
+
+class TestOneAccount:
+    """One ``migrate()``, however many connections: one exact account."""
+
+    @pytest.mark.parametrize(
+        "faults, connections",
+        [
+            (FaultInjector(after_messages=300, times=1), 2),
+            (FaultInjector(after_messages=300, times=2), 3),
+            (FaultInjector(after_messages=300, times=3), 4),
+            (FaultInjector(truncate_ready_bytes=4, truncate_times=1), 2),
+        ],
+        ids=["disconnect-1", "disconnect-2", "disconnect-3", "desync-ready"],
+    )
+    def test_every_sent_byte_lands_in_one_bucket(self, faults, connections):
+        rng = np.random.default_rng(23)
+        checkpoint = rng.integers(1, 2**62, size=N, dtype=np.uint64)
+        current = checkpoint.copy()
+        dirty = rng.choice(N, size=N // 2, replace=False)
+        current[dirty] = rng.integers(2**62, 2**63, size=N // 2, dtype=np.uint64)
+        analytic = first_round_traffic(
+            compute_transfer_set(
+                VECYCLE.method,
+                Fingerprint(hashes=current),
+                checkpoint=Fingerprint(hashes=checkpoint),
+            ),
+            VECYCLE.wire,
+        )
+        streams = []
+        config = RuntimeConfig(
+            io_timeout_s=2.0,
+            retry=RetryPolicy(max_attempts=4, base_backoff_s=0.01, max_backoff_s=0.02),
+            on_stream=streams.append,
+        )
+        control_sent = []
+
+        def counted(encode):
+            def wrapper(*args):
+                frame = encode(*args)
+                control_sent.append(len(frame))
+                return frame
+
+            return wrapper
+
+        async def main():
+            # A copy: the daemon spends the injector's budget.
+            armed = replace(faults)
+            async with CheckpointDaemon(pagestore=PageStore()) as daemon:
+                daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
+                daemon.faults = armed
+                source = make_source(current, PageStore(), config=config)
+                for name in ("encode_hello", "encode_round", "encode_complete"):
+                    setattr(source.codec, name, counted(getattr(source.codec, name)))
+                started = time.monotonic()
+                metrics = await source.migrate(daemon.host, daemon.port)
+                wall = time.monotonic() - started
+                return metrics, wall, daemon.audit_store()
+
+        migrations = {
+            outcome: get_registry().counter(f"runtime.migrations.{outcome}")
+            for outcome in ("completed", "failed")
+        }
+        before = {outcome: c.value for outcome, c in migrations.items()}
+        metrics, wall, audit = asyncio.run(main())
+
+        assert metrics.outcome == "completed"
+        assert metrics.payload_bytes == analytic.payload_bytes
+        assert len(streams) == connections
+        assert metrics.retries == connections - 1
+        # Every byte the source wrote is payload, a retransmission, or
+        # a control frame it encoded — and nothing is in two of them.
+        assert sum(stream.tx_bytes for stream in streams) == (
+            metrics.payload_bytes + metrics.retransmitted_bytes + sum(control_sent)
+        )
+        assert sum(control_sent) < metrics.control_bytes  # + READY, RESULT
+        assert 0 < metrics.wall_time_s <= wall
+        assert migrations["completed"].value == before["completed"] + 1
+        assert migrations["failed"].value == before["failed"]
+        assert metrics.sink_stats["rx_payload_bytes"] == metrics.payload_bytes
+        assert audit == []
+
+
+class TestOneRetryLoop:
+    """What ``migrate()``'s one loop reconnects for, and how."""
+
+    @staticmethod
+    def run_scripted(script, max_attempts):
+        """Migrate into a sink playing ``script[i]`` on connection ``i``
+        (the last entry repeats); returns (outcome, HELLO session ids)."""
+        codec = FrameCodec(VECYCLE.wire)
+        sessions = []
+
+        async def sink(reader, writer):
+            hello = await codec.read_frame(reader.readexactly)
+            sessions.append(hello.body["session"])
+            reply = script[min(len(sessions), len(script)) - 1]
+            if reply is None:  # a healthy destination
+                writer.write(
+                    codec.encode_ready(1, 0, True, False) + codec.encode_announce([])
+                )
+                await accept_rounds(codec, reader, writer)
+            else:
+                writer.write(reply)
+                await writer.drain()
+
+        config = RuntimeConfig(
+            io_timeout_s=1.0,
+            retry=RetryPolicy(max_attempts=max_attempts, base_backoff_s=0.001),
+        )
+        source = make_source(image(), PageStore(), config=config)
+        try:
+            return asyncio.run(run_against(sink, source)), sessions
+        except MigrationError as exc:
+            return exc, sessions
+
+    def test_transport_keeps_the_session_and_desync_takes_a_fresh_one(self):
+        hang_up = b""
+        garbage = b"\xee" + b"\x00" * 64  # unknown tag: desync
+        metrics, sessions = self.run_scripted([hang_up, garbage, None], 4)
+        assert metrics.outcome == "completed"
+        assert metrics.retries == 2
+        first, second, third = sessions
+        assert first == second  # a torn connection resumes its session
+        assert third != second  # a desynced one cannot be trusted
+
+    def test_budget_bounds_transport_and_desync_alike(self):
+        codec = FrameCodec(VECYCLE.wire)
+        desync_error = codec.encode_error({"code": "desync", "message": "lost"})
+        for reply, code in ((b"", "transport"), (desync_error, "protocol")):
+            error, sessions = self.run_scripted([reply], 3)
+            assert isinstance(error, MigrationError)
+            assert error.code == code
+            assert len(sessions) == 3
+            assert error.metrics.retries == 2
+            assert error.metrics.outcome == "failed"
+
+    @pytest.mark.parametrize(
+        "reply, code",
+        [
+            (FrameCodec().encode_result({"ok": True}), "protocol"),  # not READY
+            (
+                FrameCodec.encode_ready(1, 0, False, True)
+                + FrameCodec().encode_result({"ok": False, "error": "mismatch"}),
+                "verification",
+            ),
+        ],
+        ids=["codec-violation", "verification"],
+    )
+    def test_genuine_failures_are_never_retried(self, reply, code):
+        error, sessions = self.run_scripted([reply], 4)
+        assert isinstance(error, MigrationError)
+        assert error.code == code
+        assert len(sessions) == 1
+        assert error.metrics.retries == 0
 
 
 class TestRetryJitter:
