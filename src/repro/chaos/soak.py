@@ -22,7 +22,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -230,6 +230,7 @@ class _Soak:
             self.registry.register(name, daemon.host, daemon.port)
 
     async def stop(self) -> None:
+        await self.registry.close()
         for daemon in self.daemons.values():
             await daemon.stop()
 

@@ -254,8 +254,16 @@ def _cmd_top(args: argparse.Namespace) -> str:
             registry.register(address, host, int(port))
         aggregator = TelemetryAggregator(registry)
 
+        async def poll():
+            # Each refresh runs on a loop of its own, which the
+            # registry's control channels must not outlive.
+            try:
+                await aggregator.poll_all()
+            finally:
+                await registry.close()
+
         def view():
-            asyncio.run(aggregator.poll_all())
+            asyncio.run(poll())
             return aggregator.dashboard_view()
     else:
 

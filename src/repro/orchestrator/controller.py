@@ -13,7 +13,7 @@ traffic it produced.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +77,12 @@ class Orchestrator:
         # DIGEST_DELTA manifest (O(churn) instead of O(VM size)).
         self._checkpoint_knowledge: Dict[
             Tuple[str, str], Tuple[Optional[int], FrozenSet[bytes]]
+        ] = {}
+        # Each VM's content ids and per-slot digests as of its last hop
+        # (per checksum algorithm): the next hop digests only the slots
+        # whose id changed.
+        self._last_digests: Dict[
+            Tuple[str, str], Tuple[np.ndarray, List[bytes]]
         ] = {}
 
     # --- placement ------------------------------------------------------
@@ -148,6 +154,29 @@ class Orchestrator:
 
     # --- the full loop --------------------------------------------------
 
+    def _slot_digests(self, vm_id: str, hashes: np.ndarray) -> List[bytes]:
+        """Per-slot digests of ``hashes``, O(churn) since the VM's last hop.
+
+        Exact because a digest is a pure function of the content id (the
+        page store's id → bytes mapping is): an unchanged id keeps its
+        digest.  A first visit or a resized image takes the full pass.
+        """
+        checksum = self.strategy.checksum
+        key = (vm_id, checksum.name)
+        last = self._last_digests.get(key)
+        if last is None or last[0].shape != hashes.shape:
+            digests = self.pagestore.digests_for(hashes, checksum)
+        else:
+            last_hashes, digests = last
+            changed = np.flatnonzero(last_hashes != hashes)
+            if changed.size:
+                digests = list(digests)
+                fresh = self.pagestore.digests_for(hashes[changed], checksum)
+                for slot, digest in zip(changed.tolist(), fresh):
+                    digests[slot] = digest
+        self._last_digests[key] = (hashes.copy(), digests)
+        return digests
+
     async def migrate_vm(
         self,
         vm_id: str,
@@ -168,9 +197,9 @@ class Orchestrator:
         if refresh:
             await self.registry.poll_all()
         # The hop's one digest pass: the placement sketch reads it here,
-        # the migration below is seeded with it.
+        # the migration below plans, encodes and verifies from it.
         hashes = np.asarray(hashes, dtype=np.uint64)
-        digests = self.pagestore.digests_for(hashes, self.strategy.checksum)
+        digests = self._slot_digests(vm_id, hashes)
         request = self.request_for(
             vm_id, hashes, source_host=source_host, active=active,
             deferrals=deferrals, digests=digests,
@@ -189,7 +218,7 @@ class Orchestrator:
             ),
             self.strategy,
             config=self.config,
-            digests=dict(zip(hashes.tolist(), digests)),
+            digests=digests,
         )
         host, port = self.registry.address_of(decision.destination)
         outcome = await self.executor.run(

@@ -252,6 +252,7 @@ async def replay_vdi_live(
     finally:
         if metrics_server is not None:
             metrics_server.stop()
+        await registry.close()
         for daemon in daemons.values():
             await daemon.stop()
     wall_time_s = time.monotonic() - started

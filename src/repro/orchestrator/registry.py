@@ -1,14 +1,21 @@
 """Registry/heartbeat service: who is alive and what do they hold.
 
 The controller registers each daemon's address once and then *polls*:
-a heartbeat opens a short-lived connection, sends a HEARTBEAT frame on
-the ordinary migration port, and reads back one INVENTORY frame (the
-daemon's capacity + checkpoint digest summary).  Pull-based liveness
-keeps the daemon passive — it answers probes exactly like it answers
-HELLOs — and makes restart recovery automatic: a daemon that comes
-back with a durable ``state_dir`` rebuilds its checkpoints from the
-repository, so the next successful heartbeat repopulates the
-controller's view without any re-registration protocol.
+a heartbeat sends a HEARTBEAT frame on the ordinary migration port and
+reads back one INVENTORY frame (the daemon's capacity + checkpoint
+digest summary).  Pull-based liveness keeps the daemon passive — it
+answers probes exactly like it answers HELLOs — and makes restart
+recovery automatic: a daemon that comes back with a durable
+``state_dir`` rebuilds its checkpoints from the repository, so the next
+successful heartbeat repopulates the controller's view without any
+re-registration protocol.
+
+Heartbeats and telemetry polls to one daemon share one kept-alive
+*control channel*: the first probe opens it, later probes reuse it, and
+the daemon closes it after its ``io_timeout_s`` of idleness.  A channel
+already seen closed when the next probe starts is replaced without a
+word; a probe that fails on a live channel fails exactly as a fresh
+connection would (counted, not retried) and the channel goes with it.
 
 A host that misses a heartbeat is marked dead but stays registered;
 polling continues and a later success revives it.
@@ -17,7 +24,7 @@ polling continues and a later success revives it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.obs import names
@@ -29,7 +36,7 @@ from repro.orchestrator.inventory import (
     HostInventory,
 )
 from repro.runtime.frames import Frame, FrameCodec, FrameError, TYPE_INVENTORY, expect_frame
-from repro.runtime.shaping import open_shaped_connection
+from repro.runtime.shaping import ShapedStream, open_shaped_connection
 
 log = get_logger(__name__)
 
@@ -79,6 +86,7 @@ class ClusterRegistry:
         self.sketch_k = sketch_k
         self._clock = clock
         self._records: Dict[str, HostRecord] = {}
+        self._channels: Dict[str, ShapedStream] = {}
         self._seq = 0
         self.probe_fault: Optional[Callable[[str], bool]] = None
         """Fault point for the :mod:`repro.chaos` plane: called with the
@@ -88,14 +96,24 @@ class ClusterRegistry:
     # --- membership -----------------------------------------------------
 
     def register(self, name: str, host: str, port: int) -> HostRecord:
-        """Add (or re-address) a daemon; liveness starts unknown."""
+        """Add (or re-address) a daemon; liveness starts unknown.  A new
+        address drops the control channel to the old one."""
+        old = self._records.get(name)
+        if old is not None and (old.host, old.port) != (host, port):
+            self._drop(name)
         record = HostRecord(name=name, host=host, port=port)
         self._records[name] = record
         return record
 
     def deregister(self, name: str) -> None:
         """Forget ``name`` entirely (decommissioned host)."""
+        self._drop(name)
         self._records.pop(name, None)
+
+    def _drop(self, name: str) -> None:
+        stream = self._channels.pop(name, None)
+        if stream is not None:
+            stream.abort()
 
     def record(self, name: str) -> HostRecord:
         """The registration record for ``name``; KeyError if unknown."""
@@ -159,22 +177,52 @@ class ClusterRegistry:
     async def probe(
         self, record: HostRecord, request: bytes, reply_type: int
     ) -> Frame:
-        """The controller's one request/reply client: connect, send the
-        one ``request`` frame, read the one ``reply_type`` frame back,
-        close.  Every step is bounded by ``heartbeat_timeout_s``; raises
-        one of :data:`PROBE_ERRORS` when the daemon does not answer."""
-        stream = await open_shaped_connection(
-            record.host,
-            record.port,
-            link=None,
-            time_scale=0.0,
-            connect_timeout_s=self.heartbeat_timeout_s,
-        )
+        """The controller's one request/reply client: send the one
+        ``request`` frame on the host's control channel, read the one
+        ``reply_type`` frame back, keep the channel for the next probe.
+
+        A channel already seen closed before the request goes out (the
+        daemon idled it out, or restarted) is replaced by a fresh
+        connection.  Past that, nothing is retried: a daemon that does
+        not answer raises one of :data:`PROBE_ERRORS` and its channel is
+        closed.  Every step is bounded by ``heartbeat_timeout_s``.
+        """
+        stream = self._channels.pop(record.name, None)
+        if stream is not None and stream.at_eof():
+            await stream.close()
+            stream = None
         try:
+            if stream is None:
+                stream = await open_shaped_connection(
+                    record.host,
+                    record.port,
+                    link=None,
+                    time_scale=0.0,
+                    connect_timeout_s=self.heartbeat_timeout_s,
+                )
+                stream.close_on_eof()
             await stream.send(request)
             recv = stream.recv_with_timeout(self.heartbeat_timeout_s)
-            return await expect_frame(FrameCodec(), recv, reply_type)
-        finally:
+            reply = await expect_frame(FrameCodec(), recv, reply_type)
+        except BaseException:
+            if stream is not None:
+                await stream.close()
+            raise
+        if self._records.get(record.name) is record and record.name not in self._channels:
+            self._channels[record.name] = stream
+        else:
+            # Re-registered meanwhile, or a concurrent probe kept its own.
+            await stream.close()
+        return reply
+
+    async def close(self) -> None:
+        """Close every control channel (a later probe opens a new one).
+
+        A channel belongs to the event loop that opened it: close the
+        registry before that loop ends.
+        """
+        channels, self._channels = self._channels, {}
+        for stream in channels.values():
             await stream.close()
 
     async def poll_all(self) -> ClusterView:

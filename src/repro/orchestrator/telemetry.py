@@ -2,8 +2,9 @@
 
 The controller-side half of the telemetry plane
 (:mod:`repro.obs.telemetry`).  The aggregator polls every registered
-daemon with a TELEMETRY frame — the same passive open/ask/close shape
-as the registry's HEARTBEAT probe — and folds the returned
+daemon with a TELEMETRY frame — through the registry's request/reply
+client, on the same kept-alive control channel as its HEARTBEAT
+probes — and folds the returned
 sequence-numbered :class:`~repro.obs.telemetry.MetricsSnapshot` into:
 
 * **per-host accumulations** keyed by ``host`` label, built from

@@ -782,20 +782,23 @@ class CheckpointDaemon:
     async def stop(self) -> None:
         """Stop listening and drop connection handlers.
 
-        Handlers still serving a connection (or sleeping in an injected
-        stall) are cancelled and awaited, so a stopped daemon leaves no
-        task behind to spill a ``CancelledError`` into the event loop's
-        exception handler after the fact.
+        Handlers still serving a connection (an idle control channel, or
+        an injected stall) are cancelled and awaited, so a stopped daemon
+        leaves no task behind to spill a ``CancelledError`` into the
+        event loop's exception handler after the fact.  That happens
+        before waiting for the server to close, which on newer Pythons
+        waits for every connection it accepted.
         """
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         if self._handlers:
             for task in list(self._handlers):
                 task.cancel()
             await asyncio.gather(*self._handlers, return_exceptions=True)
             self._handlers.clear()
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
         if self.metrics_server is not None:
             self.metrics_server.stop()
             self.metrics_server = None
@@ -1316,7 +1319,7 @@ class CheckpointDaemon:
     async def _answer_heartbeat(self, stream: ShapedStream,
                                 codec: FrameCodec, hello: Frame) -> None:
         # Control-plane liveness probe: answer with the inventory
-        # report and close — no migration session is created.
+        # report — no migration session is created.
         self._count(names.DAEMON_HEARTBEATS)
         body = self.inventory_report(
             sketch_k=int(hello.body.get("sketch_k", 0)) or None
@@ -1334,7 +1337,7 @@ class CheckpointDaemon:
             stream.abort()
             return
         # Metrics probe: answer with the next sequence-numbered
-        # snapshot and close — same passive shape as HEARTBEAT.
+        # snapshot — same passive shape as HEARTBEAT.
         self._count(names.DAEMON_TELEMETRY_PROBES)
         body = self.telemetry.snapshot().to_dict()
         body["probe_seq"] = hello.body.get("seq")
@@ -1358,16 +1361,23 @@ class CheckpointDaemon:
         codec = FrameCodec()
         recv = stream.recv_with_timeout(self.io_timeout_s)
         hello = await codec.read_frame(recv)
-        # Control-plane openers dispatch off the frame tag; anything
-        # else must be a migration HELLO.
-        opener = {
+        if hello.type == TYPE_ERROR:
+            await self._drop_peer_error(stream, codec, hello)
+            return
+        probes = {
             TYPE_HEARTBEAT: self._answer_heartbeat,
             TYPE_TELEMETRY: self._answer_telemetry,
-            TYPE_ERROR: self._drop_peer_error,
-        }.get(hello.type)
-        if opener is not None:
-            await opener(stream, codec, hello)
-            return
+        }
+        if hello.type in probes:
+            # A control channel: answer probes until the controller
+            # hangs up or leaves it idle for io_timeout_s (both end the
+            # read below as a transport failure, closed quietly).
+            while hello.type in probes:
+                await probes[hello.type](stream, codec, hello)
+                hello = await codec.read_frame(recv)
+            raise SinkProtocolError(
+                "bad-hello", f"{hello.name} on a control channel"
+            )
         if hello.type != TYPE_HELLO:
             raise SinkProtocolError("bad-hello", f"expected HELLO, got {hello.name}")
         session, codec = self._session_for(hello.body)

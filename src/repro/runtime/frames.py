@@ -34,14 +34,17 @@ All integers are big-endian.  Frame layouts::
                         | added × digest | removed × digest
 
 The HEARTBEAT/INVENTORY pair is the cluster control plane's liveness
-probe (:mod:`repro.orchestrator`): a controller opens a connection,
-sends HEARTBEAT instead of HELLO, and the daemon answers with its
-inventory report (capacity plus a digest-summary of every hosted
-checkpoint) and closes.  TELEMETRY works the same way for metrics: a
-controller (or `vecycle top`) sends a TELEMETRY request frame and the
-daemon answers with one TELEMETRY frame carrying its sequence-numbered
-:class:`~repro.obs.telemetry.MetricsSnapshot` and closes.  All three
-are JSON control frames and are never mixed into a migration session.
+probe (:mod:`repro.orchestrator`): a controller sends HEARTBEAT
+instead of HELLO, and the daemon answers with its inventory report
+(capacity plus a digest-summary of every hosted checkpoint).
+TELEMETRY works the same way for metrics: a controller (or `vecycle
+top`) sends a TELEMETRY request frame and the daemon answers with one
+TELEMETRY frame carrying its sequence-numbered
+:class:`~repro.obs.telemetry.MetricsSnapshot`.  A connection that opens
+with either is a control channel: the daemon answers such requests on
+it until the peer hangs up or idles past the daemon's I/O timeout.  All
+three are JSON control frames and are never mixed into a migration
+session.
 
 A round's page frames travel in bulk in both directions without
 changing a byte of the layouts above.  :meth:`FrameCodec.encode_pages`

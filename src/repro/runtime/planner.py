@@ -21,7 +21,7 @@ id → bytes mapping injective, so both membership tests agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional
+from typing import Callable, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
@@ -121,18 +121,16 @@ class FirstRoundPlan(TransferSet):
         return self.round_sends().as_list()
 
 
-def membership_mask(
+def digests_by_slot(
     hashes: np.ndarray,
-    announced: FrozenSet[bytes],
     digest_of: Callable[[int], bytes],
     digest_many: Optional[Callable[[np.ndarray], List[bytes]]] = None,
-) -> np.ndarray:
-    """Which slots hold content the destination announced.
+) -> List[bytes]:
+    """Per-slot checksums of ``hashes``, computed per *distinct* id.
 
-    Digests are computed once per *distinct* content id — hashing cost
-    scales with unique contents, not slots, exactly like the prototype's
-    per-content checksum pass.  ``digest_many`` (when given) digests the
-    whole distinct-id batch in one call — e.g.
+    Hashing cost scales with unique contents, not slots, exactly like
+    the prototype's per-content checksum pass.  ``digest_many`` (when
+    given) digests the whole distinct-id batch in one call — e.g.
     :meth:`~repro.mem.pagestore.PageStore.digests_for` — instead of one
     ``digest_of`` call per id.
     """
@@ -141,12 +139,18 @@ def membership_mask(
         digests = digest_many(unique_ids)
     else:
         digests = [digest_of(int(cid)) for cid in unique_ids]
-    unique_member = np.fromiter(
-        (digest in announced for digest in digests),
+    return list(map(digests.__getitem__, inverse.tolist()))
+
+
+def membership_mask(
+    slot_digests: Sequence[bytes], announced: FrozenSet[bytes]
+) -> np.ndarray:
+    """Which slots hold content the destination announced."""
+    return np.fromiter(
+        map(announced.__contains__, slot_digests),
         dtype=bool,
-        count=unique_ids.shape[0],
+        count=len(slot_digests),
     )
-    return unique_member[inverse]
 
 
 def plan_first_round(
@@ -156,6 +160,7 @@ def plan_first_round(
     digest_of: Optional[Callable[[int], bytes]] = None,
     dirty_slots: Optional[np.ndarray] = None,
     digest_many: Optional[Callable[[np.ndarray], List[bytes]]] = None,
+    slot_digests: Optional[Sequence[bytes]] = None,
 ) -> FirstRoundPlan:
     """Plan the first copy round of a live migration.
 
@@ -166,22 +171,27 @@ def plan_first_round(
             for hash-based methods (pass an empty set on a first visit —
             every page then goes in full, the degraded mode §3.2
             implies).
-        digest_of: content id → real page checksum, required with
-            ``announced``.
+        digest_of: content id → real page checksum; with ``announced``,
+            required unless ``slot_digests`` is given.
         dirty_slots: Slots written since the destination's checkpoint;
             required for dirty-tracking methods.
         digest_many: Optional batched variant of ``digest_of`` taking an
             array of distinct content ids.
+        slot_digests: The per-slot checksums of ``hashes``, when the
+            caller has them already (the live source's digest pass);
+            ``digest_of`` and ``digest_many`` are then not called.
     """
     hashes = np.asarray(hashes, dtype=np.uint64)
     member = dirty_mask = None
     if method.uses_hashes:
-        if announced is None or digest_of is None:
+        if announced is None or (slot_digests is None and digest_of is None):
             raise ValueError(
                 f"method {method.value} needs the announced checksum set "
                 "and a digest function"
             )
-        member = membership_mask(hashes, announced, digest_of, digest_many)
+        if slot_digests is None:
+            slot_digests = digests_by_slot(hashes, digest_of, digest_many)
+        member = membership_mask(slot_digests, announced)
     if method.uses_dirty_tracking:
         if dirty_slots is None:
             raise ValueError(f"method {method.value} needs dirty_slots")

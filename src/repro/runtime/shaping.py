@@ -114,6 +114,7 @@ class ShapedStream(asyncio.BufferedProtocol):
         self._tail = 0
         self._reading_paused = False
         self._eof = False
+        self._half_open = True
         self._lost = False
         self._error: Optional[BaseException] = None
         self._read_waiter: Optional[asyncio.Future] = None
@@ -161,10 +162,11 @@ class ShapedStream(asyncio.BufferedProtocol):
         self._wake(self._read_waiter)
 
     def eof_received(self) -> bool:
-        """The peer finished writing; keep our half open, as streams do."""
+        """The peer finished writing; keep our half open, as streams do,
+        unless :meth:`close_on_eof` said otherwise."""
         self._eof = True
         self._wake(self._read_waiter)
-        return True
+        return self._half_open
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         """The transport is gone: fail whoever waits on it."""
@@ -329,6 +331,21 @@ class ShapedStream(asyncio.BufferedProtocol):
             return await self.recv(num_bytes, timeout_s)
 
         return recv
+
+    def at_eof(self) -> bool:
+        """True once the peer has finished writing or the connection is gone."""
+        return self._eof
+
+    def close_on_eof(self) -> None:
+        """Close this side too as soon as the peer finishes writing.
+
+        For a connection that idles between request/reply exchanges: no
+        reader is waiting there to notice the peer leave, so without
+        this its half would stay open until someone closed it.
+        """
+        self._half_open = False
+        if self._eof and not self._lost:
+            self._transport.close()
 
     def abort(self) -> None:
         """Tear the connection down immediately (fault injection)."""

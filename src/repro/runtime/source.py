@@ -33,7 +33,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -255,9 +254,9 @@ class MigrationSource:
             (the same registry entries the analytic path uses).
         link: Traffic shaping for outgoing data; None for unshaped.
         config: Timeouts, retry policy, pacing scale, send chunking.
-        digests: Content id → checksum pairs the caller already computed
-            for this image (the orchestrator's placement sketch); the
-            migration then digests only what the table lacks.
+        digests: The per-slot checksums of ``state.hashes``, when the
+            caller already has them (the orchestrator's placement pass);
+            the migration then computes none for its image.
     """
 
     def __init__(
@@ -266,7 +265,7 @@ class MigrationSource:
         strategy: MigrationStrategy,
         link: Optional[Link] = None,
         config: Optional[RuntimeConfig] = None,
-        digests: Optional[Dict[int, bytes]] = None,
+        digests: Optional[Sequence[bytes]] = None,
     ) -> None:
         self.state = state
         self.strategy = strategy
@@ -274,10 +273,17 @@ class MigrationSource:
         self.config = config or RuntimeConfig()
         self.codec = FrameCodec(strategy.wire)
         self.session_id = f"{state.vm_id}-{uuid.uuid4().hex[:12]}"
-        # The migration's one digest pass: content id → checksum, read by
-        # the planner, the encoder and the final-image check alike.
-        self._digests: Dict[int, bytes] = digests if digests is not None else {}
-        self._final_slots: Optional[List[bytes]] = None
+        # The migration's one digest pass: per-slot checksums of the
+        # image, read by the planner, the encoder and the final-image
+        # check alike.
+        if digests is not None and len(digests) != state.hashes.shape[0]:
+            raise ValueError(
+                f"{len(digests)} digests for {state.hashes.shape[0]} slots"
+            )
+        self._slot_digests: Optional[Sequence[bytes]] = digests
+        # Content id → checksum of what dirty rounds bring in.
+        self._digests: Dict[int, bytes] = {}
+        self._final_slots: Optional[Sequence[bytes]] = None
         self._rounds: List[RoundSends] = []
         self._plan = None
         self._feed_done = False
@@ -287,48 +293,46 @@ class MigrationSource:
     # --- planning -------------------------------------------------------
 
     def _digests_of(self, content_ids: np.ndarray) -> List[bytes]:
-        """Per-row checksums from the migration's table; only ids it has
-        not seen (a dirty round's new contents) go to the page store."""
+        """Per-row checksums of a dirty round's contents; only ids this
+        migration has not met yet go to the page store."""
         table, ids = self._digests, content_ids.tolist()
-        try:
-            return [table[cid] for cid in ids]
-        except KeyError:
-            self._learn(set(ids))
-            return [table[cid] for cid in ids]
-
-    def _learn(self, content_ids: Iterable[int]) -> None:
-        """Checksum those of ``content_ids`` (distinct) the table lacks."""
-        table = self._digests
-        unseen = [cid for cid in content_ids if cid not in table]
+        unseen = [cid for cid in set(ids) if cid not in table]
         if unseen:
             digests = self.state.pagestore.digests_for(
                 np.array(unseen, dtype=np.uint64), self.strategy.checksum
             )
             table.update(zip(unseen, digests))
+        return [table[cid] for cid in ids]
 
-    async def _digest_sliced(self) -> None:
-        """Checksum the image's distinct contents without starving the loop.
+    async def _digest_sliced(self) -> int:
+        """Checksum the image without starving the loop; returns the
+        number of distinct contents checksummed.
 
         Runs between READY and the announce read: the kernel (and the
         stream's receive arena) collect the announce meanwhile, so the
-        hashing hides under its transfer.  Yielding between slices keeps
-        every other task on the loop — an in-process daemon's paced
-        sends included — moving.  Fills the content id → checksum table.
+        hashing hides under its transfer.  Each distinct content is
+        checksummed once, a slice at a time, and yielding between slices
+        keeps every other task on the loop — an in-process daemon's paced
+        sends included — moving.  Fills the per-slot digest list.
         """
-        distinct = np.unique(self.state.hashes)
+        distinct, inverse = np.unique(self.state.hashes, return_inverse=True)
+        digests: List[bytes] = []
         for start in range(0, distinct.shape[0], DIGEST_SLICE_PAGES):
-            self._learn(distinct[start : start + DIGEST_SLICE_PAGES].tolist())
+            digests += self.state.pagestore.digests_for(
+                distinct[start : start + DIGEST_SLICE_PAGES], self.strategy.checksum
+            )
             await asyncio.sleep(0)
+        self._slot_digests = list(map(digests.__getitem__, inverse.tolist()))
+        return len(digests)
 
     def _build_first_round(self, announced: FrozenSet[bytes]) -> None:
-        # Non-hash methods ignore the announced set and the digest table.
+        # Non-hash methods ignore the announced set and the digests.
         self._plan = plan_first_round(
             self.strategy.method,
             self.state.hashes,
             announced=announced,
-            digest_of=self._digests.__getitem__,
             dirty_slots=self.state.dirty_slots,
-            digest_many=self._digests_of,
+            slot_digests=self._slot_digests,
         )
         self._rounds = [self._plan.round_sends()]
 
@@ -366,15 +370,19 @@ class MigrationSource:
             self._final_slots = None
         return True
 
-    def _final_slot_digests(self) -> List[bytes]:
+    def _final_slot_digests(self) -> Sequence[bytes]:
         """Per-slot digests of the image after all planned rounds
         (COMPLETE and :meth:`final_digests` read one list; a new dirty
         round drops it)."""
         if self._final_slots is None:
-            final = self._plan.content_ids.copy()
-            for sends in self._rounds[1:]:
-                final[sends.slots] = sends.content_ids
-            self._final_slots = self._digests_of(final)
+            final = self._slot_digests
+            if len(self._rounds) > 1:
+                final = list(final)
+                for sends in self._rounds[1:]:
+                    digests = self._digests_of(sends.content_ids)
+                    for slot, digest in zip(sends.slots.tolist(), digests):
+                        final[slot] = digest
+            self._final_slots = final
         return self._final_slots
 
     def final_digests(self) -> Optional[FrozenSet[bytes]]:
@@ -586,13 +594,12 @@ class MigrationSource:
                     return
 
                 # READY came first, so an ERROR, a replayed RESULT or a
-                # resume (the plan is kept) costs no digesting.  The
+                # resume (the digests are kept) costs no digesting.  The
                 # planner needs the *whole* announced set, so the only
                 # thing worth overlapping with the announce is hashing.
-                if self._plan is None and self.strategy.method.uses_hashes:
+                if self._slot_digests is None:
                     with _span("digest") as digest_span:
-                        await self._digest_sliced()
-                        digest_span.set(distinct=len(self._digests))
+                        digest_span.set(distinct=await self._digest_sliced())
 
                 announced: FrozenSet[bytes] = (
                     known if announce_known else frozenset()
@@ -698,20 +705,22 @@ class MigrationSource:
     ) -> Iterator[Tuple[List[int], bytes]]:
         """Wire bytes of ``sends`` from message ``skip`` on, a batch at a time.
 
-        Per round: the kind → tag map, one digest-table read over the
-        rows that carry a checksum, and the codec's header pack.  Page
-        bytes are fetched :data:`DIGEST_SLICE_PAGES` ids at a time as the
-        codec reaches them, so a round never holds the whole image.
+        Per round: the kind → tag map, the per-slot digests of the rows
+        that carry a checksum, and the codec's header pack.  Page bytes
+        are fetched :data:`DIGEST_SLICE_PAGES` ids at a time as the codec
+        reaches them, so a round never holds the whole image.
         """
         kinds = sends.kinds[skip:]
-        content_ids = sends.content_ids[skip:]
+        slots = sends.slots[skip:]
         with_digest = (kinds == KIND_FULL) | (kinds == KIND_CHECKSUM)
         with_page = (kinds == KIND_FULL) | (kinds == KIND_PLAIN)
         return self.codec.encode_pages(
             _TAG_OF_KIND[kinds],
-            sends.slots[skip:],
-            digests=self._digests_of(content_ids[with_digest]),
-            pages=self._pages_of(content_ids[with_page].tolist()),
+            slots,
+            # Only first-round rows carry a checksum, and a first-round
+            # row sends its slot's content as of the digest pass.
+            digests=map(self._slot_digests.__getitem__, slots[with_digest].tolist()),
+            pages=self._pages_of(sends.content_ids[skip:][with_page].tolist()),
             refs=sends.refs[skip:][kinds == KIND_REF].tolist(),
             batch_bytes=BATCH_BYTES,
             queued=queued,

@@ -1,12 +1,15 @@
-"""What one steady-state hop derives, as counts (no clock).
+"""What one steady-state hop derives and opens, as counts (no clock).
 
-Three in-memory daemons, six VMs, one orchestrator — the
-``fleet_pingpong`` shape — at 3% churn a hop.  After every VM has
-visited every host, one ``Orchestrator.migrate_vm`` hop may compute two
+Three in-memory daemons, six VMs, one orchestrator and one telemetry
+aggregator — the ``fleet_pingpong`` shape — at 3% churn a hop.  After
+every VM has visited every host, one hop (``Orchestrator.migrate_vm``,
+then ``TelemetryAggregator.poll_all``) may open one TCP connection (the
+migration; every probe rides a kept-alive control channel), compute two
 bottom-k sketches (the request's, and that of the one checkpoint adopted
-since the previous poll) and may hand ``PageStore.digests_for`` the
-image once: everything else is read from what a checkpoint generation,
-or the migration, already derived.
+since the previous poll) and hand ``PageStore.digests_for`` the contents
+rewritten since the VM's last hop: everything else is read from what a
+checkpoint generation, the VM's previous hop, or the migration already
+derived.
 """
 
 import asyncio
@@ -21,10 +24,10 @@ from repro.orchestrator import (
     Orchestrator,
     PlacementDecision,
     PlacementPolicy,
+    TelemetryAggregator,
 )
 from repro.orchestrator import controller, inventory
 from repro.runtime import CheckpointDaemon, RuntimeConfig
-from repro.runtime.source import DIGEST_SLICE_PAGES
 
 HOSTS, VMS, PAGES = 3, 6, 1024
 CHURN = round(0.03 * PAGES)
@@ -46,13 +49,18 @@ class Ring(PlacementPolicy):
 
 
 class Counts:
-    """Counting wrappers around the two derivations a hop must not repeat."""
+    """Counting wrappers around what a hop must not repeat or reopen."""
 
-    def __init__(self, monkeypatch, store):
+    def __init__(self, monkeypatch, fleet):
         self.sketches = 0
         self.digested_ids = 0
+        self.source_digest_calls = 0
+        self.connections = 0
+        self._migrating = False
         real_sketch = inventory.digest_sketch
-        real_digests_for = store.digests_for
+        real_digests_for = fleet.store.digests_for
+        real_run = fleet.orchestrator.executor.run
+        real_on_connection = CheckpointDaemon._on_connection
 
         def sketch(digests, k=inventory.DEFAULT_SKETCH_K):
             self.sketches += 1
@@ -60,16 +68,37 @@ class Counts:
 
         def digests_for(content_ids, *args, **kwargs):
             self.digested_ids += len(np.asarray(content_ids))
+            self.source_digest_calls += self._migrating
             return real_digests_for(content_ids, *args, **kwargs)
+
+        async def run(*args, **kwargs):
+            self._migrating = True
+            try:
+                return await real_run(*args, **kwargs)
+            finally:
+                self._migrating = False
+
+        async def on_connection(daemon, stream):
+            self.connections += 1
+            await real_on_connection(daemon, stream)
 
         # The daemon looks the function up in its module on every call;
         # the controller bound it at import.
         monkeypatch.setattr(inventory, "digest_sketch", sketch)
         monkeypatch.setattr(controller, "digest_sketch", sketch)
-        monkeypatch.setattr(store, "digests_for", digests_for)
+        monkeypatch.setattr(fleet.store, "digests_for", digests_for)
+        monkeypatch.setattr(fleet.orchestrator.executor, "run", run)
+        monkeypatch.setattr(CheckpointDaemon, "_on_connection", on_connection)
 
     def reset(self):
         self.sketches = self.digested_ids = 0
+        self.source_digest_calls = self.connections = 0
+
+    def reading(self):
+        return (
+            self.sketches, self.digested_ids, self.source_digest_calls,
+            self.connections,
+        )
 
 
 class Fleet:
@@ -82,6 +111,7 @@ class Fleet:
         }
         self.daemons = {}
         self.registry = ClusterRegistry()
+        self.aggregator = TelemetryAggregator(self.registry)
         self.orchestrator = None
         self.hops = 0
 
@@ -107,25 +137,27 @@ class Fleet:
         return self
 
     async def __aexit__(self, *_exc):
+        await self.registry.close()
         for daemon in self.daemons.values():
             await daemon.stop()
 
     async def hop(self):
-        """Rewrite 3% of the next VM's pages, then place and move it."""
+        """Rewrite 3% of the next VM's pages, move it, poll telemetry."""
         vm_id = f"vm-{self.hops % VMS}"
         image = self.images[vm_id]
         slots = self.rng.choice(PAGES, size=CHURN, replace=False)
         image[slots] = self.rng.integers(2**62, 2**63, size=CHURN, dtype=np.uint64)
         decision, outcome = await self.orchestrator.migrate_vm(vm_id, image.copy())
         assert outcome is not None and outcome.ok, outcome
+        await self.aggregator.poll_all()
         self.hops += 1
         return vm_id, self.daemons[decision.destination]
 
 
-def test_a_steady_state_hop_sketches_twice_and_digests_the_image_once(monkeypatch):
+def test_a_steady_state_hop_sketches_twice_and_digests_its_churn(monkeypatch):
     async def main():
         async with Fleet() as fleet:
-            counts = Counts(monkeypatch, fleet.store)
+            counts = Counts(monkeypatch, fleet)
             # Every hop leaves one checkpoint newer than the last poll,
             # which the next hop's poll sketches.
             await fleet.hop()
@@ -133,25 +165,33 @@ def test_a_steady_state_hop_sketches_twice_and_digests_the_image_once(monkeypatc
             for _ in range(3):
                 counts.reset()
                 await fleet.hop()
-                readings.append((counts.sketches, counts.digested_ids))
-            return readings
+                readings.append(counts.reading())
+            return readings, fleet.aggregator.poll_failures
 
-    readings = asyncio.run(main())
+    readings, poll_failures = asyncio.run(main())
     assert readings[0] == readings[1] == readings[2], "the counts must repeat"
-    sketches, digested_ids = readings[0]
+    sketches, digested_ids, source_digest_calls, connections = readings[0]
     # The request's sketch and the newly adopted checkpoint's; the other
     # 17 hosted checkpoints did not change (19 before the views were cached).
     assert sketches <= 2
-    # One pass over the image, shared by placement and migration; the
-    # budget leaves room for the rewritten pages and one slice (five
-    # passes, ≈ 5 × PAGES, before the source kept its table).
-    assert PAGES - CHURN <= digested_ids <= PAGES + CHURN + DIGEST_SLICE_PAGES
+    # The contents rewritten since the VM's last hop, and nothing else:
+    # the unchanged slots keep their digests (PAGES - CHURN was the
+    # lower bound while every hop digested the whole image, ≈ 5 × PAGES
+    # before the source kept its table).
+    assert 0 < digested_ids <= CHURN
+    # The migration plans, encodes and verifies from the digests the
+    # orchestrator handed it.
+    assert source_digest_calls == 0
+    # The migration; three heartbeats and three telemetry polls ride
+    # the kept-alive control channels (seven connections a hop before).
+    assert connections == 1
+    assert poll_failures == 0
 
 
 def test_heartbeats_between_adoptions_recompute_nothing(monkeypatch):
     async def main():
         async with Fleet() as fleet:
-            counts = Counts(monkeypatch, fleet.store)
+            counts = Counts(monkeypatch, fleet)
             _, daemon = await fleet.hop()
             k = fleet.registry.sketch_k
             counts.reset()

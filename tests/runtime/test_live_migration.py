@@ -127,6 +127,63 @@ class TestPingPong:
         assert shortcut.payload_bytes == with_announce.payload_bytes
 
 
+class CountingStore(PageStore):
+    """A page store that counts its ``digests_for`` calls."""
+
+    calls = 0
+
+    def digests_for(self, content_ids, *args, **kwargs):
+        self.calls += 1
+        return super().digests_for(content_ids, *args, **kwargs)
+
+
+class TestHandedDigests:
+    """``MigrationSource(digests=)``: per-slot digests the caller already has."""
+
+    @pytest.mark.parametrize("strategy", [VECYCLE, VECYCLE_DEDUP, QEMU],
+                             ids=lambda s: s.name)
+    def test_the_migration_is_the_same_and_computes_no_digest(self, strategy):
+        checkpoint, current, _ = build_vm()
+        handed = PageStore().digests_for(current, strategy.checksum)
+
+        async def migrate(digests):
+            store = CountingStore()
+            async with CheckpointDaemon(pagestore=PageStore()) as daemon:
+                daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
+                source = MigrationSource(
+                    SourceState(vm_id="vm", hashes=current, pagestore=store),
+                    strategy,
+                    config=FAST,
+                    digests=digests,
+                )
+                metrics = await source.migrate(daemon.host, daemon.port)
+                return (
+                    metrics, store.calls, source.final_digests(),
+                    daemon.checkpoints["vm"].slot_digests,
+                )
+
+        computed, computed_calls, computed_final, computed_image = asyncio.run(
+            migrate(None)
+        )
+        metrics, calls, final, image = asyncio.run(migrate(handed))
+        assert computed_calls > 0
+        assert calls == 0
+        assert metrics.outcome == computed.outcome == "completed"
+        assert metrics.bytes_by_type == computed.bytes_by_type
+        assert metrics.control_bytes == computed.control_bytes
+        assert final == computed_final == frozenset(handed)
+        assert image == computed_image == handed
+
+    def test_handed_digests_must_cover_every_slot(self):
+        _, current, _ = build_vm()
+        with pytest.raises(ValueError, match="digests for"):
+            MigrationSource(
+                SourceState(vm_id="vm", hashes=current, pagestore=PageStore()),
+                VECYCLE,
+                digests=PageStore().digests_for(current[:-1]),
+            )
+
+
 class TestDirtyRounds:
     def test_dirty_feed_adds_rounds_and_result_verifies(self):
         checkpoint, current, dirty = build_vm()
