@@ -8,8 +8,8 @@ the numbers to ``BENCH_perf.json``:
   workers, plus the assertion-backed fact that all three produce
   byte-identical bins.
 * Figure 8 VDI replay — serial vs 4 workers.
-* Page digest throughput — the byte-faithful sender's per-page copy
-  loop vs the zero-copy chunked pass.
+* Batched page digests — one ``PageStore.digests_for`` pass over a
+  duplicate-heavy slot array vs a per-slot ``digest_for`` loop.
 
 Wall-clock parallel speedup is bounded by the machine, so the snapshot
 records ``cpu_count`` next to every number: on a single-core CI runner
@@ -43,7 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.core.checksum import MD5, PAGE_SIZE  # noqa: E402
+from repro.core.checksum import MD5  # noqa: E402
 from repro.experiments import fig1_similarity, fig8_vdi  # noqa: E402
 from repro.mem.pagestore import PageStore  # noqa: E402
 from repro.net.link import Link  # noqa: E402
@@ -55,7 +55,6 @@ from repro.runtime.source import (  # noqa: E402
     SourceState,
 )
 from repro.traces.presets import SERVER_A  # noqa: E402
-from repro.vmm.guest import GuestRAM  # noqa: E402
 
 REFERENCE_SCALE = {"fig1_epochs": 80, "fig8_epochs": 400, "digest_pages": 4096,
                    "pipeline_mib": 16}
@@ -70,7 +69,6 @@ CHECKED_RATIOS = (
     "fig1.kernel_speedup",
     "fig1.best_speedup",
     "fig8.parallel_speedup",
-    "digest.zero_copy_speedup",
     "pipeline.overlap",
 )
 
@@ -177,30 +175,9 @@ def _bench_fig8(epochs: int) -> dict:
 
 
 def _bench_digest(pages: int) -> dict:
-    """Page digest throughput: per-page copies vs the zero-copy pass."""
-    ram = GuestRAM(pages)
-    rng = np.random.default_rng(3)
-    for page in range(pages):
-        ram.write_pattern(page, int(rng.integers(1 << 30)))
-
-    def per_page_copies():
-        return [MD5.digest(ram.read_page(p)) for p in range(pages)]
-
-    def zero_copy():
-        view = ram.view()
-        return [
-            MD5.digest(view[p * PAGE_SIZE : (p + 1) * PAGE_SIZE])
-            for p in range(pages)
-        ]
-
-    copy_s, copied = _timed(per_page_copies)
-    view_s, viewed = _timed(zero_copy)
-    if [bytes(d) for d in copied] != [bytes(d) for d in viewed]:
-        raise AssertionError("digest passes disagree")
-
-    # Batched PageStore digesting: one digests_for() pass over a
-    # duplicate-heavy slot array versus a per-slot digest_for() loop
-    # (the call pattern _digest_many used before it was batched).
+    """Batched PageStore digesting: one digests_for() pass over a
+    duplicate-heavy slot array versus a per-slot digest_for() loop (the
+    call pattern _digest_many used before it was batched)."""
     slot_rng = np.random.default_rng(11)
     distinct = np.unique(slot_rng.integers(
         1, 2**63, size=max(pages // 8, 1), dtype=np.uint64
@@ -222,11 +199,6 @@ def _bench_digest(pages: int) -> dict:
 
     return {
         "pages": pages,
-        "per_page_copy_s": round(copy_s, 4),
-        "zero_copy_s": round(view_s, 4),
-        "per_page_copy_pages_per_s": round(pages / copy_s),
-        "zero_copy_pages_per_s": round(pages / view_s),
-        "zero_copy_speedup": round(copy_s / view_s, 3),
         "batched_slots": int(slots.size),
         "batched_distinct": int(distinct.size),
         "per_slot_loop_s": round(loop_s, 4),

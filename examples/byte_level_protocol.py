@@ -1,73 +1,94 @@
 #!/usr/bin/env python3
-"""Listing 1 on real bytes: the mini-hypervisor migration protocol.
+"""Listing 1 on real bytes: a durable daemon recycles a checkpoint.
 
-Everything here is real: guest RAM is a byte buffer, the checkpoint is
-a file on disk, checksums are actual MD5 digests, and the destination
-merges exactly like the paper's Listing 1 — verify the local page's
-checksum, and on mismatch binary-search the checksum index and read the
-page from the checkpoint file at its old offset.
+A guest's memory is a row of page contents, each expanded into a real
+4 KiB page.  The destination host runs a checkpoint daemon with a state
+directory, which holds the checkpoint written when the guest last left
+it: page records in append-only packs plus a slot → checksum manifest.
+Every scenario restarts the daemon over that directory and migrates the
+guest in with VeCycle — the daemon announces its checkpoint's checksums,
+the source sends in full only the pages whose checksum it did not
+announce, and the daemon resolves the rest where the page already is or,
+for content that moved, from the packs.  The daemon then hosts what
+arrived as the guest's next checkpoint, and the example reads that image
+back page by page and checks it against the source's bytes, exiting
+non-zero on any difference.
 
-Run:  python examples/byte_level_protocol.py
+Run:  PYTHONPATH=src python examples/byte_level_protocol.py
 """
 
+import asyncio
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
-from repro.vmm.guest import GuestRAM, mutate_random_pages, relocate_pages
-from repro.vmm.migrate import run_migration, write_checkpoint
+from repro.core.strategies import VECYCLE
+from repro.mem.image import MemoryImage
+from repro.mem.pagestore import PageStore
+from repro.runtime import CheckpointDaemon, MigrationSource, RuntimeConfig, SourceState
 
 NUM_PAGES = 512  # 2 MiB guest — small enough to hash byte-for-byte
 
 
-def populated_guest(seed: int = 0) -> GuestRAM:
-    ram = GuestRAM(NUM_PAGES)
-    for page in range(NUM_PAGES):
-        ram.write_pattern(page, seed=seed * 10_000 + page)
-    return ram
-
-
-def report(title: str, result) -> None:
+async def migrate(
+    state_dir: str, pages: PageStore, title: str, vm_id: str, guest: MemoryImage
+) -> None:
+    """Restart the daemon over ``state_dir``, migrate ``guest`` into it
+    and check the image it hosts afterwards, byte for byte."""
+    hashes = guest.fingerprint().hashes
+    async with CheckpointDaemon(name="host-b", state_dir=state_dir) as daemon:
+        source = MigrationSource(
+            SourceState(vm_id, hashes, pages), VECYCLE,
+            config=RuntimeConfig(time_scale=0.0),
+        )
+        metrics = await source.migrate(daemon.host, daemon.port)
+        hosted = b"".join(
+            daemon.store.get(digest)
+            for digest in daemon.checkpoints[vm_id].slot_digests
+        )
+    identical = hosted == pages.materialize(hashes)
     print(f"\n--- {title} ---")
-    print(f"pages sent in full:        {result.send.pages_full}")
-    print(f"pages as checksum only:    {result.send.pages_checksum_only}")
-    print(f"  reused in place:         {result.merge.pages_reused_in_place}")
-    print(f"  reused via disk seek:    {result.merge.pages_reused_from_disk}")
-    print(f"bytes on the wire:         {result.tx_bytes:,}")
-    print(f"destination byte-identical: {result.identical}")
-    assert result.identical
+    print(f"pages sent in full:        {metrics.pages_full}")
+    print(f"pages as checksum only:    {metrics.pages_checksum_only}")
+    print(f"  reused in place:         {metrics.sink_stats['reused_in_place']}")
+    print(f"  reused from the packs:   {metrics.sink_stats['reused_from_store']}")
+    print(f"bytes on the wire:         {metrics.total_bytes:,}")
+    print(f"destination byte-identical: {identical}")
+    if not identical:
+        raise SystemExit(f"{title}: the hosted image differs from the source's")
+
+
+async def scenarios(state_dir: str) -> None:
+    rng = np.random.default_rng(42)
+    pages = PageStore()
+    guest = MemoryImage(NUM_PAGES, zero_filled=False)
+    async with CheckpointDaemon(name="host-b", state_dir=state_dir) as daemon:
+        daemon.install_checkpoint("vm0", guest.fingerprint())
+        packs = daemon.repository.pack_stats()
+    print(f"checkpoint committed: {NUM_PAGES} pages, "
+          f"{packs['physical_bytes']:,} bytes in {packs['packs']} pack(s)")
+
+    # Scenario 1: the guest did not change at all (idle VM).
+    await migrate(state_dir, pages, "idle guest (100% similarity)", "vm0", guest)
+
+    # Scenario 2: a quarter of the pages were overwritten since.
+    guest.write_fresh(guest.sample_slots(NUM_PAGES // 4, rng))
+    await migrate(state_dir, pages, "25% of pages updated", "vm0", guest)
+
+    # Scenario 3: nothing changed, but the kernel moved pages around —
+    # dirty tracking would resend them; checksums find their content in
+    # the packs of the checkpoint the last migration left.
+    guest.relocate(np.arange(NUM_PAGES), rng)
+    await migrate(state_dir, pages, "all pages relocated, none modified", "vm0", guest)
+
+    # Scenario 4: a guest this host has never seen — no checkpoint.
+    stranger = MemoryImage(NUM_PAGES, zero_filled=False)
+    await migrate(state_dir, pages, "first visit (no checkpoint)", "vm1", stranger)
 
 
 def main() -> None:
-    rng = np.random.default_rng(42)
-    with tempfile.TemporaryDirectory() as tmp:
-        checkpoint_path = Path(tmp) / "vm0.ckpt"
-
-        guest = populated_guest()
-        written = write_checkpoint(guest, checkpoint_path)
-        print(f"checkpoint written: {written:,} bytes at {checkpoint_path}")
-
-        # Scenario 1: the guest did not change at all (idle VM).
-        report("idle guest (100% similarity)",
-               run_migration(populated_guest(), checkpoint_path))
-
-        # Scenario 2: a quarter of the pages were overwritten.
-        guest = populated_guest()
-        mutate_random_pages(guest, 0.25, rng)
-        report("25% of pages updated", run_migration(guest, checkpoint_path))
-
-        # Scenario 3: nothing changed, but the kernel moved pages
-        # around — dirty tracking would resend them; checksums find the
-        # content at its old checkpoint offset instead.
-        guest = populated_guest()
-        relocate_pages(guest, np.arange(NUM_PAGES), rng)
-        report("all pages relocated, none modified",
-               run_migration(guest, checkpoint_path))
-
-        # Scenario 4: first visit — no checkpoint available.
-        report("first visit (no checkpoint)",
-               run_migration(populated_guest(), checkpoint_path=None))
+    with tempfile.TemporaryDirectory() as state_dir:
+        asyncio.run(scenarios(state_dir))
 
 
 if __name__ == "__main__":

@@ -18,10 +18,9 @@ Package map:
 * :mod:`repro.net` / :mod:`repro.storage` — link and disk cost models.
 * :mod:`repro.migration` — the QEMU-like multi-round pre-copy simulator
   (Figures 6 and 7).
-* :mod:`repro.vmm` — a byte-faithful mini-hypervisor running the real
-  protocol (Listing 1) on real pages and checkpoint files.
-* :mod:`repro.runtime` — a live asyncio migration runtime: checkpoint
-  daemons, migration sources, traffic shaping, and cross-validation of
+* :mod:`repro.runtime` — a live asyncio migration runtime, the one
+  implementation that moves real page bytes: checkpoint daemons,
+  migration sources, traffic shaping, and cross-validation of
   on-the-wire bytes against the analytic model.
 * :mod:`repro.cluster` — hosts, schedules and the VDI replay (Figure 8).
 

@@ -6,8 +6,10 @@ so records *one checksum per 4 KiB block together with the file offset*
 in a sorted list, "such that we can use binary search to quickly find the
 offset for a given checksum".
 
-:class:`ChecksumIndex` is that structure (sorted hash array + offsets,
-binary search via :func:`numpy.searchsorted`).  :class:`Checkpoint` is a
+:class:`ChecksumIndex` is that structure over content ids (a sorted hash
+array plus the slot each hash first occupies, binary search via
+:func:`numpy.searchsorted`); the live runtime's durable counterpart is
+the pack index of :mod:`repro.storage.repository`.  :class:`Checkpoint` is a
 stored VM memory snapshot with its index, and :class:`CheckpointStore`
 is the per-host collection of checkpoints, one per VM the host has seen
 (the "store a checkpoint at each visited server" policy, with an
@@ -38,11 +40,11 @@ class CapacityError(ValueError):
 
 
 class ChecksumIndex:
-    """Sorted checksum → file-offset index over a checkpoint's pages.
+    """Sorted checksum → slot index over a checkpoint's pages.
 
-    For duplicate contents, the index keeps the offset of the *first*
-    slot holding that content — any copy is as good as another for
-    reconstructing a page (Listing 1's ``lookup(checksum)``).
+    For duplicate contents, the index keeps the *first* slot holding
+    that content — any copy is as good as another for reconstructing a
+    page (Listing 1's ``lookup(checksum)``).
     """
 
     def __init__(self, fingerprint: Fingerprint) -> None:
@@ -68,11 +70,6 @@ class ChecksumIndex:
         if pos < len(self._hashes) and self._hashes[pos] == page_hash:
             return int(self._slots[pos])
         return None
-
-    def lookup_offset(self, page_hash: int) -> Optional[int]:
-        """Byte offset of ``page_hash`` in the checkpoint file, or None."""
-        slot = self.lookup(page_hash)
-        return None if slot is None else slot * PAGE_SIZE
 
     def contains_many(self, hashes: np.ndarray) -> np.ndarray:
         """Vectorized membership test for an array of hashes."""

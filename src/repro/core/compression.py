@@ -16,15 +16,11 @@ Two calibrated presets:
   (~8:1) but useless on first-seen content (modelled by applying the
   delta ratio only to pages whose *slot* was seen before).
 
-A real byte-level compressor is also provided for the mini-hypervisor
-(:func:`compress_page` / :func:`decompress_page`, zlib-based), so the
-byte-faithful path can verify end-to-end correctness with compression
-enabled.
+These are cost models only: no implementation compresses page bytes.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 _MIB = 2**20
@@ -99,13 +95,3 @@ def get_compression(name: str) -> CompressionModel:
     except KeyError:
         known = ", ".join(sorted(PRESETS))
         raise KeyError(f"unknown compression {name!r}; known: {known}") from None
-
-
-def compress_page(page: bytes, level: int = 1) -> bytes:
-    """Real compression for the byte-faithful path (zlib, fast level)."""
-    return zlib.compress(page, level)
-
-
-def decompress_page(blob: bytes) -> bytes:
-    """Inverse of :func:`compress_page`."""
-    return zlib.decompress(blob)

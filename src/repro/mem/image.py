@@ -10,9 +10,9 @@ VMs without allocating their bytes.
 Fresh writes allocate globally unique content ids from a monotonically
 increasing counter, so a newly written page never aliases existing
 content unless the workload explicitly duplicates a page.  When real
-bytes are needed (the byte-faithful mini-hypervisor in
-:mod:`repro.vmm`), :class:`repro.mem.pagestore.PageStore` materializes a
-deterministic 4 KiB block per content id.
+bytes are needed (the live runtime in :mod:`repro.runtime`),
+:class:`repro.mem.pagestore.PageStore` materializes a deterministic
+4 KiB block per content id.
 """
 
 from __future__ import annotations

@@ -40,11 +40,6 @@ class TestChecksumIndex:
     def test_len_counts_unique(self):
         assert len(ChecksumIndex(fp([1, 1, 2, 3, 3]))) == 3
 
-    def test_lookup_offset_is_slot_times_page_size(self):
-        index = ChecksumIndex(fp([10, 20, 30]))
-        assert index.lookup_offset(30) == 2 * PAGE_SIZE
-        assert index.lookup_offset(99) is None
-
     def test_contains_many(self):
         index = ChecksumIndex(fp([1, 2, 3]))
         mask = index.contains_many(np.asarray([0, 2, 5, 3], dtype=np.uint64))

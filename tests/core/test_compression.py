@@ -7,8 +7,6 @@ from repro.core.compression import (
     LZO_FAST,
     NO_COMPRESSION,
     CompressionModel,
-    compress_page,
-    decompress_page,
     get_compression,
 )
 
@@ -51,19 +49,3 @@ class TestCostModel:
             CompressionModel(name="x", ratio=0.5, throughput=1, decompress_throughput=1)
         with pytest.raises(ValueError):
             CompressionModel(name="x", ratio=2, throughput=0, decompress_throughput=1)
-
-
-class TestRealCompressor:
-    def test_roundtrip(self):
-        page = b"abcd" * 1024
-        assert decompress_page(compress_page(page)) == page
-
-    def test_compressible_page_shrinks(self):
-        page = b"\x00" * 4096
-        assert len(compress_page(page)) < 64
-
-    def test_random_page_does_not_shrink_much(self):
-        import os
-
-        page = os.urandom(4096)
-        assert len(compress_page(page)) > 3900

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.checksum import MD5, PAGE_SIZE
+from repro.mem.image import MemoryImage
 from repro.mem.pagestore import ContentAddressedStore, PageStore
 from repro.obs.metrics import get_registry
 from repro.storage.repository import CheckpointRepository
@@ -53,6 +54,15 @@ class TestMaterialize:
         assert blob[:64] == store.page_bytes(1)
         assert blob[64:128] == bytes(64)
         assert blob[128:] == store.page_bytes(2)
+
+    def test_materializes_a_memory_image(self):
+        image = MemoryImage(8)
+        image.write_fresh(np.asarray([0, 1]))
+        image.write_duplicate_of(np.asarray([2]), 0)
+        blob = PageStore().materialize(image.slots)
+        page = [blob[at : at + PAGE_SIZE] for at in range(0, len(blob), PAGE_SIZE)]
+        assert page[0] == page[2] != page[1]  # duplicates share their bytes
+        assert page[3] == bytes(PAGE_SIZE)  # a never-written slot is a zero page
 
 
 class TestLruEviction:

@@ -82,6 +82,13 @@ class TestPageFrameSizes:
         assert len(encoded) == WIRE.announce_frame_bytes(10)
         assert len(encoded) == ANNOUNCE_FRAME_OVERHEAD + 10 * 16
 
+    def test_checksum_frame_is_a_full_frame_without_its_page(self):
+        codec = FrameCodec(WIRE)
+        full = codec.encode_page_full(7, DIGEST, PAGE)
+        checksum_only = codec.encode_page_checksum(7, DIGEST)
+        assert len(checksum_only) == 9 + 16
+        assert len(full) - len(checksum_only) == WIRE.page_size
+
     def test_sizes_follow_the_wire_format(self):
         wire = WireFormat(checksum_bytes=8)
         codec = FrameCodec(wire)

@@ -19,7 +19,6 @@ class TestPublicImports:
         import repro.net
         import repro.storage
         import repro.traces
-        import repro.vmm
 
         for module in (
             repro.analysis,
@@ -30,7 +29,6 @@ class TestPublicImports:
             repro.net,
             repro.storage,
             repro.traces,
-            repro.vmm,
         ):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"

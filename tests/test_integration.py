@@ -1,9 +1,10 @@
 """Cross-module integration tests.
 
 The strongest check in the suite: the *cost-model simulator* and the
-*byte-faithful mini-hypervisor* must agree page-for-page on what a
-VeCycle migration transfers, because they implement the same protocol at
-different levels of abstraction.
+*live runtime* must agree page-for-page on what a VeCycle migration
+transfers, because they implement the same protocol at different levels
+of abstraction — and the runtime must leave the destination holding the
+source's bytes.
 """
 
 import numpy as np
@@ -15,19 +16,17 @@ from repro.core.strategies import VECYCLE
 from repro.core.transfer import Method, compute_transfer_set
 from repro.mem.image import MemoryImage
 from repro.mem.mutation import boot_populate
-from repro.mem.pagestore import PageStore
 from repro.migration.engine import ping_pong
 from repro.migration.vm import SimVM
 from repro.net.link import LAN_1GBE, WAN_CLOUDNET
-from repro.vmm.guest import GuestRAM
-from repro.vmm.migrate import run_migration, write_checkpoint
+from tests.runtime.test_real_bytes import check_against_model
 
 MIB = 2**20
 
 
 class TestSimulatorMatchesByteProtocol:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_transfer_counts_agree(self, tmp_path, seed):
+    def test_transfer_counts_agree(self, seed):
         rng = np.random.default_rng(seed)
         # Build the checkpoint-time image...
         image = MemoryImage(64)
@@ -39,24 +38,9 @@ class TestSimulatorMatchesByteProtocol:
         image.write_fresh(image.sample_slots(12, rng))
         image.relocate(image.sample_slots(10, rng), rng)
 
-        # Abstract: the simulator's transfer set.
-        transfer = compute_transfer_set(
-            Method.HASHES, image.fingerprint(), checkpoint=checkpoint_fp
-        )
-
-        # Concrete: real bytes through the real protocol.
-        store = PageStore()
-        checkpoint_ram = GuestRAM(64)
-        for page, content in enumerate(checkpoint_fp.hashes):
-            checkpoint_ram.write_page(page, store.page_bytes(int(content)))
-        path = tmp_path / "ckpt"
-        write_checkpoint(checkpoint_ram, path)
-        current_ram = GuestRAM.from_image(image, store)
-        result = run_migration(current_ram, checkpoint_path=path)
-
-        assert result.identical
-        assert result.send.pages_full == transfer.full_pages
-        assert result.send.pages_checksum_only == transfer.checksum_only_pages
+        # The simulator's transfer set must be what real bytes through a
+        # live daemon took, and the hosted image the source's.
+        check_against_model(checkpoint_fp.hashes, image.slots)
 
 
 class TestTraceDrivenMigration:
