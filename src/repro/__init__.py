@@ -43,6 +43,7 @@ Quickstart::
 """
 
 from repro.core import (
+    DEFAULT_CHECKSUM,
     MD5,
     PAGE_SIZE,
     PAPER_METHODS,
@@ -94,6 +95,7 @@ from repro.traces import Trace, generate_trace, get_machine
 __version__ = "1.0.0"
 
 __all__ = [
+    "DEFAULT_CHECKSUM",
     "MD5",
     "PAGE_SIZE",
     "PAPER_METHODS",

@@ -1,6 +1,7 @@
 """VeCycle's core: checksums, fingerprints, checkpoints, transfer methods."""
 
 from repro.core.checksum import (
+    DEFAULT_CHECKSUM,
     MD5,
     PAGE_SIZE,
     ChecksumAlgorithm,
@@ -85,6 +86,7 @@ __all__ = [
     "AdaptiveSelector",
     "SelectionDecision",
     "SimilarityPredictor",
+    "DEFAULT_CHECKSUM",
     "MD5",
     "PAGE_SIZE",
     "ChecksumAlgorithm",

@@ -12,9 +12,17 @@ This module provides:
 * :class:`ChecksumAlgorithm` — a named, pluggable page-checksum function
   together with its digest size and a calibrated single-core throughput
   used by the migration cost model.
-* A registry of algorithms (``md5``, ``sha1``, ``sha256``, ``blake2b``,
-  ``fnv1a`` as a cheap non-cryptographic stand-in for hardware-accelerated
-  checksums).
+* A registry of algorithms (``md5``, ``sha1``, ``sha256``, ``sha256-128``,
+  ``blake2b``, ``fnv1a`` as a cheap non-cryptographic stand-in for
+  hardware-accelerated checksums).
+* :data:`DEFAULT_CHECKSUM` — the one place the runtime's algorithm is
+  chosen: ``sha256-128``, SHA-256 cut to MD5's 16 bytes, so every frame
+  keeps its size.  On a CPU with SHA extensions OpenSSL hashes pages
+  with it about twice as fast as MD5 (``docs/calibration.md`` has the
+  measured rates); without them it is *slower* than MD5.  The choice is
+  fixed, never made by measuring at start-up: hosts that measured
+  differently would pick different hashes and recycle nothing from each
+  other.  The paper's figures keep MD5 (:data:`MD5`) explicitly.
 * :func:`measure_throughput` — empirically measures the checksum rate on
   the current machine, used by the ``benchmarks/test_checksum_rates.py``
   harness to reproduce the Section 3.4 discussion.
@@ -34,11 +42,13 @@ PAGE_SIZE = 4096
 # model.  The MD5 figure is the one reported in the paper (§3.4); the
 # others are scaled from typical relative speeds of the hashlib
 # implementations so the ablation benchmarks show a meaningful spread.
+# Truncating a digest costs nothing, so ``sha256-128`` is ``sha256``'s.
 _MIB = 1024 * 1024
 _DEFAULT_THROUGHPUT = {
     "md5": 350 * _MIB,
     "sha1": 400 * _MIB,
     "sha256": 200 * _MIB,
+    "sha256-128": 200 * _MIB,
     "blake2b": 500 * _MIB,
     "fnv1a": 2000 * _MIB,
 }
@@ -111,6 +121,12 @@ _REGISTRY: Dict[str, ChecksumAlgorithm] = {
     "md5": _hashlib_algorithm("md5"),
     "sha1": _hashlib_algorithm("sha1"),
     "sha256": _hashlib_algorithm("sha256"),
+    "sha256-128": ChecksumAlgorithm(
+        name="sha256-128",
+        digest_size=16,
+        throughput=_DEFAULT_THROUGHPUT["sha256-128"],
+        func=lambda data, _h=hashlib.sha256: _h(data).digest()[:16],
+    ),
     "blake2b": _hashlib_algorithm("blake2b"),
     "fnv1a": ChecksumAlgorithm(
         name="fnv1a",
@@ -121,7 +137,14 @@ _REGISTRY: Dict[str, ChecksumAlgorithm] = {
 }
 
 MD5 = _REGISTRY["md5"]
-"""The paper's default checksum algorithm."""
+"""The paper prototype's algorithm (§3.4), kept by the paper's figures;
+the runtime defaults to :data:`DEFAULT_CHECKSUM`."""
+
+SHA256_128 = _REGISTRY["sha256-128"]
+"""SHA-256 truncated to 16 bytes: collision-resistant, MD5's digest size."""
+
+DEFAULT_CHECKSUM = SHA256_128
+"""The algorithm every default in the package resolves to."""
 
 
 def get_algorithm(name: str) -> ChecksumAlgorithm:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict
 
-from repro.core.checksum import PAGE_SIZE, ChecksumAlgorithm, MD5
+from repro.core.checksum import DEFAULT_CHECKSUM, PAGE_SIZE, ChecksumAlgorithm
 from repro.core.dedup import DEDUP_REF_BYTES
 from repro.core.transfer import KIND_NAMES, TransferSet
 
@@ -45,7 +45,7 @@ class WireFormat:
 
     page_size: int = PAGE_SIZE
     header_bytes: int = 9
-    checksum_bytes: int = MD5.digest_size
+    checksum_bytes: int = DEFAULT_CHECKSUM.digest_size
     ref_bytes: int = DEDUP_REF_BYTES
 
     @classmethod

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.checksum import ChecksumAlgorithm, MD5, get_algorithm
+from repro.core.checksum import DEFAULT_CHECKSUM, ChecksumAlgorithm, get_algorithm
 from repro.core.protocol import WireFormat
 from repro.core.transfer import Method
 
@@ -38,7 +38,7 @@ class MigrationStrategy:
 
     name: str
     method: Method
-    checksum: ChecksumAlgorithm = MD5
+    checksum: ChecksumAlgorithm = DEFAULT_CHECKSUM
 
     @property
     def reuses_checkpoint(self) -> bool:

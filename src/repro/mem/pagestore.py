@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.checksum import PAGE_SIZE, ChecksumAlgorithm, MD5
+from repro.core.checksum import DEFAULT_CHECKSUM, PAGE_SIZE, ChecksumAlgorithm
 from repro.core.fingerprint import ZERO_HASH
 from repro.obs import names
 
@@ -114,7 +114,7 @@ class PageStore:
         return page[: self.page_size]
 
     def digest_for(
-        self, content_id: int, algorithm: ChecksumAlgorithm = MD5
+        self, content_id: int, algorithm: ChecksumAlgorithm = DEFAULT_CHECKSUM
     ) -> bytes:
         """The real page checksum for ``content_id`` (memoized).
 
@@ -137,7 +137,7 @@ class PageStore:
         return cached
 
     def digests_for(
-        self, content_ids: np.ndarray, algorithm: ChecksumAlgorithm = MD5
+        self, content_ids: np.ndarray, algorithm: ChecksumAlgorithm = DEFAULT_CHECKSUM
     ) -> List[bytes]:
         """Per-slot digests for an array of content ids, batched.
 
@@ -156,7 +156,7 @@ class PageStore:
         if cache.keys().isdisjoint((name, cid) for cid in distinct):
             # Nothing known (a source's first look at an image): no probe
             # per id, the pages in one fetch, the digests in one pass.
-            digests = list(map(algorithm.digest, self.pages_for(distinct)))
+            digests = list(map(algorithm.func, self.pages_for(distinct)))
             cache.update(zip([(name, cid) for cid in distinct], digests))
             misses = len(digests)
         else:

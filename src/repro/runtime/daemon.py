@@ -42,7 +42,7 @@ from typing import Deque, Dict, FrozenSet, List, Mapping, Optional, Sequence, Se
 
 import numpy as np
 
-from repro.core.checksum import ChecksumAlgorithm, MD5, get_algorithm
+from repro.core.checksum import DEFAULT_CHECKSUM, ChecksumAlgorithm, get_algorithm
 from repro.core.fingerprint import Fingerprint
 from repro.core.protocol import WireFormat
 from repro.core.transfer import Method
@@ -118,6 +118,9 @@ class HostedCheckpoint:
     slot_digests: List[bytes]
     """Never mutated once the checkpoint exists (an adoption builds a
     new object), which is what lets the views below be computed once."""
+    algorithm: ChecksumAlgorithm
+    """What named the slots: a migration hashing with another algorithm
+    finds nothing to recycle here (:meth:`CheckpointDaemon._checkpoint_for`)."""
     timestamp: float = field(default=0.0, compare=False)
     last_used: float = field(default=0.0, compare=False)
     generation: int = field(default=0, compare=False)
@@ -407,7 +410,7 @@ class _SinkSession:
             vm_id=str(payload.get("vm_id", "")),
             num_pages=0,
             method=Method.FULL,
-            algorithm=MD5,
+            algorithm=DEFAULT_CHECKSUM,
             store=store,
             preload=None,
         )
@@ -729,6 +732,7 @@ class CheckpointDaemon:
             self.checkpoints[manifest.vm_id] = HostedCheckpoint(
                 vm_id=manifest.vm_id,
                 slot_digests=digests,
+                algorithm=get_algorithm(manifest.algorithm),
                 timestamp=manifest.timestamp,
                 generation=manifest.generation,
             )
@@ -819,7 +823,7 @@ class CheckpointDaemon:
         self,
         vm_id: str,
         fingerprint: Fingerprint,
-        algorithm: ChecksumAlgorithm = MD5,
+        algorithm: ChecksumAlgorithm = DEFAULT_CHECKSUM,
     ) -> HostedCheckpoint:
         """Host a checkpoint given as a fingerprint (demo/test setup).
 
@@ -877,6 +881,7 @@ class CheckpointDaemon:
         hosted = HostedCheckpoint(
             vm_id=vm_id,
             slot_digests=slot_digests,
+            algorithm=algorithm,
             timestamp=timestamp,
             last_used=timestamp,
             generation=self._generations.get(vm_id, 0) + 1,
@@ -1213,7 +1218,7 @@ class CheckpointDaemon:
         session = self._sessions.get(hello["session"])
         if session is None:
             num_pages = int(hello["num_pages"])
-            preload = self.checkpoints.get(hello["vm_id"])
+            preload = self._checkpoint_for(hello["vm_id"], algorithm)
             if preload is not None and preload.num_pages != num_pages:
                 preload = None
             if preload is not None:
@@ -1237,6 +1242,24 @@ class CheckpointDaemon:
             self._sessions[hello["session"]] = session
             self._prune_sessions()
         return session, codec
+
+    def _checkpoint_for(
+        self, vm_id: str, algorithm: ChecksumAlgorithm
+    ) -> Optional[HostedCheckpoint]:
+        """The VM's hosted checkpoint, if ``algorithm`` named its pages.
+
+        A checkpoint of another algorithm is no checkpoint to this
+        migration: its digests match nothing the source computes.  So a
+        hash method gets an empty announce, never one it cannot match, a
+        dirty-tracking method gets ``no-checkpoint``, and the sink never
+        preloads slots whose digests the source's COMPLETE cannot agree
+        with.  A durable daemon's manifests from before a change of
+        default meet exactly this.
+        """
+        hosted = self.checkpoints.get(vm_id)
+        if hosted is None or hosted.algorithm.name != algorithm.name:
+            return None
+        return hosted
 
     def _prune_sessions(self) -> None:
         """Retire the oldest *completed* sessions past the soft cap.
@@ -1286,7 +1309,8 @@ class CheckpointDaemon:
         * ``base_generation`` found in the in-memory delta history →
           DIGEST_DELTA with exactly what changed since then;
         * anything else (stale generation, post-restart history loss,
-          no hosted checkpoint) → full ANNOUNCE fallback.
+          no hosted checkpoint of the session's algorithm) → full
+          ANNOUNCE fallback.
         """
         if not session.method.uses_hashes or session.announce_acked:
             return False, None
@@ -1297,7 +1321,7 @@ class CheckpointDaemon:
             # Legacy source claiming full knowledge: trusted skip.
             return False, None
         base_generation = int(base_generation)
-        hosted = self.checkpoints.get(session.vm_id)
+        hosted = self._checkpoint_for(session.vm_id, session.algorithm)
         if hosted is not None and base_generation == hosted.generation:
             self._count(names.DAEMON_ANNOUNCE_SKIPPED)
             return False, None
@@ -1500,7 +1524,7 @@ class CheckpointDaemon:
         )
         if announce_follows:
             with _span("daemon.announce", vm=session.vm_id) as announce_span:
-                hosted = self.checkpoints.get(session.vm_id)
+                hosted = self._checkpoint_for(session.vm_id, session.algorithm)
                 if hosted is not None:
                     hosted.last_used = time.time()
                 if delta is not None:

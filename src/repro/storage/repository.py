@@ -70,7 +70,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 from urllib.parse import quote, unquote
 
-from repro.core.checksum import MD5, available_algorithms, get_algorithm
+from repro.core.checksum import DEFAULT_CHECKSUM, MD5, available_algorithms, get_algorithm
 from repro.obs import names
 from repro.obs.log import get_logger
 
@@ -97,11 +97,6 @@ _SCAN_CHUNK = 1 << 20  # packs are read back this many bytes at a time
 _RECORDS_PER_WRITE = (os.sysconf("SC_IOV_MAX") if hasattr(os, "sysconf") else 1024) // 3
 _MAX_PAYLOAD = (1 << 24) - 1  # an index entry has 24 bits of payload length
 
-_ALGORITHM_BY_DIGEST_SIZE = {
-    get_algorithm(name).digest_size: get_algorithm(name)
-    for name in available_algorithms()
-}
-
 
 def _locate(pack: int, offset: int, length: int) -> int:
     """An index entry: pack number, payload offset and length in one int."""
@@ -121,9 +116,23 @@ def _header(digest_length: int, payload_length: int) -> bytes:
 
 
 def _verifies(digest: bytes, payload) -> bool:
-    """Whether ``payload`` hashes to ``digest`` (algorithm by digest size)."""
-    algorithm = _ALGORITHM_BY_DIGEST_SIZE.get(len(digest))
-    return algorithm is not None and algorithm.digest(payload) == digest
+    """Whether ``payload`` hashes to ``digest`` under some algorithm
+    registered at the digest's size.
+
+    A record does not say which algorithm named it, and several share a
+    size (``md5`` and ``sha256-128`` are both 16 bytes): a repository
+    written before the default changed holds both.  The default is tried
+    first, so a current record costs one hash; the registry is read at
+    call time, so an algorithm registered later is tried too.
+    """
+    size = len(digest)
+    if size == DEFAULT_CHECKSUM.digest_size and DEFAULT_CHECKSUM.func(payload) == digest:
+        return True
+    return any(
+        algorithm.digest_size == size and algorithm.func(payload) == digest
+        for algorithm in map(get_algorithm, available_algorithms())
+        if algorithm is not DEFAULT_CHECKSUM
+    )
 
 
 def _read_records(fd: int, start: int) -> Tuple[List[Tuple[int, bytes, memoryview]], int]:

@@ -2,18 +2,27 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import DEFAULT_CHECKSUM
 from repro.core.checksum import (
     MD5,
     PAGE_SIZE,
+    SHA256_128,
     ChecksumAlgorithm,
     available_algorithms,
     get_algorithm,
     measure_throughput,
     register_algorithm,
 )
+from repro.core.fingerprint import Fingerprint
+from repro.core.protocol import WireFormat
+from repro.core.strategies import MigrationStrategy
+from repro.core.transfer import Method
+from repro.mem.pagestore import PageStore
+from repro.runtime.daemon import CheckpointDaemon, _SinkSession
 
 
 class TestRegistry:
@@ -68,6 +77,34 @@ class TestDigests:
         for name in ("md5", "sha1", "blake2b", "fnv1a"):
             algorithm = get_algorithm(name)
             assert len(algorithm.digest(data)) == algorithm.digest_size
+
+
+class TestDefault:
+    def test_sha256_128_is_sha256_cut_to_16_bytes(self):
+        page = bytes(range(256)) * (PAGE_SIZE // 256)
+        assert SHA256_128.digest(page) == hashlib.sha256(page).digest()[:16]
+        assert SHA256_128.digest_size == MD5.digest_size == 16
+
+    def test_sha256_128_models_the_sha256_rate(self):
+        # Truncation costs nothing; the model stays on 2015 hardware.
+        assert SHA256_128.throughput == get_algorithm("sha256").throughput
+
+    def test_runtime_default_is_the_registered_sha256_128(self):
+        assert DEFAULT_CHECKSUM is SHA256_128 is get_algorithm("sha256-128")
+
+    def test_every_default_site_resolves_to_it(self):
+        store = PageStore()
+        digest = DEFAULT_CHECKSUM.digest(store.page_bytes(7))
+        ids = np.asarray([7], dtype=np.uint64)
+        assert MigrationStrategy("s", Method.HASHES).checksum is DEFAULT_CHECKSUM
+        assert WireFormat().checksum_bytes == DEFAULT_CHECKSUM.digest_size
+        assert store.digest_for(7) == digest
+        assert PageStore().digests_for(ids) == [digest]
+        daemon = CheckpointDaemon()
+        hosted = daemon.install_checkpoint("vm", Fingerprint(hashes=ids))
+        assert hosted.algorithm is DEFAULT_CHECKSUM
+        assert hosted.slot_digests == [digest]
+        assert _SinkSession.restore("s", daemon.store, {}).algorithm is DEFAULT_CHECKSUM
 
 
 class TestCostModel:

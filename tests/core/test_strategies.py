@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import DEFAULT_CHECKSUM
 from repro.core.strategies import (
     DEDUP,
     MIYAKODORI,
@@ -58,8 +59,9 @@ class TestSemantics:
         assert VECYCLE_DEDUP.method is Method.HASHES_DEDUP
         assert VECYCLE_DIRTY.method is Method.DIRTY_HASHES
 
-    def test_default_checksum_is_md5(self):
-        assert VECYCLE.checksum.name == "md5"
+    def test_default_checksum_is_the_runtime_default(self):
+        assert VECYCLE.checksum is DEFAULT_CHECKSUM
+        assert DEFAULT_CHECKSUM.digest_size == 16
         assert VECYCLE.wire.checksum_bytes == 16
 
     def test_with_checksum_swaps_algorithm(self):
@@ -68,4 +70,4 @@ class TestSemantics:
         assert sha.wire.checksum_bytes == 32
         assert sha.method is Method.HASHES
         # Original untouched (frozen dataclass).
-        assert VECYCLE.checksum.name == "md5"
+        assert VECYCLE.checksum is DEFAULT_CHECKSUM

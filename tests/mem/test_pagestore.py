@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.checksum import MD5, PAGE_SIZE
+from repro.core.checksum import DEFAULT_CHECKSUM, MD5, PAGE_SIZE
 from repro.mem.image import MemoryImage
 from repro.mem.pagestore import ContentAddressedStore, PageStore
 from repro.obs.metrics import get_registry
@@ -182,7 +182,7 @@ class TestContentAddressedStore:
 class TestDigests:
     def test_digest_matches_direct_hash(self):
         store = PageStore()
-        assert store.digest_for(7) == MD5.digest(store.page_bytes(7))
+        assert store.digest_for(7) == DEFAULT_CHECKSUM.digest(store.page_bytes(7))
 
     def test_digests_for_matches_per_id(self):
         store = PageStore()

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core import checksum
-from repro.core.checksum import PAGE_SIZE, ChecksumAlgorithm, available_algorithms
+from repro.core.checksum import MD5, PAGE_SIZE, ChecksumAlgorithm, available_algorithms
 from repro.core.fingerprint import Fingerprint
-from repro.core.strategies import VECYCLE
+from repro.core.strategies import VECYCLE, VECYCLE_DIRTY
 from repro.core.transfer import compute_transfer_set
 from repro.mem.pagestore import PageStore
 from repro.runtime import (
@@ -56,25 +56,30 @@ def hosted_image(daemon, vm_id="vm"):
     return b"".join(map(daemon.store.get, daemon.checkpoints[vm_id].slot_digests))
 
 
-def migrate_and_read(checkpoint, current, strategy=VECYCLE, state_dir=None, dirty_feed=None):
+def migrate_and_read(checkpoint, current, strategy=VECYCLE, state_dir=None, dirty_feed=None,
+                     checkpoint_checksum=None, dirty_slots=None):
     """Migrate ``current`` into a daemon hosting ``checkpoint`` (None: a
     first visit) and read the hosted image back.
 
     With ``state_dir`` one daemon commits the checkpoint and stops, and
     the migration is served by the next one over the same directory,
-    which starts with no page resident.  Returns ``(metrics, hosted
-    image, pages resident once the migration completed)``.
+    which starts with no page resident.  The checkpoint is hashed with
+    ``checkpoint_checksum`` (default: the strategy's).  Returns
+    ``(metrics, hosted image, pages resident once the migration
+    completed)``.
     """
+    checkpoint_checksum = checkpoint_checksum or strategy.checksum
 
     async def main():
         fingerprint = None if checkpoint is None else Fingerprint(hashes=checkpoint)
         if state_dir is not None and fingerprint is not None:
             async with CheckpointDaemon(state_dir=state_dir) as first_life:
-                first_life.install_checkpoint("vm", fingerprint, strategy.checksum)
+                first_life.install_checkpoint("vm", fingerprint, checkpoint_checksum)
         async with CheckpointDaemon(state_dir=state_dir) as daemon:
             if state_dir is None and fingerprint is not None:
-                daemon.install_checkpoint("vm", fingerprint, strategy.checksum)
-            source = MigrationSource(SourceState("vm", current, PageStore()), strategy, config=FAST)
+                daemon.install_checkpoint("vm", fingerprint, checkpoint_checksum)
+            state = SourceState("vm", current, PageStore(), dirty_slots=dirty_slots)
+            source = MigrationSource(state, strategy, config=FAST)
             metrics = await source.migrate(daemon.host, daemon.port, dirty_feed=dirty_feed)
             resident = len(daemon.store)
             return metrics, hosted_image(daemon), resident
@@ -245,8 +250,53 @@ class TestWeakChecksum:
 
     def test_md5_sends_the_page(self):
         checkpoint, current = self.colliding_images()
-        metrics, image, _ = migrate_and_read(checkpoint, current)
+        metrics, image, _ = migrate_and_read(checkpoint, current, VECYCLE.with_checksum("md5"))
         assert metrics.pages_full == 1
+        assert image == source_bytes(current)
+
+
+class TestAlgorithmMismatch:
+    """A daemon hosting an MD5 checkpoint — what a durable daemon's
+    manifests from before the default changed hold — meets a source
+    hashing with another algorithm.  The checkpoint is no checkpoint to
+    that migration: never an announce it cannot match, never a preload
+    its COMPLETE cannot agree with."""
+
+    ALGORITHMS = ["sha1", "sha256", "sha256-128"]
+    LIVES = pytest.mark.parametrize("restarted", [False, True], ids=["in-memory", "restarted"])
+
+    @staticmethod
+    def migrate(strategy, restarted, tmp_path):
+        checkpoint, current = evolved()
+        return current, migrate_and_read(
+            checkpoint, current, strategy,
+            state_dir=tmp_path if restarted else None,
+            checkpoint_checksum=MD5,
+            dirty_slots=np.flatnonzero(checkpoint != current),
+        )
+
+    @LIVES
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_hash_method_gets_an_empty_announce(self, tmp_path, name, restarted):
+        strategy = VECYCLE.with_checksum(name)
+        current, (metrics, image, _) = self.migrate(strategy, restarted, tmp_path)
+        assert metrics.outcome == "completed"
+        assert metrics.announce_bytes == strategy.wire.announce_frame_bytes(0)
+        assert metrics.pages_full == N
+        assert image == source_bytes(current)
+
+    @LIVES
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_dirty_tracking_method_finds_no_checkpoint(self, tmp_path, name, restarted):
+        with pytest.raises(MigrationError, match="no-checkpoint"):
+            self.migrate(VECYCLE_DIRTY.with_checksum(name), restarted, tmp_path)
+
+    @LIVES
+    def test_the_checkpoint_still_serves_its_own_algorithm(self, tmp_path, restarted):
+        strategy = VECYCLE_DIRTY.with_checksum("md5")
+        current, (metrics, image, _) = self.migrate(strategy, restarted, tmp_path)
+        assert metrics.pages_full == 40
+        assert metrics.pages_checksum_only > 0
         assert image == source_bytes(current)
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the durable checkpoint repository."""
 
 import gc
+import hashlib
 import json
 import os
 import struct
@@ -8,7 +9,8 @@ import zlib
 
 import pytest
 
-from repro.core.checksum import MD5
+from repro.core import checksum
+from repro.core.checksum import MD5, SHA256_128, ChecksumAlgorithm
 from repro.obs.metrics import get_registry
 from repro.storage.repository import (
     CheckpointManifest,
@@ -273,6 +275,67 @@ class TestQuarantine:
         # The survivor's references were rebuilt all the same.
         assert repo.refcount(digest(b"g")) == 1 and repo.refcount(digest(b"y")) == 0
         assert repo.verify().ok
+
+
+class TestMixedAlgorithms:
+    """Records of two 16-byte algorithms side by side — what a state
+    directory written before and after a change of default holds.  A
+    record carries no algorithm name; each verifies under its own."""
+
+    @staticmethod
+    def mixed(tmp_path, newer=SHA256_128):
+        repo = CheckpointRepository(tmp_path, fsync=False)
+        digests = {}
+        for vm_id, algorithm, tags in (("before", MD5, b"ab"), ("after", newer, b"cd")):
+            pages = [page(bytes([tag])) for tag in tags]
+            digests[vm_id] = list(map(algorithm.digest, pages))
+            repo.put_pages(zip(digests[vm_id], pages))
+            repo.commit_checkpoint(
+                CheckpointManifest(
+                    vm_id=vm_id, slot_digests=digests[vm_id],
+                    algorithm=algorithm.name, page_size=64,
+                )
+            )
+        repo.close()
+        return digests
+
+    def test_recovers_and_scrubs_clean(self, tmp_path):
+        self.mixed(tmp_path)
+        repo = CheckpointRepository(tmp_path, fsync=False)
+        report = repo.recover(verify_digests=True)
+        assert sorted(m.vm_id for m in report.checkpoints) == ["after", "before"]
+        assert not report.quarantined
+        scrub = repo.verify()
+        assert scrub.ok and scrub.segments_checked == 4
+
+    def test_an_algorithm_registered_later_verifies(self, tmp_path, monkeypatch):
+        later = ChecksumAlgorithm(
+            name="sha512-128", digest_size=16, throughput=1.0,
+            func=lambda data: hashlib.sha512(data).digest()[:16],
+        )
+        monkeypatch.setitem(checksum._REGISTRY, later.name, later)
+        self.mixed(tmp_path, newer=later)
+        repo = CheckpointRepository(tmp_path, fsync=False)
+        assert not repo.recover(verify_digests=True).quarantined
+        assert repo.verify().ok
+
+    @pytest.mark.parametrize("damaged", ["before", "after"])
+    @pytest.mark.parametrize("found_by", ["recover", "verify"])
+    def test_a_flipped_byte_in_either_is_quarantined(self, tmp_path, damaged, found_by):
+        digests = self.mixed(tmp_path)
+        victim = digests[damaged][1]
+        repo = CheckpointRepository(tmp_path, fsync=False)
+        repo.recover()
+        assert repo.corrupt_segment(victim)
+        repo.close()
+        repo = CheckpointRepository(tmp_path, fsync=False)
+        report = repo.recover(verify_digests=found_by == "recover")
+        if found_by == "verify":
+            assert repo.verify().corrupt_segments == [victim.hex()]
+        else:
+            assert report.quarantined == [f"{damaged}.json"]
+        assert repo.load_manifest(damaged) is None
+        assert repo.load_manifest({"before": "after", "after": "before"}[damaged])
 
 
 def open_descriptors_under(root):

@@ -8,6 +8,8 @@ numbers.  The full-scale runs live in ``benchmarks/``.
 import numpy as np
 import pytest
 
+from repro.core.checkpoint import Checkpoint
+from repro.core.strategies import VECYCLE
 from repro.core.transfer import Method
 from repro.experiments import (
     fig1_similarity,
@@ -20,6 +22,10 @@ from repro.experiments import (
     rates,
     table1,
 )
+from repro.mem.mutation import fill_ramdisk
+from repro.migration.precopy import PrecopyConfig, simulate_migration
+from repro.migration.vm import SimVM
+from repro.net.link import LAN_1GBE
 from repro.traces.presets import SERVER_A, SERVER_C
 
 
@@ -168,6 +174,32 @@ class TestFig7:
 
     def test_format(self, rows):
         assert "Updates" in fig7_updates.format_table(rows)
+
+    def test_a_checksum_variant_keeps_its_checksum(self):
+        # A cell travels to its worker by name; the hash must travel too.
+        sha256 = VECYCLE.with_checksum("sha256")
+        (row,) = fig7_updates.run(
+            updates_percent=(0,), links=(LAN_1GBE,), strategies=(sha256,),
+            memory_mib=256,
+        )
+        vm = SimVM("ramdisk-vm", 256 * 2**20, dirty_rate_pages_per_s=0.0, seed=7)
+        fill_ramdisk(vm.image, fraction=0.90)
+        checkpoint = Checkpoint(
+            vm_id=vm.vm_id,
+            fingerprint=vm.fingerprint(),
+            generation_vector=vm.tracker.snapshot(),
+        )
+        reports = {
+            strategy.checksum.name: simulate_migration(
+                vm, strategy, LAN_1GBE, checkpoint=checkpoint,
+                config=PrecopyConfig(announce_known=True),
+            )
+            for strategy in (sha256, VECYCLE.with_checksum("md5"), VECYCLE)
+        }
+        assert reports["sha256"].total_time_s != reports["md5"].total_time_s
+        # 32-byte digests: what sets sha256 apart from sha256-128.
+        assert reports["sha256"].tx_bytes != reports["sha256-128"].tx_bytes
+        assert row.report == reports["sha256"]
 
 
 class TestFig8:
