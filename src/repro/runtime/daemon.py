@@ -36,7 +36,7 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import Deque, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -137,13 +137,23 @@ class HostedCheckpoint:
     @cached_property
     def distinct(self) -> FrozenSet[bytes]:
         """The distinct checksums — the one walk over ``slot_digests``
-        every other view (and the delta history) is derived from."""
+        the sketches and the delta history are derived from."""
         return frozenset(self.slot_digests)
 
     @cached_property
     def announce_digests(self) -> List[bytes]:
-        """Sorted distinct checksums — the §3.2 bulk announce body."""
-        return sorted(self.distinct)
+        """The distinct checksums in first-occurrence slot order — the
+        §3.2 bulk announce body.  The source reads it as a set, so any
+        order serves; this one costs no sort."""
+        return list(dict.fromkeys(self.slot_digests))
+
+    def inherit_views(self, previous: "HostedCheckpoint") -> None:
+        """Take over the views ``previous`` already derived; it must have
+        the same slot digests (an unchanged image adopted over itself)."""
+        for view in ("distinct", "announce_digests"):
+            if view in previous.__dict__:
+                self.__dict__[view] = previous.__dict__[view]
+        self._sketches.update(previous._sketches)
 
     def sketch(self, k: int) -> List[str]:
         """Bottom-``k`` similarity sketch of :attr:`distinct` (once per ``k``)."""
@@ -193,7 +203,18 @@ class CheckpointInfo:
 
 
 class _SinkSession:
-    """Receiver state for one migration, persistent across reconnects."""
+    """Receiver state for one migration, persistent across reconnects.
+
+    Copy-on-write over the preloaded checkpoint: the session *borrows*
+    the content-store references its ``base`` checkpoint holds for every
+    slot, and owns one of its own only for a slot it rewrote (the slots
+    in ``_owned``).  So opening a session over an unchanged image and
+    applying its checksum frames move no reference at all.  Without a
+    base every filled slot is owned.  The daemon keeps the base alive
+    for as long as it is borrowed: before a checkpoint is replaced or
+    dropped, every session borrowing it takes references of its own
+    (:meth:`own_borrowed`).
+    """
 
     def __init__(
         self,
@@ -214,11 +235,8 @@ class _SinkSession:
         self.slot_digests: List[Optional[bytes]] = (
             list(preload.slot_digests) if preload else [None] * num_pages
         )
-        # The session owns one content-store reference per filled slot,
-        # starting with the preloaded checkpoint copy; _set_slot keeps
-        # the invariant as frames overwrite slots, release_refs drops
-        # everything when the session is retired.
-        store.retain_many(self.slot_digests)
+        self.base = preload
+        self._owned: Set[int] = set()
         self._refs_released = False
         self.page_size = 4096
         self.round_no = 1
@@ -246,13 +264,15 @@ class _SinkSession:
         """
         slot_digests, store, num_pages = self.slot_digests, self.store, self.num_pages
         set_slot = self._set_slot
-        applied: List[int] = []  # the tag of every frame applied
+        applied: List[int] = []  # the tag of every frame applied on its own
+        in_runs = run_bytes = 0  # frames applied as whole runs, their bytes
         in_place = from_store = 0
         try:
             for run in decoded.runs:
                 if isinstance(run, PageRun):
                     if self._apply_run(run):
-                        applied += [run.tag] * len(run.slots)
+                        in_runs += len(run.slots)
+                        run_bytes += len(run.slots) * frame_bytes[run.tag]
                         continue
                     run = run.rows()
                 for tag, slot, digest, payload, ref in run:
@@ -303,12 +323,13 @@ class _SinkSession:
                         )
                     applied.append(tag)
         finally:
+            frames = in_runs + len(applied)
             self.reused_in_place += in_place
             self.reused_from_store += from_store
-            self.pages_received += len(applied)
-            self.applied_in_round += len(applied)
-            self.total_applied += len(applied)
-            self.rx_payload_bytes += sum(
+            self.pages_received += frames
+            self.applied_in_round += frames
+            self.total_applied += frames
+            self.rx_payload_bytes += run_bytes + sum(
                 applied.count(tag) * size for tag, size in frame_bytes.items()
             )
             self.apply_batches += 1
@@ -321,46 +342,66 @@ class _SinkSession:
         wrote, so the run is its frames in any order — except through the
         store's reference counts.  A FULL run puts its content first and
         only then swaps references (every new digest retained, then every
-        replaced one released), which ends where the loop ends.  A
-        CHECKSUM frame resolves its digest from the store *at its turn*:
-        the swap is order-free only while no digest a frame needs is one
-        another frame lets go of, and a digest the store lacks is the
-        loop's error to raise at the right frame.
+        replaced one the session owned released), which ends where the
+        loop ends.  A CHECKSUM run that names every slot's current
+        digest is one comparison (:meth:`DigestColumn.matches`).  A
+        CHECKSUM frame that changes its slot resolves its digest from
+        the store *at its turn*: the swap is order-free only while no
+        digest a frame needs is one another frame lets go of, and a
+        digest the store lacks is the loop's error to raise at the right
+        frame.
         """
         tag, slots, digests, pages = run
         slot_digests, store = self.slot_digests, self.store
-        if (
-            len(set(slots)) != len(slots)
-            or min(slots) < 0
-            or max(slots) >= self.num_pages
-        ):
+        if min(slots) < 0 or max(slots) >= self.num_pages:
             return False
         replaced = itemgetter(*slots)(slot_digests)
-        if tag == TYPE_PAGE_FULL:
-            store.put_many(digests, pages)
-        elif replaced == tuple(digests):
+        if tag == TYPE_PAGE_CHECKSUM and digests.matches(replaced):
+            # Nothing changes, so a slot named twice changes nothing either.
             self.reused_in_place += len(slots)
             return True
-        else:
+        if len(set(slots)) != len(slots):
+            return False
+        if tag == TYPE_PAGE_FULL:
+            store.put_many(digests, pages)
+        in_place = 0
+        if any(map(eq, digests, replaced)):
+            # Frames that leave their slot as it is move no reference.
             moved = [
                 (slot, new, old)
                 for slot, new, old in zip(slots, digests, replaced)
                 if new != old
             ]
+            if not moved:
+                return True
             in_place = len(slots) - len(moved)
             slots, digests, replaced = zip(*moved)
+        if tag == TYPE_PAGE_CHECKSUM:
             wanted = set(digests)
             if not wanted.isdisjoint(replaced) or any(
                 digest not in store for digest in wanted
             ):
                 return False
             self.reused_in_place += in_place
-            self.reused_from_store += len(moved)
+            self.reused_from_store += len(slots)
         store.retain_many(digests)
-        store.release_many(replaced)
+        self._let_go(slots, replaced)
         for slot, digest in zip(slots, digests):
             slot_digests[slot] = digest
         return True
+
+    def _let_go(self, slots: Sequence[int], replaced: Sequence[Optional[bytes]]) -> None:
+        """``slots`` (distinct) are being rewritten from ``replaced``:
+        release what the session owned, and own every one from now on."""
+        if self.base is None:
+            self.store.release_many(replaced)
+            return
+        owned = self._owned
+        if not owned.isdisjoint(slots):
+            self.store.release_many(
+                [old for slot, old in zip(slots, replaced) if slot in owned]
+            )
+        owned.update(slots)
 
     def _set_slot(self, slot: int, digest: bytes) -> None:
         """Assign ``digest`` to ``slot``, moving the store references."""
@@ -368,12 +409,38 @@ class _SinkSession:
         if old == digest:
             return
         self.store.retain(digest)
-        if old is not None:
-            self.store.release(old)
+        if self.base is None or slot in self._owned:
+            if old is not None:
+                self.store.release(old)
+        else:
+            self._owned.add(slot)
         self.slot_digests[slot] = digest
 
+    @property
+    def pristine(self) -> bool:
+        """Whether the image is still exactly its base's: no slot rewritten."""
+        return self.base is not None and not self._owned
+
+    def owned_digests(self) -> List[bytes]:
+        """The digest of every slot the session holds a reference for."""
+        if self.base is None:
+            return [digest for digest in self.slot_digests if digest is not None]
+        return [self.slot_digests[slot] for slot in self._owned]
+
+    def own_borrowed(self) -> None:
+        """The base is about to lose its references: retain one for every
+        slot still borrowed from it, and stop borrowing."""
+        if self.base is None:
+            return
+        owned = self._owned
+        self.store.retain_many(
+            [d for slot, d in enumerate(self.slot_digests) if slot not in owned]
+        )
+        self.base = None
+        owned.clear()
+
     def release_refs(self) -> int:
-        """Give up the session's per-slot references (idempotent).
+        """Give up the session's references and its base (idempotent).
 
         Called when the session is retired from the retention map;
         returns resident bytes freed from the content store.
@@ -381,16 +448,30 @@ class _SinkSession:
         if self._refs_released:
             return 0
         self._refs_released = True
-        freed = self.store.release_many(self.slot_digests)
+        freed = self.store.release_many(self.owned_digests())
         self.slot_digests = []
+        self.base = None
+        self._owned.clear()
         return freed
 
-    def hand_over(self) -> None:
-        """The image became a checkpoint: its slot list and per-slot
-        references are that checkpoint's now.  What stays is the shape
-        :meth:`restore` builds — a RESULT to replay, nothing to release."""
+    def hand_over(self) -> List[bytes]:
+        """The image became a checkpoint: its slot list and the references
+        the session owns are that checkpoint's now, and so — when the
+        base is the checkpoint it replaces — are the base's references
+        for the slots still borrowed.  Returns the base's digests of the
+        slots the session rewrote: references nobody inherits, for the
+        caller to release (none without a base).  Lets go of the base;
+        what stays is the shape :meth:`restore` builds — a RESULT to
+        replay, nothing to release."""
+        rewritten = []
+        if self.base is not None:
+            base_slots = self.base.slot_digests
+            rewritten = [base_slots[slot] for slot in self._owned]
         self.slot_digests = []
+        self.base = None
+        self._owned.clear()
         self._refs_released = True
+        return rewritten
 
     @classmethod
     def restore(
@@ -433,7 +514,9 @@ class _SinkSession:
             "pages_received": self.pages_received,
             "reused_in_place": self.reused_in_place,
             "reused_from_store": self.reused_from_store,
-            "unique_contents": len(set(self.slot_digests)),
+            "unique_contents": len(
+                self.base.distinct if self.pristine else set(self.slot_digests)
+            ),
             # What the sink counted into daemon.transferred_bytes for
             # this session — echoed to the source so cluster telemetry
             # rollups can be reconciled against per-migration metrics
@@ -867,17 +950,22 @@ class CheckpointDaemon:
         single commit point — and only then does memory change: a commit
         that raises leaves the hosted map, the references and ``session``
         as they were.  The checkpoint then takes one content-store
-        reference per slot — from ``session`` (a verified COMPLETE hands
-        over the ones it holds for exactly this list) or freshly — the
-        replaced checkpoint's are released, the VM's generation counter
-        is bumped and the distinct digest set enters the bounded delta
-        history that powers DIGEST_DELTA manifests.
+        reference per slot: freshly, or from ``session`` — a verified
+        COMPLETE hands over the ones it owns and, over its own base, the
+        base's for every slot it did not rewrite.  Sessions still
+        borrowing the replaced checkpoint retain what they borrowed, the
+        replaced checkpoint's remaining references are released, the
+        VM's generation counter is bumped and the distinct digest set
+        enters the bounded delta history that powers DIGEST_DELTA
+        manifests.  An image adopted unchanged over its base keeps the
+        base's derived views and moves no reference.
         """
         if timestamp is None:
             timestamp = time.time()
         if self._persist is not None:
             self.store.flush_spill()
             self._persist.flush_sync()
+        previous = self.checkpoints.get(vm_id)
         hosted = HostedCheckpoint(
             vm_id=vm_id,
             slot_digests=slot_digests,
@@ -886,18 +974,12 @@ class CheckpointDaemon:
             last_used=timestamp,
             generation=self._generations.get(vm_id, 0) + 1,
         )
+        inherits = session is not None and previous is not None and (
+            session.base is previous
+        )
+        if inherits and session.pristine:
+            hosted.inherit_views(previous)
         if self.repository is not None:
-            # A verify() scrub may have quarantined records this image
-            # still references (the write-behind queue only carries *new*
-            # content), and commit_checkpoint refuses a manifest with
-            # missing records: re-spill what is still resident.  Content
-            # resident nowhere stays missing and the commit raises —
-            # correct: the daemon genuinely lost it.
-            for digest in self.repository.missing(hosted.distinct):
-                page = self.store.get(digest)
-                if page is not None:
-                    self.repository.put_page(digest, page)
-                    self._count(names.DAEMON_RESPILLED_SEGMENTS)
             self.repository.commit_checkpoint(
                 CheckpointManifest(
                     vm_id=vm_id,
@@ -906,24 +988,54 @@ class CheckpointDaemon:
                     page_size=page_size,
                     timestamp=timestamp,
                     generation=hosted.generation,
-                )
+                ),
+                distinct=hosted.distinct,
+                refill=self._respill,
             )
             # The replaced checkpoint's records are dead: the writer thread compacts.
             self._persist.defer(compact=True)
-        if session is not None:
-            session.hand_over()
+        if previous is not None:
+            self._unborrow(previous, keep=session)
+        if inherits:
+            released = session.hand_over()
         else:
-            self.store.retain_many(slot_digests)
-        previous = self.checkpoints.get(vm_id)
+            if session is not None:
+                session.hand_over()
+            else:
+                self.store.retain_many(slot_digests)
+            released = previous.slot_digests if previous is not None else []
         self.checkpoints[vm_id] = hosted
         self._generations[vm_id] = hosted.generation
         history = self._delta_history.setdefault(vm_id, OrderedDict())
         history[hosted.generation] = hosted.distinct
         while len(history) > _MAX_DELTA_HISTORY:
             history.popitem(last=False)
-        if previous is not None:
-            self.store.release_many(previous.slot_digests)
+        self.store.release_many(released)
         return hosted
+
+    def _respill(self, digest: bytes) -> Optional[bytes]:
+        """A resident page for a record the repository lacks.
+
+        A verify() scrub may have quarantined records an image still
+        references (the write-behind queue only carries *new* content),
+        and a commit refuses a manifest with missing records: the commit
+        re-spills what is still resident.  Content resident nowhere stays
+        missing and the commit raises — correct: the daemon genuinely
+        lost it.
+        """
+        page = self.store.get(digest)
+        if page is not None:
+            self._count(names.DAEMON_RESPILLED_SEGMENTS)
+        return page
+
+    def _unborrow(
+        self, hosted: HostedCheckpoint, keep: Optional[_SinkSession] = None
+    ) -> None:
+        """``hosted`` is about to be replaced or dropped: every session
+        borrowing it but ``keep`` retains what it borrowed first."""
+        for session in self._sessions.values():
+            if session.base is hosted and session is not keep:
+                session.own_borrowed()
 
     def drop_checkpoint(self, vm_id: str) -> int:
         """Stop hosting ``vm_id``'s checkpoint; free its last-owner pages.
@@ -944,6 +1056,7 @@ class CheckpointDaemon:
         # number against a different digest set and earn a bogus
         # verified skip.
         self._delta_history.pop(vm_id, None)
+        self._unborrow(hosted)
         freed = self.store.release_many(hosted.slot_digests)
         if self.repository is not None:
             # Resident and durable bytes are distinct pools; reclaiming
@@ -955,23 +1068,31 @@ class CheckpointDaemon:
         """Cross-check content-store refcounts against their owners.
 
         Every reference in the store must be explainable by exactly one
-        owner slot: a hosted checkpoint's slot or a non-retired
-        session's slot.  A digest with more references than owners is a
-        leak (stored bytes that can never be reclaimed); fewer is a
-        double release (bytes that may vanish under a live owner).
-        Returns human-readable violation strings, empty when clean —
-        the content-store invariant of the :mod:`repro.chaos` plane.
+        owner slot: a hosted checkpoint's slot or a slot a non-retired
+        session owns (a slot it still borrows from its base is the
+        base's).  A digest with more references than owners is a leak
+        (stored bytes that can never be reclaimed); fewer is a double
+        release (bytes that may vanish under a live owner).  A session
+        borrowing a checkpoint the daemon no longer hosts is a violation
+        too: its slots rest on references nobody holds.  Returns
+        human-readable violation strings, empty when clean — the
+        content-store invariant of the :mod:`repro.chaos` plane.
         """
         expected: Dict[bytes, int] = {}
         for hosted in self.checkpoints.values():
             for digest in hosted.slot_digests:
                 expected[digest] = expected.get(digest, 0) + 1
-        for session in self._sessions.values():
-            for digest in session.slot_digests:
-                if digest is not None:
-                    expected[digest] = expected.get(digest, 0) + 1
-        actual = {d: n for d, n in self.store.refcounts().items() if n > 0}
         violations = []
+        for session in self._sessions.values():
+            base = session.base
+            if base is not None and self.checkpoints.get(base.vm_id) is not base:
+                violations.append(
+                    f"{self.name}: session {session.session_id} borrows a "
+                    "checkpoint that is no longer hosted"
+                )
+            for digest in session.owned_digests():
+                expected[digest] = expected.get(digest, 0) + 1
+        actual = {d: n for d, n in self.store.refcounts().items() if n > 0}
         for digest, count in sorted(expected.items()):
             have = actual.pop(digest, 0)
             if have != count:

@@ -49,13 +49,14 @@ session.
 A round's page frames travel in bulk in both directions without
 changing a byte of the layouts above.  :meth:`FrameCodec.encode_pages`
 joins them into one blob per write batch (a batch of one kind straight
-from its columns), and :meth:`FrameCodec.decode_pages` is the one
-decoder of a received buffer's page frames: it returns
-:class:`PageRuns`, in which :data:`RUN_MIN_FRAMES` or more consecutive
-FULL (or CHECKSUM) frames are one :class:`PageRun` split by column —
-each page copied out of the buffer exactly once — and everything
-shorter, mixed, REF or PLAIN keeps its frame-by-frame order.  The
-single-frame encoders and :meth:`FrameCodec.read_frame` remain the
+from its columns, a CHECKSUM one as one numpy record pack), and
+:meth:`FrameCodec.decode_pages` is the one decoder of a received
+buffer's page frames: it returns :class:`PageRuns`, in which
+:data:`RUN_MIN_FRAMES` or more consecutive FULL (or CHECKSUM) frames
+are one :class:`PageRun` split by column — each page copied out of the
+buffer exactly once, a CHECKSUM run's digests kept as one blob — and
+everything shorter, mixed, REF or PLAIN keeps its frame-by-frame order.
+The single-frame encoders and :meth:`FrameCodec.read_frame` remain the
 reference both are tested against.
 
 DIGEST_DELTA is the delta checksum manifest: when a source proves (via
@@ -160,7 +161,8 @@ class FrameError(RuntimeError):
 
 
 class StreamDesyncError(FrameError):
-    """The stream lost frame alignment (an unrecognised type tag).
+    """The stream lost frame alignment (an unrecognised type tag, or a
+    READY whose flag bytes are not booleans).
 
     Unlike a structural violation *inside* a known frame (bad JSON, an
     oversized body, a stale delta generation), an unknown tag almost
@@ -229,16 +231,65 @@ and applied by column; a shorter stretch costs less frame by frame than
 a run's fixed set-up does (``docs/runtime.md``, "Receive path")."""
 
 _RUN_SCAN_FRAMES = 256
-"""Frames whose tags one look-ahead reads: a run longer than this simply
-continues as the next run, and a short run inside a buffer of thousands
-of checksum frames does not pay for scanning all of them."""
+"""Frames whose tags the first look-ahead reads; each further one reads
+four times as many.  A short run inside a buffer of thousands of
+checksum frames does not pay for scanning all of them, and a long one
+is found in a few scans, not one per window."""
+
+
+def _split_digests(blob: bytes, size: int) -> List[bytes]:
+    """``blob`` cut into ``size``-byte digests, by one numpy pass."""
+    return np.frombuffer(blob, dtype=f"V{size}").tolist()
+
+
+class DigestColumn(Sequence[bytes]):
+    """A CHECKSUM run's digests, kept as the one blob they arrived in.
+
+    Frame ``i``'s digest is ``blob[i * size : (i + 1) * size]``.  The
+    sink compares the whole column against a run's current slots with
+    one join (:meth:`matches`); only a run that changes a slot reads
+    the digests one by one, and the blob is split once for it.
+    """
+
+    __slots__ = ("blob", "size", "_split")
+
+    def __init__(self, blob: bytes, size: int) -> None:
+        self.blob = blob
+        self.size = size
+        self._split: Optional[List[bytes]] = None
+
+    def __len__(self) -> int:
+        return len(self.blob) // self.size
+
+    def __getitem__(self, index):
+        return self.digests()[index]
+
+    def __iter__(self) -> Iterator[bytes]:
+        return iter(self.digests())
+
+    def digests(self) -> List[bytes]:
+        """The digests one by one (split on first use)."""
+        if self._split is None:
+            self._split = _split_digests(self.blob, self.size)
+        return self._split
+
+    def matches(self, digests: Sequence[Optional[bytes]]) -> bool:
+        """Whether ``digests`` (``size`` bytes each, or None) are these,
+        in order: one join and one comparison, no call per digest."""
+        if len(digests) != len(self):
+            return False
+        try:
+            return b"".join(digests) == self.blob
+        except TypeError:  # a None: a slot not received yet
+            return False
 
 
 class PageRun(NamedTuple):
     """:data:`RUN_MIN_FRAMES` or more consecutive page frames of one
     kind, FULL or CHECKSUM, split by column (``pages`` is empty for
-    CHECKSUM).  Every value is its own object: nothing here refers to
-    the buffer it was decoded from."""
+    CHECKSUM, whose ``digests`` are a :class:`DigestColumn`).  Every
+    value is its own object: nothing here refers to the buffer it was
+    decoded from."""
 
     tag: int
     slots: Sequence[int]
@@ -339,6 +390,21 @@ class FrameCodec:
             tag: struct.Struct(">x" + bodies[tag])
             for tag in (TYPE_PAGE_FULL, TYPE_PAGE_CHECKSUM)
         }
+        # A CHECKSUM frame as a numpy record: ``head | digest`` to encode
+        # a batch in one pack, ``tag | page_no | digest`` to decode a run
+        # in one frombuffer (where the page number has a numpy width).
+        self._checksum_out = np.dtype(
+            [("head", f"V{wire.header_bytes}"), ("digest", f"V{self.digest_size}")]
+        )
+        self._checksum_in = (
+            np.dtype([
+                ("tag", "u1"),
+                ("page_no", f">u{self._page_no_bytes}"),
+                ("digest", f"V{self.digest_size}"),
+            ])
+            if self._page_no_bytes in _INT_CODES
+            else None
+        )
 
     # --- encode ---------------------------------------------------------
 
@@ -400,10 +466,12 @@ class FrameCodec:
         consumed one batch at a time.
 
         The ``tag | page_no`` headers of the whole sequence come from
-        one big-endian pack, each blob from one ``join``, and the
-        wire-size assertion is made once per blob.  A batch that is all
-        FULL (or all CHECKSUM) is joined straight from its columns; only
-        a mixed batch walks its frames.
+        one big-endian pack, each blob from one ``join`` or one numpy
+        pack, and the wire-size assertion is made once per blob.  A
+        batch that is all CHECKSUM is one record array of ``head |
+        digest`` filled from the headers and the joined digests; one that
+        is all FULL is joined straight from its columns; only a mixed
+        batch walks its frames.
         """
         tags = np.asarray(tags, dtype=np.uint8)
         sizes = np.zeros(256, dtype=np.int64)
@@ -415,6 +483,7 @@ class FrameCodec:
         ends = np.cumsum(row_bytes).tolist()
         heads = self._pack_page_heads(tags, np.asarray(page_nos, dtype=np.int64))
         head_bytes = self.wire.header_bytes
+        head_cells = np.frombuffer(heads, dtype=self._checksum_out["head"])
         ref_bytes = self._ref_bytes
         digests, pages = iter(digests), iter(pages)
         next_digest, next_page = digests.__next__, pages.__next__
@@ -428,17 +497,23 @@ class FrameCodec:
             batch_tags = tag_list[start:stop]
             rows = stop - start
             at = start * head_bytes
-            if batch_tags.count(batch_tags[0]) == rows and batch_tags[0] in (
-                TYPE_PAGE_FULL, TYPE_PAGE_CHECKSUM,
-            ):
-                columns = [
+            uniform = batch_tags.count(batch_tags[0]) == rows
+            if uniform and batch_tags[0] == TYPE_PAGE_CHECKSUM:
+                column = b"".join(islice(digests, rows))
+                assert len(column) == rows * self.digest_size, "digest size"
+                records = np.empty(rows, dtype=self._checksum_out)
+                records["head"] = head_cells[start:stop]
+                records["digest"] = np.frombuffer(
+                    column, dtype=self._checksum_out["digest"]
+                )
+                blob = records.tobytes()
+            elif uniform and batch_tags[0] == TYPE_PAGE_FULL:
+                blob = b"".join(chain.from_iterable(zip(
                     [heads[i : i + head_bytes]
                      for i in range(at, stop * head_bytes, head_bytes)],
                     islice(digests, rows),
-                ]
-                if batch_tags[0] == TYPE_PAGE_FULL:
-                    columns.append(islice(pages, rows))
-                blob = b"".join(chain.from_iterable(zip(*columns)))
+                    islice(pages, rows),
+                )))
             else:
                 pieces: List[bytes] = []
                 append = pieces.append
@@ -582,14 +657,16 @@ class FrameCodec:
         frame.
 
         :data:`RUN_MIN_FRAMES` or more consecutive FULL (or CHECKSUM)
-        frames become one :class:`PageRun`, its columns unpacked by one
-        ``struct`` pass that copies each page out of ``data`` exactly
-        once; everything else goes through :meth:`_split_page` frame by
+        frames become one :class:`PageRun`.  A CHECKSUM run is one
+        structured ``frombuffer`` of ``tag | page_no | digest`` records:
+        the page numbers come out as one list and the digests as one
+        :class:`DigestColumn` blob.  A FULL run's columns are unpacked by
+        one ``struct`` pass that copies each page out of ``data`` exactly
+        once.  Everything else goes through :meth:`_split_page` frame by
         frame.  Nothing returned refers to ``data``.
         """
         data = memoryview(data)
         sizes = self.page_frame_bytes
-        records = self._run_records
         split = self._split_page
         runs: List[Union[PageRun, List[PageFields]]] = []
         ordered: Optional[List[PageFields]] = None
@@ -599,8 +676,7 @@ class FrameCodec:
             size = sizes.get(tag)
             if size is None or position + size > end:
                 break
-            record = records.get(tag)
-            if record is not None:
+            if tag in self._run_records:
                 # Two bytes say "no run here" for most mixed traffic.
                 probe = position + (RUN_MIN_FRAMES - 1) * size
                 if probe < end and data[probe] == tag and data[position + size] == tag:
@@ -608,13 +684,9 @@ class FrameCodec:
                         data[position:end], size, max_frames - frames
                     )
                     if length >= RUN_MIN_FRAMES:
-                        stop = position + length * size
-                        slots, *columns = zip(*record.iter_unpack(data[position:stop]))
-                        if isinstance(slots[0], bytes):
-                            slots = [int.from_bytes(raw, "big") for raw in slots]
-                        runs.append(PageRun(tag, slots, *columns))
+                        runs.append(self._split_run(tag, data, position, length))
                         ordered = None
-                        position, frames = stop, frames + length
+                        position, frames = position + length * size, frames + length
                         continue
             if ordered is None:
                 ordered = []
@@ -624,13 +696,42 @@ class FrameCodec:
             frames += 1
         return PageRuns(runs, frames), position
 
+    def _split_run(self, tag: int, data: memoryview, start: int, length: int) -> PageRun:
+        """The ``length`` frames of kind ``tag`` from ``start``, by column."""
+        if tag == TYPE_PAGE_CHECKSUM and self._checksum_in is not None:
+            records = np.frombuffer(
+                data, dtype=self._checksum_in, count=length, offset=start
+            )
+            return PageRun(
+                tag,
+                records["page_no"].tolist(),
+                DigestColumn(records["digest"].tobytes(), self.digest_size),
+            )
+        stop = start + length * self.page_frame_bytes[tag]
+        slots, *columns = zip(*self._run_records[tag].iter_unpack(data[start:stop]))
+        if isinstance(slots[0], bytes):
+            slots = [int.from_bytes(raw, "big") for raw in slots]
+        if tag == TYPE_PAGE_CHECKSUM:
+            columns = [DigestColumn(b"".join(columns[0]), self.digest_size)]
+        return PageRun(tag, slots, *columns)
+
     @staticmethod
     def _run_length(data: memoryview, size: int, max_frames: int) -> int:
         """How many whole ``size``-byte frames at the front of ``data``
-        carry the first one's tag (of at most :data:`_RUN_SCAN_FRAMES`)."""
-        fit = min(len(data) // size, max_frames, _RUN_SCAN_FRAMES)
-        tags = bytes(data[: fit * size : size])
-        return fit - len(tags.lstrip(tags[:1]))
+        carry the first one's tag.  The tags are read a window at a
+        time, from :data:`_RUN_SCAN_FRAMES` on and four times larger
+        each time the whole window matched."""
+        fit = min(len(data) // size, max_frames)
+        tag = bytes(data[:1])
+        length, window = 0, _RUN_SCAN_FRAMES
+        while length < fit:
+            upto = min(fit, length + window)
+            tags = bytes(data[length * size : upto * size : size])
+            length = upto - len(tags.lstrip(tag))
+            if length < upto:
+                break
+            window *= 4
+        return length
 
     def _split_page(self, tag: int, data, start: int) -> PageFields:
         """The fields of one page frame whose tag byte precedes ``start``
@@ -673,6 +774,12 @@ class FrameCodec:
             return Frame(tag, body=body, wire_bytes=5 + length)
         if tag == TYPE_READY:
             round_no, applied, announce, done = struct.unpack(">IQBB", await recv(14))
+            if announce > 1 or done > 1:
+                # encode_ready writes each flag as 0 or 1: other values are
+                # some other frame's bytes, read from a misaligned stream.
+                raise StreamDesyncError(
+                    f"READY flags {announce}/{done} are not booleans"
+                )
             return Frame(tag, round_no=round_no, applied=applied,
                          announce_follows=bool(announce), completed=bool(done),
                          wire_bytes=15)
@@ -681,10 +788,7 @@ class FrameCodec:
             if count > _MAX_ANNOUNCE_COUNT:
                 raise FrameError(f"announce of {count} checksums exceeds limit")
             blob = await recv(count * self.digest_size)
-            digests = tuple(
-                blob[i * self.digest_size : (i + 1) * self.digest_size]
-                for i in range(count)
-            )
+            digests = tuple(_split_digests(blob, self.digest_size))
             return Frame(tag, count=count, digests=digests,
                          wire_bytes=self.wire.announce_frame_bytes(count))
         if tag == TYPE_DIGEST_DELTA:
@@ -703,20 +807,12 @@ class FrameCodec:
                     f"delta of {n_added + n_removed} checksums exceeds limit"
                 )
             blob = await recv((n_added + n_removed) * self.digest_size)
-            cut = n_added * self.digest_size
-            added = tuple(
-                blob[i * self.digest_size : (i + 1) * self.digest_size]
-                for i in range(n_added)
-            )
-            removed = tuple(
-                blob[cut + i * self.digest_size : cut + (i + 1) * self.digest_size]
-                for i in range(n_removed)
-            )
+            digests = _split_digests(blob, self.digest_size)
             return Frame(
                 tag,
                 count=n_added,
-                digests=added,
-                removed=removed,
+                digests=tuple(digests[:n_added]),
+                removed=tuple(digests[n_added:]),
                 generation=generation,
                 base_generation=base_generation,
                 wire_bytes=DIGEST_DELTA_OVERHEAD

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Set, Tuple
 from urllib.parse import quote, unquote
 
 from repro.core.checksum import DEFAULT_CHECKSUM, MD5, available_algorithms, get_algorithm
@@ -365,11 +365,12 @@ class CheckpointRepository:
         self._active: Optional[_Pack] = None  # the pack this handle appends to
         self._unsynced: Set[_Pack] = set()
         self._pack_created = False
-        # digest → manifests referencing it (not slots); the manifests; and
-        # the records recover() found none for (a predecessor's releases,
-        # crashed commits): indexed, but dropped when their pack is compacted.
+        # digest → manifests referencing it (not slots); each committed
+        # manifest's distinct digests, by vm_id; and the records recover()
+        # found none for (a predecessor's releases, crashed commits):
+        # indexed, but dropped when their pack is compacted.
         self._refcounts: Dict[bytes, int] = {}
-        self._committed: Dict[str, CheckpointManifest] = {}
+        self._committed: Dict[str, AbstractSet[bytes]] = {}
         self._orphans: Set[bytes] = set()
         self._quarantine_serial = itertools.count(1)
         self._temp_serial = itertools.count()
@@ -595,18 +596,18 @@ class CheckpointRepository:
         """How many committed manifests reference ``digest``."""
         return self._refcounts.get(digest, 0)
 
-    def _retain_all(self, distinct: Set[bytes]) -> None:
+    def _retain_all(self, distinct: AbstractSet[bytes]) -> None:
         refcounts = self._refcounts
         for digest in distinct:
             refcounts[digest] = refcounts.get(digest, 0) + 1
         if self._orphans:
             self._orphans -= distinct
 
-    def _release_all(self, digests: Iterable[bytes]) -> int:
-        """Release one manifest's references, forgetting records left with
+    def _release_all(self, distinct: AbstractSet[bytes]) -> int:
+        """Release one reference per digest, forgetting records left with
         none (bookkeeping: the bytes stay until compaction); payload bytes."""
         released = 0
-        for digest in set(digests):
+        for digest in distinct:
             count = self._refcounts.get(digest, 0) - 1
             if count > 0:
                 self._refcounts[digest] = count
@@ -616,6 +617,17 @@ class CheckpointRepository:
         if released:
             names.REPO_BYTES_RECLAIMED.add(released)
         return released
+
+    def _rereference(self, vm_id: str, distinct: AbstractSet[bytes]) -> int:
+        """Make ``distinct`` the digest set ``vm_id``'s checkpoint references
+        (empty: none), moving only the difference from the set it replaces:
+        what is new is retained, then what is gone released.  Returns the
+        payload bytes released."""
+        previous = self._committed.pop(vm_id, frozenset())
+        if distinct:
+            self._committed[vm_id] = distinct
+        self._retain_all(distinct - previous)
+        return self._release_all(previous - distinct)
 
     def _drop(self, digest: bytes) -> int:
         """Forget ``digest``'s record and count it dead; its payload bytes."""
@@ -629,16 +641,30 @@ class CheckpointRepository:
 
     # --- checkpoints ----------------------------------------------------
 
-    def commit_checkpoint(self, manifest: CheckpointManifest) -> int:
+    def commit_checkpoint(
+        self,
+        manifest: CheckpointManifest,
+        distinct: Optional[AbstractSet[bytes]] = None,
+        refill: Optional[Callable[[bytes], Optional[bytes]]] = None,
+    ) -> int:
         """Atomically commit ``manifest``; pages must already be stored
         (:class:`RepositoryError` if a record is missing: the checkpoint
-        could not be recovered).  Barrier, then the manifest rename — the
-        commit point.  A replaced checkpoint of the same VM is released
-        afterwards, so a crash in between leaves *some* checkpoint for
-        the VM, never none.  Returns payload bytes released from it."""
+        could not be recovered).  ``distinct`` is the manifest's distinct
+        digest set when the caller has it; ``refill`` (digest → page or
+        None) is asked once for each record missing, and what it returns
+        is stored first.  Barrier, then the manifest rename — the commit
+        point.  The references move afterwards, by the difference from
+        the replaced checkpoint of the same VM, so a crash in between
+        leaves *some* checkpoint for the VM, never none.  Returns payload
+        bytes released from the replaced one."""
         with self._lock:
-            distinct = set(manifest.slot_digests)
+            if distinct is None:
+                distinct = frozenset(manifest.slot_digests)
             missing = self.missing(distinct)
+            if missing and refill is not None:
+                found = [(d, page) for d in missing if (page := refill(d)) is not None]
+                self.put_pages(found)
+                missing.difference_update(d for d, _ in found)
             if missing:
                 raise RepositoryError(
                     f"checkpoint {manifest.vm_id!r} references "
@@ -649,10 +675,7 @@ class CheckpointRepository:
             path, data = self._manifest_path(manifest.vm_id), manifest.to_json().encode("utf-8")
             self._write_atomic(path, data, CrashPoint.MANIFEST_WRITTEN)
             self._fault(CrashPoint.MANIFEST_COMMITTED)
-            previous = self._committed.get(manifest.vm_id)
-            self._committed[manifest.vm_id] = manifest
-            self._retain_all(distinct)
-            return self._release_all(previous.slot_digests) if previous else 0
+            return self._rereference(manifest.vm_id, distinct)
 
     def load_manifest(self, vm_id: str) -> Optional[CheckpointManifest]:
         """Parse the committed manifest for ``vm_id``, or None."""
@@ -665,11 +688,10 @@ class CheckpointRepository:
     def delete_checkpoint(self, vm_id: str) -> int:
         """Drop the checkpoint for ``vm_id``; returns payload bytes released."""
         with self._lock:
-            manifest = self._committed.pop(vm_id, None)
             with suppress(FileNotFoundError):
                 os.unlink(self._manifest_path(vm_id))
             self._fsync_dir(self.manifests_dir)
-            return self._release_all(manifest.slot_digests) if manifest else 0
+            return self._rereference(vm_id, frozenset())
 
     def list_checkpoints(self) -> List[CheckpointManifest]:
         """All committed manifests, sorted by vm_id; skips corrupt ones."""
@@ -808,7 +830,7 @@ class CheckpointRepository:
                 self._quarantine(path, f"unreadable manifest: {exc}")
                 quarantined.append(path.name)
                 continue
-            distinct = set(manifest.slot_digests)
+            distinct = frozenset(manifest.slot_digests)
             missing = self.missing(distinct)
             if missing:
                 bad = min(missing)
@@ -817,8 +839,7 @@ class CheckpointRepository:
                 self._quarantine(path, f"references corrupt segment {bad.hex()}")
                 quarantined.append(path.name)
                 continue
-            self._retain_all(distinct)
-            self._committed[manifest.vm_id] = manifest
+            self._rereference(manifest.vm_id, distinct)
             kept.append(manifest)
         return kept, quarantined
 

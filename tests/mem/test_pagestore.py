@@ -1,5 +1,7 @@
 """Unit tests for repro.mem.pagestore."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,20 @@ class TestPageBytes:
         store = PageStore()
         first = store.page_bytes(9)
         assert store.page_bytes(9) is first
+
+    @pytest.mark.parametrize("page_size", [4096, 100, 64, 1])
+    @pytest.mark.parametrize("content_id", [0, 1, 7, 2**32 + 5, 2**64 - 1])
+    def test_generate_is_the_reference_keystream(self, page_size, content_id):
+        # Block i is BLAKE2b-512 of the id (8 bytes, little-endian) and
+        # the counter i (4 bytes, little-endian); the page is the blocks
+        # joined and cut to the page size.
+        seed = content_id.to_bytes(8, "little")
+        blocks = -(-page_size // 64)
+        reference = b"".join(
+            hashlib.blake2b(seed + i.to_bytes(4, "little"), digest_size=64).digest()
+            for i in range(blocks)
+        )[:page_size]
+        assert PageStore(page_size=page_size)._generate(content_id) == reference
 
 
 class TestMaterialize:
@@ -102,8 +118,39 @@ class TestLruEviction:
         store._digest_limit = 3  # shrink for the test; default is 64Ki
         for content_id in range(1, 8):
             store.digest_for(content_id)
-        assert len(store._digest_cache) <= 3
-        assert counter.value > before
+        assert list(store._memo(DEFAULT_CHECKSUM)) == [5, 6, 7]
+        assert counter.value == before + 4
+
+    def test_digest_memo_is_lru_per_algorithm(self):
+        counter = get_registry().counter("pagestore.digest_evictions")
+        store = PageStore(cache_limit=4)
+        store._digest_limit = 3
+        for content_id in (1, 2, 3):
+            store.digest_for(content_id)
+        store.digest_for(1)  # a hit: 2 becomes the oldest
+        store.digests_for(np.asarray([9, 4, 9], dtype=np.uint64), MD5)
+        # Another algorithm's memo is its own: nothing of the first moved.
+        assert list(store._memo(DEFAULT_CHECKSUM)) == [2, 3, 1]
+        assert list(store._memo(MD5)) == [4, 9]
+        before = counter.value
+        assert store.digests_for(np.asarray([5, 3, 6], dtype=np.uint64)) == [
+            DEFAULT_CHECKSUM.digest(store.page_bytes(cid)) for cid in (5, 3, 6)
+        ]
+        # 3 was refreshed; 2 and then 1 went, exactly the excess.
+        assert list(store._memo(DEFAULT_CHECKSUM)) == [3, 5, 6]
+        assert counter.value == before + 2
+
+    def test_ascending_ids_skip_the_unique_pass(self, monkeypatch):
+        store = PageStore()
+        expected = store.digests_for(np.asarray([4, 1, 4, 2], dtype=np.uint64))
+
+        def no_unique(*_args, **_kwargs):
+            raise AssertionError("np.unique on an already distinct slice")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        assert store.digests_for(np.asarray([1, 2, 4], dtype=np.uint64)) == [
+            expected[1], expected[3], expected[0]
+        ]
 
 
 def _page(tag: bytes) -> bytes:

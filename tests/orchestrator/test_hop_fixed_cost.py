@@ -233,7 +233,9 @@ def test_a_heartbeat_after_an_adoption_reports_the_new_image():
             assert list(summary.sketch) != old["sketch"]
             # The view is the adopted generation's, not a stale object's.
             assert daemon.checkpoint_digests(vm_id) == frozenset(digests)
-            assert daemon.checkpoints[vm_id].announce_digests == sorted(set(digests))
+            assert daemon.checkpoints[vm_id].announce_digests == list(
+                dict.fromkeys(digests)
+            )
             # Nobody else's report moved.
             for name, other in fleet.daemons.items():
                 if other is not daemon:

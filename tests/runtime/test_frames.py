@@ -27,6 +27,7 @@ from repro.runtime.frames import (
     TYPE_READY,
     TYPE_ROUND,
     TYPE_TELEMETRY,
+    StreamDesyncError,
     declare_frames,
     expect_frame,
 )
@@ -266,6 +267,15 @@ class TestErrors:
         codec = FrameCodec(WIRE)
         with pytest.raises(FrameError, match="unknown frame type 0x7f"):
             roundtrip(codec, b"\x7f")
+
+    @pytest.mark.parametrize("flags", [(2, 0), (0, 0x0F), (0x32, 1)])
+    def test_ready_flags_that_are_not_booleans_are_a_desync(self, flags):
+        # What a READY cut short reads when the next frame's bytes land
+        # in its flag fields.
+        codec = FrameCodec(WIRE)
+        blob = bytes((TYPE_READY,)) + struct.pack(">IQBB", 1, 0, *flags)
+        with pytest.raises(StreamDesyncError, match="not booleans"):
+            roundtrip(codec, blob)
 
     def test_oversized_telemetry_body_rejected(self):
         codec = FrameCodec(WIRE)

@@ -5,12 +5,15 @@ The daemon decodes and applies eight or more consecutive FULL (or
 CHECKSUM) frames by column.  The reference below is the frame-at-a-time
 decoder and applier this repository had before runs existed,
 transcribed: one tuple per frame, one ``put`` / ``retain`` / ``release``
-per slot.  For any frame sequence — all four kinds, runs on both sides
+per slot — except that a slot still borrowed from the preloaded
+checkpoint releases nothing when first rewritten, and becomes one the
+session owns.  For any frame sequence — all four kinds, runs on both sides
 of the threshold, repeated slots inside a run, an out-of-range slot, an
 unannounced checksum or a dangling REF anywhere — cut at any byte, both
 must decode the same fields, consume the same bytes, count the same,
 fail with the same code after the same number of applied frames, and
-leave the same slots, reference counts and stored bytes behind.
+leave the same slots, owned slots, reference counts and stored bytes
+behind.
 """
 
 import hashlib
@@ -92,13 +95,19 @@ def reference_decode(codec, data: bytes, max_frames: int):
 
 def reference_apply(session, frames, frame_bytes) -> None:
     slot_digests, store, num_pages = session.slot_digests, session.store, session.num_pages
+    # Copy-on-write: a slot still borrowed from the preloaded checkpoint
+    # holds no reference of the session's, so rewriting it releases
+    # nothing and makes it the session's own.
+    borrowing, owned = session.base is not None, session._owned
 
     def set_slot(slot, digest):
         old = slot_digests[slot]
         if old == digest:
             return
         store.retain(digest)
-        if old is not None:
+        if borrowing and slot not in owned:
+            owned.add(slot)
+        elif old is not None:
             store.release(old)
         slot_digests[slot] = digest
 
@@ -214,6 +223,7 @@ class World:
             "rx_payload_bytes": session.rx_payload_bytes,
             "apply_batches": session.apply_batches,
             "slot_digests": list(session.slot_digests),
+            "owned_slots": sorted(session._owned),
             "refcounts": store.refcounts(),
             "stored_bytes": store.stored_bytes,
             "resident": len(store),
@@ -280,6 +290,17 @@ class TestRunsEqualThePerFrameReference:
         assert check_batch(runs_world, frames_world, first) is None
         assert check_batch(runs_world, frames_world, again) is None
         assert runs_world.state()["resident"] == 10
+
+    def test_a_run_over_owned_and_borrowed_slots_releases_only_the_owned(self):
+        # Slots 0-9 become the session's own; the second run rewrites
+        # five of them again (their references go) and five slots still
+        # borrowed from the checkpoint (whose references stay its).
+        runs_world, frames_world = World(True), World(True)
+        first = [full(slot, 6 + slot % 6) for slot in range(10)]
+        again = [full(slot, 7 + slot % 5) for slot in range(5, 15)]
+        assert check_batch(runs_world, frames_world, first) is None
+        assert check_batch(runs_world, frames_world, again) is None
+        assert runs_world.state()["owned_slots"] == list(range(15))
 
     def test_a_checksum_run_that_lets_go_of_what_it_resolves_fails_in_order(self):
         # Slot 0 gives up the only reference to content 0 before slot 9
