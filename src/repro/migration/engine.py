@@ -33,7 +33,7 @@ class TransferContext:
     paths: the analytic simulation (:func:`migrate_between_hosts`) and
     the live runtime (:mod:`repro.runtime`), which maps ``checkpoint``
     to an installed daemon checkpoint and ``announce_known`` to the
-    source's ``known_remote_digests``.
+    source's ``known_remote``.
     """
 
     checkpoint: Optional[Checkpoint]

@@ -76,7 +76,7 @@ class Orchestrator:
         # verified announce skip (generation still current) or a
         # DIGEST_DELTA manifest (O(churn) instead of O(VM size)).
         self._checkpoint_knowledge: Dict[
-            Tuple[str, str], Tuple[Optional[int], FrozenSet[bytes]]
+            Tuple[str, str], Tuple[int, FrozenSet[bytes]]
         ] = {}
         # Each VM's content ids and per-slot digests as of its last hop
         # (per checksum algorithm): the next hop digests only the slots
@@ -207,14 +207,14 @@ class Orchestrator:
         decision = self.place(request)
         if decision.deferred:
             return decision, None
-        known = self._checkpoint_knowledge.get((vm_id, decision.destination))
         source = MigrationSource(
             SourceState(
                 vm_id=vm_id,
                 hashes=hashes,
                 pagestore=self.pagestore,
-                known_remote_digests=known[1] if known is not None else None,
-                known_remote_generation=known[0] if known is not None else None,
+                known_remote=self._checkpoint_knowledge.get(
+                    (vm_id, decision.destination)
+                ),
             ),
             self.strategy,
             config=self.config,
@@ -230,7 +230,7 @@ class Orchestrator:
                 vm_id, request.source_host, decision.destination
             )
             final = source.final_digests()
-            if final is not None:
+            if final is not None and source.result_generation is not None:
                 self._checkpoint_knowledge[(vm_id, decision.destination)] = (
                     source.result_generation,
                     final,

@@ -1,47 +1,29 @@
 """Cluster checkpoint inventory: what the control plane knows per host.
 
-A daemon cannot ship every checkpoint digest to the controller on every
-heartbeat — a 4 GiB image is a million digests.  Instead each hosted
-checkpoint travels as a *digest summary*: page counts, byte sizes, and
-a **bottom-k sketch** (the k lexicographically smallest distinct
-digests).  Bottom-k sketches are a classic MinHash variant: for two
-digest sets A and B, the fraction of the k smallest elements of A ∪ B
-that appear in both sketches is an unbiased estimate of the Jaccard
-similarity |A ∩ B| / |A ∪ B| — which is exactly the "how much of this
-VM's memory does that host already hold" question VeCycle-aware
-placement needs to answer (§2.2), at k·digest_size bytes per
-checkpoint instead of the full index.
-
-Everything in this module is plain data + pure functions so both sides
-of the wire (the daemon building an INVENTORY frame, the controller
-consuming it) share one implementation without import cycles.
+Each daemon answers a heartbeat with one :class:`HostInventory`: its
+capacity plus a :class:`~repro.runtime.hosted.CheckpointSummary` —
+page counts, byte sizes and a bottom-k sketch of the distinct digests —
+for every checkpoint it hosts.  The summary record and the sketch math
+live in :mod:`repro.runtime.hosted`, which the daemon building the
+INVENTORY frame imports too; this module adds the controller's side:
+the similarity estimate and the merged cluster view.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-DEFAULT_SKETCH_K = 64
-"""Sketch size: 64 digests bound the similarity estimate's standard
-error near 1/√64 ≈ 12% — coarse, but placement only needs to rank
-hosts, and ties break deterministically."""
+from repro.runtime.hosted import DEFAULT_SKETCH_K, CheckpointSummary, digest_sketch
 
-
-def digest_sketch(
-    digests: Iterable[bytes], k: int = DEFAULT_SKETCH_K
-) -> List[str]:
-    """Bottom-k sketch of a digest set, as sorted hex strings.
-
-    Hex encoding preserves byte order, so "k smallest hex strings" and
-    "k smallest digests" agree: the bottom-k is taken on the raw bytes
-    and only the k survivors are encoded.  Hex also makes the sketch
-    JSON-safe for the INVENTORY frame.
-    """
-    if k <= 0:
-        raise ValueError(f"sketch size must be positive, got {k}")
-    return [d.hex() for d in heapq.nsmallest(k, set(digests))]
+__all__ = [
+    "DEFAULT_SKETCH_K",
+    "CheckpointSummary",
+    "ClusterView",
+    "HostInventory",
+    "digest_sketch",
+    "sketch_similarity",
+]
 
 
 def sketch_similarity(a: Sequence[str], b: Sequence[str]) -> float:
@@ -59,46 +41,6 @@ def sketch_similarity(a: Sequence[str], b: Sequence[str]) -> float:
     union_sample = sorted(set_a | set_b)[:k]
     hits = sum(1 for d in union_sample if d in set_a and d in set_b)
     return hits / len(union_sample)
-
-
-@dataclass(frozen=True)
-class CheckpointSummary:
-    """One hosted checkpoint, as summarised in an INVENTORY frame."""
-
-    vm_id: str
-    pages: int
-    unique_pages: int
-    stored_bytes: int
-    timestamp: float
-    last_used: float
-    resident: bool
-    sketch: Tuple[str, ...]
-
-    @classmethod
-    def from_json(cls, body: dict) -> "CheckpointSummary":
-        return cls(
-            vm_id=str(body["vm_id"]),
-            pages=int(body["pages"]),
-            unique_pages=int(body["unique_pages"]),
-            stored_bytes=int(body["stored_bytes"]),
-            timestamp=float(body.get("timestamp", 0.0)),
-            last_used=float(body.get("last_used", 0.0)),
-            resident=bool(body.get("resident", True)),
-            sketch=tuple(body.get("sketch", ())),
-        )
-
-    def to_json(self) -> dict:
-        """JSON-compatible dict for the INVENTORY frame body."""
-        return {
-            "vm_id": self.vm_id,
-            "pages": self.pages,
-            "unique_pages": self.unique_pages,
-            "stored_bytes": self.stored_bytes,
-            "timestamp": self.timestamp,
-            "last_used": self.last_used,
-            "resident": self.resident,
-            "sketch": list(self.sketch),
-        }
 
 
 @dataclass(frozen=True)

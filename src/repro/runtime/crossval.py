@@ -171,8 +171,9 @@ async def cross_validate(
 
     Args:
         announce_known: Exercise the §3.3 ping-pong shortcut — the
-            source is seeded with the destination checkpoint's checksums
-            and both paths charge zero announce traffic.
+            source is seeded with the destination checkpoint's generation
+            and checksums, the daemon verifies the claim and skips the
+            announce, and both paths charge zero announce traffic.
         state_dir: Durable state directory for the destination daemon;
             the migrated checkpoint survives there past this run.
         metrics_port: Serve the destination daemon's Prometheus page on
@@ -209,11 +210,11 @@ async def cross_validate(
     async with daemon:
         known = None
         if scenario.checkpoint is not None and method.uses_checkpoint:
-            daemon.install_checkpoint(
+            hosted = daemon.install_checkpoint(
                 scenario.vm_id, scenario.checkpoint, strategy.checksum
             )
             if announce_known:
-                known = daemon.checkpoint_digests(scenario.vm_id)
+                known = (hosted.generation, hosted.distinct)
         if faults is not None:
             daemon.faults = faults
         source = MigrationSource(
@@ -222,7 +223,7 @@ async def cross_validate(
                 hashes=scenario.current.hashes,
                 pagestore=pagestore,
                 dirty_slots=scenario.dirty_slots,
-                known_remote_digests=known,
+                known_remote=known,
             ),
             strategy,
             link=scenario.link,

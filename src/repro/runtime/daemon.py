@@ -3,11 +3,12 @@
 One :class:`CheckpointDaemon` plays the role a VeCycle-enabled
 hypervisor host plays in the paper's prototype (§4.1): it keeps a
 checkpoint for every VM that ever left it, serves the §3.2 bulk
-checksum announce to incoming migration sources, merges the incoming
-message stream per Listing 1 (in-place reuse when the local page
-already matches, content-store lookup for relocated pages), verifies
-the final image, and stores the result as the next checkpoint — which
-is what makes back-to-back ping-pong migrations recycle state.
+checksum announce to incoming migration sources, hands each one's page
+stream to a sink session (:mod:`repro.runtime.sink`) that merges it per
+Listing 1 and verifies the final image, and stores the result as the
+next checkpoint — which is what makes back-to-back ping-pong migrations
+recycle state.  This module is the daemon alone: its lifecycle, its
+connections and the session protocol.
 
 Pages live in one host-wide content-addressed store
 (:class:`~repro.mem.pagestore.ContentAddressedStore`), so checkpoints
@@ -23,7 +24,8 @@ inject mid-transfer disconnects to exercise exactly that path.
 Durability: give the daemon a ``state_dir`` and every committed
 checkpoint (and completed session result) survives a daemon restart —
 ``kill -9`` included.  Pages are appended to the packs of a
-:class:`~repro.storage.repository.CheckpointRepository` as they arrive,
+:class:`~repro.storage.repository.CheckpointRepository` as they arrive
+(write-behind, :mod:`repro.runtime.persist`),
 the per-checkpoint manifest commits atomically on RESULT, and startup
 recovery rebuilds the hosted checkpoints and checksum state from the
 manifests, quarantining (never crashing on) corrupt entries.
@@ -33,12 +35,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from functools import cached_property
-from operator import eq, itemgetter
+from collections import OrderedDict
 from pathlib import Path
-from typing import Deque, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from repro.net.link import Link
 from repro.obs import names
 from repro.obs.flight import FlightRecorder
 from repro.obs.log import get_logger
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import get_registry
 from repro.obs.prometheus import MetricsServer, render_sections
 from repro.obs.telemetry import TelemetrySource
 from repro.obs.trace import span as _span
@@ -62,21 +61,18 @@ from repro.runtime.frames import (
     FrameCodec,
     FrameError,
     PAGE_FRAME_TYPES,
-    PageRun,
-    PageRuns,
     StreamDesyncError,
     TYPE_COMPLETE,
     TYPE_ERROR,
     TYPE_HEARTBEAT,
     TYPE_HELLO,
-    TYPE_PAGE_CHECKSUM,
-    TYPE_PAGE_FULL,
-    TYPE_PAGE_PLAIN,
-    TYPE_PAGE_REF,
     TYPE_ROUND,
     TYPE_TELEMETRY,
 )
+from repro.runtime.hosted import DEFAULT_SKETCH_K, CheckpointSummary, HostedCheckpoint
+from repro.runtime.persist import _WriteBehind
 from repro.runtime.shaping import ShapedStream
+from repro.runtime.sink import SinkProtocolError, _SinkSession
 
 log = get_logger(__name__)
 
@@ -90,623 +86,6 @@ _MAX_DELTA_HISTORY = 4
 in memory for delta-manifest computation.  History is deliberately
 *not* persisted: after a restart the daemon cannot prove what changed
 since an older generation, so it falls back to the full announce."""
-
-_WRITEBEHIND_STALL = names.PIPELINE_STALL.labelled("writebehind")
-"""Seconds reception waited on the write-behind backlog."""
-
-
-class SinkProtocolError(RuntimeError):
-    """The incoming stream violated the protocol (non-retryable)."""
-
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(f"[{code}] {message}")
-        self.code = code
-        self.detail = message
-
-
-@dataclass
-class HostedCheckpoint:
-    """A checkpoint as the daemon stores it: per-slot page checksums.
-
-    The page *bytes* live in the host-wide content store; the checkpoint
-    itself is just the slot → checksum map plus bookkeeping, mirroring
-    the paper's split between the checkpoint file and its in-memory
-    checksum index (§3.3).
-    """
-
-    vm_id: str
-    slot_digests: List[bytes]
-    """Never mutated once the checkpoint exists (an adoption builds a
-    new object), which is what lets the views below be computed once."""
-    algorithm: ChecksumAlgorithm
-    """What named the slots: a migration hashing with another algorithm
-    finds nothing to recycle here (:meth:`CheckpointDaemon._checkpoint_for`)."""
-    timestamp: float = field(default=0.0, compare=False)
-    last_used: float = field(default=0.0, compare=False)
-    generation: int = field(default=0, compare=False)
-    """Monotonic per-VM adoption counter; lets a returning source prove
-    its remembered digest set is current (or get a delta against it)."""
-    _sketches: Dict[int, List[str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    @property
-    def num_pages(self) -> int:
-        return len(self.slot_digests)
-
-    @cached_property
-    def distinct(self) -> FrozenSet[bytes]:
-        """The distinct checksums — the one walk over ``slot_digests``
-        the sketches and the delta history are derived from."""
-        return frozenset(self.slot_digests)
-
-    @cached_property
-    def announce_digests(self) -> List[bytes]:
-        """The distinct checksums in first-occurrence slot order — the
-        §3.2 bulk announce body.  The source reads it as a set, so any
-        order serves; this one costs no sort."""
-        return list(dict.fromkeys(self.slot_digests))
-
-    def inherit_views(self, previous: "HostedCheckpoint") -> None:
-        """Take over the views ``previous`` already derived; it must have
-        the same slot digests (an unchanged image adopted over itself)."""
-        for view in ("distinct", "announce_digests"):
-            if view in previous.__dict__:
-                self.__dict__[view] = previous.__dict__[view]
-        self._sketches.update(previous._sketches)
-
-    def sketch(self, k: int) -> List[str]:
-        """Bottom-``k`` similarity sketch of :attr:`distinct` (once per ``k``)."""
-        sketch = self._sketches.get(k)
-        if sketch is None:
-            # Local import: repro.orchestrator imports the runtime at
-            # module load; only the sketch math flows the other way.
-            from repro.orchestrator.inventory import digest_sketch
-
-            sketch = self._sketches[k] = digest_sketch(self.distinct, k=k)
-        return sketch
-
-
-@dataclass(frozen=True)
-class CheckpointInfo:
-    """One hosted checkpoint as the cluster inventory sees it.
-
-    Produced by :meth:`CheckpointDaemon.hosted_checkpoints`, which
-    merges the live in-memory checkpoint map with the durable
-    repository's manifests, so a checkpoint that was recovered from disk
-    (or committed there by another handle on the same repository) but
-    never faulted back into memory is still visible to the control
-    plane's inventory report.
-
-    Attributes:
-        vm_id: The checkpointed VM.
-        pages: Slots in the checkpoint image.
-        unique_pages: Distinct page contents (post-dedup).
-        stored_bytes: Bytes the distinct contents occupy (durable
-            record payloads when the repository holds them, resident
-            page bytes otherwise).
-        timestamp: When the checkpoint was taken.
-        last_used: Last time the checkpoint served a migration (adopt,
-            announce, or session preload); equals ``timestamp`` until
-            first use.
-        resident: Whether the daemon holds the checkpoint in its live
-            map (False for durable-only entries).
-    """
-
-    vm_id: str
-    pages: int
-    unique_pages: int
-    stored_bytes: int
-    timestamp: float
-    last_used: float
-    resident: bool
-
-
-class _SinkSession:
-    """Receiver state for one migration, persistent across reconnects.
-
-    Copy-on-write over the preloaded checkpoint: the session *borrows*
-    the content-store references its ``base`` checkpoint holds for every
-    slot, and owns one of its own only for a slot it rewrote (the slots
-    in ``_owned``).  So opening a session over an unchanged image and
-    applying its checksum frames move no reference at all.  Without a
-    base every filled slot is owned.  The daemon keeps the base alive
-    for as long as it is borrowed: before a checkpoint is replaced or
-    dropped, every session borrowing it takes references of its own
-    (:meth:`own_borrowed`).
-    """
-
-    def __init__(
-        self,
-        session_id: str,
-        vm_id: str,
-        num_pages: int,
-        method: Method,
-        algorithm: ChecksumAlgorithm,
-        store: ContentAddressedStore,
-        preload: Optional[HostedCheckpoint],
-    ) -> None:
-        self.session_id = session_id
-        self.vm_id = vm_id
-        self.num_pages = num_pages
-        self.method = method
-        self.algorithm = algorithm
-        self.store = store
-        self.slot_digests: List[Optional[bytes]] = (
-            list(preload.slot_digests) if preload else [None] * num_pages
-        )
-        self.base = preload
-        self._owned: Set[int] = set()
-        self._refs_released = False
-        self.page_size = 4096
-        self.round_no = 1
-        self.applied_in_round = 0
-        self.total_applied = 0
-        self.announce_acked = False
-        self.completed = False
-        self.result: Optional[dict] = None
-        self.reused_in_place = 0
-        self.reused_from_store = 0
-        self.pages_received = 0
-        self.rx_payload_bytes = 0
-        self.apply_batches = 0
-
-    def apply_pages(self, decoded: PageRuns, frame_bytes: Mapping[int, int]) -> None:
-        """Merge a decoded batch in order (Listing 1, content-store edition).
-
-        ``decoded`` is what :meth:`FrameCodec.decode_pages` returned and
-        ``frame_bytes`` the codec's tag → wire size table.  Every frame
-        gets the checks a lone frame would; a violation raises after
-        the frames ahead of it were applied and counted, and leaves the
-        rest of the batch untouched.  A :class:`PageRun` is applied in
-        one piece when that is the same thing (:meth:`_apply_run`) and
-        frame by frame, like every other stretch, when it is not.
-        """
-        slot_digests, store, num_pages = self.slot_digests, self.store, self.num_pages
-        set_slot = self._set_slot
-        applied: List[int] = []  # the tag of every frame applied on its own
-        in_runs = run_bytes = 0  # frames applied as whole runs, their bytes
-        in_place = from_store = 0
-        try:
-            for run in decoded.runs:
-                if isinstance(run, PageRun):
-                    if self._apply_run(run):
-                        in_runs += len(run.slots)
-                        run_bytes += len(run.slots) * frame_bytes[run.tag]
-                        continue
-                    run = run.rows()
-                for tag, slot, digest, payload, ref in run:
-                    if not 0 <= slot < num_pages:
-                        raise SinkProtocolError(
-                            "bad-slot",
-                            f"page number {slot} outside [0, {num_pages})",
-                        )
-                    if tag == TYPE_PAGE_CHECKSUM:
-                        if slot_digests[slot] == digest:
-                            in_place += 1
-                        elif digest in store:
-                            set_slot(slot, digest)
-                            from_store += 1
-                        else:
-                            raise SinkProtocolError(
-                                "missing-content",
-                                f"page {slot}: checksum announced but absent "
-                                "from the content store",
-                            )
-                    elif tag == TYPE_PAGE_FULL:
-                        # §3.2: the attached checksum saves the receiver
-                        # from re-hashing the page; the sender is trusted
-                        # here exactly as in the prototype.
-                        store.put(digest, payload)
-                        set_slot(slot, digest)
-                    elif tag == TYPE_PAGE_PLAIN:
-                        digest = self.algorithm.digest(payload)
-                        store.put(digest, payload)
-                        set_slot(slot, digest)
-                    elif tag == TYPE_PAGE_REF:
-                        if not 0 <= ref < num_pages:
-                            raise SinkProtocolError(
-                                "bad-ref",
-                                f"dedup reference to slot {ref} out of range",
-                            )
-                        target = slot_digests[ref]
-                        if target is None:
-                            raise SinkProtocolError(
-                                "bad-ref",
-                                f"page {slot}: dedup reference to slot {ref}, "
-                                "which has not been received",
-                            )
-                        set_slot(slot, target)
-                    else:  # pragma: no cover - decode_pages yields page tags only
-                        raise SinkProtocolError(
-                            "bad-frame", f"unexpected frame tag 0x{tag:02x}"
-                        )
-                    applied.append(tag)
-        finally:
-            frames = in_runs + len(applied)
-            self.reused_in_place += in_place
-            self.reused_from_store += from_store
-            self.pages_received += frames
-            self.applied_in_round += frames
-            self.total_applied += frames
-            self.rx_payload_bytes += run_bytes + sum(
-                applied.count(tag) * size for tag, size in frame_bytes.items()
-            )
-            self.apply_batches += 1
-
-    def _apply_run(self, run: PageRun) -> bool:
-        """Apply ``run`` in one piece; False (nothing touched) when only
-        the frame-by-frame loop gives the frame-by-frame result.
-
-        With every slot distinct and in range no frame reads what another
-        wrote, so the run is its frames in any order — except through the
-        store's reference counts.  A FULL run puts its content first and
-        only then swaps references (every new digest retained, then every
-        replaced one the session owned released), which ends where the
-        loop ends.  A CHECKSUM run that names every slot's current
-        digest is one comparison (:meth:`DigestColumn.matches`).  A
-        CHECKSUM frame that changes its slot resolves its digest from
-        the store *at its turn*: the swap is order-free only while no
-        digest a frame needs is one another frame lets go of, and a
-        digest the store lacks is the loop's error to raise at the right
-        frame.
-        """
-        tag, slots, digests, pages = run
-        slot_digests, store = self.slot_digests, self.store
-        if min(slots) < 0 or max(slots) >= self.num_pages:
-            return False
-        replaced = itemgetter(*slots)(slot_digests)
-        if tag == TYPE_PAGE_CHECKSUM and digests.matches(replaced):
-            # Nothing changes, so a slot named twice changes nothing either.
-            self.reused_in_place += len(slots)
-            return True
-        if len(set(slots)) != len(slots):
-            return False
-        if tag == TYPE_PAGE_FULL:
-            store.put_many(digests, pages)
-        in_place = 0
-        if any(map(eq, digests, replaced)):
-            # Frames that leave their slot as it is move no reference.
-            moved = [
-                (slot, new, old)
-                for slot, new, old in zip(slots, digests, replaced)
-                if new != old
-            ]
-            if not moved:
-                return True
-            in_place = len(slots) - len(moved)
-            slots, digests, replaced = zip(*moved)
-        if tag == TYPE_PAGE_CHECKSUM:
-            wanted = set(digests)
-            if not wanted.isdisjoint(replaced) or any(
-                digest not in store for digest in wanted
-            ):
-                return False
-            self.reused_in_place += in_place
-            self.reused_from_store += len(slots)
-        store.retain_many(digests)
-        self._let_go(slots, replaced)
-        for slot, digest in zip(slots, digests):
-            slot_digests[slot] = digest
-        return True
-
-    def _let_go(self, slots: Sequence[int], replaced: Sequence[Optional[bytes]]) -> None:
-        """``slots`` (distinct) are being rewritten from ``replaced``:
-        release what the session owned, and own every one from now on."""
-        if self.base is None:
-            self.store.release_many(replaced)
-            return
-        owned = self._owned
-        if not owned.isdisjoint(slots):
-            self.store.release_many(
-                [old for slot, old in zip(slots, replaced) if slot in owned]
-            )
-        owned.update(slots)
-
-    def _set_slot(self, slot: int, digest: bytes) -> None:
-        """Assign ``digest`` to ``slot``, moving the store references."""
-        old = self.slot_digests[slot]
-        if old == digest:
-            return
-        self.store.retain(digest)
-        if self.base is None or slot in self._owned:
-            if old is not None:
-                self.store.release(old)
-        else:
-            self._owned.add(slot)
-        self.slot_digests[slot] = digest
-
-    @property
-    def pristine(self) -> bool:
-        """Whether the image is still exactly its base's: no slot rewritten."""
-        return self.base is not None and not self._owned
-
-    def owned_digests(self) -> List[bytes]:
-        """The digest of every slot the session holds a reference for."""
-        if self.base is None:
-            return [digest for digest in self.slot_digests if digest is not None]
-        return [self.slot_digests[slot] for slot in self._owned]
-
-    def own_borrowed(self) -> None:
-        """The base is about to lose its references: retain one for every
-        slot still borrowed from it, and stop borrowing."""
-        if self.base is None:
-            return
-        owned = self._owned
-        self.store.retain_many(
-            [d for slot, d in enumerate(self.slot_digests) if slot not in owned]
-        )
-        self.base = None
-        owned.clear()
-
-    def release_refs(self) -> int:
-        """Give up the session's references and its base (idempotent).
-
-        Called when the session is retired from the retention map;
-        returns resident bytes freed from the content store.
-        """
-        if self._refs_released:
-            return 0
-        self._refs_released = True
-        freed = self.store.release_many(self.owned_digests())
-        self.slot_digests = []
-        self.base = None
-        self._owned.clear()
-        return freed
-
-    def hand_over(self) -> List[bytes]:
-        """The image became a checkpoint: its slot list and the references
-        the session owns are that checkpoint's now, and so — when the
-        base is the checkpoint it replaces — are the base's references
-        for the slots still borrowed.  Returns the base's digests of the
-        slots the session rewrote: references nobody inherits, for the
-        caller to release (none without a base).  Lets go of the base;
-        what stays is the shape :meth:`restore` builds — a RESULT to
-        replay, nothing to release."""
-        rewritten = []
-        if self.base is not None:
-            base_slots = self.base.slot_digests
-            rewritten = [base_slots[slot] for slot in self._owned]
-        self.slot_digests = []
-        self.base = None
-        self._owned.clear()
-        self._refs_released = True
-        return rewritten
-
-    @classmethod
-    def restore(
-        cls,
-        session_id: str,
-        store: ContentAddressedStore,
-        payload: dict,
-    ) -> "_SinkSession":
-        """Rebuild a *completed* session from its persisted RESULT.
-
-        Restored sessions exist only to replay their RESULT to a source
-        that reconnects after a daemon restart; they hold no slots and
-        no content references.
-        """
-        session = cls(
-            session_id=session_id,
-            vm_id=str(payload.get("vm_id", "")),
-            num_pages=0,
-            method=Method.FULL,
-            algorithm=DEFAULT_CHECKSUM,
-            store=store,
-            preload=None,
-        )
-        session.completed = True
-        session.result = payload.get("result")
-        session.round_no = int(payload.get("rounds", 1))
-        session.applied_in_round = int(payload.get("applied_in_round", 0))
-        return session
-
-    def finish(self, frame: Frame) -> dict:
-        """Handle COMPLETE: verify the image — the digest over the
-        per-slot digests is the end-to-end check — and freeze the result.
-        The daemon marks the session completed once it has acted on it."""
-        missing = self.slot_digests.count(None)
-        ok = missing == 0 and (
-            self.algorithm.digest(b"".join(self.slot_digests)) == frame.digest
-        )
-        self.result = {
-            "ok": ok,
-            "pages_received": self.pages_received,
-            "reused_in_place": self.reused_in_place,
-            "reused_from_store": self.reused_from_store,
-            "unique_contents": len(
-                self.base.distinct if self.pristine else set(self.slot_digests)
-            ),
-            # What the sink counted into daemon.transferred_bytes for
-            # this session — echoed to the source so cluster telemetry
-            # rollups can be reconciled against per-migration metrics
-            # exactly, even under fault injection.
-            "rx_payload_bytes": self.rx_payload_bytes,
-            "rounds": self.round_no,
-            "error": None
-            if ok
-            else (
-                f"{missing} slots never received"
-                if missing
-                else "final image digest mismatch"
-            ),
-        }
-        return self.result
-
-
-class _WriteBehind:
-    """Bounded write-behind queue feeding the repository's packs.
-
-    :meth:`defer` only enqueues a decoded batch's ``(digest, page)``
-    pairs.  A single worker task takes *everything queued* each time it
-    runs and, in one thread hop, appends it
-    (:meth:`CheckpointRepository.put_pages`) and issues the data barrier
-    (:meth:`CheckpointRepository.sync_pending_dirs`, one ``fsync`` of the
-    pack) — so pack I/O overlaps the socket, the hop is paid per backlog,
-    not per page, and the barrier before the manifest finds nothing left
-    to sync.  After a commit the same thread compacts packs that are more
-    than half dead: never on the event loop between COMPLETE and RESULT.
-
-    Durability is that of a synchronous write: every commit point drains
-    first — COMPLETE awaits :meth:`drain`, synchronous installs call
-    :meth:`flush_sync` — and the commit's own barrier covers the rest.
-
-    * A ``put_pages`` batch is all or nothing; the worker keeps the first
-      error it sees (fault hooks simulating ``kill -9`` raise
-      ``BaseException``) and :meth:`drain` / :meth:`flush_sync` re-raise
-      it — where a synchronous write would have, before any commit.
-    * On ``CancelledError`` (shutdown) the thread cannot be recalled, so
-      the whole batch goes back to the front of the queue in order and
-      :meth:`close` → :meth:`flush_sync` puts it again: the flush waits
-      on the repository's lock for the abandoned thread's append, then
-      finds it already indexed.
-
-    :meth:`throttle` (awaited once per decoded batch) blocks reception
-    while the writer is more than ``max_pending_bytes`` behind — disk
-    pressure becomes socket backpressure — so the queue overshoots the
-    bound by at most one receive arena.  Batches and stall time are
-    counted in every registry of ``registries`` (for a daemon, the
-    process-wide one and its own ``TelemetrySource``).
-    """
-
-    def __init__(self, repository: CheckpointRepository,
-                 registries: Sequence[MetricsRegistry],
-                 max_pending_bytes: int = 8 << 20) -> None:
-        self._repository = repository
-        self._registries = registries
-        self.max_pending_bytes = max_pending_bytes
-        self._queue: Deque[Tuple[bytes, bytes]] = deque()
-        self.pending_bytes = 0
-        self._inflight: List[Tuple[bytes, bytes]] = []
-        self._compact_due = False
-        self._error: Optional[BaseException] = None
-        self._task: Optional[asyncio.Task] = None
-        self._wake: Optional[asyncio.Event] = None
-        self._waiters: List[asyncio.Future] = []
-
-    @property
-    def idle(self) -> bool:
-        return not self._queue and not self._inflight
-
-    def defer(self, batch: Sequence[Tuple[bytes, bytes]] = (), compact: bool = False) -> None:
-        """Queue a batch of page writes (the content store's spill hook)
-        or, after a commit, a compaction for the worker's thread."""
-        self._queue.extend(batch)
-        self.pending_bytes += sum(len(page) for _, page in batch)
-        self._compact_due |= compact
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:
-            # Synchronous caller (checkpoint install outside the loop):
-            # flush_sync() writes the backlog before any commit.
-            return
-        self._ensure_worker(loop)
-        self._wake.set()
-
-    def _ensure_worker(self, loop: asyncio.AbstractEventLoop) -> None:
-        if self._task is not None and not self._task.done():
-            return
-        self._wake = asyncio.Event()
-        self._task = loop.create_task(self._run())
-
-    def _take_queue(self) -> List[Tuple[bytes, bytes]]:
-        batch = list(self._queue)
-        self._queue.clear()
-        self.pending_bytes = 0
-        return batch
-
-    def _write(self, batch: List[Tuple[bytes, bytes]], compact: bool) -> None:
-        if batch:
-            self._repository.put_pages(batch)
-            self._repository.sync_pending_dirs()
-        if compact:
-            try:
-                self._repository.compact()
-            except Exception:  # space not reclaimed is not a failed write
-                log.exception("pack compaction failed")
-
-    async def _run(self) -> None:
-        while True:
-            while not self._queue and not self._compact_due:
-                self._wake.clear()
-                await self._wake.wait()
-            batch = self._inflight = self._take_queue()
-            compact, self._compact_due = self._compact_due, False
-            if batch:
-                for registry in self._registries:
-                    names.DAEMON_WRITEBEHIND_BATCHES.on(registry).add()
-            try:
-                await asyncio.to_thread(self._write, batch, compact)
-            except asyncio.CancelledError:
-                # Shutdown: the thread cannot be recalled, so hand the
-                # batch back in order for flush_sync to put again.
-                self._queue.extendleft(reversed(batch))
-                self.pending_bytes += sum(len(page) for _, page in batch)
-                raise
-            except BaseException as exc:  # fault hooks raise BaseException
-                if self._error is None:
-                    self._error = exc
-            finally:
-                self._inflight = []
-                self._notify()
-
-    def _notify(self) -> None:
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            if not waiter.done():
-                waiter.set_result(None)
-
-    async def _wait_progress(self) -> None:
-        waiter = asyncio.get_running_loop().create_future()
-        self._waiters.append(waiter)
-        await waiter
-
-    async def throttle(self) -> None:
-        """Block while the backlog exceeds ``max_pending_bytes``."""
-        if self.pending_bytes <= self.max_pending_bytes or self.idle:
-            return
-        started = time.perf_counter()
-        while self.pending_bytes > self.max_pending_bytes and not self.idle:
-            await self._wait_progress()
-        stalled = time.perf_counter() - started
-        for registry in self._registries:
-            names.PIPELINE_STAGE_STALL_SECONDS.on(registry).observe(stalled)
-            _WRITEBEHIND_STALL.on(registry).add(stalled)
-
-    async def drain(self) -> None:
-        """Wait until the backlog has durably landed; re-raise errors."""
-        if self._queue:
-            self.defer()  # (re)start the worker for a backlog queued without one
-        while not self.idle:
-            await self._wait_progress()
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-
-    def flush_sync(self) -> None:
-        """Append the backlog inline (synchronous install path).
-
-        A batch the worker holds in flight is put again (waiting on the
-        repository's lock, then skipping what the thread indexed): all
-        that was deferred must be indexed before the caller's commit.
-        """
-        batch = self._inflight + self._take_queue()
-        if batch:
-            self._repository.put_pages(batch)
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-
-    async def close(self) -> None:
-        """Stop the worker and write anything still queued."""
-        if self._task is not None:
-            task, self._task = self._task, None
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self.flush_sync()
 
 
 class CheckpointDaemon:
@@ -726,8 +105,6 @@ class CheckpointDaemon:
             :class:`~repro.storage.repository.CheckpointRepository`
             rooted there and recovered on construction — a daemon
             restart keeps every committed checkpoint.
-        repository: Pre-built repository to use instead of
-            ``state_dir``; the daemon owns it and :meth:`stop` closes it.
         max_concurrent_migrations: Advertised migration capacity for
             the cluster control plane's admission control; the daemon
             itself accepts any number of concurrent sessions.
@@ -744,7 +121,6 @@ class CheckpointDaemon:
         io_timeout_s: float = 30.0,
         pagestore: Optional[PageStore] = None,
         state_dir: Optional[Path | str] = None,
-        repository: Optional[CheckpointRepository] = None,
         max_concurrent_migrations: int = 2,
         metrics_port: Optional[int] = None,
     ) -> None:
@@ -754,9 +130,9 @@ class CheckpointDaemon:
         self.io_timeout_s = io_timeout_s
         self.max_concurrent_migrations = max_concurrent_migrations
         self.pagestore = pagestore or PageStore()
-        if repository is None and state_dir is not None:
-            repository = CheckpointRepository(state_dir)
-        self.repository = repository
+        repository = self.repository = (
+            CheckpointRepository(state_dir) if state_dir is not None else None
+        )
         # Telemetry: every instrument lands in the process-wide registry
         # (the pre-existing contract tests and exporters rely on) *and*
         # in a per-daemon source, so co-hosted daemons in one process
@@ -764,8 +140,8 @@ class CheckpointDaemon:
         self.telemetry = TelemetrySource(name)
         self._registries = (get_registry(), self.telemetry.registry)
         # Write-behind persistence: incoming pages spill to the
-        # repository through a bounded queue instead of a synchronous
-        # write-through, drained before any commit point.
+        # repository through a bounded queue, drained before any commit
+        # point.
         self._persist = (
             _WriteBehind(repository, self._registries)
             if repository is not None
@@ -1113,90 +489,24 @@ class CheckpointDaemon:
         hosted = self.checkpoints.get(vm_id)
         return hosted.distinct if hosted is not None else None
 
-    def hosted_checkpoints(self) -> List[CheckpointInfo]:
-        """Per-VM inventory: the live map merged with the repository.
-
-        The union matters: a checkpoint committed to the shared
-        repository by another daemon handle (or left there by a prior
-        incarnation) that is not faulted into this daemon's live map
-        would otherwise be invisible to the control plane even though a
-        migration could use it after a restart.  Sorted by vm_id.
-        """
-        return self._inventory()[0]
-
-    def _inventory(self) -> Tuple[List[CheckpointInfo], Dict[str, dict]]:
-        """:meth:`hosted_checkpoints` plus the repository stats behind it,
-        so one manifest parse serves the listing and the report's sketch."""
+    def hosted_checkpoints(
+        self, sketch_k: int = DEFAULT_SKETCH_K
+    ) -> List[CheckpointSummary]:
+        """Per-VM inventory, sorted by vm_id: exactly the hosted map —
+        the checkpoints a migration here can recycle.  Built from each
+        checkpoint's cached views, so between adoptions it walks no
+        image's digests and reads nothing from the repository."""
         page_size = self.pagestore.page_size
-        durable: Dict[str, dict] = (
-            self.repository.checkpoint_stats()
-            if self.repository is not None
-            else {}
-        )
-        infos: List[CheckpointInfo] = []
-        for vm_id, hosted in self.checkpoints.items():
-            unique = len(hosted.distinct)
-            stats = durable.get(vm_id)
-            stored = (
-                stats["stored_bytes"] if stats is not None else unique * page_size
-            )
-            infos.append(
-                CheckpointInfo(
-                    vm_id=vm_id,
-                    pages=hosted.num_pages,
-                    unique_pages=unique,
-                    stored_bytes=stored,
-                    timestamp=hosted.timestamp,
-                    last_used=hosted.last_used or hosted.timestamp,
-                    resident=True,
-                )
-            )
-        for vm_id, stats in durable.items():
-            if vm_id in self.checkpoints:
-                continue
-            infos.append(
-                CheckpointInfo(
-                    vm_id=vm_id,
-                    pages=stats["pages"],
-                    unique_pages=stats["unique_pages"],
-                    stored_bytes=stats["stored_bytes"],
-                    timestamp=stats["timestamp"],
-                    last_used=stats["timestamp"],
-                    resident=False,
-                )
-            )
-        return sorted(infos, key=lambda info: info.vm_id), durable
+        return [
+            self.checkpoints[vm_id].summary(page_size, sketch_k)
+            for vm_id in sorted(self.checkpoints)
+        ]
 
     def inventory_report(self, sketch_k: Optional[int] = None) -> dict:
-        """JSON body answering a HEARTBEAT: capacity + checkpoint digest
-        summaries (per-VM page counts and a bottom-k similarity sketch).
-        Resident checkpoints answer from their cached views, so between
-        adoptions a heartbeat walks no image's digests.
-        """
-        # Local import: repro.orchestrator imports the runtime at module
-        # load; only the sketch math flows the other way.
-        from repro.orchestrator.inventory import DEFAULT_SKETCH_K, digest_sketch
-
+        """JSON body answering a HEARTBEAT: capacity plus the
+        :meth:`hosted_checkpoints` summaries (per-VM page counts and a
+        bottom-k similarity sketch)."""
         k = sketch_k or DEFAULT_SKETCH_K
-        infos, durable = self._inventory()
-        checkpoints = []
-        for info in infos:
-            if info.resident:
-                sketch = self.checkpoints[info.vm_id].sketch(k)
-            else:
-                sketch = digest_sketch(durable[info.vm_id]["distinct"], k=k)
-            checkpoints.append(
-                {
-                    "vm_id": info.vm_id,
-                    "pages": info.pages,
-                    "unique_pages": info.unique_pages,
-                    "stored_bytes": info.stored_bytes,
-                    "timestamp": info.timestamp,
-                    "last_used": info.last_used,
-                    "resident": info.resident,
-                    "sketch": list(sketch),
-                }
-            )
         return {
             "host": self.name,
             "port": self.port,
@@ -1205,7 +515,7 @@ class CheckpointDaemon:
             ),
             "max_concurrent_migrations": self.max_concurrent_migrations,
             "sketch_k": k,
-            "checkpoints": checkpoints,
+            "checkpoints": [info.to_json() for info in self.hosted_checkpoints(k)],
         }
 
     # --- fault injection ------------------------------------------------
@@ -1420,11 +730,12 @@ class CheckpointDaemon:
         ``(generation, base_generation, added, removed)`` when a
         DIGEST_DELTA frame should be sent instead of the full ANNOUNCE.
 
-        The decision tree stays replay-compatible with older sources:
+        A source claims to know the checkpoint by naming the generation
+        it knows in ``base_generation``; every skip is verified against
+        it (any other HELLO field, ``announce_known`` included, is
+        ignored):
 
-        * no ``announce_known`` claim → full ANNOUNCE (as always);
-        * ``announce_known`` without a ``base_generation`` → trusted
-          skip (the legacy §3.3 ping-pong shortcut);
+        * no ``base_generation`` → full ANNOUNCE;
         * ``base_generation`` equal to the hosted checkpoint's current
           generation → verified skip;
         * ``base_generation`` found in the in-memory delta history →
@@ -1435,23 +746,16 @@ class CheckpointDaemon:
         """
         if not session.method.uses_hashes or session.announce_acked:
             return False, None
-        if not hello_body.get("announce_known", False):
-            return True, None
         base_generation = hello_body.get("base_generation")
-        if base_generation is None:
-            # Legacy source claiming full knowledge: trusted skip.
-            return False, None
-        base_generation = int(base_generation)
         hosted = self._checkpoint_for(session.vm_id, session.algorithm)
-        if hosted is not None and base_generation == hosted.generation:
+        if base_generation is None or hosted is None:
+            return True, None
+        base_generation = int(base_generation)
+        if base_generation == hosted.generation:
             self._count(names.DAEMON_ANNOUNCE_SKIPPED)
             return False, None
         base = self._delta_history.get(session.vm_id, {}).get(base_generation)
-        if (
-            hosted is not None
-            and base is not None
-            and hosted.generation > base_generation
-        ):
+        if base is not None and hosted.generation > base_generation:
             current = hosted.distinct
             return True, (
                 hosted.generation,

@@ -149,9 +149,6 @@ branch of :meth:`FrameCodec.read_frame`."""
 DIGEST_DELTA_OVERHEAD = 17
 """Frame bytes before the digest lists: tag + four u32 fields."""
 
-_INT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-"""``struct`` codes for the unsigned integer widths it knows."""
-
 _MAX_JSON_BODY = 1 << 20
 _MAX_ANNOUNCE_COUNT = 1 << 28
 
@@ -348,8 +345,11 @@ class FrameCodec:
     """Encode/decode frames for one migration session.
 
     Page and digest sizes are negotiated in the HELLO exchange; the
-    codec is constructed once per session and validates that the data
-    frames it produces match the analytic wire format byte for byte.
+    header and the dedup reference keep the analytic defaults (a 1-byte
+    tag plus a u64 page number, a u64 ref slot), and a ``wire`` with any
+    other width is refused.  The codec is constructed once per session
+    and validates that the data frames it produces match the analytic
+    wire format byte for byte.
 
     ``page_frame_bytes`` maps each page-frame tag to its wire size,
     computed once from the :class:`~repro.core.protocol.WireFormat`.
@@ -361,29 +361,26 @@ class FrameCodec:
         self.wire = wire
         self.page_size = wire.page_size
         self.digest_size = wire.checksum_bytes
-        # The analytic header is "page number + message type" (§3.2);
-        # the frame layout spends 1 byte on the type and the rest on the
-        # page number.
-        if wire.header_bytes < 2:
-            raise ValueError(f"header_bytes must be >= 2, got {wire.header_bytes}")
-        self._page_no_bytes = wire.header_bytes - 1
-        self._ref_bytes = wire.ref_bytes
+        # The analytic header is "page number + message type" (§3.2):
+        # 1 byte for the type, a u64 for the page number.
+        for width, fixed in (("header_bytes", 9), ("ref_bytes", 8)):
+            if getattr(wire, width) != fixed:
+                raise ValueError(
+                    f"{width} must be {fixed}, got {getattr(wire, width)}"
+                )
+        self._page_no_bytes = self._ref_bytes = 8
         self.page_frame_bytes: Dict[int, int] = {
             tag: wire.message_bytes(FRAME_NAMES[tag])
             for tag in sorted(PAGE_FRAME_TYPES)
         }
-        # Each page frame's body as one struct, the page number and the
-        # ref slot as integers where struct has a code of their width
-        # (raw big-endian bytes otherwise).  The two kinds that come in
-        # runs also get a record that spans the tag byte, to iterate.
-        page_no = _INT_CODES.get(self._page_no_bytes, f"{self._page_no_bytes}s")
-        ref = _INT_CODES.get(self._ref_bytes, f"{self._ref_bytes}s")
+        # Each page frame's body as one struct.  The two kinds that come
+        # in runs also get a record that spans the tag byte, to iterate.
         digest, page = f"{self.digest_size}s", f"{self.page_size}s"
         bodies = {
-            TYPE_PAGE_FULL: page_no + digest + page,
-            TYPE_PAGE_CHECKSUM: page_no + digest,
-            TYPE_PAGE_REF: page_no + ref,
-            TYPE_PAGE_PLAIN: page_no + page,
+            TYPE_PAGE_FULL: "Q" + digest + page,
+            TYPE_PAGE_CHECKSUM: "Q" + digest,
+            TYPE_PAGE_REF: "QQ",
+            TYPE_PAGE_PLAIN: "Q" + page,
         }
         self._bodies = {tag: struct.Struct(">" + body) for tag, body in bodies.items()}
         self._run_records = {
@@ -392,19 +389,13 @@ class FrameCodec:
         }
         # A CHECKSUM frame as a numpy record: ``head | digest`` to encode
         # a batch in one pack, ``tag | page_no | digest`` to decode a run
-        # in one frombuffer (where the page number has a numpy width).
+        # in one frombuffer.
         self._checksum_out = np.dtype(
             [("head", f"V{wire.header_bytes}"), ("digest", f"V{self.digest_size}")]
         )
-        self._checksum_in = (
-            np.dtype([
-                ("tag", "u1"),
-                ("page_no", f">u{self._page_no_bytes}"),
-                ("digest", f"V{self.digest_size}"),
-            ])
-            if self._page_no_bytes in _INT_CODES
-            else None
-        )
+        self._checksum_in = np.dtype([
+            ("tag", "u1"), ("page_no", ">u8"), ("digest", f"V{self.digest_size}"),
+        ])
 
     # --- encode ---------------------------------------------------------
 
@@ -536,20 +527,12 @@ class FrameCodec:
 
     def _pack_page_heads(self, tags: np.ndarray, page_nos: np.ndarray) -> bytes:
         """``tag | page_no`` for every row, packed big-endian in one go."""
-        width = self._page_no_bytes
-        if page_nos.size and (
-            int(page_nos.min()) < 0
-            or (width < 8 and int(page_nos.max()) >> (8 * width))
-        ):
+        if page_nos.size and int(page_nos.min()) < 0:
             # What int.to_bytes raises in the single-frame encoders.
-            raise OverflowError(f"page number does not fit {width} bytes")
-        heads = np.zeros((tags.shape[0], 1 + width), dtype=np.uint8)
+            raise OverflowError("page number does not fit 8 bytes")
+        heads = np.zeros((tags.shape[0], 9), dtype=np.uint8)
         heads[:, 0] = tags
-        octets = page_nos.astype(">u8").view(np.uint8).reshape(-1, 8)
-        if width >= 8:
-            heads[:, 1 + width - 8 :] = octets
-        else:
-            heads[:, 1:] = octets[:, 8 - width :]
+        heads[:, 1:] = page_nos.astype(">u8").view(np.uint8).reshape(-1, 8)
         return heads.tobytes()
 
     def encode_hello(self, body: Dict[str, Any]) -> bytes:
@@ -698,7 +681,7 @@ class FrameCodec:
 
     def _split_run(self, tag: int, data: memoryview, start: int, length: int) -> PageRun:
         """The ``length`` frames of kind ``tag`` from ``start``, by column."""
-        if tag == TYPE_PAGE_CHECKSUM and self._checksum_in is not None:
+        if tag == TYPE_PAGE_CHECKSUM:
             records = np.frombuffer(
                 data, dtype=self._checksum_in, count=length, offset=start
             )
@@ -708,12 +691,8 @@ class FrameCodec:
                 DigestColumn(records["digest"].tobytes(), self.digest_size),
             )
         stop = start + length * self.page_frame_bytes[tag]
-        slots, *columns = zip(*self._run_records[tag].iter_unpack(data[start:stop]))
-        if isinstance(slots[0], bytes):
-            slots = [int.from_bytes(raw, "big") for raw in slots]
-        if tag == TYPE_PAGE_CHECKSUM:
-            columns = [DigestColumn(b"".join(columns[0]), self.digest_size)]
-        return PageRun(tag, slots, *columns)
+        slots, digests, pages = zip(*self._run_records[tag].iter_unpack(data[start:stop]))
+        return PageRun(tag, slots, digests, pages)
 
     @staticmethod
     def _run_length(data: memoryview, size: int, max_frames: int) -> int:
@@ -737,18 +716,13 @@ class FrameCodec:
         """The fields of one page frame whose tag byte precedes ``start``
         in the bytes-like ``data``; each field is its own object."""
         page_no, *fields = self._bodies[tag].unpack_from(data, start)
-        if isinstance(page_no, bytes):
-            page_no = int.from_bytes(page_no, "big")
         if tag == TYPE_PAGE_CHECKSUM:
             return tag, page_no, fields[0], b"", -1
         if tag == TYPE_PAGE_FULL:
             return tag, page_no, fields[0], fields[1], -1
         if tag == TYPE_PAGE_PLAIN:
             return tag, page_no, b"", fields[0], -1
-        ref = fields[0]
-        if isinstance(ref, bytes):
-            ref = int.from_bytes(ref, "big")
-        return tag, page_no, b"", b"", ref
+        return tag, page_no, b"", b"", fields[0]
 
     async def read_frame(self, recv) -> Frame:
         """Read one frame via ``recv`` (an ``async (n) -> bytes`` reader)."""

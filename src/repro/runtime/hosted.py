@@ -1,0 +1,170 @@
+"""Hosted checkpoints and the one record the cluster inventory lists.
+
+A daemon keeps a :class:`HostedCheckpoint` for every VM that left it;
+the control plane sees each one as a :class:`CheckpointSummary`: page
+counts, byte sizes and a **bottom-k sketch** (the k lexicographically
+smallest distinct digests).  A daemon cannot ship every digest on every
+heartbeat — a 4 GiB image is a million of them — and bottom-k sketches
+are a classic MinHash variant: for two digest sets A and B, the fraction
+of the k smallest elements of A ∪ B that appear in both sketches is an
+unbiased estimate of the Jaccard similarity |A ∩ B| / |A ∪ B| — exactly
+the "how much of this VM's memory does that host already hold" question
+VeCycle-aware placement asks (§2.2), at k·digest_size bytes per
+checkpoint instead of the full index.
+
+The daemon builds the summaries (:meth:`HostedCheckpoint.summary`) and
+:mod:`repro.orchestrator.inventory` parses them: both import this
+module, which imports neither.
+"""
+
+from __future__ import annotations
+
+import heapq
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Tuple
+
+from repro.core.checksum import ChecksumAlgorithm
+
+DEFAULT_SKETCH_K = 64
+"""Sketch size: 64 digests bound the similarity estimate's standard
+error near 1/√64 ≈ 12% — coarse, but placement only needs to rank
+hosts, and ties break deterministically."""
+
+
+def digest_sketch(
+    digests: Iterable[bytes], k: int = DEFAULT_SKETCH_K
+) -> List[str]:
+    """Bottom-k sketch of a digest set, as sorted hex strings.
+
+    Hex encoding preserves byte order, so "k smallest hex strings" and
+    "k smallest digests" agree: the bottom-k is taken on the raw bytes
+    and only the k survivors are encoded.  Hex also makes the sketch
+    JSON-safe for the INVENTORY frame.
+    """
+    if k <= 0:
+        raise ValueError(f"sketch size must be positive, got {k}")
+    return [d.hex() for d in heapq.nsmallest(k, set(digests))]
+
+
+@dataclass(frozen=True)
+class CheckpointSummary:
+    """One hosted checkpoint, as summarised in an INVENTORY frame.
+
+    Attributes:
+        vm_id: The checkpointed VM.
+        pages: Slots in the checkpoint image.
+        unique_pages: Distinct page contents (post-dedup).
+        stored_bytes: Bytes the distinct contents occupy
+            (``unique_pages × page_size``).
+        timestamp: When the checkpoint was taken.
+        last_used: Last time the checkpoint served a migration (adopt,
+            announce, or session preload); equals ``timestamp`` until
+            first use.
+        sketch: Bottom-k sketch of the distinct digests.
+    """
+
+    vm_id: str
+    pages: int
+    unique_pages: int
+    stored_bytes: int
+    timestamp: float
+    last_used: float
+    sketch: Tuple[str, ...]
+
+    @classmethod
+    def from_json(cls, body: dict) -> "CheckpointSummary":
+        return cls(
+            vm_id=str(body["vm_id"]),
+            pages=int(body["pages"]),
+            unique_pages=int(body["unique_pages"]),
+            stored_bytes=int(body["stored_bytes"]),
+            timestamp=float(body.get("timestamp", 0.0)),
+            last_used=float(body.get("last_used", 0.0)),
+            sketch=tuple(body.get("sketch", ())),
+        )
+
+    def to_json(self) -> dict:
+        """JSON-compatible dict for the INVENTORY frame body."""
+        return {
+            "vm_id": self.vm_id,
+            "pages": self.pages,
+            "unique_pages": self.unique_pages,
+            "stored_bytes": self.stored_bytes,
+            "timestamp": self.timestamp,
+            "last_used": self.last_used,
+            "sketch": list(self.sketch),
+        }
+
+
+@dataclass
+class HostedCheckpoint:
+    """A checkpoint as the daemon stores it: per-slot page checksums.
+
+    The page *bytes* live in the host-wide content store; the checkpoint
+    itself is just the slot → checksum map plus bookkeeping, mirroring
+    the paper's split between the checkpoint file and its in-memory
+    checksum index (§3.3).
+    """
+
+    vm_id: str
+    slot_digests: List[bytes]
+    """Never mutated once the checkpoint exists (an adoption builds a
+    new object), which is what lets the views below be computed once."""
+    algorithm: ChecksumAlgorithm
+    """What named the slots: a migration hashing with another algorithm
+    finds nothing to recycle here (:meth:`CheckpointDaemon._checkpoint_for`)."""
+    timestamp: float = field(default=0.0, compare=False)
+    last_used: float = field(default=0.0, compare=False)
+    generation: int = field(default=0, compare=False)
+    """Monotonic per-VM adoption counter; lets a returning source prove
+    its remembered digest set is current (or get a delta against it)."""
+    _sketches: Dict[int, Tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @property
+    def num_pages(self) -> int:
+        return len(self.slot_digests)
+
+    @cached_property
+    def distinct(self) -> FrozenSet[bytes]:
+        """The distinct checksums — the one walk over ``slot_digests``
+        the sketches and the delta history are derived from."""
+        return frozenset(self.slot_digests)
+
+    @cached_property
+    def announce_digests(self) -> List[bytes]:
+        """The distinct checksums in first-occurrence slot order — the
+        §3.2 bulk announce body.  The source reads it as a set, so any
+        order serves; this one costs no sort."""
+        return list(dict.fromkeys(self.slot_digests))
+
+    def inherit_views(self, previous: "HostedCheckpoint") -> None:
+        """Take over the views ``previous`` already derived; it must have
+        the same slot digests (an unchanged image adopted over itself)."""
+        for view in ("distinct", "announce_digests"):
+            if view in previous.__dict__:
+                self.__dict__[view] = previous.__dict__[view]
+        self._sketches.update(previous._sketches)
+
+    def sketch(self, k: int) -> Tuple[str, ...]:
+        """Bottom-``k`` similarity sketch of :attr:`distinct` (once per ``k``)."""
+        sketch = self._sketches.get(k)
+        if sketch is None:
+            sketch = self._sketches[k] = tuple(digest_sketch(self.distinct, k=k))
+        return sketch
+
+    def summary(self, page_size: int, k: int = DEFAULT_SKETCH_K) -> CheckpointSummary:
+        """The inventory record, from the cached views: no digest walk
+        once :attr:`distinct` and the ``k`` sketch exist."""
+        unique = len(self.distinct)
+        return CheckpointSummary(
+            vm_id=self.vm_id,
+            pages=self.num_pages,
+            unique_pages=unique,
+            stored_bytes=unique * page_size,
+            timestamp=self.timestamp,
+            last_used=self.last_used or self.timestamp,
+            sketch=self.sketch(k),
+        )

@@ -83,7 +83,9 @@ _TRANSPORT_ERRORS = (
 )
 
 BATCH_BYTES = 64 * 1024
-"""Page frames are coalesced into socket writes of about this size."""
+"""Page frames are coalesced into socket writes of about this size: each
+batch :meth:`FrameCodec.encode_pages` cuts is one send (counted in
+``runtime.batch_flushes``)."""
 
 DIGEST_SLICE_PAGES = 1024
 """Distinct pages checksummed between two yields to the event loop, and
@@ -116,48 +118,6 @@ class MigrationError(RuntimeError):
         self.code = code
         self.detail = message
         self.metrics = metrics
-
-
-class _BatchWriter:
-    """Size-bounded write coalescing for the page stream.
-
-    Whatever is added — the round header, then a round's pre-joined
-    batch blobs — queues until ``limit`` bytes wait, then hits the socket
-    as a single send (and one shaping computation).  The queue holds
-    references, not a copy: a blob that meets the limit on its own goes
-    to the stream as is, and only the first batch of a round, which the
-    header rides in, is joined once more.  Frame framing makes the
-    concatenation self-describing, so the receiver never notices the
-    batching.  A send that fails leaves everything queued for the retry.
-    Flushes are counted in the shared metrics registry
-    (``runtime.batch_flushes``).
-    """
-
-    def __init__(self, stream: "ShapedStream", limit: int) -> None:
-        self._stream = stream
-        self._limit = max(int(limit), 1)
-        self._queue: List[bytes] = []
-        self.pending_bytes = 0
-        self.flushes = 0
-
-    async def add(self, frame: bytes) -> None:
-        """Queue ``frame``, flushing when the batch limit is reached."""
-        self._queue.append(frame)
-        self.pending_bytes += len(frame)
-        if self.pending_bytes >= self._limit:
-            await self.flush()
-
-    async def flush(self) -> None:
-        """Send everything queued as one write; no-op when empty."""
-        if not self._queue:
-            return
-        if len(self._queue) > 1:
-            self._queue = [b"".join(self._queue)]
-        await self._stream.send(self._queue[0])
-        self._queue.clear()
-        self.pending_bytes = 0
-        self.flushes += 1
-        names.RUNTIME_BATCH_FLUSHES.add()
 
 
 @dataclass(frozen=True)
@@ -222,24 +182,21 @@ class SourceState:
         pagestore: Expands content ids to page bytes and checksums.
         dirty_slots: Slots written since the destination's checkpoint —
             required by dirty-tracking methods, ignored otherwise.
-        known_remote_digests: The destination checkpoint's checksum set
-            if this host still remembers it from a previous migration —
-            the §3.3 ping-pong shortcut.  When set, HELLO declares the
-            announce known and the destination skips sending it.
-        known_remote_generation: The checkpoint *generation* the
-            remembered digest set belongs to (reported in the RESULT of
-            the migration that created it).  Naming it in HELLO lets the
-            destination verify the claim and answer with a DIGEST_DELTA
-            manifest — or the full announce — when the checkpoint moved
-            on, instead of blindly trusting a possibly stale set.
+        known_remote: ``(generation, digests)`` of the destination's
+            checkpoint if this host still remembers it from a previous
+            migration — the §3.3 ping-pong shortcut.  ``generation`` is
+            the one the RESULT of the migration that created it
+            reported; HELLO names it as ``base_generation``, and the
+            destination skips the announce only when that is still its
+            checkpoint's generation (a DIGEST_DELTA manifest, or the full
+            announce, when the checkpoint moved on).
     """
 
     vm_id: str
     hashes: np.ndarray
     pagestore: PageStore
     dirty_slots: Optional[np.ndarray] = None
-    known_remote_digests: Optional[FrozenSet[bytes]] = None
-    known_remote_generation: Optional[int] = None
+    known_remote: Optional[Tuple[int, FrozenSet[bytes]]] = None
 
     def __post_init__(self) -> None:
         self.hashes = np.asarray(self.hashes, dtype=np.uint64)
@@ -554,8 +511,6 @@ class MigrationSource:
         try:
             recv = stream.recv_with_timeout(cfg.io_timeout_s)
             with _span("announce") as announce_span:
-                known = self.state.known_remote_digests
-                announce_known = known is not None
                 hello = {
                     "session": self.session_id,
                     "vm_id": self.state.vm_id,
@@ -564,19 +519,14 @@ class MigrationSource:
                     "page_size": self.codec.page_size,
                     "digest_size": self.codec.digest_size,
                     "algorithm": self.strategy.checksum.name,
-                    "announce_known": announce_known,
                 }
-                if (
-                    announce_known
-                    and self.state.known_remote_generation is not None
-                ):
+                known: Optional[FrozenSet[bytes]] = None
+                if self.state.known_remote is not None:
                     # Name the exact checkpoint generation we remember:
                     # the destination verifies the claim and answers
-                    # with a DIGEST_DELTA (or a verified skip) instead
-                    # of trusting a possibly stale digest set.
-                    hello["base_generation"] = int(
-                        self.state.known_remote_generation
-                    )
+                    # with a skip, a DIGEST_DELTA or the full announce.
+                    generation, known = self.state.known_remote
+                    hello["base_generation"] = int(generation)
                 frame = self.codec.encode_hello(hello)
                 # Counted before the send, like every frame this side
                 # writes: a send that dies mid-drain still hit the wire.
@@ -601,9 +551,7 @@ class MigrationSource:
                     with _span("digest") as digest_span:
                         digest_span.set(distinct=await self._digest_sliced())
 
-                announced: FrozenSet[bytes] = (
-                    known if announce_known else frozenset()
-                )
+                announced: FrozenSet[bytes] = known or frozenset()
                 if ready.announce_follows:
                     manifest = await expect_frame(
                         self.codec, recv, TYPE_ANNOUNCE, TYPE_DIGEST_DELTA
@@ -621,7 +569,7 @@ class MigrationSource:
                     with _span("plan"):
                         self._build_first_round(announced)
                 announce_span.set(
-                    known=announce_known,
+                    known=known is not None,
                     announce_bytes=metrics.announce_bytes,
                 )
 
@@ -675,21 +623,23 @@ class MigrationSource:
                         f"round {round_no}, which only has {len(sends)}"
                     )
                 header = self.codec.encode_round(round_no, len(sends) - skip)
-                writer = _BatchWriter(stream, BATCH_BYTES)
-                # The header is just the first frame of the round's
-                # first batch — no dedicated send for it.
-                await writer.add(header)
                 metrics.control_bytes += len(header)
                 round_started = time.monotonic()
                 round_stats = RoundMetrics(round_no=round_no)
                 first = skip
-                for tags, blob in self._encode_round(
-                    sends, skip, writer.pending_bytes
-                ):
+                # Each batch is one send.  The header is just the first
+                # frame of the round's first batch — no dedicated send
+                # for it, unless the round has no frame at all.
+                lead = header
+                for tags, blob in self._encode_round(sends, skip, len(header)):
                     self._account_batch(metrics, round_stats, round_no, first, tags)
                     first += len(tags)
-                    await writer.add(blob)
-                await writer.flush()
+                    await stream.send(lead + blob if lead else blob)
+                    names.RUNTIME_BATCH_FLUSHES.add()
+                    lead = b""
+                if lead:
+                    await stream.send(lead)
+                    names.RUNTIME_BATCH_FLUSHES.add()
                 round_stats.duration_s = time.monotonic() - round_started
                 if round_stats.messages:
                     metrics.rounds.append(round_stats)

@@ -44,12 +44,12 @@ record a manifest needs is copied to ``quarantine/`` and the manifest
 follows — one flipped bit costs one checkpoint, not the daemon.
 
 One handle owns a directory's writes.  A second may commit beside it
-(to packs of its own) and is seen on the cold ``checkpoint_stats`` path,
-but ``gc`` and ``compact`` assume no other live handle: run ``vecycle
-repo gc`` on a stopped daemon's directory.  The earlier file-per-page
-layout is refused (:class:`RepositoryError`).  Test hook: ``fault_hook``
-is called with a :class:`CrashPoint` between durable steps; raising
-there simulates ``kill -9``, re-opening the directory the restart.
+(to packs of its own), but ``gc`` and ``compact`` assume no other live
+handle: run ``vecycle repo gc`` on a stopped daemon's directory.  The
+earlier file-per-page layout is refused (:class:`RepositoryError`).
+Test hook: ``fault_hook`` is called with a :class:`CrashPoint` between
+durable steps; raising there simulates ``kill -9``, re-opening the
+directory the restart.
 """
 
 from __future__ import annotations
@@ -700,28 +700,6 @@ class CheckpointRepository:
             with suppress(ValueError, KeyError, TypeError, OSError):
                 manifests.append(CheckpointManifest.from_json(path.read_text("utf-8")))
         return manifests
-
-    def checkpoint_stats(self) -> Dict[str, dict]:
-        """Per-VM durable summary for the daemon's inventory report:
-        vm_id → ``{"pages", "unique_pages", "stored_bytes", "timestamp",
-        "distinct"}``.  ``distinct`` is the set of digests referenced
-        (the report sketches it: one manifest parse serves both) and
-        ``stored_bytes`` the payload size of those records (a shared
-        record is billed to each checkpoint).  This is the cold path on
-        which a handle learns what a sibling handle appended: unseen
-        pack bytes are read first."""
-        with self._lock:
-            self._check_open()
-            self._scan_unseen(verify=False)
-            index = self._index
-            stats: Dict[str, dict] = {}
-            for manifest in self.list_checkpoints():
-                distinct = set(manifest.slot_digests)
-                stored = sum(index.get(d, 0) & _MAX_PAYLOAD for d in distinct)
-                stats[manifest.vm_id] = dict(pages=manifest.num_pages, unique_pages=len(distinct),
-                                             stored_bytes=stored, timestamp=manifest.timestamp,
-                                             distinct=distinct)
-            return stats
 
     def pack_stats(self) -> Dict[str, int]:
         """``packs``, ``live_bytes`` (records a committed manifest references,

@@ -23,7 +23,7 @@ from repro.runtime import (
     RuntimeConfig,
     SourceState,
 )
-from repro.runtime.daemon import SinkProtocolError
+from repro.runtime.sink import SinkProtocolError
 from repro.runtime.faults import FaultInjector
 from repro.runtime.frames import FrameCodec
 

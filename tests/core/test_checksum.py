@@ -22,7 +22,8 @@ from repro.core.protocol import WireFormat
 from repro.core.strategies import MigrationStrategy
 from repro.core.transfer import Method
 from repro.mem.pagestore import PageStore
-from repro.runtime.daemon import CheckpointDaemon, _SinkSession
+from repro.runtime.daemon import CheckpointDaemon
+from repro.runtime.sink import _SinkSession
 
 
 class TestRegistry:

@@ -208,12 +208,23 @@ class TestContentAddressedStore:
         assert _digest(b"kept") in store
         assert _digest(b"loose") not in store
 
-    def test_put_writes_through_to_repository(self, tmp_path):
+    def test_pages_reach_the_repository_by_spill_only(self, tmp_path):
         repo = CheckpointRepository(tmp_path, fsync=False)
-        store = ContentAddressedStore(repository=repo)
+        spilled = []
+        store = ContentAddressedStore(repository=repo, spill=spilled.append)
         store.put(_digest(b"d"), _page(b"d"))
-        # Durable before any manifest referencing it could commit.
-        assert repo.get_page(_digest(b"d")) == _page(b"d")
+        store.put_many([_digest(b"e"), _digest(b"d")], [_page(b"e"), _page(b"d")])
+        assert spilled == []  # held until the owner flushes
+        store.flush_spill()
+        assert spilled == [[
+            (_digest(b"d"), _page(b"d")),
+            (_digest(b"e"), _page(b"e")),
+            (_digest(b"d"), _page(b"d")),
+        ]]
+        store.flush_spill()  # nothing new: no empty batch
+        assert len(spilled) == 1
+        # The store itself never writes to its repository.
+        assert not repo.has_page(_digest(b"d"))
 
     def test_get_faults_released_page_back_in_from_repository(self, tmp_path):
         repo = CheckpointRepository(tmp_path, fsync=False)

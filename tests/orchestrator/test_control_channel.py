@@ -204,7 +204,6 @@ def test_a_hello_after_a_heartbeat_is_a_protocol_error():
     hello = codec.encode_hello({
         "session": "vm-s", "vm_id": "vm", "num_pages": 4, "mode": "hashes",
         "page_size": 4096, "digest_size": 16, "algorithm": "md5",
-        "announce_known": False,
     })
 
     async def main():

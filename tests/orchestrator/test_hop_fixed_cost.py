@@ -26,8 +26,8 @@ from repro.orchestrator import (
     PlacementPolicy,
     TelemetryAggregator,
 )
-from repro.orchestrator import controller, inventory
-from repro.runtime import CheckpointDaemon, RuntimeConfig
+from repro.orchestrator import controller
+from repro.runtime import CheckpointDaemon, RuntimeConfig, hosted
 
 HOSTS, VMS, PAGES = 3, 6, 1024
 CHURN = round(0.03 * PAGES)
@@ -57,12 +57,12 @@ class Counts:
         self.source_digest_calls = 0
         self.connections = 0
         self._migrating = False
-        real_sketch = inventory.digest_sketch
+        real_sketch = hosted.digest_sketch
         real_digests_for = fleet.store.digests_for
         real_run = fleet.orchestrator.executor.run
         real_on_connection = CheckpointDaemon._on_connection
 
-        def sketch(digests, k=inventory.DEFAULT_SKETCH_K):
+        def sketch(digests, k=hosted.DEFAULT_SKETCH_K):
             self.sketches += 1
             return real_sketch(digests, k=k)
 
@@ -82,9 +82,9 @@ class Counts:
             self.connections += 1
             await real_on_connection(daemon, stream)
 
-        # The daemon looks the function up in its module on every call;
-        # the controller bound it at import.
-        monkeypatch.setattr(inventory, "digest_sketch", sketch)
+        # A hosted checkpoint looks the function up in its module on
+        # every call; the controller bound it at import.
+        monkeypatch.setattr(hosted, "digest_sketch", sketch)
         monkeypatch.setattr(controller, "digest_sketch", sketch)
         monkeypatch.setattr(fleet.store, "digests_for", digests_for)
         monkeypatch.setattr(fleet.orchestrator.executor, "run", run)

@@ -92,7 +92,6 @@ class TestJsonRoundTrip:
             stored_bytes=1900 * 4096,
             timestamp=12.5,
             last_used=99.0,
-            resident=False,
             sketch=("aa", "bb"),
         )
         assert CheckpointSummary.from_json(summary.to_json()) == summary
@@ -139,7 +138,6 @@ class TestClusterView:
                         stored_bytes=4096,
                         timestamp=0.0,
                         last_used=0.0,
-                        resident=True,
                         sketch=(),
                     )
                     for vm in vms

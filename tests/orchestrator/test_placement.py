@@ -31,7 +31,6 @@ def summary(vm_id, ids):
         stored_bytes=len(set(ids)) * 4096,
         timestamp=0.0,
         last_used=0.0,
-        resident=True,
         sketch=sketch_of(ids),
     )
 

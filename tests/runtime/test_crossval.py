@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.protocol import ANNOUNCE_FRAME_OVERHEAD
 from repro.core.strategies import available_strategies, get_strategy
+from repro.obs.metrics import get_registry
 from repro.runtime import idle_vm_scenario, run_cross_validation
 
 
@@ -29,9 +30,13 @@ def test_announce_differs_by_exactly_the_frame_overhead():
 
 def test_ping_pong_shortcut_charges_no_announce_on_either_path():
     scenario = idle_vm_scenario(size_mib=8, strategy=get_strategy("vecycle"))
+    skipped = get_registry().counter("daemon.announce.skipped").value
     result = run_cross_validation(scenario, announce_known=True)
+    # The daemon verified the seeded generation before skipping.
+    assert get_registry().counter("daemon.announce.skipped").value == skipped + 1
     assert result.runtime.announce_bytes == 0
     assert result.analytic.announce_bytes == 0
+    assert result.payload_delta_bytes == 0
     assert result.within(tolerance=0.02), result.report()
 
 

@@ -155,14 +155,13 @@ class TestCrashMidCommit:
 
         asyncio.run(first_life())
 
-        repository = CheckpointRepository(tmp_path)
-        doomed = CheckpointDaemon(repository=repository)
+        doomed = CheckpointDaemon(state_dir=tmp_path)
 
         def hook(point):
             if point == CrashPoint.MANIFEST_WRITTEN:
                 raise KillNine(point)
 
-        repository.fault_hook = hook
+        doomed.repository.fault_hook = hook
         with pytest.raises(KillNine):
             doomed.install_checkpoint(
                 "vm", Fingerprint(hashes=current, timestamp=1.0)

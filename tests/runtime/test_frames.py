@@ -262,6 +262,9 @@ class TestErrors:
     def test_header_too_small_rejected(self):
         with pytest.raises(ValueError, match="header_bytes"):
             FrameCodec(WireFormat(header_bytes=1))
+        # Only the widths HELLO can negotiate: a fixed header and ref.
+        with pytest.raises(ValueError, match="ref_bytes"):
+            FrameCodec(WireFormat(ref_bytes=4))
 
     def test_unknown_tag_0x7f(self):
         codec = FrameCodec(WIRE)

@@ -3,8 +3,8 @@
 ``FrameCodec.encode_pages`` and ``decode_pages`` move a round's page
 frames a buffer at a time.  The single-frame encoders and
 ``read_frame`` stay the reference: for any mix of the four page kinds,
-any slots and refs and any ``WireFormat`` the batch forms must produce
-and accept exactly the same bytes.
+any slots and refs and any page and digest size the batch forms must
+produce and accept exactly the same bytes.
 """
 
 import asyncio
@@ -25,12 +25,12 @@ from repro.runtime.frames import (
 PAGE_TAGS = (TYPE_PAGE_FULL, TYPE_PAGE_CHECKSUM, TYPE_PAGE_REF, TYPE_PAGE_PLAIN)
 ONE_BATCH = 1 << 40
 
+# HELLO negotiates the page and digest sizes only; the header and the
+# ref keep their fixed widths.
 wire_formats = st.builds(
     WireFormat,
     page_size=st.sampled_from([32, 64, 200]),
-    header_bytes=st.sampled_from([2, 5, 9, 12]),
     checksum_bytes=st.sampled_from([4, 16, 20, 32]),
-    ref_bytes=st.sampled_from([4, 8]),
 )
 
 
@@ -38,12 +38,10 @@ wire_formats = st.builds(
 def rows_for(draw, wire: WireFormat, min_size: int = 0):
     """Rows ``(tag, page_no, digest, payload, ref)`` as ``read_frame``
     would report them, every field at full width for ``wire``."""
-    # Page numbers travel through int64 arrays, so 2**63 caps them;
-    # headers of 5+ bytes still reach past 2**32.
-    top_page = min(256 ** (wire.header_bytes - 1), 2**63) - 1
-    top_ref = min(256**wire.ref_bytes, 2**63) - 1
+    # Page numbers travel through int64 arrays, so 2**63 caps them.
+    top = 2**63 - 1
     page_nos = st.one_of(
-        st.integers(0, top_page), st.just(top_page), st.just(min(top_page, 2**32))
+        st.integers(0, top), st.just(top), st.just(2**32)
     )
     rows = []
     for tag in draw(st.lists(st.sampled_from(PAGE_TAGS), min_size=min_size,
@@ -57,7 +55,7 @@ def rows_for(draw, wire: WireFormat, min_size: int = 0):
             payload = draw(st.binary(min_size=wire.page_size,
                                      max_size=wire.page_size))
         if tag == TYPE_PAGE_REF:
-            ref = draw(st.one_of(st.integers(0, top_ref), st.just(top_ref)))
+            ref = draw(st.one_of(st.integers(0, top), st.just(top)))
         rows.append((tag, draw(page_nos), digest, payload, ref))
     return rows
 
@@ -145,11 +143,11 @@ class TestEncodePages:
             at += len(tags)
 
     def test_a_page_number_too_wide_for_the_header_overflows_in_both(self):
-        codec = FrameCodec(WireFormat(header_bytes=3))
+        codec = FrameCodec()
         with pytest.raises(OverflowError):
-            codec.encode_page_ref(1 << 16, 0)
+            codec.encode_page_ref(1 << 64, 0)
         with pytest.raises(OverflowError):
-            encode_batches(codec, [(TYPE_PAGE_REF, 1 << 16, b"", b"", 0)])
+            encode_batches(codec, [(TYPE_PAGE_REF, 1 << 64, b"", b"", 0)])
         with pytest.raises(OverflowError):
             encode_batches(codec, [(TYPE_PAGE_REF, -1, b"", b"", 0)])
 

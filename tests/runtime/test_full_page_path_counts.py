@@ -29,7 +29,7 @@ from repro.runtime import (
     SourceState,
     idle_vm_scenario,
 )
-from repro.runtime import daemon as daemon_module
+from repro.runtime import sink as sink_module
 from repro.runtime.frames import RUN_MIN_FRAMES, PageRun
 from repro.runtime.shaping import ShapedStream
 from repro.runtime.source import BATCH_BYTES
@@ -70,7 +70,7 @@ class TestNoCallPerPage:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        apply_pages = daemon_module._SinkSession.apply_pages
+        apply_pages = sink_module._SinkSession.apply_pages
         in_runs, short_buffers = [], []
 
         def recording_apply(self, decoded, frame_bytes):
@@ -106,9 +106,9 @@ class TestNoCallPerPage:
                 # Set-up is done: from here on, everything is counted.
                 for name in ("put", "retain", "release", "put_many"):
                     counted(ContentAddressedStore, name)
-                counted(daemon_module._SinkSession, "_set_slot")
+                counted(sink_module._SinkSession, "_set_slot")
                 monkeypatch.setattr(
-                    daemon_module._SinkSession, "apply_pages", recording_apply
+                    sink_module._SinkSession, "apply_pages", recording_apply
                 )
                 counted(ShapedStream, "fill")
                 counted(PageStore, "page_bytes", always=True)

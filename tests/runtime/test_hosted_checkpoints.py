@@ -1,6 +1,7 @@
-"""Daemon checkpoint inventory (ISSUE S1): live ∪ durable, last-used."""
+"""Daemon checkpoint inventory: exactly the hosted map, served from memory."""
 
 import asyncio
+import os
 
 import numpy as np
 
@@ -41,81 +42,75 @@ def test_live_only_checkpoint_is_resident():
     infos = daemon.hosted_checkpoints()
     assert [info.vm_id for info in infos] == ["vm-live"]
     info = infos[0]
-    assert info.resident
     assert info.pages == N
     assert info.unique_pages == len(np.unique(fp.hashes))
-    # No repository: stored size is estimated from distinct contents.
     assert info.stored_bytes == info.unique_pages * daemon.pagestore.page_size
     assert info.last_used == info.timestamp
+    assert list(info.sketch) == digest_sketch(daemon.checkpoints["vm-live"].distinct)
 
 
-def test_durable_only_checkpoint_is_listed_nonresident(tmp_path):
+def test_inventory_lists_exactly_the_hosted_map(tmp_path):
     daemon = CheckpointDaemon(state_dir=tmp_path)
-    daemon.install_checkpoint("vm-live", fingerprint(seed=1))
+    daemon.install_checkpoint("vm-b", fingerprint(seed=1))
+    daemon.install_checkpoint("vm-a", fingerprint(seed=2))
     # A second repository handle commits a checkpoint the daemon never
-    # sees through its live map — e.g. left behind by a prior
-    # incarnation or a sibling handle.
+    # adopted: no migration to this daemon can recycle it, so it is not
+    # part of the inventory.
     other = CheckpointRepository(tmp_path)
     store = PageStore()
-    digests = []
-    for content_id in (100, 101, 102):
-        page = store.page_bytes(content_id)
-        digest = store.digest_for(content_id)
-        other.put_page(digest, page)
-        digests.append(digest)
-    other.commit_checkpoint(
-        CheckpointManifest(
-            vm_id="vm-cold", slot_digests=digests * 2, timestamp=7.0
-        )
+    digests = store.digests_for(np.array([100, 101, 102], dtype=np.uint64))
+    other.put_pages(
+        (digest, store.page_bytes(cid)) for digest, cid in zip(digests, (100, 101, 102))
     )
-    infos = {info.vm_id: info for info in daemon.hosted_checkpoints()}
-    assert set(infos) == {"vm-cold", "vm-live"}
-    cold = infos["vm-cold"]
-    assert not cold.resident
-    assert cold.pages == 6
-    assert cold.unique_pages == 3
-    assert cold.stored_bytes == 3 * store.page_size
-    assert cold.timestamp == 7.0
-    live = infos["vm-live"]
-    assert live.resident
-    # Resident + durable: stored size comes from the real segments.
-    assert live.stored_bytes == live.unique_pages * store.page_size
+    other.commit_checkpoint(CheckpointManifest(vm_id="vm-cold", slot_digests=digests))
+    other.close()
+    infos = daemon.hosted_checkpoints()
+    assert [info.vm_id for info in infos] == sorted(daemon.checkpoints) == ["vm-a", "vm-b"]
+    for info in infos:
+        hosted = daemon.checkpoints[info.vm_id]
+        # Every record is on disk, so unique pages × page size is what
+        # the durable records hold.
+        assert info.stored_bytes == len(hosted.distinct) * store.page_size
+    report = daemon.inventory_report()
+    assert [entry["vm_id"] for entry in report["checkpoints"]] == ["vm-a", "vm-b"]
+    daemon.repository.close()
 
 
-def test_heartbeat_parses_each_manifest_once(tmp_path, monkeypatch):
+def test_durable_heartbeat_reads_no_manifest_and_no_pack(tmp_path, monkeypatch):
     daemon = CheckpointDaemon(state_dir=tmp_path)
-    daemon.install_checkpoint("vm-live", fingerprint(seed=1))
-    other = CheckpointRepository(tmp_path)
-    store = PageStore()
-    cold = {}
-    for vm_id, content_ids in (("vm-cold-a", (100, 101, 100)), ("vm-cold-b", (7,))):
-        cold[vm_id] = store.digests_for(np.array(content_ids, dtype=np.uint64))
-        for content_id in content_ids:
-            other.put_page(store.digest_for(content_id), store.page_bytes(content_id))
-        other.commit_checkpoint(
-            CheckpointManifest(vm_id=vm_id, slot_digests=cold[vm_id])
+    for index in range(4):
+        daemon.install_checkpoint(f"vm-{index}", fingerprint(seed=index))
+    repository = daemon.repository
+    touched = []
+
+    class Tripwire:
+        def __getattr__(self, name):
+            touched.append(name)
+            return getattr(repository, name)
+
+    def refuse(what):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a heartbeat called {what}")
+        return call
+
+    daemon.repository = Tripwire()
+    with monkeypatch.context() as patch:
+        patch.setattr(CheckpointManifest, "from_json", refuse("from_json"))
+        patch.setattr(os, "pread", refuse("os.pread"))
+        patch.setattr(os, "listdir", refuse("os.listdir"))
+        patch.setattr(os, "scandir", refuse("os.scandir"))
+        first = daemon.inventory_report(sketch_k=8)
+        assert daemon.inventory_report(sketch_k=8) == first
+    assert touched == []
+    daemon.repository = repository
+    assert [entry["vm_id"] for entry in first["checkpoints"]] == [
+        f"vm-{index}" for index in range(4)
+    ]
+    for entry in first["checkpoints"]:
+        assert entry["sketch"] == digest_sketch(
+            daemon.checkpoints[entry["vm_id"]].slot_digests, k=8
         )
-    parsed = []
-    real = CheckpointManifest.from_json.__func__
-
-    def counting(cls, text):
-        manifest = real(cls, text)
-        parsed.append(manifest.vm_id)
-        return manifest
-
-    monkeypatch.setattr(CheckpointManifest, "from_json", classmethod(counting))
-    report = daemon.inventory_report(sketch_k=8)
-    # The listing and the durable-only sketches share one read of each
-    # manifest (the sketch used to load the cold ones a second time).
-    assert sorted(parsed) == ["vm-cold-a", "vm-cold-b", "vm-live"]
-    entries = {entry["vm_id"]: entry for entry in report["checkpoints"]}
-    for vm_id, digests in cold.items():
-        assert entries[vm_id]["resident"] is False
-        assert entries[vm_id]["unique_pages"] == len(set(digests))
-        assert entries[vm_id]["sketch"] == digest_sketch(digests, k=8)
-    assert entries["vm-live"]["sketch"] == digest_sketch(
-        daemon.checkpoints["vm-live"].slot_digests, k=8
-    )
+    repository.close()
 
 
 def test_last_used_advances_when_checkpoint_is_recycled():
@@ -150,6 +145,6 @@ def test_inventory_report_carries_capacity_and_sketches():
     (entry,) = report["checkpoints"]
     assert entry["vm_id"] == "vm"
     assert entry["pages"] == N
-    assert entry["resident"] is True
+    assert "resident" not in entry
     assert 0 < len(entry["sketch"]) <= 8
     assert entry["sketch"] == sorted(entry["sketch"])

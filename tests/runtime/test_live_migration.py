@@ -67,8 +67,11 @@ async def migrate_once(
                 hashes=current,
                 pagestore=pagestore,
                 dirty_slots=dirty if strategy.method.uses_dirty_tracking else None,
-                known_remote_digests=(
-                    daemon.checkpoint_digests("vm") if known_remote else None
+                known_remote=(
+                    (daemon.checkpoints["vm"].generation,
+                     daemon.checkpoint_digests("vm"))
+                    if known_remote
+                    else None
                 ),
             ),
             strategy,
@@ -118,11 +121,14 @@ class TestPingPong:
         with_announce, _ = asyncio.run(
             migrate_once(VECYCLE, checkpoint, current, dirty)
         )
-        shortcut, _ = asyncio.run(
+        shortcut, daemon = asyncio.run(
             migrate_once(VECYCLE, checkpoint, current, dirty, known_remote=True)
         )
         assert with_announce.announce_bytes > 0
         assert shortcut.announce_bytes == 0
+        # The daemon checked the claimed generation before skipping.
+        assert daemon.telemetry.counter("daemon.announce.skipped").value == 1
+        assert daemon.telemetry.counter("daemon.announce.full").value == 0
         # Same transfer decisions either way.
         assert shortcut.payload_bytes == with_announce.payload_bytes
 
@@ -247,7 +253,10 @@ class TestFaultInjection:
     def test_silent_server_times_out_instead_of_hanging(self):
         async def main():
             async def black_hole(reader, writer):
-                await asyncio.sleep(3600)
+                try:
+                    await asyncio.sleep(3600)
+                finally:
+                    writer.close()
 
             server = await asyncio.start_server(black_hole, "127.0.0.1", 0)
             host, port = server.sockets[0].getsockname()[:2]

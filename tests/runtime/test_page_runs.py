@@ -26,7 +26,8 @@ from repro.core.fingerprint import Fingerprint
 from repro.core.protocol import WireFormat
 from repro.core.transfer import Method
 from repro.mem.pagestore import PageStore
-from repro.runtime.daemon import CheckpointDaemon, SinkProtocolError, _SinkSession
+from repro.runtime.daemon import CheckpointDaemon
+from repro.runtime.sink import SinkProtocolError, _SinkSession
 from tests.runtime.test_frames_batch import encode_single
 from repro.runtime.frames import (
     RUN_MIN_FRAMES,

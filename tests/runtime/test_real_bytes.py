@@ -371,14 +371,18 @@ class TestDurableState:
 
 class TestProtocolErrors:
     def test_checksum_of_absent_content_is_refused(self):
-        # A source trusting a checksum set the daemon does not hold sends
+        # A source claiming the checkpoint's generation with a checksum
+        # set the daemon does not hold earns the skip, then sends
         # checksum-only pages; the daemon refuses them rather than guess.
-        _, current = evolved()
+        checkpoint, current = evolved()
         known = frozenset(PageStore().digests_for(current, VECYCLE.checksum))
 
         async def main():
             async with CheckpointDaemon() as daemon:
-                state = SourceState("vm", current, PageStore(), known_remote_digests=known)
+                hosted = daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
+                state = SourceState(
+                    "vm", current, PageStore(), known_remote=(hosted.generation, known)
+                )
                 await MigrationSource(state, VECYCLE, config=FAST).migrate(daemon.host, daemon.port)
 
         with pytest.raises(MigrationError, match="missing-content"):

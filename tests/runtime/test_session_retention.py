@@ -18,11 +18,8 @@ from repro.core.transfer import Method
 from repro.mem.pagestore import PageStore
 from repro.obs.metrics import get_registry
 from repro.runtime import MigrationSource, RetryPolicy, RuntimeConfig, SourceState
-from repro.runtime.daemon import (
-    _MAX_RETAINED_SESSIONS,
-    CheckpointDaemon,
-    _SinkSession,
-)
+from repro.runtime.daemon import _MAX_RETAINED_SESSIONS, CheckpointDaemon
+from repro.runtime.sink import _SinkSession
 from repro.storage.repository import CrashPoint
 
 

@@ -24,7 +24,7 @@ from repro.runtime import (
     RuntimeConfig,
     SourceState,
 )
-from repro.runtime import daemon as daemon_module
+from repro.runtime import sink as sink_module
 from repro.runtime.frames import (
     FRAME_NAMES,
     TYPE_ANNOUNCE,
@@ -51,7 +51,6 @@ def hello(codec: FrameCodec, strategy, num_pages: int) -> bytes:
         "page_size": codec.page_size,
         "digest_size": codec.digest_size,
         "algorithm": strategy.checksum.name,
-        "announce_known": False,
     })
 
 
@@ -356,7 +355,7 @@ class TestAwaitsPerBufferNotPerPage:
         refills = []
         batches = []
         fill = ShapedStream.fill
-        apply_pages = daemon_module._SinkSession.apply_pages
+        apply_pages = sink_module._SinkSession.apply_pages
 
         async def counting_fill(self, timeout_s=None):
             refills.append(ticks)
@@ -368,7 +367,7 @@ class TestAwaitsPerBufferNotPerPage:
 
         monkeypatch.setattr(ShapedStream, "fill", counting_fill)
         monkeypatch.setattr(
-            daemon_module._SinkSession, "apply_pages", counting_apply
+            sink_module._SinkSession, "apply_pages", counting_apply
         )
 
         async def ticker():

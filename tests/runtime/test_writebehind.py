@@ -22,7 +22,7 @@ from repro.core.checksum import MD5
 from repro.mem.pagestore import PageStore
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.runtime import CheckpointDaemon
-from repro.runtime.daemon import _WriteBehind
+from repro.runtime.persist import _WriteBehind
 from repro.storage.repository import CheckpointRepository, CrashPoint
 from tests.runtime.test_daemon_persistence import migrate
 
