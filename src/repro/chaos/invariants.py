@@ -34,7 +34,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.obs import flight, names
 from repro.obs.log import get_logger
-from repro.orchestrator.telemetry import TelemetryAggregator, _counter_value
+from repro.obs.telemetry import counter_value
+from repro.orchestrator.telemetry import TelemetryAggregator
 
 log = get_logger(__name__)
 
@@ -185,7 +186,7 @@ class InvariantChecker:
             rolled_up = instruments.get(host, {})
             for counter in _ROLLUP_COUNTERS:
                 want = expected[counter]
-                have = _counter_value(rolled_up, counter)
+                have = counter_value(rolled_up, counter)
                 if have > want:
                     self.fail(
                         "rollup_double_count",

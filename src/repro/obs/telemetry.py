@@ -3,39 +3,28 @@
 :mod:`repro.obs.metrics` answers "how much accumulated *in this
 process*"; this module makes that answer portable.  A
 :class:`MetricsSnapshot` is a JSON-serializable view of a registry —
-counters, gauges, fixed-bucket histograms, per-VM rollups, and a span
-census — stamped with the exporting host's name and a monotonically
-increasing sequence number, so a consumer polling snapshots over the
+counters, gauges, fixed-bucket histograms and per-VM rollups — stamped
+with the exporting host's name and a monotonically increasing sequence
+number.  Snapshots are cumulative, so a consumer polling them over the
 wire can
 
-* detect daemon restarts (the sequence number goes backwards, or a
-  cumulative counter shrinks),
-* turn consecutive cumulative snapshots into increments
-  (:meth:`MetricsSnapshot.delta`), and
-* merge many hosts' snapshots into one cluster rollup
-  (:func:`merge_instruments`).
+* detect daemon restarts (:meth:`MetricsSnapshot.restarted_since`: the
+  sequence number goes backwards, or a cumulative counter shrinks), and
+* merge snapshots — many hosts', or one host's successive process
+  incarnations — into one rollup (:func:`merge_instruments`).
 
 A :class:`TelemetrySource` is the daemon-side half: a private
 per-component registry (one per :class:`~repro.runtime.daemon.
 CheckpointDaemon`, so co-hosted daemons in one process stay
-distinguishable) plus per-VM labelled counters behind a cardinality
-guard, snapshotted on every ``TELEMETRY`` probe.
+distinguishable) plus per-VM labelled counters behind the cardinality
+guard :func:`vm_label`, snapshotted on every ``TELEMETRY`` probe.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import names
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -43,12 +32,9 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 #: Label value that absorbs per-VM series past the cardinality cap.
 OVERFLOW_LABEL = "__other__"
 
-#: Span-name prefixes a daemon includes in its snapshot's span census.
-DEFAULT_SPAN_PREFIXES: Tuple[str, ...] = ("daemon.",)
-
-#: How many of the tracer's most recent records a snapshot scans for
-#: its span census — bounds snapshot cost on long traced runs.
-SPAN_CENSUS_WINDOW = 4096
+#: Per-VM label cap: a fleet of millions of VMs must not make every
+#: snapshot (or the cluster rollup) huge.
+MAX_VM_LABELS = 64
 
 
 @dataclass
@@ -63,8 +49,6 @@ class MetricsSnapshot:
         instruments: ``{name: state}`` as produced by
             :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`.
         per_vm: ``{vm_id: {counter_name: value}}`` labelled rollups.
-        spans: ``{span_name: {"count": n, "wall_s": s}}`` census of
-            recently finished spans (empty when tracing is off).
     """
 
     host: str
@@ -72,7 +56,6 @@ class MetricsSnapshot:
     taken_at: float
     instruments: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     per_vm: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    spans: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON wire body; :meth:`from_dict` inverts it."""
@@ -82,27 +65,30 @@ class MetricsSnapshot:
             "taken_at": self.taken_at,
             "instruments": self.instruments,
             "per_vm": self.per_vm,
-            "spans": self.spans,
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MetricsSnapshot":
-        return cls(
-            host=str(data.get("host", "")),
-            seq=int(data.get("seq", 0)),
-            taken_at=float(data.get("taken_at", 0.0)),
-            instruments=dict(data.get("instruments", {})),
-            per_vm={
-                vm: dict(values)
-                for vm, values in dict(data.get("per_vm", {})).items()
-            },
-            spans={
-                name: dict(values)
-                for name, values in dict(data.get("spans", {})).items()
-            },
-        )
+    def from_dict(cls, data: Any) -> "MetricsSnapshot":
+        """Parse a wire body; one that is not a snapshot is a FrameError."""
+        try:
+            return cls(
+                host=str(data.get("host", "")),
+                seq=int(data.get("seq", 0)),
+                taken_at=float(data.get("taken_at", 0.0)),
+                instruments={
+                    str(name): _checked_state(state)
+                    for name, state in dict(data.get("instruments", {})).items()
+                },
+                per_vm={
+                    str(vm): {str(k): float(v) for k, v in dict(values).items()}
+                    for vm, values in dict(data.get("per_vm", {})).items()
+                },
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # Imported here: the runtime package imports this module.
+            from repro.runtime.frames import FrameError
 
-    # --- delta semantics -------------------------------------------------
+            raise FrameError(f"malformed telemetry snapshot: {exc!r}") from exc
 
     def restarted_since(self, earlier: Optional["MetricsSnapshot"]) -> bool:
         """Whether the source restarted between ``earlier`` and now.
@@ -125,136 +111,34 @@ class MetricsSnapshot:
                 return True
         return False
 
-    def delta(
-        self, earlier: Optional["MetricsSnapshot"]
-    ) -> Tuple["MetricsSnapshot", bool]:
-        """The increment this snapshot adds over ``earlier``.
 
-        Returns ``(delta, restarted)``.  Counters and histograms become
-        differences; gauges keep their latest value (levels have no
-        meaningful increment).  After a restart the source's counters
-        began again from zero, so the full snapshot *is* the increment
-        — nothing before it can be recovered, and ``restarted=True``
-        tells the caller to account the gap.
-        """
-        if self.restarted_since(earlier):
-            return self, True
-        assert earlier is not None
-        instruments: Dict[str, Dict[str, Any]] = {}
-        for name, state in self.instruments.items():
-            old = earlier.instruments.get(name)
-            if old is None or old.get("type") != state.get("type"):
-                instruments[name] = state
-                continue
-            instruments[name] = _instrument_delta(state, old)
-        per_vm: Dict[str, Dict[str, float]] = {}
-        for vm, values in self.per_vm.items():
-            old_values = earlier.per_vm.get(vm, {})
-            diff = {
-                key: value - old_values.get(key, 0.0)
-                for key, value in values.items()
-            }
-            if any(v for v in diff.values()):
-                per_vm[vm] = diff
-        spans: Dict[str, Dict[str, float]] = {}
-        for name, values in self.spans.items():
-            old_values = earlier.spans.get(name, {})
-            count = values.get("count", 0.0) - old_values.get("count", 0.0)
-            if count > 0:
-                spans[name] = {
-                    "count": count,
-                    "wall_s": values.get("wall_s", 0.0)
-                    - old_values.get("wall_s", 0.0),
-                }
-        return (
-            MetricsSnapshot(
-                host=self.host,
-                seq=self.seq,
-                taken_at=self.taken_at,
-                instruments=instruments,
-                per_vm=per_vm,
-                spans=spans,
-            ),
-            False,
-        )
-
-
-def _instrument_delta(
-    state: Dict[str, Any], old: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Per-instrument difference; gauges pass through by value."""
+def _checked_state(state: Any) -> Dict[str, Any]:
+    """One wire instrument state, or an error if it is not one."""
     kind = state["type"]
-    if kind == "counter":
-        return {"type": "counter", "value": state["value"] - old["value"]}
-    if kind == "gauge":
-        return dict(state)
-    if kind == "histogram":
-        if state.get("boundaries") != old.get("boundaries"):
-            return dict(state)
-        counts = [n - o for n, o in zip(state["counts"], old["counts"])]
-        total = state["total"] - old["total"]
-        return {
-            "type": "histogram",
-            "boundaries": list(state["boundaries"]),
-            "counts": counts,
-            "total": total,
-            "sum": state["sum"] - old["sum"],
-            "mean": (state["sum"] - old["sum"]) / total if total else 0.0,
-            "min": state.get("min"),
-            "max": state.get("max"),
-        }
-    return dict(state)
-
-
-def accumulate_instruments(
-    into: Dict[str, Dict[str, Any]], delta: Mapping[str, Dict[str, Any]]
-) -> None:
-    """Fold an increment into an accumulated ``{name: state}`` map.
-
-    Counters and histogram counts add; gauges are last-write-wins
-    (``delta`` carries the latest level).  Histograms with mismatched
-    boundaries cannot be combined — the newer one replaces the old,
-    which only happens when the bucket layout itself changed between
-    releases.
-    """
-    for name, state in delta.items():
-        current = into.get(name)
-        if current is None or current.get("type") != state.get("type"):
-            into[name] = _copy_state(state)
-            continue
-        kind = state["type"]
-        if kind == "counter":
-            current["value"] += state["value"]
-        elif kind == "gauge":
-            current["value"] = state["value"]
-        elif kind == "histogram":
-            if current.get("boundaries") != state.get("boundaries"):
-                into[name] = _copy_state(state)
-                continue
-            current["counts"] = [
-                a + b for a, b in zip(current["counts"], state["counts"])
-            ]
-            current["total"] += state["total"]
-            current["sum"] += state["sum"]
-            current["mean"] = (
-                current["sum"] / current["total"] if current["total"] else 0.0
-            )
-            for key, pick in (("min", min), ("max", max)):
-                values = [
-                    v for v in (current.get(key), state.get(key)) if v is not None
-                ]
-                current[key] = pick(values) if values else None
-        else:
-            into[name] = _copy_state(state)
+    if kind in ("counter", "gauge"):
+        numbers = [state["value"]]
+    elif kind == "histogram":
+        if len(state["counts"]) != len(state["boundaries"]) + 1:
+            raise ValueError("histogram counts do not fit its boundaries")
+        extremes = (state.get("min"), state.get("max"))
+        numbers = [state["total"], state["sum"], *state["counts"],
+                   *state["boundaries"], *(v for v in extremes if v is not None)]
+    else:
+        raise ValueError(f"unknown instrument type {kind!r}")
+    if not all(isinstance(n, (int, float)) for n in numbers):
+        raise TypeError(f"{kind} state holds a non-number")
+    return state
 
 
 def merge_instruments(
     maps: Iterable[Mapping[str, Dict[str, Any]]]
 ) -> Dict[str, Dict[str, Any]]:
-    """Merge many ``{name: state}`` maps into one cluster rollup.
+    """Merge many ``{name: state}`` maps into one rollup.
 
     Counters and histograms sum; gauges sum as well — a cluster-level
     gauge like "active sessions" is the sum of per-host levels.
+    Histograms whose boundaries differ from the first one seen are
+    skipped: their buckets cannot be combined.
     """
     merged: Dict[str, Dict[str, Any]] = {}
     for instruments in maps:
@@ -262,39 +146,53 @@ def merge_instruments(
             current = merged.get(name)
             if current is None or current.get("type") != state.get("type"):
                 merged[name] = _copy_state(state)
-                continue
-            kind = state["type"]
-            if kind in ("counter", "gauge"):
+            elif state["type"] in ("counter", "gauge"):
                 current["value"] += state["value"]
-            elif kind == "histogram":
-                if current.get("boundaries") != state.get("boundaries"):
-                    continue
-                current["counts"] = [
-                    a + b for a, b in zip(current["counts"], state["counts"])
-                ]
+            elif (state["type"] == "histogram"
+                  and current.get("boundaries") == state.get("boundaries")):
+                current["counts"] = [a + b for a, b in zip(current["counts"], state["counts"])]
                 current["total"] += state["total"]
                 current["sum"] += state["sum"]
-                current["mean"] = (
-                    current["sum"] / current["total"]
-                    if current["total"]
-                    else 0.0
-                )
+                current["mean"] = current["sum"] / current["total"] if current["total"] else 0.0
                 for key, pick in (("min", min), ("max", max)):
-                    values = [
-                        v
-                        for v in (current.get(key), state.get(key))
-                        if v is not None
-                    ]
+                    values = [v for v in (current.get(key), state.get(key)) if v is not None]
                     current[key] = pick(values) if values else None
     return merged
 
 
+def counter_value(instruments: Mapping[str, Dict[str, Any]], name: str) -> float:
+    """A counter's (or gauge's) value in a ``{name: state}`` map; 0 if absent."""
+    state = instruments.get(name)
+    if not state or state.get("type") not in ("counter", "gauge"):
+        return 0.0
+    return float(state.get("value", 0.0))
+
+
+def vm_label(seen: Mapping[str, Any], vm: str, cap: int = MAX_VM_LABELS) -> str:
+    """The label ``vm`` counts under, given the labels ``seen`` so far.
+
+    VMs seen first keep their label; once ``seen`` holds ``cap`` of
+    them, later VMs fold into :data:`OVERFLOW_LABEL`.  Daemons apply it
+    per host, the aggregator to the cluster-wide union.
+    """
+    if vm in seen or vm == OVERFLOW_LABEL or len(seen) < cap:
+        return vm
+    return OVERFLOW_LABEL
+
+
+def vm_section(values: Mapping[str, float]) -> Dict[str, Dict[str, Any]]:
+    """One VM's values as counter states: a Prometheus section body."""
+    return {
+        name: {"type": "counter", "value": value}
+        for name, value in sorted(values.items())
+    }
+
+
 def _copy_state(state: Mapping[str, Any]) -> Dict[str, Any]:
     copied = dict(state)
-    if "counts" in copied:
-        copied["counts"] = list(copied["counts"])
-    if "boundaries" in copied:
-        copied["boundaries"] = list(copied["boundaries"])
+    for key in ("counts", "boundaries"):
+        if key in copied:
+            copied[key] = list(copied[key])
     return copied
 
 
@@ -308,13 +206,12 @@ class TelemetrySource:
 
     Args:
         host: The exporting component's name, stamped on snapshots.
-        max_vm_labels: Cardinality guard — per-VM series beyond this
-            many distinct VMs fold into :data:`OVERFLOW_LABEL` instead
-            of growing the label space without bound (a fleet of
-            millions of VMs must not make every snapshot huge).
+        max_vm_labels: Cardinality guard (:func:`vm_label`) — per-VM
+            series beyond this many distinct VMs fold into
+            :data:`OVERFLOW_LABEL`.
     """
 
-    def __init__(self, host: str, max_vm_labels: int = 64) -> None:
+    def __init__(self, host: str, max_vm_labels: int = MAX_VM_LABELS) -> None:
         self.host = host
         self.max_vm_labels = max_vm_labels
         self.registry = MetricsRegistry()
@@ -339,16 +236,10 @@ class TelemetrySource:
 
     def vm_count(self, vm_id: str, name: str, amount: float = 1.0) -> None:
         """Add to a per-VM labelled counter, folding past the cap."""
-        values = self._per_vm.get(vm_id)
-        if values is None:
-            if (
-                len(self._per_vm) >= self.max_vm_labels
-                and vm_id != OVERFLOW_LABEL
-            ):
-                names.TELEMETRY_LABELS_FOLDED.on(self.registry).add(1)
-                self.vm_count(OVERFLOW_LABEL, name, amount)
-                return
-            values = self._per_vm[vm_id] = {}
+        label = vm_label(self._per_vm, vm_id, self.max_vm_labels)
+        if label != vm_id:
+            names.TELEMETRY_LABELS_FOLDED.on(self.registry).add(1)
+        values = self._per_vm.setdefault(label, {})
         values[name] = values.get(name, 0.0) + amount
 
     @property
@@ -361,35 +252,17 @@ class TelemetrySource:
 
         The host-labelled registry first, then one section per VM label
         (per-VM values rendered as counters).  Reading does not advance
-        :attr:`seq` — scrapes must not disturb wire-delta bookkeeping.
+        :attr:`seq` — scrapes must not disturb the wire sequence.
         """
-        sections: List[Tuple[Dict[str, str], Dict[str, Any]]] = [
-            ({"host": self.host}, self.registry.snapshot())
+        return [({"host": self.host}, self.registry.snapshot())] + [
+            ({"host": self.host, "vm": vm}, vm_section(self._per_vm[vm]))
+            for vm in sorted(self._per_vm)
         ]
-        for vm in sorted(self._per_vm):
-            sections.append(
-                (
-                    {"host": self.host, "vm": vm},
-                    {
-                        name: {"type": "counter", "value": value}
-                        for name, value in sorted(self._per_vm[vm].items())
-                    },
-                )
-            )
-        return sections
 
     # --- snapshotting ---------------------------------------------------
 
-    def snapshot(
-        self,
-        span_prefixes: Tuple[str, ...] = DEFAULT_SPAN_PREFIXES,
-    ) -> MetricsSnapshot:
-        """Take the next sequence-numbered snapshot.
-
-        The span census covers the default tracer's most recent
-        records whose names match ``span_prefixes`` — empty whenever
-        tracing is disabled, so snapshots stay cheap by default.
-        """
+    def snapshot(self) -> MetricsSnapshot:
+        """Take the next sequence-numbered snapshot."""
         self._seq += 1
         return MetricsSnapshot(
             host=self.host,
@@ -397,30 +270,7 @@ class TelemetrySource:
             taken_at=time.time(),
             instruments=self.registry.snapshot(),
             per_vm={vm: dict(v) for vm, v in self._per_vm.items()},
-            spans=span_census(span_prefixes),
         )
-
-
-def span_census(
-    prefixes: Tuple[str, ...],
-    window: int = SPAN_CENSUS_WINDOW,
-) -> Dict[str, Dict[str, float]]:
-    """Aggregate the tracer's recent spans by name: count + wall time."""
-    from repro.obs.trace import get_tracer
-
-    tracer = get_tracer()
-    if not tracer.records:
-        return {}
-    census: Dict[str, Dict[str, float]] = {}
-    for record in tracer.records[-window:]:
-        if prefixes and not record.name.startswith(prefixes):
-            continue
-        entry = census.get(record.name)
-        if entry is None:
-            entry = census[record.name] = {"count": 0.0, "wall_s": 0.0}
-        entry["count"] += 1
-        entry["wall_s"] += record.duration_s
-    return census
 
 
 # --- active aggregator hook ----------------------------------------------

@@ -4,31 +4,31 @@ The controller-side half of the telemetry plane
 (:mod:`repro.obs.telemetry`).  The aggregator polls every registered
 daemon with a TELEMETRY frame — through the registry's request/reply
 client, on the same kept-alive control channel as its HEARTBEAT
-probes — and folds the returned
-sequence-numbered :class:`~repro.obs.telemetry.MetricsSnapshot` into:
+probes — and keeps two snapshots per host:
 
-* **per-host accumulations** keyed by ``host`` label, built from
-  snapshot *deltas* so a daemon restart (detected by a sequence
-  regression or a shrinking counter) loses only the unobserved gap,
-  never the already-aggregated history;
-* **per-VM rollups** keyed by ``vm`` label behind the same
-  cardinality guard daemons apply locally;
-* a **bounded in-memory time series** of cluster headline numbers
-  (recycled vs. transferred bytes, sessions) for dashboards and the
-  ``--trace-out`` JSONL export.
+* ``_last``, the newest snapshot of the running daemon process (its
+  *incarnation*); snapshots are cumulative, so it holds everything
+  this incarnation counted;
+* ``_retired``, the earlier incarnations' final snapshots folded
+  together, gauges dropped (a dead process has no level).  A restart —
+  a sequence regression or a shrinking counter — moves ``_last`` in
+  here, losing only the unobserved gap.
 
-Everything the aggregator serves — the Prometheus page, the
-``vecycle top`` dashboard view — is derived from this state plus the
-controller's own process registry (downtime histograms, placement
-counters), with the local ``daemon.*`` names filtered out because the
-in-process demo daemons already report themselves over the wire.
+Every view is a :func:`~repro.obs.telemetry.merge_instruments` fold of
+those — per host, across the cluster, and per VM behind the label guard
+daemons apply locally — plus a bounded time series of cluster headline
+numbers (recycled vs. transferred bytes, sessions) for dashboards and
+the ``--trace-out`` JSONL export.  The Prometheus page and the
+``vecycle top`` view add the controller's own process registry, minus
+the ``daemon.*`` names in-process demo daemons already report over the
+wire.
 """
 
 from __future__ import annotations
 
 import collections
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.obs import names
 from repro.obs.log import get_logger
@@ -36,10 +36,11 @@ from repro.obs.metrics import get_registry as _metrics
 from repro.obs.metrics import quantile_from_state
 from repro.obs.prometheus import render_sections
 from repro.obs.telemetry import (
-    OVERFLOW_LABEL,
     MetricsSnapshot,
-    accumulate_instruments,
+    counter_value,
     merge_instruments,
+    vm_label,
+    vm_section,
 )
 from repro.obs.trace import span as _span
 from repro.orchestrator.registry import PROBE_ERRORS, ClusterRegistry
@@ -47,8 +48,8 @@ from repro.runtime.frames import FrameCodec, TYPE_TELEMETRY
 
 log = get_logger(__name__)
 
-#: Default bound on the retained time series (one entry per poll_all).
-DEFAULT_MAX_SERIES = 512
+#: Bound on the retained time series (one entry per poll_all).
+MAX_SERIES = 512
 
 
 class TelemetryAggregator:
@@ -58,10 +59,6 @@ class TelemetryAggregator:
         registry: The cluster registry providing daemon addresses and
             the request/reply client (the aggregator polls whoever is
             registered there, under the registry's probe timeout).
-        max_series: Bound on the in-memory time series.
-        max_vm_labels: Cluster-side per-VM label cap; VMs beyond it
-            fold into the overflow label (daemons apply the same guard
-            locally, but the cluster-wide union can be larger).
         clock: Wallclock source for sample/dashboard timestamps.
             Injectable so chaos soaks and tests replay deterministically
             (the ``vecycle lint`` determinism rule rejects bare
@@ -71,23 +68,17 @@ class TelemetryAggregator:
     def __init__(
         self,
         registry: ClusterRegistry,
-        max_series: int = DEFAULT_MAX_SERIES,
-        max_vm_labels: int = 64,
         clock: Callable[[], float] = time.time,
     ) -> None:
         self.registry = registry
-        self.max_vm_labels = max_vm_labels
         self._clock = clock
         self._last: Dict[str, MetricsSnapshot] = {}
-        self._acc: Dict[str, Dict[str, Dict[str, Any]]] = {}
-        self._vm_acc: Dict[str, Dict[str, float]] = {}
-        self._span_acc: Dict[str, Dict[str, Dict[str, float]]] = {}
-        self.series: collections.deque = collections.deque(maxlen=max_series)
+        self._retired: Dict[str, MetricsSnapshot] = {}
+        self.series: collections.deque = collections.deque(maxlen=MAX_SERIES)
         self.polls = 0
         self.poll_failures = 0
         self.restarts = 0
         self.seq_gaps = 0
-        self.labels_folded = 0
         self.poll_seconds = 0.0
 
     # --- polling --------------------------------------------------------
@@ -96,9 +87,9 @@ class TelemetryAggregator:
         """Probe one daemon; folds its snapshot in and returns it.
 
         Returns None (and counts a failure) when the daemon is
-        unreachable — aggregation simply resumes at the next success,
-        with the delta machinery absorbing however much accumulated in
-        between.
+        unreachable or its reply is not a snapshot — aggregation simply
+        resumes at the next success, whose cumulative snapshot carries
+        however much accumulated in between.
         """
         record = self.registry.record(name)
         started = time.monotonic()
@@ -137,8 +128,7 @@ class TelemetryAggregator:
 
     def _ingest(self, name: str, snapshot: MetricsSnapshot) -> None:
         previous = self._last.get(name)
-        delta, restarted = snapshot.delta(previous)
-        if restarted and previous is not None:
+        if previous is not None and snapshot.restarted_since(previous):
             self.restarts += 1
             log.warning(
                 "daemon telemetry restarted",
@@ -146,6 +136,7 @@ class TelemetryAggregator:
                 old_seq=previous.seq,
                 new_seq=snapshot.seq,
             )
+            self._retire(name, previous)
         elif previous is not None and snapshot.seq > previous.seq + 1:
             # Sequence numbers advance once per snapshot taken, and
             # other consumers (vecycle top, a second controller) also
@@ -155,68 +146,76 @@ class TelemetryAggregator:
             # just worth counting.
             self.seq_gaps += 1
         self._last[name] = snapshot
-        acc = self._acc.setdefault(name, {})
-        accumulate_instruments(acc, delta.instruments)
-        for vm, values in delta.per_vm.items():
-            self._fold_vm(vm, values)
-        span_acc = self._span_acc.setdefault(name, {})
-        for span_name, values in delta.spans.items():
-            entry = span_acc.setdefault(
-                span_name, {"count": 0.0, "wall_s": 0.0}
-            )
-            entry["count"] += values.get("count", 0.0)
-            entry["wall_s"] += values.get("wall_s", 0.0)
 
-    def _fold_vm(self, vm: str, values: Dict[str, float]) -> None:
-        target = self._vm_acc.get(vm)
-        if target is None:
-            if len(self._vm_acc) >= self.max_vm_labels and vm != OVERFLOW_LABEL:
-                self.labels_folded += 1
-                self._fold_vm(OVERFLOW_LABEL, values)
-                return
-            target = self._vm_acc[vm] = {}
-        for key, value in values.items():
-            target[key] = target.get(key, 0.0) + value
+    def _retire(self, host: str, final: MetricsSnapshot) -> None:
+        """Fold an ended incarnation's final snapshot into ``_retired``.
+
+        Gauges are dropped: a dead process has no level, so a host's
+        gauges read its newest incarnation's.
+        """
+        folded = [s for s in (self._retired.get(host), final) if s is not None]
+        self._retired[host] = MetricsSnapshot(
+            host=host,
+            seq=final.seq,
+            taken_at=final.taken_at,
+            instruments={
+                name: state
+                for name, state in merge_instruments(s.instruments for s in folded).items()
+                if state["type"] != "gauge"
+            },
+            per_vm=_vm_rollup(folded),
+        )
+
+    def _incarnations(self, host: Optional[str] = None) -> List[MetricsSnapshot]:
+        """The retired fold and last snapshot of ``host``, or of every host."""
+        hosts = [host] if host else list(self._last)
+        return [
+            snapshot
+            for name in hosts
+            for snapshot in (self._retired.get(name), self._last.get(name))
+            if snapshot is not None
+        ]
 
     def _sample(self) -> None:
         cluster = self.cluster_instruments()
-        self.series.append(
-            {
-                "taken_at": self._clock(),
-                "recycled_bytes": _counter_value(
-                    cluster, names.DAEMON_RECYCLED_BYTES.name
-                ),
-                "transferred_bytes": _counter_value(
-                    cluster, names.DAEMON_TRANSFERRED_BYTES.name
-                ),
-                "sessions_completed": _counter_value(
-                    cluster, names.DAEMON_SESSIONS_COMPLETED.name
-                ),
-                "hosts": sorted(self._acc),
-            }
-        )
+        self.series.append({
+            "taken_at": self._clock(),
+            "recycled_bytes": counter_value(cluster, names.DAEMON_RECYCLED_BYTES.name),
+            "transferred_bytes": counter_value(cluster, names.DAEMON_TRANSFERRED_BYTES.name),
+            "sessions_completed": counter_value(cluster, names.DAEMON_SESSIONS_COMPLETED.name),
+            "hosts": sorted(self._last),
+        })
 
     # --- views ----------------------------------------------------------
 
     def host_instruments(self) -> Dict[str, Dict[str, Dict[str, Any]]]:
         """Accumulated instruments per host (host → name → state)."""
-        return {host: dict(acc) for host, acc in self._acc.items()}
+        return {host: self._instruments(host) for host in list(self._last)}
+
+    def _instruments(self, host: Optional[str] = None) -> Dict[str, Dict[str, Any]]:
+        """One host's fold over its incarnations, or the whole cluster's."""
+        return merge_instruments(s.instruments for s in self._incarnations(host))
 
     def cluster_instruments(self) -> Dict[str, Dict[str, Any]]:
         """All hosts' accumulations merged into one rollup."""
-        return merge_instruments(self._acc.values())
+        return self._instruments()
 
     def per_vm(self) -> Dict[str, Dict[str, float]]:
         """Accumulated per-VM rollups (vm → counter name → value)."""
-        return {vm: dict(values) for vm, values in self._vm_acc.items()}
+        return _vm_rollup(self._incarnations())
+
+    @property
+    def labels_folded(self) -> int:
+        """How many VMs the cluster per-VM rollup folds into the overflow label."""
+        incarnations = self._incarnations()
+        seen = {vm for snapshot in incarnations for vm in snapshot.per_vm}
+        return len(seen - set(_vm_rollup(incarnations)))
 
     def recycle_ratio(self, host: Optional[str] = None) -> float:
         """Recycled / (recycled + transferred) bytes, cluster or host."""
-        instruments = (
-            self._acc.get(host, {}) if host else self.cluster_instruments()
-        )
-        recycled = _counter_value(instruments, names.DAEMON_RECYCLED_BYTES.name)
-        transferred = _counter_value(instruments, names.DAEMON_TRANSFERRED_BYTES.name)
+        instruments = self._instruments(host)
+        recycled = counter_value(instruments, names.DAEMON_RECYCLED_BYTES.name)
+        transferred = counter_value(instruments, names.DAEMON_TRANSFERRED_BYTES.name)
         denominator = recycled + transferred
         return recycled / denominator if denominator else 0.0
 
@@ -229,19 +228,14 @@ class TelemetryAggregator:
         in-process demo daemons write into the same registry and which
         the wire sections already carry per host.
         """
-        sections = []
-        for host in sorted(self._acc):
-            sections.append(({"host": host}, self._acc[host]))
-        for vm in sorted(self._vm_acc):
-            sections.append(
-                (
-                    {"vm": vm},
-                    {
-                        name: {"type": "counter", "value": value}
-                        for name, value in sorted(self._vm_acc[vm].items())
-                    },
-                )
-            )
+        sections = [
+            ({"host": host}, instruments)
+            for host, instruments in sorted(self.host_instruments().items())
+        ]
+        sections += [
+            ({"vm": vm}, vm_section(values))
+            for vm, values in sorted(self.per_vm().items())
+        ]
         local = {
             name: state
             for name, state in _metrics().snapshot().items()
@@ -255,30 +249,17 @@ class TelemetryAggregator:
         local = _metrics().snapshot()
         downtime = local.get("orchestrator.downtime_seconds", {})
         hosts = []
-        for name in sorted(self._acc):
-            acc = self._acc[name]
-            last = self._last.get(name)
-            recycled = _counter_value(acc, names.DAEMON_RECYCLED_BYTES.name)
-            transferred = _counter_value(acc, names.DAEMON_TRANSFERRED_BYTES.name)
-            hosts.append(
-                {
-                    "host": name,
-                    "seq": last.seq if last else 0,
-                    "age_s": (
-                        self._clock() - last.taken_at if last else None
-                    ),
-                    "sessions_completed": _counter_value(
-                        acc, names.DAEMON_SESSIONS_COMPLETED.name
-                    ),
-                    "recycled_bytes": recycled,
-                    "transferred_bytes": transferred,
-                    "recycle_ratio": (
-                        recycled / (recycled + transferred)
-                        if recycled + transferred
-                        else 0.0
-                    ),
-                }
-            )
+        for name, acc in sorted(self.host_instruments().items()):
+            last = self._last[name]
+            hosts.append({
+                "host": name,
+                "seq": last.seq,
+                "age_s": self._clock() - last.taken_at,
+                "sessions_completed": counter_value(acc, names.DAEMON_SESSIONS_COMPLETED.name),
+                "recycled_bytes": counter_value(acc, names.DAEMON_RECYCLED_BYTES.name),
+                "transferred_bytes": counter_value(acc, names.DAEMON_TRANSFERRED_BYTES.name),
+                "recycle_ratio": self.recycle_ratio(name),
+            })
         active = local.get("orchestrator.migrations.active", {})
         return {
             "taken_at": self._clock(),
@@ -291,10 +272,10 @@ class TelemetryAggregator:
                 ),
                 "recycle_ratio": self.recycle_ratio(),
                 "active_migrations": active.get("value", 0.0),
-                "migrations_completed": _counter_value(
+                "migrations_completed": counter_value(
                     local, "orchestrator.migrations.completed"
                 ),
-                "migrations_failed": _counter_value(
+                "migrations_failed": counter_value(
                     local, "orchestrator.migrations.failed"
                 ),
                 "downtime_p50_s": quantile_from_state(downtime, 0.5),
@@ -317,10 +298,14 @@ class TelemetryAggregator:
         return list(self.series)
 
 
-def _counter_value(
-    instruments: Dict[str, Dict[str, Any]], name: str
-) -> float:
-    state = instruments.get(name)
-    if not state or state.get("type") not in ("counter", "gauge"):
-        return 0.0
-    return float(state.get("value", 0.0))
+def _vm_rollup(snapshots: Iterable[MetricsSnapshot]) -> Dict[str, Dict[str, float]]:
+    """Per-VM values summed over ``snapshots``, behind the label guard."""
+    states: Dict[str, Dict[str, Dict[str, Any]]] = {}
+    for snapshot in snapshots:
+        for vm, values in snapshot.per_vm.items():
+            label = vm_label(states, vm)
+            states[label] = merge_instruments([states.get(label, {}), vm_section(values)])
+    return {
+        vm: {name: state["value"] for name, state in section.items()}
+        for vm, section in states.items()
+    }

@@ -789,7 +789,6 @@ class CheckpointDaemon:
         # snapshot — same passive shape as HEARTBEAT.
         self._count(names.DAEMON_TELEMETRY_PROBES)
         body = self.telemetry.snapshot().to_dict()
-        body["probe_seq"] = hello.body.get("seq")
         await stream.send(codec.encode_telemetry(body))
 
     async def _drop_peer_error(self, stream: ShapedStream,

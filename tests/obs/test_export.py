@@ -51,7 +51,8 @@ def test_jsonl_round_trip_is_exact(tmp_path, sample_records):
     registry = get_registry()
     registry.counter("runtime.retries").add(1)
     write_jsonl(path, sample_records, registry)
-    lines = open(path).read().splitlines()
+    with open(path) as handle:
+        lines = handle.read().splitlines()
     # one line per record plus the trailing metrics line
     assert len(lines) == len(sample_records) + 1
     assert json.loads(lines[-1])["kind"] == "metrics"
@@ -131,7 +132,8 @@ def test_export_trace_formats(tmp_path):
     jsonl_path = str(tmp_path / "t.jsonl")
     export_trace(chrome_path, fmt="chrome")
     export_trace(jsonl_path, fmt="jsonl")
-    assert "traceEvents" in json.load(open(chrome_path))
+    with open(chrome_path) as handle:
+        assert "traceEvents" in json.load(handle)
     assert read_jsonl(jsonl_path)[0].name == "top"
     with pytest.raises(ValueError):
         export_trace(str(tmp_path / "x"), fmt="svg")

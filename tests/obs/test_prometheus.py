@@ -135,6 +135,7 @@ class TestMetricsServer:
                     f"http://127.0.0.1:{server.port}/nope", timeout=5
                 )
             assert excinfo.value.code == 404
+            excinfo.value.close()  # the error holds the response's socket
         finally:
             server.stop()
 
@@ -148,8 +149,10 @@ class TestMetricsServer:
         server = MetricsServer(render_text=render, port=0).start()
         try:
             url = f"http://127.0.0.1:{server.port}/metrics"
-            first = urllib.request.urlopen(url, timeout=5).read()
-            second = urllib.request.urlopen(url, timeout=5).read()
+            with urllib.request.urlopen(url, timeout=5) as response:
+                first = response.read()
+            with urllib.request.urlopen(url, timeout=5) as response:
+                second = response.read()
             assert first != second
         finally:
             server.stop()

@@ -1,20 +1,29 @@
-"""Wire-exportable metrics snapshots: delta, merge, cardinality guard."""
+"""Wire-exportable metrics snapshots: restart rule, the incarnation fold,
+cardinality guard."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs import enable as enable_tracing, span
 from repro.obs.telemetry import (
+    MAX_VM_LABELS,
     OVERFLOW_LABEL,
     MetricsSnapshot,
     TelemetrySource,
-    accumulate_instruments,
     get_active_aggregator,
     merge_instruments,
     set_active_aggregator,
-    span_census,
 )
+from repro.orchestrator import ClusterRegistry, TelemetryAggregator
+from repro.runtime.frames import FrameError
+
+#: Wire bodies that are valid JSON but not a snapshot.
+MALFORMED_BODIES = [
+    ["not", "a", "snapshot"],
+    {"seq": "x"},
+    {"per_vm": [1]},
+    {"seq": 9, "instruments": {"c": {"type": "counter"}}},
+]
 
 
 def make_source(name="hostA", **kwargs) -> TelemetrySource:
@@ -42,6 +51,11 @@ class TestSnapshotRoundtrip:
         assert snapshot.seq == 0
         assert snapshot.instruments == {}
 
+    @pytest.mark.parametrize("body", MALFORMED_BODIES)
+    def test_from_dict_rejects_a_body_that_is_not_a_snapshot(self, body):
+        with pytest.raises(FrameError):
+            MetricsSnapshot.from_dict(body)
+
     def test_seq_advances_per_snapshot_not_per_read(self):
         source = make_source()
         assert source.seq == 0
@@ -53,60 +67,66 @@ class TestSnapshotRoundtrip:
 
 
 class TestDeltaSemantics:
-    def test_counter_delta_between_consecutive_snapshots(self):
-        source = make_source()
-        source.counter("c").add(5)
-        first = source.snapshot()
-        source.counter("c").add(3)
-        second = source.snapshot()
-        delta, restarted = second.delta(first)
-        assert not restarted
-        assert delta.instruments["c"]["value"] == 3
+    """What each poll of one incarnation adds to the aggregator's view, and
+    the restart rule the incarnation fold relies on."""
 
     def test_histogram_delta_diffs_counts_and_sum(self):
+        aggregator = make_aggregator()
         source = make_source()
         hist = source.histogram("h", (10.0,))
         hist.observe(5)
-        first = source.snapshot()
+        aggregator._ingest("hostA", source.snapshot())
+        before = aggregator.host_instruments()["hostA"]["h"]
         hist.observe(50)
-        second = source.snapshot()
-        delta, restarted = second.delta(first)
-        assert not restarted
-        state = delta.instruments["h"]
-        assert state["counts"] == [0, 1]
-        assert state["total"] == 1
-        assert state["sum"] == pytest.approx(50.0)
+        aggregator._ingest("hostA", source.snapshot())
+        after = aggregator.host_instruments()["hostA"]["h"]
+        assert aggregator.restarts == 0
+        # The second poll adds exactly its one observation.
+        assert [b - a for a, b in zip(before["counts"], after["counts"])] == [0, 1]
+        assert after["total"] - before["total"] == 1
+        assert after["sum"] - before["sum"] == pytest.approx(50.0)
 
     def test_gauge_passes_through_latest_level(self):
+        aggregator = make_aggregator()
         source = make_source()
         source.gauge("g").set(10)
-        first = source.snapshot()
+        aggregator._ingest("hostA", source.snapshot())
         source.gauge("g").set(4)
-        second = source.snapshot()
-        delta, _ = second.delta(first)
-        assert delta.instruments["g"]["value"] == 4
+        aggregator._ingest("hostA", source.snapshot())
+        assert aggregator.restarts == 0
+        assert aggregator.host_instruments()["hostA"]["g"]["value"] == 4
 
-    def test_no_earlier_snapshot_is_a_restart(self):
+    def test_per_vm_delta_drops_unchanged_vms(self):
+        aggregator = make_aggregator()
         source = make_source()
-        source.counter("c").add(1)
-        snapshot = source.snapshot()
-        delta, restarted = snapshot.delta(None)
-        assert restarted
-        assert delta is snapshot
+        source.vm_count("vm-a", "x", 5)
+        source.vm_count("vm-b", "x", 1)
+        aggregator._ingest("hostA", source.snapshot())
+        before = aggregator.per_vm()
+        source.vm_count("vm-a", "x", 2)
+        aggregator._ingest("hostA", source.snapshot())
+        after = aggregator.per_vm()
+        changed = {vm: after[vm]["x"] - before[vm]["x"]
+                   for vm in after if after[vm] != before[vm]}
+        assert changed == {"vm-a": 2.0}
+        assert after == {"vm-a": {"x": 7.0}, "vm-b": {"x": 1.0}}
 
     def test_seq_regression_is_a_restart(self):
         old = make_source()
         old.counter("c").add(9)
         before = old.snapshot()
         before_again = old.snapshot()
+        assert not before_again.restarted_since(before)
         reborn = make_source()  # fresh process: seq starts over
         reborn.counter("c").add(2)
         after = reborn.snapshot()
         assert after.restarted_since(before_again)
-        delta, restarted = after.delta(before)
-        assert restarted
-        # The full post-restart snapshot is the increment.
-        assert delta.instruments["c"]["value"] == 2
+        assert after.restarted_since(before)
+
+    def test_no_earlier_snapshot_is_a_restart(self):
+        source = make_source()
+        source.counter("c").add(1)
+        assert source.snapshot().restarted_since(None)
 
     def test_shrinking_counter_is_a_restart_even_with_higher_seq(self):
         first = MetricsSnapshot(
@@ -119,47 +139,37 @@ class TestDeltaSemantics:
         )
         assert second.restarted_since(first)
 
-    def test_per_vm_delta_drops_unchanged_vms(self):
-        source = make_source()
-        source.vm_count("vm-a", "x", 5)
-        source.vm_count("vm-b", "x", 1)
-        first = source.snapshot()
-        source.vm_count("vm-a", "x", 2)
-        second = source.snapshot()
-        delta, _ = second.delta(first)
-        assert delta.per_vm == {"vm-a": {"x": 2.0}}
-
 
 class TestAccumulateAndMerge:
+    """The one fold: hosts, incarnations and per-VM values all merge here."""
+
     def test_accumulate_adds_counters_and_histograms(self):
-        acc = {}
-        accumulate_instruments(
-            acc, {"c": {"type": "counter", "value": 2.0}}
+        merged = merge_instruments(
+            [
+                {"c": {"type": "counter", "value": 2.0}, "h": hist_state(5.0, [1, 0])},
+                {"c": {"type": "counter", "value": 3.0}, "h": hist_state(50.0, [0, 1])},
+            ]
         )
-        accumulate_instruments(
-            acc, {"c": {"type": "counter", "value": 3.0}}
-        )
-        assert acc["c"]["value"] == 5.0
+        assert merged["c"]["value"] == 5.0
+        assert merged["h"]["counts"] == [1, 1]
+        assert merged["h"]["total"] == 2
+        assert merged["h"]["sum"] == pytest.approx(55.0)
 
     def test_accumulate_gauge_is_last_write_wins(self):
-        acc = {}
-        accumulate_instruments(acc, {"g": {"type": "gauge", "value": 9.0}})
-        accumulate_instruments(acc, {"g": {"type": "gauge", "value": 4.0}})
-        assert acc["g"]["value"] == 4.0
+        # Across one host's incarnations a gauge is the newest level...
+        aggregator = make_aggregator()
+        aggregator._ingest("hostA", record(make_source(), gauge=9))
+        aggregator._ingest("hostA", record(make_source(), gauge=4))
+        assert aggregator.restarts == 1
+        assert aggregator.host_instruments()["hostA"]["g"]["value"] == 4.0
+        # ...while across hosts, levels still sum.
+        aggregator._ingest("hostB", record(make_source("hostB"), gauge=3))
+        assert aggregator.cluster_instruments()["g"]["value"] == 7.0
 
     def test_accumulate_histogram_combines_extremes(self):
-        base = {
-            "type": "histogram", "boundaries": [10.0], "counts": [1, 0],
-            "total": 1, "sum": 5.0, "mean": 5.0, "min": 5.0, "max": 5.0,
-        }
-        more = {
-            "type": "histogram", "boundaries": [10.0], "counts": [0, 1],
-            "total": 1, "sum": 50.0, "mean": 50.0, "min": 50.0, "max": 50.0,
-        }
-        acc = {}
-        accumulate_instruments(acc, {"h": base})
-        accumulate_instruments(acc, {"h": more})
-        state = acc["h"]
+        state = merge_instruments(
+            [{"h": hist_state(5.0, [1, 0])}, {"h": hist_state(50.0, [0, 1])}]
+        )["h"]
         assert state["counts"] == [1, 1]
         assert state["total"] == 2
         assert state["min"] == 5.0 and state["max"] == 50.0
@@ -184,6 +194,89 @@ class TestAccumulateAndMerge:
         merge_instruments([one, two])
         assert one["c"]["value"] == 1.0
         assert two["c"]["value"] == 2.0
+
+
+def hist_state(value: float, counts) -> dict:
+    """A one-observation histogram state over the boundary 10."""
+    return {
+        "type": "histogram", "boundaries": [10.0], "counts": counts,
+        "total": 1, "sum": value, "mean": value, "min": value, "max": value,
+    }
+
+
+def make_aggregator() -> TelemetryAggregator:
+    return TelemetryAggregator(ClusterRegistry())
+
+
+def record(source: TelemetrySource, counter=0.0, observe=(), gauge=None, vms=()):
+    """Count into ``source`` and return its next snapshot."""
+    source.counter("c").add(counter)
+    for value in observe:
+        source.histogram("h", (1.0, 10.0)).observe(value)
+    if gauge is not None:
+        source.gauge("g").set(gauge)
+    for vm, amount in vms:
+        source.vm_count(vm, "recycled_bytes", amount)
+    return source.snapshot()
+
+
+class TestIncarnationFold:
+    """The aggregator's view of a host: retired incarnations + last snapshot."""
+
+    def test_one_incarnation_polled_twice_is_its_last_snapshot(self):
+        aggregator = make_aggregator()
+        source = make_source()
+        first = record(source, counter=5, observe=(0.5,), gauge=10, vms=[("vm-a", 4096)])
+        aggregator._ingest("hostA", first)
+        second = record(source, counter=3, observe=(50.0,), gauge=4, vms=[("vm-a", 1024)])
+        aggregator._ingest("hostA", second)
+        assert aggregator.restarts == 0
+        # Nothing double counted: the view *is* the cumulative snapshot.
+        assert aggregator.host_instruments() == {"hostA": second.instruments}
+        assert aggregator.cluster_instruments() == second.instruments
+        assert aggregator.host_instruments()["hostA"]["c"]["value"] == 8.0
+        assert aggregator.per_vm() == {"vm-a": {"recycled_bytes": 5120.0}}
+
+    def test_restart_adds_the_retired_incarnation_to_the_new_one(self):
+        aggregator = make_aggregator()
+        old = make_source()
+        aggregator._ingest("hostA", record(old, counter=5, observe=(0.5,), vms=[("vm-a", 10)]))
+        retired = record(old, counter=4, observe=(50.0,), vms=[("vm-a", 5)])
+        aggregator._ingest("hostA", retired)
+        reborn = make_source()  # seq and every counter start over
+        new = record(reborn, counter=2, observe=(5.0, 7.0), vms=[("vm-a", 3), ("vm-b", 1)])
+        aggregator._ingest("hostA", new)
+        assert aggregator.restarts == 1
+        view = aggregator.host_instruments()["hostA"]
+        assert view["c"]["value"] == 9.0 + 2.0
+        hist, old_hist, new_hist = view["h"], retired.instruments["h"], new.instruments["h"]
+        assert hist["counts"] == [a + b for a, b in zip(old_hist["counts"], new_hist["counts"])]
+        assert hist["counts"] == [1, 2, 1]
+        assert hist["total"] == 4
+        assert hist["sum"] == pytest.approx(62.5)
+        assert hist["min"] == 0.5 and hist["max"] == 50.0
+        assert aggregator.per_vm() == {
+            "vm-a": {"recycled_bytes": 18.0},
+            "vm-b": {"recycled_bytes": 1.0},
+        }
+
+    def test_every_restart_keeps_every_retired_incarnation(self):
+        aggregator = make_aggregator()
+        for life in range(3):
+            aggregator._ingest("hostA", record(make_source(), counter=life + 1))
+        assert aggregator.restarts == 2
+        assert aggregator.host_instruments()["hostA"]["c"]["value"] == 6.0
+
+    def test_cluster_per_vm_labels_fold_past_the_cap(self):
+        aggregator = make_aggregator()
+        half = MAX_VM_LABELS // 2 + 8
+        for host, offset in (("hostA", 0), ("hostB", half)):
+            vms = [(f"vm-{offset + i}", 1) for i in range(half)]
+            aggregator._ingest(host, record(make_source(host), vms=vms))
+        rollup = aggregator.per_vm()
+        assert len(rollup) == MAX_VM_LABELS + 1
+        assert rollup[OVERFLOW_LABEL]["recycled_bytes"] == 2 * half - MAX_VM_LABELS
+        assert aggregator.labels_folded == 2 * half - MAX_VM_LABELS
 
 
 class TestCardinalityGuard:
@@ -219,23 +312,6 @@ class TestSections:
         assert "daemon.heartbeats" in sections[0][1]
         assert sections[1][0] == {"host": "hostB", "vm": "vm-1"}
         assert sections[1][1]["recycled_bytes"]["value"] == 4096.0
-
-
-class TestSpanCensus:
-    def test_census_counts_matching_prefixes(self):
-        enable_tracing()
-        with span("daemon.round"):
-            pass
-        with span("daemon.round"):
-            pass
-        with span("orchestrator.place"):
-            pass
-        census = span_census(("daemon.",))
-        assert census["daemon.round"]["count"] == 2.0
-        assert "orchestrator.place" not in census
-
-    def test_census_empty_when_tracing_off(self):
-        assert span_census(("daemon.",)) == {}
 
 
 class TestActiveAggregatorHook:

@@ -1,6 +1,7 @@
 """The telemetry plane over real daemons: the ISSUE acceptance tests."""
 
 import asyncio
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,6 +213,7 @@ class TestAggregatorOverWire:
                 SourceState("vm", hashes, PageStore()), QEMU, config=FAST
             )
             await source.migrate(first.host, first.port)
+            first.telemetry.histogram("test.seconds", (1.0, 10.0)).observe(0.5)
             snapshot = await aggregator.poll("a")
             assert snapshot is not None and snapshot.seq >= 1
             before = aggregator.host_instruments()["a"]
@@ -230,6 +232,8 @@ class TestAggregatorOverWire:
                     config=FAST,
                 )
                 await source.migrate(reborn.host, reborn.port)
+                for value in (5.0, 50.0):
+                    reborn.telemetry.histogram("test.seconds", (1.0, 10.0)).observe(value)
                 await aggregator.poll("a")
             finally:
                 await reborn.stop()
@@ -238,6 +242,55 @@ class TestAggregatorOverWire:
             # History from before the restart plus the new life's counts:
             # nothing already aggregated was lost or double-counted.
             assert after["daemon.pages_received"]["value"] == 2 * N
+            hist = after["test.seconds"]
+            assert hist["counts"] == [1, 1, 1]
+            assert hist["total"] == 3
+            assert hist["sum"] == pytest.approx(55.5)
+            assert hist["min"] == 0.5 and hist["max"] == 50.0
+            # Per-VM rollup: one VM per incarnation, both kept.
+            per_vm = aggregator.per_vm()
+            assert set(per_vm) == {"vm", "vm2"}
+            assert per_vm["vm"]["sessions_completed"] == 1
+            assert per_vm["vm2"]["sessions_completed"] == 1
+            assert sum(v["transferred_bytes"] for v in per_vm.values()) == (
+                after["daemon.transferred_bytes"]["value"]
+            )
+
+        asyncio.run(main())
+
+    def test_a_garbled_reply_is_a_failed_poll(self, monkeypatch):
+        """A reply that is JSON but not a snapshot fails that poll only."""
+        garbled = [
+            ["not", "a", "snapshot"],
+            {"seq": "x"},
+            {"per_vm": [1]},
+            {"seq": 99, "instruments": {"daemon.heartbeats": {"type": "counter"}}},
+        ]
+
+        async def main():
+            registry = ClusterRegistry()
+            aggregator = TelemetryAggregator(registry)
+            async with CheckpointDaemon(name="bad") as bad, CheckpointDaemon(
+                name="good"
+            ) as good:
+                registry.register("bad", bad.host, bad.port)
+                registry.register("good", good.host, good.port)
+                try:
+                    first = await aggregator.poll_all()
+                    assert first["bad"] is not None
+                    for body in garbled:
+                        monkeypatch.setattr(
+                            bad.telemetry,
+                            "snapshot",
+                            lambda body=body: SimpleNamespace(to_dict=lambda: body),
+                        )
+                        results = await aggregator.poll_all()
+                        assert results["bad"] is None, body
+                        assert results["good"] is not None, body
+                finally:
+                    await registry.close()
+            assert aggregator.poll_failures == len(garbled)
+            assert aggregator.polls == 2 * (len(garbled) + 1)
 
         asyncio.run(main())
 
