@@ -10,9 +10,10 @@ unreproducible soak report months later.
 This rule scans the seeded modules (``chaos/``, ``parallel/``,
 ``traces/``, ``mem/mutation.py``) plus the chaos-adjacent orchestrator
 modules the soak drives through injected fault hooks
-(``orchestrator/registry.py``, ``orchestrator/telemetry.py`` — their
-wallclock is an injectable ``clock`` parameter, and ``time.time`` as a
-*default value* is a reference, not a call) and flags calls that
+(``orchestrator/registry.py``, which reads no wallclock, and
+``orchestrator/telemetry.py``, whose wallclock is an injectable
+``clock`` parameter — ``time.time`` as a *default value* is a
+reference, not a call) and flags calls that
 introduce non-seeded entropy or wallclock dependence:
 
 * ``time.time`` / ``time.time_ns`` (``time.monotonic`` /

@@ -7,10 +7,9 @@ schedule cost"; :mod:`repro.orchestrator` actually runs it.  An
 wire protocol migrations use:
 
 * :class:`ClusterRegistry` polls each daemon with HEARTBEAT frames and
-  keeps a cluster-wide :class:`ClusterView` — liveness, capacity, and a
-  digest summary (page counts + bottom-k similarity sketch) of every
-  hosted checkpoint, durable entries included, so the inventory
-  survives daemon restarts.
+  keeps a cluster-wide :class:`ClusterView` — liveness, open sessions,
+  and a bottom-k similarity sketch of every hosted checkpoint, durable
+  entries included, so the inventory survives daemon restarts.
 * A placement policy (:class:`BestCheckpoint`, :class:`DestinationSwap`,
   :class:`CycleAware`) turns the view into a scored
   :class:`PlacementDecision`, traced via :mod:`repro.obs`.
@@ -22,7 +21,7 @@ wire protocol migrations use:
   against the analytic :func:`~repro.cluster.vdi.replay_vdi`.
 * :class:`TelemetryAggregator` polls daemons with TELEMETRY frames,
   merges their sequence-numbered metrics snapshots into cluster
-  rollups (restart-tolerant delta accounting, per-host/per-VM labels),
+  rollups (restart-tolerant, per-host/per-VM labels),
   and backs the controller's Prometheus endpoint and ``vecycle top``.
 """
 
@@ -40,7 +39,6 @@ from repro.orchestrator.executor import (
 )
 from repro.orchestrator.inventory import (
     DEFAULT_SKETCH_K,
-    CheckpointSummary,
     ClusterView,
     HostInventory,
     digest_sketch,
@@ -63,7 +61,6 @@ from repro.orchestrator.telemetry import TelemetryAggregator
 __all__ = [
     "AdmissionLimits",
     "BestCheckpoint",
-    "CheckpointSummary",
     "ClusterRegistry",
     "ClusterView",
     "CycleAware",

@@ -147,7 +147,7 @@ class Orchestrator:
             ),
             num_pages=int(hashes.shape[0]),
             page_size=self.pagestore.page_size,
-            sketch=tuple(digest_sketch(digests, k=self.registry.sketch_k)),
+            sketch=tuple(digest_sketch(digests)),
             active=active,
             deferrals=deferrals,
         )

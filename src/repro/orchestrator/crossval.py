@@ -40,7 +40,6 @@ from repro.orchestrator.executor import (
     MigrationExecutor,
     MigrationOutcome,
 )
-from repro.orchestrator.inventory import DEFAULT_SKETCH_K
 from repro.orchestrator.placement import BestCheckpoint, PlacementPolicy
 from repro.orchestrator.registry import ClusterRegistry
 from repro.orchestrator.telemetry import TelemetryAggregator
@@ -124,7 +123,6 @@ async def replay_vdi_live(
     limits: Optional[AdmissionLimits] = None,
     extra_hosts: Sequence[str] = ("standby",),
     state_root: Optional[Path] = None,
-    sketch_k: int = DEFAULT_SKETCH_K,
     vm_id: str = "vdi-vm",
     metrics_port: Optional[int] = None,
     metrics_linger_s: float = 0.0,
@@ -165,7 +163,7 @@ async def replay_vdi_live(
     )
     pagestore = PageStore()
     policy = policy if policy is not None else BestCheckpoint()
-    registry = ClusterRegistry(sketch_k=sketch_k)
+    registry = ClusterRegistry()
     orchestrator = Orchestrator(
         registry,
         policy,

@@ -7,9 +7,9 @@ wraps one call of :meth:`~repro.runtime.source.MigrationSource.migrate`
 
 * **Admission control** — a cluster-wide semaphore plus one per
   destination host, so a burst of placement decisions cannot flood a
-  daemon past its advertised capacity.  The cluster slot is always
-  acquired before the host slot (a fixed acquisition order, so two
-  executors sharing limits cannot deadlock).
+  daemon past :attr:`AdmissionLimits.per_host_max`.  The cluster slot
+  is always acquired before the host slot (a fixed acquisition order,
+  so two executors sharing limits cannot deadlock).
 * **Structured reporting** — every migration ends in a
   :class:`MigrationOutcome`; executor callers never see a raw
   exception for an individual migration failing.

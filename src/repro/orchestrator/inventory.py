@@ -1,24 +1,24 @@
 """Cluster checkpoint inventory: what the control plane knows per host.
 
-Each daemon answers a heartbeat with one :class:`HostInventory`: its
-capacity plus a :class:`~repro.runtime.hosted.CheckpointSummary` —
-page counts, byte sizes and a bottom-k sketch of the distinct digests —
-for every checkpoint it hosts.  The summary record and the sketch math
-live in :mod:`repro.runtime.hosted`, which the daemon building the
-INVENTORY frame imports too; this module adds the controller's side:
-the similarity estimate and the merged cluster view.
+Each daemon answers a heartbeat with one :class:`HostInventory`: the
+two facts every placement policy reads — its ``active_sessions`` and,
+by vm_id, a bottom-k sketch of each hosted checkpoint's distinct
+digests.  The sketch math lives in :mod:`repro.runtime.hosted`, which
+the daemon building the INVENTORY frame imports too; this module adds
+the controller's side: the similarity estimate and the merged cluster
+view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime.hosted import DEFAULT_SKETCH_K, CheckpointSummary, digest_sketch
+from repro.runtime.frames import FrameError
+from repro.runtime.hosted import DEFAULT_SKETCH_K, digest_sketch
 
 __all__ = [
     "DEFAULT_SKETCH_K",
-    "CheckpointSummary",
     "ClusterView",
     "HostInventory",
     "digest_sketch",
@@ -43,43 +43,39 @@ def sketch_similarity(a: Sequence[str], b: Sequence[str]) -> float:
     return hits / len(union_sample)
 
 
+def _is_sketch(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(d, str) for d in value)
+
+
 @dataclass(frozen=True)
 class HostInventory:
-    """One daemon's reply to a heartbeat: capacity + checkpoint summary."""
+    """One daemon's reply to a heartbeat: its load and, by vm_id, the
+    sketch of every checkpoint it hosts."""
 
-    host: str
-    port: int
     active_sessions: int
-    max_concurrent_migrations: int
-    checkpoints: Dict[str, CheckpointSummary]
-    seq: int = 0
+    checkpoints: Dict[str, Tuple[str, ...]]
 
     @classmethod
-    def from_report(cls, body: dict) -> "HostInventory":
-        """Parse an INVENTORY frame body (the daemon's report)."""
-        checkpoints = {
-            str(entry["vm_id"]): CheckpointSummary.from_json(entry)
-            for entry in body.get("checkpoints", ())
-        }
+    def from_report(cls, body: object) -> "HostInventory":
+        """Parse an INVENTORY frame body (the daemon's report).
+
+        Raises :class:`~repro.runtime.frames.FrameError` on any other
+        shape, so a garbled report is a failed probe, not a crash.
+        """
+        if not isinstance(body, dict):
+            raise FrameError(f"inventory body is not an object: {body!r:.80}")
+        active = body.get("active_sessions")
+        checkpoints = body.get("checkpoints")
+        if type(active) is not int:
+            raise FrameError(f"inventory active_sessions is {active!r:.80}")
+        if not isinstance(checkpoints, dict) or not all(
+            _is_sketch(sketch) for sketch in checkpoints.values()
+        ):
+            raise FrameError(f"inventory checkpoints is {checkpoints!r:.80}")
         return cls(
-            host=str(body["host"]),
-            port=int(body.get("port") or 0),
-            active_sessions=int(body.get("active_sessions", 0)),
-            max_concurrent_migrations=int(
-                body.get("max_concurrent_migrations", 1)
-            ),
-            checkpoints=checkpoints,
-            seq=int(body.get("seq") or 0),
+            active_sessions=active,
+            checkpoints={vm_id: tuple(sketch) for vm_id, sketch in checkpoints.items()},
         )
-
-    @property
-    def stored_bytes(self) -> int:
-        """Total checkpoint bytes the host reports."""
-        return sum(s.stored_bytes for s in self.checkpoints.values())
-
-    def checkpoint_for(self, vm_id: str) -> Optional[CheckpointSummary]:
-        """This host's checkpoint of ``vm_id``, or None."""
-        return self.checkpoints.get(vm_id)
 
 
 @dataclass
@@ -95,16 +91,3 @@ class ClusterView:
     def get(self, host: str) -> Optional[HostInventory]:
         """The inventory reported by ``host``, or None if unknown."""
         return self.inventories.get(host)
-
-    def checkpoints_for(self, vm_id: str) -> Dict[str, CheckpointSummary]:
-        """host → this VM's checkpoint summary, where one exists."""
-        found: Dict[str, CheckpointSummary] = {}
-        for name, inventory in self.inventories.items():
-            summary = inventory.checkpoint_for(vm_id)
-            if summary is not None:
-                found[name] = summary
-        return found
-
-    @property
-    def total_checkpoints(self) -> int:
-        return sum(len(inv.checkpoints) for inv in self.inventories.values())

@@ -148,8 +148,8 @@ class BestCheckpoint(PlacementPolicy):
             inventory = view.get(host)
             own = 0.0
             cross = 0.0
-            for vm_id, summary in inventory.checkpoints.items():
-                similarity = sketch_similarity(request.sketch, summary.sketch)
+            for vm_id, sketch in inventory.checkpoints.items():
+                similarity = sketch_similarity(request.sketch, sketch)
                 if vm_id == request.vm_id:
                     own = similarity
                 else:

@@ -2,10 +2,10 @@
 
 The controller registers each daemon's address once and then *polls*:
 a heartbeat sends a HEARTBEAT frame on the ordinary migration port and
-reads back one INVENTORY frame (the daemon's capacity + checkpoint
-digest summary).  Pull-based liveness keeps the daemon passive — it
-answers probes exactly like it answers HELLOs — and makes restart
-recovery automatic: a daemon that comes back with a durable
+reads back one INVENTORY frame (the daemon's open sessions and a sketch
+of every checkpoint it hosts).  Pull-based liveness keeps the daemon
+passive — it answers probes exactly like it answers HELLOs — and makes
+restart recovery automatic: a daemon that comes back with a durable
 ``state_dir`` rebuilds its checkpoints from the repository, so the next
 successful heartbeat repopulates the controller's view without any
 re-registration protocol.
@@ -23,18 +23,13 @@ polling continues and a later success revives it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.obs import names
 from repro.obs.log import get_logger
 from repro.obs.trace import span as _span
-from repro.orchestrator.inventory import (
-    DEFAULT_SKETCH_K,
-    ClusterView,
-    HostInventory,
-)
+from repro.orchestrator.inventory import ClusterView, HostInventory
 from repro.runtime.frames import Frame, FrameCodec, FrameError, TYPE_INVENTORY, expect_frame
 from repro.runtime.shaping import ShapedStream, open_shaped_connection
 
@@ -53,7 +48,6 @@ class HostRecord:
     host: str
     port: int
     alive: bool = False
-    last_seen: float = 0.0
     consecutive_failures: int = 0
     inventory: Optional[HostInventory] = None
 
@@ -62,32 +56,23 @@ class ClusterRegistry:
     """Tracks daemon liveness and checkpoint inventories by polling.
 
     Args:
-        controller_id: Identity sent in heartbeat frames (shows up in
-            daemon logs/metrics when debugging multi-controller runs).
+        controller_id: The controller's own name: it labels the
+            controller's section of the merged Prometheus page and the
+            ``vecycle top`` dashboard.
         heartbeat_timeout_s: Per-probe I/O budget, heartbeat or
             telemetry poll alike; a silent daemon is declared dead after
             this long, never hung on.
-        sketch_k: Bottom-k sketch size daemons are asked to report.
-        clock: Wallclock source for ``last_seen`` stamps.  Injectable
-            so chaos soaks and tests replay deterministically (the
-            ``vecycle lint`` determinism rule rejects bare
-            ``time.time()`` calls in this module).
     """
 
     def __init__(
         self,
         controller_id: str = "controller",
         heartbeat_timeout_s: float = 5.0,
-        sketch_k: int = DEFAULT_SKETCH_K,
-        clock: Callable[[], float] = time.time,
     ) -> None:
         self.controller_id = controller_id
         self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.sketch_k = sketch_k
-        self._clock = clock
         self._records: Dict[str, HostRecord] = {}
         self._channels: Dict[str, ShapedStream] = {}
-        self._seq = 0
         self.probe_fault: Optional[Callable[[str], bool]] = None
         """Fault point for the :mod:`repro.chaos` plane: called with the
         host name before each heartbeat; returning True drops the probe
@@ -100,20 +85,12 @@ class ClusterRegistry:
         address drops the control channel to the old one."""
         old = self._records.get(name)
         if old is not None and (old.host, old.port) != (host, port):
-            self._drop(name)
+            stream = self._channels.pop(name, None)
+            if stream is not None:
+                stream.abort()
         record = HostRecord(name=name, host=host, port=port)
         self._records[name] = record
         return record
-
-    def deregister(self, name: str) -> None:
-        """Forget ``name`` entirely (decommissioned host)."""
-        self._drop(name)
-        self._records.pop(name, None)
-
-    def _drop(self, name: str) -> None:
-        stream = self._channels.pop(name, None)
-        if stream is not None:
-            stream.abort()
 
     def record(self, name: str) -> HostRecord:
         """The registration record for ``name``; KeyError if unknown."""
@@ -136,18 +113,12 @@ class ClusterRegistry:
     async def poll(self, name: str) -> HostRecord:
         """Heartbeat one daemon; updates and returns its record."""
         record = self.record(name)
-        self._seq += 1
         with _span("orchestrator.heartbeat", host=name) as hb_span:
             try:
                 if self.probe_fault is not None and self.probe_fault(name):
                     raise ConnectionError(f"heartbeat to {name} dropped (injected)")
-                heartbeat = {
-                    "controller": self.controller_id,
-                    "seq": self._seq,
-                    "sketch_k": self.sketch_k,
-                }
                 frame = await self.probe(
-                    record, FrameCodec().encode_heartbeat(heartbeat), TYPE_INVENTORY
+                    record, FrameCodec().encode_heartbeat({}), TYPE_INVENTORY
                 )
                 inventory = HostInventory.from_report(frame.body)
             except PROBE_ERRORS as exc:
@@ -164,7 +135,6 @@ class ClusterRegistry:
                 return record
             record.alive = True
             record.consecutive_failures = 0
-            record.last_seen = self._clock()
             record.inventory = inventory
             hb_span.set(
                 alive=True,

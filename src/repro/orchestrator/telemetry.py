@@ -96,9 +96,8 @@ class TelemetryAggregator:
         self.polls += 1
         with _span("orchestrator.telemetry", host=name) as probe_span:
             try:
-                request = {"controller": self.registry.controller_id, "seq": self.polls}
                 frame = await self.registry.probe(
-                    record, FrameCodec().encode_telemetry(request), TYPE_TELEMETRY
+                    record, FrameCodec().encode_telemetry({}), TYPE_TELEMETRY
                 )
                 snapshot = MetricsSnapshot.from_dict(frame.body or {})
             except PROBE_ERRORS as exc:

@@ -18,8 +18,6 @@ from repro.runtime.crossval import (
 from repro.runtime.daemon import CheckpointDaemon
 from repro.runtime.frames import Frame, FrameCodec, FrameError
 from repro.runtime.hosted import HostedCheckpoint
-# The runtime's name for the one inventory record the orchestrator reads.
-from repro.runtime.hosted import CheckpointSummary as CheckpointInfo
 from repro.runtime.metrics import MigrationMetrics, RoundMetrics
 from repro.runtime.planner import FirstRoundPlan, plan_first_round
 from repro.runtime.shaping import ShapedStream, open_shaped_connection
@@ -33,7 +31,6 @@ from repro.runtime.source import (
 
 __all__ = [
     "CheckpointDaemon",
-    "CheckpointInfo",
     "CrossValidation",
     "FirstRoundPlan",
     "Frame",

@@ -69,7 +69,7 @@ from repro.runtime.frames import (
     TYPE_ROUND,
     TYPE_TELEMETRY,
 )
-from repro.runtime.hosted import DEFAULT_SKETCH_K, CheckpointSummary, HostedCheckpoint
+from repro.runtime.hosted import HostedCheckpoint
 from repro.runtime.persist import _WriteBehind
 from repro.runtime.shaping import ShapedStream
 from repro.runtime.sink import SinkProtocolError, _SinkSession
@@ -105,9 +105,6 @@ class CheckpointDaemon:
             :class:`~repro.storage.repository.CheckpointRepository`
             rooted there and recovered on construction — a daemon
             restart keeps every committed checkpoint.
-        max_concurrent_migrations: Advertised migration capacity for
-            the cluster control plane's admission control; the daemon
-            itself accepts any number of concurrent sessions.
         metrics_port: When set (0 for an ephemeral port), :meth:`start`
             also serves Prometheus text exposition of this daemon's
             telemetry on ``http://127.0.0.1:<port>/metrics``.
@@ -121,14 +118,12 @@ class CheckpointDaemon:
         io_timeout_s: float = 30.0,
         pagestore: Optional[PageStore] = None,
         state_dir: Optional[Path | str] = None,
-        max_concurrent_migrations: int = 2,
         metrics_port: Optional[int] = None,
     ) -> None:
         self.name = name
         self.link = link
         self.time_scale = time_scale
         self.io_timeout_s = io_timeout_s
-        self.max_concurrent_migrations = max_concurrent_migrations
         self.pagestore = pagestore or PageStore()
         repository = self.repository = (
             CheckpointRepository(state_dir) if state_dir is not None else None
@@ -347,7 +342,6 @@ class CheckpointDaemon:
             slot_digests=slot_digests,
             algorithm=algorithm,
             timestamp=timestamp,
-            last_used=timestamp,
             generation=self._generations.get(vm_id, 0) + 1,
         )
         inherits = session is not None and previous is not None and (
@@ -489,33 +483,20 @@ class CheckpointDaemon:
         hosted = self.checkpoints.get(vm_id)
         return hosted.distinct if hosted is not None else None
 
-    def hosted_checkpoints(
-        self, sketch_k: int = DEFAULT_SKETCH_K
-    ) -> List[CheckpointSummary]:
-        """Per-VM inventory, sorted by vm_id: exactly the hosted map —
-        the checkpoints a migration here can recycle.  Built from each
-        checkpoint's cached views, so between adoptions it walks no
-        image's digests and reads nothing from the repository."""
-        page_size = self.pagestore.page_size
-        return [
-            self.checkpoints[vm_id].summary(page_size, sketch_k)
-            for vm_id in sorted(self.checkpoints)
-        ]
-
-    def inventory_report(self, sketch_k: Optional[int] = None) -> dict:
-        """JSON body answering a HEARTBEAT: capacity plus the
-        :meth:`hosted_checkpoints` summaries (per-VM page counts and a
-        bottom-k similarity sketch)."""
-        k = sketch_k or DEFAULT_SKETCH_K
+    def inventory_report(self) -> dict:
+        """JSON body answering a HEARTBEAT: the open sessions and, by
+        vm_id, every hosted checkpoint's similarity sketch — exactly the
+        hosted map, the checkpoints a migration here can recycle.  Read
+        from each checkpoint's cached view, so between adoptions it
+        walks no image's digests and reads nothing from the repository."""
         return {
-            "host": self.name,
-            "port": self.port,
             "active_sessions": sum(
                 1 for s in self._sessions.values() if not s.completed
             ),
-            "max_concurrent_migrations": self.max_concurrent_migrations,
-            "sketch_k": k,
-            "checkpoints": [info.to_json() for info in self.hosted_checkpoints(k)],
+            "checkpoints": {
+                vm_id: self.checkpoints[vm_id].sketch
+                for vm_id in sorted(self.checkpoints)
+            },
         }
 
     # --- fault injection ------------------------------------------------
@@ -652,8 +633,6 @@ class CheckpointDaemon:
             preload = self._checkpoint_for(hello["vm_id"], algorithm)
             if preload is not None and preload.num_pages != num_pages:
                 preload = None
-            if preload is not None:
-                preload.last_used = time.time()
             if method.uses_dirty_tracking and preload is None:
                 raise SinkProtocolError(
                     "no-checkpoint",
@@ -770,11 +749,7 @@ class CheckpointDaemon:
         # Control-plane liveness probe: answer with the inventory
         # report — no migration session is created.
         self._count(names.DAEMON_HEARTBEATS)
-        body = self.inventory_report(
-            sketch_k=int(hello.body.get("sketch_k", 0)) or None
-        )
-        body["seq"] = hello.body.get("seq")
-        await stream.send(codec.encode_inventory(body))
+        await stream.send(codec.encode_inventory(self.inventory_report()))
 
     async def _answer_telemetry(self, stream: ShapedStream,
                                 codec: FrameCodec, hello: Frame) -> None:
@@ -949,8 +924,6 @@ class CheckpointDaemon:
         if announce_follows:
             with _span("daemon.announce", vm=session.vm_id) as announce_span:
                 hosted = self._checkpoint_for(session.vm_id, session.algorithm)
-                if hosted is not None:
-                    hosted.last_used = time.time()
                 if delta is not None:
                     generation, base_generation, added, removed = delta
                     payload = codec.encode_digest_delta(

@@ -34,17 +34,18 @@ All integers are big-endian.  Frame layouts::
                         | added × digest | removed × digest
 
 The HEARTBEAT/INVENTORY pair is the cluster control plane's liveness
-probe (:mod:`repro.orchestrator`): a controller sends HEARTBEAT
-instead of HELLO, and the daemon answers with its inventory report
-(capacity plus a digest-summary of every hosted checkpoint).
-TELEMETRY works the same way for metrics: a controller (or `vecycle
-top`) sends a TELEMETRY request frame and the daemon answers with one
-TELEMETRY frame carrying its sequence-numbered
-:class:`~repro.obs.telemetry.MetricsSnapshot`.  A connection that opens
-with either is a control channel: the daemon answers such requests on
-it until the peer hangs up or idles past the daemon's I/O timeout.  All
-three are JSON control frames and are never mixed into a migration
-session.
+probe (:mod:`repro.orchestrator`): a controller sends HEARTBEAT (body
+``{}``) instead of HELLO, and the daemon answers with its inventory
+report, the two facts placement reads: ``active_sessions`` and
+``checkpoints``, a map from each hosted VM's id to its bottom-k sketch
+(hex digests).  TELEMETRY works the same way for metrics: a controller
+(or `vecycle top`) sends a TELEMETRY request frame (body ``{}``) and
+the daemon answers with one TELEMETRY frame carrying its
+sequence-numbered :class:`~repro.obs.telemetry.MetricsSnapshot`.  The
+daemon reads neither request body.  A connection that opens with either
+is a control channel: the daemon answers such requests on it until the
+peer hangs up or idles past the daemon's I/O timeout.  All three are
+JSON control frames and are never mixed into a migration session.
 
 A round's page frames travel in bulk in both directions without
 changing a byte of the layouts above.  :meth:`FrameCodec.encode_pages`
@@ -548,7 +549,7 @@ class FrameCodec:
         return self._encode_json(TYPE_ERROR, body)
 
     def encode_heartbeat(self, body: Dict[str, Any]) -> bytes:
-        """A controller liveness probe (JSON body: controller id, seq)."""
+        """A controller liveness probe (JSON body: ``{}``)."""
         return self._encode_json(TYPE_HEARTBEAT, body)
 
     def encode_inventory(self, body: Dict[str, Any]) -> bytes:
@@ -558,8 +559,7 @@ class FrameCodec:
     def encode_telemetry(self, body: Dict[str, Any]) -> bytes:
         """A telemetry probe or its snapshot answer (JSON body).
 
-        Request bodies carry ``{"controller": ..., "seq": ...}``; the
-        reply carries a serialized
+        A request's body is ``{}``; the reply carries a serialized
         :class:`~repro.obs.telemetry.MetricsSnapshot`.
         """
         return self._encode_json(TYPE_TELEMETRY, body)

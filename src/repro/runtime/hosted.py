@@ -1,19 +1,19 @@
-"""Hosted checkpoints and the one record the cluster inventory lists.
+"""Hosted checkpoints and the sketch the cluster inventory lists.
 
 A daemon keeps a :class:`HostedCheckpoint` for every VM that left it;
-the control plane sees each one as a :class:`CheckpointSummary`: page
-counts, byte sizes and a **bottom-k sketch** (the k lexicographically
-smallest distinct digests).  A daemon cannot ship every digest on every
-heartbeat — a 4 GiB image is a million of them — and bottom-k sketches
-are a classic MinHash variant: for two digest sets A and B, the fraction
-of the k smallest elements of A ∪ B that appear in both sketches is an
-unbiased estimate of the Jaccard similarity |A ∩ B| / |A ∪ B| — exactly
-the "how much of this VM's memory does that host already hold" question
-VeCycle-aware placement asks (§2.2), at k·digest_size bytes per
-checkpoint instead of the full index.
+the control plane sees each one as a **bottom-k sketch** (the k
+lexicographically smallest distinct digests).  A daemon cannot ship
+every digest on every heartbeat — a 4 GiB image is a million of them —
+and bottom-k sketches are a classic MinHash variant: for two digest
+sets A and B, the fraction of the k smallest elements of A ∪ B that
+appear in both sketches is an unbiased estimate of the Jaccard
+similarity |A ∩ B| / |A ∪ B| — exactly the "how much of this VM's
+memory does that host already hold" question VeCycle-aware placement
+asks (§2.2), at k·digest_size bytes per checkpoint instead of the full
+index.
 
-The daemon builds the summaries (:meth:`HostedCheckpoint.summary`) and
-:mod:`repro.orchestrator.inventory` parses them: both import this
+The daemon reports each checkpoint's :attr:`HostedCheckpoint.sketch`
+and :mod:`repro.orchestrator.inventory` parses it: both import this
 module, which imports neither.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, Iterable, List
 
 from repro.core.checksum import ChecksumAlgorithm
 
@@ -47,56 +47,6 @@ def digest_sketch(
     return [d.hex() for d in heapq.nsmallest(k, set(digests))]
 
 
-@dataclass(frozen=True)
-class CheckpointSummary:
-    """One hosted checkpoint, as summarised in an INVENTORY frame.
-
-    Attributes:
-        vm_id: The checkpointed VM.
-        pages: Slots in the checkpoint image.
-        unique_pages: Distinct page contents (post-dedup).
-        stored_bytes: Bytes the distinct contents occupy
-            (``unique_pages × page_size``).
-        timestamp: When the checkpoint was taken.
-        last_used: Last time the checkpoint served a migration (adopt,
-            announce, or session preload); equals ``timestamp`` until
-            first use.
-        sketch: Bottom-k sketch of the distinct digests.
-    """
-
-    vm_id: str
-    pages: int
-    unique_pages: int
-    stored_bytes: int
-    timestamp: float
-    last_used: float
-    sketch: Tuple[str, ...]
-
-    @classmethod
-    def from_json(cls, body: dict) -> "CheckpointSummary":
-        return cls(
-            vm_id=str(body["vm_id"]),
-            pages=int(body["pages"]),
-            unique_pages=int(body["unique_pages"]),
-            stored_bytes=int(body["stored_bytes"]),
-            timestamp=float(body.get("timestamp", 0.0)),
-            last_used=float(body.get("last_used", 0.0)),
-            sketch=tuple(body.get("sketch", ())),
-        )
-
-    def to_json(self) -> dict:
-        """JSON-compatible dict for the INVENTORY frame body."""
-        return {
-            "vm_id": self.vm_id,
-            "pages": self.pages,
-            "unique_pages": self.unique_pages,
-            "stored_bytes": self.stored_bytes,
-            "timestamp": self.timestamp,
-            "last_used": self.last_used,
-            "sketch": list(self.sketch),
-        }
-
-
 @dataclass
 class HostedCheckpoint:
     """A checkpoint as the daemon stores it: per-slot page checksums.
@@ -115,13 +65,9 @@ class HostedCheckpoint:
     """What named the slots: a migration hashing with another algorithm
     finds nothing to recycle here (:meth:`CheckpointDaemon._checkpoint_for`)."""
     timestamp: float = field(default=0.0, compare=False)
-    last_used: float = field(default=0.0, compare=False)
     generation: int = field(default=0, compare=False)
     """Monotonic per-VM adoption counter; lets a returning source prove
     its remembered digest set is current (or get a delta against it)."""
-    _sketches: Dict[int, Tuple[str, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def num_pages(self) -> int:
@@ -130,7 +76,7 @@ class HostedCheckpoint:
     @cached_property
     def distinct(self) -> FrozenSet[bytes]:
         """The distinct checksums — the one walk over ``slot_digests``
-        the sketches and the delta history are derived from."""
+        the sketch and the delta history are derived from."""
         return frozenset(self.slot_digests)
 
     @cached_property
@@ -140,31 +86,15 @@ class HostedCheckpoint:
         order serves; this one costs no sort."""
         return list(dict.fromkeys(self.slot_digests))
 
+    @cached_property
+    def sketch(self) -> List[str]:
+        """Bottom-:data:`DEFAULT_SKETCH_K` similarity sketch of
+        :attr:`distinct` — what an INVENTORY reports for this VM."""
+        return digest_sketch(self.distinct)
+
     def inherit_views(self, previous: "HostedCheckpoint") -> None:
         """Take over the views ``previous`` already derived; it must have
         the same slot digests (an unchanged image adopted over itself)."""
-        for view in ("distinct", "announce_digests"):
+        for view in ("distinct", "announce_digests", "sketch"):
             if view in previous.__dict__:
                 self.__dict__[view] = previous.__dict__[view]
-        self._sketches.update(previous._sketches)
-
-    def sketch(self, k: int) -> Tuple[str, ...]:
-        """Bottom-``k`` similarity sketch of :attr:`distinct` (once per ``k``)."""
-        sketch = self._sketches.get(k)
-        if sketch is None:
-            sketch = self._sketches[k] = tuple(digest_sketch(self.distinct, k=k))
-        return sketch
-
-    def summary(self, page_size: int, k: int = DEFAULT_SKETCH_K) -> CheckpointSummary:
-        """The inventory record, from the cached views: no digest walk
-        once :attr:`distinct` and the ``k`` sketch exist."""
-        unique = len(self.distinct)
-        return CheckpointSummary(
-            vm_id=self.vm_id,
-            pages=self.num_pages,
-            unique_pages=unique,
-            stored_bytes=unique * page_size,
-            timestamp=self.timestamp,
-            last_used=self.last_used or self.timestamp,
-            sketch=self.sketch(k),
-        )

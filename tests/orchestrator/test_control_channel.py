@@ -210,7 +210,7 @@ def test_a_hello_after_a_heartbeat_is_a_protocol_error():
         async with CheckpointDaemon(name="a") as daemon:
             reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
             try:
-                writer.write(codec.encode_heartbeat({"controller": "t", "seq": 1}))
+                writer.write(codec.encode_heartbeat({}))
                 await writer.drain()
                 inventory = await codec.read_frame(reader.readexactly)
                 writer.write(hello)

@@ -193,19 +193,13 @@ def test_heartbeats_between_adoptions_recompute_nothing(monkeypatch):
         async with Fleet() as fleet:
             counts = Counts(monkeypatch, fleet)
             _, daemon = await fleet.hop()
-            k = fleet.registry.sketch_k
             counts.reset()
             await fleet.registry.poll_all()
-            first = daemon.inventory_report(sketch_k=k)
+            first = daemon.inventory_report()
             assert counts.sketches == 1  # the checkpoint the hop just adopted
             await fleet.registry.poll_all()
             assert counts.sketches == 1
-            assert daemon.inventory_report(sketch_k=k) == first
-            # A different k is a different sketch, also computed once.
-            other = daemon.inventory_report(sketch_k=8)
-            assert counts.sketches == 1 + len(first["checkpoints"])
-            assert daemon.inventory_report(sketch_k=8) == other
-            assert counts.sketches == 1 + len(first["checkpoints"])
+            assert daemon.inventory_report() == first
 
     asyncio.run(main())
 
@@ -220,17 +214,12 @@ def test_a_heartbeat_after_an_adoption_reports_the_new_image():
             }
             vm_id, daemon = await fleet.hop()
             record = await fleet.registry.poll(daemon.name)
-            summary = record.inventory.checkpoint_for(vm_id)
+            sketch = record.inventory.checkpoints[vm_id]
             digests = fleet.store.digests_for(fleet.images[vm_id])
-            assert summary.unique_pages == len(set(digests))
-            assert list(summary.sketch) == sorted(d.hex() for d in set(digests))[
-                : fleet.registry.sketch_k
+            assert list(sketch) == sorted(d.hex() for d in set(digests))[
+                : hosted.DEFAULT_SKETCH_K
             ]
-            old = next(
-                entry for entry in before[daemon.name]["checkpoints"]
-                if entry["vm_id"] == vm_id
-            )
-            assert list(summary.sketch) != old["sketch"]
+            assert list(sketch) != before[daemon.name]["checkpoints"][vm_id]
             # The view is the adopted generation's, not a stale object's.
             assert daemon.checkpoint_digests(vm_id) == frozenset(digests)
             assert daemon.checkpoints[vm_id].announce_digests == list(

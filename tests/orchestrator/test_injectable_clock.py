@@ -1,14 +1,14 @@
-"""Pinned regressions: orchestrator wallclock is an injected dependency.
+"""Pinned regressions: the telemetry aggregator's wallclock is injected.
 
-Found by ``vecycle lint``'s determinism rule: ``ClusterRegistry`` and
-``TelemetryAggregator`` read ``time.time()`` directly, so chaos-soak
-replays of heartbeat/telemetry loss produced timestamps that differed
-run to run.  Both now take a ``clock`` callable (default wallclock);
-these tests pin that the injected clock is the only time source behind
-``last_seen``, series samples, and dashboard ages.
+Found by ``vecycle lint``'s determinism rule: ``TelemetryAggregator``
+read ``time.time()`` directly, so chaos-soak replays of telemetry loss
+produced timestamps that differed run to run.  It now takes a ``clock``
+callable (default wallclock); these tests pin that the injected clock
+is the only time source behind series samples and dashboard ages.
 """
 
 import asyncio
+import time
 
 from repro.orchestrator.registry import ClusterRegistry
 from repro.orchestrator.telemetry import TelemetryAggregator
@@ -24,21 +24,6 @@ class _TickClock:
     def __call__(self) -> float:
         self.now += 1.0
         return self.now
-
-
-def test_registry_last_seen_comes_from_injected_clock():
-    clock = _TickClock(start=500.0)
-
-    async def scenario():
-        registry = ClusterRegistry(clock=clock)
-        async with CheckpointDaemon(name="a") as daemon:
-            registry.register("a", daemon.host, daemon.port)
-            record = await registry.poll("a")
-            return record.alive, record.last_seen
-
-    alive, last_seen = asyncio.run(scenario())
-    assert alive
-    assert last_seen == 501.0  # first (and only) clock reading
 
 
 def test_aggregator_sample_and_dashboard_use_injected_clock():
@@ -66,9 +51,5 @@ def test_aggregator_sample_and_dashboard_use_injected_clock():
 
 def test_default_clock_is_wallclock():
     # The default stays time.time so operator-facing ages remain real.
-    registry = ClusterRegistry()
-    aggregator = TelemetryAggregator(registry)
-    import time
-
-    assert registry._clock is time.time
+    aggregator = TelemetryAggregator(ClusterRegistry())
     assert aggregator._clock is time.time

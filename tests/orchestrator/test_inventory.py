@@ -1,15 +1,20 @@
 """Inventory data model: sketches, JSON round trips, the cluster view."""
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.fingerprint import Fingerprint
 from repro.orchestrator.inventory import (
-    CheckpointSummary,
     ClusterView,
     HostInventory,
     digest_sketch,
     sketch_similarity,
 )
+from repro.runtime import CheckpointDaemon
+from repro.runtime.frames import FrameError
 
 
 def digests_of(ids):
@@ -84,79 +89,41 @@ class TestSketchSimilarity:
 
 
 class TestJsonRoundTrip:
-    def test_checkpoint_summary_round_trips(self):
-        summary = CheckpointSummary(
-            vm_id="vm-a",
-            pages=2048,
-            unique_pages=1900,
-            stored_bytes=1900 * 4096,
-            timestamp=12.5,
-            last_used=99.0,
-            sketch=("aa", "bb"),
-        )
-        assert CheckpointSummary.from_json(summary.to_json()) == summary
-
     def test_host_inventory_from_report(self):
-        body = {
-            "host": "host-a",
-            "port": 1234,
-            "active_sessions": 1,
-            "max_concurrent_migrations": 3,
-            "seq": 7,
-            "checkpoints": [
-                {
-                    "vm_id": "vm-a",
-                    "pages": 10,
-                    "unique_pages": 9,
-                    "stored_bytes": 9 * 4096,
-                    "sketch": ["aa"],
-                }
-            ],
-        }
+        daemon = CheckpointDaemon()
+        daemon.install_checkpoint(
+            "vm-a", Fingerprint(hashes=np.arange(1, 9, dtype=np.uint64))
+        )
+        body = json.loads(json.dumps(daemon.inventory_report()))
         inventory = HostInventory.from_report(body)
-        assert inventory.host == "host-a"
-        assert inventory.seq == 7
-        assert inventory.max_concurrent_migrations == 3
-        assert inventory.checkpoint_for("vm-a").pages == 10
-        assert inventory.checkpoint_for("nope") is None
-        assert inventory.stored_bytes == 9 * 4096
+        assert inventory.active_sessions == 0
+        assert inventory.checkpoints == {
+            "vm-a": tuple(daemon.checkpoints["vm-a"].sketch)
+        }
+        assert len(inventory.checkpoints["vm-a"]) == 8
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            [],
+            {"checkpoints": {}},
+            {"active_sessions": "busy", "checkpoints": {}},
+            {"active_sessions": True, "checkpoints": {}},
+            {"active_sessions": 0},
+            {"active_sessions": 0, "checkpoints": [{"sketch": ["aa"]}]},
+            {"active_sessions": 0, "checkpoints": {"vm": "aa"}},
+            {"active_sessions": 0, "checkpoints": {"vm": [1, 2]}},
+        ],
+    )
+    def test_a_misshapen_report_is_a_frame_error(self, body):
+        with pytest.raises(FrameError):
+            HostInventory.from_report(body)
 
 
 class TestClusterView:
-    def build_view(self):
-        def inv(host, vms):
-            return HostInventory(
-                host=host,
-                port=0,
-                active_sessions=0,
-                max_concurrent_migrations=2,
-                checkpoints={
-                    vm: CheckpointSummary(
-                        vm_id=vm,
-                        pages=1,
-                        unique_pages=1,
-                        stored_bytes=4096,
-                        timestamp=0.0,
-                        last_used=0.0,
-                        sketch=(),
-                    )
-                    for vm in vms
-                },
-            )
-
-        return ClusterView(
-            inventories={
-                "b": inv("b", ["vm-1"]),
-                "a": inv("a", ["vm-1", "vm-2"]),
-            }
-        )
-
     def test_hosts_sorted(self):
-        assert self.build_view().hosts() == ["a", "b"]
-
-    def test_checkpoints_for_finds_every_holder(self):
-        view = self.build_view()
-        assert sorted(view.checkpoints_for("vm-1")) == ["a", "b"]
-        assert list(view.checkpoints_for("vm-2")) == ["a"]
-        assert view.checkpoints_for("vm-3") == {}
-        assert view.total_checkpoints == 3
+        b = HostInventory(active_sessions=0, checkpoints={"vm-1": ()})
+        view = ClusterView(inventories={"b": b, "a": HostInventory(1, {})})
+        assert view.hosts() == ["a", "b"]
+        assert view.get("b") is b
+        assert view.get("c") is None

@@ -11,6 +11,7 @@ from repro.core.strategies import QEMU
 from repro.mem.pagestore import PageStore
 from repro.obs.metrics import get_registry
 from repro.orchestrator import (
+    DEFAULT_SKETCH_K,
     BestCheckpoint,
     ClusterRegistry,
     MigrationExecutor,
@@ -57,20 +58,20 @@ class TestRegistryHeartbeat:
     def test_heartbeat_reports_capacity_and_checkpoints(self):
         async def main():
             pagestore = PageStore()
-            async with CheckpointDaemon(
-                name="a", pagestore=pagestore, max_concurrent_migrations=3
-            ) as daemon:
+            async with CheckpointDaemon(name="a", pagestore=pagestore) as daemon:
                 daemon.install_checkpoint("vm", Fingerprint(hashes=build_hashes()))
-                registry = ClusterRegistry(sketch_k=16)
+                registry = ClusterRegistry()
                 registry.register("a", daemon.host, daemon.port)
                 record = await registry.poll("a")
+                await registry.close()
                 assert record.alive
                 inventory = record.inventory
-                assert inventory.max_concurrent_migrations == 3
                 assert inventory.active_sessions == 0
-                summary = inventory.checkpoint_for("vm")
-                assert summary.pages == N
-                assert 0 < len(summary.sketch) <= 16
+                assert list(inventory.checkpoints) == ["vm"]
+                assert inventory.checkpoints["vm"] == tuple(
+                    daemon.checkpoints["vm"].sketch
+                )
+                assert len(inventory.checkpoints["vm"]) == DEFAULT_SKETCH_K
                 assert registry.view().hosts() == ["a"]
 
         asyncio.run(main())
@@ -107,7 +108,7 @@ class TestRegistryHeartbeat:
             await first.start()
             first.install_checkpoint("vm", Fingerprint(hashes=hashes))
             registry.register("a", first.host, first.port)
-            before = (await registry.poll("a")).inventory.checkpoint_for("vm")
+            before = (await registry.poll("a")).inventory.checkpoints["vm"]
             await first.stop()
             # Restart from the durable state_dir; re-register the new
             # address; the inventory (digests and all) is back.
@@ -115,10 +116,8 @@ class TestRegistryHeartbeat:
             await reborn.start()
             try:
                 registry.register("a", reborn.host, reborn.port)
-                after = (await registry.poll("a")).inventory.checkpoint_for("vm")
-                assert after is not None
-                assert after.sketch == before.sketch
-                assert after.pages == before.pages
+                after = (await registry.poll("a")).inventory.checkpoints.get("vm")
+                assert after == before
             finally:
                 await reborn.stop()
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.orchestrator.inventory import (
-    CheckpointSummary,
     ClusterView,
     HostInventory,
     digest_sketch,
@@ -23,32 +22,17 @@ def sketch_of(ids):
     return tuple(digest_sketch([bytes([i % 256, i // 256]) * 8 for i in ids]))
 
 
-def summary(vm_id, ids):
-    return CheckpointSummary(
-        vm_id=vm_id,
-        pages=len(ids),
-        unique_pages=len(set(ids)),
-        stored_bytes=len(set(ids)) * 4096,
-        timestamp=0.0,
-        last_used=0.0,
-        sketch=sketch_of(ids),
-    )
-
-
 def view_of(hosts):
     """hosts: name → (active_sessions, {vm_id: page-id list})."""
-    inventories = {}
-    for name, (busy, checkpoints) in hosts.items():
-        inventories[name] = HostInventory(
-            host=name,
-            port=0,
-            active_sessions=busy,
-            max_concurrent_migrations=2,
-            checkpoints={
-                vm: summary(vm, ids) for vm, ids in checkpoints.items()
-            },
-        )
-    return ClusterView(inventories=inventories)
+    return ClusterView(
+        inventories={
+            name: HostInventory(
+                active_sessions=busy,
+                checkpoints={vm: sketch_of(ids) for vm, ids in checkpoints.items()},
+            )
+            for name, (busy, checkpoints) in hosts.items()
+        }
+    )
 
 
 CURRENT = list(range(0, 64))

@@ -125,7 +125,7 @@ class TestReferencesMoved:
             async with CheckpointDaemon(pagestore=PageStore()) as daemon:
                 first = daemon.install_checkpoint(scenario.vm_id, scenario.checkpoint)
                 announce = first.announce_digests
-                sketch = first.sketch(16)
+                sketch = first.sketch
                 await source_for(scenario, store).migrate(daemon.host, daemon.port)
                 second = daemon.checkpoints[scenario.vm_id]
                 return first, second, announce, sketch
@@ -135,7 +135,7 @@ class TestReferencesMoved:
         assert second.slot_digests == first.slot_digests
         assert second.distinct is first.distinct
         assert second.announce_digests is announce
-        assert second.sketch(16) is sketch
+        assert second.sketch is sketch
 
 
 def replace_by_drop(daemon, scenario, _store):

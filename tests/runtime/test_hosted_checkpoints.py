@@ -1,30 +1,17 @@
 """Daemon checkpoint inventory: exactly the hosted map, served from memory."""
 
-import asyncio
 import os
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.core.fingerprint import Fingerprint
-from repro.core.strategies import VECYCLE_DEDUP
 from repro.mem.pagestore import PageStore
 from repro.orchestrator.inventory import digest_sketch
-from repro.runtime import (
-    CheckpointDaemon,
-    MigrationSource,
-    RetryPolicy,
-    RuntimeConfig,
-    SourceState,
-)
+from repro.runtime import CheckpointDaemon
 from repro.storage.repository import CheckpointManifest, CheckpointRepository
 
 N = 64
-FAST = RuntimeConfig(
-    io_timeout_s=5.0,
-    connect_timeout_s=5.0,
-    retry=RetryPolicy(max_attempts=3, base_backoff_s=0.01, max_backoff_s=0.05),
-    time_scale=0.0,
-)
 
 
 def fingerprint(seed=3, distinct=32):
@@ -37,16 +24,11 @@ def fingerprint(seed=3, distinct=32):
 
 def test_live_only_checkpoint_is_resident():
     daemon = CheckpointDaemon()
-    fp = fingerprint()
-    daemon.install_checkpoint("vm-live", fp)
-    infos = daemon.hosted_checkpoints()
-    assert [info.vm_id for info in infos] == ["vm-live"]
-    info = infos[0]
-    assert info.pages == N
-    assert info.unique_pages == len(np.unique(fp.hashes))
-    assert info.stored_bytes == info.unique_pages * daemon.pagestore.page_size
-    assert info.last_used == info.timestamp
-    assert list(info.sketch) == digest_sketch(daemon.checkpoints["vm-live"].distinct)
+    daemon.install_checkpoint("vm-live", fingerprint())
+    report = daemon.inventory_report()
+    assert report["checkpoints"] == {
+        "vm-live": digest_sketch(daemon.checkpoints["vm-live"].distinct)
+    }
 
 
 def test_inventory_lists_exactly_the_hosted_map(tmp_path):
@@ -64,15 +46,8 @@ def test_inventory_lists_exactly_the_hosted_map(tmp_path):
     )
     other.commit_checkpoint(CheckpointManifest(vm_id="vm-cold", slot_digests=digests))
     other.close()
-    infos = daemon.hosted_checkpoints()
-    assert [info.vm_id for info in infos] == sorted(daemon.checkpoints) == ["vm-a", "vm-b"]
-    for info in infos:
-        hosted = daemon.checkpoints[info.vm_id]
-        # Every record is on disk, so unique pages × page size is what
-        # the durable records hold.
-        assert info.stored_bytes == len(hosted.distinct) * store.page_size
     report = daemon.inventory_report()
-    assert [entry["vm_id"] for entry in report["checkpoints"]] == ["vm-a", "vm-b"]
+    assert list(report["checkpoints"]) == sorted(daemon.checkpoints) == ["vm-a", "vm-b"]
     daemon.repository.close()
 
 
@@ -99,52 +74,28 @@ def test_durable_heartbeat_reads_no_manifest_and_no_pack(tmp_path, monkeypatch):
         patch.setattr(os, "pread", refuse("os.pread"))
         patch.setattr(os, "listdir", refuse("os.listdir"))
         patch.setattr(os, "scandir", refuse("os.scandir"))
-        first = daemon.inventory_report(sketch_k=8)
-        assert daemon.inventory_report(sketch_k=8) == first
+        first = daemon.inventory_report()
+        assert daemon.inventory_report() == first
     assert touched == []
     daemon.repository = repository
-    assert [entry["vm_id"] for entry in first["checkpoints"]] == [
-        f"vm-{index}" for index in range(4)
-    ]
-    for entry in first["checkpoints"]:
-        assert entry["sketch"] == digest_sketch(
-            daemon.checkpoints[entry["vm_id"]].slot_digests, k=8
-        )
+    assert first["checkpoints"] == {
+        f"vm-{index}": digest_sketch(daemon.checkpoints[f"vm-{index}"].slot_digests)
+        for index in range(4)
+    }
     repository.close()
 
 
-def test_last_used_advances_when_checkpoint_is_recycled():
-    async def main():
-        pagestore = PageStore()
-        async with CheckpointDaemon(pagestore=pagestore) as daemon:
-            fp = fingerprint()
-            daemon.install_checkpoint("vm", fp)
-            before = daemon.hosted_checkpoints()[0]
-            assert before.last_used == fp.timestamp
-            source = MigrationSource(
-                SourceState("vm", fp.hashes, pagestore),
-                VECYCLE_DEDUP,
-                config=FAST,
-            )
-            metrics = await source.migrate(daemon.host, daemon.port)
-            assert metrics.outcome == "completed"
-            after = daemon.hosted_checkpoints()[0]
-            assert after.last_used > before.last_used
-
-    asyncio.run(main())
-
-
 def test_inventory_report_carries_capacity_and_sketches():
-    daemon = CheckpointDaemon(name="inv-host", max_concurrent_migrations=5)
+    daemon = CheckpointDaemon(name="inv-host")
     daemon.install_checkpoint("vm", fingerprint())
-    report = daemon.inventory_report(sketch_k=8)
-    assert report["host"] == "inv-host"
-    assert report["active_sessions"] == 0
-    assert report["max_concurrent_migrations"] == 5
-    assert report["sketch_k"] == 8
-    (entry,) = report["checkpoints"]
-    assert entry["vm_id"] == "vm"
-    assert entry["pages"] == N
-    assert "resident" not in entry
-    assert 0 < len(entry["sketch"]) <= 8
-    assert entry["sketch"] == sorted(entry["sketch"])
+    # The load placement reads: sessions still in progress, not the
+    # completed ones kept for RESULT replay.
+    for session_id, completed in (("live", False), ("done", True)):
+        daemon._sessions[session_id] = SimpleNamespace(completed=completed)
+    report = daemon.inventory_report()
+    assert report == {
+        "active_sessions": 1,
+        "checkpoints": {"vm": digest_sketch(daemon.checkpoints["vm"].distinct)},
+    }
+    (sketch,) = report["checkpoints"].values()
+    assert 0 < len(sketch) <= 32 and sketch == sorted(sketch)
