@@ -46,7 +46,7 @@ runtime-demo:
 	python -m repro runtime --size-mib 16 --strategy vecycle --inject-disconnect 100
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; python $$f; done
+	set -e; for f in examples/*.py; do echo "== $$f"; python $$f; done
 
 clean:
 	rm -rf benchmarks/.trace-cache .pytest_cache

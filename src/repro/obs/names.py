@@ -154,11 +154,9 @@ CLUSTER_MIGRATIONS = CounterName(
 CLUSTER_TX_BYTES = CounterName(
     "cluster.tx_bytes", "Bytes moved by the analytic cluster simulator.")
 # --- checkpoint daemon --------------------------------------------------
-DAEMON_ANNOUNCE_DELTA = CounterName(
-    "daemon.announce.delta",
-    "Announces answered with a DIGEST_DELTA manifest.")
 DAEMON_ANNOUNCE_FULL = CounterName(
-    "daemon.announce.full", "Announces answered with the full digest set.")
+    "daemon.announce.full",
+    "Announces sent in full; every other one is skipped.")
 DAEMON_ANNOUNCE_SKIPPED = CounterName(
     "daemon.announce.skipped",
     "Announces skipped: source already knows the current generation.")
@@ -241,10 +239,6 @@ ENGINE_ROUND_SECONDS = HistogramName(
     ROUND_SECONDS_BUCKETS)
 ENGINE_TX_BYTES = CounterName(
     "engine.tx_bytes", "Total bytes moved by the analytic engine.")
-# --- delta manifests ----------------------------------------------------
-MANIFEST_DELTA_RATIO = HistogramName(
-    "manifest.delta_ratio",
-    "Delta-manifest size relative to the full announce.", SCORE_BUCKETS)
 # --- orchestrator -------------------------------------------------------
 ORCHESTRATOR_CROSSVAL_MIGRATIONS = CounterName(
     "orchestrator.crossval.migrations",

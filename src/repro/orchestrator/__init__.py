@@ -38,7 +38,7 @@ from repro.orchestrator.executor import (
     MigrationOutcome,
 )
 from repro.orchestrator.inventory import (
-    DEFAULT_SKETCH_K,
+    SKETCH_K,
     ClusterView,
     HostInventory,
     digest_sketch,
@@ -64,7 +64,6 @@ __all__ = [
     "ClusterRegistry",
     "ClusterView",
     "CycleAware",
-    "DEFAULT_SKETCH_K",
     "DestinationSwap",
     "HostInventory",
     "HostRecord",
@@ -77,6 +76,7 @@ __all__ = [
     "PlacementError",
     "PlacementPolicy",
     "PlacementRequest",
+    "SKETCH_K",
     "TelemetryAggregator",
     "available_policies",
     "digest_sketch",

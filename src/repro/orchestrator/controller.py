@@ -73,8 +73,8 @@ class Orchestrator:
         # What each (vm, destination) pair's checkpoint looked like the
         # last time we migrated there: the generation number plus its
         # distinct digest set.  Seeding the next source with it earns a
-        # verified announce skip (generation still current) or a
-        # DIGEST_DELTA manifest (O(churn) instead of O(VM size)).
+        # verified announce skip while that generation is still current;
+        # once it is not, the destination sends the full announce.
         self._checkpoint_knowledge: Dict[
             Tuple[str, str], Tuple[int, FrozenSet[bytes]]
         ] = {}

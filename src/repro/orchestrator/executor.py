@@ -61,7 +61,7 @@ class MigrationOutcome:
     checkpoint_generation: Optional[int] = None
     """The destination checkpoint generation the migrated image became
     (from the RESULT frame); what the orchestrator remembers to earn an
-    announce skip or a DIGEST_DELTA manifest next time."""
+    announce skip next time."""
 
     @property
     def attempts(self) -> int:

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.frames import FrameError
-from repro.runtime.hosted import DEFAULT_SKETCH_K, digest_sketch
+from repro.runtime.hosted import SKETCH_K, digest_sketch
 
 __all__ = [
-    "DEFAULT_SKETCH_K",
     "ClusterView",
     "HostInventory",
+    "SKETCH_K",
     "digest_sketch",
     "sketch_similarity",
 ]

@@ -37,7 +37,7 @@ import asyncio
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -80,12 +80,6 @@ _MAX_RETAINED_SESSIONS = 64
 """Soft cap on retained sessions: completed ones are evicted oldest
 first; *live* sessions are never evicted (the reconnect/resume
 guarantee), so the dict may grow past this under extreme concurrency."""
-
-_MAX_DELTA_HISTORY = 4
-"""Checkpoint generations per VM whose distinct digest sets are kept
-in memory for delta-manifest computation.  History is deliberately
-*not* persisted: after a restart the daemon cannot prove what changed
-since an older generation, so it falls back to the full announce."""
 
 
 class CheckpointDaemon:
@@ -147,10 +141,9 @@ class CheckpointDaemon:
             spill=self._persist.defer if self._persist is not None else None,
         )
         self.checkpoints: Dict[str, HostedCheckpoint] = {}
-        # Per-VM checkpoint generation counters and the recent distinct
-        # digest set per generation (for DIGEST_DELTA manifests).
+        # Per-VM checkpoint generation counters: a source that names the
+        # current one in HELLO skips the announce.
         self._generations: Dict[str, int] = {}
-        self._delta_history: Dict[str, "OrderedDict[int, FrozenSet[bytes]]"] = {}
         self._sessions: "OrderedDict[str, _SinkSession]" = OrderedDict()
         self._server: Optional[asyncio.AbstractServer] = None
         self._handlers: Set[asyncio.Task] = set()
@@ -190,9 +183,7 @@ class CheckpointDaemon:
                 timestamp=manifest.timestamp,
                 generation=manifest.generation,
             )
-            # Generations resume where the manifest left off, but the
-            # delta history does not survive a restart: the next visitor
-            # with an older base generation gets the full announce.
+            # Generations resume where the manifest left off.
             self._generations[manifest.vm_id] = manifest.generation
         for session_id, payload in report.sessions.items():
             self._sessions[session_id] = _SinkSession.restore(
@@ -325,11 +316,10 @@ class CheckpointDaemon:
         COMPLETE hands over the ones it owns and, over its own base, the
         base's for every slot it did not rewrite.  Sessions still
         borrowing the replaced checkpoint retain what they borrowed, the
-        replaced checkpoint's remaining references are released, the
-        VM's generation counter is bumped and the distinct digest set
-        enters the bounded delta history that powers DIGEST_DELTA
-        manifests.  An image adopted unchanged over its base keeps the
-        base's derived views and moves no reference.
+        replaced checkpoint's remaining references are released and the
+        VM's generation counter is bumped.  An image adopted unchanged
+        over its base keeps the base's derived views and moves no
+        reference.
         """
         if timestamp is None:
             timestamp = time.time()
@@ -376,10 +366,6 @@ class CheckpointDaemon:
             released = previous.slot_digests if previous is not None else []
         self.checkpoints[vm_id] = hosted
         self._generations[vm_id] = hosted.generation
-        history = self._delta_history.setdefault(vm_id, OrderedDict())
-        history[hosted.generation] = hosted.distinct
-        while len(history) > _MAX_DELTA_HISTORY:
-            history.popitem(last=False)
         self.store.release_many(released)
         return hosted
 
@@ -418,14 +404,10 @@ class CheckpointDaemon:
         hosted = self.checkpoints.pop(vm_id, None)
         if hosted is None:
             return 0
-        # The delta history must not outlive the checkpoint: a later
-        # DIGEST_DELTA computed against a dropped generation would
-        # describe state this daemon no longer hosts.  The *generation
-        # counter* deliberately survives — restarting at 1 after a
-        # re-adoption would let a stale source claim an old generation
-        # number against a different digest set and earn a bogus
-        # verified skip.
-        self._delta_history.pop(vm_id, None)
+        # The generation counter deliberately survives — restarting at 1
+        # after a re-adoption would let a stale source claim an old
+        # generation number against a different digest set and earn a
+        # bogus verified skip.
         self._unborrow(hosted)
         freed = self.store.release_many(hosted.slot_digests)
         if self.repository is not None:
@@ -605,17 +587,35 @@ class CheckpointDaemon:
             )
 
     def _session_for(self, hello: dict) -> Tuple[_SinkSession, FrameCodec]:
+        """The session a HELLO opens or resumes, once its fields check out.
+
+        Every field is validated here, before anything reads it: a
+        malformed HELLO is answered with ERROR ``bad-hello``, never with
+        an exception out of the handler (which the source would see as
+        a dropped link and retry).
+        """
         for key in ("session", "vm_id", "num_pages", "mode", "page_size",
                     "digest_size", "algorithm"):
             if key not in hello:
                 raise SinkProtocolError("bad-hello", f"missing field {key!r}")
+        for key in ("num_pages", "page_size", "digest_size", "base_generation"):
+            value = hello.get(key, 0)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise SinkProtocolError(
+                    "bad-hello", f"{key} must be a non-negative integer, got {value!r}"
+                )
         try:
             method = Method(hello["mode"])
         except ValueError:
             raise SinkProtocolError(
                 "bad-mode", f"unknown transfer method {hello['mode']!r}"
             ) from None
-        algorithm = get_algorithm(hello["algorithm"])
+        try:
+            algorithm = get_algorithm(hello["algorithm"])
+        except (KeyError, TypeError):
+            raise SinkProtocolError(
+                "bad-hello", f"unknown checksum algorithm {hello['algorithm']!r}"
+            ) from None
         if algorithm.digest_size != hello["digest_size"]:
             raise SinkProtocolError(
                 "bad-hello",
@@ -623,13 +623,12 @@ class CheckpointDaemon:
                 f"{algorithm.name}",
             )
         wire = WireFormat(
-            page_size=int(hello["page_size"]),
-            checksum_bytes=int(hello["digest_size"]),
+            page_size=hello["page_size"], checksum_bytes=hello["digest_size"]
         )
         codec = FrameCodec(wire)
         session = self._sessions.get(hello["session"])
         if session is None:
-            num_pages = int(hello["num_pages"])
+            num_pages = hello["num_pages"]
             preload = self._checkpoint_for(hello["vm_id"], algorithm)
             if preload is not None and preload.num_pages != num_pages:
                 preload = None
@@ -648,7 +647,7 @@ class CheckpointDaemon:
                 store=self.store,
                 preload=preload,
             )
-            session.page_size = int(hello["page_size"])
+            session.page_size = hello["page_size"]
             self._sessions[hello["session"]] = session
             self._prune_sessions()
         return session, codec
@@ -700,49 +699,25 @@ class CheckpointDaemon:
             if self.repository is not None:
                 self.repository.drop_session(victim_id)
 
-    def _plan_announce(
-        self, session: _SinkSession, hello_body: dict
-    ) -> Tuple[bool, Optional[Tuple[int, int, List[bytes], List[bytes]]]]:
-        """Decide the checksum-manifest shape for this HELLO.
-
-        Returns ``(announce_follows, delta)``; ``delta`` is
-        ``(generation, base_generation, added, removed)`` when a
-        DIGEST_DELTA frame should be sent instead of the full ANNOUNCE.
+    def _plan_announce(self, session: _SinkSession, hello_body: dict) -> bool:
+        """Whether the full ANNOUNCE follows READY for this HELLO.
 
         A source claims to know the checkpoint by naming the generation
         it knows in ``base_generation``; every skip is verified against
         it (any other HELLO field, ``announce_known`` included, is
-        ignored):
-
-        * no ``base_generation`` → full ANNOUNCE;
-        * ``base_generation`` equal to the hosted checkpoint's current
-          generation → verified skip;
-        * ``base_generation`` found in the in-memory delta history →
-          DIGEST_DELTA with exactly what changed since then;
-        * anything else (stale generation, post-restart history loss,
-          no hosted checkpoint of the session's algorithm) → full
-          ANNOUNCE fallback.
+        ignored).  The announce is skipped only when that is the hosted
+        checkpoint's current generation — the §3.3 ping-pong shortcut.
+        Any other claim (one behind, evicted, future, after a restart,
+        none at all, or no hosted checkpoint of the session's algorithm)
+        gets the full ANNOUNCE, which replaces what the source knew.
         """
         if not session.method.uses_hashes or session.announce_acked:
-            return False, None
-        base_generation = hello_body.get("base_generation")
+            return False
         hosted = self._checkpoint_for(session.vm_id, session.algorithm)
-        if base_generation is None or hosted is None:
-            return True, None
-        base_generation = int(base_generation)
-        if base_generation == hosted.generation:
+        if hosted is not None and hello_body.get("base_generation") == hosted.generation:
             self._count(names.DAEMON_ANNOUNCE_SKIPPED)
-            return False, None
-        base = self._delta_history.get(session.vm_id, {}).get(base_generation)
-        if base is not None and hosted.generation > base_generation:
-            current = hosted.distinct
-            return True, (
-                hosted.generation,
-                base_generation,
-                sorted(current - base),
-                sorted(base - current),
-            )
-        return True, None
+            return False
+        return True
 
     async def _answer_heartbeat(self, stream: ShapedStream,
                                 codec: FrameCodec, hello: Frame) -> None:
@@ -914,7 +889,7 @@ class CheckpointDaemon:
             await stream.send(codec.encode_result(session.result))
             return
 
-        announce_follows, delta = self._plan_announce(session, hello.body)
+        announce_follows = self._plan_announce(session, hello.body)
         await self._send_ready(
             stream,
             codec.encode_ready(
@@ -924,33 +899,11 @@ class CheckpointDaemon:
         if announce_follows:
             with _span("daemon.announce", vm=session.vm_id) as announce_span:
                 hosted = self._checkpoint_for(session.vm_id, session.algorithm)
-                if delta is not None:
-                    generation, base_generation, added, removed = delta
-                    payload = codec.encode_digest_delta(
-                        generation, base_generation, added, removed
-                    )
-                    full_bytes = codec.wire.announce_frame_bytes(len(hosted.distinct))
-                    await stream.send(payload)
-                    announce_span.set(
-                        delta=True,
-                        added=len(added),
-                        removed=len(removed),
-                        generation=generation,
-                    )
-                    self._count(names.DAEMON_ANNOUNCE_DELTA)
-                    self._count(
-                        names.DAEMON_ANNOUNCED_DIGESTS, len(added) + len(removed)
-                    )
-                    for registry in self._registries:
-                        names.MANIFEST_DELTA_RATIO.on(registry).observe(
-                            len(payload) / max(1, full_bytes)
-                        )
-                else:
-                    digests = hosted.announce_digests if hosted is not None else []
-                    await stream.send(codec.encode_announce(digests))
-                    announce_span.set(digests=len(digests))
-                    self._count(names.DAEMON_ANNOUNCE_FULL)
-                    self._count(names.DAEMON_ANNOUNCED_DIGESTS, len(digests))
+                digests = hosted.announce_digests if hosted is not None else []
+                await stream.send(codec.encode_announce(digests))
+                announce_span.set(digests=len(digests))
+                self._count(names.DAEMON_ANNOUNCE_FULL)
+                self._count(names.DAEMON_ANNOUNCED_DIGESTS, len(digests))
 
         while True:
             frame = await codec.read_frame(recv)
@@ -986,8 +939,8 @@ class CheckpointDaemon:
                         session=session,
                     )
                     # Tell the source which generation its image became,
-                    # so the next migration back can name it and get a
-                    # delta (or skip) instead of the full announce.
+                    # so the next migration back can name it and skip
+                    # the announce.
                     result["checkpoint_generation"] = adopted.generation
                 else:
                     # A rejected image is nobody's checkpoint: free it

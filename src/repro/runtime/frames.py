@@ -30,8 +30,6 @@ All integers are big-endian.  Frame layouts::
     HEARTBEAT      0x30 | u32 len | JSON
     INVENTORY      0x31 | u32 len | JSON
     TELEMETRY      0x32 | u32 len | JSON
-    DIGEST_DELTA   0x33 | u32 gen | u32 base_gen | u32 added | u32 removed
-                        | added × digest | removed × digest
 
 The HEARTBEAT/INVENTORY pair is the cluster control plane's liveness
 probe (:mod:`repro.orchestrator`): a controller sends HEARTBEAT (body
@@ -59,14 +57,6 @@ buffer exactly once, a CHECKSUM run's digests kept as one blob — and
 everything shorter, mixed, REF or PLAIN keeps its frame-by-frame order.
 The single-frame encoders and :meth:`FrameCodec.read_frame` remain the
 reference both are tested against.
-
-DIGEST_DELTA is the delta checksum manifest: when a source proves (via
-the ``base_generation`` it sends in HELLO) that it already knows the
-digest set of checkpoint generation *G*, the daemon answers with only
-the digests *added* and *removed* since *G* instead of the full
-ANNOUNCE — O(dirty set) instead of O(VM size).  ``generation`` is the
-daemon's current checkpoint generation; it must be strictly newer than
-``base_generation`` or the frame is rejected.
 """
 
 from __future__ import annotations
@@ -128,7 +118,6 @@ _FRAMES = declare_frames(
     (TYPE_HEARTBEAT := 0x30, "heartbeat", "json"),
     (TYPE_INVENTORY := 0x31, "inventory", "json"),
     (TYPE_TELEMETRY := 0x32, "telemetry", "json"),
-    (TYPE_DIGEST_DELTA := 0x33, "digest_delta", "fixed"),
 )
 
 FRAME_NAMES = {tag: name for tag, (name, _) in _FRAMES.items()}
@@ -147,9 +136,6 @@ JSON_FRAME_TYPES = frozenset(
 """Tags whose payload is ``u32 len | JSON`` — decoded by one shared
 branch of :meth:`FrameCodec.read_frame`."""
 
-DIGEST_DELTA_OVERHEAD = 17
-"""Frame bytes before the digest lists: tag + four u32 fields."""
-
 _MAX_JSON_BODY = 1 << 20
 _MAX_ANNOUNCE_COUNT = 1 << 28
 
@@ -163,9 +149,9 @@ class StreamDesyncError(FrameError):
     READY whose flag bytes are not booleans).
 
     Unlike a structural violation *inside* a known frame (bad JSON, an
-    oversized body, a stale delta generation), an unknown tag almost
-    always means the reader is mid-frame — e.g. the peer truncated a
-    frame and kept writing, so the next read lands on payload bytes.
+    oversized body), an unknown tag almost always means the reader is
+    mid-frame — e.g. the peer truncated a frame and kept writing, so the
+    next read lands on payload bytes.
     The session's byte stream is poisoned, but the *fault* is a
     transport-shaped one: reconnecting with a fresh session recovers,
     so callers may treat this as retryable where a genuine codec
@@ -209,9 +195,6 @@ class Frame:
     digests: Tuple[bytes, ...] = ()
     body: Optional[Dict[str, Any]] = None
     wire_bytes: int = 0
-    generation: int = 0
-    base_generation: int = 0
-    removed: Tuple[bytes, ...] = ()
 
     @property
     def name(self) -> str:
@@ -585,34 +568,6 @@ class FrameCodec:
         assert len(frame) == self.wire.announce_frame_bytes(len(digests))
         return frame
 
-    def encode_digest_delta(
-        self,
-        generation: int,
-        base_generation: int,
-        added: Sequence[bytes],
-        removed: Sequence[bytes],
-    ) -> bytes:
-        """A delta checksum manifest: digests added/removed since base.
-
-        ``generation`` must be strictly newer than ``base_generation`` —
-        a daemon only sends a delta when it can prove what changed.
-        """
-        if generation <= base_generation:
-            raise FrameError(
-                f"delta generation {generation} is not newer than "
-                f"base {base_generation}"
-            )
-        frame = bytes((TYPE_DIGEST_DELTA,)) + struct.pack(
-            ">IIII", generation, base_generation, len(added), len(removed)
-        )
-        frame += b"".join(added)
-        frame += b"".join(removed)
-        assert len(frame) == (
-            DIGEST_DELTA_OVERHEAD
-            + (len(added) + len(removed)) * self.digest_size
-        )
-        return frame
-
     @staticmethod
     def encode_round(round_no: int, count: int) -> bytes:
         """A round header: round number + how many page frames follow."""
@@ -765,33 +720,6 @@ class FrameCodec:
             digests = tuple(_split_digests(blob, self.digest_size))
             return Frame(tag, count=count, digests=digests,
                          wire_bytes=self.wire.announce_frame_bytes(count))
-        if tag == TYPE_DIGEST_DELTA:
-            generation, base_generation, n_added, n_removed = struct.unpack(
-                ">IIII", await recv(16)
-            )
-            if generation <= base_generation:
-                # Either an unknown/never-assigned generation (0) or a
-                # delta claiming to go backwards: both are protocol bugs.
-                raise FrameError(
-                    f"delta generation {generation} is not newer than "
-                    f"base {base_generation}"
-                )
-            if n_added + n_removed > _MAX_ANNOUNCE_COUNT:
-                raise FrameError(
-                    f"delta of {n_added + n_removed} checksums exceeds limit"
-                )
-            blob = await recv((n_added + n_removed) * self.digest_size)
-            digests = _split_digests(blob, self.digest_size)
-            return Frame(
-                tag,
-                count=n_added,
-                digests=tuple(digests[:n_added]),
-                removed=tuple(digests[n_added:]),
-                generation=generation,
-                base_generation=base_generation,
-                wire_bytes=DIGEST_DELTA_OVERHEAD
-                + (n_added + n_removed) * self.digest_size,
-            )
         if tag == TYPE_ROUND:
             round_no, count = struct.unpack(">IQ", await recv(12))
             return Frame(tag, round_no=round_no, count=count, wire_bytes=13)
@@ -803,21 +731,20 @@ class FrameCodec:
         raise StreamDesyncError(f"unknown frame type 0x{tag:02x}")
 
 
-async def expect_frame(codec: FrameCodec, recv, *types: int) -> Frame:
-    """Read one frame and require its type to be one of ``types``.
+async def expect_frame(codec: FrameCodec, recv, expected: int) -> Frame:
+    """Read one frame and require its type to be ``expected``.
 
     An ERROR frame from the peer is surfaced as :class:`FrameError`
     carrying the peer's structured message, so callers translate it into
     a non-retryable failure instead of a mysterious desync.
     """
     frame = await codec.read_frame(recv)
-    if frame.type in types:
+    if frame.type == expected:
         return frame
-    if frame.type == TYPE_ERROR and TYPE_ERROR not in types:
+    if frame.type == TYPE_ERROR:
         body = frame.body or {}
         raise PeerError(
             str(body.get("code", "unknown")),
             str(body.get("message", "no detail")),
         )
-    wanted = "/".join(FRAME_NAMES.get(t, hex(t)) for t in types)
-    raise FrameError(f"expected {wanted} frame, got {frame.name}")
+    raise FrameError(f"expected {FRAME_NAMES[expected]} frame, got {frame.name}")

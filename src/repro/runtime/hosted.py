@@ -26,25 +26,21 @@ from typing import FrozenSet, Iterable, List
 
 from repro.core.checksum import ChecksumAlgorithm
 
-DEFAULT_SKETCH_K = 64
+SKETCH_K = 64
 """Sketch size: 64 digests bound the similarity estimate's standard
 error near 1/√64 ≈ 12% — coarse, but placement only needs to rank
 hosts, and ties break deterministically."""
 
 
-def digest_sketch(
-    digests: Iterable[bytes], k: int = DEFAULT_SKETCH_K
-) -> List[str]:
-    """Bottom-k sketch of a digest set, as sorted hex strings.
+def digest_sketch(digests: Iterable[bytes]) -> List[str]:
+    """Bottom-:data:`SKETCH_K` sketch of a digest set, as sorted hex strings.
 
     Hex encoding preserves byte order, so "k smallest hex strings" and
     "k smallest digests" agree: the bottom-k is taken on the raw bytes
     and only the k survivors are encoded.  Hex also makes the sketch
     JSON-safe for the INVENTORY frame.
     """
-    if k <= 0:
-        raise ValueError(f"sketch size must be positive, got {k}")
-    return [d.hex() for d in heapq.nsmallest(k, set(digests))]
+    return [d.hex() for d in heapq.nsmallest(SKETCH_K, set(digests))]
 
 
 @dataclass
@@ -67,7 +63,7 @@ class HostedCheckpoint:
     timestamp: float = field(default=0.0, compare=False)
     generation: int = field(default=0, compare=False)
     """Monotonic per-VM adoption counter; lets a returning source prove
-    its remembered digest set is current (or get a delta against it)."""
+    its remembered digest set is current and skip the announce."""
 
     @property
     def num_pages(self) -> int:
@@ -76,7 +72,7 @@ class HostedCheckpoint:
     @cached_property
     def distinct(self) -> FrozenSet[bytes]:
         """The distinct checksums — the one walk over ``slot_digests``
-        the sketch and the delta history are derived from."""
+        the sketch is derived from."""
         return frozenset(self.slot_digests)
 
     @cached_property
@@ -88,7 +84,7 @@ class HostedCheckpoint:
 
     @cached_property
     def sketch(self) -> List[str]:
-        """Bottom-:data:`DEFAULT_SKETCH_K` similarity sketch of
+        """Bottom-:data:`SKETCH_K` similarity sketch of
         :attr:`distinct` — what an INVENTORY reports for this VM."""
         return digest_sketch(self.distinct)
 

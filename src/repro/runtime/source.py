@@ -50,13 +50,11 @@ from repro.obs.trace import span as _span
 from repro.runtime.frames import (
     FRAME_NAMES,
     FRAME_TYPES,
-    Frame,
     FrameCodec,
     FrameError,
     PeerError,
     StreamDesyncError,
     TYPE_ANNOUNCE,
-    TYPE_DIGEST_DELTA,
     TYPE_READY,
     TYPE_RESULT,
     expect_frame,
@@ -188,8 +186,8 @@ class SourceState:
             the one the RESULT of the migration that created it
             reported; HELLO names it as ``base_generation``, and the
             destination skips the announce only when that is still its
-            checkpoint's generation (a DIGEST_DELTA manifest, or the full
-            announce, when the checkpoint moved on).
+            checkpoint's generation, and sends the full announce when the
+            checkpoint moved on.
     """
 
     vm_id: str
@@ -293,22 +291,6 @@ class MigrationSource:
         )
         self._rounds = [self._plan.round_sends()]
 
-    def _apply_digest_delta(
-        self, frame: Frame, known: Optional[FrozenSet[bytes]]
-    ) -> FrozenSet[bytes]:
-        """Reconstruct the announced set from a DIGEST_DELTA manifest."""
-        if known is None:
-            raise FrameError(
-                "destination sent a delta manifest but this source never "
-                "claimed a base checksum set"
-            )
-        removed = frozenset(frame.removed)
-        if not removed <= known:
-            raise FrameError(
-                "delta manifest removes checksums the source never knew"
-            )
-        return (known - removed) | frozenset(frame.digests)
-
     def _ensure_round(self, round_no: int, dirty_feed: Optional[DirtyFeed]) -> bool:
         """Extend the frozen round list up to ``round_no`` if the VM keeps
         dirtying pages; returns False when there is no such round."""
@@ -347,8 +329,8 @@ class MigrationSource:
 
         What this host should remember about the destination's new
         checkpoint — paired with :attr:`result_generation` — to earn a
-        verified announce skip or a DIGEST_DELTA manifest on the way
-        back.  None before a first round was ever planned.
+        verified announce skip on the way back.  None before a first
+        round was ever planned.
         """
         if self._plan is None:
             return None
@@ -415,8 +397,8 @@ class MigrationSource:
                         # A desync (unknown tag, an over-claiming READY,
                         # or the peer detecting one on its side) is a
                         # torn-connection symptom, not a codec bug.
-                        # Genuine codec violations (bad JSON, stale
-                        # delta generation, bad slot) fail fast.
+                        # Genuine codec violations (bad JSON, bad slot)
+                        # fail fast.
                         desync = isinstance(exc, StreamDesyncError) or (
                             isinstance(exc, PeerError) and exc.code == "desync"
                         )
@@ -524,7 +506,7 @@ class MigrationSource:
                 if self.state.known_remote is not None:
                     # Name the exact checkpoint generation we remember:
                     # the destination verifies the claim and answers
-                    # with a skip, a DIGEST_DELTA or the full announce.
+                    # with a skip or the full announce.
                     generation, known = self.state.known_remote
                     hello["base_generation"] = int(generation)
                 frame = self.codec.encode_hello(hello)
@@ -553,18 +535,12 @@ class MigrationSource:
 
                 announced: FrozenSet[bytes] = known or frozenset()
                 if ready.announce_follows:
-                    manifest = await expect_frame(
-                        self.codec, recv, TYPE_ANNOUNCE, TYPE_DIGEST_DELTA
-                    )
-                    metrics.announce_bytes += manifest.wire_bytes
-                    if manifest.type == TYPE_ANNOUNCE:
-                        # A full manifest is authoritative — it replaces
-                        # whatever this host remembered; the destination
-                        # falls back to it exactly when our remembered
-                        # generation cannot be proven current.
-                        announced = frozenset(manifest.digests)
-                    else:
-                        announced = self._apply_digest_delta(manifest, known)
+                    # The full announce replaces whatever this host
+                    # remembered: the destination sends it exactly when
+                    # our remembered generation is not its current one.
+                    announce = await expect_frame(self.codec, recv, TYPE_ANNOUNCE)
+                    metrics.announce_bytes += announce.wire_bytes
+                    announced = frozenset(announce.digests)
                 if self._plan is None:
                     with _span("plan"):
                         self._build_first_round(announced)

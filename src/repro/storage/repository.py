@@ -213,8 +213,8 @@ class CheckpointManifest:
     generation: int = 0
     """Monotonic per-VM checkpoint generation (0 = pre-generation
     manifest).  The daemon bumps it on every adoption; a migration
-    source that can name the destination's current generation gets a
-    DIGEST_DELTA manifest instead of the full checksum announce."""
+    source that can name the destination's current generation skips
+    the full checksum announce."""
 
     @property
     def num_pages(self) -> int:

@@ -264,25 +264,22 @@ def test_retry_policy_rejects_bad_jitter():
         RetryPolicy(jitter=1.5)
 
 
-# --- satellite: drop_checkpoint leaves no stale delta history -------------
+# --- satellite: drop_checkpoint frees durable bytes, keeps the generation --
 
 
-def test_drop_checkpoint_clears_delta_history_and_frees_durable(tmp_path):
+def test_drop_checkpoint_frees_durable_and_keeps_the_generation(tmp_path):
     daemon = CheckpointDaemon(name="drop-host", state_dir=tmp_path)
     checkpoint, current, _ = build_vm()
     daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
     daemon.install_checkpoint("vm", Fingerprint(hashes=current))
     assert daemon._generations["vm"] == 2
-    assert "vm" in daemon._delta_history
     distinct = len(set(daemon.checkpoints["vm"].slot_digests))
     resident_bytes = distinct * daemon.pagestore.page_size
 
     freed = daemon.drop_checkpoint("vm")
 
-    # Pre-fix: freed == resident bytes only, and the delta history kept
-    # describing generations the daemon no longer hosts.
+    # Pre-fix: freed == resident bytes only.
     assert freed > resident_bytes  # durable segment bytes counted too
-    assert "vm" not in daemon._delta_history
     # The generation counter must survive the drop (a restart at 1
     # would let a stale source earn a bogus verified skip).
     assert daemon._generations["vm"] == 2

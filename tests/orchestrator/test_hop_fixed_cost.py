@@ -62,9 +62,9 @@ class Counts:
         real_run = fleet.orchestrator.executor.run
         real_on_connection = CheckpointDaemon._on_connection
 
-        def sketch(digests, k=hosted.DEFAULT_SKETCH_K):
+        def sketch(digests):
             self.sketches += 1
-            return real_sketch(digests, k=k)
+            return real_sketch(digests)
 
         def digests_for(content_ids, *args, **kwargs):
             self.digested_ids += len(np.asarray(content_ids))
@@ -217,7 +217,7 @@ def test_a_heartbeat_after_an_adoption_reports_the_new_image():
             sketch = record.inventory.checkpoints[vm_id]
             digests = fleet.store.digests_for(fleet.images[vm_id])
             assert list(sketch) == sorted(d.hex() for d in set(digests))[
-                : hosted.DEFAULT_SKETCH_K
+                : hosted.SKETCH_K
             ]
             assert list(sketch) != before[daemon.name]["checkpoints"][vm_id]
             # The view is the adopted generation's, not a stale object's.

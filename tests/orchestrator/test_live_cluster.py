@@ -11,7 +11,7 @@ from repro.core.strategies import QEMU
 from repro.mem.pagestore import PageStore
 from repro.obs.metrics import get_registry
 from repro.orchestrator import (
-    DEFAULT_SKETCH_K,
+    SKETCH_K,
     BestCheckpoint,
     ClusterRegistry,
     MigrationExecutor,
@@ -71,7 +71,7 @@ class TestRegistryHeartbeat:
                 assert inventory.checkpoints["vm"] == tuple(
                     daemon.checkpoints["vm"].sketch
                 )
-                assert len(inventory.checkpoints["vm"]) == DEFAULT_SKETCH_K
+                assert len(inventory.checkpoints["vm"]) == SKETCH_K
                 assert registry.view().hosts() == ["a"]
 
         asyncio.run(main())

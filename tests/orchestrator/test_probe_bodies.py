@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.fingerprint import Fingerprint
 from repro.orchestrator import (
-    DEFAULT_SKETCH_K,
+    SKETCH_K,
     ClusterRegistry,
     TelemetryAggregator,
     digest_sketch,
@@ -57,7 +57,7 @@ def test_requests_are_empty_and_an_inventory_is_load_and_sketches(monkeypatch):
     assert set(inventory.body) == {"active_sessions", "checkpoints"}
     assert inventory.body["active_sessions"] == 0
     assert inventory.body["checkpoints"] == {"vm": digest_sketch(distinct)}
-    assert len(inventory.body["checkpoints"]["vm"]) == DEFAULT_SKETCH_K
+    assert len(inventory.body["checkpoints"]["vm"]) == SKETCH_K
 
 
 GARBLED_INVENTORIES = {

@@ -1,6 +1,8 @@
-"""DIGEST_DELTA manifests engage only when the daemon can prove the
-source's base generation, and fall back to the full announce after a
-restart loses the in-memory delta history."""
+"""The checksum announce has two shapes: a source that names the hosted
+checkpoint's current generation skips it (verified), and every other
+claim — one generation behind, older, never issued, from before a
+restart, or none at all — gets the full ANNOUNCE, which costs exactly
+what a migration that claimed nothing pays."""
 
 import asyncio
 
@@ -18,7 +20,7 @@ from repro.runtime import (
     RuntimeConfig,
     SourceState,
 )
-from repro.runtime.frames import TYPE_ANNOUNCE, TYPE_READY
+from repro.runtime.frames import TYPE_ANNOUNCE, TYPE_ERROR, TYPE_READY
 
 N = 1024
 FAST = RuntimeConfig(
@@ -48,6 +50,33 @@ def churn(hashes, seed, slots=40):
     return changed
 
 
+def hello_for(codec, **fields):
+    """A HELLO body for ``vm`` as a VECYCLE source sends it, with ``fields``
+    added or replaced."""
+    return {
+        "session": "vm-claim",
+        "vm_id": "vm",
+        "num_pages": N,
+        "mode": VECYCLE.method.value,
+        "page_size": codec.page_size,
+        "digest_size": codec.digest_size,
+        "algorithm": VECYCLE.checksum.name,
+        **fields,
+    }
+
+
+async def exchange(daemon, codec, hello, replies):
+    """Send ``hello`` to ``daemon``; the first ``replies`` frames back."""
+    reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+    try:
+        writer.write(codec.encode_hello(hello))
+        await writer.drain()
+        return [await codec.read_frame(reader.readexactly) for _ in range(replies)]
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
 async def migrate_once(checkpoint, current, dirty, config=FAST):
     pagestore = PageStore()
     async with CheckpointDaemon(pagestore=pagestore) as daemon:
@@ -67,51 +96,6 @@ async def migrate_once(checkpoint, current, dirty, config=FAST):
 
 
 class TestDeltaManifest:
-    def test_stale_generation_gets_delta_not_full_announce(self):
-        checkpoint, _, _ = build_vm(seed=21, updates=0)
-        moved = churn(checkpoint, seed=22)
-
-        async def scenario():
-            pagestore = PageStore()
-            async with CheckpointDaemon(pagestore=pagestore) as daemon:
-                first = daemon.install_checkpoint(
-                    "vm", Fingerprint(hashes=checkpoint)
-                )
-                known = daemon.checkpoint_digests("vm")
-                # The checkpoint moves on (another migration landed) —
-                # the source's knowledge is now one generation stale.
-                daemon.install_checkpoint("vm", Fingerprint(hashes=moved))
-                source = MigrationSource(
-                    SourceState(
-                        vm_id="vm",
-                        hashes=moved,
-                        pagestore=pagestore,
-                        known_remote=(first.generation, known),
-                    ),
-                    VECYCLE,
-                    config=FAST,
-                )
-                metrics = await source.migrate(daemon.host, daemon.port)
-                return metrics, daemon
-
-        metrics, daemon = asyncio.run(scenario())
-        control, _ = asyncio.run(migrate_once(moved, moved, None, config=FAST))
-
-        assert metrics.outcome == "completed"
-        assert daemon.telemetry.counter("daemon.announce.delta").value == 1
-        assert daemon.telemetry.counter("daemon.announce.full").value == 0
-        # The ratio reaches the daemon's own TELEMETRY snapshot, not
-        # only the process registry.
-        ratio = daemon.telemetry.snapshot().instruments["manifest.delta_ratio"]
-        assert ratio["total"] == 1 and 0 < ratio["sum"] < 0.5
-        # O(churn) manifest: far smaller than the full announce the
-        # control migration paid for the same checkpoint.
-        assert control.announce_bytes > 0
-        assert metrics.announce_bytes < 0.5 * control.announce_bytes
-        # And the stale knowledge plus delta reconstructed the true
-        # announced set: pages already hosted were not re-sent.
-        assert metrics.payload_bytes == control.payload_bytes
-
     def test_current_generation_gets_verified_skip(self):
         checkpoint, _, _ = build_vm(seed=31, updates=0)
 
@@ -155,8 +139,7 @@ class TestDeltaManifest:
                 known = daemon.checkpoint_digests("vm")
                 daemon.install_checkpoint("vm", Fingerprint(hashes=moved))
                 base_generation = first.generation
-            # Restart: generations recover from the durable manifests,
-            # the in-memory delta history does not.
+            # Restart: generations recover from the durable manifests.
             async with CheckpointDaemon(
                 pagestore=pagestore, state_dir=state_dir
             ) as daemon:
@@ -176,17 +159,18 @@ class TestDeltaManifest:
 
         metrics, daemon = asyncio.run(scenario())
         assert metrics.outcome == "completed"
-        # The unprovable base generation produced the authoritative full
-        # manifest, not a delta and not a skip.
+        # A generation that is no longer current gets the authoritative
+        # full announce, not a skip.
         assert daemon.telemetry.counter("daemon.announce.full").value == 1
-        assert daemon.telemetry.counter("daemon.announce.delta").value == 0
+        assert daemon.telemetry.counter("daemon.announce.skipped").value == 0
         control, _ = asyncio.run(migrate_once(moved, moved, None, config=FAST))
         assert metrics.announce_bytes == control.announce_bytes
+        assert metrics.payload_bytes == control.payload_bytes
 
 
 class TestUnverifiableClaims:
-    """A claim the daemon cannot match to its current generation or to
-    its delta history gets the full ANNOUNCE, never a skip."""
+    """A claim the daemon cannot match to its current generation gets
+    the full ANNOUNCE, never a skip."""
 
     def test_claim_without_a_generation_gets_the_full_announce(self):
         checkpoint, _, _ = build_vm(seed=51, updates=0)
@@ -197,27 +181,10 @@ class TestUnverifiableClaims:
                 hosted = daemon.install_checkpoint(
                     "vm", Fingerprint(hashes=checkpoint)
                 )
-                reader, writer = await asyncio.open_connection(
-                    daemon.host, daemon.port
+                # The retired "I know it" flag, with no generation.
+                ready, announce = await exchange(
+                    daemon, codec, hello_for(codec, announce_known=True), 2
                 )
-                try:
-                    # The retired "I know it" flag, with no generation.
-                    writer.write(codec.encode_hello({
-                        "session": "vm-claim",
-                        "vm_id": "vm",
-                        "num_pages": N,
-                        "mode": VECYCLE.method.value,
-                        "page_size": codec.page_size,
-                        "digest_size": codec.digest_size,
-                        "algorithm": VECYCLE.checksum.name,
-                        "announce_known": True,
-                    }))
-                    await writer.drain()
-                    ready = await codec.read_frame(reader.readexactly)
-                    announce = await codec.read_frame(reader.readexactly)
-                finally:
-                    writer.close()
-                    await writer.wait_closed()
                 return ready, announce, hosted, daemon
 
         ready, announce, hosted, daemon = asyncio.run(scenario())
@@ -227,7 +194,7 @@ class TestUnverifiableClaims:
         assert daemon.telemetry.counter("daemon.announce.full").value == 1
         assert daemon.telemetry.counter("daemon.announce.skipped").value == 0
 
-    @pytest.mark.parametrize("claim", ["evicted", "future"])
+    @pytest.mark.parametrize("claim", ["behind", "evicted", "future"])
     def test_generation_outside_the_history_gets_the_full_announce(self, claim):
         checkpoint, _, _ = build_vm(seed=61, updates=0)
         images = [checkpoint]
@@ -237,19 +204,16 @@ class TestUnverifiableClaims:
         async def scenario():
             pagestore = PageStore()
             async with CheckpointDaemon(pagestore=pagestore) as daemon:
-                first = daemon.install_checkpoint(
-                    "vm", Fingerprint(hashes=images[0])
-                )
-                known = first.distinct
-                for image in images[1:]:
-                    hosted = daemon.install_checkpoint(
-                        "vm", Fingerprint(hashes=image)
-                    )
-                # Older than the delta history reaches, or never issued.
-                generation = (
-                    first.generation if claim == "evicted" else hosted.generation + 1
-                )
-                assert generation not in daemon._delta_history["vm"]
+                hosted = [
+                    daemon.install_checkpoint("vm", Fingerprint(hashes=image))
+                    for image in images
+                ]
+                # One generation behind (another migration landed since),
+                # several behind, or one never issued; the source knows
+                # the digest set of the generation it names.
+                claimed = {"behind": -2, "evicted": 0, "future": -1}[claim]
+                known = hosted[claimed].distinct
+                generation = hosted[claimed].generation + (claim == "future")
                 source = MigrationSource(
                     SourceState(
                         vm_id="vm",
@@ -267,7 +231,35 @@ class TestUnverifiableClaims:
         control, _ = asyncio.run(migrate_once(images[-1], images[-1], None))
         assert metrics.outcome == "completed"
         assert daemon.telemetry.counter("daemon.announce.full").value == 1
-        assert daemon.telemetry.counter("daemon.announce.delta").value == 0
         assert daemon.telemetry.counter("daemon.announce.skipped").value == 0
         assert metrics.announce_bytes == control.announce_bytes
         assert metrics.payload_bytes == control.payload_bytes
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_pages", "x"),
+    ("algorithm", "nope"),
+    ("page_size", [1]),
+    ("base_generation", "x"),
+    # Not generation 1: a claim is an integer, and JSON's true is not one.
+    ("base_generation", True),
+])
+def test_a_malformed_hello_is_answered_with_bad_hello(field, value):
+    # A bare close would read to the source as a dropped link, retried
+    # as a transport fault; ERROR bad-hello fails the migration at once.
+    checkpoint, _, _ = build_vm(seed=71, updates=0)
+    codec = FrameCodec(VECYCLE.wire)
+
+    async def scenario():
+        async with CheckpointDaemon() as daemon:
+            # Hosted, so base_generation has a generation to be read against.
+            daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
+            (reply,) = await exchange(
+                daemon, codec, hello_for(codec, **{field: value}), 1
+            )
+            return reply, daemon
+
+    reply, daemon = asyncio.run(scenario())
+    assert reply.type == TYPE_ERROR
+    assert reply.body["code"] == "bad-hello"
+    assert not daemon._sessions
