@@ -22,7 +22,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from repro.mem.pagestore import PageStore
 from repro.net.link import WAN_CLOUDNET
 from repro.obs import names
 from repro.obs.log import get_logger
+from repro.obs.telemetry import merge_instruments
 from repro.orchestrator import Orchestrator, get_policy
 from repro.orchestrator.placement import PlacementError
 from repro.orchestrator.registry import ClusterRegistry
@@ -106,6 +107,9 @@ class SoakReport:
     faults_skipped: int = 0
     restarts: int = 0
     violations: List[str] = field(default_factory=list)
+    #: Every daemon incarnation's final registry, folded (not part of
+    #: the signature: stall and retry timings are wall-clock).
+    daemon_instruments: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -232,7 +236,15 @@ class _Soak:
     async def stop(self) -> None:
         await self.registry.close()
         for daemon in self.daemons.values():
-            await daemon.stop()
+            await self._retire(daemon)
+
+    async def _retire(self, daemon: CheckpointDaemon) -> None:
+        """Stop ``daemon`` and fold its counts into the report: a daemon
+        counts only into its own registry, which dies with it."""
+        await daemon.stop()
+        self.report.daemon_instruments = merge_instruments(
+            [self.report.daemon_instruments, daemon.telemetry.registry.snapshot()]
+        )
 
     # --- per-round machinery --------------------------------------------
 
@@ -391,7 +403,7 @@ class _Soak:
         old = self.daemons[target]
         recovered_counter = names.REPO_RECOVERED_CHECKPOINTS.on()
         counted_before = recovered_counter.value
-        await old.stop()
+        await self._retire(old)
         fresh = CheckpointDaemon(
             name=target,
             pagestore=self.pagestore,

@@ -455,8 +455,7 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
                 seed=args.seed,
             )
             result = await cross_validate(
-                scenario, config=config, state_dir=args.state_dir,
-                metrics_port=args.metrics_port,
+                scenario, config=config, state_dir=args.state_dir
             )
             if args.inject_disconnect:
                 # Re-run with a mid-transfer disconnect so the retry path
@@ -694,9 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="durable state directory for the destination "
                     "daemon; checkpoints committed there survive restarts "
                     "(inspect with 'vecycle repo ls')")
-    pr.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
-                    help="serve the destination daemon's Prometheus "
-                    "/metrics page on this port (0 = ephemeral)")
     pr.add_argument("--seed", type=int, default=7)
     pr.set_defaults(func=_cmd_runtime)
 
@@ -794,8 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
         "vs transferred, active migrations, downtime percentiles",
     )
     ptop.add_argument("--url", default=None, metavar="URL",
-                      help="a --metrics-port endpoint to watch "
-                      "(e.g. http://127.0.0.1:9100)")
+                      help="a controller's --metrics-port endpoint to "
+                      "watch (e.g. http://127.0.0.1:9100)")
     ptop.add_argument("--connect", default=None, metavar="HOST:PORT[,..]",
                       help="poll daemons directly over TELEMETRY frames "
                       "instead of scraping a controller")

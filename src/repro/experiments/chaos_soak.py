@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence
 from repro.chaos import FaultSchedule, SoakReport, run_soak
 from repro.obs import names
 from repro.obs.metrics import get_registry
+from repro.obs.telemetry import counter_value, merge_instruments
 
 #: Chaos-plane counters surfaced in the report.
 REPORTED_COUNTERS = (
@@ -111,11 +112,16 @@ def format_table(reports: List[SoakReport]) -> str:
         else:
             lines.append("all invariants held")
         lines.append("")
-    emitted = set(get_registry().names())
+    # The chaos and repository counters are process-wide; the daemons'
+    # live only in each incarnation's registry, folded into its report.
+    emitted = merge_instruments(
+        [get_registry().snapshot(), *(r.daemon_instruments for r in reports)]
+    )
     lines.append("chaos counters:")
     for counter in REPORTED_COUNTERS:
         if counter.name in emitted:
-            lines.append(f"  {counter.name:<36s} {counter.on().value:.0f}")
+            value = counter_value(emitted, counter.name)
+            lines.append(f"  {counter.name:<36s} {value:.0f}")
     verdict = all(report.ok for report in reports)
     lines.append("")
     lines.append(

@@ -4,9 +4,10 @@ Traces and metrics answer "what happened" for runs that *finish*; a
 daemon that dies mid-migration takes its in-memory records with it,
 because ``atexit`` never runs under ``os._exit`` or a fatal signal.
 The flight recorder closes that gap the way an aircraft one does: a
-bounded ring buffer of recent spans, log lines, and frame summaries
-that costs a deque append per event while everything is healthy, and is
-dumped to a timestamped JSONL file the moment something is not —
+bounded ring buffer of recent notes (a daemon's session events, a
+failed migration, a crash) and WARNING+ log lines that costs a deque
+append per event while everything is healthy, and is dumped to a
+timestamped JSONL file the moment something is not —
 
 * on any unhandled exception (a chained ``sys.excepthook``),
 * on ``SIGUSR2`` (poke a live daemon for its recent history), and
@@ -19,8 +20,9 @@ survive crash paths that ``atexit`` alone would miss.
 
 Dump files are JSONL: a ``{"kind": "flight-header", ...}`` line, one
 ``{"kind": "event", ...}`` line per ring entry (oldest first), and a
-trailing ``{"kind": "metrics", ...}`` line with the process-wide
-registry snapshot.
+trailing ``{"kind": "metrics", ...}`` line with the snapshot of the
+recorded component's registry — a daemon's own telemetry registry, the
+process-wide one for the default ring.
 """
 
 from __future__ import annotations
@@ -37,11 +39,13 @@ import time
 import weakref
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from repro.obs.metrics import MetricsRegistry, get_registry
+
 #: Environment variable overriding where dumps are written.
 FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
 
-#: Default ring capacity — enough for several migrations' worth of
-#: spans and frame summaries without meaningful memory cost.
+#: Ring capacity — enough for several migrations' worth of notes
+#: without meaningful memory cost; the oldest events fall off silently.
 DEFAULT_CAPACITY = 512
 
 
@@ -51,33 +55,25 @@ class FlightRecorder:
     Args:
         name: Component name stamped into dump filenames and headers
             (a daemon's host name, or "process" for the default ring).
-        capacity: Ring size; the oldest events fall off silently.
+        registry: The component's metrics registry, snapshotted as each
+            dump's trailing line; the process-wide one when omitted.
     """
 
-    def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY) -> None:
+    def __init__(self, name: str, registry: Optional[MetricsRegistry] = None) -> None:
         self.name = name
-        self.events: collections.deque = collections.deque(maxlen=capacity)
+        self.registry = registry if registry is not None else get_registry()
+        self.events: collections.deque = collections.deque(maxlen=DEFAULT_CAPACITY)
         self.dumps_written = 0
         _recorders.add(self)
 
     # --- recording ------------------------------------------------------
 
     def note(self, kind: str, **fields: Any) -> None:
-        """Append one event; ``kind`` is its type tag ("span", "frame",
-        "log", or any caller-chosen label)."""
+        """Append one event; ``kind`` is its type tag ("log", "crash",
+        "daemon.result", or any caller-chosen label)."""
         event = {"t": time.time(), "kind": kind}
         event.update(fields)
         self.events.append(event)
-
-    def note_span(self, record: Any) -> None:
-        """Append a finished span (a :class:`~repro.obs.trace.SpanRecord`)."""
-        self.note(
-            "span",
-            name=record.name,
-            duration_s=record.duration_s,
-            task=record.task,
-            attrs=dict(record.attrs),
-        )
 
     # --- dumping --------------------------------------------------------
 
@@ -110,8 +106,6 @@ class FlightRecorder:
         return path
 
     def _lines(self, reason: str) -> Iterator[str]:
-        from repro.obs.metrics import get_registry
-
         yield json.dumps(
             {
                 "kind": "flight-header",
@@ -127,7 +121,7 @@ class FlightRecorder:
                 {"kind": "event", **event}, default=_best_effort_json
             )
         yield json.dumps(
-            {"kind": "metrics", "metrics": get_registry().snapshot()},
+            {"kind": "metrics", "metrics": self.registry.snapshot()},
             default=_best_effort_json,
         )
 

@@ -15,7 +15,8 @@ wire can
 
 A :class:`TelemetrySource` is the daemon-side half: a private
 per-component registry (one per :class:`~repro.runtime.daemon.
-CheckpointDaemon`, so co-hosted daemons in one process stay
+CheckpointDaemon`, the one home of its ``daemon.*`` and write-behind
+``pipeline.*`` instruments, so co-hosted daemons in one process stay
 distinguishable) plus per-VM labelled counters behind the cardinality
 guard :func:`vm_label`, snapshotted on every ``TELEMETRY`` probe.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.obs import names
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -168,14 +169,15 @@ def counter_value(instruments: Mapping[str, Dict[str, Any]], name: str) -> float
     return float(state.get("value", 0.0))
 
 
-def vm_label(seen: Mapping[str, Any], vm: str, cap: int = MAX_VM_LABELS) -> str:
+def vm_label(seen: Mapping[str, Any], vm: str) -> str:
     """The label ``vm`` counts under, given the labels ``seen`` so far.
 
-    VMs seen first keep their label; once ``seen`` holds ``cap`` of
-    them, later VMs fold into :data:`OVERFLOW_LABEL`.  Daemons apply it
-    per host, the aggregator to the cluster-wide union.
+    VMs seen first keep their label; once ``seen`` holds
+    :data:`MAX_VM_LABELS` of them, later VMs fold into
+    :data:`OVERFLOW_LABEL`.  Daemons apply it per host, the aggregator
+    to the cluster-wide union.
     """
-    if vm in seen or vm == OVERFLOW_LABEL or len(seen) < cap:
+    if vm in seen or vm == OVERFLOW_LABEL or len(seen) < MAX_VM_LABELS:
         return vm
     return OVERFLOW_LABEL
 
@@ -199,21 +201,19 @@ def _copy_state(state: Mapping[str, Any]) -> Dict[str, Any]:
 class TelemetrySource:
     """Per-component metrics with per-VM labels, snapshotted on demand.
 
-    Daemons in the demo fleet share one process (and therefore one
-    process-wide registry), so each keeps its *own* source: counting
-    into it as well as the global registry keeps per-host attribution
-    without changing any existing metric.
+    Daemons in the demo fleet share one process, so each counts only
+    into its *own* source, never the process-wide registry: each host's
+    numbers leave it once, in its TELEMETRY replies, and the controller
+    attributes them to exactly that host.  Per-VM series past
+    :data:`MAX_VM_LABELS` distinct VMs fold into :data:`OVERFLOW_LABEL`
+    (:func:`vm_label`).
 
     Args:
         host: The exporting component's name, stamped on snapshots.
-        max_vm_labels: Cardinality guard (:func:`vm_label`) — per-VM
-            series beyond this many distinct VMs fold into
-            :data:`OVERFLOW_LABEL`.
     """
 
-    def __init__(self, host: str, max_vm_labels: int = MAX_VM_LABELS) -> None:
+    def __init__(self, host: str) -> None:
         self.host = host
-        self.max_vm_labels = max_vm_labels
         self.registry = MetricsRegistry()
         self._per_vm: Dict[str, Dict[str, float]] = {}
         self._seq = 0
@@ -236,7 +236,7 @@ class TelemetrySource:
 
     def vm_count(self, vm_id: str, name: str, amount: float = 1.0) -> None:
         """Add to a per-VM labelled counter, folding past the cap."""
-        label = vm_label(self._per_vm, vm_id, self.max_vm_labels)
+        label = vm_label(self._per_vm, vm_id)
         if label != vm_id:
             names.TELEMETRY_LABELS_FOLDED.on(self.registry).add(1)
         values = self._per_vm.setdefault(label, {})
@@ -246,18 +246,6 @@ class TelemetrySource:
     def seq(self) -> int:
         """Sequence number of the most recent snapshot."""
         return self._seq
-
-    def sections(self) -> List[Tuple[Dict[str, str], Dict[str, Any]]]:
-        """``(labels, instruments)`` pairs for Prometheus rendering.
-
-        The host-labelled registry first, then one section per VM label
-        (per-VM values rendered as counters).  Reading does not advance
-        :attr:`seq` — scrapes must not disturb the wire sequence.
-        """
-        return [({"host": self.host}, self.registry.snapshot())] + [
-            ({"host": self.host, "vm": vm}, vm_section(self._per_vm[vm]))
-            for vm in sorted(self._per_vm)
-        ]
 
     # --- snapshotting ---------------------------------------------------
 

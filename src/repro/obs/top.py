@@ -9,10 +9,11 @@ CI with ``--iterations 1``.
 
 Two ways to get a view:
 
-* :func:`fetch_view` — GET ``/metrics.json`` from a controller (or
-  daemon) started with ``--metrics-port``;
+* :func:`fetch_view` — GET ``/metrics.json`` from a controller started
+  with ``vecycle orchestrate --metrics-port``;
 * direct polling — the CLI builds its own aggregator over ``--connect``
-  daemon addresses and calls ``dashboard_view()`` locally.
+  daemon addresses and calls ``dashboard_view()`` locally: the way to
+  watch a standalone daemon, which serves no page of its own.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def render_dashboard(view: Dict[str, Any]) -> str:
 
 
 def fetch_view(url: str, timeout_s: float = 5.0) -> Dict[str, Any]:
-    """GET a dashboard view from a ``--metrics-port`` endpoint.
+    """GET a dashboard view from a controller's ``--metrics-port`` endpoint.
 
     Accepts the endpoint base, ``/metrics``, or ``/metrics.json`` — all
     normalized to the JSON view.

@@ -154,7 +154,7 @@ class Span:
         if self._token is not None:
             self._tracer._current.reset(self._token)
             self._token = None
-        self._tracer._append(self._record)
+        self._tracer.records.append(self._record)
 
 
 class _NoopSpan:
@@ -217,7 +217,6 @@ class Tracer:
         self._current: contextvars.ContextVar[int] = contextvars.ContextVar(
             "repro_obs_current_span", default=0
         )
-        self._listeners: List[Any] = []
 
     # -- recording -------------------------------------------------------
 
@@ -240,29 +239,7 @@ class Tracer:
             attrs=attrs,
             kind="instant",
         )
-        self._append(record)
-
-    def _append(self, record: SpanRecord) -> None:
         self.records.append(record)
-        if self._listeners:
-            for listener in self._listeners:
-                listener(record)
-
-    def add_listener(self, listener) -> None:
-        """Call ``listener(record)`` for every finished span/event.
-
-        Listeners run on the recording path, so they must be cheap —
-        the flight recorder's deque append is the intended customer.
-        They only fire while the tracer is enabled (disabled tracing
-        never reaches :meth:`_append`).
-        """
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def remove_listener(self, listener) -> None:
-        """Detach a listener added with :meth:`add_listener`."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
 
     # -- lifecycle -------------------------------------------------------
 

@@ -19,9 +19,9 @@ those — per host, across the cluster, and per VM behind the label guard
 daemons apply locally — plus a bounded time series of cluster headline
 numbers (recycled vs. transferred bytes, sessions) for dashboards and
 the ``--trace-out`` JSONL export.  The Prometheus page and the
-``vecycle top`` view add the controller's own process registry, minus
-the ``daemon.*`` names in-process demo daemons already report over the
-wire.
+``vecycle top`` view add the controller's own process registry, which
+holds no daemon's instruments: a daemon counts only into its own
+source, so each host's numbers arrive once, over the wire.
 """
 
 from __future__ import annotations
@@ -222,10 +222,10 @@ class TelemetryAggregator:
         """The controller's exposition page.
 
         Per-host sections from the wire, per-VM counter sections, then
-        the controller's own process registry under
-        ``host="<controller_id>"`` — minus ``daemon.*`` names, which
-        in-process demo daemons write into the same registry and which
-        the wire sections already carry per host.
+        the controller's own process registry, as it is, under
+        ``host="<controller_id>"``.  Daemons never count into that
+        registry, so no host's series appears twice, even when its
+        daemons run in the controller's process.
         """
         sections = [
             ({"host": host}, instruments)
@@ -235,12 +235,7 @@ class TelemetryAggregator:
             ({"vm": vm}, vm_section(values))
             for vm, values in sorted(self.per_vm().items())
         ]
-        local = {
-            name: state
-            for name, state in _metrics().snapshot().items()
-            if not name.startswith("daemon.")
-        }
-        sections.append(({"host": self.registry.controller_id}, local))
+        sections.append(({"host": self.registry.controller_id}, _metrics().snapshot()))
         return render_sections(sections)
 
     def dashboard_view(self) -> Dict[str, Any]:

@@ -164,7 +164,6 @@ async def cross_validate(
     config: Optional[RuntimeConfig] = None,
     announce_known: bool = False,
     state_dir: Optional[str] = None,
-    metrics_port: Optional[int] = None,
     faults: Optional[FaultInjector] = None,
 ) -> CrossValidation:
     """Run ``scenario`` through the live runtime and the analytic model.
@@ -176,8 +175,6 @@ async def cross_validate(
             announce, and both paths charge zero announce traffic.
         state_dir: Durable state directory for the destination daemon;
             the migrated checkpoint survives there past this run.
-        metrics_port: Serve the destination daemon's Prometheus page on
-            this port for the duration of the run (0 = ephemeral).
         faults: An armed injector for the destination daemon (test and
             demo hook): the comparison must hold through the retries it
             provokes, payload delta still exactly 0.
@@ -205,7 +202,6 @@ async def cross_validate(
         time_scale=config.time_scale,
         pagestore=pagestore,
         state_dir=state_dir,
-        metrics_port=metrics_port,
     )
     async with daemon:
         known = None

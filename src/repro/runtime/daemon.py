@@ -50,8 +50,6 @@ from repro.net.link import Link
 from repro.obs import names
 from repro.obs.flight import FlightRecorder
 from repro.obs.log import get_logger
-from repro.obs.metrics import get_registry
-from repro.obs.prometheus import MetricsServer, render_sections
 from repro.obs.telemetry import TelemetrySource
 from repro.obs.trace import span as _span
 from repro.storage.repository import CheckpointManifest, CheckpointRepository
@@ -99,9 +97,10 @@ class CheckpointDaemon:
             :class:`~repro.storage.repository.CheckpointRepository`
             rooted there and recovered on construction — a daemon
             restart keeps every committed checkpoint.
-        metrics_port: When set (0 for an ephemeral port), :meth:`start`
-            also serves Prometheus text exposition of this daemon's
-            telemetry on ``http://127.0.0.1:<port>/metrics``.
+
+    Every instrument the daemon and its write-behind count lives in its
+    own :class:`~repro.obs.telemetry.TelemetrySource`, read over
+    TELEMETRY — so co-hosted daemons in one process stay separable.
     """
 
     def __init__(
@@ -112,7 +111,6 @@ class CheckpointDaemon:
         io_timeout_s: float = 30.0,
         pagestore: Optional[PageStore] = None,
         state_dir: Optional[Path | str] = None,
-        metrics_port: Optional[int] = None,
     ) -> None:
         self.name = name
         self.link = link
@@ -122,17 +120,12 @@ class CheckpointDaemon:
         repository = self.repository = (
             CheckpointRepository(state_dir) if state_dir is not None else None
         )
-        # Telemetry: every instrument lands in the process-wide registry
-        # (the pre-existing contract tests and exporters rely on) *and*
-        # in a per-daemon source, so co-hosted daemons in one process
-        # stay separable on the wire and in Prometheus labels.
         self.telemetry = TelemetrySource(name)
-        self._registries = (get_registry(), self.telemetry.registry)
         # Write-behind persistence: incoming pages spill to the
         # repository through a bounded queue, drained before any commit
         # point.
         self._persist = (
-            _WriteBehind(repository, self._registries)
+            _WriteBehind(repository, self.telemetry.registry)
             if repository is not None
             else None
         )
@@ -154,16 +147,13 @@ class CheckpointDaemon:
         self.faults = FaultInjector()
         self.host: Optional[str] = None
         self.port: Optional[int] = None
-        self.flight = FlightRecorder(f"daemon-{name}")
-        self.metrics_port = metrics_port
-        self.metrics_server: Optional[MetricsServer] = None
+        self.flight = FlightRecorder(f"daemon-{name}", self.telemetry.registry)
         if self.repository is not None:
             self._recover()
 
     def _count(self, counter: names.CounterName, amount: float = 1.0) -> None:
-        """Increment a counter in both the global and per-daemon registries."""
-        for registry in self._registries:
-            counter.on(registry).add(amount)
+        """Increment a counter in this daemon's telemetry registry."""
+        counter.on(self.telemetry.registry).add(amount)
 
     def _recover(self) -> None:
         """Rebuild hosted checkpoints and sessions from the repository.
@@ -213,19 +203,6 @@ class CheckpointDaemon:
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
-        if self.metrics_port is not None and self.metrics_server is None:
-            self.metrics_server = MetricsServer(
-                render_text=lambda: render_sections(self.telemetry.sections()),
-                render_json=lambda: {
-                    "host": self.name,
-                    "seq": self.telemetry.seq,
-                    "sections": [
-                        [labels, instruments]
-                        for labels, instruments in self.telemetry.sections()
-                    ],
-                },
-                port=self.metrics_port,
-            ).start()
         return self.host, self.port
 
     async def stop(self) -> None:
@@ -248,9 +225,6 @@ class CheckpointDaemon:
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        if self.metrics_server is not None:
-            self.metrics_server.stop()
-            self.metrics_server = None
         if self._persist is not None:
             await self._persist.close()
             self.repository.close()
@@ -691,8 +665,7 @@ class CheckpointDaemon:
                     cap=_MAX_RETAINED_SESSIONS,
                 )
                 overflow = len(self._sessions) - _MAX_RETAINED_SESSIONS
-                for registry in self._registries:
-                    names.DAEMON_SESSIONS_LIVE_OVERFLOW.on(registry).set(overflow)
+                names.DAEMON_SESSIONS_LIVE_OVERFLOW.on(self.telemetry.registry).set(overflow)
                 return
             victim = self._sessions.pop(victim_id)
             victim.release_refs()

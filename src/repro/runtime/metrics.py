@@ -145,79 +145,6 @@ class MigrationMetrics:
                 f"{self.payload_bytes}): a resumed round double-counted frames"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON round-trip view; :meth:`from_dict` inverts it exactly."""
-        return {
-            "vm_id": self.vm_id,
-            "mode": self.mode,
-            "link": self.link,
-            "outcome": self.outcome,
-            "error": self.error,
-            "payload_bytes": self.payload_bytes,
-            "announce_bytes": self.announce_bytes,
-            "control_bytes": self.control_bytes,
-            "total_bytes": self.total_bytes,
-            "bytes_by_type": dict(self.bytes_by_type),
-            "messages_by_type": dict(self.messages_by_type),
-            "rounds": [
-                {
-                    "round_no": r.round_no,
-                    "messages": r.messages,
-                    "bytes": r.bytes_sent,
-                    "duration_s": r.duration_s,
-                }
-                for r in self.rounds
-            ],
-            "retries": self.retries,
-            "retransmitted_bytes": self.retransmitted_bytes,
-            "pages": {
-                "full": self.pages_full,
-                "ref": self.pages_ref,
-                "checksum_only": self.pages_checksum_only,
-                "skipped": self.pages_skipped,
-                "checksummed": self.checksummed_pages,
-            },
-            "wall_time_s": self.wall_time_s,
-            "modelled_time_s": self.modelled_time_s,
-            "sink": dict(self.sink_stats),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "MigrationMetrics":
-        """Rebuild metrics from :meth:`to_dict` output (JSONL ingestion)."""
-        pages = data.get("pages", {})
-        metrics = cls(
-            vm_id=data["vm_id"],
-            mode=data["mode"],
-            link=data["link"],
-            bytes_by_type=dict(data.get("bytes_by_type", {})),
-            messages_by_type=dict(data.get("messages_by_type", {})),
-            announce_bytes=int(data.get("announce_bytes", 0)),
-            control_bytes=int(data.get("control_bytes", 0)),
-            retries=int(data.get("retries", 0)),
-            retransmitted_bytes=int(data.get("retransmitted_bytes", 0)),
-            pages_full=int(pages.get("full", 0)),
-            pages_ref=int(pages.get("ref", 0)),
-            pages_checksum_only=int(pages.get("checksum_only", 0)),
-            pages_skipped=int(pages.get("skipped", 0)),
-            checksummed_pages=int(pages.get("checksummed", 0)),
-            rounds=[
-                RoundMetrics(
-                    round_no=int(r["round_no"]),
-                    messages=int(r["messages"]),
-                    bytes_sent=int(r["bytes"]),
-                    duration_s=float(r["duration_s"]),
-                )
-                for r in data.get("rounds", [])
-            ],
-            wall_time_s=float(data.get("wall_time_s", 0.0)),
-            modelled_time_s=float(data.get("modelled_time_s", 0.0)),
-            outcome=data.get("outcome", "pending"),
-            error=data.get("error"),
-            sink_stats=dict(data.get("sink", {})),
-        )
-        return metrics
-
     def report(self) -> str:
         """Multi-line human-readable report for the CLI."""
         lines = [

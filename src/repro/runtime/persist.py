@@ -24,6 +24,9 @@ log = get_logger(__name__)
 _WRITEBEHIND_STALL = names.PIPELINE_STALL.labelled("writebehind")
 """Seconds reception waited on the write-behind backlog."""
 
+MAX_PENDING_BYTES = 8 << 20
+"""Backlog past which :meth:`_WriteBehind.throttle` blocks reception."""
+
 
 class _WriteBehind:
     """Bounded write-behind queue feeding the repository's packs.
@@ -53,19 +56,16 @@ class _WriteBehind:
       finds it already indexed.
 
     :meth:`throttle` (awaited once per decoded batch) blocks reception
-    while the writer is more than ``max_pending_bytes`` behind — disk
+    while the writer is more than :data:`MAX_PENDING_BYTES` behind — disk
     pressure becomes socket backpressure — so the queue overshoots the
     bound by at most one receive arena.  Batches and stall time are
-    counted in every registry of ``registries`` (for a daemon, the
-    process-wide one and its own ``TelemetrySource``).
+    counted in ``registry`` (a daemon's ``TelemetrySource`` registry).
     """
 
     def __init__(self, repository: CheckpointRepository,
-                 registries: Sequence[MetricsRegistry],
-                 max_pending_bytes: int = 8 << 20) -> None:
+                 registry: MetricsRegistry) -> None:
         self._repository = repository
-        self._registries = registries
-        self.max_pending_bytes = max_pending_bytes
+        self._registry = registry
         self._queue: Deque[Tuple[bytes, bytes]] = deque()
         self.pending_bytes = 0
         self._inflight: List[Tuple[bytes, bytes]] = []
@@ -124,8 +124,7 @@ class _WriteBehind:
             batch = self._inflight = self._take_queue()
             compact, self._compact_due = self._compact_due, False
             if batch:
-                for registry in self._registries:
-                    names.DAEMON_WRITEBEHIND_BATCHES.on(registry).add()
+                names.DAEMON_WRITEBEHIND_BATCHES.on(self._registry).add()
             try:
                 await asyncio.to_thread(self._write, batch, compact)
             except asyncio.CancelledError:
@@ -153,16 +152,15 @@ class _WriteBehind:
         await waiter
 
     async def throttle(self) -> None:
-        """Block while the backlog exceeds ``max_pending_bytes``."""
-        if self.pending_bytes <= self.max_pending_bytes or self.idle:
+        """Block while the backlog exceeds :data:`MAX_PENDING_BYTES`."""
+        if self.pending_bytes <= MAX_PENDING_BYTES or self.idle:
             return
         started = time.perf_counter()
-        while self.pending_bytes > self.max_pending_bytes and not self.idle:
+        while self.pending_bytes > MAX_PENDING_BYTES and not self.idle:
             await self._wait_progress()
         stalled = time.perf_counter() - started
-        for registry in self._registries:
-            names.PIPELINE_STAGE_STALL_SECONDS.on(registry).observe(stalled)
-            _WRITEBEHIND_STALL.on(registry).add(stalled)
+        names.PIPELINE_STAGE_STALL_SECONDS.on(self._registry).observe(stalled)
+        _WRITEBEHIND_STALL.on(self._registry).add(stalled)
 
     async def drain(self) -> None:
         """Wait until the backlog has durably landed; re-raise errors."""

@@ -14,7 +14,6 @@ import pytest
 from repro.core.fingerprint import Fingerprint
 from repro.core.strategies import VECYCLE, VECYCLE_DIRTY
 from repro.mem.pagestore import PageStore
-from repro.obs.metrics import get_registry
 from repro.orchestrator.executor import MigrationExecutor
 from repro.runtime import (
     CheckpointDaemon,
@@ -298,11 +297,9 @@ class _BrokenStream:
 
 def test_undeliverable_error_frame_is_counted():
     daemon = CheckpointDaemon(name="count-host")
-    before = get_registry().counter("daemon.close_errors").value
     asyncio.run(
         daemon._send_error(_BrokenStream(), SinkProtocolError("bad-hello", "x"))
     )
-    assert get_registry().counter("daemon.close_errors").value == before + 1
     assert daemon.telemetry.counter("daemon.close_errors").value == 1
 
 

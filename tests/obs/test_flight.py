@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import asyncio
 import sys
 
+import numpy as np
 import pytest
 
-from repro.obs import flight
+from repro.core.strategies import VECYCLE
+from repro.mem.pagestore import PageStore
+from repro.obs import flight, get_registry
 from repro.obs.flight import (
+    DEFAULT_CAPACITY,
     FLIGHT_DIR_ENV,
     FlightRecorder,
     read_dump,
 )
+from repro.runtime import CheckpointDaemon, MigrationSource, SourceState
 
 
 @pytest.fixture(autouse=True)
@@ -23,11 +29,11 @@ def flight_dir(tmp_path, monkeypatch):
 
 class TestRing:
     def test_ring_is_bounded(self):
-        recorder = FlightRecorder("t", capacity=3)
-        for i in range(10):
+        recorder = FlightRecorder("t")
+        for i in range(DEFAULT_CAPACITY + 7):
             recorder.note("event", i=i)
-        assert len(recorder.events) == 3
-        assert [e["i"] for e in recorder.events] == [7, 8, 9]
+        assert len(recorder.events) == DEFAULT_CAPACITY
+        assert [e["i"] for e in recorder.events][:3] == [7, 8, 9]
 
     def test_note_stamps_time_and_kind(self):
         recorder = FlightRecorder("t")
@@ -40,7 +46,7 @@ class TestRing:
 
 class TestDump:
     def test_dump_roundtrips_through_read_dump(self, flight_dir):
-        recorder = FlightRecorder("victim", capacity=8)
+        recorder = FlightRecorder("victim")
         recorder.note("session", vm="vm-1")
         recorder.note("daemon.result", vm="vm-1", ok=True)
         path = recorder.dump("test crash")
@@ -52,7 +58,29 @@ class TestDump:
         assert dump["header"]["events"] == 2
         kinds = [e["kind"] for e in dump["events"]]
         assert kinds == ["session", "daemon.result"]
-        assert isinstance(dump["metrics"], dict)
+        # The default registry is the process-wide one.
+        assert dump["metrics"].keys() == get_registry().snapshot().keys()
+
+    def test_each_daemon_dump_ends_with_its_own_instruments(self):
+        pagestore = PageStore()
+
+        async def migrate_into(daemon, pages):
+            hashes = np.arange(1, pages + 1, dtype=np.uint64)
+            source = MigrationSource(SourceState("vm", hashes, pagestore), VECYCLE)
+            metrics = await source.migrate(daemon.host, daemon.port)
+            assert metrics.outcome == "completed"
+            return daemon.flight.dump("check")
+
+        async def main():
+            async with CheckpointDaemon("a", pagestore=pagestore) as a, \
+                    CheckpointDaemon("b", pagestore=pagestore) as b:
+                return await migrate_into(a, 64), await migrate_into(b, 32)
+
+        dumps = [read_dump(path)["metrics"] for path in asyncio.run(main())]
+        received = [m["daemon.pages_received"]["value"] for m in dumps]
+        assert received == [64, 32]
+        for metrics in dumps:
+            assert metrics["daemon.sessions.completed"]["value"] == 1
 
     def test_empty_ring_dumps_nothing(self):
         assert FlightRecorder("empty").dump("nothing happened") is None

@@ -57,8 +57,9 @@ async def _migrate_traced(daemon_setup=None, pages: int = N, updates: int = 100)
 def traced_migration():
     tracer = get_tracer()
     tracer.enable()
-    metrics = asyncio.run(_migrate_traced())
-    return metrics, tracer.finished()
+    daemons = []
+    metrics = asyncio.run(_migrate_traced(daemons.append))
+    return metrics, tracer.finished(), daemons[0]
 
 
 def _children_of(records, parent_id):
@@ -66,7 +67,7 @@ def _children_of(records, parent_id):
 
 
 def test_live_migration_emits_expected_spans(traced_migration):
-    _, records = traced_migration
+    _, records, _ = traced_migration
     names = {r.name for r in records}
     assert {"runtime.migrate", "connect", "announce", "round", "complete",
             "close", "daemon.session", "daemon.announce",
@@ -121,7 +122,7 @@ def test_retry_span_recorded_on_disconnect():
 
 
 def test_runtime_metrics_folded_into_registry(traced_migration):
-    metrics, _ = traced_migration
+    metrics, _, daemon = traced_migration
     snapshot = get_registry().snapshot()
     assert snapshot["runtime.migrations.completed"]["value"] == 1
     counted = sum(
@@ -130,11 +131,11 @@ def test_runtime_metrics_folded_into_registry(traced_migration):
     )
     assert counted == metrics.payload_bytes
     assert snapshot["runtime.round_seconds"]["total"] == metrics.num_rounds
-    assert snapshot["daemon.sessions.completed"]["value"] == 1
+    assert daemon.telemetry.counter("daemon.sessions.completed").value == 1
 
 
 def test_chrome_export_of_live_migration_is_wellformed(traced_migration):
-    _, records = traced_migration
+    _, records, _ = traced_migration
     trace = json.loads(json.dumps(to_chrome_trace(records, get_registry())))
     events = trace["traceEvents"]
     spans = [e for e in events if e["ph"] == "X"]

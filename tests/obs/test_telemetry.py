@@ -26,8 +26,8 @@ MALFORMED_BODIES = [
 ]
 
 
-def make_source(name="hostA", **kwargs) -> TelemetrySource:
-    return TelemetrySource(name, **kwargs)
+def make_source(name="hostA") -> TelemetrySource:
+    return TelemetrySource(name)
 
 
 class TestSnapshotRoundtrip:
@@ -61,8 +61,6 @@ class TestSnapshotRoundtrip:
         assert source.seq == 0
         source.snapshot()
         source.snapshot()
-        assert source.seq == 2
-        source.sections()  # scrapes must not disturb wire bookkeeping
         assert source.seq == 2
 
 
@@ -281,37 +279,24 @@ class TestIncarnationFold:
 
 class TestCardinalityGuard:
     def test_per_vm_series_fold_past_the_cap(self):
-        source = make_source(max_vm_labels=2)
-        source.vm_count("vm-1", "x", 1)
-        source.vm_count("vm-2", "x", 1)
-        source.vm_count("vm-3", "x", 1)
-        source.vm_count("vm-4", "x", 1)
+        source = make_source()
+        vms = [f"vm-{i}" for i in range(MAX_VM_LABELS + 2)]
+        for vm in vms:
+            source.vm_count(vm, "x", 1)
         snapshot = source.snapshot()
-        assert set(snapshot.per_vm) == {"vm-1", "vm-2", OVERFLOW_LABEL}
+        assert set(snapshot.per_vm) == {*vms[:MAX_VM_LABELS], OVERFLOW_LABEL}
         assert snapshot.per_vm[OVERFLOW_LABEL]["x"] == 2.0
         assert (
             snapshot.instruments["telemetry.labels_folded"]["value"] == 2.0
         )
 
     def test_existing_vm_keeps_counting_past_the_cap(self):
-        source = make_source(max_vm_labels=1)
-        source.vm_count("vm-1", "x", 1)
-        source.vm_count("vm-2", "x", 1)  # folds
-        source.vm_count("vm-1", "x", 1)  # still direct
+        source = make_source()
+        for i in range(MAX_VM_LABELS + 1):  # the last one folds
+            source.vm_count(f"vm-{i}", "x", 1)
+        source.vm_count("vm-0", "x", 1)  # still direct
         snapshot = source.snapshot()
-        assert snapshot.per_vm["vm-1"]["x"] == 2.0
-
-
-class TestSections:
-    def test_sections_label_host_then_vm(self):
-        source = make_source("hostB")
-        source.counter("daemon.heartbeats").add(1)
-        source.vm_count("vm-1", "recycled_bytes", 4096)
-        sections = source.sections()
-        assert sections[0][0] == {"host": "hostB"}
-        assert "daemon.heartbeats" in sections[0][1]
-        assert sections[1][0] == {"host": "hostB", "vm": "vm-1"}
-        assert sections[1][1]["recycled_bytes"]["value"] == 4096.0
+        assert snapshot.per_vm["vm-0"]["x"] == 2.0
 
 
 class TestActiveAggregatorHook:

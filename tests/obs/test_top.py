@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 
+import numpy as np
+
+from repro.cli import main
+from repro.core.strategies import VECYCLE
+from repro.mem.pagestore import PageStore
 from repro.obs.prometheus import MetricsServer
 from repro.obs.top import (
     fetch_view,
@@ -12,6 +18,7 @@ from repro.obs.top import (
     format_seconds,
     render_dashboard,
 )
+from repro.runtime import CheckpointDaemon, MigrationSource, SourceState
 
 VIEW = {
     "controller": "ctl",
@@ -121,3 +128,36 @@ class TestFetchView:
     def test_view_is_json_roundtrippable(self):
         # The dashboard view must survive the HTTP JSON hop losslessly.
         assert json.loads(json.dumps(VIEW)) == VIEW
+
+
+class TestConnect:
+    def test_a_standalone_daemon_is_watched_over_telemetry(self, capsys):
+        """``top --connect`` polls a live daemon, which serves no page."""
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+
+        def on_loop(coro):
+            return asyncio.run_coroutine_threadsafe(coro, loop).result(timeout=30)
+
+        daemon = CheckpointDaemon("standalone")
+        try:
+            host, port = on_loop(daemon.start())
+            hashes = np.arange(1, 65, dtype=np.uint64)
+            source = MigrationSource(SourceState("vm", hashes, PageStore()), VECYCLE)
+            assert on_loop(source.migrate(host, port)).outcome == "completed"
+            capsys.readouterr()
+            assert main(["top", "--connect", f"{host}:{port}", "--iterations", "1"]) == 0
+            frame = capsys.readouterr().out
+        finally:
+            on_loop(daemon.stop())
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        loop.close()
+        assert "controller vecycle-top — 1 host(s)" in frame
+        header, row = [
+            line.split() for line in frame.splitlines()
+            if line.startswith(("HOST ", f"{host}:{port} "))
+        ]
+        assert row[header.index("SESS")] == "1"

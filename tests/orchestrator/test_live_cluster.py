@@ -152,8 +152,8 @@ class TestMidResultDisconnect:
         # RESULT replay — nothing re-sent, nothing re-adopted.
         assert outcome.ok
         assert outcome.attempts == 2
-        assert registry.counter("daemon.result_replays").value == 1
-        assert registry.counter("daemon.sessions.completed").value == 1
+        assert daemon.telemetry.counter("daemon.result_replays").value == 1
+        assert daemon.telemetry.counter("daemon.sessions.completed").value == 1
         assert registry.counter("orchestrator.migrations.retried").value == 1
         # No daemon restart happened, so nothing was ever recovered.
         assert registry.counter("repo.recovered_checkpoints").value == 0
@@ -193,17 +193,18 @@ class TestMidResultDisconnect:
                 )
                 source.session_id = "vm-sticky"
                 executor = MigrationExecutor()
-                return await executor.run(
+                outcome = await executor.run(
                     source, "host", daemon.host, daemon.port
                 )
+                return outcome, daemon
 
-        outcome = asyncio.run(second_life())
+        outcome, daemon = asyncio.run(second_life())
         assert outcome.ok
         assert outcome.metrics.payload_bytes == 0  # pure replay
         # Recovery ran exactly once (the restart), and the replay did
         # not re-adopt — so the counter stays at one checkpoint.
         assert registry.counter("repo.recovered_checkpoints").value == 1
-        assert registry.counter("daemon.result_replays").value == 1
+        assert daemon.telemetry.counter("daemon.result_replays").value == 1
 
 
 class TestLiveVdiCrossValidation:

@@ -12,12 +12,13 @@ from repro.mem.pagestore import PageStore
 from repro.obs import flight
 from repro.obs.flight import FLIGHT_DIR_ENV, read_dump
 from repro.obs.metrics import get_registry
-from repro.obs.prometheus import parse_exposition
+from repro.obs.prometheus import metric_name, parse_exposition
 from repro.obs.telemetry import set_active_aggregator
 from repro.orchestrator import (
     BestCheckpoint,
     ClusterRegistry,
     MigrationExecutor,
+    Orchestrator,
     TelemetryAggregator,
     replay_vdi_live,
 )
@@ -27,6 +28,7 @@ from repro.runtime import (
     RetryPolicy,
     RuntimeConfig,
     SourceState,
+    persist,
 )
 
 N = 512
@@ -323,3 +325,63 @@ class TestAggregatorOverWire:
                 assert probes["value"] == 2.0
 
         asyncio.run(main())
+
+
+class TestOneHome:
+    def test_daemon_instruments_reach_the_controller_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Daemons in the controller's process count only into their own
+        sources: the controller's section carries none of their series."""
+        monkeypatch.setattr(persist, "MAX_PENDING_BYTES", 0)  # every batch stalls
+        get_registry().reset()
+
+        async def main():
+            pagestore = PageStore()
+            registry = ClusterRegistry()
+            aggregator = TelemetryAggregator(registry)
+            daemons = []
+            try:
+                for name in ("a", "b"):
+                    daemon = CheckpointDaemon(
+                        name=name, pagestore=pagestore, state_dir=tmp_path / name
+                    )
+                    await daemon.start()
+                    daemons.append(daemon)
+                    registry.register(name, daemon.host, daemon.port)
+                orchestrator = Orchestrator(
+                    registry, BestCheckpoint(), config=FAST, pagestore=pagestore
+                )
+                decision, outcome = await orchestrator.migrate_vm(
+                    "vm", build_hashes(), source_host="a"
+                )
+                assert outcome.ok and decision.destination == "b"
+                await aggregator.poll_all()
+                return (
+                    aggregator.host_instruments()["b"],
+                    aggregator.render_prometheus(),
+                    registry.controller_id,
+                )
+            finally:
+                await registry.close()
+                for daemon in daemons:
+                    await daemon.stop()
+
+        on_wire, page, controller = asyncio.run(main())
+        daemon_side = ("daemon.", "pipeline.")
+        assert not [n for n in get_registry().names() if n.startswith(daemon_side)]
+        assert on_wire["daemon.sessions.completed"]["value"] == 1
+        assert on_wire["pipeline.stall.writebehind"]["value"] > 0
+        assert on_wire["pipeline.stage_stall_seconds"]["total"] >= 1
+        exposed = tuple(
+            metric_name(name, state["type"]).removesuffix("_total")
+            for name, state in on_wire.items()
+            if name.startswith(daemon_side)
+        )
+        under_controller = [
+            name
+            for name, samples in parse_exposition(page).items()
+            if any(("host", controller) in labels for labels in samples)
+        ]
+        assert under_controller  # the controller's own series are there
+        assert not [n for n in under_controller if n.startswith(exposed)]

@@ -37,8 +37,8 @@ from repro.runtime.source import BATCH_BYTES
 PAGES = 1024  # a 4 MiB VM
 
 
-def counter(name: names.CounterName) -> float:
-    return name.on().value
+def counter(name: names.CounterName, registry=None) -> float:
+    return name.on(registry).value
 
 
 def warm_store(content_ids: np.ndarray) -> PageStore:
@@ -113,14 +113,13 @@ class TestNoCallPerPage:
                 counted(ShapedStream, "fill")
                 counted(PageStore, "page_bytes", always=True)
                 monkeypatch.setattr(CheckpointDaemon, "_receive_pages", bracketed)
-                before = {
-                    name: counter(name)
-                    for name in (
-                        names.PAGESTORE_PAGE_EVICTIONS,
-                        names.RUNTIME_BATCH_FLUSHES,
-                        names.DAEMON_APPLY_BATCHES,
-                    )
+                # Where each counter lives: the daemon's in its own source.
+                home = {
+                    names.PAGESTORE_PAGE_EVICTIONS: None,
+                    names.RUNTIME_BATCH_FLUSHES: None,
+                    names.DAEMON_APPLY_BATCHES: daemon.telemetry.registry,
                 }
+                before = {name: counter(name, home[name]) for name in home}
                 tasks.clear()
                 source = MigrationSource(
                     SourceState(
@@ -132,7 +131,10 @@ class TestNoCallPerPage:
                     config=RuntimeConfig(io_timeout_s=5.0),
                 )
                 metrics = await source.migrate(daemon.host, daemon.port)
-                moved = {name: counter(name) - was for name, was in before.items()}
+                moved = {
+                    name: counter(name, home[name]) - was
+                    for name, was in before.items()
+                }
                 return metrics, moved, daemon.audit_store(), list(tasks)
 
         metrics, moved, audit, tasks = asyncio.run(main())

@@ -16,7 +16,6 @@ from repro.core.checksum import MD5
 from repro.core.strategies import VECYCLE
 from repro.core.transfer import Method
 from repro.mem.pagestore import PageStore
-from repro.obs.metrics import get_registry
 from repro.runtime import MigrationSource, RetryPolicy, RuntimeConfig, SourceState
 from repro.runtime.daemon import _MAX_RETAINED_SESSIONS, CheckpointDaemon
 from repro.runtime.sink import _SinkSession
@@ -92,7 +91,7 @@ class TestSessionRetention:
             and "soft cap" in record.getMessage()
             for record in records
         )
-        overflow = get_registry().gauge("daemon.sessions.live_overflow")
+        overflow = daemon.telemetry.gauge("daemon.sessions.live_overflow")
         assert overflow.value == 3
 
     def test_evicted_session_releases_content_store_refs(self):
@@ -139,8 +138,8 @@ class TestCompletedSessionHandsOver:
     def test_rewritten_returns_keep_one_image_resident(self):
         async def main():
             pagestore = PageStore(cache_limit=8 * PAGES)
-            replays = get_registry().counter("daemon.result_replays")
             async with CheckpointDaemon(pagestore=pagestore) as daemon:
+                replays = daemon.telemetry.counter("daemon.result_replays")
                 for visit in range(6):
                     hashes = rewritten_image(visit)
                     source = source_for(hashes, pagestore)
