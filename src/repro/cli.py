@@ -22,14 +22,17 @@ Usage::
     vecycle top --connect 127.0.0.1:5001,127.0.0.1:5002
     vecycle consolidate [--vms 8] [--days 3]
     vecycle gang [--vms 8] [--shared 0.5]
-    vecycle obs [--summary] [--from trace.jsonl]
+    vecycle obs RUN.jsonl [OUT]
     vecycle repo {ls,verify,gc} --state-dir DIR
     vecycle lint [--format json] [--rules ...]   (options: repro.lint.cli)
 
-Every subcommand but ``lint`` also accepts the shared observability
-flags: ``--trace-out PATH`` (write a trace of the run), ``--format
-chrome|jsonl`` (trace file format), ``--trace-summary`` (print the span
-tree to stderr afterwards), and ``-v``/``-q`` (log verbosity).
+Every subcommand but ``obs`` and ``lint`` also accepts the shared
+observability flags: ``--trace-out PATH`` (write a trace of the run,
+even when the command raises; a ``.jsonl`` name gets the event log, any
+other Chrome trace_event JSON), ``--trace-summary`` (print the span tree
+to stderr afterwards), and ``-v``/``-q`` (log verbosity).  ``obs``
+reads a recorded trace: it prints the span tree and, given ``OUT``,
+rewrites the trace in the format ``OUT``'s name picks.
 
 (also reachable as ``python -m repro ...``)
 """
@@ -530,39 +533,13 @@ def _cmd_repo(args: argparse.Namespace) -> str:
 
 
 def _cmd_obs(args: argparse.Namespace) -> str:
-    """Trace a demo live migration, or convert an existing event log."""
-    if args.from_jsonl:
-        records = read_jsonl(args.from_jsonl)
-        lines = [f"loaded {len(records)} spans from {args.from_jsonl}"]
-        if args.trace_out:
-            export_trace(args.trace_out, fmt=args.trace_format, records=records)
-            lines.append(f"wrote {args.trace_format} trace to {args.trace_out}")
-            # The conversion already consumed --trace-out; stop main()
-            # from overwriting the file with this (empty) live trace.
-            args.trace_out = None
-            args.trace_summary = False
-        if args.summary or len(lines) == 1:
-            lines.append(summary_tree(records))
-        return "\n".join(lines)
-
-    import asyncio
-
-    from repro.runtime import cross_validate, idle_vm_scenario
-    from repro.runtime.source import RetryPolicy, RuntimeConfig
-
-    enable_tracing()
-    scenario = idle_vm_scenario(
-        size_mib=args.size_mib,
-        updates_percent=args.updates_percent,
-        strategy=get_strategy(args.strategy),
-        link=None if args.link == "none" else get_link(args.link),
-        seed=args.seed,
-    )
-    config = RuntimeConfig(retry=RetryPolicy(max_attempts=5, base_backoff_s=0.02))
-    result = asyncio.run(cross_validate(scenario, config=config))
-    lines = [result.runtime.report()]
-    if args.summary:
-        lines += ["", summary_tree(get_tracer().finished())]
+    """Summarize a recorded JSONL trace, and convert it if asked."""
+    records = read_jsonl(args.run)
+    lines = [f"loaded {len(records)} spans from {args.run}"]
+    if args.out:
+        export_trace(args.out, records=records)
+        lines.append(f"wrote {args.out}")
+    lines.append(summary_tree(records))
     return "\n".join(lines)
 
 
@@ -579,13 +556,9 @@ def _obs_options() -> argparse.ArgumentParser:
     group = common.add_argument_group("observability")
     group.add_argument(
         "--trace-out", metavar="PATH", default=None,
-        help="record a trace of this run and write it to PATH",
-    )
-    group.add_argument(
-        "--format", dest="trace_format", choices=("chrome", "jsonl"),
-        default="chrome",
-        help="trace file format: Chrome trace_event JSON "
-        "(chrome://tracing, Perfetto) or a JSONL event log",
+        help="record a trace of this run and write it to PATH: a JSONL "
+        "event log if PATH ends in .jsonl, else Chrome trace_event JSON "
+        "(chrome://tracing, Perfetto)",
     )
     group.add_argument(
         "--trace-summary", action="store_true",
@@ -816,30 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--seed", type=int, default=0)
     pg.set_defaults(func=_cmd_gang)
 
-    po = add_parser(
-        "obs",
-        help="trace a demo live migration, or convert/summarize an "
-        "existing JSONL event log",
-    )
-    po.add_argument("--from", dest="from_jsonl", metavar="TRACE.jsonl",
-                    default=None,
-                    help="operate on a recorded JSONL event log (e.g. from "
-                    "REPRO_TRACE=<path>) instead of running the demo")
-    po.add_argument("--summary", action="store_true",
-                    help="print the aggregated span tree")
-    po.add_argument("--size-mib", type=int, default=16)
-    po.add_argument(
-        "--strategy", choices=available_strategies(), default="vecycle"
-    )
-    po.add_argument(
-        "--link", choices=sorted(LINK_PRESETS) + ["none"], default="loopback",
-        help="link model to shape the demo migration with",
-    )
-    po.add_argument("--updates-percent", type=float, default=1.0,
-                    help="memory updated since the destination's checkpoint")
-    po.add_argument("--seed", type=int, default=7)
-    po.set_defaults(func=_cmd_obs)
-
     prepo = add_parser(
         "repo",
         help="inspect, scrub, or gc a durable checkpoint repository",
@@ -856,6 +805,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="repository root (the daemon's --state-dir)",
     )
     prepo.set_defaults(func=_cmd_repo)
+
+    # `vecycle obs` reads a trace and records none, so it takes no
+    # shared flags.
+    po = sub.add_parser(
+        "obs", help="summarize a recorded JSONL trace, or convert it"
+    )
+    po.add_argument("run", metavar="RUN.jsonl",
+                    help="a JSONL trace (--trace-out or REPRO_TRACE)")
+    po.add_argument("out", metavar="OUT", nargs="?", default=None,
+                    help="also write the trace here, in the format its "
+                    "name picks (.jsonl or Chrome JSON)")
+    po.set_defaults(func=_cmd_obs)
 
     # `vecycle lint` has one parser, repro.lint.cli's: nothing is declared
     # here, so main() finds every argument after the subcommand left over
@@ -889,19 +850,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # SIGUSR2 dump the flight-recorder rings (see docs/observability.md).
     install_flight_recorder()
     trace_out = getattr(args, "trace_out", None)
-    if trace_out or getattr(args, "trace_summary", False):
+    trace_summary = getattr(args, "trace_summary", False)
+    if trace_out or trace_summary:
         enable_tracing()
-    print(args.func(args))
-    # _cmd_obs may clear trace_out after converting an existing log.
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        export_trace(
-            trace_out,
-            fmt=getattr(args, "trace_format", "chrome"),
-            registry=get_registry(),
-        )
-    if getattr(args, "trace_summary", False):
-        print(summary_tree(get_tracer().finished()), file=sys.stderr)
+    try:
+        print(args.func(args))
+    finally:
+        # Written on the way out of a failing command too: the trace of
+        # a crash is the one most worth having.
+        if trace_out:
+            export_trace(trace_out, registry=get_registry())
+        if trace_summary:
+            print(summary_tree(get_tracer().finished()), file=sys.stderr)
     return 0
 
 

@@ -19,7 +19,6 @@ optional capacity bound and LRU eviction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -252,53 +251,3 @@ class CheckpointStore:
     def vm_ids(self) -> list[str]:
         """Sorted ids of all VMs with a stored checkpoint."""
         return sorted(self._checkpoints)
-
-    def save(self, path: Path | str) -> None:
-        """Persist the store's checkpoints to a compressed ``.npz``.
-
-        A host reboot must not lose its recycling state — the stored
-        fingerprints, timestamps, and Miyakodori generation vectors all
-        survive the round trip.  (In a real deployment the page *bytes*
-        live in the per-VM checkpoint files; this persists the
-        metadata the migration logic consults.)
-        """
-        path = Path(path)
-        arrays: Dict[str, np.ndarray] = {}
-        names = []
-        for index, vm_id in enumerate(self.vm_ids()):
-            checkpoint = self._checkpoints[vm_id]
-            names.append(vm_id)
-            arrays[f"hashes{index:04d}"] = checkpoint.fingerprint.hashes
-            arrays[f"ts{index:04d}"] = np.asarray(checkpoint.fingerprint.timestamp)
-            if checkpoint.generation_vector is not None:
-                arrays[f"gen{index:04d}"] = checkpoint.generation_vector
-        np.savez_compressed(
-            path,
-            vm_ids=np.asarray(names),
-            capacity=np.asarray(self.capacity_bytes or -1),
-            **arrays,
-        )
-
-    @classmethod
-    def load(cls, path: Path | str) -> "CheckpointStore":
-        """Restore a store previously written by :meth:`save`."""
-        with np.load(Path(path)) as data:
-            capacity = int(data["capacity"])
-            store = cls(capacity_bytes=None if capacity < 0 else capacity)
-            for index, vm_id in enumerate(data["vm_ids"]):
-                generation_key = f"gen{index:04d}"
-                store.store(
-                    Checkpoint(
-                        vm_id=str(vm_id),
-                        fingerprint=Fingerprint(
-                            hashes=data[f"hashes{index:04d}"],
-                            timestamp=float(data[f"ts{index:04d}"]),
-                        ),
-                        generation_vector=(
-                            data[generation_key]
-                            if generation_key in data.files
-                            else None
-                        ),
-                    )
-                )
-            return store

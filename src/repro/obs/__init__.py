@@ -16,7 +16,9 @@ simulator.  It has three pieces:
 Tracing is off by default.  Turn it on with :func:`enable`, the CLI's
 ``--trace-out`` flag, or the ``REPRO_TRACE`` environment variable
 (``REPRO_TRACE=1`` enables; ``REPRO_TRACE=/tmp/run.jsonl`` also writes
-the JSONL log at exit).
+the trace at exit).  Both paths write through :func:`export_trace`, so
+the file is the same either way: ``.jsonl`` gets the event log, any
+other name Chrome JSON.
 """
 
 from repro.obs.export import (
@@ -25,8 +27,6 @@ from repro.obs.export import (
     summary_tree,
     to_chrome_trace,
     to_jsonl_lines,
-    write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.flight import (
     FlightRecorder,
@@ -34,7 +34,6 @@ from repro.obs.flight import (
     dump_all,
     install as install_flight_recorder,
     read_dump,
-    register_flush,
 )
 from repro.obs.log import KeyValueLogger, configure as configure_logging, get_logger
 from repro.obs.metrics import (
@@ -106,7 +105,6 @@ __all__ = [
     "quantile_from_state",
     "read_dump",
     "read_jsonl",
-    "register_flush",
     "render_sections",
     "reset",
     "set_active_aggregator",
@@ -114,6 +112,4 @@ __all__ = [
     "summary_tree",
     "to_chrome_trace",
     "to_jsonl_lines",
-    "write_chrome_trace",
-    "write_jsonl",
 ]

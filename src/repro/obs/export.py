@@ -3,14 +3,18 @@
 Three consumers, three formats:
 
 * **JSONL** — one JSON object per line, machine-greppable, loss-free
-  (round-trips through :meth:`SpanRecord.to_dict`/``from_dict``); the
-  format ``REPRO_TRACE=<path>`` writes at exit.
+  (round-trips through :meth:`SpanRecord.to_dict`/``from_dict``).
 * **Chrome ``trace_event``** — a JSON object with a ``traceEvents``
   array that ``chrome://tracing`` and https://ui.perfetto.dev load
   directly; each asyncio task becomes its own named track.
 * **Summary tree** — a human-readable aggregate for terminals: sibling
   spans with the same name merge into one line with call count, total
   wall time, and total modelled time.
+
+:func:`export_trace` is the one function that writes a trace file, for
+``--trace-out``, ``REPRO_TRACE=<path>`` and ``vecycle obs`` alike; the
+file name picks the format (``.jsonl`` the event log, anything else
+Chrome JSON).
 """
 
 from __future__ import annotations
@@ -23,10 +27,8 @@ from repro.obs.trace import SpanRecord, get_tracer
 
 __all__ = [
     "to_jsonl_lines",
-    "write_jsonl",
     "read_jsonl",
     "to_chrome_trace",
-    "write_chrome_trace",
     "summary_tree",
     "export_trace",
 ]
@@ -47,17 +49,6 @@ def to_jsonl_lines(
                        sort_keys=True)
         )
     return lines
-
-
-def write_jsonl(
-    path: str,
-    records: Iterable[SpanRecord],
-    registry: Optional[MetricsRegistry] = None,
-) -> None:
-    """Write the JSONL event log to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in to_jsonl_lines(records, registry):
-            handle.write(line + "\n")
 
 
 def read_jsonl(path: str) -> List[SpanRecord]:
@@ -142,16 +133,6 @@ def to_chrome_trace(
     return trace
 
 
-def write_chrome_trace(
-    path: str,
-    records: Sequence[SpanRecord],
-    registry: Optional[MetricsRegistry] = None,
-) -> None:
-    """Write the Chrome ``trace_event`` JSON to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(to_chrome_trace(records, registry), handle)
-
-
 # --- terminal summary tree ----------------------------------------------
 
 
@@ -217,32 +198,30 @@ def summary_tree(records: Sequence[SpanRecord], max_depth: int = 8) -> str:
     return "\n".join(lines)
 
 
-# --- one-call convenience ------------------------------------------------
+# --- the trace writer ----------------------------------------------------
 
 
 def export_trace(
     path: str,
-    fmt: str = "chrome",
     records: Optional[Sequence[SpanRecord]] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> None:
-    """Write the default tracer's records to ``path`` as ``fmt``.
+    """Write a trace file; the only writer of one.
 
-    ``fmt`` is "chrome" (trace_event JSON) or "jsonl" (event log).
+    ``records`` defaults to the default tracer's finished spans.  A
+    ``path`` ending in ``.jsonl`` gets the event log: the spans, a
+    ``metrics`` line with ``registry``'s snapshot, and the run's
+    telemetry lines.  Any other path gets Chrome ``trace_event`` JSON
+    with the snapshot under ``otherData``.
     """
     if records is None:
         records = get_tracer().finished()
-    if fmt == "chrome":
-        write_chrome_trace(path, records, registry)
-    elif fmt == "jsonl":
-        write_jsonl(path, records, registry)
-        lines = _telemetry_lines()
-        if lines:
-            with open(path, "a", encoding="utf-8") as handle:
-                for line in lines:
-                    handle.write(line + "\n")
-    else:
-        raise ValueError(f"unknown trace format {fmt!r} (want chrome|jsonl)")
+    with open(path, "w", encoding="utf-8") as handle:
+        if str(path).endswith(".jsonl"):
+            for line in to_jsonl_lines(records, registry) + _telemetry_lines():
+                handle.write(line + "\n")
+        else:
+            json.dump(to_chrome_trace(records, registry), handle)
 
 
 def _telemetry_lines() -> List[str]:
@@ -251,7 +230,7 @@ def _telemetry_lines() -> List[str]:
     Runs that stood up a :class:`~repro.orchestrator.telemetry.
     TelemetryAggregator` register it via
     :func:`~repro.obs.telemetry.set_active_aggregator`; their
-    ``--trace-out`` JSONL then ends with one ``{"kind": "telemetry"}``
+    JSONL trace then ends with one ``{"kind": "telemetry"}``
     line per poll sample plus a ``{"kind": "telemetry-cluster"}``
     rollup.  Runs without an aggregator are unchanged.
     """

@@ -14,9 +14,9 @@ timestamped JSONL file the moment something is not —
 * explicitly, e.g. by the migration executor when it attaches a dump
   to a failed :class:`~repro.orchestrator.executor.MigrationOutcome`.
 
-Every dump also flushes the registered trace/metrics exporters
-(:func:`register_flush` / :func:`flush_all`), so ``--trace-out`` files
-survive crash paths that ``atexit`` alone would miss.
+A dump is the mid-run record and writes no trace file: ``--trace-out``
+is written in a ``finally`` around the command, and ``REPRO_TRACE=<path>``
+at exit.
 
 Dump files are JSONL: a ``{"kind": "flight-header", ...}`` line, one
 ``{"kind": "event", ...}`` line per ring entry (oldest first), and a
@@ -157,38 +157,13 @@ def dump_dir() -> str:
 
 
 def dump_all(reason: str, directory: Optional[str] = None) -> List[str]:
-    """Dump every live recorder and flush registered exporters.
-
-    The flush runs first: if writing dumps fails (full disk), the
-    ``--trace-out`` data has already been saved.
-    """
-    flush_all()
+    """Dump every live recorder; returns the paths written."""
     paths = []
     for recorder in recorders():
         path = recorder.dump(reason, directory)
         if path:
             paths.append(path)
     return paths
-
-
-# --- exporter flush registry ---------------------------------------------
-
-_flushers: List[Callable[[], None]] = []
-
-
-def register_flush(flush: Callable[[], None]) -> None:
-    """Register an exporter flush to run on every dump (idempotent
-    callables only — crash paths may flush more than once)."""
-    _flushers.append(flush)
-
-
-def flush_all() -> None:
-    """Run registered flushes; a failing flush never stops the rest."""
-    for flush in _flushers:
-        try:
-            flush()
-        except Exception:  # noqa: BLE001 - crash path must not re-raise
-            pass
 
 
 # --- log capture ----------------------------------------------------------

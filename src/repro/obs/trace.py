@@ -21,8 +21,8 @@ whole trace) pay only one attribute load and one truth test per call.
 
 Enable programmatically (:func:`enable`) or with the ``REPRO_TRACE``
 environment variable: ``REPRO_TRACE=1`` turns the tracer on;
-``REPRO_TRACE=/path/to/trace.jsonl`` additionally writes the JSONL
-event log at interpreter exit.
+``REPRO_TRACE=/path/to/trace.jsonl`` additionally writes the trace at
+interpreter exit, through the same writer as ``--trace-out``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from repro.obs.metrics import get_registry
 
 ENV_TOGGLE = "REPRO_TRACE"
 _TRUTHY = {"1", "true", "yes", "on"}
@@ -314,8 +316,9 @@ def configure_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[str
     """Apply the ``REPRO_TRACE`` toggle; returns the export path, if any.
 
     ``REPRO_TRACE=1`` (or true/yes/on) enables tracing.  Any other
-    non-false value is treated as a JSONL output path: tracing is
-    enabled and the event log is flushed there at interpreter exit.
+    non-false value is a trace path: tracing is enabled and
+    :func:`~repro.obs.export.export_trace` writes the path at interpreter
+    exit, in the format its suffix names, with the process-wide metrics.
     """
     env = os.environ if environ is None else environ
     raw = env.get(ENV_TOGGLE, "").strip()
@@ -324,22 +327,7 @@ def configure_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[str
     _tracer.enable()
     if raw.lower() in _TRUTHY:
         return None
-    path = raw
+    from repro.obs.export import export_trace  # export imports this module
 
-    def _flush() -> None:
-        from repro.obs.export import write_jsonl
-
-        try:
-            write_jsonl(path, _tracer.finished())
-        except OSError:  # pragma: no cover - best effort at exit
-            pass
-
-    # atexit covers clean exits; the flight recorder's dump hook covers
-    # unhandled exceptions and SIGUSR2, where atexit may never run
-    # (os._exit, fatal signals).  _flush rewrites the whole file, so
-    # running on both paths is harmless.
-    atexit.register(_flush)
-    from repro.obs import flight
-
-    flight.register_flush(_flush)
-    return path
+    atexit.register(export_trace, raw, registry=get_registry())
+    return raw

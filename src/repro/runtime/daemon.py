@@ -455,30 +455,6 @@ class CheckpointDaemon:
             },
         }
 
-    # --- fault injection ------------------------------------------------
-
-    def inject_disconnect(
-        self,
-        after_messages: int = 0,
-        times: int = 1,
-        mid_result: bool = False,
-    ) -> None:
-        """Abort connections at a chosen protocol point (test hook).
-
-        With ``mid_result=False`` the abort fires after
-        ``after_messages`` total applied data frames.  With
-        ``mid_result=True`` it instead fires while the RESULT frame is
-        being sent: the session has already been verified, adopted, and
-        persisted, but the source never sees the acknowledgement — the
-        nastiest spot for a disconnect, exercising the idempotent
-        RESULT-replay path on reconnect.  Either way the abort happens
-        ``times`` times, then the daemon behaves normally.  Shorthand
-        for assigning :attr:`faults` an injector with only these set.
-        """
-        self.faults = FaultInjector(
-            after_messages=after_messages, times=times, mid_result=mid_result
-        )
-
     # --- connection handling -------------------------------------------
 
     def _spawn_handler(self, stream: ShapedStream) -> None:

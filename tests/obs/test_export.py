@@ -11,11 +11,11 @@ from repro.obs import (
     get_registry,
     get_tracer,
     read_jsonl,
+    set_active_aggregator,
     span,
     summary_tree,
     to_chrome_trace,
     to_jsonl_lines,
-    write_jsonl,
 )
 from repro.obs.trace import SpanRecord
 
@@ -50,7 +50,7 @@ def test_jsonl_round_trip_is_exact(tmp_path, sample_records):
     path = str(tmp_path / "trace.jsonl")
     registry = get_registry()
     registry.counter("runtime.retries").add(1)
-    write_jsonl(path, sample_records, registry)
+    export_trace(path, records=sample_records, registry=registry)
     with open(path) as handle:
         lines = handle.read().splitlines()
     # one line per record plus the trailing metrics line
@@ -130,10 +130,41 @@ def test_export_trace_formats(tmp_path):
         pass
     chrome_path = str(tmp_path / "t.json")
     jsonl_path = str(tmp_path / "t.jsonl")
-    export_trace(chrome_path, fmt="chrome")
-    export_trace(jsonl_path, fmt="jsonl")
-    with open(chrome_path) as handle:
-        assert "traceEvents" in json.load(handle)
+    other_path = str(tmp_path / "t.trace")
+    export_trace(chrome_path)
+    export_trace(jsonl_path)
+    export_trace(other_path)
+    for path in (chrome_path, other_path):  # only .jsonl is the event log
+        with open(path) as handle:
+            assert "traceEvents" in json.load(handle)
     assert read_jsonl(jsonl_path)[0].name == "top"
-    with pytest.raises(ValueError):
-        export_trace(str(tmp_path / "x"), fmt="svg")
+
+
+class _Aggregator:
+    def export_series(self):
+        return [{"host": "a", "seq": 1}]
+
+    def cluster_instruments(self):
+        return {}
+
+    def per_vm(self):
+        return {}
+
+
+def _kinds(path):
+    with open(path) as handle:
+        return [json.loads(line)["kind"] for line in handle]
+
+
+def test_jsonl_trace_ends_with_telemetry_only_under_an_active_aggregator(
+    tmp_path, sample_records
+):
+    path = str(tmp_path / "t.jsonl")
+    export_trace(path, records=sample_records)
+    assert set(_kinds(path)) == {"span", "instant"}
+    set_active_aggregator(_Aggregator())
+    try:
+        export_trace(path, records=sample_records)
+    finally:
+        set_active_aggregator(None)
+    assert _kinds(path)[-2:] == ["telemetry", "telemetry-cluster"]

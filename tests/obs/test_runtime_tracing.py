@@ -19,6 +19,7 @@ from repro.runtime import (
     RuntimeConfig,
     SourceState,
 )
+from repro.runtime.faults import FaultInjector
 
 N = 1024
 FAST = RuntimeConfig(
@@ -106,7 +107,11 @@ def test_retry_span_recorded_on_disconnect():
     tracer = get_tracer()
     tracer.enable()
     metrics = asyncio.run(
-        _migrate_traced(daemon_setup=lambda d: d.inject_disconnect(10))
+        _migrate_traced(
+            daemon_setup=lambda d: setattr(
+                d, "faults", FaultInjector(after_messages=10, times=1)
+            )
+        )
     )
     assert metrics.retries >= 1
     records = tracer.finished()
@@ -121,7 +126,7 @@ def test_retry_span_recorded_on_disconnect():
     assert len(connects) >= 2
 
 
-def test_runtime_metrics_folded_into_registry(traced_migration):
+def test_runtime_metrics_in_the_process_registry_sessions_in_the_daemons_registry(traced_migration):
     metrics, _, daemon = traced_migration
     snapshot = get_registry().snapshot()
     assert snapshot["runtime.migrations.completed"]["value"] == 1

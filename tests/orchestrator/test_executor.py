@@ -19,6 +19,7 @@ from repro.runtime import (
     RuntimeConfig,
     SourceState,
 )
+from repro.runtime.faults import FaultInjector
 from repro.runtime.frames import TYPE_COMPLETE
 from repro.runtime.metrics import MigrationMetrics
 
@@ -119,7 +120,7 @@ class TestRetry:
     def test_transport_failure_retried_and_resumed(self):
         async def main():
             async with CheckpointDaemon() as daemon:
-                daemon.inject_disconnect(after_messages=20)
+                daemon.faults = FaultInjector(after_messages=20, times=1)
                 source = live_source(max_attempts=3)
                 session = source.session_id
                 outcome = await MigrationExecutor().run(
@@ -137,7 +138,7 @@ class TestRetry:
     def test_retries_are_bounded(self):
         async def main():
             async with CheckpointDaemon() as daemon:
-                daemon.inject_disconnect(after_messages=5, times=5)
+                daemon.faults = FaultInjector(after_messages=5, times=5)
                 return await MigrationExecutor().run(
                     live_source(max_attempts=2), "host", daemon.host, daemon.port
                 )

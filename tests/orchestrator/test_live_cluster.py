@@ -25,6 +25,7 @@ from repro.runtime import (
     RuntimeConfig,
     SourceState,
 )
+from repro.runtime.faults import FaultInjector
 
 N = 512
 FAST = RuntimeConfig(
@@ -133,7 +134,7 @@ class TestMidResultDisconnect:
 
         async def main():
             async with CheckpointDaemon(state_dir=tmp_path) as daemon:
-                daemon.inject_disconnect(mid_result=True)
+                daemon.faults = FaultInjector(times=1, mid_result=True)
                 source = MigrationSource(
                     SourceState("vm", hashes, PageStore()),
                     QEMU,
@@ -168,7 +169,7 @@ class TestMidResultDisconnect:
 
         async def first_life():
             async with CheckpointDaemon(state_dir=tmp_path) as daemon:
-                daemon.inject_disconnect(mid_result=True)
+                daemon.faults = FaultInjector(times=1, mid_result=True)
                 source = MigrationSource(
                     SourceState("vm", hashes, PageStore()),
                     QEMU,

@@ -30,6 +30,7 @@ from repro.runtime import (
     SourceState,
     persist,
 )
+from repro.runtime.faults import FaultInjector
 
 N = 512
 FAST = RuntimeConfig(
@@ -179,7 +180,7 @@ class TestFlightRecorderAcceptance:
 
         async def main():
             async with CheckpointDaemon(name="flaky") as daemon:
-                daemon.inject_disconnect(after_messages=5)
+                daemon.faults = FaultInjector(after_messages=5, times=1)
                 source = MigrationSource(
                     SourceState("vm", hashes, PageStore()),
                     QEMU,

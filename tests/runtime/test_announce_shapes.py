@@ -95,7 +95,7 @@ async def migrate_once(checkpoint, current, dirty, config=FAST):
         return metrics, daemon
 
 
-class TestDeltaManifest:
+class TestAnnounceShapes:
     def test_current_generation_gets_verified_skip(self):
         checkpoint, _, _ = build_vm(seed=31, updates=0)
 
@@ -195,7 +195,7 @@ class TestUnverifiableClaims:
         assert daemon.telemetry.counter("daemon.announce.skipped").value == 0
 
     @pytest.mark.parametrize("claim", ["behind", "evicted", "future"])
-    def test_generation_outside_the_history_gets_the_full_announce(self, claim):
+    def test_a_non_current_generation_gets_the_full_announce(self, claim):
         checkpoint, _, _ = build_vm(seed=61, updates=0)
         images = [checkpoint]
         for seed in range(62, 68):

@@ -29,6 +29,7 @@ from repro.runtime import (
     SourceState,
     idle_vm_scenario,
 )
+from repro.runtime.faults import FaultInjector
 
 FAST = RuntimeConfig(
     io_timeout_s=5.0,
@@ -172,7 +173,7 @@ class TestBorrowedUnderReplacement:
         async def main():
             async with CheckpointDaemon(pagestore=PageStore()) as daemon:
                 hosted = daemon.install_checkpoint(scenario.vm_id, scenario.checkpoint)
-                daemon.inject_disconnect(after_messages=100)
+                daemon.faults = FaultInjector(after_messages=100, times=1)
                 source = source_for(scenario, store, config=ONE_ATTEMPT)
                 with pytest.raises(MigrationError):
                     await source.migrate(daemon.host, daemon.port)

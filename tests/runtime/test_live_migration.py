@@ -22,6 +22,7 @@ from repro.runtime import (
     RuntimeConfig,
     SourceState,
 )
+from repro.runtime.faults import FaultInjector
 
 N = 1024
 FAST = RuntimeConfig(
@@ -223,7 +224,9 @@ class TestFaultInjection:
         metrics, daemon = asyncio.run(
             migrate_once(
                 VECYCLE, checkpoint, current, dirty,
-                daemon_setup=lambda d: d.inject_disconnect(after_messages=100),
+                daemon_setup=lambda d: setattr(
+                    d, "faults", FaultInjector(after_messages=100, times=1)
+                ),
             )
         )
         assert metrics.outcome == "completed"
@@ -239,8 +242,8 @@ class TestFaultInjection:
             asyncio.run(
                 migrate_once(
                     VECYCLE, checkpoint, current, dirty,
-                    daemon_setup=lambda d: d.inject_disconnect(
-                        after_messages=10, times=100
+                    daemon_setup=lambda d: setattr(
+                        d, "faults", FaultInjector(after_messages=10, times=100)
                     ),
                 )
             )

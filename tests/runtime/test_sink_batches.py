@@ -25,6 +25,7 @@ from repro.runtime import (
     SourceState,
 )
 from repro.runtime import sink as sink_module
+from repro.runtime.faults import FaultInjector
 from repro.runtime.frames import (
     FRAME_NAMES,
     TYPE_ANNOUNCE,
@@ -86,7 +87,7 @@ class TestInjectedAbortLandsOnTheExactFrame:
         async def main():
             async with CheckpointDaemon(pagestore=store) as daemon:
                 daemon.install_checkpoint("vm", Fingerprint(hashes=hashes))
-                daemon.inject_disconnect(after_messages=after)
+                daemon.faults = FaultInjector(after_messages=after, times=1)
                 reader, writer, _ = await open_session(daemon, codec, VECYCLE, N)
                 # The whole round in one write: the abort point is mid-batch.
                 writer.write(codec.encode_round(1, N) + b"".join(frames))
@@ -312,7 +313,7 @@ class TestResumeInsideASourceBatch:
             nonlocal source
             async with CheckpointDaemon(pagestore=store) as daemon:
                 daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
-                daemon.inject_disconnect(after_messages=abort_after)
+                daemon.faults = FaultInjector(after_messages=abort_after, times=1)
                 source = MigrationSource(
                     SourceState(vm_id="vm", hashes=current, pagestore=store),
                     VECYCLE,

@@ -207,7 +207,7 @@ class TestSourcePath:
         async def main():
             async with CheckpointDaemon(pagestore=PageStore()) as daemon:
                 daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
-                daemon.inject_disconnect(after_messages=100)
+                daemon.faults = FaultInjector(after_messages=100, times=1)
                 source = make_source(current, store, config=config)
                 metrics = await source.migrate(daemon.host, daemon.port)
                 return metrics, daemon.checkpoints["vm"].slot_digests
@@ -318,7 +318,9 @@ class TestOneDigestPass:
         async def main():
             async with CheckpointDaemon(pagestore=PageStore()) as daemon:
                 daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
-                daemon.inject_disconnect(after_messages=100, mid_result=mid_result)
+                daemon.faults = FaultInjector(
+                    after_messages=100, times=1, mid_result=mid_result
+                )
                 source = make_source(current, store, config=config)
                 metrics = await source.migrate(daemon.host, daemon.port)
                 return metrics, source.final_digests(), daemon.checkpoint_digests("vm")

@@ -159,7 +159,7 @@ class TestCancelledBatch:
 
 
 class TestThrottle:
-    def test_a_stall_is_recorded_in_every_registry(self, tmp_path, monkeypatch):
+    def test_a_stall_is_recorded_in_the_daemons_registry(self, tmp_path, monkeypatch):
         repo = CheckpointRepository(tmp_path)
         batch = items(4)
         gate = threading.Event()

@@ -1,11 +1,17 @@
 """Tests for the command-line interface."""
 
+import collections
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
+from repro import cli
 from repro.cli import build_parser, main
-from repro.obs import get_registry, get_tracer
+from repro.obs import get_registry, get_tracer, span
 
 
 @pytest.fixture(autouse=True)
@@ -33,14 +39,19 @@ class TestParser:
 
     def test_every_subcommand_accepts_obs_flags(self):
         parser = build_parser()
-        for command in ("table1", "fig8", "migrate", "runtime", "obs"):
+        for command in ("table1", "fig8", "migrate", "runtime"):
             args = parser.parse_args(
-                [command, "--trace-out", "/tmp/t.json", "--format", "jsonl",
-                 "--trace-summary", "-v"]
+                [command, "--trace-out", "/tmp/t.json", "--trace-summary", "-v"]
             )
             assert args.trace_out == "/tmp/t.json"
-            assert args.trace_format == "jsonl"
             assert args.trace_summary and args.verbose == 1
+
+    def test_obs_reads_a_trace_and_records_none(self):
+        parser = build_parser()
+        args = parser.parse_args(["obs", "run.jsonl"])
+        assert (args.run, args.out) == ("run.jsonl", None)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["obs", "run.jsonl", "--trace-out", "t.json"])
 
 
 class TestCommands:
@@ -141,7 +152,7 @@ class TestObservabilityFlags:
         path = tmp_path / "trace.json"
         assert main([
             "runtime", "--size-mib", "4", "--strategy", "vecycle",
-            "--trace-out", str(path), "--format", "chrome",
+            "--trace-out", str(path),
         ]) == 0
         assert "-> completed" in capsys.readouterr().out
         trace = json.loads(path.read_text())
@@ -160,27 +171,68 @@ class TestObservabilityFlags:
         assert "migration.simulate" in captured.err
         assert "migration.simulate" not in captured.out
 
-    def test_obs_demo_with_summary(self, capsys):
-        assert main(["obs", "--size-mib", "4", "--summary"]) == 0
-        out = capsys.readouterr().out
-        assert "-> completed" in out
-        assert "runtime.migrate" in out
+    def test_trace_out_is_written_when_the_command_raises(
+        self, monkeypatch, tmp_path
+    ):
+        def failing(args):
+            with span("doomed.command"):
+                raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_table1", failing)
+        path = tmp_path / "crash.json"
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["table1", "--trace-out", str(path)])
+        trace = json.loads(path.read_text())
+        spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert [e["name"] for e in spans] == ["doomed.command"]
+        assert spans[0]["args"]["error"] == "RuntimeError"
+
+    def test_repro_trace_and_trace_out_write_the_same_file(self, tmp_path):
+        command = ["migrate", "--size-mib", "32", "--strategy", "vecycle"]
+        env_path = tmp_path / "a.jsonl"
+        flag_path = tmp_path / "b.jsonl"
+        env = dict(os.environ, REPRO_TRACE=str(env_path), PYTHONPATH=(
+            os.path.dirname(os.path.dirname(repro.__file__))
+        ))
+        # A child process, so that its atexit hooks run.
+        subprocess.run(
+            [sys.executable, "-m", "repro", *command],
+            env=env, check=True, capture_output=True,
+        )
+        assert main([*command, "--trace-out", str(flag_path)]) == 0
+
+        def kinds(path):
+            with open(path) as handle:
+                return collections.Counter(
+                    json.loads(line)["kind"] for line in handle
+                )
+
+        from_env, from_flag = kinds(env_path), kinds(flag_path)
+        assert from_env == from_flag
+        # No aggregator ran, so no telemetry lines.
+        assert set(from_env) == {"span", "metrics"}
+        assert from_env["metrics"] == 1
 
     def test_obs_converts_jsonl_to_chrome(self, capsys, tmp_path):
         jsonl = tmp_path / "run.jsonl"
         chrome = tmp_path / "run.json"
         assert main([
-            "obs", "--size-mib", "4",
-            "--trace-out", str(jsonl), "--format", "jsonl",
+            "runtime", "--size-mib", "4", "--strategy", "vecycle",
+            "--trace-out", str(jsonl),
         ]) == 0
         capsys.readouterr()
-        assert main([
-            "obs", "--from", str(jsonl),
-            "--trace-out", str(chrome), "--format", "chrome", "--summary",
-        ]) == 0
+        assert main(["obs", str(jsonl)]) == 0
         out = capsys.readouterr().out
-        assert "loaded" in out and "wrote chrome trace" in out
-        assert "traceEvents" in json.loads(chrome.read_text())
+        assert "loaded" in out and "runtime.migrate  1x" in out
+        assert not chrome.exists()
+        assert main(["obs", str(jsonl), str(chrome)]) == 0
+        out = capsys.readouterr().out
+        assert f"wrote {chrome}" in out and "runtime.migrate  1x" in out
+        names = {
+            e["name"] for e in json.loads(chrome.read_text())["traceEvents"]
+            if e["ph"] == "X"
+        }
+        assert {"runtime.migrate", "daemon.session"} <= names
 
     def test_verbose_logs_stay_off_stdout(self, capsys):
         assert main(["fig8", "--epochs", "144", "-v"]) == 0
