@@ -120,7 +120,6 @@ def _telemetry_snapshot() -> dict:
 
     from repro.cluster.schedule import ping_pong_schedule
     from repro.obs import get_registry
-    from repro.obs.telemetry import set_active_aggregator
     from repro.orchestrator import replay_vdi_live
     from repro.runtime import RetryPolicy, RuntimeConfig
     from repro.traces.generate import generate_trace
@@ -169,7 +168,6 @@ def _telemetry_snapshot() -> dict:
         )
         wall_s = time.perf_counter() - started
     finally:
-        set_active_aggregator(None)
         registry.reset()
     telemetry = result.telemetry
     assert telemetry["polls"] > 0

@@ -69,7 +69,6 @@ from repro.obs import (
     configure_logging,
     enable as enable_tracing,
     export_trace,
-    get_registry,
     get_tracer,
     install_flight_recorder,
     read_jsonl,
@@ -534,10 +533,10 @@ def _cmd_repo(args: argparse.Namespace) -> str:
 
 def _cmd_obs(args: argparse.Namespace) -> str:
     """Summarize a recorded JSONL trace, and convert it if asked."""
-    records = read_jsonl(args.run)
+    records, metrics = read_jsonl(args.run)
     lines = [f"loaded {len(records)} spans from {args.run}"]
     if args.out:
-        export_trace(args.out, records=records)
+        export_trace(args.out, records=records, metrics=metrics)
         lines.append(f"wrote {args.out}")
     lines.append(summary_tree(records))
     return "\n".join(lines)
@@ -859,7 +858,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Written on the way out of a failing command too: the trace of
         # a crash is the one most worth having.
         if trace_out:
-            export_trace(trace_out, registry=get_registry())
+            export_trace(trace_out)
         if trace_summary:
             print(summary_tree(get_tracer().finished()), file=sys.stderr)
     return 0

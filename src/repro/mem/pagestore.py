@@ -384,17 +384,3 @@ class ContentAddressedStore:
                 freed += len(page)
         self._stored_bytes -= freed
         return freed
-
-    def sweep_unreferenced(self) -> int:
-        """Evict every resident page with no owner; returns bytes freed.
-
-        Normally precise retain/release keeps the store tight; the sweep
-        exists for callers that bulk-loaded pages without owners (e.g. a
-        recovery that later decided against adopting a checkpoint).
-        """
-        freed = 0
-        for digest in [d for d in self._pages if d not in self._refs]:
-            page = self._pages.pop(digest)
-            self._stored_bytes -= len(page)
-            freed += len(page)
-        return freed

@@ -47,12 +47,7 @@ from repro.obs.metrics import (
     quantile_from_state,
 )
 from repro.obs.prometheus import MetricsServer, render_sections
-from repro.obs.telemetry import (
-    MetricsSnapshot,
-    TelemetrySource,
-    get_active_aggregator,
-    set_active_aggregator,
-)
+from repro.obs.telemetry import MetricsSnapshot, TelemetrySource
 from repro.obs.trace import (
     ENV_TOGGLE,
     NOOP_SPAN,
@@ -96,7 +91,6 @@ __all__ = [
     "enable",
     "event",
     "export_trace",
-    "get_active_aggregator",
     "get_logger",
     "get_registry",
     "get_tracer",
@@ -107,7 +101,6 @@ __all__ = [
     "read_jsonl",
     "render_sections",
     "reset",
-    "set_active_aggregator",
     "span",
     "summary_tree",
     "to_chrome_trace",

@@ -14,16 +14,22 @@ Three consumers, three formats:
 :func:`export_trace` is the one function that writes a trace file, for
 ``--trace-out``, ``REPRO_TRACE=<path>`` and ``vecycle obs`` alike; the
 file name picks the format (``.jsonl`` the event log, anything else
-Chrome JSON).
+Chrome JSON).  A trace is spans plus one metrics snapshot, whatever
+the command; :func:`read_jsonl` reads both back, so a converted trace
+keeps its run's metrics.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import get_registry
 from repro.obs.trace import SpanRecord, get_tracer
+
+#: A metrics snapshot, as :meth:`~repro.obs.metrics.MetricsRegistry.
+#: snapshot` returns it: ``{name: state}``.
+Metrics = Dict[str, Dict[str, Any]]
 
 __all__ = [
     "to_jsonl_lines",
@@ -39,33 +45,35 @@ __all__ = [
 
 def to_jsonl_lines(
     records: Iterable[SpanRecord],
-    registry: Optional[MetricsRegistry] = None,
+    metrics: Optional[Metrics] = None,
 ) -> List[str]:
-    """Serialize spans (and optionally a metrics snapshot) to JSON lines."""
+    """Serialize spans (and a non-empty metrics snapshot) to JSON lines."""
     lines = [json.dumps(record.to_dict(), sort_keys=True) for record in records]
-    if registry is not None and registry.names():
+    if metrics:
         lines.append(
-            json.dumps({"kind": "metrics", "metrics": registry.snapshot()},
-                       sort_keys=True)
+            json.dumps({"kind": "metrics", "metrics": metrics}, sort_keys=True)
         )
     return lines
 
 
-def read_jsonl(path: str) -> List[SpanRecord]:
-    """Load spans back from a JSONL event log (metrics lines skipped)."""
+def read_jsonl(path: str) -> Tuple[List[SpanRecord], Metrics]:
+    """Load a JSONL event log: its spans and its metrics snapshot.
+
+    The snapshot is ``{}`` when the log has no ``metrics`` line.
+    """
     records: List[SpanRecord] = []
+    metrics: Metrics = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
             data = json.loads(line)
-            if "id" not in data:
-                # Non-span lines: the trailing metrics snapshot and any
-                # telemetry time-series entries.
-                continue
-            records.append(SpanRecord.from_dict(data))
-    return records
+            if data.get("kind") == "metrics":
+                metrics = data["metrics"]
+            elif "id" in data:  # older traces also hold telemetry lines
+                records.append(SpanRecord.from_dict(data))
+    return records, metrics
 
 
 # --- Chrome trace_event --------------------------------------------------
@@ -73,7 +81,7 @@ def read_jsonl(path: str) -> List[SpanRecord]:
 
 def to_chrome_trace(
     records: Sequence[SpanRecord],
-    registry: Optional[MetricsRegistry] = None,
+    metrics: Optional[Metrics] = None,
     process_name: str = "repro",
 ) -> Dict[str, Any]:
     """Render spans as a Chrome/Perfetto ``trace_event`` JSON object.
@@ -81,7 +89,8 @@ def to_chrome_trace(
     Spans become complete ("X") events; instants become thread-scoped
     "i" events.  Each distinct task label gets its own ``tid`` plus a
     ``thread_name`` metadata record, so source and daemon tasks show as
-    separate tracks of one process.
+    separate tracks of one process.  A non-empty ``metrics`` snapshot
+    goes under ``otherData``.
     """
     tids: Dict[str, int] = {}
     events: List[Dict[str, Any]] = [
@@ -128,8 +137,8 @@ def to_chrome_trace(
         "traceEvents": events,
         "displayTimeUnit": "ms",
     }
-    if registry is not None and registry.names():
-        trace["otherData"] = {"metrics": registry.snapshot()}
+    if metrics:
+        trace["otherData"] = {"metrics": metrics}
     return trace
 
 
@@ -204,53 +213,23 @@ def summary_tree(records: Sequence[SpanRecord], max_depth: int = 8) -> str:
 def export_trace(
     path: str,
     records: Optional[Sequence[SpanRecord]] = None,
-    registry: Optional[MetricsRegistry] = None,
+    metrics: Optional[Metrics] = None,
 ) -> None:
     """Write a trace file; the only writer of one.
 
-    ``records`` defaults to the default tracer's finished spans.  A
-    ``path`` ending in ``.jsonl`` gets the event log: the spans, a
-    ``metrics`` line with ``registry``'s snapshot, and the run's
-    telemetry lines.  Any other path gets Chrome ``trace_event`` JSON
-    with the snapshot under ``otherData``.
+    ``records`` defaults to the default tracer's finished spans and
+    ``metrics`` to the process registry's snapshot, both taken at write
+    time.  A ``path`` ending in ``.jsonl`` gets the event log: the spans
+    and one ``metrics`` line.  Any other path gets Chrome
+    ``trace_event`` JSON with the snapshot under ``otherData``.
     """
     if records is None:
         records = get_tracer().finished()
+    if metrics is None:
+        metrics = get_registry().snapshot()
     with open(path, "w", encoding="utf-8") as handle:
         if str(path).endswith(".jsonl"):
-            for line in to_jsonl_lines(records, registry) + _telemetry_lines():
+            for line in to_jsonl_lines(records, metrics):
                 handle.write(line + "\n")
         else:
-            json.dump(to_chrome_trace(records, registry), handle)
-
-
-def _telemetry_lines() -> List[str]:
-    """Cluster time-series lines from the run's active aggregator.
-
-    Runs that stood up a :class:`~repro.orchestrator.telemetry.
-    TelemetryAggregator` register it via
-    :func:`~repro.obs.telemetry.set_active_aggregator`; their
-    JSONL trace then ends with one ``{"kind": "telemetry"}``
-    line per poll sample plus a ``{"kind": "telemetry-cluster"}``
-    rollup.  Runs without an aggregator are unchanged.
-    """
-    from repro.obs.telemetry import get_active_aggregator
-
-    aggregator = get_active_aggregator()
-    if aggregator is None:
-        return []
-    lines = [
-        json.dumps({"kind": "telemetry", **sample}, sort_keys=True)
-        for sample in aggregator.export_series()
-    ]
-    lines.append(
-        json.dumps(
-            {
-                "kind": "telemetry-cluster",
-                "instruments": aggregator.cluster_instruments(),
-                "per_vm": aggregator.per_vm(),
-            },
-            sort_keys=True,
-        )
-    )
-    return lines
+            json.dump(to_chrome_trace(records, metrics), handle)

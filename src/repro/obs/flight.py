@@ -190,7 +190,7 @@ _installed = False
 _previous_excepthook: Optional[Callable] = None
 
 
-def install(capture_logs: bool = True) -> None:
+def install() -> None:
     """Arm the crash hooks (idempotent).
 
     Chains ``sys.excepthook`` so the original traceback still prints,
@@ -223,14 +223,11 @@ def install(capture_logs: bool = True) -> None:
         except (ValueError, OSError, AttributeError):
             pass  # non-main interpreter, or a platform without SIGUSR2
 
-    if capture_logs:
-        root = logging.getLogger("repro")
-        if not any(
-            isinstance(handler, _RingHandler) for handler in root.handlers
-        ):
-            handler = _RingHandler(level=logging.WARNING)
-            handler.name = "repro-flight"
-            root.addHandler(handler)
+    root = logging.getLogger("repro")
+    if not any(isinstance(handler, _RingHandler) for handler in root.handlers):
+        handler = _RingHandler(level=logging.WARNING)
+        handler.name = "repro-flight"
+        root.addHandler(handler)
 
 
 def _on_sigusr2(signum, frame) -> None:

@@ -23,7 +23,6 @@ guard :func:`vm_label`, snapshotted on every ``TELEMETRY`` probe.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence
 
@@ -46,7 +45,6 @@ class MetricsSnapshot:
         host: Name of the exporting component ("hostA", "controller").
         seq: Monotonic per-source sequence number; restarts reset it,
             which is exactly how consumers detect them.
-        taken_at: ``time.time()`` when the snapshot was taken.
         instruments: ``{name: state}`` as produced by
             :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`.
         per_vm: ``{vm_id: {counter_name: value}}`` labelled rollups.
@@ -54,7 +52,6 @@ class MetricsSnapshot:
 
     host: str
     seq: int
-    taken_at: float
     instruments: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     per_vm: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
@@ -63,19 +60,21 @@ class MetricsSnapshot:
         return {
             "host": self.host,
             "seq": self.seq,
-            "taken_at": self.taken_at,
             "instruments": self.instruments,
             "per_vm": self.per_vm,
         }
 
     @classmethod
     def from_dict(cls, data: Any) -> "MetricsSnapshot":
-        """Parse a wire body; one that is not a snapshot is a FrameError."""
+        """Parse a wire body; one that is not a snapshot is a FrameError.
+
+        Keys it does not know are ignored, so a reply from an older
+        daemon, which also carried a wall-time stamp, still parses.
+        """
         try:
             return cls(
                 host=str(data.get("host", "")),
                 seq=int(data.get("seq", 0)),
-                taken_at=float(data.get("taken_at", 0.0)),
                 instruments={
                     str(name): _checked_state(state)
                     for name, state in dict(data.get("instruments", {})).items()
@@ -255,28 +254,6 @@ class TelemetrySource:
         return MetricsSnapshot(
             host=self.host,
             seq=self._seq,
-            taken_at=time.time(),
             instruments=self.registry.snapshot(),
             per_vm={vm: dict(v) for vm, v in self._per_vm.items()},
         )
-
-
-# --- active aggregator hook ----------------------------------------------
-#
-# The CLI's --trace-out machinery exports whatever ran; a run that used
-# a TelemetryAggregator registers it here so the JSONL exporter can
-# append the cluster time series without threading the object through
-# every experiment signature.
-
-_active_aggregator: Optional[Any] = None
-
-
-def set_active_aggregator(aggregator: Optional[Any]) -> None:
-    """Register the aggregator whose series exports ride --trace-out."""
-    global _active_aggregator
-    _active_aggregator = aggregator
-
-
-def get_active_aggregator() -> Optional[Any]:
-    """The most recently registered aggregator, if any."""
-    return _active_aggregator

@@ -35,8 +35,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import get_registry
-
 ENV_TOGGLE = "REPRO_TRACE"
 _TRUTHY = {"1", "true", "yes", "on"}
 _FALSY = {"", "0", "false", "no", "off"}
@@ -318,7 +316,8 @@ def configure_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[str
     ``REPRO_TRACE=1`` (or true/yes/on) enables tracing.  Any other
     non-false value is a trace path: tracing is enabled and
     :func:`~repro.obs.export.export_trace` writes the path at interpreter
-    exit, in the format its suffix names, with the process-wide metrics.
+    exit, in the format its suffix names, with the process-wide metrics
+    as they stand then.
     """
     env = os.environ if environ is None else environ
     raw = env.get(ENV_TOGGLE, "").strip()
@@ -329,5 +328,5 @@ def configure_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[str
         return None
     from repro.obs.export import export_trace  # export imports this module
 
-    atexit.register(export_trace, raw, registry=get_registry())
+    atexit.register(export_trace, raw)
     return raw

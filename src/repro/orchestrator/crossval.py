@@ -32,7 +32,6 @@ from repro.mem.pagestore import PageStore
 from repro.obs import names
 from repro.obs.log import get_logger
 from repro.obs.prometheus import MetricsServer
-from repro.obs.telemetry import set_active_aggregator
 from repro.obs.trace import span as _span
 from repro.orchestrator.controller import Orchestrator
 from repro.orchestrator.executor import (
@@ -43,6 +42,7 @@ from repro.orchestrator.executor import (
 from repro.orchestrator.placement import BestCheckpoint, PlacementPolicy
 from repro.orchestrator.registry import ClusterRegistry
 from repro.orchestrator.telemetry import TelemetryAggregator
+from repro.runtime.crossval import relative_error
 from repro.runtime.daemon import CheckpointDaemon
 from repro.runtime.source import RuntimeConfig
 from repro.traces.generate import Trace
@@ -94,10 +94,7 @@ class LiveVdiCrossValidation:
     @property
     def relative_error(self) -> float:
         """|live − analytic| / analytic over the whole schedule."""
-        analytic = self.analytic_total_bytes
-        if analytic == 0:
-            return 0.0 if self.live_total_bytes == 0 else float("inf")
-        return abs(self.live_total_bytes - analytic) / analytic
+        return relative_error(self.live_total_bytes, self.analytic_total_bytes)
 
     def within(self, tolerance: float = 0.05) -> bool:
         """Whether aggregate live traffic is within ``tolerance``."""
@@ -138,14 +135,14 @@ async def replay_vdi_live(
     analytic model depends only on consecutive fingerprints.
 
     Telemetry: a :class:`~repro.orchestrator.telemetry.
-    TelemetryAggregator` polls every daemon after each migration and is
-    registered as the run's active aggregator (so ``--trace-out`` JSONL
-    gains the cluster time series).  With ``metrics_port`` set (0 for
-    ephemeral), the controller additionally serves its merged Prometheus
-    page over HTTP for the whole run plus ``metrics_linger_s`` seconds
-    after the last migration — long enough for an external scraper to
-    catch it — and the scraped exposition text is returned on the
-    result.
+    TelemetryAggregator` polls every daemon after each migration, and
+    the result carries its rendered Prometheus page.  With
+    ``metrics_port`` set (0 for ephemeral) — the deployment setting
+    behind ``vecycle orchestrate --metrics-port`` — the controller
+    serves that page over HTTP for the whole run plus
+    ``metrics_linger_s`` seconds after the last migration, long enough
+    for an external scraper to catch it, and the text on the result is
+    scraped from it.
 
     Raises RuntimeError if any live migration fails outright; a mere
     traffic mismatch is reported, not raised.
@@ -173,7 +170,6 @@ async def replay_vdi_live(
         pagestore=pagestore,
     )
     aggregator = TelemetryAggregator(registry)
-    set_active_aggregator(aggregator)
     metrics_server: Optional[MetricsServer] = None
     prometheus_text = ""
     bound_port: Optional[int] = None

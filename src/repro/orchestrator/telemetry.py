@@ -16,19 +16,19 @@ probes — and keeps two snapshots per host:
 
 Every view is a :func:`~repro.obs.telemetry.merge_instruments` fold of
 those — per host, across the cluster, and per VM behind the label guard
-daemons apply locally — plus a bounded time series of cluster headline
-numbers (recycled vs. transferred bytes, sessions) for dashboards and
-the ``--trace-out`` JSONL export.  The Prometheus page and the
-``vecycle top`` view add the controller's own process registry, which
-holds no daemon's instruments: a daemon counts only into its own
-source, so each host's numbers arrive once, over the wire.
+daemons apply locally.  The views have two readers, the Prometheus page
+and the ``vecycle top`` view; both add the controller's own process
+registry, which holds no daemon's instruments: a daemon counts only
+into its own source, so each host's numbers arrive once, over the wire.
+A host's dashboard age is the ``time.monotonic()`` seconds since the
+controller took in its newest snapshot, so it never mixes two hosts'
+notions of the time of day.
 """
 
 from __future__ import annotations
 
-import collections
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs import names
 from repro.obs.log import get_logger
@@ -48,9 +48,6 @@ from repro.runtime.frames import FrameCodec, TYPE_TELEMETRY
 
 log = get_logger(__name__)
 
-#: Bound on the retained time series (one entry per poll_all).
-MAX_SERIES = 512
-
 
 class TelemetryAggregator:
     """Polls daemons for metrics snapshots and merges them.
@@ -59,22 +56,13 @@ class TelemetryAggregator:
         registry: The cluster registry providing daemon addresses and
             the request/reply client (the aggregator polls whoever is
             registered there, under the registry's probe timeout).
-        clock: Wallclock source for sample/dashboard timestamps.
-            Injectable so chaos soaks and tests replay deterministically
-            (the ``vecycle lint`` determinism rule rejects bare
-            ``time.time()`` calls in this module).
     """
 
-    def __init__(
-        self,
-        registry: ClusterRegistry,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
+    def __init__(self, registry: ClusterRegistry) -> None:
         self.registry = registry
-        self._clock = clock
         self._last: Dict[str, MetricsSnapshot] = {}
+        self._received: Dict[str, float] = {}
         self._retired: Dict[str, MetricsSnapshot] = {}
-        self.series: collections.deque = collections.deque(maxlen=MAX_SERIES)
         self.polls = 0
         self.poll_failures = 0
         self.restarts = 0
@@ -116,11 +104,10 @@ class TelemetryAggregator:
             return snapshot
 
     async def poll_all(self) -> Dict[str, Optional[MetricsSnapshot]]:
-        """Probe every registered daemon; appends one series sample."""
+        """Probe every registered daemon."""
         results: Dict[str, Optional[MetricsSnapshot]] = {}
         for name in self.registry.hosts():
             results[name] = await self.poll(name)
-        self._sample()
         return results
 
     # --- ingestion ------------------------------------------------------
@@ -144,6 +131,8 @@ class TelemetryAggregator:
             # Counters are cumulative, so nothing is lost; the gap is
             # just worth counting.
             self.seq_gaps += 1
+        # Receipt first: the page thread ages every host in ``_last``.
+        self._received[name] = time.monotonic()
         self._last[name] = snapshot
 
     def _retire(self, host: str, final: MetricsSnapshot) -> None:
@@ -156,7 +145,6 @@ class TelemetryAggregator:
         self._retired[host] = MetricsSnapshot(
             host=host,
             seq=final.seq,
-            taken_at=final.taken_at,
             instruments={
                 name: state
                 for name, state in merge_instruments(s.instruments for s in folded).items()
@@ -174,16 +162,6 @@ class TelemetryAggregator:
             for snapshot in (self._retired.get(name), self._last.get(name))
             if snapshot is not None
         ]
-
-    def _sample(self) -> None:
-        cluster = self.cluster_instruments()
-        self.series.append({
-            "taken_at": self._clock(),
-            "recycled_bytes": counter_value(cluster, names.DAEMON_RECYCLED_BYTES.name),
-            "transferred_bytes": counter_value(cluster, names.DAEMON_TRANSFERRED_BYTES.name),
-            "sessions_completed": counter_value(cluster, names.DAEMON_SESSIONS_COMPLETED.name),
-            "hosts": sorted(self._last),
-        })
 
     # --- views ----------------------------------------------------------
 
@@ -242,13 +220,13 @@ class TelemetryAggregator:
         """Everything ``vecycle top`` renders, as one JSON-able dict."""
         local = _metrics().snapshot()
         downtime = local.get("orchestrator.downtime_seconds", {})
+        now = time.monotonic()
         hosts = []
         for name, acc in sorted(self.host_instruments().items()):
-            last = self._last[name]
             hosts.append({
                 "host": name,
-                "seq": last.seq,
-                "age_s": self._clock() - last.taken_at,
+                "seq": self._last[name].seq,
+                "age_s": now - self._received[name],
                 "sessions_completed": counter_value(acc, names.DAEMON_SESSIONS_COMPLETED.name),
                 "recycled_bytes": counter_value(acc, names.DAEMON_RECYCLED_BYTES.name),
                 "transferred_bytes": counter_value(acc, names.DAEMON_TRANSFERRED_BYTES.name),
@@ -256,7 +234,6 @@ class TelemetryAggregator:
             })
         active = local.get("orchestrator.migrations.active", {})
         return {
-            "taken_at": self._clock(),
             "controller": self.registry.controller_id,
             "hosts": hosts,
             "cluster": {
@@ -286,10 +263,6 @@ class TelemetryAggregator:
                 "poll_seconds": self.poll_seconds,
             },
         }
-
-    def export_series(self) -> List[Dict[str, Any]]:
-        """The bounded time series, oldest first (JSONL export body)."""
-        return list(self.series)
 
 
 def _vm_rollup(snapshots: Iterable[MetricsSnapshot]) -> Dict[str, Dict[str, float]]:

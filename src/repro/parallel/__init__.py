@@ -7,8 +7,8 @@ computations in the VDI replay (Figure 8).  :func:`pmap` fans those
 shards across worker processes with three hard guarantees:
 
 * **Determinism** — results are merged in submission order and every
-  shard derives its randomness/namespace from ``(seed, shard index)``,
-  never from worker identity, so ``workers=4`` is byte-identical to
+  shard carries its own seed/namespace in its payload, never one
+  derived from worker identity, so ``workers=4`` is byte-identical to
   ``workers=1``.
 * **Serial fallback** — ``workers=1`` (the default) never touches
   ``multiprocessing``: the functions run inline, same stack, same
@@ -28,7 +28,6 @@ from repro.parallel.pool import (
     MIN_PARALLEL_SHARDS,
     pmap,
     resolve_workers,
-    shard_seed,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "MIN_PARALLEL_SHARDS",
     "pmap",
     "resolve_workers",
-    "shard_seed",
 ]

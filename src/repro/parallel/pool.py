@@ -3,13 +3,12 @@
 Design notes
 ------------
 
-* Shards are submitted in **contiguous chunks** (``chunk_size`` items
-  per task) to amortize pickling and process-dispatch overhead; results
+* Shards are submitted in **contiguous chunks** (about four per
+  worker) to amortize pickling and process-dispatch overhead; results
   are concatenated in submission order, so the output list is always
   ``[fn(shard) for shard in shards]`` regardless of worker scheduling.
-* When a ``seed`` is given, each shard is called as ``fn(shard,
-  shard_seed(seed, index))``.  The derived seed depends only on the
-  submission index, never on which worker runs the shard — the
+* A shard carries whatever seed or namespace it needs in its own
+  payload, never one derived from the worker that runs it — the
   determinism contract that makes ``workers=N`` byte-identical to
   serial.
 * Worker processes run :func:`_worker_init` on startup, which moves the
@@ -40,9 +39,6 @@ handful of shards cannot win back.  (The fig8 replay benchmark measured
 a 0.92× parallel "speedup" — slower than serial — from exactly this
 overhead plus worker oversubscription.)"""
 
-_SEED_MIX = 0x9E3779B97F4A7C15
-"""Odd 64-bit constant (golden-ratio mix) for shard-seed derivation."""
-
 S = TypeVar("S")
 R = TypeVar("R")
 
@@ -71,19 +67,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
-def shard_seed(seed: int, index: int) -> int:
-    """Deterministic per-shard seed from ``(seed, submission index)``.
-
-    A multiplicative mix keeps neighbouring indices far apart in seed
-    space while remaining a pure function of its inputs — the same
-    shard always sees the same seed, no matter which worker runs it or
-    how shards are chunked.
-    """
-    mixed = (seed * 0x100000001B3 + (index + 1) * _SEED_MIX) & 0xFFFFFFFFFFFFFFFF
-    mixed ^= mixed >> 31
-    return mixed & 0x7FFFFFFF
-
-
 def _worker_init() -> None:
     """Per-worker startup: isolate the global content-id allocator.
 
@@ -99,76 +82,49 @@ def _worker_init() -> None:
     isolate_worker_allocator(os.getpid())
 
 
-def _run_chunk(
-    fn: Callable[..., R],
-    shards: List[S],
-    seeds: Optional[List[int]],
-) -> List[R]:
+def _run_chunk(fn: Callable[[S], R], shards: List[S]) -> List[R]:
     """Execute one contiguous chunk of shards inside a worker."""
-    if seeds is None:
-        return [fn(shard) for shard in shards]
-    return [fn(shard, seed) for shard, seed in zip(shards, seeds)]
+    return [fn(shard) for shard in shards]
 
 
 def pmap(
-    fn: Callable[..., R],
+    fn: Callable[[S], R],
     shards: Sequence[S],
     workers: Optional[int] = None,
-    seed: Optional[int] = None,
-    chunk_size: Optional[int] = None,
 ) -> List[R]:
     """Map ``fn`` over ``shards`` across worker processes, in order.
 
     Args:
-        fn: Module-level callable (or partial of one).  Called as
-            ``fn(shard)``, or ``fn(shard, shard_seed)`` when ``seed``
-            is given.
+        fn: Module-level callable (or partial of one), called as
+            ``fn(shard)``.
         shards: The work items; materialized once up front.
         workers: Worker processes; ``None`` defers to ``REPRO_WORKERS``
             then 1, ``0`` means all cores, ``1`` runs serially inline.
-        seed: Optional base seed; derives a per-shard seed via
-            :func:`shard_seed` (pure function of the submission index).
-        chunk_size: Shards per pool task; defaults to splitting the
-            work into ~4 chunks per worker (amortizes pickling while
-            keeping the pool busy).
 
     Returns:
-        ``[fn(shard, ...) for shard in shards]`` — always in input
-        order, byte-identical across any worker count.
+        ``[fn(shard) for shard in shards]`` — always in input order,
+        byte-identical across any worker count.
     """
     shards = list(shards)
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     workers = resolve_workers(workers)
     # The *requested* count (argument or env) may exceed the machine:
     # more workers than cores just time-slice each other and lose to
     # serial.  Clamp to what can actually run concurrently.
     workers = min(workers, os.cpu_count() or 1)
-    seeds = (
-        [shard_seed(seed, index) for index in range(len(shards))]
-        if seed is not None
-        else None
-    )
     if workers == 1 or len(shards) < MIN_PARALLEL_SHARDS:
-        return _run_chunk(fn, shards, seeds)
+        return _run_chunk(fn, shards)
 
     workers = min(workers, len(shards))
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(len(shards) / (workers * 4)))
-    chunks = [
-        (
-            shards[start : start + chunk_size],
-            None if seeds is None else seeds[start : start + chunk_size],
-        )
-        for start in range(0, len(shards), chunk_size)
-    ]
+    # About four chunks per worker: amortizes pickling while keeping
+    # the pool busy.
+    step = max(1, math.ceil(len(shards) / (workers * 4)))
     results: List[R] = []
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_worker_init
     ) as executor:
         futures = [
-            executor.submit(_run_chunk, fn, chunk, chunk_seeds)
-            for chunk, chunk_seeds in chunks
+            executor.submit(_run_chunk, fn, shards[start : start + step])
+            for start in range(0, len(shards), step)
         ]
         for future in futures:
             results.extend(future.result())

@@ -100,6 +100,17 @@ def idle_vm_scenario(
     )
 
 
+def relative_error(measured: float, predicted: float) -> float:
+    """|measured − predicted| / predicted: every cross-validation's ratio.
+
+    A zero prediction reads 0.0 when nothing was measured either and
+    ``inf`` otherwise, so it passes no tolerance.
+    """
+    if predicted == 0:
+        return 0.0 if measured == 0 else float("inf")
+    return abs(measured - predicted) / predicted
+
+
 @dataclass
 class CrossValidation:
     """Runtime measurement next to the analytic prediction."""
@@ -122,10 +133,7 @@ class CrossValidation:
     @property
     def total_delta_fraction(self) -> float:
         """Relative disagreement on total bytes, control frames included."""
-        predicted = self.analytic.total_bytes
-        if predicted == 0:
-            return float(self.runtime.total_bytes != 0)
-        return abs(self.runtime.total_bytes - predicted) / predicted
+        return relative_error(self.runtime.total_bytes, self.analytic.total_bytes)
 
     def within(self, tolerance: float = 0.02) -> bool:
         """The ISSUE acceptance check: totals agree within ``tolerance``,

@@ -199,15 +199,6 @@ class TestContentAddressedStore:
         assert store.refcount(_digest(b"a")) == 2
         assert store.release_many(digests) == 64
 
-    def test_sweep_evicts_unreferenced_only(self):
-        store = ContentAddressedStore()
-        store.put(_digest(b"kept"), _page(b"kept"))
-        store.retain(_digest(b"kept"))
-        store.put(_digest(b"loose"), _page(b"loose"))
-        assert store.sweep_unreferenced() == 64
-        assert _digest(b"kept") in store
-        assert _digest(b"loose") not in store
-
     def test_pages_reach_the_repository_by_spill_only(self, tmp_path):
         repo = CheckpointRepository(tmp_path, fsync=False)
         spilled = []

@@ -11,7 +11,6 @@ from repro.obs import (
     get_registry,
     get_tracer,
     read_jsonl,
-    set_active_aggregator,
     span,
     summary_tree,
     to_chrome_trace,
@@ -50,25 +49,26 @@ def test_jsonl_round_trip_is_exact(tmp_path, sample_records):
     path = str(tmp_path / "trace.jsonl")
     registry = get_registry()
     registry.counter("runtime.retries").add(1)
-    export_trace(path, records=sample_records, registry=registry)
+    export_trace(path, records=sample_records)
     with open(path) as handle:
         lines = handle.read().splitlines()
     # one line per record plus the trailing metrics line
     assert len(lines) == len(sample_records) + 1
     assert json.loads(lines[-1])["kind"] == "metrics"
-    loaded = read_jsonl(path)
+    loaded, metrics = read_jsonl(path)
     assert [r.to_dict() for r in loaded] == [r.to_dict() for r in sample_records]
+    assert metrics == registry.snapshot()
 
 
 def test_jsonl_omits_metrics_line_when_registry_empty(sample_records):
-    lines = to_jsonl_lines(sample_records, get_registry())
+    lines = to_jsonl_lines(sample_records, get_registry().snapshot())
     assert len(lines) == len(sample_records)
 
 
 def test_chrome_trace_structure(sample_records):
     registry = get_registry()
     registry.counter("engine.migrations").add(3)
-    trace = to_chrome_trace(sample_records, registry, process_name="proc")
+    trace = to_chrome_trace(sample_records, registry.snapshot(), process_name="proc")
     events = trace["traceEvents"]
     meta = [e for e in events if e["ph"] == "M"]
     spans = [e for e in events if e["ph"] == "X"]
@@ -137,34 +137,5 @@ def test_export_trace_formats(tmp_path):
     for path in (chrome_path, other_path):  # only .jsonl is the event log
         with open(path) as handle:
             assert "traceEvents" in json.load(handle)
-    assert read_jsonl(jsonl_path)[0].name == "top"
-
-
-class _Aggregator:
-    def export_series(self):
-        return [{"host": "a", "seq": 1}]
-
-    def cluster_instruments(self):
-        return {}
-
-    def per_vm(self):
-        return {}
-
-
-def _kinds(path):
-    with open(path) as handle:
-        return [json.loads(line)["kind"] for line in handle]
-
-
-def test_jsonl_trace_ends_with_telemetry_only_under_an_active_aggregator(
-    tmp_path, sample_records
-):
-    path = str(tmp_path / "t.jsonl")
-    export_trace(path, records=sample_records)
-    assert set(_kinds(path)) == {"span", "instant"}
-    set_active_aggregator(_Aggregator())
-    try:
-        export_trace(path, records=sample_records)
-    finally:
-        set_active_aggregator(None)
-    assert _kinds(path)[-2:] == ["telemetry", "telemetry-cluster"]
+    records, _ = read_jsonl(jsonl_path)
+    assert records[0].name == "top"

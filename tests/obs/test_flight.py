@@ -118,7 +118,7 @@ class TestInstall:
             sys, "excepthook", lambda *args: seen.append(args)
         )
         monkeypatch.setattr(flight, "_installed", False)
-        flight.install(capture_logs=False)
+        flight.install()
         assert sys.excepthook is not None
         error = ValueError("boom")
         sys.excepthook(ValueError, error, None)
@@ -133,9 +133,9 @@ class TestInstall:
 
     def test_install_is_idempotent(self, monkeypatch):
         monkeypatch.setattr(flight, "_installed", False)
-        flight.install(capture_logs=False)
+        flight.install()
         hook = sys.excepthook
-        flight.install(capture_logs=False)
+        flight.install()
         assert sys.excepthook is hook
 
     def test_sigusr2_handler_dumps_and_reports(self, flight_dir, capsys):
@@ -151,7 +151,7 @@ class TestLogCapture:
         import logging
 
         monkeypatch.setattr(flight, "_installed", False)
-        flight.install(capture_logs=True)
+        flight.install()
         logging.getLogger("repro.test_flight").warning("trouble %s", "here")
         events = list(flight.default_recorder().events)
         assert any(

@@ -141,7 +141,7 @@ def test_runtime_metrics_in_the_process_registry_sessions_in_the_daemons_registr
 
 def test_chrome_export_of_live_migration_is_wellformed(traced_migration):
     _, records, _ = traced_migration
-    trace = json.loads(json.dumps(to_chrome_trace(records, get_registry())))
+    trace = json.loads(json.dumps(to_chrome_trace(records, get_registry().snapshot())))
     events = trace["traceEvents"]
     spans = [e for e in events if e["ph"] == "X"]
     assert spans, "no complete events exported"

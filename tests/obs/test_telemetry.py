@@ -10,9 +10,7 @@ from repro.obs.telemetry import (
     OVERFLOW_LABEL,
     MetricsSnapshot,
     TelemetrySource,
-    get_active_aggregator,
     merge_instruments,
-    set_active_aggregator,
 )
 from repro.orchestrator import ClusterRegistry, TelemetryAggregator
 from repro.runtime.frames import FrameError
@@ -41,7 +39,7 @@ class TestSnapshotRoundtrip:
         clone = MetricsSnapshot.from_dict(snapshot.to_dict())
         assert clone.host == "hostA"
         assert clone.seq == snapshot.seq == 1
-        assert clone.taken_at == snapshot.taken_at
+        assert "taken_at" not in snapshot.to_dict()
         assert clone.instruments == snapshot.instruments
         assert clone.per_vm == {"vm-1": {"recycled_bytes": 4096.0}}
 
@@ -128,11 +126,11 @@ class TestDeltaSemantics:
 
     def test_shrinking_counter_is_a_restart_even_with_higher_seq(self):
         first = MetricsSnapshot(
-            host="a", seq=1, taken_at=0.0,
+            host="a", seq=1,
             instruments={"c": {"type": "counter", "value": 100.0}},
         )
         second = MetricsSnapshot(
-            host="a", seq=5, taken_at=1.0,
+            host="a", seq=5,
             instruments={"c": {"type": "counter", "value": 3.0}},
         )
         assert second.restarted_since(first)
@@ -277,6 +275,21 @@ class TestIncarnationFold:
         assert aggregator.labels_folded == 2 * half - MAX_VM_LABELS
 
 
+class TestDashboardAge:
+    def test_age_is_measured_from_receipt_not_the_senders_stamp(self):
+        # An older daemon still stamps its wall time; a stamp of 0.0
+        # (or a skewed host) must not age the host by decades.
+        aggregator = TelemetryAggregator(ClusterRegistry())
+        aggregator.registry.register("a", "127.0.0.1", 1)
+        aggregator._ingest("a", MetricsSnapshot.from_dict({
+            "host": "a", "seq": 1, "taken_at": 0.0,
+            "instruments": {}, "per_vm": {},
+        }))
+        (host,) = aggregator.dashboard_view()["hosts"]
+        assert 0.0 <= host["age_s"] < 5
+        assert "taken_at" not in aggregator.dashboard_view()
+
+
 class TestCardinalityGuard:
     def test_per_vm_series_fold_past_the_cap(self):
         source = make_source()
@@ -297,14 +310,3 @@ class TestCardinalityGuard:
         source.vm_count("vm-0", "x", 1)  # still direct
         snapshot = source.snapshot()
         assert snapshot.per_vm["vm-0"]["x"] == 2.0
-
-
-class TestActiveAggregatorHook:
-    def test_set_and_get(self):
-        sentinel = object()
-        set_active_aggregator(sentinel)
-        try:
-            assert get_active_aggregator() is sentinel
-        finally:
-            set_active_aggregator(None)
-        assert get_active_aggregator() is None

@@ -1,6 +1,8 @@
 """The telemetry plane over real daemons: the ISSUE acceptance tests."""
 
 import asyncio
+import collections
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,11 +11,10 @@ import pytest
 from repro.cluster.schedule import ping_pong_schedule
 from repro.core.strategies import QEMU
 from repro.mem.pagestore import PageStore
-from repro.obs import flight
+from repro.obs import export_trace, flight, get_tracer
 from repro.obs.flight import FLIGHT_DIR_ENV, read_dump
 from repro.obs.metrics import get_registry
 from repro.obs.prometheus import metric_name, parse_exposition
-from repro.obs.telemetry import set_active_aggregator
 from repro.orchestrator import (
     BestCheckpoint,
     ClusterRegistry,
@@ -76,7 +77,6 @@ class TestLivePrometheusAcceptance:
                 metrics_port=0,
             )
         )
-        set_active_aggregator(None)
         assert result.metrics_port and result.metrics_port > 0
         # prometheus_text was scraped over real HTTP from the bound port.
         parsed = parse_exposition(result.prometheus_text)
@@ -128,13 +128,38 @@ class TestLivePrometheusAcceptance:
                 tiny_trace, schedule=schedule, config=FAST, metrics_port=0
             )
         )
-        set_active_aggregator(None)
         telemetry = result.telemetry
         assert telemetry["polls"] > 0
         assert telemetry["poll_failures"] == 0
         assert telemetry["overhead_ratio"] <= 0.05, telemetry
         assert 0.0 < telemetry["recycle_ratio"] < 1.0
 
+
+class TestTraceOfATelemetryRun:
+    def test_jsonl_trace_is_spans_and_metrics_only(self, tiny_trace, tmp_path):
+        # The aggregator's numbers are read from its page or `vecycle
+        # top`; the run's trace carries no telemetry lines.
+        tracer = get_tracer()
+        tracer.reset()
+        tracer.enable()
+        try:
+            asyncio.run(
+                replay_vdi_live(
+                    tiny_trace,
+                    schedule=ping_pong_schedule(4.0, 2, host_a="a", host_b="b"),
+                    config=FAST,
+                )
+            )
+            path = tmp_path / "t.jsonl"
+            export_trace(str(path))
+        finally:
+            tracer.disable()
+            tracer.reset()
+            get_registry().reset()
+        with open(path) as handle:
+            kinds = collections.Counter(json.loads(line)["kind"] for line in handle)
+        assert set(kinds) <= {"span", "instant", "metrics"}, kinds
+        assert kinds["span"] > 0 and kinds["metrics"] == 1
 
 class TestFlightRecorderAcceptance:
     """A daemon killed mid-run leaves a parseable dump with RESULT spans."""

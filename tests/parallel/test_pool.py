@@ -9,7 +9,6 @@ from repro.parallel import (
     MIN_PARALLEL_SHARDS,
     pmap,
     resolve_workers,
-    shard_seed,
 )
 
 
@@ -17,11 +16,8 @@ def _square(x):
     return x * x
 
 
-def _seeded(x, seed):
-    return (x, seed)
-
-
-def _first_draw(x, seed):
+def _first_draw(shard):
+    _, seed = shard
     return int(np.random.default_rng(seed).integers(1 << 30))
 
 
@@ -51,22 +47,6 @@ class TestResolveWorkers:
             resolve_workers()
 
 
-class TestShardSeed:
-    def test_pure_function_of_inputs(self):
-        assert shard_seed(7, 3) == shard_seed(7, 3)
-
-    def test_index_changes_seed(self):
-        seeds = {shard_seed(7, i) for i in range(100)}
-        assert len(seeds) == 100
-
-    def test_base_seed_changes_seed(self):
-        assert shard_seed(7, 0) != shard_seed(8, 0)
-
-    def test_fits_numpy_seed_range(self):
-        for i in range(50):
-            assert 0 <= shard_seed(123456789, i) < (1 << 31)
-
-
 class TestPmap:
     def test_serial_matches_comprehension(self):
         items = list(range(17))
@@ -86,31 +66,18 @@ class TestPmap:
     def test_single_shard_runs_inline(self):
         assert pmap(_square, [6], workers=4) == [36]
 
-    def test_seed_derives_per_shard(self):
-        result = pmap(_seeded, [10, 20, 30], workers=1, seed=99)
-        assert result == [
-            (10, shard_seed(99, 0)),
-            (20, shard_seed(99, 1)),
-            (30, shard_seed(99, 2)),
-        ]
-
     def test_seeded_parallel_matches_serial(self):
-        items = list(range(9))
-        serial = pmap(_first_draw, items, workers=1, seed=5)
-        parallel = pmap(_first_draw, items, workers=3, seed=5)
+        # A shard carries its own seed, so no worker changes its draw.
+        items = [(x, 5000 + x) for x in range(9)]
+        serial = pmap(_first_draw, items, workers=1)
+        parallel = pmap(_first_draw, items, workers=3)
         assert serial == parallel
 
     def test_chunk_size_does_not_change_results(self):
-        items = list(range(13))
-        for chunk_size in (1, 2, 5, 13):
-            assert (
-                pmap(_square, items, workers=2, chunk_size=chunk_size)
-                == [x * x for x in items]
-            )
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            pmap(_square, [1, 2, 3, 4, 5], workers=2, chunk_size=0)
+        # Two workers, four chunks each: chunks of 1, 1, 2 and 5 shards.
+        for count in (4, 8, 13, 40):
+            items = list(range(count))
+            assert pmap(_square, items, workers=2) == [x * x for x in items]
 
 
 class _RecordingExecutor:

@@ -209,7 +209,7 @@ class TestObservabilityFlags:
 
         from_env, from_flag = kinds(env_path), kinds(flag_path)
         assert from_env == from_flag
-        # No aggregator ran, so no telemetry lines.
+        # A trace is spans and one metrics line, whatever the command.
         assert set(from_env) == {"span", "metrics"}
         assert from_env["metrics"] == 1
 
@@ -233,6 +233,24 @@ class TestObservabilityFlags:
             if e["ph"] == "X"
         }
         assert {"runtime.migrate", "daemon.session"} <= names
+
+    def test_obs_keeps_the_runs_metrics(self, capsys, tmp_path):
+        run = tmp_path / "run.jsonl"
+        metrics = {"runtime.retries": {"type": "counter", "value": 2.0}}
+        lines = [
+            {"kind": "span", "id": 1, "parent": 0, "name": "runtime.migrate",
+             "start_s": 0.0, "duration_s": 0.5},
+            {"kind": "metrics", "metrics": metrics},
+        ]
+        run.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        chrome, jsonl = tmp_path / "out.json", tmp_path / "out.jsonl"
+        assert main(["obs", str(run), str(chrome)]) == 0
+        assert json.loads(chrome.read_text())["otherData"]["metrics"] == metrics
+        assert main(["obs", str(run), str(jsonl)]) == 0
+        written = [json.loads(line) for line in jsonl.read_text().splitlines()]
+        assert [line for line in written if line["kind"] == "metrics"] == [
+            {"kind": "metrics", "metrics": metrics}
+        ]
 
     def test_verbose_logs_stay_off_stdout(self, capsys):
         assert main(["fig8", "--epochs", "144", "-v"]) == 0
