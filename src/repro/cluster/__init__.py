@@ -1,13 +1,5 @@
 """Multi-host orchestration: hosts, schedules, policies, VDI, fleet sim."""
 
-from repro.cluster.gc import (
-    ReclaimReport,
-    RetentionPolicy,
-    TtlRetention,
-    ValueRetention,
-    collect_garbage,
-    reclaim_hosted,
-)
 from repro.cluster.host import Host
 from repro.cluster.policies import (
     ConsolidationPolicy,
@@ -37,12 +29,6 @@ from repro.cluster.vdi import (
 
 __all__ = [
     "Host",
-    "ReclaimReport",
-    "RetentionPolicy",
-    "TtlRetention",
-    "ValueRetention",
-    "collect_garbage",
-    "reclaim_hosted",
     "ConsolidationPolicy",
     "FollowTheSun",
     "Move",

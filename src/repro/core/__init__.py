@@ -16,7 +16,6 @@ from repro.core.compression import (
     CompressionModel,
     get_compression,
 )
-from repro.core.dedup import DedupCache, dedup_split, dedup_unique_count
 from repro.core.gang import (
     GangMember,
     GangTransferSet,
@@ -95,9 +94,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointStore",
     "ChecksumIndex",
-    "DedupCache",
-    "dedup_split",
-    "dedup_unique_count",
     "GenerationTracker",
     "content_dirty_slots",
     "ZERO_HASH",

@@ -79,23 +79,6 @@ class ChecksumIndex:
             return np.zeros(hashes.shape, dtype=bool)
         return self._hashes[pos] == hashes
 
-    def lookup_many(self, hashes: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`lookup`: page slot per hash, ``-1`` on miss.
-
-        One ``searchsorted`` over the whole batch replaces a binary
-        search per page — the bulk equivalent of Listing 1's
-        ``lookup(checksum)`` for the sender's announced-hash scan.
-        """
-        hashes = np.asarray(hashes, dtype=np.uint64)
-        slots = np.full(hashes.shape, -1, dtype=np.int64)
-        if len(self._hashes) == 0:
-            return slots
-        pos = np.searchsorted(self._hashes, hashes)
-        np.clip(pos, 0, len(self._hashes) - 1, out=pos)
-        hit = self._hashes[pos] == hashes
-        slots[hit] = self._slots[pos[hit]]
-        return slots
-
     @property
     def unique_hashes(self) -> np.ndarray:
         """The sorted distinct hashes — what the destination announces (§3.2)."""

@@ -100,12 +100,6 @@ class ChecksumAlgorithm:
             raise ValueError(f"num_bytes must be >= 0, got {num_bytes}")
         return num_bytes / self.throughput
 
-    def announce_bytes(self, num_pages: int) -> int:
-        """Wire size of a bulk checksum announce for ``num_pages`` pages."""
-        if num_pages < 0:
-            raise ValueError(f"num_pages must be >= 0, got {num_pages}")
-        return num_pages * self.digest_size
-
 
 def _hashlib_algorithm(name: str) -> ChecksumAlgorithm:
     hasher = getattr(hashlib, name)

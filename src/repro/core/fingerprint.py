@@ -136,12 +136,6 @@ class Fingerprint:
             )
         return np.nonzero(self.hashes != since.hashes)[0]
 
-    def contains_hashes(self, hashes: np.ndarray) -> np.ndarray:
-        """Boolean mask: which of ``hashes`` exist somewhere in this image."""
-        return np.isin(
-            np.asarray(hashes, dtype=np.uint64), self.unique_hashes(), assume_unique=False
-        )
-
 
 def resize_fingerprint(fingerprint: Fingerprint, num_pages: int) -> Fingerprint:
     """Adapt a fingerprint to a VM that was resized to ``num_pages``.

@@ -6,8 +6,8 @@ identical pages — shared base images, common libraries — cross the wire
 once for the whole gang.  The paper's §5 observes those techniques
 compose with VeCycle, which this module makes concrete:
 
-* a shared :class:`~repro.core.dedup.DedupCache` spans the gang, so a
-  page sent for VM 1 is a cheap reference for VM 2;
+* sender-side dedup spans the gang, so a page sent for VM 1 is a cheap
+  reference for VM 2;
 * each VM still consults its own checkpoint at the destination first —
   content found there never enters the stream at all;
 * the destination's announce can merge the checksum sets of every
@@ -16,7 +16,9 @@ compose with VeCycle, which this module makes concrete:
   announce.
 
 The evacuation use case (§2.2: vacating servers for maintenance) is
-exactly a gang migration.
+exactly a gang migration.  The per-page rule is the one decision
+kernel, :func:`~repro.core.transfer.slot_kinds` under
+``hashes+dedup``, run over the gang's concatenated send stream.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.checkpoint import Checkpoint
-from repro.core.dedup import first_occurrence
+from repro.core.checkpoint import Checkpoint, ChecksumIndex
 from repro.core.fingerprint import Fingerprint
+from repro.core.transfer import Method, TransferSet, slot_kinds
 
 
 @dataclass(frozen=True)
@@ -95,44 +97,43 @@ def gang_transfer_set(
     if len(set(ids)) != len(ids):
         raise ValueError("gang members must have unique vm_ids")
 
-    merged_checkpoint_hashes: Optional[np.ndarray] = None
+    merged: Optional[ChecksumIndex] = None
     if cross_vm_checkpoints:
         pools = [
-            m.checkpoint.fingerprint.unique_hashes()
-            for m in members
-            if m.checkpoint is not None
+            m.checkpoint.fingerprint.hashes for m in members if m.checkpoint is not None
         ]
         if pools:
-            merged_checkpoint_hashes = np.unique(np.concatenate(pools))
+            merged = ChecksumIndex(Fingerprint(hashes=np.concatenate(pools)))
 
-    per_vm_reused: Dict[str, int] = {}
-    streams: List[np.ndarray] = []
-    for member in members:
-        hashes = member.fingerprint.hashes
-        if cross_vm_checkpoints and merged_checkpoint_hashes is not None:
-            reusable = np.isin(hashes, merged_checkpoint_hashes)
-        elif member.checkpoint is not None:
-            reusable = member.checkpoint.index.contains_many(hashes)
-        else:
-            reusable = np.zeros(len(hashes), dtype=bool)
-        streams.append(hashes[~reusable])
-        per_vm_reused[member.vm_id] = int(reusable.sum())
+    streams = [m.fingerprint.hashes for m in members]
+    in_checkpoint = []
+    for member, hashes in zip(members, streams):
+        index = merged
+        if index is None and member.checkpoint is not None:
+            index = member.checkpoint.index
+        in_checkpoint.append(
+            np.zeros(len(hashes), bool) if index is None else index.contains_many(hashes)
+        )
 
+    method = Method.HASHES_DEDUP
     if cross_vm_dedup:
-        # One dedup cache for the whole gang: first occurrence over the
+        # One dedup cache for the whole gang: the kernel runs over the
         # concatenated send stream, cut back into per-VM pieces.
-        bounds = np.cumsum([len(stream) for stream in streams])[:-1]
-        firsts = np.split(first_occurrence(np.concatenate(streams)), bounds)
+        kinds, _ = slot_kinds(
+            method, np.concatenate(streams), np.concatenate(in_checkpoint)
+        )
+        per_vm = np.split(kinds, np.cumsum([len(h) for h in streams])[:-1])
     else:
-        firsts = [first_occurrence(stream) for stream in streams]
-    per_vm_full = {m.vm_id: int(first.sum()) for m, first in zip(members, firsts)}
-    per_vm_ref = {m.vm_id: int((~first).sum()) for m, first in zip(members, firsts)}
-
+        per_vm = [slot_kinds(method, *pair)[0] for pair in zip(streams, in_checkpoint)]
+    sets = {
+        m.vm_id: TransferSet.from_kinds(method, kinds, 0)
+        for m, kinds in zip(members, per_vm)
+    }
     return GangTransferSet(
-        per_vm_full=per_vm_full,
-        per_vm_ref=per_vm_ref,
-        per_vm_reused=per_vm_reused,
-        total_pages=sum(len(m.fingerprint.hashes) for m in members),
+        per_vm_full={vm_id: ts.full_pages for vm_id, ts in sets.items()},
+        per_vm_ref={vm_id: ts.ref_pages for vm_id, ts in sets.items()},
+        per_vm_reused={vm_id: ts.checksum_only_pages for vm_id, ts in sets.items()},
+        total_pages=sum(len(h) for h in streams),
     )
 
 

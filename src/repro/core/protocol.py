@@ -25,11 +25,10 @@ from repro.core.transfer import KIND_NAMES, TransferSet
 
 ANNOUNCE_FRAME_OVERHEAD = 5
 """Framing overhead of one bulk-announce message on a real byte stream
-(1-byte type tag + 4-byte checksum count).  The analytic model charges
-only the checksums themselves; the live runtime
-(:mod:`repro.runtime.frames`) pays this constant on top, which is why
-cross-validation compares announce traffic with a tolerance instead of
-exact equality."""
+(1-byte type tag + 4-byte checksum count).  Every model charges it
+through :meth:`WireFormat.announce_frame_bytes`, the size the live
+runtime's frame (:mod:`repro.runtime.frames`) has, so cross-validation
+requires the two announce counts to be equal."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,8 @@ class WireFormat:
             raise ValueError(f"unknown message kind {kind!r}; known: {known}") from None
 
     def announce_frame_bytes(self, unique_pages: int) -> int:
-        """On-the-wire size of a framed bulk announce (runtime path)."""
+        """On-the-wire size of a framed bulk announce of ``unique_pages``
+        digests: the one announce formula of the model and the runtime."""
         if unique_pages < 0:
             raise ValueError(f"unique_pages must be >= 0, got {unique_pages}")
         return ANNOUNCE_FRAME_OVERHEAD + unique_pages * self.checksum_bytes
@@ -138,9 +138,9 @@ def first_round_traffic(
             :func:`repro.core.transfer.compute_transfer_set`.
         wire: Message sizes.
         announce_unique_pages: Number of distinct checksums the
-            destination announces up front; pass 0 when the source
-            already knows them (ping-pong, §3.2) or for methods that do
-            not exchange hashes.
+            destination announces up front, charged as one framed
+            announce; pass 0 when the source already knows them
+            (ping-pong, §3.2) or for methods that do not exchange hashes.
     """
     counts = transfer_set.message_counts
     payload = sum(
@@ -148,7 +148,9 @@ def first_round_traffic(
     )
     return TrafficBreakdown(
         payload_bytes=payload,
-        announce_bytes=announce_unique_pages * wire.checksum_bytes,
+        announce_bytes=(
+            wire.announce_frame_bytes(announce_unique_pages) if announce_unique_pages else 0
+        ),
         messages=sum(counts.values()),
     )
 

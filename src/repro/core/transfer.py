@@ -76,6 +76,11 @@ class Method(enum.Enum):
         """Whether the method needs a checkpoint at the destination."""
         return self.uses_dirty_tracking or self.uses_hashes
 
+    @property
+    def checkpoint_free(self) -> "Method":
+        """What the method degrades to on a first visit (no checkpoint)."""
+        return Method.DEDUP if self.uses_dedup else Method.FULL
+
 
 PAPER_METHODS = (
     Method.DEDUP,

@@ -27,6 +27,7 @@ from repro.core.checksum import (
     get_algorithm,
     measure_throughput,
 )
+from repro.core.protocol import ANNOUNCE_FRAME_OVERHEAD, WireFormat
 from repro.net.link import LAN_1GBE, LAN_10GBE, LAN_40GBE, Link
 
 MIB = 2**20
@@ -73,8 +74,10 @@ def run(
 
 
 def announce_size_bytes(vm_bytes: int, algorithm: ChecksumAlgorithm) -> int:
-    """Size of the bulk checksum announce for a VM of ``vm_bytes``."""
-    return algorithm.announce_bytes(vm_bytes // PAGE_SIZE)
+    """Checksum bytes of the bulk announce for a VM of ``vm_bytes``: the
+    framed announce less its fixed frame header, the paper's figure."""
+    wire = WireFormat.for_algorithm(algorithm)
+    return wire.announce_frame_bytes(vm_bytes // PAGE_SIZE) - ANNOUNCE_FRAME_OVERHEAD
 
 
 def format_table(rows: List[RateRow]) -> str:

@@ -222,7 +222,7 @@ class ContentAddressedStore:
     migration session rewrote — holds one reference (:meth:`retain` /
     :meth:`release`); a session slot not rewritten yet borrows its
     checkpoint's.  Releasing the last reference evicts the bytes, so
-    dropping a checkpoint under a retention policy actually shrinks
+    dropping a checkpoint actually shrinks
     :attr:`stored_bytes` instead of leaking forever.  ``stored_bytes``
     is a maintained running total, O(1) no matter how many pages.
 

@@ -16,9 +16,10 @@ destination can reuse through the same §3.2 bulk checksum announce.
 
 The model is deterministic and closed-form:
 
-* residency starts at the checkpoint-reusable fraction (0 without one);
-* the source streams the non-reusable pages at the link's effective
-  bandwidth (pre-paging);
+* residency starts at the pages the strategy's first-round rule reuses
+  or skips (none without a checkpoint);
+* the source streams the rest at the link's effective bandwidth
+  (pre-paging);
 * the guest touches pages at ``access_rate``; a touch to a non-resident
   page is a remote fault costing one RTT plus a page transfer, and the
   expected number of faults integrates the shrinking non-resident
@@ -33,6 +34,7 @@ from typing import Optional
 from repro.core.checkpoint import Checkpoint
 from repro.core.checksum import PAGE_SIZE
 from repro.core.strategies import MigrationStrategy
+from repro.core.transfer import compute_transfer_set
 from repro.migration.vm import SimVM
 from repro.net.link import Link
 
@@ -82,10 +84,6 @@ class PostcopyReport:
         """Downtime plus the degraded fill phase."""
         return self.downtime_s + self.fill_time_s
 
-    @property
-    def tx_gib(self) -> float:
-        return self.tx_bytes / 2**30
-
     def summary(self) -> str:
         """One-line human-readable summary for CLI output."""
         return (
@@ -105,9 +103,12 @@ def simulate_postcopy(
 ) -> PostcopyReport:
     """Simulate one post-copy migration of ``vm``.
 
-    With a checkpoint-reusing strategy and an available checkpoint, the
-    destination preloads it and only content-missing pages are pushed or
-    faulted; otherwise every page crosses the wire.
+    Which pages cross the wire is the strategy's own first-round rule
+    (:func:`~repro.core.transfer.compute_transfer_set`): with a
+    checkpoint the destination preloads it, and the pages that rule
+    reuses or skips are resident from the start; a dedup hit travels as
+    a reference.  Without a checkpoint the strategy falls back to its
+    checkpoint-free method, as pre-copy's first visit does.
 
     Unlike pre-copy, the guest's in-flight writes do not enlarge the
     transfer set — a page dirtied at the destination is already
@@ -123,29 +124,38 @@ def simulate_postcopy(
     current = vm.fingerprint()
     wire = strategy.wire
 
-    reusable = 0
+    # A checkpoint the method does not use is ignored; a wrong-sized one
+    # is rejected by the kernel (or the dirty scan) with ValueError.
+    method = strategy.method
+    if checkpoint is None:
+        method = method.checkpoint_free
+    transfer_set = compute_transfer_set(
+        method,
+        current,
+        checkpoint=checkpoint.fingerprint if method.uses_checkpoint else None,
+        dirty_slots=vm.dirty_slots_since(checkpoint) if method.uses_dirty_tracking else None,
+        checkpoint_index=checkpoint.index if method.uses_hashes else None,
+    )
     announce_time = 0.0
-    if strategy.reuses_checkpoint and checkpoint is not None:
-        if checkpoint.fingerprint.num_pages != n:
-            raise ValueError(
-                f"checkpoint page count {checkpoint.fingerprint.num_pages} "
-                f"!= VM {n}"
-            )
-        in_checkpoint = checkpoint.index.contains_many(current.hashes)
-        reusable = int(in_checkpoint.sum())
-        if not config.announce_known:
-            report.announce_bytes = len(checkpoint.index) * strategy.checksum.digest_size
-            announce_time = link.transfer_time(report.announce_bytes)
+    if method.uses_hashes and not config.announce_known:
+        report.announce_bytes = wire.announce_frame_bytes(len(checkpoint.index))
+        announce_time = link.transfer_time(report.announce_bytes)
 
-    missing = n - reusable
-    report.pages_reused = reusable
-    report.pages_pushed = missing
+    # Resident at resume: checkpoint content verified by checksum, or a
+    # clean slot under dirty tracking.  Every other slot is missing
+    # until its page (or, for a dedup hit, its reference) arrives.
+    report.pages_reused = transfer_set.checksum_only_pages + transfer_set.skipped_pages
+    report.pages_pushed = transfer_set.full_pages
+    missing = n - report.pages_reused
 
     # Downtime: CPU/device state only — post-copy's signature property.
     report.downtime_s = config.switchover_s
 
     # Background pre-paging streams the missing pages.
-    push_bytes = missing * wire.plain_page_message
+    push_bytes = (
+        transfer_set.full_pages * wire.plain_page_message
+        + transfer_set.ref_pages * wire.ref_message
+    )
     fill_time = announce_time + (
         link.transfer_time(push_bytes) if missing else 0.0
     )

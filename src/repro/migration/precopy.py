@@ -36,7 +36,7 @@ from repro.core.compression import CompressionModel, NO_COMPRESSION
 from repro.core.fingerprint import resize_fingerprint
 from repro.core.protocol import first_round_traffic
 from repro.core.strategies import MigrationStrategy
-from repro.core.transfer import Method, compute_transfer_set, slots_to_mask
+from repro.core.transfer import compute_transfer_set, slots_to_mask
 from repro.migration.report import MigrationReport, RoundStats
 from repro.migration.vm import SimVM
 from repro.net.link import Link
@@ -190,7 +190,7 @@ def _simulate_migration(
         # checksum work.  The live runtime, handed an empty announce,
         # sends page+checksum instead — a known, pinned divergence
         # (docs/protocol.md, "First visit").
-        method = Method.DEDUP if method.uses_dedup else Method.FULL
+        method = method.checkpoint_free
 
     # --- Destination setup phase (excluded from migration time, §4.4) ---
     # From here on a method that uses a checkpoint has one.
@@ -214,19 +214,14 @@ def _simulate_migration(
     if method.uses_hashes and not config.announce_known:
         with _span("migration.checksum_exchange") as sp:
             announce_pages = len(usable_checkpoint.index)
-            announce_time = link.transfer_time(announce_pages * checksum.digest_size)
+            announce_time = link.transfer_time(wire.announce_frame_bytes(announce_pages))
             sp.set(announce_pages=announce_pages).add_modelled(announce_time)
 
     # --- First copy round ---
     dirty_slots = None
     if method.uses_dirty_tracking:
         with _span("migration.dirty_scan") as sp:
-            if usable_checkpoint.generation_vector is not None:
-                dirty_slots = vm.tracker.dirty_since(
-                    usable_checkpoint.generation_vector
-                )
-            else:
-                dirty_slots = current.dirty_slots(since=usable_checkpoint.fingerprint)
+            dirty_slots = vm.dirty_slots_since(usable_checkpoint)
             sp.set(dirty=int(len(dirty_slots)))
 
     with _span("migration.plan", method=method.value):

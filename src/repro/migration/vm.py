@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.checkpoint import Checkpoint
 from repro.core.checksum import PAGE_SIZE
 from repro.core.dirty import GenerationTracker
 from repro.core.fingerprint import Fingerprint
@@ -104,6 +105,13 @@ class SimVM:
     def fingerprint(self) -> Fingerprint:
         """Snapshot the VM's memory at the current simulated time."""
         return self.image.fingerprint(timestamp=self.clock_s)
+
+    def dirty_slots_since(self, checkpoint: Checkpoint) -> np.ndarray:
+        """Slots written since ``checkpoint``: its generation vector when
+        it has one (Miyakodori's mechanism), else the content proxy."""
+        if checkpoint.generation_vector is not None:
+            return self.tracker.dirty_since(checkpoint.generation_vector)
+        return self.fingerprint().dirty_slots(since=checkpoint.fingerprint)
 
     def write_slots(self, slots: np.ndarray) -> None:
         """Apply guest writes to ``slots``.

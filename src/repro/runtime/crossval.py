@@ -9,7 +9,8 @@ field:
 
 * payload bytes must agree **exactly** — data frames reproduce the
   analytic message layout byte for byte;
-* announce traffic differs by the known 5-byte frame overhead;
+* announce bytes must agree **exactly** — both sides size the framed
+  announce with :meth:`~repro.core.protocol.WireFormat.announce_frame_bytes`;
 * totals must agree within a small tolerance that absorbs the runtime's
   control frames (HELLO/READY/ROUND/COMPLETE/RESULT), which the
   analytic model deliberately ignores.
@@ -119,7 +120,6 @@ class CrossValidation:
     runtime: MigrationMetrics
     transfer_set: TransferSet
     analytic: TrafficBreakdown
-    announce_overhead_bytes: int
 
     @property
     def payload_delta_bytes(self) -> int:
@@ -127,7 +127,7 @@ class CrossValidation:
 
     @property
     def announce_delta_bytes(self) -> int:
-        """Should equal the known framing overhead (or 0 with no announce)."""
+        """Runtime minus model announce bytes; 0 when the two agree."""
         return self.runtime.announce_bytes - self.analytic.announce_bytes
 
     @property
@@ -136,10 +136,11 @@ class CrossValidation:
         return relative_error(self.runtime.total_bytes, self.analytic.total_bytes)
 
     def within(self, tolerance: float = 0.02) -> bool:
-        """The ISSUE acceptance check: totals agree within ``tolerance``,
-        payloads agree exactly, message counts agree exactly."""
+        """Payload and announce bytes and message counts agree exactly,
+        and totals agree within ``tolerance``."""
         return (
             self.payload_delta_bytes == 0
+            and self.announce_delta_bytes == 0
             and self.runtime.messages == self.analytic.messages
             and self.total_delta_fraction <= tolerance
         )
@@ -155,8 +156,7 @@ class CrossValidation:
             f"delta={self.payload_delta_bytes}",
             f"  announce: runtime={self.runtime.announce_bytes}  "
             f"analytic={self.analytic.announce_bytes}  "
-            f"delta={self.announce_delta_bytes} "
-            f"(frame overhead {self.announce_overhead_bytes})",
+            f"delta={self.announce_delta_bytes}",
             f"  control:  runtime={self.runtime.control_bytes} (unmodelled)",
             f"  messages: runtime={self.runtime.messages}  "
             f"analytic={self.analytic.messages}",
@@ -235,13 +235,11 @@ async def cross_validate(
         )
         metrics = await source.migrate(daemon.host, daemon.port)
 
-    overhead = metrics.announce_bytes - analytic.announce_bytes
     return CrossValidation(
         scenario=scenario,
         runtime=metrics,
         transfer_set=transfer_set,
         analytic=analytic,
-        announce_overhead_bytes=overhead,
     )
 
 

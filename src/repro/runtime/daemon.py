@@ -371,9 +371,8 @@ class CheckpointDaemon:
         """Stop hosting ``vm_id``'s checkpoint; free its last-owner pages.
 
         Returns the number of bytes actually released (durable payload
-        bytes when a repository is attached, plus resident bytes).
-        The retention policies in :mod:`repro.cluster.gc` call this so
-        dropped checkpoints stop leaking content-store entries.
+        bytes when a repository is attached, plus resident bytes), so a
+        dropped checkpoint leaks no content-store entry.
         """
         hosted = self.checkpoints.pop(vm_id, None)
         if hosted is None:

@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.transfer import slots_to_mask
+from repro.core.fingerprint import Fingerprint
+from repro.core.transfer import Method, compute_transfer_set
 from repro.net.link import Link
 from repro.storage.disk import Disk
 
@@ -152,42 +153,27 @@ def plan_disk_sync(
             sync; None disables dirty tracking (all candidates).
         block_size: Bytes per block.
 
-    Semantics parallel the memory taxonomy: clean blocks are skipped
-    outright; dirty candidates whose *content* exists anywhere in the
-    replica are reused (content-hash path, CloudNet [29]); the rest
-    travel in full.
+    Semantics are the memory taxonomy's, decided by the same kernel
+    (:func:`~repro.core.transfer.compute_transfer_set`): a cold copy is
+    ``full``; against a replica, blocks whose *content* exists anywhere
+    in it are reused (``hashes``, the content-hash path of CloudNet
+    [29]), and with a dirty set clean blocks are skipped outright
+    (``dirty+hashes``); the rest travel in full.  Dirty tracking needs
+    a replica: without one every block is sent.
     """
-    current = np.asarray(current, dtype=np.uint64)
-    n = current.shape[0]
+    current = Fingerprint(hashes=current)
+    n = current.num_pages
+    replica, method = None, Method.FULL
     if destination_replica is not None:
-        destination_replica = np.asarray(destination_replica, dtype=np.uint64)
-        if destination_replica.shape[0] != n:
-            raise ValueError(
-                f"replica has {destination_replica.shape[0]} blocks, "
-                f"source has {n}"
-            )
-    if dirty_blocks is not None and destination_replica is not None:
-        candidate_mask = slots_to_mask(dirty_blocks, n)
-    else:
-        candidate_mask = np.ones(n, dtype=bool)
-
-    if destination_replica is None:
-        return DiskSyncPlan(
-            blocks_full=int(candidate_mask.sum()),
-            blocks_reused=0,
-            blocks_skipped=int(n - candidate_mask.sum()),
-            num_blocks=n,
-            block_size=block_size,
-        )
-
-    replica_contents = np.unique(destination_replica)
-    in_replica = np.isin(current, replica_contents)
-    reused = candidate_mask & in_replica
-    full = candidate_mask & ~in_replica
+        replica = Fingerprint(hashes=destination_replica)
+        if replica.num_pages != n:
+            raise ValueError(f"replica has {replica.num_pages} blocks, source has {n}")
+        method = Method.HASHES if dirty_blocks is None else Method.DIRTY_HASHES
+    blocks = compute_transfer_set(method, current, replica, dirty_blocks)
     return DiskSyncPlan(
-        blocks_full=int(full.sum()),
-        blocks_reused=int(reused.sum()),
-        blocks_skipped=int((~candidate_mask).sum()),
+        blocks_full=blocks.full_pages,
+        blocks_reused=blocks.checksum_only_pages,
+        blocks_skipped=blocks.skipped_pages,
         num_blocks=n,
         block_size=block_size,
     )

@@ -274,17 +274,44 @@ def test_drop_checkpoint_frees_durable_and_keeps_the_generation(tmp_path):
     assert daemon._generations["vm"] == 2
     distinct = len(set(daemon.checkpoints["vm"].slot_digests))
     resident_bytes = distinct * daemon.pagestore.page_size
+    before = daemon.repository.pack_stats()
 
     freed = daemon.drop_checkpoint("vm")
 
     # Pre-fix: freed == resident bytes only.
     assert freed > resident_bytes  # durable segment bytes counted too
+    # The dropped records are dead in their packs (until gc), not live.
+    after = daemon.repository.pack_stats()
+    assert after["live_bytes"] == 0
+    assert after["dead_bytes"] == before["dead_bytes"] + before["live_bytes"]
     # The generation counter must survive the drop (a restart at 1
     # would let a stale source earn a bogus verified skip).
     assert daemon._generations["vm"] == 2
     assert daemon.audit_store() == []
     hosted = daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
     assert hosted.generation == 3
+
+
+@pytest.mark.parametrize("days", [1, 5], ids=["drop-all", "adopt-drop-churn"])
+def test_drop_checkpoint_leaks_nothing(days):
+    """Adopt and drop desktops day over day: the content store holds
+    exactly what the hosted checkpoints reference, and nothing after
+    the last drop."""
+    rng = np.random.default_rng(11)
+    daemon = CheckpointDaemon(name="churn-host", pagestore=PageStore(page_size=64))
+    for day in range(days):
+        for desktop in range(4):
+            # Drifting images that share pages with each other.
+            values = rng.integers(1, 40, size=16, dtype=np.uint64)
+            daemon.install_checkpoint(f"desktop-{desktop}", Fingerprint(hashes=values))
+        daemon.drop_checkpoint(f"desktop-{day % 4}")
+        live = {d for hosted in daemon.checkpoints.values() for d in hosted.slot_digests}
+        assert daemon.store.stored_bytes == 64 * len(live)
+        assert daemon.audit_store() == []
+    for vm_id in list(daemon.checkpoints):
+        daemon.drop_checkpoint(vm_id)
+    assert daemon.store.stored_bytes == 0 and len(daemon.store) == 0
+    assert daemon.audit_store() == []
 
 
 # --- satellite: cleanup failures are counted, not swallowed ---------------

@@ -51,20 +51,9 @@ class TestChecksumIndex:
         mask = index.contains_many(np.asarray([1, 4, 9], dtype=np.uint64))
         assert list(mask) == [False, True, False]
 
-    def test_lookup_many_matches_scalar_lookup(self):
-        index = ChecksumIndex(fp([7, 5, 7, 5, 9]))
-        queries = np.asarray([5, 6, 7, 9, 0], dtype=np.uint64)
-        slots = index.lookup_many(queries)
-        expected = [
-            index.lookup(int(q)) if index.lookup(int(q)) is not None else -1
-            for q in queries
-        ]
-        assert slots.dtype == np.int64
-        assert list(slots) == expected
-
-    def test_lookup_many_empty_queries(self):
+    def test_contains_many_empty_queries(self):
         index = ChecksumIndex(fp([1, 2]))
-        assert index.lookup_many(np.asarray([], dtype=np.uint64)).size == 0
+        assert index.contains_many(np.asarray([], dtype=np.uint64)).size == 0
 
     @given(
         arrays(
@@ -78,12 +67,10 @@ class TestChecksumIndex:
             elements=st.integers(min_value=0, max_value=25),
         ),
     )
-    def test_lookup_many_always_matches_scalar(self, members, queries):
+    def test_contains_many_always_matches_scalar(self, members, queries):
         index = ChecksumIndex(fp(members))
-        slots = index.lookup_many(queries)
-        for query, slot in zip(queries, slots):
-            scalar = index.lookup(int(query))
-            assert slot == (scalar if scalar is not None else -1)
+        mask = index.contains_many(queries)
+        assert list(mask) == [index.lookup(int(q)) is not None for q in queries]
 
     def test_unique_hashes_sorted_readonly(self):
         index = ChecksumIndex(fp([3, 1, 2]))

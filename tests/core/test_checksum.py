@@ -18,7 +18,7 @@ from repro.core.checksum import (
     register_algorithm,
 )
 from repro.core.fingerprint import Fingerprint
-from repro.core.protocol import WireFormat
+from repro.core.protocol import ANNOUNCE_FRAME_OVERHEAD, WireFormat
 from repro.core.strategies import MigrationStrategy
 from repro.core.transfer import Method
 from repro.mem.pagestore import PageStore
@@ -126,13 +126,14 @@ class TestCostModel:
         assert MD5.throughput == 350 * 2**20
 
     def test_announce_bytes_4gib_vm_is_16mib(self):
-        # §3.2: 2^20 pages * 16 B MD5 = 16 MiB.
+        # §3.2: 2^20 pages * 16 B MD5 = 16 MiB, in one framed announce.
         num_pages = (4 * 2**30) // PAGE_SIZE
-        assert MD5.announce_bytes(num_pages) == 16 * 2**20
+        wire = WireFormat.for_algorithm(MD5)
+        assert wire.announce_frame_bytes(num_pages) == 16 * 2**20 + ANNOUNCE_FRAME_OVERHEAD
 
     def test_announce_bytes_rejects_negative(self):
         with pytest.raises(ValueError):
-            MD5.announce_bytes(-1)
+            WireFormat.for_algorithm(MD5).announce_frame_bytes(-1)
 
 
 class TestMeasurement:

@@ -1,10 +1,15 @@
-"""Unit tests for repro.core.dedup."""
+"""Unit tests for repro.core.dedup: the sender's per-migration cache.
+
+The split of a send stream into full sends and references is
+:func:`first_occurrence`: the first copy of a content travels, every
+repeat refers back to it.
+"""
 
 import numpy as np
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.dedup import DedupCache, dedup_split, dedup_unique_count
+from repro.core.dedup import first_occurrence
 
 hash_arrays = arrays(
     dtype=np.uint64,
@@ -13,26 +18,9 @@ hash_arrays = arrays(
 )
 
 
-class TestDedupCache:
-    def test_first_offer_is_miss(self):
-        cache = DedupCache()
-        assert cache.offer(42) is False
-
-    def test_repeat_offer_is_hit(self):
-        cache = DedupCache()
-        cache.offer(42)
-        assert cache.offer(42) is True
-
-    def test_distinct_contents_all_miss(self):
-        cache = DedupCache()
-        assert [cache.offer(h) for h in (1, 2, 3)] == [False, False, False]
-        assert len(cache) == 3
-
-    def test_reset_clears_state(self):
-        cache = DedupCache()
-        cache.offer(1)
-        cache.reset()
-        assert cache.offer(1) is False
+def dedup_split(hashes):
+    full = first_occurrence(hashes)
+    return full, ~full
 
 
 class TestDedupSplit:
@@ -57,22 +45,15 @@ class TestDedupSplit:
     def test_masks_partition_input(self, hashes):
         full, ref = dedup_split(hashes)
         assert (full ^ ref).all() or hashes.size == 0
-        assert int(full.sum()) == dedup_unique_count(hashes)
+        assert int(full.sum()) == len(set(hashes.tolist()))
 
     @given(hash_arrays)
     def test_split_agrees_with_cache(self, hashes):
-        cache = DedupCache()
-        expected = [not cache.offer(int(h)) for h in hashes]
+        # A sender-side cache, one page at a time: a miss sends the page.
+        seen = set()
+        expected = []
+        for value in hashes.tolist():
+            expected.append(value not in seen)
+            seen.add(value)
         full, _ = dedup_split(hashes)
         assert list(full) == expected
-
-
-class TestUniqueCount:
-    def test_empty(self):
-        assert dedup_unique_count([]) == 0
-
-    def test_counts_distinct(self):
-        assert dedup_unique_count([1, 1, 2, 3, 3, 3]) == 3
-
-    def test_accepts_iterables(self):
-        assert dedup_unique_count(iter([4, 4, 5])) == 2

@@ -109,13 +109,6 @@ class TestDirtySlots:
         assert fingerprint.dirty_slots(since=fingerprint).size == 0
 
 
-class TestContainsHashes:
-    def test_membership_mask(self):
-        fingerprint = fp([1, 2, 2, 3])
-        mask = fingerprint.contains_hashes(np.asarray([2, 4], dtype=np.uint64))
-        assert list(mask) == [True, False]
-
-
 class TestSimilarityMatrix:
     def test_diagonal_is_one(self):
         matrix = similarity_matrix([fp([1, 2]), fp([3, 4])])

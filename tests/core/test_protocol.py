@@ -53,8 +53,8 @@ class TestFirstRoundTraffic:
         traffic = first_round_traffic(ts, wire, announce_unique_pages=3)
         expected = 1 * wire.full_page_message + 2 * wire.checksum_message
         assert traffic.payload_bytes == expected
-        assert traffic.announce_bytes == 3 * wire.checksum_bytes
-        assert traffic.total_bytes == expected + 48
+        assert traffic.announce_bytes == wire.announce_frame_bytes(3)
+        assert traffic.total_bytes == expected + wire.announce_frame_bytes(3)
 
     def test_announce_skipped_for_ping_pong(self):
         current, checkpoint = fp([1, 2]), fp([1, 2])

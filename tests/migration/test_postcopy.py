@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import Checkpoint
-from repro.core.strategies import QEMU, VECYCLE
+from repro.core.strategies import MIYAKODORI, QEMU, VECYCLE, VECYCLE_DEDUP
+from repro.core.transfer import compute_transfer_set
 from repro.migration.postcopy import PostcopyConfig, simulate_postcopy
 from repro.migration.precopy import simulate_migration
 from repro.migration.vm import SimVM
@@ -85,7 +86,7 @@ class TestCheckpointAssistedPostcopy:
         vm = make_vm(dirty_rate=0)
         ckpt = checkpoint_of(vm)
         unknown = simulate_postcopy(vm, VECYCLE, WAN_CLOUDNET, checkpoint=ckpt)
-        assert unknown.announce_bytes > 0
+        assert unknown.announce_bytes == VECYCLE.wire.announce_frame_bytes(len(ckpt.index))
         known = simulate_postcopy(
             vm, VECYCLE, WAN_CLOUDNET, checkpoint=ckpt,
             config=PostcopyConfig(announce_known=True),
@@ -97,6 +98,34 @@ class TestCheckpointAssistedPostcopy:
         other = make_vm(64)
         with pytest.raises(ValueError):
             simulate_postcopy(vm, VECYCLE, LAN_1GBE, checkpoint=checkpoint_of(other))
+
+
+class TestEachStrategyItsOwnRule:
+    @pytest.mark.parametrize("strategy", [MIYAKODORI, VECYCLE_DEDUP], ids=lambda s: s.name)
+    def test_pushes_what_the_first_round_rule_sends(self, strategy):
+        vm = make_vm(size_mib=1, dirty_rate=0)
+        ckpt = checkpoint_of(vm)
+        vm.image.relocate(np.arange(0, 64), np.random.default_rng(5))
+        vm.image.write_duplicate_of(np.arange(64, 96), 200)
+        vm.image.write_fresh(np.arange(96, 128))
+        vm.image.write_duplicate_of(np.arange(128, 140), 96)
+        expected = compute_transfer_set(
+            strategy.method, vm.fingerprint(), checkpoint=ckpt.fingerprint
+        )
+        report = simulate_postcopy(
+            vm, strategy, LAN_1GBE, checkpoint=ckpt,
+            config=PostcopyConfig(announce_known=True),
+        )
+        # Miyakodori pushes the relocated pages; a dedup hit is a reference.
+        assert report.pages_pushed == expected.full_pages
+        assert report.pages_reused == (
+            expected.checksum_only_pages + expected.skipped_pages
+        )
+        wire = strategy.wire
+        assert report.tx_bytes == (
+            expected.full_pages * wire.plain_page_message
+            + expected.ref_pages * wire.ref_message
+        )
 
 
 class TestPrePostComparison:
