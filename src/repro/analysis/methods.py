@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.checkpoint import ChecksumIndex
 from repro.core.fingerprint import Fingerprint
-from repro.core.transfer import Method, PAPER_METHODS, TransferSet, slot_kinds
+from repro.core.transfer import Method, PAPER_METHODS, TransferSet, kernel_inputs, slot_kinds
 from repro.parallel import pmap, resolve_workers
 from repro.traces.generate import Trace
 
@@ -78,29 +78,15 @@ def pair_fractions(
     The building block shared by the Figure 5 comparison and the VDI
     replay: given the current state's hashes and a checkpoint's hashes
     plus its index, return full-page fractions per method — each one
-    :func:`repro.core.transfer.slot_kinds`' answer, counted.  Pass
-    ``checkpoint_index=None`` when no checkpoint exists anywhere (the
-    VDI replay's first migration): nothing is then at the destination
-    and every slot is a candidate, so each method degrades to its
-    dedup/full behaviour.
+    :func:`repro.core.transfer.slot_kinds`' answer over the inputs
+    :func:`repro.core.transfer.kernel_inputs` builds once for them all.
+    Pass None for both checkpoint arguments when no checkpoint exists
+    anywhere (the VDI replay's first migration): the kernel's
+    first-visit rule then applies.
     """
-    n = current_hashes.shape[0]
-    # The kernel's two inputs are computed at most once per pair, and
-    # only if a requested method consumes them — the VDI replay
-    # evaluates four methods per migration against the same pair.
-    member = dirty = None
-    if any(method.uses_hashes for method in methods):
-        member = (
-            np.zeros(n, dtype=bool)
-            if checkpoint_index is None
-            else checkpoint_index.contains_many(current_hashes)
-        )
-    if any(method.uses_dirty_tracking for method in methods):
-        dirty = (
-            np.ones(n, dtype=bool)
-            if checkpoint_index is None
-            else current_hashes != checkpoint_hashes
-        )
+    member, dirty = kernel_inputs(
+        methods, current_hashes, checkpoint_hashes, checkpoint_index
+    )
     return {
         method: TransferSet.from_kinds(
             method, *slot_kinds(method, current_hashes, member, dirty)

@@ -32,7 +32,9 @@ even when the command raises; a ``.jsonl`` name gets the event log, any
 other Chrome trace_event JSON), ``--trace-summary`` (print the span tree
 to stderr afterwards), and ``-v``/``-q`` (log verbosity).  ``obs``
 reads a recorded trace: it prints the span tree and, given ``OUT``,
-rewrites the trace in the format ``OUT``'s name picks.
+rewrites the trace in the format ``OUT``'s name picks.  ``runtime``
+and ``orchestrate`` exit non-zero, their report on stderr, when a
+cross-validation disagrees with the model.
 
 (also reachable as ``python -m repro ...``)
 """
@@ -193,7 +195,10 @@ def _cmd_orchestrate(args: argparse.Namespace) -> str:
         metrics_port=args.metrics_port,
         metrics_linger_s=args.metrics_linger,
     )
-    return live_cluster.format_table(result)
+    table = live_cluster.format_table(result)
+    if not result.within():
+        raise SystemExit(table)
+    return table
 
 
 def _cmd_chaos(args: argparse.Namespace) -> str:
@@ -448,6 +453,7 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
 
     async def run_all() -> str:
         sections = []
+        agree = True
         for name in strategy_names:
             scenario = idle_vm_scenario(
                 size_mib=args.size_mib,
@@ -471,10 +477,13 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
                 )
                 sections.append(resumed.runtime.report())
                 sections.append(resumed.report())
-                if resumed.payload_delta_bytes:
-                    raise SystemExit("\n\n".join(sections))
+                agree = agree and resumed.within()
             sections.append(result.runtime.report())
             sections.append(result.report())
+            agree = agree and result.within()
+        if not agree:
+            # A byte disagreement with the model fails the command.
+            raise SystemExit("\n\n".join(sections))
         return "\n\n".join(sections)
 
     return asyncio.run(run_all())

@@ -135,9 +135,9 @@ def replay_vdi(
             byte-identical results at any worker count.  The serial
             path additionally emits per-migration obs spans.
 
-    The first migration has no checkpoint anywhere: checkpoint-based
-    methods fall back to their dedup/full behaviour for it, exactly as
-    VeCycle would in deployment.
+    The first migration has no checkpoint anywhere: the kernel's
+    first-visit rule (nothing is a member, every slot is dirty) decides
+    it, exactly as the live runtime does.
     """
     if schedule is None:
         days = int(trace.duration_hours // 24) + 1

@@ -115,10 +115,6 @@ class Checkpoint:
         """On-disk size: the full memory image (one block per slot)."""
         return self.fingerprint.num_pages * PAGE_SIZE
 
-    @property
-    def timestamp(self) -> float:
-        return self.fingerprint.timestamp
-
 
 class CheckpointStore:
     """Per-host checkpoint storage with optional capacity bound.
@@ -230,7 +226,3 @@ class CheckpointStore:
     def evict(self, vm_id: str) -> None:
         """Drop the checkpoint for ``vm_id``; silently ignores unknown ids."""
         self._drop(vm_id)
-
-    def vm_ids(self) -> list[str]:
-        """Sorted ids of all VMs with a stored checkpoint."""
-        return sorted(self._checkpoints)

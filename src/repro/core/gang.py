@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.checkpoint import Checkpoint, ChecksumIndex
 from repro.core.fingerprint import Fingerprint
-from repro.core.transfer import Method, TransferSet, slot_kinds
+from repro.core.transfer import Method, TransferSet, kernel_inputs, slot_kinds
 
 
 @dataclass(frozen=True)
@@ -105,17 +105,14 @@ def gang_transfer_set(
         if pools:
             merged = ChecksumIndex(Fingerprint(hashes=np.concatenate(pools)))
 
+    method = Method.HASHES_DEDUP
     streams = [m.fingerprint.hashes for m in members]
     in_checkpoint = []
     for member, hashes in zip(members, streams):
         index = merged
         if index is None and member.checkpoint is not None:
             index = member.checkpoint.index
-        in_checkpoint.append(
-            np.zeros(len(hashes), bool) if index is None else index.contains_many(hashes)
-        )
-
-    method = Method.HASHES_DEDUP
+        in_checkpoint.append(kernel_inputs((method,), hashes, checkpoint_index=index)[0])
     if cross_vm_dedup:
         # One dedup cache for the whole gang: the kernel runs over the
         # concatenated send stream, cut back into per-VM pieces.

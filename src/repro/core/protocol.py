@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.core.checksum import DEFAULT_CHECKSUM, PAGE_SIZE, ChecksumAlgorithm
 from repro.core.dedup import DEDUP_REF_BYTES
-from repro.core.transfer import KIND_NAMES, TransferSet
+from repro.core.transfer import KIND_NAMES, Method, TransferSet
 
 ANNOUNCE_FRAME_OVERHEAD = 5
 """Framing overhead of one bulk-announce message on a real byte stream
@@ -126,10 +126,26 @@ class TrafficBreakdown:
         return self.payload_bytes + self.announce_bytes
 
 
+def announce_pages(method: Method, checkpoint_unique: Optional[int], known: bool) -> Optional[int]:
+    """Digests the destination announces before the first round, or None
+    when it announces nothing — the one announce rule of every model.
+
+    A method without hashes gets no announce, nor does a ping-pong
+    (``known``, §3.3) to a checkpoint the source remembers.  A first
+    visit (``checkpoint_unique`` None) always gets the empty announce:
+    the source cannot remember a checkpoint that does not exist.
+    """
+    if not method.uses_hashes:
+        return None
+    if checkpoint_unique is None:
+        return 0
+    return None if known else checkpoint_unique
+
+
 def first_round_traffic(
     transfer_set: TransferSet,
     wire: WireFormat = WireFormat(),
-    announce_unique_pages: int = 0,
+    announce_unique_pages: Optional[int] = None,
 ) -> TrafficBreakdown:
     """Traffic for one first copy round described by ``transfer_set``.
 
@@ -139,8 +155,8 @@ def first_round_traffic(
         wire: Message sizes.
         announce_unique_pages: Number of distinct checksums the
             destination announces up front, charged as one framed
-            announce; pass 0 when the source already knows them
-            (ping-pong, §3.2) or for methods that do not exchange hashes.
+            announce (0 is a first visit's empty announce); None when
+            there is none (ping-pong, §3.2, or a method without hashes).
     """
     counts = transfer_set.message_counts
     payload = sum(
@@ -149,7 +165,7 @@ def first_round_traffic(
     return TrafficBreakdown(
         payload_bytes=payload,
         announce_bytes=(
-            wire.announce_frame_bytes(announce_unique_pages) if announce_unique_pages else 0
+            0 if announce_unique_pages is None else wire.announce_frame_bytes(announce_unique_pages)
         ),
         messages=sum(counts.values()),
     )

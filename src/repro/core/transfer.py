@@ -16,8 +16,10 @@ composition, written once.  Per slot it answers:
                   content already exists in the destination checkpoint),
 * ``skip``      — nothing is sent (dirty tracking: slot known-clean).
 
-Everything else is a caller or a reduction: :func:`compute_transfer_set`
-counts the kinds, :func:`repro.analysis.methods.pair_fractions` takes
+Everything else is a caller or a reduction: :func:`kernel_inputs`
+builds the kernel's inputs, first visits included,
+:func:`compute_transfer_set` counts the kinds,
+:func:`repro.analysis.methods.pair_fractions` takes
 the full-page share, :func:`repro.runtime.planner.plan_first_round`
 streams them (and resolves what each ``ref`` points at).  The
 independent statement of the rule is the loop-per-slot oracle in
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -75,11 +77,6 @@ class Method(enum.Enum):
     def uses_checkpoint(self) -> bool:
         """Whether the method needs a checkpoint at the destination."""
         return self.uses_dirty_tracking or self.uses_hashes
-
-    @property
-    def checkpoint_free(self) -> "Method":
-        """What the method degrades to on a first visit (no checkpoint)."""
-        return Method.DEDUP if self.uses_dedup else Method.FULL
 
 
 PAPER_METHODS = (
@@ -240,6 +237,38 @@ def slot_kinds(
     return kinds, int(np.count_nonzero(candidate)) if hashed else 0
 
 
+def kernel_inputs(
+    methods: Sequence[Method],
+    hashes: np.ndarray,
+    checkpoint_hashes: Optional[np.ndarray] = None,
+    checkpoint_index: Optional[ChecksumIndex] = None,
+    dirty_slots: Optional[np.ndarray] = None,
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """:func:`slot_kinds`' ``member`` and ``dirty_mask``, each built once
+    and only if one of ``methods`` uses it.
+
+    With no checkpoint (neither its hashes nor its index) — a *first
+    visit* — the one first-visit rule holds: nothing is a member and
+    every slot is dirty.  Otherwise membership comes from the index
+    (built when omitted), the dirty set from ``dirty_slots`` or else the
+    content-change proxy of §4.3.
+    """
+    n = hashes.shape[0]
+    if checkpoint_hashes is None and checkpoint_index is None:
+        return np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    member = dirty_mask = None
+    if any(method.uses_hashes for method in methods):
+        if checkpoint_index is None:
+            checkpoint_index = ChecksumIndex(Fingerprint(checkpoint_hashes))
+        member = checkpoint_index.contains_many(hashes)
+    if any(method.uses_dirty_tracking for method in methods):
+        if dirty_slots is None:
+            dirty_mask = hashes != checkpoint_hashes
+        else:
+            dirty_mask = slots_to_mask(dirty_slots, n)
+    return member, dirty_mask
+
+
 def compute_transfer_set(
     method: Method,
     current: Fingerprint,
@@ -251,8 +280,8 @@ def compute_transfer_set(
 
     Args:
         current: The VM's memory at migration time.
-        checkpoint: The old checkpoint at the destination.  Required for
-            any method with :attr:`Method.uses_checkpoint`.
+        checkpoint: The old checkpoint at the destination, or None on a
+            first visit (:func:`kernel_inputs`' rule).
         dirty_slots: Slots written since the checkpoint.  If omitted for
             a dirty-tracking method, falls back to the content-change
             proxy the paper uses on traces (§4.3).
@@ -266,22 +295,14 @@ def compute_transfer_set(
     """
     with _span("engine.transfer_set") as sp:
         n = current.num_pages
-        member = dirty_mask = None
-        if method.uses_checkpoint:
-            if checkpoint is None:
-                raise ValueError(f"method {method.value} requires a checkpoint")
-            if checkpoint.num_pages != n:
-                raise ValueError(
-                    f"checkpoint page count {checkpoint.num_pages} != current {n}"
-                )
-        if method.uses_hashes:
-            if checkpoint_index is None:
-                checkpoint_index = ChecksumIndex(checkpoint)
-            member = checkpoint_index.contains_many(current.hashes)
-        if method.uses_dirty_tracking:
-            if dirty_slots is None:
-                dirty_slots = current.dirty_slots(since=checkpoint)
-            dirty_mask = slots_to_mask(dirty_slots, n)
+        if checkpoint is not None and method.uses_checkpoint and checkpoint.num_pages != n:
+            raise ValueError(
+                f"checkpoint page count {checkpoint.num_pages} != current {n}"
+            )
+        checkpoint_hashes = None if checkpoint is None else checkpoint.hashes
+        member, dirty_mask = kernel_inputs(
+            (method,), current.hashes, checkpoint_hashes, checkpoint_index, dirty_slots
+        )
         result = TransferSet.from_kinds(
             method, *slot_kinds(method, current.hashes, member, dirty_mask)
         )

@@ -27,7 +27,6 @@ from repro.traces.workload import ActivityPattern, WorkloadParams
 
 log = get_logger(__name__)
 
-MIB = 2**20
 
 #: Orchestrator metrics surfaced in the report (ISSUE acceptance).
 REPORTED_COUNTERS = (
@@ -129,7 +128,7 @@ def format_table(result: LiveVdiCrossValidation) -> str:
         f"method {result.method}:",
         "",
         f"{'#':>3s} {'migration':<34s} {'score':>6s} "
-        f"{'live MiB':>9s} {'analytic MiB':>13s}",
+        f"{'live pages':>10s} {'analytic pages':>14s}",
         "-" * 70,
     ]
     for record in result.records:
@@ -138,12 +137,12 @@ def format_table(result: LiveVdiCrossValidation) -> str:
         )
         lines.append(
             f"{record.index:3d} {direction:<34s} {record.score:6.3f} "
-            f"{record.live_bytes / MIB:9.3f} "
-            f"{record.analytic_bytes / MIB:13.3f}"
+            f"{record.live_full_pages:10d} "
+            f"{record.analytic_full_pages:14d}"
         )
     lines += ["", result.summary()]
-    verdict = "PASS" if result.within(0.05) else "FAIL"
-    lines.append(f"5% cross-validation tolerance: {verdict}")
+    verdict = "PASS" if result.within() else "FAIL"
+    lines.append(f"per-hop full-page cross-validation: {verdict}")
     emitted = set(get_registry().names())
     lines.append("")
     lines.append("orchestrator metrics:")

@@ -33,6 +33,7 @@ from typing import Optional
 
 from repro.core.checkpoint import Checkpoint
 from repro.core.checksum import PAGE_SIZE
+from repro.core.protocol import announce_pages, first_round_traffic
 from repro.core.strategies import MigrationStrategy
 from repro.core.transfer import compute_transfer_set
 from repro.migration.vm import SimVM
@@ -106,9 +107,12 @@ def simulate_postcopy(
     Which pages cross the wire is the strategy's own first-round rule
     (:func:`~repro.core.transfer.compute_transfer_set`): with a
     checkpoint the destination preloads it, and the pages that rule
-    reuses or skips are resident from the start; a dedup hit travels as
-    a reference.  Without a checkpoint the strategy falls back to its
-    checkpoint-free method, as pre-copy's first visit does.
+    reuses or skips are resident from the start; every other page
+    travels in pre-copy's message (with its checksum under a hash
+    strategy, §3.2), a dedup hit as a reference.  Without a checkpoint
+    (a first visit) the kernel's first-visit rule applies, as in
+    pre-copy: nothing is resident, and a hash strategy still pays the
+    empty announce.
 
     Unlike pre-copy, the guest's in-flight writes do not enlarge the
     transfer set — a page dirtied at the destination is already
@@ -127,19 +131,18 @@ def simulate_postcopy(
     # A checkpoint the method does not use is ignored; a wrong-sized one
     # is rejected by the kernel (or the dirty scan) with ValueError.
     method = strategy.method
-    if checkpoint is None:
-        method = method.checkpoint_free
-    transfer_set = compute_transfer_set(
-        method,
-        current,
-        checkpoint=checkpoint.fingerprint if method.uses_checkpoint else None,
-        dirty_slots=vm.dirty_slots_since(checkpoint) if method.uses_dirty_tracking else None,
-        checkpoint_index=checkpoint.index if method.uses_hashes else None,
+    fingerprint = index = dirty_slots = None
+    if checkpoint is not None and method.uses_checkpoint:
+        fingerprint = checkpoint.fingerprint
+        index = checkpoint.index if method.uses_hashes else None
+        dirty_slots = vm.dirty_slots_since(checkpoint) if method.uses_dirty_tracking else None
+    transfer_set = compute_transfer_set(method, current, fingerprint, dirty_slots, index)
+    unique = None if index is None else len(index)
+    traffic = first_round_traffic(
+        transfer_set, wire, announce_pages(method, unique, config.announce_known)
     )
-    announce_time = 0.0
-    if method.uses_hashes and not config.announce_known:
-        report.announce_bytes = wire.announce_frame_bytes(len(checkpoint.index))
-        announce_time = link.transfer_time(report.announce_bytes)
+    report.announce_bytes = traffic.announce_bytes
+    announce_time = link.transfer_time(traffic.announce_bytes) if traffic.announce_bytes else 0.0
 
     # Resident at resume: checkpoint content verified by checksum, or a
     # clean slot under dirty tracking.  Every other slot is missing
@@ -151,10 +154,10 @@ def simulate_postcopy(
     # Downtime: CPU/device state only — post-copy's signature property.
     report.downtime_s = config.switchover_s
 
-    # Background pre-paging streams the missing pages.
+    # Background pre-paging streams the missing pages, each in the
+    # message pre-copy sends it in; a resident page sends nothing.
     push_bytes = (
-        transfer_set.full_pages * wire.plain_page_message
-        + transfer_set.ref_pages * wire.ref_message
+        traffic.payload_bytes - transfer_set.checksum_only_pages * wire.checksum_message
     )
     fill_time = announce_time + (
         link.transfer_time(push_bytes) if missing else 0.0

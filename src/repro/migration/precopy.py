@@ -34,7 +34,7 @@ from repro.core.checkpoint import Checkpoint, ChecksumIndex
 from repro.core.checksum import PAGE_SIZE
 from repro.core.compression import CompressionModel, NO_COMPRESSION
 from repro.core.fingerprint import resize_fingerprint
-from repro.core.protocol import first_round_traffic
+from repro.core.protocol import announce_pages, first_round_traffic
 from repro.core.strategies import MigrationStrategy
 from repro.core.transfer import compute_transfer_set, slots_to_mask
 from repro.migration.report import MigrationReport, RoundStats
@@ -105,8 +105,8 @@ def simulate_migration(
         strategy: Which transfer method the first round uses.
         link: Network path between source and destination.
         checkpoint: The old checkpoint available at the destination, or
-            None (first visit — checkpoint-based strategies degrade to
-            a full first round).
+            None on a first visit, decided by the kernel's first-visit
+            rule as the live runtime decides it.
         dest_disk: Where the destination keeps the old checkpoint.
         source_disk: Where the source writes the new checkpoint.
         config: Pre-copy loop tunables.
@@ -183,19 +183,13 @@ def _simulate_migration(
             generation_vector=None,
         )
     method = strategy.method
-    if method.uses_checkpoint and usable_checkpoint is None:
-        # First visit to this host: no checkpoint to recycle.  VeCycle
-        # degrades to (at best) dedup semantics; we model the plain
-        # full/dedup fallback, which charges plain-page messages and no
-        # checksum work.  The live runtime, handed an empty announce,
-        # sends page+checksum instead — a known, pinned divergence
-        # (docs/protocol.md, "First visit").
-        method = method.checkpoint_free
+    if not method.uses_checkpoint:
+        usable_checkpoint = None
+    # From here on None is a first visit (or a method that uses none).
 
     # --- Destination setup phase (excluded from migration time, §4.4) ---
-    # From here on a method that uses a checkpoint has one.
     index: Optional[ChecksumIndex] = None
-    if method.uses_checkpoint:
+    if usable_checkpoint is not None:
         with _span("migration.setup") as sp:
             ckpt_bytes = usable_checkpoint.size_bytes
             load_time = dest_disk.sequential_read_time(ckpt_bytes)
@@ -209,17 +203,16 @@ def _simulate_migration(
             sp.add_modelled(report.setup_time_s)
 
     # --- Bulk checksum announce (destination -> source), §3.2 ---
-    announce_pages = 0
     announce_time = 0.0
-    if method.uses_hashes and not config.announce_known:
+    announced = announce_pages(method, None if index is None else len(index), config.announce_known)
+    if announced is not None:
         with _span("migration.checksum_exchange") as sp:
-            announce_pages = len(usable_checkpoint.index)
-            announce_time = link.transfer_time(wire.announce_frame_bytes(announce_pages))
-            sp.set(announce_pages=announce_pages).add_modelled(announce_time)
+            announce_time = link.transfer_time(wire.announce_frame_bytes(announced))
+            sp.set(announce_pages=announced).add_modelled(announce_time)
 
     # --- First copy round ---
     dirty_slots = None
-    if method.uses_dirty_tracking:
+    if method.uses_dirty_tracking and usable_checkpoint is not None:
         with _span("migration.dirty_scan") as sp:
             dirty_slots = vm.dirty_slots_since(usable_checkpoint)
             sp.set(dirty=int(len(dirty_slots)))
@@ -228,12 +221,12 @@ def _simulate_migration(
         transfer_set = compute_transfer_set(
             method,
             current,
-            checkpoint=usable_checkpoint.fingerprint if method.uses_checkpoint else None,
+            checkpoint=None if usable_checkpoint is None else usable_checkpoint.fingerprint,
             dirty_slots=dirty_slots,
             checkpoint_index=index,
         )
         traffic = first_round_traffic(
-            transfer_set, wire, announce_unique_pages=announce_pages
+            transfer_set, wire, announce_unique_pages=announced
         )
 
     # Split the reusable pages into in-place (checksum verifies against
@@ -243,7 +236,7 @@ def _simulate_migration(
     # share needs no second membership pass.
     reused_in_place = transfer_set.checksum_only_pages
     reused_from_disk = 0
-    if method.uses_hashes:
+    if method.uses_hashes and usable_checkpoint is not None:
         in_place = current.hashes == usable_checkpoint.fingerprint.hashes
         if dirty_slots is not None:
             in_place &= slots_to_mask(dirty_slots, vm.num_pages)

@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.checkpoint import Checkpoint
-from repro.core.checksum import PAGE_SIZE
 from repro.core.dirty import GenerationTracker
 from repro.core.fingerprint import Fingerprint
 from repro.mem.image import MemoryImage
@@ -195,7 +194,3 @@ class SimVM:
         vm.image = image
         vm.tracker = GenerationTracker(image.num_pages)
         return vm
-
-    def pages_to_bytes(self, num_pages: int) -> int:
-        """Convert a page count to bytes at the guest page size."""
-        return num_pages * PAGE_SIZE

@@ -3,13 +3,13 @@
 :func:`~repro.cluster.vdi.replay_vdi` computes what the Figure-8 VDI
 schedule *should* cost; :func:`replay_vdi_live` actually runs it — real
 daemons on localhost, real sockets, placements chosen by a live policy
-— and compares aggregate migration traffic.  The two agree because
-they model the same physics: before each departure the source host
-stores a checkpoint of the leaving VM's state (VeCycle's "local
-storage is cheap" premise, §3.3), so a checkpoint-seeking policy sends
-the VM back to the host holding the previous migration's state, and
-the wire then carries exactly the pages the analytic pair model counts
-as full transfers.
+— and compares every migration's full-page count exactly.  The two
+agree because they model the same physics: before each departure the
+source host stores a checkpoint of the leaving VM's state (VeCycle's
+"local storage is cheap" premise, §3.3), so a checkpoint-seeking policy
+sends the VM back to the host holding the previous migration's state,
+and the wire then carries exactly the pages the analytic pair model
+counts as full transfers.
 
 The harness uses the same :func:`~repro.cluster.vdi.fingerprint_at`
 snapshot selection as the analytic replay, so any disagreement is a
@@ -42,7 +42,6 @@ from repro.orchestrator.executor import (
 from repro.orchestrator.placement import BestCheckpoint, PlacementPolicy
 from repro.orchestrator.registry import ClusterRegistry
 from repro.orchestrator.telemetry import TelemetryAggregator
-from repro.runtime.crossval import relative_error
 from repro.runtime.daemon import CheckpointDaemon
 from repro.runtime.source import RuntimeConfig
 from repro.traces.generate import Trace
@@ -59,15 +58,14 @@ class LiveVdiRecord:
     destination: str
     score: float
     live_full_pages: int
-    live_bytes: float
-    analytic_bytes: float
+    analytic_full_pages: int
     downtime_s: float = 0.0
     recycled_bytes: float = 0.0
 
 
 @dataclass
 class LiveVdiCrossValidation:
-    """Aggregate comparison of the live and analytic VDI replays."""
+    """Per-hop comparison of the live and analytic VDI replays."""
 
     method: str
     policy: str
@@ -84,30 +82,20 @@ class LiveVdiCrossValidation:
         return len(self.records)
 
     @property
-    def live_total_bytes(self) -> float:
-        return sum(r.live_bytes for r in self.records)
+    def exact_migrations(self) -> int:
+        """Migrations that sent exactly the full pages the model counts."""
+        return sum(r.live_full_pages == r.analytic_full_pages for r in self.records)
 
-    @property
-    def analytic_total_bytes(self) -> float:
-        return sum(r.analytic_bytes for r in self.records)
-
-    @property
-    def relative_error(self) -> float:
-        """|live − analytic| / analytic over the whole schedule."""
-        return relative_error(self.live_total_bytes, self.analytic_total_bytes)
-
-    def within(self, tolerance: float = 0.05) -> bool:
-        """Whether aggregate live traffic is within ``tolerance``."""
-        return self.relative_error <= tolerance
+    def within(self) -> bool:
+        """Whether every migration matched the model exactly."""
+        return self.exact_migrations == self.num_migrations
 
     def summary(self) -> str:
         """One-line human-readable verdict for CLI output."""
         return (
-            f"live {self.live_total_bytes / 2**30:.3f} GiB vs analytic "
-            f"{self.analytic_total_bytes / 2**30:.3f} GiB over "
-            f"{self.num_migrations} migrations "
-            f"({self.method}, policy {self.policy}): "
-            f"relative error {self.relative_error * 100:.2f}%"
+            f"{self.exact_migrations} of {self.num_migrations} migrations "
+            f"sent exactly the analytic full pages "
+            f"({self.method}, policy {self.policy})"
         )
 
 
@@ -145,7 +133,8 @@ async def replay_vdi_live(
     scraped from it.
 
     Raises RuntimeError if any live migration fails outright; a mere
-    traffic mismatch is reported, not raised.
+    traffic mismatch is reported (:meth:`LiveVdiCrossValidation.within`),
+    not raised.
     """
     if schedule is None:
         days = int(trace.duration_hours // 24) + 1
@@ -285,9 +274,11 @@ async def replay_vdi_live(
                 destination=row["destination"],
                 score=row["score"],
                 live_full_pages=row["full_pages"],
-                live_bytes=row["full_pages"] * page_bytes,
-                analytic_bytes=record.fractions[strategy.method]
-                * analytic.ram_bytes,
+                # The fraction is full pages over num_pages; round()
+                # undoes the division exactly.
+                analytic_full_pages=round(
+                    record.fractions[strategy.method] * row["num_pages"]
+                ),
                 downtime_s=outcome.downtime_s,
                 recycled_bytes=reused * page_bytes,
             )
@@ -295,7 +286,7 @@ async def replay_vdi_live(
     log.info(
         "live VDI cross-validation finished",
         migrations=result.num_migrations,
-        relative_error=round(result.relative_error, 6),
+        exact=result.exact_migrations,
     )
     return result
 

@@ -168,9 +168,9 @@ def plan_first_round(
         method: Transfer-set semantics (same enum the analytic path uses).
         hashes: Per-slot content ids of the VM at migration time.
         announced: The destination's announced checksum set; required
-            for hash-based methods (pass an empty set on a first visit —
-            every page then goes in full, the degraded mode §3.2
-            implies).
+            for hash-based methods.  A first visit's is empty: nothing is
+            a member, so every page goes in full with its checksum — the
+            kernel's first-visit rule, which the model applies too.
         digest_of: content id → real page checksum; with ``announced``,
             required unless ``slot_digests`` is given.
         dirty_slots: Slots written since the destination's checkpoint;

@@ -154,21 +154,20 @@ def plan_disk_sync(
         block_size: Bytes per block.
 
     Semantics are the memory taxonomy's, decided by the same kernel
-    (:func:`~repro.core.transfer.compute_transfer_set`): a cold copy is
-    ``full``; against a replica, blocks whose *content* exists anywhere
-    in it are reused (``hashes``, the content-hash path of CloudNet
-    [29]), and with a dirty set clean blocks are skipped outright
-    (``dirty+hashes``); the rest travel in full.  Dirty tracking needs
-    a replica: without one every block is sent.
+    (:func:`~repro.core.transfer.compute_transfer_set`): blocks whose
+    *content* exists anywhere in the replica are reused (``hashes``, the
+    content-hash path of CloudNet [29]), and with a dirty set clean
+    blocks are skipped outright (``dirty+hashes``); the rest travel in
+    full.  A cold copy is the kernel's first visit: every block is sent.
     """
     current = Fingerprint(hashes=current)
     n = current.num_pages
-    replica, method = None, Method.FULL
+    replica = None
     if destination_replica is not None:
         replica = Fingerprint(hashes=destination_replica)
         if replica.num_pages != n:
             raise ValueError(f"replica has {replica.num_pages} blocks, source has {n}")
-        method = Method.HASHES if dirty_blocks is None else Method.DIRTY_HASHES
+    method = Method.HASHES if dirty_blocks is None else Method.DIRTY_HASHES
     blocks = compute_transfer_set(method, current, replica, dirty_blocks)
     return DiskSyncPlan(
         blocks_full=blocks.full_pages,

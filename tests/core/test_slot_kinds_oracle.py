@@ -10,6 +10,8 @@ destination?  has this content already been sent this round? — sharing
 no code with the vectorised kernel.  It must stay this literal.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,58 @@ def test_named_corner_cases(current, checkpoint, dirty_slots):
         np.asarray(checkpoint, dtype=np.uint64),
         np.asarray(list(dirty_slots), dtype=np.int64),
     )
+
+
+def check_first_visit(current):
+    """No checkpoint at the destination: nothing there, every slot a candidate."""
+    n = current.shape[0]
+    nothing, everything = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    fractions = pair_fractions(current, None, None, tuple(Method))
+    for method in Method:
+        want_kinds, want_refs, want_checksummed = oracle(method, current, nothing, everything)
+
+        counted = compute_transfer_set(method, Fingerprint(current), checkpoint=None)
+        sent = {
+            KIND_NAMES[code]: count
+            for code, count in counted.message_counts.items()
+            if count
+        }
+        assert sent == Counter(kind for kind in want_kinds if kind != "skip"), method
+        assert counted.skipped_pages == 0, method
+        assert counted.checksummed_pages == want_checksummed, method
+        full_share = (want_kinds.count("full") + want_kinds.count("plain")) / n
+        assert fractions[method] == full_share, method
+
+        if method.uses_hashes:
+            # The live source's plan against the daemon's empty announce.
+            plan = plan_first_round(
+                method,
+                current,
+                announced=frozenset(),
+                digest_of=digest_of,
+                dirty_slots=np.arange(n) if method.uses_dirty_tracking else None,
+            )
+            assert kernel_names(plan.kinds) == want_kinds, method
+            assert plan.refs.tolist() == want_refs, method
+            assert plan.checksummed_pages == want_checksummed, method
+
+
+@given(pair_strategy)
+@settings(max_examples=60)
+def test_first_visit_matches_the_oracle(pair):
+    check_first_visit(pair[0])
+
+
+@pytest.mark.parametrize(
+    "current",
+    [
+        pytest.param([7], id="one-slot"),
+        pytest.param([5] * 6, id="all-duplicate"),
+        pytest.param([1, 2, 1, 3, 2], id="some-duplicates"),
+    ],
+)
+def test_first_visit_corner_cases(current):
+    check_first_visit(np.asarray(current, dtype=np.uint64))
 
 
 @given(pair_strategy)

@@ -130,9 +130,11 @@ class TestHashMethods:
         assert both.full_pages == hashes.full_pages
         assert both.checksummed_pages < hashes.checksummed_pages
 
-    def test_missing_checkpoint_rejected(self):
-        with pytest.raises(ValueError):
-            compute_transfer_set(Method.HASHES, fp([1]))
+    def test_missing_checkpoint_is_a_first_visit(self):
+        # Nothing is a member: every page goes in full, each one hashed.
+        ts = compute_transfer_set(Method.HASHES, fp([1, 1, 2]))
+        assert (ts.full_pages, ts.checksum_only_pages, ts.checksummed_pages) == (3, 0, 3)
+        assert compute_transfer_set(Method.HASHES_DEDUP, fp([1, 1, 2])).ref_pages == 1
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):

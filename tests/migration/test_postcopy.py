@@ -93,6 +93,14 @@ class TestCheckpointAssistedPostcopy:
         )
         assert known.announce_bytes == 0
 
+    def test_first_visit_pays_the_empty_announce_even_if_known(self):
+        # No checkpoint can be known: the daemon announces its empty set.
+        vm = make_vm(dirty_rate=0)
+        for config in (PostcopyConfig(), PostcopyConfig(announce_known=True)):
+            report = simulate_postcopy(vm, VECYCLE, LAN_1GBE, config=config)
+            assert report.announce_bytes == VECYCLE.wire.announce_frame_bytes(0)
+            assert report.pages_pushed == vm.num_pages
+
     def test_checkpoint_size_mismatch_rejected(self):
         vm = make_vm(32)
         other = make_vm(64)
@@ -121,9 +129,12 @@ class TestEachStrategyItsOwnRule:
         assert report.pages_reused == (
             expected.checksum_only_pages + expected.skipped_pages
         )
+        # A full page travels in pre-copy's message: with its checksum
+        # under a hash strategy (§3.2), bare otherwise.
         wire = strategy.wire
+        page_message = "full" if strategy.method.uses_hashes else "plain"
         assert report.tx_bytes == (
-            expected.full_pages * wire.plain_page_message
+            expected.full_pages * wire.message_bytes(page_message)
             + expected.ref_pages * wire.ref_message
         )
 

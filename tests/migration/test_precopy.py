@@ -95,6 +95,13 @@ class TestFallbacks:
         assert report.pages_ref > 0
         assert report.pages_checksum_only == 0
 
+    def test_first_visit_charges_what_the_runtime_sends(self, small_vm):
+        wire, n = VECYCLE.wire, small_vm.num_pages
+        report = simulate_migration(small_vm, VECYCLE, LAN_1GBE, checkpoint=None)
+        # Page plus checksum per page, and the daemon's empty announce.
+        assert report.rounds[0].bytes_sent == n * wire.full_page_message
+        assert report.announce_bytes == wire.announce_frame_bytes(0)
+
     def test_checkpoint_size_mismatch_rejected(self, small_vm):
         other = SimVM.idle("other", 4 * MIB)
         with pytest.raises(ValueError):

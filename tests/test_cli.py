@@ -147,6 +147,42 @@ class TestCommands:
         assert "PASS" in out and "FAIL" not in out
 
 
+class TestCrossValidationExitStatus:
+    """A cross-validation that disagrees with the model fails its command.
+
+    The report goes out as ``SystemExit``'s message, so the interpreter
+    prints it to stderr and exits with status 1.
+    """
+
+    def test_runtime_fails_when_a_cross_validation_disagrees(self, monkeypatch):
+        from repro.runtime.crossval import CrossValidation
+
+        monkeypatch.setattr(CrossValidation, "within", lambda self: False)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["runtime", "--size-mib", "1", "--strategy", "qemu"])
+        assert isinstance(exit_info.value.code, str)
+        assert "cross-validation" in exit_info.value.code
+
+    def test_orchestrate_fails_when_the_replay_disagrees(self, monkeypatch):
+        from repro.orchestrator.crossval import LiveVdiCrossValidation
+
+        monkeypatch.setattr(LiveVdiCrossValidation, "within", lambda self: False)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["orchestrate", "--hosts", "2", "--migrations", "2"])
+        assert isinstance(exit_info.value.code, str)
+        assert "cross-validation: FAIL" in exit_info.value.code
+
+    @pytest.mark.parametrize("argv", [
+        ["--size-mib", "1", "--strategy", "all"],
+        ["--size-mib", "1", "--strategy", "miyakodori", "--updates-percent", "0"],
+    ], ids=["tiny-all", "nothing-to-send"])
+    def test_small_migrations_pass(self, capsys, argv):
+        # The control frames are a few hundred bytes whatever the VM's
+        # size: a migration that moves almost nothing must still agree.
+        assert main(["runtime", *argv]) == 0
+        assert "-> completed" in capsys.readouterr().out
+
+
 class TestObservabilityFlags:
     def test_runtime_writes_chrome_trace(self, capsys, tmp_path):
         path = tmp_path / "trace.json"
