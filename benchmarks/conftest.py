@@ -8,6 +8,10 @@ and cached on disk under ``benchmarks/.trace-cache``.
 Run with::
 
     pytest benchmarks/ --benchmark-only
+
+The session ends by writing the observability snapshot to
+``.bench_out/BENCH_observability.json`` (ignored by git); ``make bench``
+copies it over the tracked ``BENCH_observability.json``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from repro.traces.generate import Trace, generate_or_load
 from repro.traces.presets import MachineSpec
 
 CACHE_DIR = Path(__file__).parent / ".trace-cache"
-SNAPSHOT_PATH = Path(__file__).parent.parent / "BENCH_observability.json"
+SNAPSHOT_PATH = Path(__file__).parent.parent / ".bench_out" / "BENCH_observability.json"
 
 
 @pytest.fixture(scope="session")
@@ -191,12 +195,20 @@ def _telemetry_snapshot() -> dict:
 
 
 def pytest_sessionfinish(session, exitstatus) -> None:
-    """Write the observability perf snapshot after a benchmark session."""
+    """Write the observability perf snapshot after a benchmark session.
+
+    A snapshot that raises (a breached overhead assertion included)
+    fails the session instead of being written down as a result.
+    """
     if getattr(session.config.option, "collectonly", False):
         return
     try:
         snapshot = _observability_snapshot()
         snapshot["telemetry"] = _telemetry_snapshot()
-    except Exception as exc:  # never fail the session over the snapshot
-        snapshot = {"error": f"{type(exc).__name__}: {exc}"}
+    except Exception as exc:
+        pytest.exit(
+            f"observability snapshot failed: {type(exc).__name__}: {exc}",
+            returncode=pytest.ExitCode.TESTS_FAILED,
+        )
+    SNAPSHOT_PATH.parent.mkdir(exist_ok=True)
     SNAPSHOT_PATH.write_text(json.dumps(snapshot, indent=2) + "\n")

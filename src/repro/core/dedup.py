@@ -9,16 +9,13 @@ byte comparison suffices — no strong checksum needed.
 
 The per-migration cache is :func:`first_occurrence` over the send
 stream: the first copy of a content travels, every repeat is a hit.
-The cost model charges :data:`DEDUP_REF_BYTES` for a cache-hit
-reference, matching the small fixed-size index CloudNet sends.
+A hit travels as a REF frame (:data:`repro.core.protocol.FRAMES`), the
+small fixed-size index CloudNet sends.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-DEDUP_REF_BYTES = 8
-"""Wire size of a 'page equals cache entry N' reference message."""
 
 
 def first_occurrence(values: np.ndarray, return_targets: bool = False):

@@ -15,72 +15,137 @@ schemes are modelled so the ablation benchmark can quantify the gap.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Optional
+from functools import lru_cache
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.core.checksum import DEFAULT_CHECKSUM, PAGE_SIZE, ChecksumAlgorithm
-from repro.core.dedup import DEDUP_REF_BYTES
 from repro.core.transfer import KIND_NAMES, Method, TransferSet
 
-ANNOUNCE_FRAME_OVERHEAD = 5
-"""Framing overhead of one bulk-announce message on a real byte stream
-(1-byte type tag + 4-byte checksum count).  Every model charges it
-through :meth:`WireFormat.announce_frame_bytes`, the size the live
-runtime's frame (:mod:`repro.runtime.frames`) has, so cross-validation
-requires the two announce counts to be equal."""
+
+class FrameSpec(NamedTuple):
+    """One frame of the wire protocol: ``tag | body | tail``.
+
+    ``layout`` is the body after the 1-byte tag, one big-endian
+    :mod:`struct` item per name in ``fields`` (the decoded frame's
+    attribute it fills); its only parameters are ``{digest}`` and
+    ``{page}``, the digest width and the page size.  ``tail``, sized by
+    the first field, is None, ``"digests"`` (``count`` × digest) or
+    ``"json"`` (``length`` bytes).  A frame whose first field is
+    ``page_no`` is a data frame, named by its message kind.
+    """
+
+    tag: int
+    name: str
+    layout: str
+    fields: Tuple[str, ...]
+    tail: Optional[str] = None
+
+
+def declare_frames(*rows: FrameSpec) -> Dict[int, FrameSpec]:
+    """``{tag: row}`` from ``rows``.  A tag or a name declared twice is
+    an error, so two frames can never share a byte on the wire or a key
+    in the by-kind accounting; so is a layout that does not pair up
+    with its fields."""
+    table: Dict[int, FrameSpec] = {}
+    for row in rows:
+        if row.tag in table or any(row.name == known.name for known in table.values()):
+            raise ValueError(f"frame 0x{row.tag:02x} {row.name!r} is declared twice")
+        if len(row.layout.split()) != len(row.fields):
+            raise ValueError(f"frame {row.name!r}: layout and fields differ in length")
+        table[row.tag] = row
+    return table
+
+
+_JSON = ("I", ("length",), "json")
+
+FRAMES = declare_frames(
+    FrameSpec(TYPE_HELLO := 0x01, "hello", *_JSON),
+    FrameSpec(TYPE_READY := 0x02, "ready", "I Q ? ?",
+              ("round_no", "applied", "announce_follows", "completed")),
+    FrameSpec(TYPE_ANNOUNCE := 0x03, "announce", "I", ("count",), "digests"),
+    FrameSpec(TYPE_RESULT := 0x04, "result", *_JSON),
+    FrameSpec(TYPE_ERROR := 0x05, "error", *_JSON),
+    FrameSpec(TYPE_PAGE_FULL := 0x10, "full", "Q {digest}s {page}s",
+              ("page_no", "digest", "payload")),
+    FrameSpec(TYPE_PAGE_CHECKSUM := 0x11, "checksum", "Q {digest}s",
+              ("page_no", "digest")),
+    FrameSpec(TYPE_PAGE_REF := 0x12, "ref", "Q Q", ("page_no", "ref")),
+    FrameSpec(TYPE_PAGE_PLAIN := 0x13, "plain", "Q {page}s", ("page_no", "payload")),
+    FrameSpec(TYPE_ROUND := 0x20, "round", "I Q", ("round_no", "count")),
+    FrameSpec(TYPE_COMPLETE := 0x21, "complete", "I {digest}s", ("count", "digest")),
+    FrameSpec(TYPE_HEARTBEAT := 0x30, "heartbeat", *_JSON),
+    FrameSpec(TYPE_INVENTORY := 0x31, "inventory", *_JSON),
+    FrameSpec(TYPE_TELEMETRY := 0x32, "telemetry", *_JSON),
+)
+"""Every frame the runtime moves and the model counts, declared once
+(``docs/runtime.md``, "Wire framing", shows the table): each row binds
+its ``TYPE_*`` tag, and every size, encoder and decoder derives from it."""
+
+FRAME_NAMES = {tag: row.name for tag, row in FRAMES.items()}
+"""Type tag → frame name."""
+
+FRAME_TYPES = {name: tag for tag, name in FRAME_NAMES.items()}
+"""Frame name → type tag, the inverse of :data:`FRAME_NAMES`."""
+
+PAGE_FRAME_TYPES = frozenset(tag for tag, row in FRAMES.items() if row.fields[0] == "page_no")
+
+JSON_FRAME_TYPES = frozenset(tag for tag, row in FRAMES.items() if row.tail == "json")
+"""Tags whose payload is ``u32 len | JSON``."""
 
 
 @dataclass(frozen=True)
 class WireFormat:
-    """Message sizes of the migration protocol.
+    """Message sizes of the migration protocol, read off :data:`FRAMES`.
+
+    The two widths HELLO negotiates are the only settings.
 
     Attributes:
         page_size: Guest page size (4 KiB).
-        header_bytes: Per-message header: page number + message type.
         checksum_bytes: Digest size of the configured checksum algorithm.
-        ref_bytes: Size of a dedup cache reference.
     """
 
     page_size: int = PAGE_SIZE
-    header_bytes: int = 9
     checksum_bytes: int = DEFAULT_CHECKSUM.digest_size
-    ref_bytes: int = DEDUP_REF_BYTES
 
     @classmethod
     def for_algorithm(cls, algorithm: ChecksumAlgorithm) -> "WireFormat":
         return cls(checksum_bytes=algorithm.digest_size)
 
+    def layout(self, tag: int) -> str:
+        """Frame ``tag``'s body layout at this wire's widths (no byte order)."""
+        return FRAMES[tag].layout.format(digest=self.checksum_bytes, page=self.page_size)
+
+    @property
+    def bodies(self) -> Dict[int, struct.Struct]:
+        """Every frame's body, what follows its tag, as one big-endian struct."""
+        return frame_structs(self)
+
+    @property
+    def header_bytes(self) -> int:
+        """Per-message header of a data frame: type tag + page number."""
+        return self.plain_page_message - self.page_size
+
     @property
     def full_page_message(self) -> int:
         """Bytes for 'page number + checksum + page bytes' (§3.2)."""
-        return self.header_bytes + self.checksum_bytes + self.page_size
+        return self.message_bytes("full")
 
     @property
     def checksum_message(self) -> int:
         """Bytes for 'page number + checksum' (content reusable)."""
-        return self.header_bytes + self.checksum_bytes
+        return self.message_bytes("checksum")
 
     @property
     def ref_message(self) -> int:
         """Bytes for 'page number + dedup cache reference'."""
-        return self.header_bytes + self.ref_bytes
+        return self.message_bytes("ref")
 
     @property
     def plain_page_message(self) -> int:
         """Bytes for a page without checksum (baseline QEMU migration)."""
-        return self.header_bytes + self.page_size
-
-    @cached_property
-    def _message_sizes(self) -> Dict[str, int]:
-        # Built on first use and kept: the codec asks per frame kind and
-        # the instance is frozen, so the table can never go stale.
-        return {
-            "full": self.full_page_message,
-            "checksum": self.checksum_message,
-            "ref": self.ref_message,
-            "plain": self.plain_page_message,
-        }
+        return self.message_bytes("plain")
 
     def message_bytes(self, kind: str) -> int:
         """Wire size of one data message by kind.
@@ -90,12 +155,11 @@ class WireFormat:
         framing change cannot silently diverge the two paths.  Kinds:
         ``"full"``, ``"checksum"``, ``"ref"``, ``"plain"``.
         """
-        sizes = self._message_sizes
-        try:
-            return sizes[kind]
-        except KeyError:
-            known = ", ".join(sorted(sizes))
-            raise ValueError(f"unknown message kind {kind!r}; known: {known}") from None
+        tag = FRAME_TYPES.get(kind)
+        if tag not in PAGE_FRAME_TYPES:
+            known = ", ".join(sorted(FRAME_NAMES[tag] for tag in PAGE_FRAME_TYPES))
+            raise ValueError(f"unknown message kind {kind!r}; known: {known}")
+        return 1 + self.bodies[tag].size
 
     def announce_frame_bytes(self, unique_pages: int) -> int:
         """On-the-wire size of a framed bulk announce of ``unique_pages``
@@ -103,6 +167,22 @@ class WireFormat:
         if unique_pages < 0:
             raise ValueError(f"unique_pages must be >= 0, got {unique_pages}")
         return ANNOUNCE_FRAME_OVERHEAD + unique_pages * self.checksum_bytes
+
+
+@lru_cache(maxsize=16)
+def frame_structs(wire: WireFormat, head: str = "") -> Dict[int, struct.Struct]:
+    """Every frame's body at ``wire``'s widths as one big-endian struct,
+    after the ``head`` items (``"B"``: the tag byte too, a whole frame).
+    Cached per distinct wire: every session and probe builds a codec."""
+    return {tag: struct.Struct(f">{head} {wire.layout(tag)}") for tag in FRAMES}
+
+
+ANNOUNCE_FRAME_OVERHEAD = 1 + WireFormat().bodies[TYPE_ANNOUNCE].size
+"""Framing overhead of one bulk-announce message on a real byte stream,
+its :data:`FRAMES` row without the digests (type tag + checksum count).
+Every model charges it through :meth:`WireFormat.announce_frame_bytes`,
+the size the live runtime's frame has, so cross-validation requires the
+two announce counts to be equal."""
 
 
 @dataclass(frozen=True)

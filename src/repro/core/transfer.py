@@ -20,7 +20,7 @@ Everything else is a caller or a reduction: :func:`kernel_inputs`
 builds the kernel's inputs, first visits included,
 :func:`compute_transfer_set` counts the kinds,
 :func:`repro.analysis.methods.pair_fractions` takes
-the full-page share, :func:`repro.runtime.planner.plan_first_round`
+the full-page share, the live runtime's planner (``plan_first_round``)
 streams them (and resolves what each ``ref`` points at).  The
 independent statement of the rule is the loop-per-slot oracle in
 ``tests/core/test_slot_kinds_oracle.py``.

@@ -64,6 +64,19 @@ def get_logger(name: Optional[str] = None) -> KeyValueLogger:
     return KeyValueLogger(logging.getLogger(qualified), {})
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to ``sys.stderr`` as it is at each record, as
+    :data:`logging.lastResort` does: a caller that swaps stderr out and
+    closes it (a test's capture) leaves no handler on a closed file."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def configure(verbosity: int = 0, stream=None) -> logging.Logger:
     """Install a stderr handler on the ``repro`` root at ``verbosity``.
 
@@ -74,7 +87,7 @@ def configure(verbosity: int = 0, stream=None) -> logging.Logger:
     level = _LEVELS.get(max(-1, min(verbosity, 2)), logging.WARNING)
     root = logging.getLogger(ROOT_NAME)
     root.setLevel(level)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    handler = logging.StreamHandler(stream) if stream is not None else _StderrHandler()
     handler.setFormatter(
         logging.Formatter("%(asctime)s %(levelname)-7s %(name)s: %(message)s")
     )

@@ -1,35 +1,16 @@
 """Wire framing for the live migration runtime.
 
-Every byte the runtime moves is one of the frames below.  The data
-frames (``PAGE_*``) reproduce the paper's §3.2 message layout exactly —
-a 1-byte type tag plus an 8-byte page number is the 9-byte header the
-analytic :class:`~repro.core.protocol.WireFormat` charges, so the bytes
-a live migration writes to a socket and the bytes the analytic model
-predicts are the *same numbers*, not merely similar ones.  The codec
-asserts this correspondence at encode time via
-:meth:`WireFormat.message_bytes`.
+Every byte the runtime moves is one of the frames declared in
+:data:`repro.core.protocol.FRAMES` (``docs/runtime.md``, "Wire
+framing", shows the table).  :class:`FrameCodec` derives every encoder
+and decoder here from those rows, as the analytic model derives its
+message sizes, so the bytes a live migration writes to a socket and the
+bytes the model predicts are the *same numbers*, not merely similar ones.
 
 Control frames (HELLO/READY/RESULT/ERROR) carry small JSON bodies and
 are accounted separately as control traffic; the bulk ANNOUNCE frame
 adds :data:`~repro.core.protocol.ANNOUNCE_FRAME_OVERHEAD` bytes of
 framing on top of the analytic checksum volume.
-
-All integers are big-endian.  Frame layouts::
-
-    HELLO          0x01 | u32 len | JSON
-    READY          0x02 | u32 round_no | u64 applied | u8 announce | u8 done
-    ANNOUNCE       0x03 | u32 count | count × digest
-    RESULT         0x04 | u32 len | JSON
-    ERROR          0x05 | u32 len | JSON
-    PAGE_FULL      0x10 | u64 page_no | digest | page bytes
-    PAGE_CHECKSUM  0x11 | u64 page_no | digest
-    PAGE_REF       0x12 | u64 page_no | u64 ref slot
-    PAGE_PLAIN     0x13 | u64 page_no | page bytes
-    ROUND          0x20 | u32 round_no | u64 message count
-    COMPLETE       0x21 | u32 rounds | digest of per-slot digests
-    HEARTBEAT      0x30 | u32 len | JSON
-    INVENTORY      0x31 | u32 len | JSON
-    TELEMETRY      0x32 | u32 len | JSON
 
 The HEARTBEAT/INVENTORY pair is the cluster control plane's liveness
 probe (:mod:`repro.orchestrator`): a controller sends HEARTBEAT (body
@@ -46,7 +27,7 @@ peer hangs up or idles past the daemon's I/O timeout.  All three are
 JSON control frames and are never mixed into a migration session.
 
 A round's page frames travel in bulk in both directions without
-changing a byte of the layouts above.  :meth:`FrameCodec.encode_pages`
+changing a byte of their layouts.  :meth:`FrameCodec.encode_pages`
 joins them into one blob per write batch (a batch of one kind straight
 from its columns, a CHECKSUM one as one numpy record pack), and
 :meth:`FrameCodec.decode_pages` is the one decoder of a received
@@ -81,60 +62,12 @@ from typing import (
 
 import numpy as np
 
-from repro.core.protocol import ANNOUNCE_FRAME_OVERHEAD, WireFormat
-
-
-def declare_frames(*rows: Tuple[int, str, str]) -> Dict[int, Tuple[str, str]]:
-    """``{tag: (name, body)}`` from ``(tag, name, body)`` rows.
-
-    A tag or a name declared twice is an error, so two frames can never
-    share a byte on the wire or a key in the by-kind accounting.
-    """
-    table: Dict[int, Tuple[str, str]] = {}
-    for tag, name, body in rows:
-        if tag in table or any(name == known for known, _ in table.values()):
-            raise ValueError(f"frame 0x{tag:02x} {name!r} is declared twice")
-        table[tag] = (name, body)
-    return table
-
-
-# The one declaration of every frame: each row binds the TYPE_* constant
-# (a plain int), names the frame and says how its body is laid out —
-# "json" (u32 len | JSON), "page" (a data frame sized by the WireFormat)
-# or "fixed" (a layout of its own in FrameCodec).  Everything below that
-# groups or names tags derives from this table.
-_FRAMES = declare_frames(
-    (TYPE_HELLO := 0x01, "hello", "json"),
-    (TYPE_READY := 0x02, "ready", "fixed"),
-    (TYPE_ANNOUNCE := 0x03, "announce", "fixed"),
-    (TYPE_RESULT := 0x04, "result", "json"),
-    (TYPE_ERROR := 0x05, "error", "json"),
-    (TYPE_PAGE_FULL := 0x10, "full", "page"),
-    (TYPE_PAGE_CHECKSUM := 0x11, "checksum", "page"),
-    (TYPE_PAGE_REF := 0x12, "ref", "page"),
-    (TYPE_PAGE_PLAIN := 0x13, "plain", "page"),
-    (TYPE_ROUND := 0x20, "round", "fixed"),
-    (TYPE_COMPLETE := 0x21, "complete", "fixed"),
-    (TYPE_HEARTBEAT := 0x30, "heartbeat", "json"),
-    (TYPE_INVENTORY := 0x31, "inventory", "json"),
-    (TYPE_TELEMETRY := 0x32, "telemetry", "json"),
+from repro.core.protocol import (
+    FRAME_NAMES, FRAMES, PAGE_FRAME_TYPES, TYPE_ANNOUNCE, TYPE_COMPLETE, TYPE_ERROR,
+    TYPE_HEARTBEAT, TYPE_HELLO, TYPE_INVENTORY, TYPE_PAGE_CHECKSUM, TYPE_PAGE_FULL,
+    TYPE_PAGE_PLAIN, TYPE_PAGE_REF, TYPE_READY, TYPE_RESULT, TYPE_ROUND, TYPE_TELEMETRY,
+    WireFormat, frame_structs,
 )
-
-FRAME_NAMES = {tag: name for tag, (name, _) in _FRAMES.items()}
-"""Type tag → frame name."""
-
-FRAME_TYPES = {name: tag for tag, name in FRAME_NAMES.items()}
-"""Frame name → type tag, the inverse of :data:`FRAME_NAMES`."""
-
-PAGE_FRAME_TYPES = frozenset(
-    tag for tag, (_, body) in _FRAMES.items() if body == "page"
-)
-
-JSON_FRAME_TYPES = frozenset(
-    tag for tag, (_, body) in _FRAMES.items() if body == "json"
-)
-"""Tags whose payload is ``u32 len | JSON`` — decoded by one shared
-branch of :meth:`FrameCodec.read_frame`."""
 
 _MAX_JSON_BODY = 1 << 20
 _MAX_ANNOUNCE_COUNT = 1 << 28
@@ -328,15 +261,12 @@ class PageRuns:
 class FrameCodec:
     """Encode/decode frames for one migration session.
 
-    Page and digest sizes are negotiated in the HELLO exchange; the
-    header and the dedup reference keep the analytic defaults (a 1-byte
-    tag plus a u64 page number, a u64 ref slot), and a ``wire`` with any
-    other width is refused.  The codec is constructed once per session
-    and validates that the data frames it produces match the analytic
-    wire format byte for byte.
+    Page and digest sizes are negotiated in the HELLO exchange.  Every
+    struct and record the codec packs or unpacks is the ``wire``'s
+    layout of a :data:`~repro.core.protocol.FRAMES` row, the layouts
+    the analytic model sizes its messages by.
 
-    ``page_frame_bytes`` maps each page-frame tag to its wire size,
-    computed once from the :class:`~repro.core.protocol.WireFormat`.
+    ``page_frame_bytes`` maps each page-frame tag to its wire size.
     Every page encoder and decoder here — single frame or batch — takes
     its sizes from that one table.
     """
@@ -345,76 +275,62 @@ class FrameCodec:
         self.wire = wire
         self.page_size = wire.page_size
         self.digest_size = wire.checksum_bytes
-        # The analytic header is "page number + message type" (§3.2):
-        # 1 byte for the type, a u64 for the page number.
-        for width, fixed in (("header_bytes", 9), ("ref_bytes", 8)):
-            if getattr(wire, width) != fixed:
-                raise ValueError(
-                    f"{width} must be {fixed}, got {getattr(wire, width)}"
-                )
-        self._page_no_bytes = self._ref_bytes = 8
         self.page_frame_bytes: Dict[int, int] = {
             tag: wire.message_bytes(FRAME_NAMES[tag])
             for tag in sorted(PAGE_FRAME_TYPES)
         }
-        # Each page frame's body as one struct.  The two kinds that come
-        # in runs also get a record that spans the tag byte, to iterate.
-        digest, page = f"{self.digest_size}s", f"{self.page_size}s"
-        bodies = {
-            TYPE_PAGE_FULL: "Q" + digest + page,
-            TYPE_PAGE_CHECKSUM: "Q" + digest,
-            TYPE_PAGE_REF: "QQ",
-            TYPE_PAGE_PLAIN: "Q" + page,
-        }
-        self._bodies = {tag: struct.Struct(">" + body) for tag, body in bodies.items()}
-        self._run_records = {
-            tag: struct.Struct(">x" + bodies[tag])
-            for tag in (TYPE_PAGE_FULL, TYPE_PAGE_CHECKSUM)
-        }
-        # A CHECKSUM frame as a numpy record: ``head | digest`` to encode
-        # a batch in one pack, ``tag | page_no | digest`` to decode a run
-        # in one frombuffer.
-        self._checksum_out = np.dtype(
-            [("head", f"V{wire.header_bytes}"), ("digest", f"V{self.digest_size}")]
-        )
-        self._checksum_in = np.dtype([
-            ("tag", "u1"), ("page_no", ">u8"), ("digest", f"V{self.digest_size}"),
+        # Every frame's body as one struct, and every frame whole (tag
+        # byte first) for its encoder.  The two page kinds that come in
+        # runs also get a record that skips the tag byte, to iterate.
+        self._bodies = wire.bodies
+        self._frames = frame_structs(wire, "B")
+        runs = frame_structs(wire, "x")
+        self._run_records = {tag: runs[tag] for tag in (TYPE_PAGE_FULL, TYPE_PAGE_CHECKSUM)}
+        self._ref_bytes = wire.ref_message - wire.header_bytes
+        # A CHECKSUM frame as a numpy record, ``tag | page_no | digest``,
+        # to decode a run in one frombuffer; its ``tag | page_no`` head
+        # to pack every page frame's head at once; and ``head | digest``
+        # to encode a CHECKSUM batch in one pack.
+        items = wire.layout(TYPE_PAGE_CHECKSUM).split()
+        columns = [("tag", "u1")] + [
+            (name, f"V{item[:-1]}" if item.endswith("s") else ">" + item)
+            for name, item in zip(FRAMES[TYPE_PAGE_CHECKSUM].fields, items)
+        ]
+        self._checksum_in = np.dtype(columns)
+        self._head = np.dtype(columns[:2])
+        self._checksum_out = np.dtype([
+            ("head", f"V{self._head.itemsize}"), ("digest", self._checksum_in["digest"]),
         ])
 
     # --- encode ---------------------------------------------------------
 
-    def _page_no(self, page_no: int) -> bytes:
-        return page_no.to_bytes(self._page_no_bytes, "big")
+    def _encode(self, tag: int, *values) -> bytes:
+        """Fixed-layout frame ``tag`` whose body fields are ``values``."""
+        record = self._frames[tag]
+        try:
+            frame = record.pack(tag, *values)
+        except struct.error as exc:
+            # What int.to_bytes raises for a number too wide for its field.
+            raise OverflowError(f"{FRAME_NAMES[tag]} frame: {exc}") from None
+        # struct pads or cuts a bytes value to its field's width.
+        assert record.unpack(frame)[1:] == values, f"{FRAME_NAMES[tag]} field width"
+        return frame
 
     def encode_page_full(self, page_no: int, digest: bytes, page: bytes) -> bytes:
         """A full-page data frame: header + checksum + page bytes (§3.2)."""
-        frame = (
-            bytes((TYPE_PAGE_FULL,)) + self._page_no(page_no) + digest + page
-        )
-        assert len(frame) == self.page_frame_bytes[TYPE_PAGE_FULL]
-        return frame
+        return self._encode(TYPE_PAGE_FULL, page_no, digest, page)
 
     def encode_page_checksum(self, page_no: int, digest: bytes) -> bytes:
         """A checksum-only data frame: content already at the destination."""
-        frame = bytes((TYPE_PAGE_CHECKSUM,)) + self._page_no(page_no) + digest
-        assert len(frame) == self.page_frame_bytes[TYPE_PAGE_CHECKSUM]
-        return frame
+        return self._encode(TYPE_PAGE_CHECKSUM, page_no, digest)
 
     def encode_page_ref(self, page_no: int, ref: int) -> bytes:
         """A dedup-reference data frame pointing at an earlier slot."""
-        frame = (
-            bytes((TYPE_PAGE_REF,))
-            + self._page_no(page_no)
-            + ref.to_bytes(self._ref_bytes, "big")
-        )
-        assert len(frame) == self.page_frame_bytes[TYPE_PAGE_REF]
-        return frame
+        return self._encode(TYPE_PAGE_REF, page_no, ref)
 
     def encode_page_plain(self, page_no: int, page: bytes) -> bytes:
         """A plain page frame (baseline QEMU format, no checksum)."""
-        frame = bytes((TYPE_PAGE_PLAIN,)) + self._page_no(page_no) + page
-        assert len(frame) == self.page_frame_bytes[TYPE_PAGE_PLAIN]
-        return frame
+        return self._encode(TYPE_PAGE_PLAIN, page_no, page)
 
     def encode_pages(
         self,
@@ -457,7 +373,7 @@ class FrameCodec:
             raise FrameError("encode_pages got a tag that is not a page frame")
         ends = np.cumsum(row_bytes).tolist()
         heads = self._pack_page_heads(tags, np.asarray(page_nos, dtype=np.int64))
-        head_bytes = self.wire.header_bytes
+        head_bytes = self._head.itemsize
         head_cells = np.frombuffer(heads, dtype=self._checksum_out["head"])
         ref_bytes = self._ref_bytes
         digests, pages = iter(digests), iter(pages)
@@ -512,11 +428,11 @@ class FrameCodec:
     def _pack_page_heads(self, tags: np.ndarray, page_nos: np.ndarray) -> bytes:
         """``tag | page_no`` for every row, packed big-endian in one go."""
         if page_nos.size and int(page_nos.min()) < 0:
-            # What int.to_bytes raises in the single-frame encoders.
-            raise OverflowError("page number does not fit 8 bytes")
-        heads = np.zeros((tags.shape[0], 9), dtype=np.uint8)
-        heads[:, 0] = tags
-        heads[:, 1:] = page_nos.astype(">u8").view(np.uint8).reshape(-1, 8)
+            # What the single-frame encoders raise.
+            raise OverflowError("page number does not fit its field")
+        heads = np.empty(tags.shape[0], dtype=self._head)
+        heads["tag"] = tags
+        heads["page_no"] = page_nos
         return heads.tobytes()
 
     def encode_hello(self, body: Dict[str, Any]) -> bytes:
@@ -547,37 +463,33 @@ class FrameCodec:
         """
         return self._encode_json(TYPE_TELEMETRY, body)
 
-    @staticmethod
-    def _encode_json(tag: int, body: Dict[str, Any]) -> bytes:
+    def _encode_json(self, tag: int, body: Dict[str, Any]) -> bytes:
         encoded = json.dumps(body, separators=(",", ":")).encode("utf-8")
-        return bytes((tag,)) + struct.pack(">I", len(encoded)) + encoded
+        return self._encode(tag, len(encoded)) + encoded
 
     @staticmethod
     def encode_ready(
         round_no: int, applied: int, announce_follows: bool, completed: bool
     ) -> bytes:
         """The destination's resume point: round, applied count, flags."""
-        return bytes((TYPE_READY,)) + struct.pack(
-            ">IQBB", round_no, applied, int(announce_follows), int(completed)
+        return _ANY_WIRE._encode(
+            TYPE_READY, round_no, applied, announce_follows, completed
         )
 
     def encode_announce(self, digests: Sequence[bytes]) -> bytes:
         """The §3.2 bulk checksum announce (count + raw digests)."""
-        frame = bytes((TYPE_ANNOUNCE,)) + struct.pack(">I", len(digests))
-        frame += b"".join(digests)
+        frame = self._encode(TYPE_ANNOUNCE, len(digests)) + b"".join(digests)
         assert len(frame) == self.wire.announce_frame_bytes(len(digests))
         return frame
 
     @staticmethod
     def encode_round(round_no: int, count: int) -> bytes:
         """A round header: round number + how many page frames follow."""
-        return bytes((TYPE_ROUND,)) + struct.pack(">IQ", round_no, count)
+        return _ANY_WIRE._encode(TYPE_ROUND, round_no, count)
 
     def encode_complete(self, rounds: int, verification_digest: bytes) -> bytes:
         """End of stream: round count + digest over per-slot digests."""
-        return (
-            bytes((TYPE_COMPLETE,)) + struct.pack(">I", rounds) + verification_digest
-        )
+        return self._encode(TYPE_COMPLETE, rounds, verification_digest)
 
     # --- decode ---------------------------------------------------------
 
@@ -680,55 +592,37 @@ class FrameCodec:
         return tag, page_no, b"", b"", fields[0]
 
     async def read_frame(self, recv) -> Frame:
-        """Read one frame via ``recv`` (an ``async (n) -> bytes`` reader)."""
+        """Read one frame via ``recv`` (an ``async (n) -> bytes`` reader):
+        its row's body in one ``recv``, then the tail the body sizes."""
         tag = (await recv(1))[0]
-        if tag in PAGE_FRAME_TYPES:
-            # One recv for everything after the tag; the layout itself
-            # is decode_pages', shared through _split_page.
-            size = self.page_frame_bytes[tag]
-            _, page_no, digest, payload, ref = self._split_page(
-                tag, await recv(size - 1), 0
-            )
-            return Frame(tag, page_no=page_no, digest=digest, payload=payload,
-                         ref=ref, wire_bytes=size)
-        if tag in JSON_FRAME_TYPES:
-            (length,) = struct.unpack(">I", await recv(4))
-            if length > _MAX_JSON_BODY:
-                raise FrameError(f"JSON body of {length} bytes exceeds limit")
-            raw = await recv(length)
+        row = FRAMES.get(tag)
+        if row is None:
+            raise StreamDesyncError(f"unknown frame type 0x{tag:02x}")
+        body = self._bodies[tag]
+        raw = await recv(body.size)
+        values = body.unpack(raw)
+        if "?" in row.layout and body.pack(*values) != raw:
+            # A flag byte other than 0 or 1 (struct reads it as True) is
+            # some other frame's bytes, read from a misaligned stream.
+            raise StreamDesyncError(f"{row.name.upper()} flags in {raw.hex()} are not booleans")
+        wire_bytes = 1 + body.size
+        if row.tail is None:
+            return Frame(tag, wire_bytes=wire_bytes, **dict(zip(row.fields, values)))
+        (size,) = values
+        if row.tail == "json":
+            if size > _MAX_JSON_BODY:
+                raise FrameError(f"JSON body of {size} bytes exceeds limit")
+            raw = await recv(size)
             try:
-                body = json.loads(raw.decode("utf-8"))
+                decoded = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise FrameError(f"malformed JSON body: {exc}") from exc
-            return Frame(tag, body=body, wire_bytes=5 + length)
-        if tag == TYPE_READY:
-            round_no, applied, announce, done = struct.unpack(">IQBB", await recv(14))
-            if announce > 1 or done > 1:
-                # encode_ready writes each flag as 0 or 1: other values are
-                # some other frame's bytes, read from a misaligned stream.
-                raise StreamDesyncError(
-                    f"READY flags {announce}/{done} are not booleans"
-                )
-            return Frame(tag, round_no=round_no, applied=applied,
-                         announce_follows=bool(announce), completed=bool(done),
-                         wire_bytes=15)
-        if tag == TYPE_ANNOUNCE:
-            (count,) = struct.unpack(">I", await recv(4))
-            if count > _MAX_ANNOUNCE_COUNT:
-                raise FrameError(f"announce of {count} checksums exceeds limit")
-            blob = await recv(count * self.digest_size)
-            digests = tuple(_split_digests(blob, self.digest_size))
-            return Frame(tag, count=count, digests=digests,
-                         wire_bytes=self.wire.announce_frame_bytes(count))
-        if tag == TYPE_ROUND:
-            round_no, count = struct.unpack(">IQ", await recv(12))
-            return Frame(tag, round_no=round_no, count=count, wire_bytes=13)
-        if tag == TYPE_COMPLETE:
-            (rounds,) = struct.unpack(">I", await recv(4))
-            digest = await recv(self.digest_size)
-            return Frame(tag, count=rounds, digest=digest,
-                         wire_bytes=5 + self.digest_size)
-        raise StreamDesyncError(f"unknown frame type 0x{tag:02x}")
+            return Frame(tag, body=decoded, wire_bytes=wire_bytes + size)
+        if size > _MAX_ANNOUNCE_COUNT:  # the "digests" tail
+            raise FrameError(f"announce of {size} checksums exceeds limit")
+        blob = await recv(size * self.digest_size)
+        return Frame(tag, count=size, digests=tuple(_split_digests(blob, self.digest_size)),
+                     wire_bytes=wire_bytes + len(blob))
 
 
 async def expect_frame(codec: FrameCodec, recv, expected: int) -> Frame:
@@ -748,3 +642,6 @@ async def expect_frame(codec: FrameCodec, recv, expected: int) -> Frame:
             str(body.get("message", "no detail")),
         )
     raise FrameError(f"expected {FRAME_NAMES[expected]} frame, got {frame.name}")
+
+
+_ANY_WIRE = FrameCodec()  # READY and ROUND have no width a wire sets

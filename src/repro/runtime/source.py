@@ -42,6 +42,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.protocol import FRAME_TYPES
 from repro.core.strategies import MigrationStrategy
 from repro.mem.pagestore import PageStore
 from repro.net.link import Link
@@ -49,7 +50,6 @@ from repro.obs import names
 from repro.obs.trace import span as _span
 from repro.runtime.frames import (
     FRAME_NAMES,
-    FRAME_TYPES,
     FrameCodec,
     FrameError,
     PeerError,

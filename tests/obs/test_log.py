@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import logging
+import sys
 
 import pytest
 
@@ -56,3 +57,19 @@ def test_default_verbosity_suppresses_info():
     output = stream.getvalue()
     assert "hidden" not in output
     assert "shown" in output
+
+
+def test_default_handler_writes_to_the_stderr_of_the_moment(monkeypatch):
+    # A capture that configured logging, then closed and swapped out its
+    # stderr (what pytest's capsys does around a CLI test), must not
+    # leave the handler writing into the closed stream.
+    captured = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", captured)
+    configure(verbosity=0)
+    captured.close()
+    current = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", current)
+    get_logger("swap").warning("after the swap")
+    output = current.getvalue()
+    assert "after the swap" in output
+    assert "Logging error" not in output

@@ -61,6 +61,7 @@ def contents():
 
 POOL = contents()
 UNANNOUNCED = b"\xee" * CODEC.digest_size
+PAGE_NO_BYTES = REF_BYTES = 8  # u64 page number, u64 ref slot (§3.2)
 
 
 # --- the reference: one frame at a time -----------------------------------
@@ -76,7 +77,7 @@ def reference_decode(codec, data: bytes, max_frames: int):
         if size is None or position + size > end:
             break
         start = position + 1
-        body = start + codec._page_no_bytes
+        body = start + PAGE_NO_BYTES
         page_no = int.from_bytes(data[start:body], "big")
         if tag == TYPE_PAGE_CHECKSUM:
             fields = (tag, page_no, data[body : body + codec.digest_size], b"", -1)
@@ -87,7 +88,7 @@ def reference_decode(codec, data: bytes, max_frames: int):
         elif tag == TYPE_PAGE_PLAIN:
             fields = (tag, page_no, b"", data[body : body + codec.page_size], -1)
         else:
-            ref = int.from_bytes(data[body : body + codec._ref_bytes], "big")
+            ref = int.from_bytes(data[body : body + REF_BYTES], "big")
             fields = (tag, page_no, b"", b"", ref)
         frames.append(fields)
         position += size
