@@ -62,8 +62,8 @@ _JSON = ("I", ("length",), "json")
 
 FRAMES = declare_frames(
     FrameSpec(TYPE_HELLO := 0x01, "hello", *_JSON),
-    FrameSpec(TYPE_READY := 0x02, "ready", "I Q ? ?",
-              ("round_no", "applied", "announce_follows", "completed")),
+    FrameSpec(TYPE_READY := 0x02, "ready", "I I ? ? I",
+              ("round_no", "applied", "announce_follows", "completed", "check")),
     FrameSpec(TYPE_ANNOUNCE := 0x03, "announce", "I", ("count",), "digests"),
     FrameSpec(TYPE_RESULT := 0x04, "result", *_JSON),
     FrameSpec(TYPE_ERROR := 0x05, "error", *_JSON),
@@ -93,6 +93,61 @@ PAGE_FRAME_TYPES = frozenset(tag for tag, row in FRAMES.items() if row.fields[0]
 
 JSON_FRAME_TYPES = frozenset(tag for tag, row in FRAMES.items() if row.tail == "json")
 """Tags whose payload is ``u32 len | JSON``."""
+
+
+DESYNC = "desync"
+"""The violation code of a stream that lost frame alignment: the source
+reconnects under a fresh session.  Any other code fails fast."""
+
+
+class SessionState(NamedTuple):
+    """One state of a ``role``: ``"sink"`` (the daemon), ``"source"`` or
+    ``"probe"`` (the registry's client).  ``moves`` maps each frame tag
+    the role may read here to its next state (one it reads nothing in,
+    like ``"done"``, is not declared); ``violation`` is the code of any
+    other frame, or of bytes that do not parse, read here."""
+
+    role: str
+    name: str
+    violation: str
+    moves: Dict[int, str]
+
+
+def declare_session(*states: SessionState) -> Dict[Tuple[str, str], SessionState]:
+    """``{(role, name): state}`` from ``states``, each given the move
+    every state has: a peer ERROR, to ``"failed"``.  A state declared
+    twice is an error."""
+    table: Dict[Tuple[str, str], SessionState] = {}
+    for state in states:
+        if (state.role, state.name) in table:
+            raise ValueError(f"{state.role} state {state.name!r} is declared twice")
+        table[state.role, state.name] = state._replace(
+            moves={**state.moves, TYPE_ERROR: "failed"}
+        )
+    return table
+
+
+_PROBES = {TYPE_HEARTBEAT: "heartbeat", TYPE_TELEMETRY: "telemetry"}
+
+SESSION = declare_session(
+    SessionState("sink", "open", "bad-hello", {TYPE_HELLO: "session", **_PROBES}),
+    SessionState("sink", "heartbeat", "bad-hello", _PROBES),
+    SessionState("sink", "telemetry", "bad-hello", _PROBES),
+    SessionState("sink", "session", "bad-frame", {TYPE_ROUND: "round", TYPE_COMPLETE: "done"}),
+    SessionState("sink", "round", "bad-frame", dict.fromkeys(sorted(PAGE_FRAME_TYPES), "round")),
+    SessionState("source", "hello", "protocol", {TYPE_READY: "ready"}),
+    SessionState("source", "ready", DESYNC, {TYPE_ANNOUNCE: "rounds", TYPE_RESULT: "done"}),
+    SessionState("source", "complete", DESYNC, {TYPE_RESULT: "done"}),
+    SessionState("probe", "heartbeat", "protocol", {TYPE_INVENTORY: "done"}),
+    SessionState("probe", "telemetry", "protocol", {TYPE_TELEMETRY: "done"}),
+)
+"""The order of frames on a connection, declared once (``docs/runtime.md``,
+"Protocol state machine", shows the table).  A source that sent HELLO
+(COMPLETE) is in ``"hello"`` (``"complete"``), a probe that sent its
+request in the state named after it; the sink's ``"heartbeat"`` and
+``"telemetry"`` owe that probe its answer.  The sink steps ``"round"``
+only for a frame that is not a page frame (those are decoded in bulk);
+the round's count takes it back to ``"session"``."""
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from repro.obs import names
 from repro.obs.log import get_logger
 from repro.obs.trace import span as _span
 from repro.orchestrator.inventory import ClusterView, HostInventory
-from repro.runtime.frames import Frame, FrameCodec, FrameError, TYPE_INVENTORY, expect_frame
+from repro.runtime.frames import FRAME_NAMES, Frame, FrameCodec, FrameError, step
 from repro.runtime.shaping import ShapedStream, open_shaped_connection
 
 log = get_logger(__name__)
@@ -117,9 +117,7 @@ class ClusterRegistry:
             try:
                 if self.probe_fault is not None and self.probe_fault(name):
                     raise ConnectionError(f"heartbeat to {name} dropped (injected)")
-                frame = await self.probe(
-                    record, FrameCodec().encode_heartbeat({}), TYPE_INVENTORY
-                )
+                frame = await self.probe(record, FrameCodec().encode_heartbeat({}))
                 inventory = HostInventory.from_report(frame.body)
             except PROBE_ERRORS as exc:
                 record.alive = False
@@ -144,12 +142,11 @@ class ClusterRegistry:
             names.ORCHESTRATOR_HEARTBEATS_OK.add(1)
             return record
 
-    async def probe(
-        self, record: HostRecord, request: bytes, reply_type: int
-    ) -> Frame:
+    async def probe(self, record: HostRecord, request: bytes) -> Frame:
         """The controller's one request/reply client: send the one
         ``request`` frame on the host's control channel, read the one
-        ``reply_type`` frame back, keep the channel for the next probe.
+        frame :data:`~repro.core.protocol.SESSION` says answers it back,
+        keep the channel for the next probe.
 
         A channel already seen closed before the request goes out (the
         daemon idled it out, or restarted) is replaced by a fresh
@@ -173,7 +170,7 @@ class ClusterRegistry:
                 stream.close_on_eof()
             await stream.send(request)
             recv = stream.recv_with_timeout(self.heartbeat_timeout_s)
-            reply = await expect_frame(FrameCodec(), recv, reply_type)
+            reply, _ = await step(FrameCodec(), recv, "probe", FRAME_NAMES[request[0]])
         except BaseException:
             if stream is not None:
                 await stream.close()

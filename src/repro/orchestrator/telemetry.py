@@ -44,7 +44,7 @@ from repro.obs.telemetry import (
 )
 from repro.obs.trace import span as _span
 from repro.orchestrator.registry import PROBE_ERRORS, ClusterRegistry
-from repro.runtime.frames import FrameCodec, TYPE_TELEMETRY
+from repro.runtime.frames import FrameCodec
 
 log = get_logger(__name__)
 
@@ -84,9 +84,7 @@ class TelemetryAggregator:
         self.polls += 1
         with _span("orchestrator.telemetry", host=name) as probe_span:
             try:
-                frame = await self.registry.probe(
-                    record, FrameCodec().encode_telemetry({}), TYPE_TELEMETRY
-                )
+                frame = await self.registry.probe(record, FrameCodec().encode_telemetry({}))
                 snapshot = MetricsSnapshot.from_dict(frame.body or {})
             except PROBE_ERRORS as exc:
                 self.poll_failures += 1

@@ -54,19 +54,7 @@ from repro.obs.telemetry import TelemetrySource
 from repro.obs.trace import span as _span
 from repro.storage.repository import CheckpointManifest, CheckpointRepository
 from repro.runtime.faults import FaultInjector
-from repro.runtime.frames import (
-    Frame,
-    FrameCodec,
-    FrameError,
-    PAGE_FRAME_TYPES,
-    StreamDesyncError,
-    TYPE_COMPLETE,
-    TYPE_ERROR,
-    TYPE_HEARTBEAT,
-    TYPE_HELLO,
-    TYPE_ROUND,
-    TYPE_TELEMETRY,
-)
+from repro.runtime.frames import PAGE_FRAME_TYPES, Frame, FrameCodec, FrameError, PeerError, step
 from repro.runtime.hosted import HostedCheckpoint
 from repro.runtime.persist import _WriteBehind
 from repro.runtime.shaping import ShapedStream
@@ -488,12 +476,15 @@ class CheckpointDaemon:
         ):
             # Transport failure: keep the session for a resuming source.
             pass
+        except PeerError as exc:
+            # Our own ERROR would only bounce back at a peer that sent
+            # one (e.g. a confused controller): log and close instead.
+            self._count(names.DAEMON_PEER_ERRORS)
+            log.warning("peer sent an ERROR frame", host=self.name,
+                        code=exc.code, message=exc.detail)
         except (SinkProtocolError, FrameError) as exc:
-            self.flight.note(
-                "daemon.error",
-                code=getattr(exc, "code", "protocol"),
-                message=getattr(exc, "detail", str(exc)),
-            )
+            self.flight.note("daemon.error", code=exc.code,
+                             message=getattr(exc, "detail", str(exc)))
             await self._send_error(stream, exc)
         finally:
             await stream.close()
@@ -513,17 +504,11 @@ class CheckpointDaemon:
         await stream.send(payload)
 
     async def _send_error(self, stream: ShapedStream, exc: Exception) -> None:
-        codec = FrameCodec()
-        # An unrecognised tag means this side lost frame alignment —
-        # report it as "desync" so the peer knows a fresh session (not a
-        # resume, and not a bug hunt) is the fix.
-        if isinstance(exc, StreamDesyncError):
-            code = "desync"
-        else:
-            code = getattr(exc, "code", "protocol")
-        detail = getattr(exc, "detail", str(exc))
+        # A "desync" code (from the state the violation happened in) tells
+        # the peer a fresh session, not a resume or a bug hunt, is the fix.
+        code, detail = exc.code, getattr(exc, "detail", str(exc))
         try:
-            await stream.send(codec.encode_error({"code": code, "message": detail}))
+            await stream.send(FrameCodec().encode_error({"code": code, "message": detail}))
         except (ConnectionError, OSError) as close_exc:
             # The peer is gone; the ERROR frame is best-effort courtesy.
             # Swallowing is correct — losing the *signal* was not.
@@ -553,6 +538,8 @@ class CheckpointDaemon:
                 raise SinkProtocolError(
                     "bad-hello", f"{key} must be a non-negative integer, got {value!r}"
                 )
+        if hello["num_pages"] >= 2**32:  # READY's applied count is a u32
+            raise SinkProtocolError("bad-hello", f"num_pages {hello['num_pages']} >= 2**32")
         try:
             method = Method(hello["mode"])
         except ValueError:
@@ -574,7 +561,7 @@ class CheckpointDaemon:
         wire = WireFormat(
             page_size=hello["page_size"], checksum_bytes=hello["digest_size"]
         )
-        codec = FrameCodec(wire)
+        codec = FrameCodec(wire, session=str(hello["session"]))
         session = self._sessions.get(hello["session"])
         if session is None:
             num_pages = hello["num_pages"]
@@ -689,43 +676,17 @@ class CheckpointDaemon:
         body = self.telemetry.snapshot().to_dict()
         await stream.send(codec.encode_telemetry(body))
 
-    async def _drop_peer_error(self, stream: ShapedStream,
-                               codec: FrameCodec, hello: Frame) -> None:
-        # A peer opened the connection just to report a structured
-        # error (e.g. a confused controller).  Replying with our own
-        # ERROR would only bounce back at it; log and close instead.
-        body = hello.body or {}
-        self._count(names.DAEMON_PEER_ERRORS)
-        log.warning(
-            "peer opened with ERROR frame",
-            host=self.name,
-            code=body.get("code", "unknown"),
-            message=body.get("message", ""),
-        )
-
     async def _serve_session(self, stream: ShapedStream) -> None:
         codec = FrameCodec()
         recv = stream.recv_with_timeout(self.io_timeout_s)
-        hello = await codec.read_frame(recv)
-        if hello.type == TYPE_ERROR:
-            await self._drop_peer_error(stream, codec, hello)
-            return
-        probes = {
-            TYPE_HEARTBEAT: self._answer_heartbeat,
-            TYPE_TELEMETRY: self._answer_telemetry,
-        }
-        if hello.type in probes:
+        hello, state = await step(codec, recv, "sink", "open")
+        while state != "session":
             # A control channel: answer probes until the controller
             # hangs up or leaves it idle for io_timeout_s (both end the
             # read below as a transport failure, closed quietly).
-            while hello.type in probes:
-                await probes[hello.type](stream, codec, hello)
-                hello = await codec.read_frame(recv)
-            raise SinkProtocolError(
-                "bad-hello", f"{hello.name} on a control channel"
-            )
-        if hello.type != TYPE_HELLO:
-            raise SinkProtocolError("bad-hello", f"expected HELLO, got {hello.name}")
+            answer = self._answer_heartbeat if state == "heartbeat" else self._answer_telemetry
+            await answer(stream, codec, hello)
+            hello, state = await step(codec, recv, "sink", state)
         session, codec = self._session_for(hello.body)
         self.flight.note(
             "session",
@@ -734,7 +695,6 @@ class CheckpointDaemon:
             session=session.session_id,
             resumed=session.total_applied > 0,
         )
-        recv = stream.recv_with_timeout(self.io_timeout_s)
         with _span(
             "daemon.session",
             host=self.name,
@@ -793,13 +753,10 @@ class CheckpointDaemon:
             decoded, consumed = codec.decode_pages(data, budget)
             if not decoded:
                 if data and data[0] not in PAGE_FRAME_TYPES:
-                    # Not a page frame: read_frame tells a control frame
-                    # (a protocol violation) from a desync.
-                    frame = await codec.read_frame(recv)
-                    raise SinkProtocolError(
-                        "bad-frame",
-                        f"expected a page frame mid-round, got {frame.name}",
-                    )
+                    # Not a page frame, so no move of "round": stepping
+                    # raises what it is (a desync, a control frame out
+                    # of place, a peer ERROR).
+                    await step(codec, recv, "sink", "round")
                 await stream.fill(self.io_timeout_s)
                 continue
             # Decoded fields are copies: the arena's bytes can go.
@@ -853,106 +810,97 @@ class CheckpointDaemon:
                 self._count(names.DAEMON_ANNOUNCE_FULL)
                 self._count(names.DAEMON_ANNOUNCED_DIGESTS, len(digests))
 
-        while True:
-            frame = await codec.read_frame(recv)
-            if frame.type == TYPE_ROUND:
-                session.announce_acked = True
-                if frame.round_no != session.round_no:
-                    session.round_no = frame.round_no
-                    session.applied_in_round = 0
-                with _span(
-                    "daemon.round", round_no=frame.round_no, expected=frame.count
-                ) as round_span:
-                    received, aborted = await self._receive_pages(
-                        stream, recv, session, codec, frame.count
-                    )
-                    if aborted:
-                        round_span.set(received=received, aborted=True)
-                        return
-                    round_span.set(received=received)
-            elif frame.type == TYPE_COMPLETE:
-                if self._persist is not None:
-                    # Everything received must be durably on disk before
-                    # the image is verified and the RESULT acked — the
-                    # write-behind queue changes *when* pack I/O
-                    # happens, never what has happened by this point.
-                    await self._persist.drain()
-                result = session.finish(frame)
-                if result["ok"]:
-                    adopted = self._adopt_checkpoint(
-                        session.vm_id,
-                        session.slot_digests,
-                        algorithm=session.algorithm,
-                        page_size=session.page_size,
-                        session=session,
-                    )
-                    # Tell the source which generation its image became,
-                    # so the next migration back can name it and skip
-                    # the announce.
-                    result["checkpoint_generation"] = adopted.generation
-                else:
-                    # A rejected image is nobody's checkpoint: free it
-                    # now, not when the session is pruned.
-                    session.release_refs()
-                # Only now: an adoption that raised leaves a live session
-                # owning its image, and a reconnect sends COMPLETE again.
-                session.completed = True
-                if self.repository is not None:
-                    self.repository.save_session(
-                        session.session_id,
-                        {
-                            "vm_id": session.vm_id,
-                            "result": result,
-                            "rounds": session.round_no,
-                            "applied_in_round": session.applied_in_round,
-                        },
-                    )
-                self._count(names.DAEMON_SESSIONS_COMPLETED)
-                self._count(names.DAEMON_PAGES_RECEIVED, session.pages_received)
-                self._count(names.DAEMON_APPLY_BATCHES, session.apply_batches)
-                self._count(names.DAEMON_REUSED_IN_PLACE, session.reused_in_place)
-                self._count(names.DAEMON_REUSED_FROM_STORE, session.reused_from_store)
-                # The headline VeCycle numbers, per host and per VM:
-                # bytes the recycled checkpoint saved (pages NOT resent
-                # because they were reused in place or resolved from the
-                # content store) vs. payload bytes actually received.
-                # These are the same quantities MigrationMetrics reports
-                # on the source side, so cluster rollups reconcile with
-                # per-migration reports exactly.
-                recycled = (
-                    session.reused_in_place + session.reused_from_store
-                ) * session.page_size
-                self._count(names.DAEMON_RECYCLED_BYTES, recycled)
-                self._count(names.DAEMON_TRANSFERRED_BYTES, session.rx_payload_bytes)
-                self.telemetry.vm_count(session.vm_id, "recycled_bytes", recycled)
-                self.telemetry.vm_count(
-                    session.vm_id, "transferred_bytes", session.rx_payload_bytes
+        frame, state = await step(codec, recv, "sink", "session")
+        while state == "round":
+            session.announce_acked = True
+            if frame.round_no != session.round_no:
+                session.round_no = frame.round_no
+                session.applied_in_round = 0
+            with _span(
+                "daemon.round", round_no=frame.round_no, expected=frame.count
+            ) as round_span:
+                received, aborted = await self._receive_pages(
+                    stream, recv, session, codec, frame.count
                 )
-                self.telemetry.vm_count(session.vm_id, "sessions_completed", 1)
-                # RESULT-phase note goes to the flight ring directly, so
-                # a daemon killed right after this point leaves a dump
-                # recording the verdict even with tracing disabled.
-                self.flight.note(
-                    "daemon.result",
-                    vm=session.vm_id,
-                    session=session.session_id,
-                    ok=result["ok"],
-                    pages_received=session.pages_received,
-                    reused_in_place=session.reused_in_place,
-                    reused_from_store=session.reused_from_store,
-                    rounds=session.round_no,
-                )
-                payload = codec.encode_result(result)
-                if self.faults.take_result_abort():
-                    # Drop the link with the RESULT half-sent: the
-                    # session is committed, the source is left hanging.
-                    self._count(names.DAEMON_INJECTED_ABORTS)
-                    await stream.send(payload[: max(1, len(payload) // 2)])
-                    stream.abort()
+                if aborted:
+                    round_span.set(received=received, aborted=True)
                     return
-                await stream.send(payload)
-                return
-            else:
-                raise SinkProtocolError(
-                    "bad-frame", f"unexpected frame {frame.name} between rounds"
-                )
+                round_span.set(received=received)
+            frame, state = await step(codec, recv, "sink", "session")
+        if self._persist is not None:
+            # Everything received must be durably on disk before the image is
+            # verified and the RESULT acked — the write-behind queue changes
+            # *when* pack I/O happens, never what has happened by this point.
+            await self._persist.drain()
+        result = session.finish(frame)
+        if result["ok"]:
+            adopted = self._adopt_checkpoint(
+                session.vm_id,
+                session.slot_digests,
+                algorithm=session.algorithm,
+                page_size=session.page_size,
+                session=session,
+            )
+            # Tell the source which generation its image became, so the next
+            # migration back can name it and skip the announce.
+            result["checkpoint_generation"] = adopted.generation
+        else:
+            # A rejected image is nobody's checkpoint: free it now, not when
+            # the session is pruned.
+            session.release_refs()
+        # Only now: an adoption that raised leaves a live session owning its
+        # image, and a reconnect sends COMPLETE again.
+        session.completed = True
+        if self.repository is not None:
+            self.repository.save_session(
+                session.session_id,
+                {
+                    "vm_id": session.vm_id,
+                    "result": result,
+                    "rounds": session.round_no,
+                    "applied_in_round": session.applied_in_round,
+                },
+            )
+        self._count(names.DAEMON_SESSIONS_COMPLETED)
+        self._count(names.DAEMON_PAGES_RECEIVED, session.pages_received)
+        self._count(names.DAEMON_APPLY_BATCHES, session.apply_batches)
+        self._count(names.DAEMON_REUSED_IN_PLACE, session.reused_in_place)
+        self._count(names.DAEMON_REUSED_FROM_STORE, session.reused_from_store)
+        # The headline VeCycle numbers, per host and per VM: bytes the
+        # recycled checkpoint saved (pages NOT resent because they were reused
+        # in place or resolved from the content store) vs. payload bytes
+        # actually received.  These are the same quantities MigrationMetrics
+        # reports on the source side, so cluster rollups reconcile with
+        # per-migration reports exactly.
+        recycled = (
+            session.reused_in_place + session.reused_from_store
+        ) * session.page_size
+        self._count(names.DAEMON_RECYCLED_BYTES, recycled)
+        self._count(names.DAEMON_TRANSFERRED_BYTES, session.rx_payload_bytes)
+        self.telemetry.vm_count(session.vm_id, "recycled_bytes", recycled)
+        self.telemetry.vm_count(
+            session.vm_id, "transferred_bytes", session.rx_payload_bytes
+        )
+        self.telemetry.vm_count(session.vm_id, "sessions_completed", 1)
+        # RESULT-phase note goes to the flight ring directly, so a daemon
+        # killed right after this point leaves a dump recording the verdict
+        # even with tracing disabled.
+        self.flight.note(
+            "daemon.result",
+            vm=session.vm_id,
+            session=session.session_id,
+            ok=result["ok"],
+            pages_received=session.pages_received,
+            reused_in_place=session.reused_in_place,
+            reused_from_store=session.reused_from_store,
+            rounds=session.round_no,
+        )
+        payload = codec.encode_result(result)
+        if self.faults.take_result_abort():
+            # Drop the link with the RESULT half-sent: the session is
+            # committed, the source is left hanging.
+            self._count(names.DAEMON_INJECTED_ABORTS)
+            await stream.send(payload[: max(1, len(payload) // 2)])
+            stream.abort()
+            return
+        await stream.send(payload)

@@ -7,24 +7,20 @@ and decoder here from those rows, as the analytic model derives its
 message sizes, so the bytes a live migration writes to a socket and the
 bytes the model predicts are the *same numbers*, not merely similar ones.
 
-Control frames (HELLO/READY/RESULT/ERROR) carry small JSON bodies and
-are accounted separately as control traffic; the bulk ANNOUNCE frame
-adds :data:`~repro.core.protocol.ANNOUNCE_FRAME_OVERHEAD` bytes of
-framing on top of the analytic checksum volume.
+Control frames (HELLO, READY, RESULT, ERROR, ROUND, COMPLETE) are
+accounted separately as control traffic; the bulk ANNOUNCE frame adds
+:data:`~repro.core.protocol.ANNOUNCE_FRAME_OVERHEAD` bytes of framing
+on top of the analytic checksum volume.  Which frame may come when is
+:data:`~repro.core.protocol.SESSION`'s to say, and every control frame
+is read through :func:`step`.
 
-The HEARTBEAT/INVENTORY pair is the cluster control plane's liveness
-probe (:mod:`repro.orchestrator`): a controller sends HEARTBEAT (body
-``{}``) instead of HELLO, and the daemon answers with its inventory
-report, the two facts placement reads: ``active_sessions`` and
-``checkpoints``, a map from each hosted VM's id to its bottom-k sketch
-(hex digests).  TELEMETRY works the same way for metrics: a controller
-(or `vecycle top`) sends a TELEMETRY request frame (body ``{}``) and
-the daemon answers with one TELEMETRY frame carrying its
-sequence-numbered :class:`~repro.obs.telemetry.MetricsSnapshot`.  The
-daemon reads neither request body.  A connection that opens with either
-is a control channel: the daemon answers such requests on it until the
-peer hangs up or idles past the daemon's I/O timeout.  All three are
-JSON control frames and are never mixed into a migration session.
+HEARTBEAT (body ``{}``) is the cluster control plane's liveness probe
+(:mod:`repro.orchestrator`): the daemon answers with an INVENTORY
+report of the two facts placement reads, ``active_sessions`` and
+``checkpoints`` (each hosted VM's id → its bottom-k sketch, hex
+digests).  A TELEMETRY request (body ``{}``, from a controller or
+`vecycle top`) is answered with one TELEMETRY frame carrying the
+daemon's sequence-numbered :class:`~repro.obs.telemetry.MetricsSnapshot`.
 
 A round's page frames travel in bulk in both directions without
 changing a byte of their layouts.  :meth:`FrameCodec.encode_pages`
@@ -44,6 +40,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -63,10 +60,10 @@ from typing import (
 import numpy as np
 
 from repro.core.protocol import (
-    FRAME_NAMES, FRAMES, PAGE_FRAME_TYPES, TYPE_ANNOUNCE, TYPE_COMPLETE, TYPE_ERROR,
-    TYPE_HEARTBEAT, TYPE_HELLO, TYPE_INVENTORY, TYPE_PAGE_CHECKSUM, TYPE_PAGE_FULL,
-    TYPE_PAGE_PLAIN, TYPE_PAGE_REF, TYPE_READY, TYPE_RESULT, TYPE_ROUND, TYPE_TELEMETRY,
-    WireFormat, frame_structs,
+    DESYNC, FRAME_NAMES, FRAMES, PAGE_FRAME_TYPES, SESSION, TYPE_ANNOUNCE, TYPE_COMPLETE,
+    TYPE_ERROR, TYPE_HEARTBEAT, TYPE_HELLO, TYPE_INVENTORY, TYPE_PAGE_CHECKSUM,
+    TYPE_PAGE_FULL, TYPE_PAGE_PLAIN, TYPE_PAGE_REF, TYPE_READY, TYPE_RESULT, TYPE_ROUND,
+    TYPE_TELEMETRY, WireFormat, frame_structs,
 )
 
 _MAX_JSON_BODY = 1 << 20
@@ -74,35 +71,33 @@ _MAX_ANNOUNCE_COUNT = 1 << 28
 
 
 class FrameError(RuntimeError):
-    """The byte stream does not parse as a valid protocol frame."""
+    """The byte stream does not parse as a valid protocol frame, or holds
+    a frame its session state has no move for.  ``code`` is
+    :data:`~repro.core.protocol.DESYNC` or a protocol error code;
+    :func:`step` gives it the code of the state it happened in."""
+
+    code = "protocol"
 
 
 class StreamDesyncError(FrameError):
-    """The stream lost frame alignment (an unrecognised type tag, or a
-    READY whose flag bytes are not booleans).
+    """The stream lost frame alignment — an unrecognised type tag, a READY
+    whose flag bytes are not booleans or whose check does not answer its
+    HELLO — so the reader is mid-frame (e.g. the peer truncated a frame
+    and kept writing).  A desync in any state: the byte stream is
+    poisoned, and a fresh session recovers it."""
 
-    Unlike a structural violation *inside* a known frame (bad JSON, an
-    oversized body), an unknown tag almost always means the reader is
-    mid-frame — e.g. the peer truncated a frame and kept writing, so the
-    next read lands on payload bytes.
-    The session's byte stream is poisoned, but the *fault* is a
-    transport-shaped one: reconnecting with a fresh session recovers,
-    so callers may treat this as retryable where a genuine codec
-    violation must fail fast.
-    """
+    code = DESYNC
 
 
 class PeerError(FrameError):
-    """The peer reported a structured ERROR frame instead of desyncing.
-
-    ``code`` is the peer's machine-readable error code (e.g. ``desync``
-    when a daemon detected misaligned bytes on its side, or
-    ``bad-slot`` for a genuine protocol violation).
-    """
+    """The peer reported a structured ERROR frame; ``code`` is its
+    machine-readable error code (e.g. ``desync`` when a daemon detected
+    misaligned bytes on its side, or ``bad-slot`` for a genuine protocol
+    violation)."""
 
     def __init__(self, code: str, message: str) -> None:
         super().__init__(f"peer error [{code}]: {message}")
-        self.code = code
+        self.code, self.detail = code, message
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,6 +120,7 @@ class Frame:
     applied: int = 0
     announce_follows: bool = False
     completed: bool = False
+    check: int = 0
     digests: Tuple[bytes, ...] = ()
     body: Optional[Dict[str, Any]] = None
     wire_bytes: int = 0
@@ -269,10 +265,15 @@ class FrameCodec:
     ``page_frame_bytes`` maps each page-frame tag to its wire size.
     Every page encoder and decoder here — single frame or batch — takes
     its sizes from that one table.
+
+    ``session`` is the id of the HELLO the codec last encoded or read:
+    the READYs it encodes answer that HELLO, and a READY it reads that
+    does not is a desync (READY's ``check``).
     """
 
-    def __init__(self, wire: WireFormat = WireFormat()) -> None:
+    def __init__(self, wire: WireFormat = WireFormat(), session: str = "") -> None:
         self.wire = wire
+        self.session = session
         self.page_size = wire.page_size
         self.digest_size = wire.checksum_bytes
         self.page_frame_bytes: Dict[int, int] = {
@@ -437,6 +438,7 @@ class FrameCodec:
 
     def encode_hello(self, body: Dict[str, Any]) -> bytes:
         """The session-opening handshake frame (JSON body)."""
+        self.session = str(body.get("session", ""))
         return self._encode_json(TYPE_HELLO, body)
 
     def encode_result(self, body: Dict[str, Any]) -> bytes:
@@ -467,14 +469,18 @@ class FrameCodec:
         encoded = json.dumps(body, separators=(",", ":")).encode("utf-8")
         return self._encode(tag, len(encoded)) + encoded
 
-    @staticmethod
     def encode_ready(
-        round_no: int, applied: int, announce_follows: bool, completed: bool
+        self, round_no: int, applied: int, announce_follows: bool, completed: bool
     ) -> bytes:
-        """The destination's resume point: round, applied count, flags."""
-        return _ANY_WIRE._encode(
-            TYPE_READY, round_no, applied, announce_follows, completed
-        )
+        """The destination's resume point: round, applied count, flags,
+        and the check that binds them to :attr:`session`'s HELLO."""
+        fields = (round_no, applied, announce_follows, completed)
+        return self._encode(TYPE_READY, *fields, self._ready_check(fields))
+
+    def _ready_check(self, fields: Tuple) -> int:
+        """CRC-32 of the session id and READY's other fields as packed."""
+        packed = self._bodies[TYPE_READY].pack(*fields, 0)[:-4]
+        return zlib.crc32(self.session.encode() + packed)
 
     def encode_announce(self, digests: Sequence[bytes]) -> bytes:
         """The §3.2 bulk checksum announce (count + raw digests)."""
@@ -605,6 +611,8 @@ class FrameCodec:
             # A flag byte other than 0 or 1 (struct reads it as True) is
             # some other frame's bytes, read from a misaligned stream.
             raise StreamDesyncError(f"{row.name.upper()} flags in {raw.hex()} are not booleans")
+        if tag == TYPE_READY and values[-1] != self._ready_check(values[:-1]):
+            raise StreamDesyncError(f"READY {raw.hex()} does not answer session {self.session!r}")
         wire_bytes = 1 + body.size
         if row.tail is None:
             return Frame(tag, wire_bytes=wire_bytes, **dict(zip(row.fields, values)))
@@ -617,6 +625,8 @@ class FrameCodec:
                 decoded = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise FrameError(f"malformed JSON body: {exc}") from exc
+            if tag == TYPE_HELLO and isinstance(decoded, dict):
+                self.session = str(decoded.get("session", ""))
             return Frame(tag, body=decoded, wire_bytes=wire_bytes + size)
         if size > _MAX_ANNOUNCE_COUNT:  # the "digests" tail
             raise FrameError(f"announce of {size} checksums exceeds limit")
@@ -625,23 +635,29 @@ class FrameCodec:
                      wire_bytes=wire_bytes + len(blob))
 
 
-async def expect_frame(codec: FrameCodec, recv, expected: int) -> Frame:
-    """Read one frame and require its type to be ``expected``.
+async def step(codec: FrameCodec, recv, role: str, state: str) -> Tuple[Frame, str]:
+    """Read ``role``'s next frame in ``state`` via ``recv``; returns it
+    and the state :data:`~repro.core.protocol.SESSION` moves to.
 
-    An ERROR frame from the peer is surfaced as :class:`FrameError`
-    carrying the peer's structured message, so callers translate it into
-    a non-retryable failure instead of a mysterious desync.
+    A peer ERROR raises :class:`PeerError` with the peer's code.  A
+    frame the state has no move for, or one that does not parse, raises
+    :class:`FrameError` with the state's violation code; a lost frame
+    boundary stays a desync.
     """
-    frame = await codec.read_frame(recv)
-    if frame.type == expected:
-        return frame
-    if frame.type == TYPE_ERROR:
+    here = SESSION[role, state]
+    try:
+        frame = await codec.read_frame(recv)
+        after = here.moves.get(frame.type)
+        if after is None:
+            raise FrameError(f"{frame.name} frame in {role} state {state!r}")
+    except FrameError as exc:
+        if exc.code != DESYNC:
+            exc.code = here.violation
+        raise
+    if after == "failed":
         body = frame.body or {}
-        raise PeerError(
-            str(body.get("code", "unknown")),
-            str(body.get("message", "no detail")),
-        )
-    raise FrameError(f"expected {FRAME_NAMES[expected]} frame, got {frame.name}")
+        raise PeerError(str(body.get("code", "unknown")), str(body.get("message", "no detail")))
+    return frame, after
 
 
-_ANY_WIRE = FrameCodec()  # READY and ROUND have no width a wire sets
+_ANY_WIRE = FrameCodec()  # ROUND has no width a wire sets

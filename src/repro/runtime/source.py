@@ -42,23 +42,13 @@ from typing import (
 
 import numpy as np
 
-from repro.core.protocol import FRAME_TYPES
+from repro.core.protocol import DESYNC, FRAME_TYPES
 from repro.core.strategies import MigrationStrategy
 from repro.mem.pagestore import PageStore
 from repro.net.link import Link
 from repro.obs import names
 from repro.obs.trace import span as _span
-from repro.runtime.frames import (
-    FRAME_NAMES,
-    FrameCodec,
-    FrameError,
-    PeerError,
-    StreamDesyncError,
-    TYPE_ANNOUNCE,
-    TYPE_READY,
-    TYPE_RESULT,
-    expect_frame,
-)
+from repro.runtime.frames import FRAME_NAMES, FrameCodec, FrameError, StreamDesyncError, step
 from repro.runtime.metrics import MigrationMetrics, RoundMetrics
 from repro.runtime.planner import (
     KIND_CHECKSUM,
@@ -227,7 +217,7 @@ class MigrationSource:
         self.link = link
         self.config = config or RuntimeConfig()
         self.codec = FrameCodec(strategy.wire)
-        self.session_id = f"{state.vm_id}-{uuid.uuid4().hex[:12]}"
+        self._reset_session()
         # The migration's one digest pass: per-slot checksums of the
         # image, read by the planner, the encoder and the final-image
         # check alike.
@@ -243,7 +233,6 @@ class MigrationSource:
         self._plan = None
         self._feed_done = False
         self._counted: Dict[int, bytearray] = {}
-        self.result_generation: Optional[int] = None
 
     # --- planning -------------------------------------------------------
 
@@ -337,7 +326,8 @@ class MigrationSource:
         return frozenset(self._final_slot_digests())
 
     def _reset_session(self) -> None:
-        """Abandon the wire session; the next connection starts a fresh one.
+        """Mint the session id (the one place it is made): the next
+        connection starts a fresh session.
 
         After a stream desync the destination's applied counts are no
         longer trustworthy — resuming the same session could skip
@@ -348,7 +338,7 @@ class MigrationSource:
         session is a retransmission in this migration's account.
         """
         self.session_id = f"{self.state.vm_id}-{uuid.uuid4().hex[:12]}"
-        self.result_generation = None
+        self.result_generation: Optional[int] = None
 
     # --- the protocol ---------------------------------------------------
 
@@ -394,16 +384,13 @@ class MigrationSource:
                         await self._attempt(host, port, metrics, dirty_feed)
                         break
                     except (FrameError, *_TRANSPORT_ERRORS) as exc:
-                        # A desync (unknown tag, an over-claiming READY,
-                        # or the peer detecting one on its side) is a
+                        # A desync (on either side; its code comes from
+                        # the session state it happened in) is a
                         # torn-connection symptom, not a codec bug.
-                        # Genuine codec violations (bad JSON, bad slot)
-                        # fail fast.
-                        desync = isinstance(exc, StreamDesyncError) or (
-                            isinstance(exc, PeerError) and exc.code == "desync"
-                        )
-                        if isinstance(exc, FrameError) and not desync:
+                        # Every other protocol error fails fast.
+                        if isinstance(exc, FrameError) and exc.code != DESYNC:
                             raise MigrationError("protocol", str(exc)) from exc
+                        desync = isinstance(exc, FrameError)
                         if metrics.retries + 1 >= policy.max_attempts:
                             raise MigrationError(
                                 "protocol" if desync else "transport",
@@ -515,32 +502,29 @@ class MigrationSource:
                 metrics.control_bytes += len(frame)
                 await stream.send(frame)
 
-                ready = await expect_frame(self.codec, recv, TYPE_READY)
+                ready, state = await step(self.codec, recv, "source", "hello")
                 metrics.control_bytes += ready.wire_bytes
-                if ready.completed:
-                    # A previous attempt's COMPLETE landed; collect the
-                    # result.
-                    await self._finish_result(
-                        await expect_frame(self.codec, recv, TYPE_RESULT), metrics
-                    )
-                    return
-
                 # READY came first, so an ERROR, a replayed RESULT or a
                 # resume (the digests are kept) costs no digesting.  The
                 # planner needs the *whole* announced set, so the only
                 # thing worth overlapping with the announce is hashing.
-                if self._slot_digests is None:
+                if self._slot_digests is None and not ready.completed:
                     with _span("digest") as digest_span:
                         digest_span.set(distinct=await self._digest_sliced())
 
                 announced: FrozenSet[bytes] = known or frozenset()
-                if ready.announce_follows:
+                if ready.announce_follows or ready.completed:
+                    frame, state = await step(self.codec, recv, "source", state)
+                    if state == "done":
+                        # A previous attempt's COMPLETE landed: this is
+                        # its RESULT.
+                        await self._finish_result(frame, metrics)
+                        return
                     # The full announce replaces whatever this host
                     # remembered: the destination sends it exactly when
                     # our remembered generation is not its current one.
-                    announce = await expect_frame(self.codec, recv, TYPE_ANNOUNCE)
-                    metrics.announce_bytes += announce.wire_bytes
-                    announced = frozenset(announce.digests)
+                    metrics.announce_bytes += frame.wire_bytes
+                    announced = frozenset(frame.digests)
                 if self._plan is None:
                     with _span("plan"):
                         self._build_first_round(announced)
@@ -564,9 +548,8 @@ class MigrationSource:
                 )
                 metrics.control_bytes += len(complete)
                 await stream.send(complete)
-                await self._finish_result(
-                    await expect_frame(self.codec, recv, TYPE_RESULT), metrics
-                )
+                result, _ = await step(self.codec, recv, "source", "complete")
+                await self._finish_result(result, metrics)
         finally:
             with _span("close"):
                 metrics.modelled_time_s += stream.modelled_tx_s

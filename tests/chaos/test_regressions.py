@@ -46,18 +46,22 @@ def build_vm(seed: int = 5, updates: int = 32):
 
 
 async def _run_with_plan(
-    plan, max_attempts=2, vm=None, strategy=VECYCLE, install=True, sessions=None
+    plan, max_attempts=2, vm=None, strategy=VECYCLE, install=True, sessions=None,
+    known=False,
 ):
     """One executor-driven migration against a daemon with ``plan``.
 
     ``sessions`` (a list) receives the source's session id at every
-    connection it opens.
+    connection it opens.  ``known`` seeds the source with the installed
+    checkpoint's generation and digests, so the daemon verifies the
+    claim and skips the announce.
     """
     pagestore = PageStore()
     checkpoint, current, dirty = vm or build_vm()
     async with CheckpointDaemon(pagestore=pagestore) as daemon:
+        hosted = None
         if install:
-            daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
+            hosted = daemon.install_checkpoint("vm", Fingerprint(hashes=checkpoint))
         daemon.faults = plan
         source = MigrationSource(
             SourceState(
@@ -65,6 +69,7 @@ async def _run_with_plan(
                 hashes=current,
                 pagestore=pagestore,
                 dirty_slots=dirty,
+                known_remote=(hosted.generation, hosted.distinct) if known else None,
             ),
             strategy,
             config=replace(
@@ -86,21 +91,36 @@ async def _run_with_plan(
 # --- bug: truncated READY desync classified as a fatal protocol error ---
 
 
-@pytest.mark.parametrize("cut", [1, 4, 8])
-def test_truncated_ready_desync_is_retried(cut):
-    """A READY frame short by a few bytes desyncs the reply stream.
+UNCUT_PAYLOAD = 137_472
+"""The migration's payload without a fault: 32 rewritten pages in full
+(4,121 B each) and 224 checksum frames (25 B each)."""
 
-    Pre-fix the source surfaced the garbage it then parsed (an unknown
-    tag, or an impossible applied-count over-claim) as a non-retryable
-    ``protocol`` error and the migration died on attempt 1.  Both are
-    connection-shaped faults: a fresh session recovers, so the source
-    must reconnect — deterministically, for every truncation size.
+
+@pytest.mark.parametrize("cut, known", [
+    pytest.param(cut, known, id=f"{cut}-skip" if known else str(cut))
+    for known in (False, True)
+    for cut in range(1, 15)
+])
+def test_truncated_ready_desync_is_retried(cut, known):
+    """A READY frame short by ``cut`` bytes, at every cut of its 14-byte body.
+
+    With a full announce the ANNOUNCE's first bytes complete READY, so
+    the reply stream is desynced; READY's check (and, where they land on
+    its flags, the flag bytes) says so, and the source reconnects under
+    a fresh session.  Pre-fix, cut 3 passed as a READY whose flags were
+    booleans: the garbled announce sent every page in full, and the next
+    frame's length read as "JSON body of 13185551 bytes", a
+    non-retryable ``protocol`` error on attempt 1.  Under a verified
+    skip nothing follows READY, so the short one times out and the
+    session resumes.  Either way one retry, and the uncut payload.
     """
-    outcome, telemetry = asyncio.run(
-        _run_with_plan(FaultInjector(truncate_ready_bytes=cut, truncate_times=1))
-    )
+    outcome, telemetry = asyncio.run(_run_with_plan(
+        FaultInjector(truncate_ready_bytes=cut, truncate_times=1), known=known,
+    ))
     assert outcome.ok, f"cut={cut}: {outcome.error_code}: {outcome.error}"
     assert outcome.attempts == 2
+    assert outcome.metrics.payload_bytes == UNCUT_PAYLOAD
+    assert (outcome.metrics.announce_bytes == 0) == known
     assert telemetry.counter("daemon.injected_truncations").value == 1
 
 

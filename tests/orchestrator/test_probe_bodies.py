@@ -35,8 +35,8 @@ def test_requests_are_empty_and_an_inventory_is_load_and_sketches(monkeypatch):
         replies = []
         real_probe = registry.probe
 
-        async def probe(record, request, reply_type):
-            reply = await real_probe(record, request, reply_type)
+        async def probe(record, request):
+            reply = await real_probe(record, request)
             replies.append(reply)
             return reply
 

@@ -238,6 +238,8 @@ class TestUnverifiableClaims:
 
 @pytest.mark.parametrize("field, value", [
     ("num_pages", "x"),
+    # READY's applied count is a u32.
+    ("num_pages", 2**32),
     ("algorithm", "nope"),
     ("page_size", [1]),
     ("base_generation", "x"),

@@ -11,12 +11,17 @@ import pytest
 from repro.core.checksum import get_algorithm
 from repro.core.protocol import (
     ANNOUNCE_FRAME_OVERHEAD,
+    DESYNC,
+    FRAME_NAMES,
     FRAME_TYPES,
     FRAMES,
     JSON_FRAME_TYPES,
+    SESSION,
     FrameSpec,
+    SessionState,
     WireFormat,
     declare_frames,
+    declare_session,
 )
 from repro.runtime.frames import (
     PAGE_FRAME_TYPES,
@@ -32,10 +37,12 @@ from repro.runtime.frames import (
     TYPE_PAGE_PLAIN,
     TYPE_PAGE_REF,
     TYPE_READY,
+    TYPE_RESULT,
     TYPE_ROUND,
     TYPE_TELEMETRY,
+    PeerError,
     StreamDesyncError,
-    expect_frame,
+    step,
 )
 
 WIRE = WireFormat()
@@ -222,7 +229,7 @@ SHA256 = {
         "hello": "02c775b7f524257cef661970cf5ec65e326e1c9a721ca2e15f33e5fa87ca3e1b",
         "inventory": "e284244550d11a2aeb3816e1565d35d09c370a8032b562a695bb38d9007c1802",
         "plain": "0fa0794cd1bdeb1b09d60c0e05ee6f34403b611c3fed0f97f8516756cc9f2cb3",
-        "ready": "f290875659fbd5aa02feb818bf70365d83e2bec1237fb7535b81fcd5a6692d75",
+        "ready": "0d6f564db5753e5af1b7641cc4bcd58e21322d2003edaa4dd80382b3a13b353c",
         "ref": "829e6375617df086bf2264e81a0c7fbc7308f73cd3ad477e7ec6befea95b2b24",
         "result": "7951c4d2c7782fd4dbd61990eb41b1b7f65947969052e2d55b184b37ff32b146",
         "round": "1f0f0cdd4497238b9db413c01b6a5f9b582348b2706acd67f1eadbfe3c9e3599",
@@ -238,7 +245,7 @@ SHA256 = {
         "hello": "02c775b7f524257cef661970cf5ec65e326e1c9a721ca2e15f33e5fa87ca3e1b",
         "inventory": "e284244550d11a2aeb3816e1565d35d09c370a8032b562a695bb38d9007c1802",
         "plain": "772276879be054e729c27c63aa359d925fe93a7f98d4b959d3159b2de0b61909",
-        "ready": "f290875659fbd5aa02feb818bf70365d83e2bec1237fb7535b81fcd5a6692d75",
+        "ready": "0d6f564db5753e5af1b7641cc4bcd58e21322d2003edaa4dd80382b3a13b353c",
         "ref": "829e6375617df086bf2264e81a0c7fbc7308f73cd3ad477e7ec6befea95b2b24",
         "result": "7951c4d2c7782fd4dbd61990eb41b1b7f65947969052e2d55b184b37ff32b146",
         "round": "1f0f0cdd4497238b9db413c01b6a5f9b582348b2706acd67f1eadbfe3c9e3599",
@@ -247,7 +254,8 @@ SHA256 = {
 }
 """sha256 of each :data:`ONE_OF_EACH` frame, recorded from the codec
 before the frame table moved into ``core/protocol.py``: the wire may
-not change by one byte."""
+not change by one byte.  READY's two were recorded again when its
+``u64 applied`` became ``u32 applied, u32 check``."""
 
 EVERY_FRAME = [
     pytest.param(wire, row.name, id=f"{wire}-{row.name}")
@@ -274,15 +282,22 @@ class TestWireIsPinned:
                 roundtrip(codec, encoded[:cut])
 
 
+RUNTIME_DOC = Path(__file__).parents[2] / "docs" / "runtime.md"
+
+
 def docs_frame_table():
     """``(name, tag, size)`` of each row of docs/runtime.md's frame table."""
-    text = (Path(__file__).parents[2] / "docs" / "runtime.md").read_text()
     return [
         (name, int(tag, 16), size.strip())
         for name, tag, size in re.findall(
-            r"^\| (\w+) +\| (0x[0-9a-f]{2}) \|[^|]*\|([^|]*)\|$", text, re.M
+            r"^\| (\w+) +\| (0x[0-9a-f]{2}) \|[^|]*\|([^|]*)\|$", RUNTIME_DOC.read_text(), re.M
         )
     ]
+
+
+def documented_name(tag: int) -> str:
+    """A frame's name as docs/runtime.md writes it: PAGE_FULL, HELLO, …"""
+    return ("PAGE_" if tag in PAGE_FRAME_TYPES else "") + FRAME_NAMES[tag].upper()
 
 
 def documented_size(row: FrameSpec) -> str:
@@ -299,10 +314,43 @@ def documented_size(row: FrameSpec) -> str:
 def test_docs_frame_table_is_the_code_table():
     documented = docs_frame_table()
     assert documented == [
-        (name, row.tag, documented_size(row))
-        for row in FRAMES.values()
-        for name in [("PAGE_" if row.tag in PAGE_FRAME_TYPES else "") + row.name.upper()]
+        (documented_name(row.tag), row.tag, documented_size(row)) for row in FRAMES.values()
     ]
+
+
+def test_docs_session_table_is_the_code_table():
+    documented = re.findall(
+        r"^\| (sink|source|probe) +\| (\w+) +\| ([^|]+?) +\| ([\w-]+) +\|$",
+        RUNTIME_DOC.read_text(), re.M,
+    )
+    assert documented == [
+        (role, name, ", ".join(
+            f"{documented_name(tag)} → {after}" for tag, after in state.moves.items()
+        ), state.violation)
+        for (role, name), state in SESSION.items()
+    ]
+
+
+class TestSessionTable:
+    """What the one declaration of the frame order promises."""
+
+    def test_a_state_declared_twice_fails(self):
+        hello = SessionState("source", "hello", "protocol", {TYPE_READY: "ready"})
+        with pytest.raises(ValueError, match="declared twice"):
+            declare_session(hello, hello._replace(violation=DESYNC))
+
+    def test_every_state_moves_within_its_role(self):
+        for (role, _), state in SESSION.items():
+            for after in state.moves.values():
+                assert (role, after) in SESSION or after in ("rounds", "done", "failed")
+
+    def test_every_frame_is_read_in_some_state(self):
+        assert {tag for state in SESSION.values() for tag in state.moves} == set(FRAMES)
+
+    def test_only_what_follows_a_checked_ready_is_a_desync_state(self):
+        assert [key for key, state in SESSION.items() if state.violation == DESYNC] == [
+            ("source", "ready"), ("source", "complete"),
+        ]
 
 
 class TestFrameTable:
@@ -361,23 +409,26 @@ class TestErrors:
         with pytest.raises(FrameError, match="exceeds limit"):
             roundtrip(codec, blob)
 
-    def test_expect_frame_wrong_type(self):
+    def test_step_refuses_a_frame_the_state_has_no_move_for(self):
         codec = FrameCodec(WIRE)
         encoded = codec.encode_round(1, 1)
-        with pytest.raises(FrameError, match="expected ready"):
-            asyncio.run(expect_frame(codec, reader_for(encoded), TYPE_READY))
+        with pytest.raises(FrameError, match="round frame in source state 'hello'") as info:
+            asyncio.run(step(codec, reader_for(encoded), "source", "hello"))
+        assert info.value.code == "protocol"
 
-    def test_expect_frame_surfaces_peer_error(self):
+    def test_step_surfaces_peer_error(self):
         codec = FrameCodec(WIRE)
         encoded = codec.encode_error({"code": "bad-ref", "message": "nope"})
-        with pytest.raises(FrameError, match=r"peer error \[bad-ref\]: nope"):
-            asyncio.run(expect_frame(codec, reader_for(encoded), TYPE_READY))
+        with pytest.raises(PeerError, match=r"peer error \[bad-ref\]: nope") as info:
+            asyncio.run(step(codec, reader_for(encoded), "source", "hello"))
+        assert info.value.code == "bad-ref"
 
-    def test_expect_frame_can_want_error(self):
+    @pytest.mark.parametrize("role, state", sorted(SESSION))
+    def test_step_takes_a_peer_error_in_every_state(self, role, state):
         codec = FrameCodec(WIRE)
         encoded = codec.encode_error({"code": "x", "message": "y"})
-        frame = asyncio.run(expect_frame(codec, reader_for(encoded), TYPE_ERROR))
-        assert frame.body == {"code": "x", "message": "y"}
+        with pytest.raises(PeerError, match=r"\[x\]: y"):
+            asyncio.run(step(codec, reader_for(encoded), role, state))
 
     def test_unknown_tag_0x7f(self):
         codec = FrameCodec(WIRE)
@@ -389,9 +440,39 @@ class TestErrors:
         # What a READY cut short reads when the next frame's bytes land
         # in its flag fields.
         codec = FrameCodec(WIRE)
-        blob = bytes((TYPE_READY,)) + struct.pack(">IQBB", 1, 0, *flags)
+        blob = bytes((TYPE_READY,)) + struct.pack(">IIBBI", 1, 0, *flags, 0)
         with pytest.raises(StreamDesyncError, match="not booleans"):
             roundtrip(codec, blob)
+
+    def test_a_ready_that_does_not_answer_its_hello_is_a_desync(self):
+        # What a READY completed by the next frame's bytes reads as when
+        # its flags still look like booleans.
+        encoded = FrameCodec(WIRE, session="vm-1").encode_ready(1, 0, True, False)
+        assert roundtrip(FrameCodec(WIRE, session="vm-1"), encoded).announce_follows
+        with pytest.raises(StreamDesyncError, match="does not answer session 'vm-2'"):
+            roundtrip(FrameCodec(WIRE, session="vm-2"), encoded)
+
+    def test_a_codec_answers_the_hello_it_encoded_or_read(self):
+        source, sink = FrameCodec(WIRE), FrameCodec(WIRE)
+        roundtrip(sink, source.encode_hello({"session": "vm-7", "num_pages": 1}))
+        assert source.session == sink.session == "vm-7"
+        ready = roundtrip(source, sink.encode_ready(2, 5, False, True))
+        assert (ready.round_no, ready.applied, ready.completed) == (2, 5, True)
+
+    @pytest.mark.parametrize("state, code", [("hello", "protocol"), ("ready", DESYNC)])
+    def test_a_malformed_frame_takes_the_code_of_its_state(self, state, code):
+        # After a READY that passed its check, a body that does not parse
+        # can only be a lost frame boundary.
+        blob = bytes((TYPE_RESULT,)) + (13185551).to_bytes(4, "big")
+        with pytest.raises(FrameError, match="exceeds limit") as info:
+            asyncio.run(step(FrameCodec(WIRE), reader_for(blob), "source", state))
+        assert info.value.code == code
+
+    def test_an_unknown_tag_is_a_desync_in_every_state(self):
+        for role, state in SESSION:
+            with pytest.raises(StreamDesyncError) as info:
+                asyncio.run(step(FrameCodec(WIRE), reader_for(b"\x7f"), role, state))
+            assert info.value.code == DESYNC
 
     def test_oversized_telemetry_body_rejected(self):
         codec = FrameCodec(WIRE)

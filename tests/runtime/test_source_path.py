@@ -425,7 +425,8 @@ class TestOneRetryLoop:
     @staticmethod
     def run_scripted(script, max_attempts):
         """Migrate into a sink playing ``script[i]`` on connection ``i``
-        (the last entry repeats); returns (outcome, HELLO session ids)."""
+        (the last entry repeats; a callable is given the sink's codec,
+        to answer the HELLO it read); returns (outcome, HELLO session ids)."""
         codec = FrameCodec(VECYCLE.wire)
         sessions = []
 
@@ -439,7 +440,7 @@ class TestOneRetryLoop:
                 )
                 await accept_rounds(codec, reader, writer)
             else:
-                writer.write(reply)
+                writer.write(reply(codec) if callable(reply) else reply)
                 await writer.drain()
 
         config = RuntimeConfig(
@@ -478,8 +479,8 @@ class TestOneRetryLoop:
         [
             (FrameCodec().encode_result({"ok": True}), "protocol"),  # not READY
             (
-                FrameCodec.encode_ready(1, 0, False, True)
-                + FrameCodec().encode_result({"ok": False, "error": "mismatch"}),
+                lambda codec: codec.encode_ready(1, 0, False, True)
+                + codec.encode_result({"ok": False, "error": "mismatch"}),
                 "verification",
             ),
         ],
