@@ -29,12 +29,10 @@ STRATEGIES = (QEMU, DEDUP, MIYAKODORI_DEDUP, VECYCLE_DEDUP)
 def _run():
     results = {}
     for strategy in STRATEGIES:
-        fleet, hosts = build_fleet(
-            8, 64 * MIB, num_home_hosts=4, seed=21, disk=SSD_INTEL330
-        )
+        fleet, hosts = build_fleet(8, 64 * MIB, num_home_hosts=4, seed=21)
         simulator = DatacenterSimulator(
             fleet, hosts, ThresholdConsolidation(min_idle_epochs=2),
-            strategy, LAN_1GBE, seed=21,
+            strategy, LAN_1GBE, seed=21, disk=SSD_INTEL330,
         )
         results[strategy.name] = simulator.run(EPOCHS)
     return results

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Fleet-scale consolidation with adaptive checkpoint recycling.
+"""Fleet-scale consolidation with checkpoint recycling.
 
-Three acts:
+Two acts:
 
 1. Run a bursty 8-VM fleet through the Verma-style threshold
    consolidation policy (§2.2) for three simulated days, once per
@@ -9,9 +9,6 @@ Three acts:
 2. Show the follow-the-sun pattern (§2.2): the whole fleet flips
    between two sites every 12 hours, and every return trip recycles the
    checkpoint left behind.
-3. Demonstrate the adaptive selector: learn two VMs' similarity-decay
-   curves from their migration history, then watch it recycle the
-   desktop's checkpoints but skip the crawler's stale ones.
 
 Run:  python examples/consolidation_fleet.py
 """
@@ -21,27 +18,23 @@ import numpy as np
 from repro.cluster import (
     DatacenterSimulator,
     FollowTheSun,
-    Host,
     ThresholdConsolidation,
     build_fleet,
 )
-from repro.core import AdaptiveSelector, SimilarityPredictor, get_strategy
+from repro.core import get_strategy
 from repro.net import LAN_1GBE, WAN_CLOUDNET
 from repro.storage import SSD_INTEL330
 
 MIB = 2**20
-HOUR = 3600.0
 
 
 def act_one_threshold_consolidation() -> None:
     print("=== Act 1: threshold consolidation, 8 VMs, 3 days ===\n")
     for name in ("qemu", "dedup", "miyakodori+dedup", "vecycle+dedup"):
-        fleet, hosts = build_fleet(
-            8, 64 * MIB, num_home_hosts=4, seed=21, disk=SSD_INTEL330
-        )
+        fleet, hosts = build_fleet(8, 64 * MIB, num_home_hosts=4, seed=21)
         simulator = DatacenterSimulator(
             fleet, hosts, ThresholdConsolidation(),
-            get_strategy(name), LAN_1GBE, seed=21,
+            get_strategy(name), LAN_1GBE, seed=21, disk=SSD_INTEL330,
         )
         print("  " + simulator.run(3 * 48).summary())
 
@@ -49,14 +42,12 @@ def act_one_threshold_consolidation() -> None:
 def act_two_follow_the_sun() -> None:
     print("\n=== Act 2: follow-the-sun between two sites (WAN) ===\n")
     fleet, _ = build_fleet(4, 64 * MIB, num_home_hosts=1, seed=5)
-    hosts = [Host(name="site-east", disk=SSD_INTEL330),
-             Host(name="site-west", disk=SSD_INTEL330)]
     for member in fleet:
         member.home_host = "site-east"
         member.host = "site-east"
     simulator = DatacenterSimulator(
-        fleet, hosts, FollowTheSun(period_epochs=24),
-        get_strategy("vecycle+dedup"), WAN_CLOUDNET, seed=5,
+        fleet, ["site-east", "site-west"], FollowTheSun(period_epochs=24),
+        get_strategy("vecycle+dedup"), WAN_CLOUDNET, seed=5, disk=SSD_INTEL330,
     )
     report = simulator.run(4 * 48)  # four days = 8 site flips
     print("  " + report.summary())
@@ -69,33 +60,6 @@ def act_two_follow_the_sun() -> None:
     )
 
 
-def act_three_adaptive_selection() -> None:
-    print("\n=== Act 3: adaptive recycling decisions ===\n")
-    selector = AdaptiveSelector()
-
-    profiles = {
-        "virtual-desktop": (0.35, 9.0),   # high floor, slow decay
-        "web-crawler": (0.04, 0.8),       # near-zero floor, fast decay
-    }
-    for vm_name, (floor, tau_h) in profiles.items():
-        predictor = SimilarityPredictor()
-        for age_h in (0.5, 1, 2, 4, 8, 16, 24, 48):
-            observed = floor + (1 - floor) * float(np.exp(-age_h / tau_h))
-            predictor.observe(age_h * HOUR, observed)
-        print(f"  {vm_name} (fitted floor {predictor.floor:.2f}, "
-              f"tau {predictor.tau_s / HOUR:.1f} h):")
-        for age_h in (1, 8, 24, 72):
-            decision = selector.decide(
-                predictor, age_h * HOUR, 4 * 2**30, LAN_1GBE
-            )
-            print(
-                f"    checkpoint {age_h:3d}h old -> {decision.strategy.name:<8s}"
-                f" (predicted similarity {decision.predicted_similarity:.2f},"
-                f" predicted speedup {min(decision.predicted_speedup, 99):.1f}x)"
-            )
-
-
 if __name__ == "__main__":
     act_one_threshold_consolidation()
     act_two_follow_the_sun()
-    act_three_adaptive_selection()

@@ -6,16 +6,16 @@ Figure 8): 26 scheduled migrations between a workstation and a
 consolidation server, comparing full copies, sender-side dedup, dirty
 tracking + dedup, and VeCycle.
 
-Part 2 runs the same pattern *live* through the migration engine with
-Host objects: checkpoints stored on each side, ping-pong hash
-bookkeeping, pre-copy rounds, the lot — for one simulated week.
+Part 2 runs the same pattern through the model's hosts: checkpoints
+stored on each side, §3.2's announce rule, pre-copy rounds, the lot —
+for one simulated week.
 
 Run:  python examples/vdi_consolidation.py
 """
 
 import numpy as np
 
-from repro import Host, LAN_1GBE, VECYCLE_DEDUP, migrate_between_hosts
+from repro import Hosts, LAN_1GBE, VECYCLE_DEDUP
 from repro.cluster.vdi import replay_vdi
 from repro.core.transfer import Method
 from repro.experiments.fig8_vdi import format_table
@@ -37,8 +37,7 @@ def analytic_replay() -> None:
 
 def live_week() -> None:
     print("\n=== Part 2: one live week through the migration engine ===\n")
-    workstation = Host(name="workstation")
-    server = Host(name="consolidation-server")
+    hosts = Hosts()
     vm = SimVM(
         "desktop-vm",
         memory_bytes=512 * MIB,
@@ -48,18 +47,16 @@ def live_week() -> None:
     )
     vm.image.write_fresh(np.arange(vm.num_pages))
 
-    location, other = server, workstation
+    location, other = "consolidation-server", "workstation"
     total_tx = 0
     for day in range(1, 6):
         for label, busy_seconds in (("09:00", 16 * 3600), ("17:00", 8 * 3600)):
             # The VM runs at its current location until the migration.
             vm.run_for(busy_seconds if label == "17:00" else 600)
-            report = migrate_between_hosts(
-                vm, location, other, VECYCLE_DEDUP, LAN_1GBE
-            )
+            report = hosts.migrate(vm, location, other, VECYCLE_DEDUP, LAN_1GBE)
             total_tx += report.tx_bytes
             print(
-                f"day {day} {label}  {location.name:>20s} -> {other.name:<20s} "
+                f"day {day} {label}  {location:>20s} -> {other:<20s} "
                 f"tx {report.tx_bytes / MIB:7.1f} MiB  "
                 f"time {report.total_time_s:5.2f}s  "
                 f"similarity {report.similarity:.2f}"

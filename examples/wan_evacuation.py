@@ -12,7 +12,7 @@ Run:  python examples/wan_evacuation.py
 
 import numpy as np
 
-from repro import Host, QEMU, VECYCLE_DEDUP, WAN_CLOUDNET, migrate_between_hosts
+from repro import Hosts, QEMU, VECYCLE_DEDUP, WAN_CLOUDNET
 from repro.migration.vm import SimVM
 
 MIB = 2**20
@@ -41,17 +41,16 @@ def build_vm(name, size_mib, dirty_rate, wss, seed):
 
 
 def evacuate_and_return(strategy):
-    home = Host(name="home-rack")
-    remote = Host(name="remote-dc")
+    hosts = Hosts()
     out_tx = back_tx = back_time = 0.0
     per_vm = []
     for seed, (name, size_mib, dirty_rate, wss) in enumerate(RACK):
         vm = build_vm(name, size_mib, dirty_rate, wss, seed)
         vm.run_for(3600)  # an hour of service before the maintenance
-        out = migrate_between_hosts(vm, home, remote, strategy, WAN_CLOUDNET)
+        out = hosts.migrate(vm, "home-rack", "remote-dc", strategy, WAN_CLOUDNET)
         out_tx += out.tx_bytes
         vm.run_for(MAINTENANCE_HOURS * 3600)  # keeps serving remotely
-        back = migrate_between_hosts(vm, remote, home, strategy, WAN_CLOUDNET)
+        back = hosts.migrate(vm, "remote-dc", "home-rack", strategy, WAN_CLOUDNET)
         back_tx += back.tx_bytes
         back_time += back.total_time_s
         per_vm.append((name, back))

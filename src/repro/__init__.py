@@ -22,7 +22,8 @@ Package map:
   implementation that moves real page bytes: checkpoint daemons,
   migration sources, traffic shaping, and cross-validation of
   on-the-wire bytes against the analytic model.
-* :mod:`repro.cluster` — hosts, schedules and the VDI replay (Figure 8).
+* :mod:`repro.cluster` — schedules, consolidation policies, the fleet
+  simulator and the VDI replay (Figure 8).
 
 Quickstart::
 
@@ -48,7 +49,6 @@ from repro.core import (
     PAGE_SIZE,
     PAPER_METHODS,
     Checkpoint,
-    CheckpointStore,
     ChecksumIndex,
     DEDUP,
     Fingerprint,
@@ -66,13 +66,12 @@ from repro.core import (
     compute_transfer_set,
     get_strategy,
 )
-from repro.cluster import Host, replay_vdi, vdi_schedule
+from repro.cluster import replay_vdi, vdi_schedule
 from repro.migration import (
+    Hosts,
     MigrationReport,
     PrecopyConfig,
     SimVM,
-    migrate_between_hosts,
-    ping_pong,
     simulate_migration,
 )
 from repro.net import LAN_1GBE, WAN_CLOUDNET, Link
@@ -100,7 +99,6 @@ __all__ = [
     "PAGE_SIZE",
     "PAPER_METHODS",
     "Checkpoint",
-    "CheckpointStore",
     "ChecksumIndex",
     "DEDUP",
     "Fingerprint",
@@ -117,14 +115,12 @@ __all__ = [
     "available_strategies",
     "compute_transfer_set",
     "get_strategy",
-    "Host",
     "replay_vdi",
     "vdi_schedule",
+    "Hosts",
     "MigrationReport",
     "PrecopyConfig",
     "SimVM",
-    "migrate_between_hosts",
-    "ping_pong",
     "simulate_migration",
     "LAN_1GBE",
     "WAN_CLOUDNET",

@@ -303,11 +303,12 @@ def _cmd_consolidate(args: argparse.Namespace) -> str:
     for strategy_name in ("qemu", "dedup", "miyakodori+dedup", "vecycle+dedup"):
         fleet, hosts = build_fleet(
             args.vms, 64 * MIB, num_home_hosts=max(1, args.vms // 2),
-            seed=args.seed, disk=SSD_INTEL330,
+            seed=args.seed,
         )
         simulator = DatacenterSimulator(
             fleet, hosts, ThresholdConsolidation(),
             get_strategy(strategy_name), get_link(args.link), seed=args.seed,
+            disk=SSD_INTEL330,
         )
         lines.append(simulator.run(args.days * 48).summary())
     return "\n".join(lines)

@@ -1,6 +1,5 @@
-"""Multi-host orchestration: hosts, schedules, policies, VDI, fleet sim."""
+"""Multi-host orchestration: schedules, policies, VDI, fleet sim."""
 
-from repro.cluster.host import Host
 from repro.cluster.policies import (
     ConsolidationPolicy,
     FollowTheSun,
@@ -28,7 +27,6 @@ from repro.cluster.vdi import (
 )
 
 __all__ = [
-    "Host",
     "ConsolidationPolicy",
     "FollowTheSun",
     "Move",

@@ -10,7 +10,7 @@ activity each epoch and returns the migrations to perform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Protocol, Sequence
 
 
@@ -57,14 +57,13 @@ class ThresholdConsolidation:
 
     consolidation_host: str = "consolidation-server"
     min_idle_epochs: int = 2
-    _idle_streak: Dict[str, int] = None  # type: ignore[assignment]
+    _idle_streak: Dict[str, int] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.min_idle_epochs < 1:
             raise ValueError(
                 f"min_idle_epochs must be >= 1, got {self.min_idle_epochs}"
             )
-        self._idle_streak = {}
 
     def decide(self, fleet: Sequence[VmStatus], epoch: int) -> List[Move]:
         """Consolidate quiet VMs; send re-activated ones home."""

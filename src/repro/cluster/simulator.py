@@ -1,10 +1,11 @@
 """Datacenter consolidation simulator.
 
 Drives a fleet of bursty VMs through a consolidation policy for days of
-simulated time, executing every ordered migration through the real
-migration engine (checkpoint stores, ping-pong hash bookkeeping,
-pre-copy rounds) — the system-level experiment behind §2.2's claim that
-consolidation workloads are where checkpoint recycling shines.
+simulated time, executing every ordered migration through the model's
+hosts (:class:`~repro.migration.engine.Hosts`: departure checkpoints,
+§3.2's announce rule, pre-copy rounds) — the system-level experiment
+behind §2.2's claim that consolidation workloads are where checkpoint
+recycling shines.
 
 Each VM alternates between an *active* and an *idle* phase via a
 two-state Markov chain evaluated once per epoch; active VMs dirty
@@ -17,15 +18,14 @@ report aggregates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.cluster.host import Host
 from repro.cluster.policies import ConsolidationPolicy, VmStatus
 from repro.core.strategies import MigrationStrategy
 from repro.mem.mutation import boot_populate
-from repro.migration.engine import migrate_between_hosts
+from repro.migration.engine import Hosts
 from repro.migration.report import MigrationReport
 from repro.migration.vm import SimVM
 from repro.net.link import Link
@@ -135,30 +135,34 @@ class DatacenterSimulator:
 
     Args:
         fleet: The guests and their burstiness models.
-        hosts: All hosts, including the policy's consolidation target.
+        hosts: All host names, including the policy's consolidation
+            target.
         policy: Decides migrations each epoch.
         strategy: Migration strategy used for every move.
         link: Network between any pair of hosts (a flat topology — the
             testbed's single switch).
         seed: RNG seed for the activity chains.
+        disk: Where every host keeps its checkpoints.
     """
 
     def __init__(
         self,
         fleet: List[FleetVm],
-        hosts: List[Host],
+        hosts: List[str],
         policy: ConsolidationPolicy,
         strategy: MigrationStrategy,
         link: Link,
         seed: int = 0,
+        disk: Disk = HDD_HD204UI,
     ) -> None:
         if not fleet:
             raise ValueError("fleet must not be empty")
         self.fleet = fleet
-        self.hosts: Dict[str, Host] = {host.name: host for host in hosts}
+        self.host_names = set(hosts)
         for member in fleet:
-            if member.home_host not in self.hosts:
+            if member.home_host not in self.host_names:
                 raise ValueError(f"unknown home host {member.home_host!r}")
+        self.hosts = Hosts(disk)
         self.policy = policy
         self.strategy = strategy
         self.link = link
@@ -173,7 +177,7 @@ class DatacenterSimulator:
             "starting consolidation run",
             strategy=self.strategy.name,
             vms=len(self.fleet),
-            hosts=len(self.hosts),
+            hosts=len(self.host_names),
             epochs=epochs,
         )
         with _span(
@@ -193,7 +197,7 @@ class DatacenterSimulator:
                     member = self._member(move.vm_id)
                     if move.destination == member.host:
                         continue
-                    if move.destination not in self.hosts:
+                    if move.destination not in self.host_names:
                         raise ValueError(
                             f"policy moved to unknown host {move.destination!r}"
                         )
@@ -204,10 +208,10 @@ class DatacenterSimulator:
                         source=member.host,
                         destination=move.destination,
                     ) as move_span:
-                        migration = migrate_between_hosts(
+                        migration = self.hosts.migrate(
                             member.vm,
-                            self.hosts[member.host],
-                            self.hosts[move.destination],
+                            member.host,
+                            move.destination,
                             self.strategy,
                             self.link,
                         )
@@ -241,10 +245,9 @@ def build_fleet(
     seed: int = 0,
     recall_fraction: float = 0.3,
     duplicate_fraction: float = 0.08,
-    disk: "Disk" = None,
     **vm_overrides,
-) -> tuple[List[FleetVm], List[Host]]:
-    """Convenience factory: a fleet of populated VMs plus their hosts.
+) -> tuple[List[FleetVm], List[str]]:
+    """Convenience factory: a fleet of populated VMs plus their host names.
 
     VM ``i`` homes on ``host-{i % num_home_hosts}``; a consolidation
     server is appended to the host list.  VMs boot with a realistic
@@ -277,7 +280,4 @@ def build_fleet(
         fleet.append(
             FleetVm(vm=vm, home_host=f"host-{index % num_home_hosts}", **vm_overrides)
         )
-    disk = disk if disk is not None else HDD_HD204UI
-    hosts = [Host(name=f"host-{i}", disk=disk) for i in range(num_home_hosts)]
-    hosts.append(Host(name="consolidation-server", disk=disk))
-    return fleet, hosts
+    return fleet, [f"host-{i}" for i in range(num_home_hosts)] + ["consolidation-server"]

@@ -8,7 +8,7 @@ from repro.core.checksum import (
     available_algorithms,
     get_algorithm,
 )
-from repro.core.checkpoint import Checkpoint, CheckpointStore, ChecksumIndex
+from repro.core.checkpoint import Checkpoint, ChecksumIndex
 from repro.core.compression import (
     DELTA_XBZRLE,
     LZO_FAST,
@@ -35,11 +35,6 @@ from repro.core.fingerprint import (
     Fingerprint,
     resize_fingerprint,
     similarity_matrix,
-)
-from repro.core.prediction import (
-    AdaptiveSelector,
-    SelectionDecision,
-    SimilarityPredictor,
 )
 from repro.core.protocol import (
     TrafficBreakdown,
@@ -82,9 +77,6 @@ __all__ = [
     "NO_COMPRESSION",
     "CompressionModel",
     "get_compression",
-    "AdaptiveSelector",
-    "SelectionDecision",
-    "SimilarityPredictor",
     "DEFAULT_CHECKSUM",
     "MD5",
     "PAGE_SIZE",
@@ -92,7 +84,6 @@ __all__ = [
     "available_algorithms",
     "get_algorithm",
     "Checkpoint",
-    "CheckpointStore",
     "ChecksumIndex",
     "GenerationTracker",
     "content_dirty_slots",

@@ -10,32 +10,19 @@ offset for a given checksum".
 array plus the slot each hash first occupies, binary search via
 :func:`numpy.searchsorted`); the live runtime's durable counterpart is
 the pack index of :mod:`repro.storage.repository`.  :class:`Checkpoint` is a
-stored VM memory snapshot with its index, and :class:`CheckpointStore`
-is the per-host collection of checkpoints, one per VM the host has seen
-(the "store a checkpoint at each visited server" policy, with an
-optional capacity bound and LRU eviction).
+stored VM memory snapshot with its index; the model keeps one per
+``(VM, host)`` pair in :class:`repro.migration.engine.Hosts`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.checksum import PAGE_SIZE
 from repro.core.fingerprint import Fingerprint
-
-
-class CapacityError(ValueError):
-    """A checkpoint cannot fit the store's capacity bound.
-
-    Raised either when a single checkpoint exceeds the capacity
-    outright, or when making room would require evicting the incoming
-    VM's own checkpoint (the store never cannibalizes the checkpoint it
-    is being asked to keep).  Subclasses :class:`ValueError` so existing
-    callers that caught that keep working.
-    """
 
 
 class ChecksumIndex:
@@ -114,115 +101,3 @@ class Checkpoint:
     def size_bytes(self) -> int:
         """On-disk size: the full memory image (one block per slot)."""
         return self.fingerprint.num_pages * PAGE_SIZE
-
-
-class CheckpointStore:
-    """Per-host checkpoint storage with optional capacity bound.
-
-    The paper argues local storage is "cheap and abundant", so the
-    default is unbounded; a ``capacity_bytes`` bound with LRU eviction is
-    provided for the consolidation-server case where one host stores
-    checkpoints for many desktops.
-
-    ``on_evict`` is called with every checkpoint the store drops —
-    capacity eviction, explicit :meth:`evict`, replacement by a newer
-    checkpoint of the same VM — so callers holding per-page state
-    elsewhere (a content-addressed store, a durable repository) can
-    release it instead of leaking.
-    """
-
-    def __init__(
-        self,
-        capacity_bytes: Optional[int] = None,
-        on_evict: Optional[Callable[[Checkpoint], None]] = None,
-    ) -> None:
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ValueError(f"capacity_bytes must be > 0, got {capacity_bytes}")
-        self.capacity_bytes = capacity_bytes
-        self.on_evict = on_evict
-        self._checkpoints: Dict[str, Checkpoint] = {}
-        self._clock = 0
-        self._last_used: Dict[str, int] = {}
-        self._used_bytes = 0
-
-    def __len__(self) -> int:
-        return len(self._checkpoints)
-
-    def __contains__(self, vm_id: str) -> bool:
-        return vm_id in self._checkpoints
-
-    @property
-    def used_bytes(self) -> int:
-        """Bytes currently stored — a maintained total, O(1) to read.
-
-        (Recomputing ``sum()`` here made capacity eviction O(n²): the
-        eviction loop calls this once per victim.)
-        """
-        return self._used_bytes
-
-    def store(self, checkpoint: Checkpoint) -> None:
-        """Store (or replace) the checkpoint for ``checkpoint.vm_id``.
-
-        A newer checkpoint of the same VM replaces the old one — the
-        paper keeps one checkpoint per (VM, host) pair.  If a capacity
-        bound is set, least-recently-used checkpoints of *other* VMs are
-        evicted to make room: the incoming VM's own (replaced)
-        checkpoint is subtracted first and is never an eviction victim.
-
-        Raises:
-            CapacityError: if the checkpoint alone exceeds the capacity,
-                or no amount of evicting *other* VMs can make room.
-        """
-        if self.capacity_bytes is not None:
-            if checkpoint.size_bytes > self.capacity_bytes:
-                raise CapacityError(
-                    f"checkpoint of {checkpoint.size_bytes} bytes for VM "
-                    f"{checkpoint.vm_id!r} exceeds store capacity "
-                    f"{self.capacity_bytes} on its own"
-                )
-            # The same VM's old checkpoint is being replaced: drop it
-            # before sizing the shortfall, so its bytes are not
-            # double-counted against innocent victims.
-            self._drop(checkpoint.vm_id)
-            while self._used_bytes + checkpoint.size_bytes > self.capacity_bytes:
-                victims = {
-                    vm_id: used
-                    for vm_id, used in self._last_used.items()
-                    if vm_id != checkpoint.vm_id
-                }
-                if not victims:
-                    raise CapacityError(
-                        f"checkpoint of {checkpoint.size_bytes} bytes for VM "
-                        f"{checkpoint.vm_id!r} does not fit: "
-                        f"{self._used_bytes} of {self.capacity_bytes} bytes "
-                        "used and no other VM's checkpoint left to evict"
-                    )
-                self.evict(min(victims, key=victims.get))
-        else:
-            self._drop(checkpoint.vm_id)
-        self._clock += 1
-        self._checkpoints[checkpoint.vm_id] = checkpoint
-        self._last_used[checkpoint.vm_id] = self._clock
-        self._used_bytes += checkpoint.size_bytes
-
-    def get(self, vm_id: str) -> Optional[Checkpoint]:
-        """The stored checkpoint for ``vm_id``, or None; refreshes LRU."""
-        checkpoint = self._checkpoints.get(vm_id)
-        if checkpoint is not None:
-            self._clock += 1
-            self._last_used[vm_id] = self._clock
-        return checkpoint
-
-    def _drop(self, vm_id: str) -> Optional[Checkpoint]:
-        """Remove ``vm_id`` with bookkeeping and the eviction callback."""
-        dropped = self._checkpoints.pop(vm_id, None)
-        self._last_used.pop(vm_id, None)
-        if dropped is not None:
-            self._used_bytes -= dropped.size_bytes
-            if self.on_evict is not None:
-                self.on_evict(dropped)
-        return dropped
-
-    def evict(self, vm_id: str) -> None:
-        """Drop the checkpoint for ``vm_id``; silently ignores unknown ids."""
-        self._drop(vm_id)

@@ -1,12 +1,6 @@
 """QEMU-like live-migration simulator (pre-copy and post-copy)."""
 
-from repro.migration.engine import (
-    TransferContext,
-    migrate_between_hosts,
-    ping_pong,
-    record_migration_outcome,
-    resolve_transfer_context,
-)
+from repro.migration.engine import Hosts
 from repro.migration.postcopy import PostcopyConfig, PostcopyReport, simulate_postcopy
 from repro.migration.precopy import PrecopyConfig, simulate_migration
 from repro.migration.report import MigrationReport, RoundStats
@@ -14,11 +8,7 @@ from repro.migration.vm import SimVM, expected_distinct
 from repro.migration.wholevm import WholeVmReport, migrate_whole_vm
 
 __all__ = [
-    "TransferContext",
-    "migrate_between_hosts",
-    "ping_pong",
-    "record_migration_outcome",
-    "resolve_transfer_context",
+    "Hosts",
     "PostcopyConfig",
     "PostcopyReport",
     "simulate_postcopy",

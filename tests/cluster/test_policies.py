@@ -57,6 +57,11 @@ class TestThresholdConsolidation:
         with pytest.raises(ValueError):
             ThresholdConsolidation(min_idle_epochs=0)
 
+    def test_idle_streak_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            ThresholdConsolidation(_idle_streak={"vm1": 5})
+        assert "_idle_streak" not in repr(ThresholdConsolidation())
+
 
 class TestFollowTheSun:
     def test_site_flips_each_period(self):

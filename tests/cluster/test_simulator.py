@@ -25,7 +25,7 @@ class TestBuildFleet:
     def test_fleet_shape(self):
         fleet, hosts = build_fleet(5, 16 * MIB, num_home_hosts=2)
         assert len(fleet) == 5
-        assert {h.name for h in hosts} == {"host-0", "host-1", "consolidation-server"}
+        assert hosts == ["host-0", "host-1", "consolidation-server"]
         assert {m.home_host for m in fleet} == {"host-0", "host-1"}
 
     def test_invalid_args(self):
@@ -60,9 +60,7 @@ class TestSimulation:
 
     def test_follow_the_sun(self):
         fleet, _ = build_fleet(2, 16 * MIB, num_home_hosts=1, seed=9)
-        from repro.cluster.host import Host
-
-        hosts = [Host(name="site-east"), Host(name="site-west")]
+        hosts = ["site-east", "site-west"]
         for member in fleet:
             member.home_host = "site-east"
             member.host = "site-east"

@@ -46,11 +46,9 @@ class TestExamplesRun:
         assert "whole-vm[vecycle]" in out
 
     def test_consolidation_fleet(self, capsys):
-        load_example("consolidation_fleet.py").main = None  # not used
-        module = load_example("consolidation_fleet.py")
-        module.act_three_adaptive_selection()
+        load_example("consolidation_fleet.py").act_two_follow_the_sun()
         out = capsys.readouterr().out
-        assert "virtual-desktop" in out and "web-crawler" in out
+        assert "28 migrations" in out and "first flip moved" in out
 
     def test_wan_evacuation_importable(self):
         module = load_example("wan_evacuation.py")

@@ -10,13 +10,13 @@ source's bytes.
 import numpy as np
 import pytest
 
-from repro.cluster.host import Host
+from repro.cluster.schedule import ping_pong_schedule
 from repro.core.checkpoint import Checkpoint
 from repro.core.strategies import VECYCLE
 from repro.core.transfer import Method, compute_transfer_set
 from repro.mem.image import MemoryImage
 from repro.mem.mutation import boot_populate
-from repro.migration.engine import ping_pong
+from repro.migration.engine import Hosts
 from repro.migration.vm import SimVM
 from repro.net.link import LAN_1GBE, WAN_CLOUDNET
 from tests.runtime.test_real_bytes import check_against_model
@@ -66,15 +66,13 @@ class TestPingPongScenario:
         vm = SimVM("vm", 32 * MIB, dirty_rate_pages_per_s=20,
                    working_set_fraction=0.2, seed=13)
         vm.image.write_fresh(np.arange(vm.num_pages))
-        a, b = Host(name="a"), Host(name="b")
-
-        def busy_interval(vm, index):
-            vm.run_for(600)
-
-        reports = ping_pong(
-            vm, a, b, VECYCLE, LAN_1GBE, round_trips=3,
-            between_migrations=busy_interval,
-        )
+        hosts = Hosts()
+        reports = []
+        for event in ping_pong_schedule(600 / 3600, 6, "a", "b"):
+            vm.run_for(600)  # busy between migrations
+            reports.append(hosts.migrate(
+                vm, event.source, event.destination, VECYCLE, LAN_1GBE
+            ))
         total = sum(r.tx_bytes for r in reports)
         full_equivalent = 6 * vm.memory_bytes
         assert total < 0.5 * full_equivalent

@@ -8,7 +8,6 @@ from repro.core.checkpoint import Checkpoint
 from repro.core.fingerprint import Fingerprint
 from repro.core.gang import GangMember, gang_transfer_set
 from repro.core.incremental import plan_checkpoint_update
-from repro.core.prediction import SimilarityPredictor
 from repro.storage.blocksync import plan_disk_sync
 from repro.traces.generate import Trace
 from repro.traces.io import export_text, import_text
@@ -110,37 +109,6 @@ class TestBlockSyncProperties:
         cold = plan_disk_sync(blocks)
         warm = plan_disk_sync(blocks, destination_replica=blocks.copy())
         assert warm.blocks_full <= cold.blocks_full
-
-
-class TestPredictorProperties:
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=7 * 86400),
-                st.floats(min_value=0.0, max_value=1.0),
-            ),
-            min_size=0,
-            max_size=12,
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_predictions_always_valid(self, samples):
-        predictor = SimilarityPredictor()
-        for age, similarity in samples:
-            predictor.observe(age, similarity)
-        for age_h in (0, 1, 24, 24 * 14):
-            value = predictor.predict(age_h * 3600.0)
-            assert 0.0 <= value <= 1.0
-
-    @given(st.floats(min_value=0.0, max_value=0.9), st.floats(min_value=600, max_value=86400))
-    @settings(max_examples=20, deadline=None)
-    def test_fit_recovers_floor_approximately(self, floor, tau):
-        predictor = SimilarityPredictor()
-        for age in np.linspace(600, 5 * tau, 10):
-            predictor.observe(
-                float(age), floor + (1 - floor) * float(np.exp(-age / tau))
-            )
-        assert abs(predictor.predict(100 * tau) - floor) < 0.15
 
 
 class TestTraceIoProperties:
