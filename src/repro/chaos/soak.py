@@ -33,16 +33,12 @@ from repro.cluster.schedule import (
     ping_pong_schedule,
     vdi_schedule,
 )
-from repro.mem.pagestore import PageStore
 from repro.net.link import WAN_CLOUDNET
 from repro.obs import names
 from repro.obs.log import get_logger
-from repro.obs.telemetry import merge_instruments
-from repro.orchestrator import Orchestrator, get_policy
+from repro.orchestrator import get_policy
+from repro.orchestrator.cluster import LiveCluster
 from repro.orchestrator.placement import PlacementError
-from repro.orchestrator.registry import ClusterRegistry
-from repro.orchestrator.telemetry import TelemetryAggregator
-from repro.runtime.daemon import CheckpointDaemon
 from repro.runtime.faults import FaultInjector
 from repro.runtime.source import RetryPolicy, RuntimeConfig
 
@@ -56,9 +52,20 @@ STALL_OVER_S = 0.9
 #: Stall just under the timeout: must NOT fail; the migration absorbs
 #: the latency in one attempt.
 STALL_UNDER_S = 0.05
-#: Wall-clock guard for the restart watcher (never part of the
-#: deterministic outcome; it only bounds a hung run).
-_RESTART_WATCH_S = 20.0
+#: The soak's source side.
+SOAK_CONFIG = RuntimeConfig(
+    io_timeout_s=IO_TIMEOUT_S,
+    connect_timeout_s=2.0,
+    time_scale=0.0,
+    # One budget for the migration's one reconnect loop; sized so a
+    # RESTART round outlasts the daemon's stop + recover.
+    retry=RetryPolicy(
+        max_attempts=24,
+        base_backoff_s=0.02,
+        max_backoff_s=0.25,
+        jitter=0.25,
+    ),
+)
 
 
 @dataclass
@@ -157,54 +164,26 @@ class SoakReport:
 
 
 class _Soak:
-    """One run's live state: daemons, control plane, ledgers."""
+    """One run's rounds and ledgers over a booted :class:`LiveCluster`."""
 
     def __init__(
         self,
+        cluster: LiveCluster,
         seed: int,
         events: List[MigrationEvent],
         schedule: FaultSchedule,
-        hosts: int,
         num_pages: int,
-        state_root: Path,
-        policy: str,
     ) -> None:
-        self.seed = seed
+        self.cluster = cluster
         self.events = events
         self.schedule = schedule
         self.num_pages = num_pages
-        self.state_root = state_root
         self.vm_id = "desktop-0"
-        self.pagestore = PageStore()
-        self.names = ["host-a", "host-b"] + [
-            f"standby-{i}" for i in range(1, hosts - 1)
-        ]
-        self.daemons: Dict[str, CheckpointDaemon] = {}
-        self.registry = ClusterRegistry(heartbeat_timeout_s=2.0)
-        self.aggregator = TelemetryAggregator(self.registry)
-        self.base_config = RuntimeConfig(
-            io_timeout_s=IO_TIMEOUT_S,
-            connect_timeout_s=2.0,
-            time_scale=0.0,
-            # One budget for the migration's one reconnect loop; sized
-            # so a RESTART round outlasts the daemon's stop + recover.
-            retry=RetryPolicy(
-                max_attempts=24,
-                base_backoff_s=0.02,
-                max_backoff_s=0.25,
-                jitter=0.25,
-            ),
-        )
-        self.orchestrator = Orchestrator(
-            self.registry,
-            get_policy(policy),
-            config=self.base_config,
-            pagestore=self.pagestore,
-        )
+        self.base_config = cluster.orchestrator.config
         self.checker = InvariantChecker()
         self.report = SoakReport(
             seed=seed,
-            hosts=hosts,
+            hosts=len(cluster.names),
             num_pages=num_pages,
             schedule=schedule,
         )
@@ -219,33 +198,6 @@ class _Soak:
             self.rng.integers(0, len(self.pool), size=num_pages)
         ]
 
-    # --- lifecycle ------------------------------------------------------
-
-    async def start(self) -> None:
-        for name in self.names:
-            daemon = CheckpointDaemon(
-                name=name,
-                pagestore=self.pagestore,
-                state_dir=self.state_root / name,
-                io_timeout_s=2.0,
-            )
-            await daemon.start()
-            self.daemons[name] = daemon
-            self.registry.register(name, daemon.host, daemon.port)
-
-    async def stop(self) -> None:
-        await self.registry.close()
-        for daemon in self.daemons.values():
-            await self._retire(daemon)
-
-    async def _retire(self, daemon: CheckpointDaemon) -> None:
-        """Stop ``daemon`` and fold its counts into the report: a daemon
-        counts only into its own registry, which dies with it."""
-        await daemon.stop()
-        self.report.daemon_instruments = merge_instruments(
-            [self.report.daemon_instruments, daemon.telemetry.registry.snapshot()]
-        )
-
     # --- per-round machinery --------------------------------------------
 
     def _mutate_hashes(self, gap_hours: float) -> None:
@@ -259,7 +211,7 @@ class _Soak:
         ]
 
     def _target_host(self, spec: FaultSpec) -> str:
-        return self.names[spec.host_index % len(self.names)]
+        return self.cluster.names[spec.host_index % len(self.cluster.names)]
 
     def _arm(self, spec: Optional[FaultSpec]) -> Optional[FaultInjector]:
         """Install the round's fault; returns the daemon-side injector.
@@ -291,7 +243,7 @@ class _Soak:
             # Installed on one host only: its next TELEMETRY probe is
             # aborted on the wire, end to end through the aggregator.
             injector = FaultInjector(drop_telemetry_times=1)
-            self.daemons[self._target_host(spec)].faults = injector
+            self.cluster.daemons[self._target_host(spec)].faults = injector
             return injector
         elif kind is FaultKind.HEARTBEAT_LOSS:
             target = self._target_host(spec)
@@ -303,14 +255,14 @@ class _Soak:
                     return True
                 return False
 
-            self.registry.probe_fault = drop
+            self.cluster.registry.probe_fault = drop
             return None
         elif kind is FaultKind.SLOW_LINK:
 
             def shape(stream) -> None:
                 stream.link = WAN_CLOUDNET
 
-            self.orchestrator.config = replace(
+            self.cluster.orchestrator.config = replace(
                 self.base_config, on_stream=shape
             )
             return None
@@ -319,15 +271,15 @@ class _Soak:
             return None
         else:
             raise NotImplementedError(f"no arm for fault kind {kind!r}")
-        for daemon in self.daemons.values():
+        for daemon in self.cluster.daemons.values():
             daemon.faults = injector
         return injector
 
     def _disarm(self, injector: Optional[FaultInjector]) -> None:
-        for daemon in self.daemons.values():
+        for daemon in self.cluster.daemons.values():
             daemon.faults = FaultInjector()
-        self.registry.probe_fault = None
-        self.orchestrator.config = self.base_config
+        self.cluster.registry.probe_fault = None
+        self.cluster.orchestrator.config = self.base_config
         if injector is not None and injector.armed:
             # The migration finished without reaching the fault point
             # (e.g. a deferred placement): no occurrence to account.
@@ -341,15 +293,15 @@ class _Soak:
         """Flip one durable segment; the scrub must catch exactly it."""
         candidates = [
             name
-            for name in self.names
-            if self.daemons[name].repository is not None
-            and self.daemons[name].repository.list_checkpoints()
+            for name in self.cluster.names
+            if self.cluster.daemons[name].repository is not None
+            and self.cluster.daemons[name].repository.list_checkpoints()
         ]
         if not candidates:
             self._skip()
             return
         target = candidates[spec.host_index % len(candidates)]
-        repository = self.daemons[target].repository
+        repository = self.cluster.daemons[target].repository
         digests = sorted(
             {
                 digest
@@ -365,7 +317,7 @@ class _Soak:
         # The scrub must quarantine the injected segment — and nothing
         # else; a second scrub right after must come back clean.
         self.checker.check_repositories(
-            {target: self.daemons[target]}, round_no=spec.round_no
+            {target: self.cluster.daemons[target]}, round_no=spec.round_no
         )
         clean = repository.verify()
         if not clean.ok:
@@ -375,53 +327,30 @@ class _Soak:
                 f"quarantine still dirty: {clean.corrupt_segments}",
             )
 
-    async def _restart_aborted_daemon(self, task: asyncio.Task) -> None:
-        """Kill + restart whichever daemon consumed the abort budget.
+    async def _restart_aborted_daemon(
+        self, task: asyncio.Task, aborted: asyncio.Future
+    ) -> None:
+        """Restart the daemon that takes the injected abort in place.
 
-        Watches the per-daemon ``daemon.injected_aborts`` counters (the
-        abort identifies its own consumer), stops that daemon, builds a
-        fresh one over the same state directory, and rebinds the same
-        port so the retrying source reconnects to the recovered host.
+        The abort reports the daemon that took it through ``aborted``;
+        a migration that ends first took none.  The restarted daemon
+        recovers from its state directory on the same port, so the
+        retrying source reconnects to the recovered host.
         """
-        aborts = names.DAEMON_INJECTED_ABORTS
-        before = {
-            name: aborts.on(daemon.telemetry.registry).value
-            for name, daemon in self.daemons.items()
-        }
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + _RESTART_WATCH_S
-        target: Optional[str] = None
-        while target is None and not task.done() and loop.time() < deadline:
-            for name, daemon in self.daemons.items():
-                if aborts.on(daemon.telemetry.registry).value > before[name]:
-                    target = name
-                    break
-            else:
-                await asyncio.sleep(0.005)
-        if target is None:
+        await asyncio.wait({task, aborted}, return_when=asyncio.FIRST_COMPLETED)
+        if not aborted.done():
+            aborted.cancel()
             return
-        old = self.daemons[target]
+        target = aborted.result()
         recovered_counter = names.REPO_RECOVERED_CHECKPOINTS.on()
         counted_before = recovered_counter.value
-        await self._retire(old)
-        fresh = CheckpointDaemon(
-            name=target,
-            pagestore=self.pagestore,
-            state_dir=self.state_root / target,
-            io_timeout_s=old.io_timeout_s,
-        )
+        fresh = await self.cluster.restart(target)
         # Invariant 4: recovery counted each recovered checkpoint once.
         self.checker.record_recovery(
             target,
             recovered_counter.value - counted_before,
             len(fresh.checkpoints),
         )
-        try:
-            await fresh.start(port=old.port or 0)
-        except OSError:  # pragma: no cover - port raced away
-            await fresh.start()
-        self.daemons[target] = fresh
-        self.registry.register(target, fresh.host, fresh.port)
         self.report.restarts += 1
         names.CHAOS_RESTARTS.add()
         log.info("chaos restarted daemon", host=target)
@@ -435,7 +364,7 @@ class _Soak:
         next poll revives the host.
         """
         try:
-            return await self.orchestrator.migrate_vm(self.vm_id, self.hashes)
+            return await self.cluster.orchestrator.migrate_vm(self.vm_id, self.hashes)
         except PlacementError as exc:
             log.info("chaos round deferred by placement", cause=str(exc))
             return None, None
@@ -448,8 +377,10 @@ class _Soak:
         injector = self._arm(spec)
         try:
             if spec is not None and spec.kind == FaultKind.RESTART:
+                aborted = asyncio.get_running_loop().create_future()
+                injector.on_abort = aborted.set_result
                 task = asyncio.create_task(self._migrate())
-                await self._restart_aborted_daemon(task)
+                await self._restart_aborted_daemon(task, aborted)
                 decision, outcome = await task
             else:
                 decision, outcome = await self._migrate()
@@ -477,38 +408,30 @@ class _Soak:
             round_no,
             outcome.destination if outcome is not None else "",
             outcome,
-            self.pagestore.page_size,
+            self.cluster.pagestore.page_size,
         )
-        await self.aggregator.poll_all()
+        await self.cluster.aggregator.poll_all()
         if spec is not None and spec.kind == FaultKind.TELEMETRY_LOSS:
             self._disarm(injector)
-        self.checker.check_store_accounting(self.daemons, round_no)
-        self.checker.check_rollups(self.aggregator, round_no)
+        self.checker.check_store_accounting(self.cluster.daemons, round_no)
+        self.checker.check_rollups(self.cluster.aggregator, round_no)
 
-    async def run(self) -> SoakReport:
-        await self.start()
-        try:
-            previous_hours = 0.0
-            for round_no, event in enumerate(self.events):
-                gap = max(1.0, event.time_hours - previous_hours)
-                previous_hours = event.time_hours
-                await self._round(round_no, gap)
-            # Final reconciliation over a clean poll: the rollups must
-            # now match the per-migration metrics exactly, and every
-            # repository must scrub clean (all injected corruption was
-            # quarantined when it was injected).
-            await self.aggregator.poll_all()
-            self.checker.check_rollups(
-                self.aggregator, self.rounds_done(), final=True
-            )
-            self.checker.check_repositories(self.daemons)
-        finally:
-            await self.stop()
+    async def run(self) -> None:
+        previous_hours = 0.0
+        for round_no, event in enumerate(self.events):
+            gap = max(1.0, event.time_hours - previous_hours)
+            previous_hours = event.time_hours
+            await self._round(round_no, gap)
+        # Final reconciliation over a clean poll: the rollups must now
+        # match the per-migration metrics exactly, and every repository
+        # must scrub clean (all injected corruption was quarantined when
+        # it was injected).
+        await self.cluster.aggregator.poll_all()
+        self.checker.check_rollups(
+            self.cluster.aggregator, self.report.rounds, final=True
+        )
+        self.checker.check_repositories(self.cluster.daemons)
         self.report.violations = self.checker.summary()
-        return self.report
-
-    def rounds_done(self) -> int:
-        return len(self.report.records)
 
 
 async def run_soak_async(
@@ -553,20 +476,23 @@ async def run_soak_async(
     if state_root is None:
         temp_root = tempfile.mkdtemp(prefix="vecycle-chaos-")
         state_root = Path(temp_root)
-    soak = _Soak(
-        seed=seed,
-        events=events,
-        schedule=schedule,
-        hosts=hosts,
-        num_pages=num_pages,
+    cluster = LiveCluster(
+        ["host-a", "host-b"] + [f"standby-{i}" for i in range(1, hosts - 1)],
+        policy=get_policy(policy),
+        config=SOAK_CONFIG,
         state_root=Path(state_root),
-        policy=policy,
+        io_timeout_s=2.0,
+        heartbeat_timeout_s=2.0,
     )
+    soak = _Soak(cluster, seed, events, schedule, num_pages)
     try:
-        return await soak.run()
+        async with cluster:
+            await soak.run()
     finally:
         if temp_root is not None:
             shutil.rmtree(temp_root, ignore_errors=True)
+    soak.report.daemon_instruments = cluster.instruments
+    return soak.report
 
 
 def run_soak(**kwargs) -> SoakReport:

@@ -206,27 +206,31 @@ def _cmd_chaos(args: argparse.Namespace) -> str:
     import json
     from pathlib import Path
 
+    from repro.chaos import FaultSchedule, run_soak
     from repro.experiments import chaos_soak
 
     if args.seeds:
         seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
     else:
         seeds = [args.seed]
-    schedule_json = None
+    schedule = None
     if args.schedule_json:
-        schedule_json = Path(args.schedule_json).read_text("utf-8")
-    reports = chaos_soak.run(
-        seeds=seeds,
-        migrations=args.migrations,
-        hosts=args.hosts,
-        num_pages=args.pages,
-        vdi=args.vdi,
-        days=args.days,
-        intensity=args.intensity,
-        policy=args.policy,
-        state_root=Path(args.state_dir) if args.state_dir else None,
-        schedule_json=schedule_json,
-    )
+        schedule = FaultSchedule.from_json(Path(args.schedule_json).read_text("utf-8"))
+    reports = [
+        run_soak(
+            seed=seed,
+            migrations=args.migrations,
+            hosts=args.hosts,
+            num_pages=args.pages,
+            vdi=args.vdi,
+            days=args.days,
+            intensity=args.intensity,
+            policy=args.policy,
+            state_root=Path(args.state_dir) if args.state_dir else None,
+            schedule=schedule,
+        )
+        for seed in seeds
+    ]
     if args.as_json:
         return json.dumps([report.to_dict() for report in reports], indent=1)
     output = chaos_soak.format_table(reports)

@@ -1,8 +1,8 @@
-"""Chaos soak driver: seeded fault sweeps over a live cluster.
+"""The ``vecycle chaos`` table: seeded fault sweeps over a live cluster.
 
-The ``vecycle chaos`` entry point.  Runs one or more seeds through
-:func:`repro.chaos.soak.run_soak` and renders a per-round table plus
-the invariant verdict.  A failing seed reproduces with exactly the
+Renders the per-round results of the seeds ``vecycle chaos`` ran
+through :func:`repro.chaos.soak.run_soak`, plus the invariant verdict.
+A failing seed reproduces with exactly the
 same command line — the whole point of the deterministic fault plane.
 
 The table's ``att`` column is the connections each round's migration
@@ -12,10 +12,9 @@ source's one retry loop).  It is not in the JSON signature.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List
 
-from repro.chaos import FaultSchedule, SoakReport, run_soak
+from repro.chaos import SoakReport
 from repro.obs import names
 from repro.obs.metrics import get_registry
 from repro.obs.telemetry import counter_value, merge_instruments
@@ -34,48 +33,6 @@ REPORTED_COUNTERS = (
     names.DAEMON_RESPILLED_SEGMENTS,
     names.REPO_INJECTED_CORRUPTIONS,
 )
-
-
-def run(
-    seeds: Sequence[int] = (0,),
-    migrations: int = 8,
-    hosts: int = 3,
-    num_pages: int = 128,
-    vdi: bool = False,
-    days: int = 3,
-    intensity: float = 0.8,
-    policy: str = "best-checkpoint",
-    state_root: Optional[Path] = None,
-    schedule_json: Optional[str] = None,
-) -> List[SoakReport]:
-    """Soak every seed in ``seeds``; returns one report per seed.
-
-    ``schedule_json`` (a :meth:`FaultSchedule.to_json` document)
-    replays a committed schedule instead of generating one — used to
-    reproduce a failure from a pinned artifact.
-    """
-    schedule = (
-        FaultSchedule.from_json(schedule_json)
-        if schedule_json is not None
-        else None
-    )
-    reports = []
-    for seed in seeds:
-        reports.append(
-            run_soak(
-                seed=seed,
-                migrations=migrations,
-                hosts=hosts,
-                num_pages=num_pages,
-                vdi=vdi,
-                days=days,
-                intensity=intensity,
-                policy=policy,
-                state_root=state_root,
-                schedule=schedule,
-            )
-        )
-    return reports
 
 
 def format_table(reports: List[SoakReport]) -> str:

@@ -16,6 +16,9 @@ wire protocol migrations use:
 * :class:`MigrationExecutor` runs the chosen migration under admission
   control (per-host and cluster-wide concurrency caps) with structured
   failure reporting; the source's one retry loop owns every reconnect.
+* :class:`LiveCluster` stands up named localhost daemons, registered,
+  with an orchestrator and an aggregator over them; it restarts a
+  daemon in place and tears the cluster down in order.
 * :func:`replay_vdi_live` replays the Figure-8 VDI schedule through all
   of the above on localhost daemons and checks the aggregate traffic
   against the analytic :func:`~repro.cluster.vdi.replay_vdi`.
@@ -25,6 +28,7 @@ wire protocol migrations use:
   and backs the controller's Prometheus endpoint and ``vecycle top``.
 """
 
+from repro.orchestrator.cluster import LiveCluster
 from repro.orchestrator.controller import Orchestrator
 from repro.orchestrator.crossval import (
     LiveVdiCrossValidation,
@@ -67,6 +71,7 @@ __all__ = [
     "DestinationSwap",
     "HostInventory",
     "HostRecord",
+    "LiveCluster",
     "LiveVdiCrossValidation",
     "LiveVdiRecord",
     "MigrationExecutor",

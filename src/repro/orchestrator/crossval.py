@@ -28,25 +28,20 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.cluster.schedule import MigrationEvent, vdi_schedule
 from repro.cluster.vdi import fingerprint_at, replay_vdi
 from repro.core.strategies import MigrationStrategy, VECYCLE_DEDUP
-from repro.mem.pagestore import PageStore
 from repro.obs import names
 from repro.obs.log import get_logger
 from repro.obs.prometheus import MetricsServer
 from repro.obs.trace import span as _span
-from repro.orchestrator.controller import Orchestrator
-from repro.orchestrator.executor import (
-    AdmissionLimits,
-    MigrationExecutor,
-    MigrationOutcome,
-)
-from repro.orchestrator.placement import BestCheckpoint, PlacementPolicy
-from repro.orchestrator.registry import ClusterRegistry
-from repro.orchestrator.telemetry import TelemetryAggregator
-from repro.runtime.daemon import CheckpointDaemon
+from repro.orchestrator.cluster import LiveCluster
+from repro.orchestrator.executor import MigrationOutcome
+from repro.orchestrator.placement import PlacementPolicy
 from repro.runtime.source import RuntimeConfig
 from repro.traces.generate import Trace
 
 log = get_logger(__name__)
+
+#: The one VM the replay migrates.
+VM_ID = "vdi-vm"
 
 
 @dataclass(frozen=True)
@@ -105,19 +100,17 @@ async def replay_vdi_live(
     policy: Optional[PlacementPolicy] = None,
     strategy: MigrationStrategy = VECYCLE_DEDUP,
     config: Optional[RuntimeConfig] = None,
-    limits: Optional[AdmissionLimits] = None,
     extra_hosts: Sequence[str] = ("standby",),
     state_root: Optional[Path] = None,
-    vm_id: str = "vdi-vm",
     metrics_port: Optional[int] = None,
     metrics_linger_s: float = 0.0,
 ) -> LiveVdiCrossValidation:
     """Replay the VDI schedule through live daemons; compare to analytic.
 
-    Boots one :class:`~repro.runtime.daemon.CheckpointDaemon` per host
-    named in the schedule (plus ``extra_hosts`` decoys the policy must
-    learn to avoid), registers them, and drives every scheduled
-    migration through the orchestrator.  The schedule's *source* hosts
+    Boots a :class:`~repro.orchestrator.cluster.LiveCluster` of one
+    daemon per host named in the schedule (plus ``extra_hosts`` decoys
+    the policy must learn to avoid) and drives every scheduled migration
+    of the one VM, ``vdi-vm``, through its orchestrator.  The schedule's *source* hosts
     are ground truth for where the VM sits; destinations are whatever
     the policy picks — the comparison holds regardless, because the
     analytic model depends only on consecutive fingerprints.
@@ -147,97 +140,80 @@ async def replay_vdi_live(
         | {e.destination for e in events}
         | set(extra_hosts)
     )
-    pagestore = PageStore()
-    policy = policy if policy is not None else BestCheckpoint()
-    registry = ClusterRegistry()
-    orchestrator = Orchestrator(
-        registry,
-        policy,
-        executor=MigrationExecutor(limits),
+    cluster = LiveCluster(
+        host_names,
+        policy=policy,
         strategy=strategy,
-        config=config or RuntimeConfig(),
-        pagestore=pagestore,
+        config=config,
+        state_root=state_root,
     )
-    aggregator = TelemetryAggregator(registry)
+    orchestrator, aggregator = cluster.orchestrator, cluster.aggregator
+    policy = orchestrator.policy
     metrics_server: Optional[MetricsServer] = None
     prometheus_text = ""
     bound_port: Optional[int] = None
     outcomes: List[MigrationOutcome] = []
-    daemons: Dict[str, CheckpointDaemon] = {}
     started = time.monotonic()
-    try:
-        for name in host_names:
-            daemon = CheckpointDaemon(
-                name=name,
-                pagestore=pagestore,
-                state_dir=(state_root / name) if state_root is not None else None,
-            )
-            await daemon.start()
-            daemons[name] = daemon
-            registry.register(name, daemon.host, daemon.port)
-        if metrics_port is not None:
-            metrics_server = MetricsServer(
-                render_text=aggregator.render_prometheus,
-                render_json=aggregator.dashboard_view,
-                port=metrics_port,
-            ).start()
-            bound_port = metrics_server.port
-            log.info("serving metrics", url=metrics_server.url)
+    async with cluster:
+        try:
+            if metrics_port is not None:
+                metrics_server = MetricsServer(
+                    render_text=aggregator.render_prometheus,
+                    render_json=aggregator.dashboard_view,
+                    port=metrics_port,
+                ).start()
+                bound_port = metrics_server.port
+                log.info("serving metrics", url=metrics_server.url)
 
-        location = events[0].source
-        orchestrator.locations[vm_id] = location
-        live: List[dict] = []
-        with _span(
-            "orchestrator.vdi_replay",
-            migrations=len(events),
-            hosts=len(host_names),
-            policy=policy.name,
-        ):
-            for index, event in enumerate(events):
-                fingerprint, _ = fingerprint_at(trace, event.time_hours)
-                # The §3.3 departure checkpoint: the source keeps the
-                # leaving state on local storage.  This is what a later
-                # migration back to this host will recycle.
-                daemons[location].install_checkpoint(
-                    vm_id, fingerprint, algorithm=strategy.checksum
-                )
-                decision, outcome = await orchestrator.migrate_vm(
-                    vm_id, fingerprint.hashes, source_host=location
-                )
-                if outcome is None or not outcome.ok:
-                    detail = outcome.error if outcome is not None else "deferred"
-                    raise RuntimeError(
-                        f"live VDI migration {index} "
-                        f"({location} → {decision.destination!r}) failed: "
-                        f"{detail}"
+            location = events[0].source
+            orchestrator.locations[VM_ID] = location
+            live: List[dict] = []
+            with _span(
+                "orchestrator.vdi_replay",
+                migrations=len(events),
+                hosts=len(host_names),
+                policy=policy.name,
+            ):
+                for index, event in enumerate(events):
+                    fingerprint, _ = fingerprint_at(trace, event.time_hours)
+                    # The §3.3 departure checkpoint: the source keeps the
+                    # leaving state on local storage.  This is what a
+                    # later migration back to this host will recycle.
+                    cluster.daemons[location].install_checkpoint(
+                        VM_ID, fingerprint, algorithm=strategy.checksum
                     )
-                num_pages = int(fingerprint.hashes.shape[0])
-                live.append(
-                    {
-                        "destination": decision.destination,
-                        "score": decision.score,
-                        "full_pages": outcome.metrics.pages_full,
-                        "num_pages": num_pages,
-                    }
-                )
-                outcomes.append(outcome)
-                location = decision.destination
-                names.ORCHESTRATOR_CROSSVAL_MIGRATIONS.add(1)
-                await aggregator.poll_all()
-        if metrics_server is not None:
-            if metrics_linger_s > 0:
-                await asyncio.sleep(metrics_linger_s)
-            prometheus_text = await asyncio.to_thread(
-                _scrape, metrics_server.url
-            )
-        else:
-            prometheus_text = aggregator.render_prometheus()
-    finally:
-        if metrics_server is not None:
-            metrics_server.stop()
-        await registry.close()
-        for daemon in daemons.values():
-            await daemon.stop()
+                    decision, outcome = await orchestrator.migrate_vm(
+                        VM_ID, fingerprint.hashes, source_host=location
+                    )
+                    if outcome is None or not outcome.ok:
+                        detail = outcome.error if outcome is not None else "deferred"
+                        raise RuntimeError(
+                            f"live VDI migration {index} "
+                            f"({location} → {decision.destination!r}) failed: "
+                            f"{detail}"
+                        )
+                    num_pages = int(fingerprint.hashes.shape[0])
+                    live.append(
+                        {
+                            "destination": decision.destination,
+                            "score": decision.score,
+                            "full_pages": outcome.metrics.pages_full,
+                            "num_pages": num_pages,
+                        }
+                    )
+                    outcomes.append(outcome)
+                    location = decision.destination
+                    names.ORCHESTRATOR_CROSSVAL_MIGRATIONS.add(1)
+                    await aggregator.poll_all()
+            if metrics_server is not None:
+                if metrics_linger_s > 0:
+                    await asyncio.sleep(metrics_linger_s)
+                prometheus_text = await asyncio.to_thread(_scrape, metrics_server.url)
+            else:
+                prometheus_text = aggregator.render_prometheus()
+        finally:
+            if metrics_server is not None:
+                metrics_server.stop()
     wall_time_s = time.monotonic() - started
 
     analytic = replay_vdi(trace, schedule=events, methods=(strategy.method,))

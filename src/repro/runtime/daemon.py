@@ -143,6 +143,12 @@ class CheckpointDaemon:
         """Increment a counter in this daemon's telemetry registry."""
         counter.on(self.telemetry.registry).add(amount)
 
+    def _injected_abort(self) -> None:
+        """Count an injected abort and report it to the injector's holder."""
+        self._count(names.DAEMON_INJECTED_ABORTS)
+        if self.faults.on_abort is not None:
+            self.faults.on_abort(self.name)
+
     def _recover(self) -> None:
         """Rebuild hosted checkpoints and sessions from the repository.
 
@@ -769,7 +775,7 @@ class CheckpointDaemon:
                 self.store.flush_spill()
                 await self._persist.throttle()
             if self.faults.take_abort(session.total_applied):
-                self._count(names.DAEMON_INJECTED_ABORTS)
+                self._injected_abort()
                 stream.abort()
                 return received, True
         return received, False
@@ -899,7 +905,7 @@ class CheckpointDaemon:
         if self.faults.take_result_abort():
             # Drop the link with the RESULT half-sent: the session is
             # committed, the source is left hanging.
-            self._count(names.DAEMON_INJECTED_ABORTS)
+            self._injected_abort()
             await stream.send(payload[: max(1, len(payload) // 2)])
             stream.abort()
             return

@@ -12,7 +12,7 @@ deterministic — no randomness, so runs are seed-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 
 @dataclass
@@ -44,6 +44,9 @@ class FaultInjector:
     truncate_times: int = 0
     drop_telemetry_times: int = 0
     """Abort this many TELEMETRY probes instead of answering them."""
+    on_abort: Optional[Callable[[str], None]] = None
+    """Called with the daemon's name when one of the two aborts fires
+    there: how a cluster-wide budget tells its holder who spent it."""
 
     @property
     def armed(self) -> bool:

@@ -1,6 +1,7 @@
 """Seed-sweep soak tests: invariants hold, runs are reproducible."""
 
 import asyncio
+import socket
 from enum import Enum
 from types import SimpleNamespace
 
@@ -8,6 +9,9 @@ import pytest
 
 from repro.chaos import FaultKind, FaultSchedule, FaultSpec, run_soak
 from repro.chaos.soak import _Soak, run_soak_async
+from repro.orchestrator import LiveCluster
+from repro.runtime import CheckpointDaemon
+from repro.storage.repository import RepositoryError
 
 # Seeds chosen to jointly cover every fault kind at these parameters
 # (verified by the kind_counts assertions below), while staying small
@@ -104,11 +108,35 @@ def test_arming_a_kind_without_an_arm_raises(tmp_path):
         COFFEE_SPILL = "coffee_spill"
 
     soak = _Soak(
-        seed=0, events=[], schedule=FaultSchedule(seed=0, faults=()),
-        hosts=2, num_pages=8, state_root=tmp_path, policy="best-checkpoint",
+        LiveCluster(["host-a", "host-b"]), seed=0, events=[],
+        schedule=FaultSchedule(seed=0, faults=()), num_pages=8,
     )
     spec = SimpleNamespace(
         round_no=0, kind=Unarmed.COFFEE_SPILL, param=0, host_index=0
     )
     with pytest.raises(NotImplementedError, match="COFFEE_SPILL"):
         soak._arm(spec)
+
+
+def test_a_failed_boot_leaves_nothing_serving(tmp_path, monkeypatch):
+    # standby-1's state directory cannot be created: the boot fails
+    # after host-a and host-b are up, and those two must go down again.
+    (tmp_path / "standby-1").write_text("not a directory")
+    started = []
+    real_start = CheckpointDaemon.start
+
+    async def start(daemon, *args, **kwargs):
+        started.append(daemon)
+        return await real_start(daemon, *args, **kwargs)
+
+    monkeypatch.setattr(CheckpointDaemon, "start", start)
+    with pytest.raises(NotADirectoryError):
+        asyncio.run(
+            run_soak_async(seed=0, migrations=2, hosts=3, state_root=tmp_path)
+        )
+    assert [daemon.name for daemon in started] == ["host-a", "host-b"]
+    for daemon in started:
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((daemon.host, daemon.port), timeout=5.0)
+        with pytest.raises(RepositoryError, match="is closed"):
+            daemon.repository.verify()

@@ -16,7 +16,7 @@ import asyncio
 import pytest
 
 from repro.obs import names
-from repro.orchestrator import ClusterRegistry, TelemetryAggregator
+from repro.orchestrator import ClusterRegistry, LiveCluster, TelemetryAggregator
 from repro.runtime import CheckpointDaemon
 from repro.runtime.faults import FaultInjector
 from repro.runtime.frames import (
@@ -46,29 +46,19 @@ def failed_heartbeats() -> float:
 
 def test_polls_of_three_daemons_open_three_connections(accepted):
     async def main():
-        registry = ClusterRegistry()
-        aggregator = TelemetryAggregator(registry)
-        daemons = [CheckpointDaemon(name=f"h{i}") for i in range(3)]
-        for daemon in daemons:
-            await daemon.start()
-            registry.register(daemon.name, daemon.host, daemon.port)
-        try:
+        async with LiveCluster(["h0", "h1", "h2"]) as cluster:
             for _ in range(5):
-                view = await registry.poll_all()
+                view = await cluster.registry.poll_all()
                 assert view.hosts() == ["h0", "h1", "h2"]
-                snapshots = await aggregator.poll_all()
+                snapshots = await cluster.aggregator.poll_all()
                 assert all(s is not None for s in snapshots.values())
             return [
                 (
                     d.telemetry.counter("daemon.heartbeats").value,
                     d.telemetry.counter("daemon.telemetry_probes").value,
                 )
-                for d in daemons
+                for d in cluster.daemons.values()
             ]
-        finally:
-            await registry.close()
-            for daemon in daemons:
-                await daemon.stop()
 
     answered = asyncio.run(main())
     assert accepted["connections"] == 3
@@ -232,18 +222,14 @@ def test_a_hello_after_a_heartbeat_is_a_protocol_error():
 
 def test_stop_with_idle_channels_open_leaves_no_handler_task():
     async def main():
-        registry = ClusterRegistry(heartbeat_timeout_s=1.0)
-        aggregator = TelemetryAggregator(registry)
-        daemons = [CheckpointDaemon(name=f"h{i}") for i in range(3)]
-        for daemon in daemons:
-            await daemon.start()
-            registry.register(daemon.name, daemon.host, daemon.port)
-        try:
-            await registry.poll_all()
-            await aggregator.poll_all()
+        async with LiveCluster(
+            ["h0", "h1", "h2"], heartbeat_timeout_s=1.0
+        ) as cluster:
+            await cluster.registry.poll_all()
+            await cluster.aggregator.poll_all()
             # Idle channels hold a handler each, well inside the
             # daemons' 30 s idle bound: stop must not wait it out.
-            for daemon in daemons:
+            for daemon in cluster.daemons.values():
                 await asyncio.wait_for(daemon.stop(), timeout=5.0)
             leftover = [
                 task for task in asyncio.all_tasks()
@@ -251,10 +237,8 @@ def test_stop_with_idle_channels_open_leaves_no_handler_task():
             ]
             # The controller's side saw the daemons go: the next poll
             # of a stopped daemon is a plain, counted failure.
-            record = await registry.poll("h0")
+            record = await cluster.registry.poll("h0")
             return leftover, record.alive
-        finally:
-            await registry.close()
 
     leftover, alive = asyncio.run(main())
     assert leftover == []

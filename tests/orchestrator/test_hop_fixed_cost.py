@@ -16,15 +16,11 @@ import asyncio
 
 import numpy as np
 
-from repro.core.strategies import VECYCLE_DEDUP
-from repro.mem.pagestore import PageStore
 from repro.orchestrator import (
     BestCheckpoint,
-    ClusterRegistry,
-    Orchestrator,
+    LiveCluster,
     PlacementDecision,
     PlacementPolicy,
-    TelemetryAggregator,
 )
 from repro.orchestrator import controller
 from repro.runtime import CheckpointDaemon, RuntimeConfig, hosted
@@ -58,7 +54,7 @@ class Counts:
         self.connections = 0
         self._migrating = False
         real_sketch = hosted.digest_sketch
-        real_digests_for = fleet.store.digests_for
+        real_digests_for = fleet.pagestore.digests_for
         real_run = fleet.orchestrator.executor.run
         real_on_connection = CheckpointDaemon._on_connection
 
@@ -86,7 +82,7 @@ class Counts:
         # every call; the controller bound it at import.
         monkeypatch.setattr(hosted, "digest_sketch", sketch)
         monkeypatch.setattr(controller, "digest_sketch", sketch)
-        monkeypatch.setattr(fleet.store, "digests_for", digests_for)
+        monkeypatch.setattr(fleet.pagestore, "digests_for", digests_for)
         monkeypatch.setattr(fleet.orchestrator.executor, "run", run)
         monkeypatch.setattr(CheckpointDaemon, "_on_connection", on_connection)
 
@@ -101,32 +97,18 @@ class Counts:
         )
 
 
-class Fleet:
+class Fleet(LiveCluster):
     def __init__(self, seed=5):
+        super().__init__([f"h{i}" for i in range(HOSTS)], policy=Ring(), config=FAST)
         self.rng = np.random.default_rng(seed)
-        self.store = PageStore(cache_limit=4 * VMS * PAGES)
         self.images = {
             f"vm-{i}": self.rng.integers(1, 2**62, size=PAGES, dtype=np.uint64)
             for i in range(VMS)
         }
-        self.daemons = {}
-        self.registry = ClusterRegistry()
-        self.aggregator = TelemetryAggregator(self.registry)
-        self.orchestrator = None
         self.hops = 0
 
     async def __aenter__(self):
-        for index in range(HOSTS):
-            daemon = CheckpointDaemon(
-                name=f"h{index}", time_scale=0.0, pagestore=self.store
-            )
-            await daemon.start()
-            self.daemons[daemon.name] = daemon
-            self.registry.register(daemon.name, daemon.host, daemon.port)
-        self.orchestrator = Orchestrator(
-            self.registry, Ring(), strategy=VECYCLE_DEDUP, config=FAST,
-            pagestore=self.store,
-        )
+        await super().__aenter__()
         hosts = sorted(self.daemons)
         for index, vm_id in enumerate(self.images):
             self.orchestrator.locations[vm_id] = hosts[index % HOSTS]
@@ -135,11 +117,6 @@ class Fleet:
             await self.hop()
         self.orchestrator.policy = BestCheckpoint()
         return self
-
-    async def __aexit__(self, *_exc):
-        await self.registry.close()
-        for daemon in self.daemons.values():
-            await daemon.stop()
 
     async def hop(self):
         """Rewrite 3% of the next VM's pages, move it, poll telemetry."""
@@ -215,7 +192,7 @@ def test_a_heartbeat_after_an_adoption_reports_the_new_image():
             vm_id, daemon = await fleet.hop()
             record = await fleet.registry.poll(daemon.name)
             sketch = record.inventory.checkpoints[vm_id]
-            digests = fleet.store.digests_for(fleet.images[vm_id])
+            digests = fleet.pagestore.digests_for(fleet.images[vm_id])
             assert list(sketch) == sorted(d.hex() for d in set(digests))[
                 : hosted.SKETCH_K
             ]

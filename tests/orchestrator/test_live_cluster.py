@@ -14,8 +14,8 @@ from repro.orchestrator import (
     SKETCH_K,
     BestCheckpoint,
     ClusterRegistry,
+    LiveCluster,
     MigrationExecutor,
-    Orchestrator,
     replay_vdi_live,
 )
 from repro.runtime import (
@@ -79,50 +79,49 @@ class TestRegistryHeartbeat:
 
     def test_dead_host_is_marked_and_revived(self):
         async def main():
-            daemon = CheckpointDaemon(name="a")
-            await daemon.start()
-            registry = ClusterRegistry(heartbeat_timeout_s=1.0)
-            registry.register("a", daemon.host, daemon.port)
-            assert (await registry.poll("a")).alive
-            port = daemon.port
-            await daemon.stop()
-            record = await registry.poll("a")
-            assert not record.alive
-            assert record.consecutive_failures == 1
-            assert registry.view().hosts() == []
-            # The daemon comes back on the same port: next poll revives.
-            reborn = CheckpointDaemon(name="a")
-            await reborn.start(port=port)
-            try:
+            async with LiveCluster(["a"], heartbeat_timeout_s=1.0) as cluster:
+                registry = cluster.registry
                 assert (await registry.poll("a")).alive
-            finally:
-                await reborn.stop()
+                await cluster.daemons["a"].stop()
+                record = await registry.poll("a")
+                assert not record.alive
+                assert record.consecutive_failures == 1
+                assert registry.view().hosts() == []
+                # The daemon comes back on the same port: next poll revives.
+                await cluster.restart("a")
+                assert (await registry.poll("a")).alive
 
         asyncio.run(main())
 
-    def test_inventory_survives_daemon_restart(self, tmp_path):
+
+class TestLiveCluster:
+    def test_restart_in_place(self, tmp_path):
         hashes = build_hashes()
 
         async def main():
-            registry = ClusterRegistry()
-            first = CheckpointDaemon(name="a", state_dir=tmp_path)
-            await first.start()
-            first.install_checkpoint("vm", Fingerprint(hashes=hashes))
-            registry.register("a", first.host, first.port)
-            before = (await registry.poll("a")).inventory.checkpoints["vm"]
-            await first.stop()
-            # Restart from the durable state_dir; re-register the new
-            # address; the inventory (digests and all) is back.
-            reborn = CheckpointDaemon(name="a", state_dir=tmp_path)
-            await reborn.start()
-            try:
-                registry.register("a", reborn.host, reborn.port)
-                after = (await registry.poll("a")).inventory.checkpoints.get("vm")
-                assert after == before
-            finally:
-                await reborn.stop()
+            async with LiveCluster(["a", "b"], state_root=tmp_path) as cluster:
+                registry = cluster.registry
+                first = cluster.daemons["a"]
+                first.install_checkpoint("vm", Fingerprint(hashes=hashes))
+                before = (await registry.poll("a")).inventory.checkpoints["vm"]
+                reborn = await cluster.restart("a")
+                assert reborn is cluster.daemons["a"] and reborn is not first
+                # The old port was free, so the restart took it again.
+                assert reborn.port == first.port
+                assert registry.address_of("a") == (reborn.host, reborn.port)
+                # Recovered from state_root/a, digests and all.
+                assert list(reborn.checkpoints) == ["vm"]
+                record = await registry.poll("a")
+                assert record.alive
+                assert record.inventory.checkpoints["vm"] == before
+                # The retired incarnation answered one heartbeat: folded.
+                assert cluster.instruments["daemon.heartbeats"]["value"] == 1
+            return cluster.instruments
 
-        asyncio.run(main())
+        instruments = asyncio.run(main())
+        assert (tmp_path / "a" / "manifests").is_dir()
+        # Teardown folds the live ones, the retired one not again.
+        assert instruments["daemon.heartbeats"]["value"] == 2
 
 
 class TestMidResultDisconnect:
@@ -253,24 +252,13 @@ class TestLiveVdiCrossValidation:
 class TestOrchestratedPlacement:
     def test_three_host_cluster_prefers_checkpoint_holder(self):
         async def main():
-            pagestore = PageStore()
             hashes = build_hashes()
-            daemons = []
-            registry = ClusterRegistry()
-            for name in ("a", "b", "c"):
-                daemon = CheckpointDaemon(name=name, pagestore=pagestore)
-                await daemon.start()
-                daemons.append(daemon)
-                registry.register(name, daemon.host, daemon.port)
-            try:
+            async with LiveCluster(["a", "b", "c"], config=FAST) as cluster:
                 # Host c already holds the VM's history; a and b do not.
-                daemons[2].install_checkpoint("vm", Fingerprint(hashes=hashes))
-                orchestrator = Orchestrator(
-                    registry,
-                    BestCheckpoint(),
-                    config=FAST,
-                    pagestore=pagestore,
+                cluster.daemons["c"].install_checkpoint(
+                    "vm", Fingerprint(hashes=hashes)
                 )
+                orchestrator = cluster.orchestrator
                 decision, outcome = await orchestrator.migrate_vm(
                     "vm", hashes, source_host="a"
                 )
@@ -280,8 +268,5 @@ class TestOrchestratedPlacement:
                 # Checksums only — the pages were already there.
                 assert outcome.metrics.pages_full == 0
                 assert orchestrator.locations["vm"] == "c"
-            finally:
-                for daemon in daemons:
-                    await daemon.stop()
 
         asyncio.run(main())

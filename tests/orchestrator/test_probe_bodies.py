@@ -10,6 +10,7 @@ from repro.core.fingerprint import Fingerprint
 from repro.orchestrator import (
     SKETCH_K,
     ClusterRegistry,
+    LiveCluster,
     TelemetryAggregator,
     digest_sketch,
 )
@@ -80,15 +81,10 @@ GARBLED_INVENTORIES = {
 @pytest.mark.parametrize("body", GARBLED_INVENTORIES.values(), ids=list(GARBLED_INVENTORIES))
 def test_a_garbled_inventory_is_a_failed_heartbeat(body):
     async def main():
-        registry = ClusterRegistry(heartbeat_timeout_s=1.0)
-        async with CheckpointDaemon(name="a") as bad, CheckpointDaemon(name="b") as good:
-            bad.inventory_report = lambda *_args, **_kwargs: body
-            for daemon in (bad, good):
-                registry.register(daemon.name, daemon.host, daemon.port)
-            try:
-                view = await registry.poll_all()
-            finally:
-                await registry.close()
+        async with LiveCluster(["a", "b"], heartbeat_timeout_s=1.0) as cluster:
+            cluster.daemons["a"].inventory_report = lambda *_args, **_kwargs: body
+            registry = cluster.registry
+            view = await registry.poll_all()
             return view, registry.record("a"), registry.record("b")
 
     view, bad, good = asyncio.run(main())

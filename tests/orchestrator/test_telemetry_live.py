@@ -18,8 +18,8 @@ from repro.obs.prometheus import metric_name, parse_exposition
 from repro.orchestrator import (
     BestCheckpoint,
     ClusterRegistry,
+    LiveCluster,
     MigrationExecutor,
-    Orchestrator,
     TelemetryAggregator,
     replay_vdi_live,
 )
@@ -230,30 +230,25 @@ class TestFlightRecorderAcceptance:
 class TestAggregatorOverWire:
     def test_restart_detection_preserves_accumulated_history(self):
         async def main():
-            registry = ClusterRegistry()
-            aggregator = TelemetryAggregator(registry)
-            hashes = build_hashes()
+            async with LiveCluster(["a"]) as cluster:
+                aggregator = cluster.aggregator
+                hashes = build_hashes()
 
-            first = CheckpointDaemon(name="a")
-            await first.start()
-            registry.register("a", first.host, first.port)
-            source = MigrationSource(
-                SourceState("vm", hashes, PageStore()), QEMU, config=FAST
-            )
-            await source.migrate(first.host, first.port)
-            first.telemetry.histogram("test.seconds", (1.0, 10.0)).observe(0.5)
-            snapshot = await aggregator.poll("a")
-            assert snapshot is not None and snapshot.seq >= 1
-            before = aggregator.host_instruments()["a"]
-            received_before = before["daemon.pages_received"]["value"]
-            assert received_before == N
-            port = first.port
-            await first.stop()
+                first = cluster.daemons["a"]
+                source = MigrationSource(
+                    SourceState("vm", hashes, PageStore()), QEMU, config=FAST
+                )
+                await source.migrate(first.host, first.port)
+                first.telemetry.histogram("test.seconds", (1.0, 10.0)).observe(0.5)
+                snapshot = await aggregator.poll("a")
+                assert snapshot is not None and snapshot.seq >= 1
+                before = aggregator.host_instruments()["a"]
+                received_before = before["daemon.pages_received"]["value"]
+                assert received_before == N
 
-            # Restart: counters begin again from zero on the same address.
-            reborn = CheckpointDaemon(name="a")
-            await reborn.start(port=port)
-            try:
+                # Restart: counters begin again from zero on the same address.
+                reborn = await cluster.restart("a")
+                assert reborn.port == first.port
                 source = MigrationSource(
                     SourceState("vm2", hashes, PageStore()),
                     QEMU,
@@ -263,8 +258,6 @@ class TestAggregatorOverWire:
                 for value in (5.0, 50.0):
                     reborn.telemetry.histogram("test.seconds", (1.0, 10.0)).observe(value)
                 await aggregator.poll("a")
-            finally:
-                await reborn.stop()
             assert aggregator.restarts == 1
             after = aggregator.host_instruments()["a"]
             # History from before the restart plus the new life's counts:
@@ -296,27 +289,19 @@ class TestAggregatorOverWire:
         ]
 
         async def main():
-            registry = ClusterRegistry()
-            aggregator = TelemetryAggregator(registry)
-            async with CheckpointDaemon(name="bad") as bad, CheckpointDaemon(
-                name="good"
-            ) as good:
-                registry.register("bad", bad.host, bad.port)
-                registry.register("good", good.host, good.port)
-                try:
-                    first = await aggregator.poll_all()
-                    assert first["bad"] is not None
-                    for body in garbled:
-                        monkeypatch.setattr(
-                            bad.telemetry,
-                            "snapshot",
-                            lambda body=body: SimpleNamespace(to_dict=lambda: body),
-                        )
-                        results = await aggregator.poll_all()
-                        assert results["bad"] is None, body
-                        assert results["good"] is not None, body
-                finally:
-                    await registry.close()
+            async with LiveCluster(["bad", "good"]) as cluster:
+                aggregator = cluster.aggregator
+                first = await aggregator.poll_all()
+                assert first["bad"] is not None
+                for body in garbled:
+                    monkeypatch.setattr(
+                        cluster.daemons["bad"].telemetry,
+                        "snapshot",
+                        lambda body=body: SimpleNamespace(to_dict=lambda: body),
+                    )
+                    results = await aggregator.poll_all()
+                    assert results["bad"] is None, body
+                    assert results["good"] is not None, body
             assert aggregator.poll_failures == len(garbled)
             assert aggregator.polls == 2 * (len(garbled) + 1)
 
@@ -363,35 +348,20 @@ class TestOneHome:
         get_registry().reset()
 
         async def main():
-            pagestore = PageStore()
-            registry = ClusterRegistry()
-            aggregator = TelemetryAggregator(registry)
-            daemons = []
-            try:
-                for name in ("a", "b"):
-                    daemon = CheckpointDaemon(
-                        name=name, pagestore=pagestore, state_dir=tmp_path / name
-                    )
-                    await daemon.start()
-                    daemons.append(daemon)
-                    registry.register(name, daemon.host, daemon.port)
-                orchestrator = Orchestrator(
-                    registry, BestCheckpoint(), config=FAST, pagestore=pagestore
-                )
-                decision, outcome = await orchestrator.migrate_vm(
+            async with LiveCluster(
+                ["a", "b"], config=FAST, state_root=tmp_path
+            ) as cluster:
+                decision, outcome = await cluster.orchestrator.migrate_vm(
                     "vm", build_hashes(), source_host="a"
                 )
                 assert outcome.ok and decision.destination == "b"
+                aggregator = cluster.aggregator
                 await aggregator.poll_all()
                 return (
                     aggregator.host_instruments()["b"],
                     aggregator.render_prometheus(),
-                    registry.controller_id,
+                    cluster.registry.controller_id,
                 )
-            finally:
-                await registry.close()
-                for daemon in daemons:
-                    await daemon.stop()
 
         on_wire, page, controller = asyncio.run(main())
         daemon_side = ("daemon.", "pipeline.")
