@@ -28,10 +28,9 @@ from repro.traces.workload import ActivityPattern, WorkloadParams
 log = get_logger(__name__)
 
 
-#: Orchestrator metrics surfaced in the report (ISSUE acceptance).
+#: Orchestrator metrics surfaced in the report.
 REPORTED_COUNTERS = (
     names.ORCHESTRATOR_PLACEMENTS,
-    names.ORCHESTRATOR_PLACEMENTS_DEFERRED,
     names.ORCHESTRATOR_MIGRATIONS_COMPLETED,
     names.ORCHESTRATOR_MIGRATIONS_RETRIED,
     names.ORCHESTRATOR_MIGRATIONS_FAILED,

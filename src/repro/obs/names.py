@@ -266,9 +266,6 @@ ORCHESTRATOR_MIGRATIONS_RETRIED = CounterName(
     "Reconnects across orchestrated live migrations.")
 ORCHESTRATOR_PLACEMENTS = CounterName(
     "orchestrator.placements", "Placement decisions taken.")
-ORCHESTRATOR_PLACEMENTS_DEFERRED = CounterName(
-    "orchestrator.placements.deferred",
-    "Placements deferred (no admissible destination).")
 ORCHESTRATOR_SCORE = Family(
     HistogramName, "orchestrator.score.<policy>",
     "Winning placement scores, one histogram per policy.", SCORE_BUCKETS)

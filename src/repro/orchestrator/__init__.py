@@ -10,8 +10,8 @@ wire protocol migrations use:
   keeps a cluster-wide :class:`ClusterView` — liveness, open sessions,
   and a bottom-k similarity sketch of every hosted checkpoint, durable
   entries included, so the inventory survives daemon restarts.
-* A placement policy (:class:`BestCheckpoint`, :class:`DestinationSwap`,
-  :class:`CycleAware`) turns the view into a scored
+* A placement policy (:class:`BestCheckpoint` or
+  :class:`DestinationSwap`) turns the view into a scored
   :class:`PlacementDecision`, traced via :mod:`repro.obs`.
 * :class:`MigrationExecutor` runs the chosen migration under admission
   control (per-host and cluster-wide concurrency caps) with structured
@@ -50,7 +50,6 @@ from repro.orchestrator.inventory import (
 )
 from repro.orchestrator.placement import (
     BestCheckpoint,
-    CycleAware,
     DestinationSwap,
     PlacementDecision,
     PlacementError,
@@ -67,7 +66,6 @@ __all__ = [
     "BestCheckpoint",
     "ClusterRegistry",
     "ClusterView",
-    "CycleAware",
     "DestinationSwap",
     "HostInventory",
     "HostRecord",

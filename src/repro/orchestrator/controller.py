@@ -30,12 +30,7 @@ from repro.orchestrator.placement import (
     PlacementRequest,
 )
 from repro.orchestrator.registry import ClusterRegistry
-from repro.runtime.source import (
-    DirtyFeed,
-    MigrationSource,
-    RuntimeConfig,
-    SourceState,
-)
+from repro.runtime.source import MigrationSource, RuntimeConfig, SourceState
 
 log = get_logger(__name__)
 
@@ -69,7 +64,6 @@ class Orchestrator:
         self.config = config or RuntimeConfig()
         self.pagestore = pagestore or PageStore()
         self.locations: Dict[str, str] = {}
-        self.decisions: list = []
         # What each (vm, destination) pair's checkpoint looked like the
         # last time we migrated there: the generation number plus its
         # distinct digest set.  Seeding the next source with it earns a
@@ -98,23 +92,18 @@ class Orchestrator:
         ) as place_span:
             decision = self.policy.decide(request, view)
             place_span.set(
-                destination=decision.destination or "(deferred)",
+                destination=decision.destination,
                 score=round(decision.score, 4),
-                deferred=decision.deferred,
             )
         names.ORCHESTRATOR_PLACEMENTS.add(1)
-        if decision.deferred:
-            names.ORCHESTRATOR_PLACEMENTS_DEFERRED.add(1)
-        else:
-            names.ORCHESTRATOR_SCORE.labelled(self.policy.name).observe(
-                decision.score
-            )
-        self.decisions.append(decision)
+        names.ORCHESTRATOR_SCORE.labelled(self.policy.name).observe(
+            decision.score
+        )
         log.info(
             "placement decided",
             vm=request.vm_id,
             policy=self.policy.name,
-            destination=decision.destination or "(deferred)",
+            destination=decision.destination,
             score=round(decision.score, 4),
             reason=decision.reason,
         )
@@ -125,8 +114,6 @@ class Orchestrator:
         vm_id: str,
         hashes: np.ndarray,
         source_host: Optional[str] = None,
-        active: bool = False,
-        deferrals: int = 0,
         digests: Optional[Sequence[bytes]] = None,
     ) -> PlacementRequest:
         """Build a placement request, sketching the VM's current memory.
@@ -145,11 +132,7 @@ class Orchestrator:
                 if source_host is not None
                 else self.locations.get(vm_id, "")
             ),
-            num_pages=int(hashes.shape[0]),
-            page_size=self.pagestore.page_size,
             sketch=tuple(digest_sketch(digests)),
-            active=active,
-            deferrals=deferrals,
         )
 
     # --- the full loop --------------------------------------------------
@@ -182,31 +165,22 @@ class Orchestrator:
         vm_id: str,
         hashes: np.ndarray,
         source_host: Optional[str] = None,
-        active: bool = False,
-        deferrals: int = 0,
-        dirty_feed: Optional[DirtyFeed] = None,
-        refresh: bool = True,
-    ) -> Tuple[PlacementDecision, Optional[MigrationOutcome]]:
+    ) -> Tuple[PlacementDecision, MigrationOutcome]:
         """Place and execute one VM migration.
 
-        Returns the decision plus the executor's outcome; the outcome is
-        None when the policy deferred the migration.  With ``refresh``
-        the registry re-polls every daemon first, so the decision sees
-        checkpoints adopted by migrations that just finished.
+        Returns the decision plus the executor's outcome.  The registry
+        re-polls every daemon first, so the decision sees checkpoints
+        adopted by migrations that just finished.
         """
-        if refresh:
-            await self.registry.poll_all()
+        await self.registry.poll_all()
         # The hop's one digest pass: the placement sketch reads it here,
         # the migration below plans, encodes and verifies from it.
         hashes = np.asarray(hashes, dtype=np.uint64)
         digests = self._slot_digests(vm_id, hashes)
         request = self.request_for(
-            vm_id, hashes, source_host=source_host, active=active,
-            deferrals=deferrals, digests=digests,
+            vm_id, hashes, source_host=source_host, digests=digests
         )
         decision = self.place(request)
-        if decision.deferred:
-            return decision, None
         source = MigrationSource(
             SourceState(
                 vm_id=vm_id,
@@ -221,9 +195,7 @@ class Orchestrator:
             digests=digests,
         )
         host, port = self.registry.address_of(decision.destination)
-        outcome = await self.executor.run(
-            source, decision.destination, host, port, dirty_feed=dirty_feed
-        )
+        outcome = await self.executor.run(source, decision.destination, host, port)
         if outcome.ok:
             self.locations[vm_id] = decision.destination
             self.policy.record_migration(

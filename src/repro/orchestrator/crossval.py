@@ -185,12 +185,11 @@ async def replay_vdi_live(
                     decision, outcome = await orchestrator.migrate_vm(
                         VM_ID, fingerprint.hashes, source_host=location
                     )
-                    if outcome is None or not outcome.ok:
-                        detail = outcome.error if outcome is not None else "deferred"
+                    if not outcome.ok:
                         raise RuntimeError(
                             f"live VDI migration {index} "
                             f"({location} → {decision.destination!r}) failed: "
-                            f"{detail}"
+                            f"{outcome.error}"
                         )
                     num_pages = int(fingerprint.hashes.shape[0])
                     live.append(

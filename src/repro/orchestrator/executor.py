@@ -25,7 +25,7 @@ from repro.obs import flight, names
 from repro.obs.log import get_logger
 from repro.obs.trace import span as _span
 from repro.runtime.metrics import MigrationMetrics
-from repro.runtime.source import DirtyFeed, MigrationError, MigrationSource
+from repro.runtime.source import MigrationError, MigrationSource
 
 log = get_logger(__name__)
 
@@ -99,7 +99,6 @@ class MigrationExecutor:
         destination: str,
         host: str,
         port: int,
-        dirty_feed: Optional[DirtyFeed] = None,
     ) -> MigrationOutcome:
         """Execute one migration; never raises for a failed migration.
 
@@ -118,9 +117,7 @@ class MigrationExecutor:
                     destination=destination,
                 ) as migrate_span:
                     try:
-                        outcome.metrics = await source.migrate(
-                            host, port, dirty_feed=dirty_feed
-                        )
+                        outcome.metrics = await source.migrate(host, port)
                         outcome.ok = True
                     except MigrationError as exc:
                         outcome.metrics = exc.metrics
@@ -135,10 +132,7 @@ class MigrationExecutor:
                 names.ORCHESTRATOR_MIGRATIONS_ACTIVE.set(self._active)
         names.ORCHESTRATOR_MIGRATIONS_RETRIED.add(outcome.attempts - 1)
         if outcome.ok:
-            # getattr: test fakes implement only the migrate surface.
-            outcome.checkpoint_generation = getattr(
-                source, "result_generation", None
-            )
+            outcome.checkpoint_generation = source.result_generation
             names.ORCHESTRATOR_MIGRATIONS_COMPLETED.add(1)
             if outcome.metrics is not None:
                 # Stop-and-copy downtime (last round's wall time) feeds the

@@ -1,6 +1,6 @@
 """Placement policies: choose a migration destination from the view.
 
-Three policies, three papers:
+Two policies, two papers:
 
 * :class:`BestCheckpoint` — VeCycle's own logic (§2.2): the best
   destination is the host whose stored checkpoint shares the most
@@ -12,11 +12,9 @@ Three policies, three papers:
   swap strategy: remember where each VM came from and send it back,
   which converges to exactly the ping-pong pattern checkpoint
   recycling thrives on.
-* :class:`CycleAware` — Baruchi et al.: migrating a VM in its active
-  phase is the worst time (hot pages, long pre-copy), so defer while
-  the two-state activity model says "active" and expect to wait about
-  ``1/deactivation_probability`` epochs for the idle phase; a bounded
-  deferral count keeps a pathologically busy VM from never moving.
+
+A policy says only *where* a VM goes.  *When* it moves (§2.2:
+consolidate idle VMs, send active ones home) is the caller's schedule.
 
 Every policy is deterministic given its inputs: scores break ties by
 (-score, fewer active sessions, lexicographic host name), so tests and
@@ -26,7 +24,7 @@ replays are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.orchestrator.inventory import ClusterView, sketch_similarity
 
@@ -42,33 +40,24 @@ class PlacementRequest:
     Attributes:
         vm_id: The VM's stable identity.
         source_host: Where it currently runs (excluded as destination).
-        num_pages / page_size: Image geometry, for sizing decisions.
         sketch: Bottom-k sketch of the VM's *current* page digests —
             the thing checkpoint sketches are compared against.
-        active: Whether the VM is in its active phase (CycleAware).
-        deferrals: How many times this migration was already deferred.
     """
 
     vm_id: str
     source_host: str
-    num_pages: int = 0
-    page_size: int = 4096
     sketch: Tuple[str, ...] = ()
-    active: bool = False
-    deferrals: int = 0
 
 
 @dataclass(frozen=True)
 class PlacementDecision:
-    """A scored destination choice (or a deferral)."""
+    """A scored destination choice."""
 
     vm_id: str
     destination: str
     policy: str
     score: float
     reason: str
-    deferred: bool = False
-    expected_wait_epochs: float = 0.0
     scores: Dict[str, float] = field(default_factory=dict)
 
 
@@ -155,16 +144,14 @@ class BestCheckpoint(PlacementPolicy):
                 else:
                     cross = max(cross, similarity)
             scores[host] = min(1.0, own + self.cross_vm_weight * cross)
-        decision = self._pick(
-            request, view, scores, reason="max expected page reuse"
+        # No checkpoint anywhere resembling this VM leaves every score 0:
+        # the tie-break then picks the least-loaded host.
+        reason = (
+            "max expected page reuse"
+            if max(scores.values()) > 0.0
+            else "no matching checkpoint; least loaded"
         )
-        if decision.score == 0.0:
-            # No checkpoint anywhere resembles this VM: fall back to the
-            # least-loaded host (same deterministic tie-break).
-            return self._pick(
-                request, view, scores, reason="no matching checkpoint; least loaded"
-            )
-        return decision
+        return self._pick(request, view, scores, reason=reason)
 
 
 class DestinationSwap(PlacementPolicy):
@@ -203,77 +190,9 @@ class DestinationSwap(PlacementPolicy):
         self._last_departed[vm_id] = source
 
 
-class CycleAware(PlacementPolicy):
-    """Defer active-phase VMs to their idle phase, then delegate.
-
-    Args:
-        inner: Policy choosing the destination once the VM may move
-            (default :class:`BestCheckpoint`).
-        deactivation_probability: The activity model's per-epoch chance
-            an active VM turns idle; the expected wait until the idle
-            phase is its reciprocal (geometric distribution).
-        max_deferrals: After this many deferrals the VM migrates even
-            if still active — bounded staleness.
-    """
-
-    name = "cycle-aware"
-
-    def __init__(
-        self,
-        inner: Optional[PlacementPolicy] = None,
-        deactivation_probability: float = 0.3,
-        max_deferrals: int = 3,
-    ) -> None:
-        if not 0.0 < deactivation_probability <= 1.0:
-            raise ValueError(
-                "deactivation_probability must be in (0, 1], got "
-                f"{deactivation_probability}"
-            )
-        self.inner = inner if inner is not None else BestCheckpoint()
-        self.deactivation_probability = deactivation_probability
-        self.max_deferrals = max_deferrals
-
-    def decide(self, request: PlacementRequest, view: ClusterView) -> PlacementDecision:
-        """Defer while the VM is active, else delegate to the inner policy."""
-        if request.active and request.deferrals < self.max_deferrals:
-            wait = 1.0 / self.deactivation_probability
-            return PlacementDecision(
-                vm_id=request.vm_id,
-                destination="",
-                policy=self.name,
-                score=0.0,
-                reason=(
-                    f"VM active; deferring (expected idle in ~{wait:.1f} "
-                    f"epochs, deferral {request.deferrals + 1}/"
-                    f"{self.max_deferrals})"
-                ),
-                deferred=True,
-                expected_wait_epochs=wait,
-            )
-        inner = self.inner.decide(request, view)
-        reason = inner.reason
-        if request.active:
-            reason = f"deferral budget exhausted; {reason}"
-        return PlacementDecision(
-            vm_id=inner.vm_id,
-            destination=inner.destination,
-            policy=self.name,
-            score=inner.score,
-            reason=reason,
-            scores=inner.scores,
-        )
-
-    def record_migration(
-        self, vm_id: str, source: str, destination: str
-    ) -> None:
-        """Forward the completed migration to the inner policy."""
-        self.inner.record_migration(vm_id, source, destination)
-
-
 _POLICIES = {
     BestCheckpoint.name: BestCheckpoint,
     DestinationSwap.name: DestinationSwap,
-    CycleAware.name: CycleAware,
 }
 
 

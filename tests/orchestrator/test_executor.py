@@ -33,8 +33,9 @@ class FakeSource:
         self.failures = list(failures)
         self.delay_s = delay_s
         self.calls = 0
+        self.result_generation = None
 
-    async def migrate(self, host, port, dirty_feed=None):
+    async def migrate(self, host, port):
         self.calls += 1
         self.tracker["running"] += 1
         self.tracker["peak"] = max(self.tracker["peak"], self.tracker["running"])

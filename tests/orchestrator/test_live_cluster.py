@@ -8,6 +8,7 @@ import pytest
 from repro.cluster.schedule import ping_pong_schedule, vdi_schedule
 from repro.core.fingerprint import Fingerprint
 from repro.core.strategies import QEMU
+from repro.experiments import live_cluster
 from repro.mem.pagestore import PageStore
 from repro.obs.metrics import get_registry
 from repro.orchestrator import (
@@ -16,6 +17,7 @@ from repro.orchestrator import (
     ClusterRegistry,
     LiveCluster,
     MigrationExecutor,
+    available_policies,
     replay_vdi_live,
 )
 from repro.runtime import (
@@ -247,6 +249,25 @@ class TestLiveVdiCrossValidation:
         )
         assert result.num_migrations == 2
         assert result.within(), result.summary()
+
+    @pytest.mark.parametrize("policy", available_policies())
+    def test_demo_replay_under_every_policy(self, policy):
+        result = live_cluster.run(
+            hosts=3, migrations=6, policy=policy, num_pages=256
+        )
+        assert result.policy == policy
+        assert result.num_migrations == 6
+        assert result.within(), result.summary()
+        if policy == "destination-swap":
+            # record_migration is fed by migrate_vm on real daemons:
+            # after the first (fallback) hop, every hop swaps back to
+            # the host the VM last left.
+            visited = [result.records[0].event.source] + [
+                r.destination for r in result.records
+            ]
+            for i, record in enumerate(result.records[1:], start=1):
+                assert record.score == 1.0
+                assert record.destination == visited[i - 1]
 
 
 class TestOrchestratedPlacement:

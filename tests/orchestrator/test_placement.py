@@ -9,7 +9,6 @@ from repro.orchestrator.inventory import (
 )
 from repro.orchestrator.placement import (
     BestCheckpoint,
-    CycleAware,
     DestinationSwap,
     PlacementError,
     PlacementRequest,
@@ -38,14 +37,11 @@ def view_of(hosts):
 CURRENT = list(range(0, 64))
 
 
-def request(source="src", active=False, deferrals=0):
+def request(source="src"):
     return PlacementRequest(
         vm_id="vm",
         source_host=source,
-        num_pages=64,
         sketch=sketch_of(CURRENT),
-        active=active,
-        deferrals=deferrals,
     )
 
 
@@ -137,38 +133,6 @@ class TestDestinationSwap:
             PlacementRequest(vm_id="vm", source_host="a"), view
         )
         assert decision.destination == "b"
-
-
-class TestCycleAware:
-    def test_defers_while_vm_is_active(self):
-        policy = CycleAware(deactivation_probability=0.25, max_deferrals=3)
-        view = view_of({"src": (0, {}), "other": (0, {})})
-        decision = policy.decide(request(active=True), view)
-        assert decision.deferred
-        assert decision.destination == ""
-        assert decision.expected_wait_epochs == pytest.approx(4.0)
-
-    def test_idle_vm_delegates_to_inner_policy(self):
-        view = view_of(
-            {"src": (0, {}), "good": (0, {"vm": CURRENT}), "bad": (0, {})}
-        )
-        decision = CycleAware().decide(request(active=False), view)
-        assert not decision.deferred
-        assert decision.destination == "good"
-        assert decision.policy == "cycle-aware"
-
-    def test_deferral_budget_bounds_staleness(self):
-        policy = CycleAware(max_deferrals=2)
-        view = view_of({"src": (0, {}), "other": (0, {})})
-        assert policy.decide(request(active=True, deferrals=1), view).deferred
-        forced = policy.decide(request(active=True, deferrals=2), view)
-        assert not forced.deferred
-        assert forced.destination == "other"
-        assert "deferral budget exhausted" in forced.reason
-
-    def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            CycleAware(deactivation_probability=0.0)
 
 
 class TestRegistry:
