@@ -228,7 +228,7 @@ class WireFormat:
 def frame_structs(wire: WireFormat, head: str = "") -> Dict[int, struct.Struct]:
     """Every frame's body at ``wire``'s widths as one big-endian struct,
     after the ``head`` items (``"B"``: the tag byte too, a whole frame).
-    Cached per distinct wire: every session and probe builds a codec."""
+    Cached per distinct wire: every message size is read through it."""
     return {tag: struct.Struct(f">{head} {wire.layout(tag)}") for tag in FRAMES}
 
 

@@ -229,8 +229,8 @@ def slot_kinds(
     kinds = _bytes_kind(method) * send.astype(np.int8)
     kinds += KIND_CHECKSUM * reuse.astype(np.int8)
     if method.uses_dedup:
-        # Slot order is send order: the first slot holding a content
-        # carries its bytes, every later one refers back to it.
+        # The first slot holding a content carries its bytes, every
+        # later one refers back to it (and travels after it).
         sent = np.flatnonzero(send)
         kinds[sent[~first_occurrence(hashes[sent])]] = KIND_REF
     hashed = method.uses_hashes or method.uses_dedup

@@ -120,11 +120,13 @@ class Orchestrator:
 
         ``digests`` are the image's per-slot checksums when the caller
         has them already (:meth:`migrate_vm` shares its one digest pass
-        with the migration); they are computed here otherwise.
+        with the migration); otherwise :meth:`_slot_digests` derives
+        them, digesting only what changed since the VM's last hop or
+        request.
         """
         hashes = np.asarray(hashes, dtype=np.uint64)
         if digests is None:
-            digests = self.pagestore.digests_for(hashes, self.strategy.checksum)
+            digests = self._slot_digests(vm_id, hashes)
         return PlacementRequest(
             vm_id=vm_id,
             source_host=(

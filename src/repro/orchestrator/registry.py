@@ -23,6 +23,7 @@ polling continues and a later success revives it.
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -34,6 +35,9 @@ from repro.runtime.frames import FRAME_NAMES, Frame, FrameCodec, FrameError, ste
 from repro.runtime.shaping import ShapedStream, open_shaped_connection
 
 log = get_logger(__name__)
+
+_HEARTBEAT = FrameCodec().encode_heartbeat({})
+"""A heartbeat's one frame; every probe sends these same bytes."""
 
 PROBE_ERRORS = (FrameError, ConnectionError, TimeoutError, OSError, EOFError)
 """What a probe that got no usable answer raises: a silent, gone or
@@ -117,7 +121,7 @@ class ClusterRegistry:
             try:
                 if self.probe_fault is not None and self.probe_fault(name):
                     raise ConnectionError(f"heartbeat to {name} dropped (injected)")
-                frame = await self.probe(record, FrameCodec().encode_heartbeat({}))
+                frame = await self.probe(record, _HEARTBEAT)
                 inventory = HostInventory.from_report(frame.body)
             except PROBE_ERRORS as exc:
                 record.alive = False
@@ -193,9 +197,10 @@ class ClusterRegistry:
             await stream.close()
 
     async def poll_all(self) -> ClusterView:
-        """Heartbeat every registered daemon; returns the live view."""
-        for name in self.hosts():
-            await self.poll(name)
+        """Heartbeat every registered daemon, all at once; returns the
+        live view.  Each probe rides its own host's control channel, so
+        the probes share one wait instead of queueing behind each other."""
+        await asyncio.gather(*map(self.poll, self.hosts()))
         view = self.view()
         names.ORCHESTRATOR_HOSTS_ALIVE.set(len(view.inventories))
         return view

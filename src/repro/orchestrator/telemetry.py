@@ -27,6 +27,7 @@ notions of the time of day.
 
 from __future__ import annotations
 
+import asyncio
 import time
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -47,6 +48,9 @@ from repro.orchestrator.registry import PROBE_ERRORS, ClusterRegistry
 from repro.runtime.frames import FrameCodec
 
 log = get_logger(__name__)
+
+_TELEMETRY_REQUEST = FrameCodec().encode_telemetry({})
+"""A telemetry probe's one frame; every poll sends these same bytes."""
 
 
 class TelemetryAggregator:
@@ -79,12 +83,29 @@ class TelemetryAggregator:
         resumes at the next success, whose cumulative snapshot carries
         however much accumulated in between.
         """
-        record = self.registry.record(name)
         started = time.monotonic()
+        try:
+            return await self._poll(name)
+        finally:
+            self.poll_seconds += time.monotonic() - started
+
+    async def poll_all(self) -> Dict[str, Optional[MetricsSnapshot]]:
+        """Probe every registered daemon, all at once: the polls share
+        one wait, and ``poll_seconds`` counts its wall time once."""
+        hosts = self.registry.hosts()
+        started = time.monotonic()
+        try:
+            snapshots = await asyncio.gather(*map(self._poll, hosts))
+        finally:
+            self.poll_seconds += time.monotonic() - started
+        return dict(zip(hosts, snapshots))
+
+    async def _poll(self, name: str) -> Optional[MetricsSnapshot]:
+        record = self.registry.record(name)
         self.polls += 1
         with _span("orchestrator.telemetry", host=name) as probe_span:
             try:
-                frame = await self.registry.probe(record, FrameCodec().encode_telemetry({}))
+                frame = await self.registry.probe(record, _TELEMETRY_REQUEST)
                 snapshot = MetricsSnapshot.from_dict(frame.body or {})
             except PROBE_ERRORS as exc:
                 self.poll_failures += 1
@@ -94,19 +115,10 @@ class TelemetryAggregator:
                     "telemetry probe failed", host=name, cause=str(exc)
                 )
                 return None
-            finally:
-                self.poll_seconds += time.monotonic() - started
             probe_span.set(ok=True, seq=snapshot.seq)
             names.ORCHESTRATOR_TELEMETRY_OK.add(1)
             self._ingest(name, snapshot)
             return snapshot
-
-    async def poll_all(self) -> Dict[str, Optional[MetricsSnapshot]]:
-        """Probe every registered daemon."""
-        results: Dict[str, Optional[MetricsSnapshot]] = {}
-        for name in self.registry.hosts():
-            results[name] = await self.poll(name)
-        return results
 
     # --- ingestion ------------------------------------------------------
 

@@ -126,6 +126,8 @@ class CheckpointDaemon:
         # current one in HELLO skips the announce.
         self._generations: Dict[str, int] = {}
         self._sessions: "OrderedDict[str, _SinkSession]" = OrderedDict()
+        # The last INVENTORY sent, and the state it reports.
+        self._inventory: Optional[Tuple[tuple, bytes]] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._handlers: Set[asyncio.Task] = set()
         # Consulted at every injectable protocol point; the default
@@ -439,14 +441,26 @@ class CheckpointDaemon:
         from each checkpoint's cached view, so between adoptions it
         walks no image's digests and reads nothing from the repository."""
         return {
-            "active_sessions": sum(
-                1 for s in self._sessions.values() if not s.completed
-            ),
+            "active_sessions": self._active_sessions(),
             "checkpoints": {
                 vm_id: self.checkpoints[vm_id].sketch
                 for vm_id in sorted(self.checkpoints)
             },
         }
+
+    def _active_sessions(self) -> int:
+        return sum(1 for s in self._sessions.values() if not s.completed)
+
+    def _inventory_frame(self, codec: FrameCodec) -> bytes:
+        """The INVENTORY frame answering a HEARTBEAT: the one encoded
+        last time, as long as the open-session count and the hosted
+        checkpoints equal those it reports.  A checkpoint is replaced,
+        never changed in place, so an unchanged one is the same object
+        and compares at once."""
+        key = (self._active_sessions(), tuple(self.checkpoints.items()))
+        if self._inventory is None or self._inventory[0] != key:
+            self._inventory = (key, codec.encode_inventory(self.inventory_report()))
+        return self._inventory[1]
 
     # --- connection handling -------------------------------------------
 
@@ -665,7 +679,7 @@ class CheckpointDaemon:
         # Control-plane liveness probe: answer with the inventory
         # report — no migration session is created.
         self._count(names.DAEMON_HEARTBEATS)
-        await stream.send(codec.encode_inventory(self.inventory_report()))
+        await stream.send(self._inventory_frame(codec))
 
     async def _answer_telemetry(self, stream: ShapedStream,
                                 codec: FrameCodec, hello: Frame) -> None:

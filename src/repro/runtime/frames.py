@@ -24,8 +24,8 @@ daemon's sequence-numbered :class:`~repro.obs.telemetry.MetricsSnapshot`.
 
 A round's page frames travel in bulk in both directions without
 changing a byte of their layouts.  :meth:`FrameCodec.encode_pages`
-joins them into one blob per write batch (a batch of one kind straight
-from its columns, a CHECKSUM one as one numpy record pack), and
+joins them into one blob per write batch — every batch one kind, joined
+straight from its columns, a CHECKSUM one as one numpy record pack — and
 :meth:`FrameCodec.decode_pages` is the one decoder of a received
 buffer's page frames: it returns :class:`PageRuns`, in which
 :data:`RUN_MIN_FRAMES` or more consecutive FULL (or CHECKSUM) frames
@@ -41,8 +41,9 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, islice, repeat
 from typing import (
     Any,
@@ -254,6 +255,53 @@ class PageRuns:
         return f"PageRuns({self.rows()!r})"
 
 
+class _WireTables:
+    """Every size, struct and record a codec reads at one wire's widths.
+
+    Built once per :class:`~repro.core.protocol.WireFormat`
+    (:func:`_tables_for`) and shared, read-only, by every codec of that
+    wire: a session, a probe and an ERROR reply each build a codec.
+    """
+
+    def __init__(self, wire: WireFormat) -> None:
+        self.page_frame_bytes: Dict[int, int] = {
+            tag: wire.message_bytes(FRAME_NAMES[tag])
+            for tag in sorted(PAGE_FRAME_TYPES)
+        }
+        # Tag byte → page frame size, 0 for every other tag.
+        self.frame_sizes = np.zeros(256, dtype=np.int64)
+        for tag, size in self.page_frame_bytes.items():
+            self.frame_sizes[tag] = size
+        # Every frame's body as one struct, and every frame whole (tag
+        # byte first) for its encoder.  The two page kinds that come in
+        # runs also get a record that skips the tag byte, to iterate.
+        self.bodies = wire.bodies
+        self.frames = frame_structs(wire, "B")
+        runs = frame_structs(wire, "x")
+        self.run_records = {tag: runs[tag] for tag in (TYPE_PAGE_FULL, TYPE_PAGE_CHECKSUM)}
+        self.ref_bytes = wire.ref_message - wire.header_bytes
+        # A CHECKSUM frame as a numpy record, ``tag | page_no | digest``,
+        # to decode a run in one frombuffer; its ``tag | page_no`` head
+        # to pack every page frame's head at once; and ``head | digest``
+        # to encode a CHECKSUM batch in one pack.
+        items = wire.layout(TYPE_PAGE_CHECKSUM).split()
+        columns = [("tag", "u1")] + [
+            (name, f"V{item[:-1]}" if item.endswith("s") else ">" + item)
+            for name, item in zip(FRAMES[TYPE_PAGE_CHECKSUM].fields, items)
+        ]
+        self.checksum_in = np.dtype(columns)
+        self.head = np.dtype(columns[:2])
+        self.checksum_out = np.dtype([
+            ("head", f"V{self.head.itemsize}"), ("digest", self.checksum_in["digest"]),
+        ])
+
+
+@lru_cache(maxsize=16)
+def _tables_for(wire: WireFormat) -> _WireTables:
+    """The one :class:`_WireTables` of ``wire``."""
+    return _WireTables(wire)
+
+
 class FrameCodec:
     """Encode/decode frames for one migration session.
 
@@ -264,7 +312,9 @@ class FrameCodec:
 
     ``page_frame_bytes`` maps each page-frame tag to its wire size.
     Every page encoder and decoder here — single frame or batch — takes
-    its sizes from that one table.
+    its sizes from that one table, which, like every other table the
+    codec reads, is built once per wire and shared: read it, never
+    write it.
 
     ``session`` is the id of the HELLO the codec last encoded or read:
     the READYs it encodes answer that HELLO, and a READY it reads that
@@ -276,32 +326,16 @@ class FrameCodec:
         self.session = session
         self.page_size = wire.page_size
         self.digest_size = wire.checksum_bytes
-        self.page_frame_bytes: Dict[int, int] = {
-            tag: wire.message_bytes(FRAME_NAMES[tag])
-            for tag in sorted(PAGE_FRAME_TYPES)
-        }
-        # Every frame's body as one struct, and every frame whole (tag
-        # byte first) for its encoder.  The two page kinds that come in
-        # runs also get a record that skips the tag byte, to iterate.
-        self._bodies = wire.bodies
-        self._frames = frame_structs(wire, "B")
-        runs = frame_structs(wire, "x")
-        self._run_records = {tag: runs[tag] for tag in (TYPE_PAGE_FULL, TYPE_PAGE_CHECKSUM)}
-        self._ref_bytes = wire.ref_message - wire.header_bytes
-        # A CHECKSUM frame as a numpy record, ``tag | page_no | digest``,
-        # to decode a run in one frombuffer; its ``tag | page_no`` head
-        # to pack every page frame's head at once; and ``head | digest``
-        # to encode a CHECKSUM batch in one pack.
-        items = wire.layout(TYPE_PAGE_CHECKSUM).split()
-        columns = [("tag", "u1")] + [
-            (name, f"V{item[:-1]}" if item.endswith("s") else ">" + item)
-            for name, item in zip(FRAMES[TYPE_PAGE_CHECKSUM].fields, items)
-        ]
-        self._checksum_in = np.dtype(columns)
-        self._head = np.dtype(columns[:2])
-        self._checksum_out = np.dtype([
-            ("head", f"V{self._head.itemsize}"), ("digest", self._checksum_in["digest"]),
-        ])
+        tables = _tables_for(wire)
+        self.page_frame_bytes = tables.page_frame_bytes
+        self._frame_sizes = tables.frame_sizes
+        self._bodies = tables.bodies
+        self._frames = tables.frames
+        self._run_records = tables.run_records
+        self._ref_bytes = tables.ref_bytes
+        self._checksum_in = tables.checksum_in
+        self._head = tables.head
+        self._checksum_out = tables.checksum_out
 
     # --- encode ---------------------------------------------------------
 
@@ -348,8 +382,10 @@ class FrameCodec:
         Yields ``(batch_tags, blob)``: ``blob`` is byte for byte the
         concatenation of what :meth:`encode_page_full` and its siblings
         produce for those rows.  A batch closes at the first frame
-        boundary where ``batch_bytes`` are queued; ``queued`` bytes
-        already wait ahead of the first batch (the ROUND header).
+        boundary where ``batch_bytes`` are queued, and at every change
+        of kind, so every batch is one kind; ``queued`` bytes already
+        wait ahead of the first batch (the ROUND header).  A round the
+        planner sends kind by kind changes kind at most three times.
 
         ``tags`` and ``page_nos`` have one entry per frame.  The other
         three are read in row order by the kinds that carry them:
@@ -360,37 +396,32 @@ class FrameCodec:
         The ``tag | page_no`` headers of the whole sequence come from
         one big-endian pack, each blob from one ``join`` or one numpy
         pack, and the wire-size assertion is made once per blob.  A
-        batch that is all CHECKSUM is one record array of ``head |
-        digest`` filled from the headers and the joined digests; one that
-        is all FULL is joined straight from its columns; only a mixed
-        batch walks its frames.
+        CHECKSUM batch is one record array of ``head | digest`` filled
+        from the headers and the joined digests; every other kind is
+        joined straight from its columns.
         """
         tags = np.asarray(tags, dtype=np.uint8)
-        sizes = np.zeros(256, dtype=np.int64)
-        for tag, size in self.page_frame_bytes.items():
-            sizes[tag] = size
-        row_bytes = sizes[tags]
+        row_bytes = self._frame_sizes[tags]
         if not row_bytes.all():
             raise FrameError("encode_pages got a tag that is not a page frame")
         ends = np.cumsum(row_bytes).tolist()
+        # Where each stretch of one kind ends, the last row included.
+        kind_ends = (np.flatnonzero(tags[1:] != tags[:-1]) + 1).tolist()
+        kind_ends.append(tags.shape[0])
         heads = self._pack_page_heads(tags, np.asarray(page_nos, dtype=np.int64))
         head_bytes = self._head.itemsize
         head_cells = np.frombuffer(heads, dtype=self._checksum_out["head"])
         ref_bytes = self._ref_bytes
-        digests, pages = iter(digests), iter(pages)
-        next_digest, next_page = digests.__next__, pages.__next__
-        next_ref = iter(refs).__next__
+        digests, pages, refs = iter(digests), iter(pages), iter(refs)
         tag_list = tags.tolist()
         start, sent = 0, -queued
         while start < len(tag_list):
             stop = min(
-                bisect_left(ends, sent + batch_bytes, start) + 1, len(tag_list)
+                bisect_left(ends, sent + batch_bytes, start) + 1,
+                kind_ends[bisect_right(kind_ends, start)],
             )
-            batch_tags = tag_list[start:stop]
-            rows = stop - start
-            at = start * head_bytes
-            uniform = batch_tags.count(batch_tags[0]) == rows
-            if uniform and batch_tags[0] == TYPE_PAGE_CHECKSUM:
+            tag, rows = tag_list[start], stop - start
+            if tag == TYPE_PAGE_CHECKSUM:
                 column = b"".join(islice(digests, rows))
                 assert len(column) == rows * self.digest_size, "digest size"
                 records = np.empty(rows, dtype=self._checksum_out)
@@ -399,31 +430,22 @@ class FrameCodec:
                     column, dtype=self._checksum_out["digest"]
                 )
                 blob = records.tobytes()
-            elif uniform and batch_tags[0] == TYPE_PAGE_FULL:
-                blob = b"".join(chain.from_iterable(zip(
-                    [heads[i : i + head_bytes]
-                     for i in range(at, stop * head_bytes, head_bytes)],
-                    islice(digests, rows),
-                    islice(pages, rows),
-                )))
             else:
-                pieces: List[bytes] = []
-                append = pieces.append
-                for tag in batch_tags:
-                    append(heads[at : at + head_bytes])
-                    at += head_bytes
-                    if tag == TYPE_PAGE_CHECKSUM:
-                        append(next_digest())
-                    elif tag == TYPE_PAGE_FULL:
-                        append(next_digest())
-                        append(next_page())
-                    elif tag == TYPE_PAGE_PLAIN:
-                        append(next_page())
-                    else:
-                        append(next_ref().to_bytes(ref_bytes, "big"))
-                blob = b"".join(pieces)
+                columns: List[Iterable[bytes]] = [[
+                    heads[i : i + head_bytes]
+                    for i in range(start * head_bytes, stop * head_bytes, head_bytes)
+                ]]
+                if tag == TYPE_PAGE_FULL:
+                    columns.append(islice(digests, rows))
+                if tag == TYPE_PAGE_REF:
+                    columns.append(
+                        [ref.to_bytes(ref_bytes, "big") for ref in islice(refs, rows)]
+                    )
+                else:
+                    columns.append(islice(pages, rows))
+                blob = b"".join(chain.from_iterable(zip(*columns)))
             assert len(blob) == ends[stop - 1] - (ends[start - 1] if start else 0)
-            yield batch_tags, blob
+            yield tag_list[start:stop], blob
             start, sent = stop, ends[stop - 1]
 
     def _pack_page_heads(self, tags: np.ndarray, page_nos: np.ndarray) -> bytes:

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import FrozenSet, Iterable, List
 
+import numpy as np
+
 from repro.core.checksum import ChecksumAlgorithm
 
 SKETCH_K = 64
@@ -39,8 +41,37 @@ def digest_sketch(digests: Iterable[bytes]) -> List[str]:
     "k smallest digests" agree: the bottom-k is taken on the raw bytes
     and only the k survivors are encoded.  Hex also makes the sketch
     JSON-safe for the INVENTORY frame.
+
+    ``digests`` are one checksum algorithm's, so all of one size, and
+    may repeat a digest; each counts once.  From 8 bytes on, they are
+    cut by their big-endian 8-byte prefixes: a numpy partition finds
+    the k-th smallest prefix, every digest whose prefix is no larger is
+    a candidate (ties included, so the result is exact), and only the
+    candidates are compared whole.  No set of every digest is built.
+    Shorter digests, lengths that do not add up to one size, and inputs
+    of at most k digests take ``heapq.nsmallest`` over the set.
     """
-    return [d.hex() for d in heapq.nsmallest(SKETCH_K, set(digests))]
+    if not isinstance(digests, (list, tuple, set, frozenset)):
+        digests = list(digests)
+    count = len(digests)
+    blob = b"".join(digests) if count > SKETCH_K else b""
+    size = len(blob) // count if blob else 0
+    if size < 8 or len(blob) != size * count:
+        return [d.hex() for d in heapq.nsmallest(SKETCH_K, set(digests))]
+    prefixes = np.ndarray(
+        (count,), dtype=">u8", buffer=blob, strides=(size,)
+    ).astype(np.uint64)
+    wanted = SKETCH_K
+    while True:
+        cut = np.partition(prefixes, wanted - 1)[wanted - 1]
+        starts = (np.flatnonzero(prefixes <= cut) * size).tolist()
+        candidates = {blob[at : at + size] for at in starts}
+        # Every digest outside has a larger prefix than each candidate,
+        # so k distinct candidates hold the k smallest.  Fewer means
+        # repeats filled the cut: widen it.
+        if len(candidates) >= SKETCH_K or len(starts) == count:
+            return [d.hex() for d in sorted(candidates)[:SKETCH_K]]
+        wanted = min(2 * wanted, count)
 
 
 @dataclass

@@ -40,6 +40,11 @@ from repro.core.transfer import (  # noqa: F401 - re-exports the KIND_* codes
 )
 
 
+SEND_ORDER = (KIND_CHECKSUM, KIND_FULL, KIND_PLAIN, KIND_REF)
+"""The kinds of a first round in the order they travel; REF comes last,
+after every slot a reference can name."""
+
+
 @dataclass(frozen=True)
 class PageSend:
     """One planned message."""
@@ -99,16 +104,21 @@ class FirstRoundPlan(TransferSet):
         return int(np.count_nonzero(self.kinds == kind))
 
     def round_sends(self) -> RoundSends:
-        """The message sequence, in ascending slot order.
+        """The message sequence, kind by kind in :data:`SEND_ORDER`,
+        ascending slot order within each kind.
 
-        Slot order is deterministic, which is what makes mid-round
-        resume possible: source and sink agree on the meaning of
-        "the first N messages of round R" without negotiation.  It also
-        guarantees a dedup reference always points at an already-sent
-        slot (the first occurrence of the content precedes every
-        repeat).
+        The order is frozen at plan time, which is what makes mid-round
+        resume possible: source and sink agree on the meaning of "the
+        first N messages of round R" without negotiation.  A dedup
+        reference always points at an already-sent slot: its target is
+        the first FULL or PLAIN slot holding its content, and every REF
+        travels after all of them.  Grouping by kind lets each write
+        batch, and each received buffer, be one kind: a run to encode,
+        decode and apply by column.
         """
-        slots = np.nonzero(self.kinds != KIND_SKIP)[0]
+        slots = np.concatenate(
+            [np.flatnonzero(self.kinds == kind) for kind in SEND_ORDER]
+        )
         return RoundSends(
             kinds=self.kinds[slots],
             slots=slots,

@@ -13,8 +13,9 @@ is the one place a migration reconnects — one loop, one
 call.  After a transport failure the reconnect *resumes*: the
 destination's READY frame reports exactly how many messages of which
 round it applied, and because every round's message sequence is frozen
-at plan time in deterministic slot order, "skip the first N messages of
-round R" reconstructs the stream position without renegotiation.  After
+at plan time in a deterministic order — kind by kind, ascending slot
+within a kind — "skip the first N messages of round R" reconstructs the
+stream position without renegotiation.  After
 a stream desync those counts cannot be trusted, so the same loop
 reconnects under a fresh session id and re-sends the frozen rounds.
 Genuine protocol errors (an ERROR frame, a codec violation, a failed

@@ -9,21 +9,28 @@ bottom-k sketches (the request's, and that of the one checkpoint adopted
 since the previous poll) and hand ``PageStore.digests_for`` the contents
 rewritten since the VM's last hop: everything else is read from what a
 checkpoint generation, the VM's previous hop, or the migration already
-derived.
+derived.  Nor does a hop build a codec's wire tables (every codec of
+one wire shares them), and a heartbeat to a daemon whose checkpoints
+and open sessions did not change is answered with the INVENTORY frame
+it encoded last time.
 """
 
 import asyncio
 
 import numpy as np
 
+from repro.mem.pagestore import PageStore
 from repro.orchestrator import (
     BestCheckpoint,
+    ClusterRegistry,
     LiveCluster,
+    Orchestrator,
     PlacementDecision,
     PlacementPolicy,
 )
 from repro.orchestrator import controller
-from repro.runtime import CheckpointDaemon, RuntimeConfig, hosted
+from repro.runtime import CheckpointDaemon, RuntimeConfig, frames, hosted
+from repro.runtime.frames import FrameCodec
 
 HOSTS, VMS, PAGES = 3, 6, 1024
 CHURN = round(0.03 * PAGES)
@@ -208,3 +215,61 @@ def test_a_heartbeat_after_an_adoption_reports_the_new_image():
                     assert other.inventory_report() == before[name]
 
     asyncio.run(main())
+
+
+def test_a_steady_state_hop_builds_no_codec_tables_and_encodes_one_inventory(
+    monkeypatch,
+):
+    async def main():
+        async with Fleet() as fleet:
+            await fleet.hop()
+            encoded = []
+            real_encode = FrameCodec.encode_inventory
+
+            def encode_inventory(codec, body):
+                encoded.append(body)
+                return real_encode(codec, body)
+
+            monkeypatch.setattr(FrameCodec, "encode_inventory", encode_inventory)
+            built = frames._tables_for.cache_info().misses
+            await fleet.hop()
+            hop = (frames._tables_for.cache_info().misses - built, len(encoded))
+            encoded.clear()
+            await fleet.registry.poll_all()
+            after_adoption = len(encoded)
+            encoded.clear()
+            await fleet.registry.poll_all()
+            return hop, after_adoption, len(encoded)
+
+    (tables, hop_inventories), after_adoption, unchanged = asyncio.run(main())
+    # About fifteen codecs a hop, all of wires met before.
+    assert tables == 0
+    # The hop's heartbeats: only the previous hop's destination adopted
+    # since it was last asked (three encodes a hop before the reuse).
+    assert hop_inventories == 1
+    assert after_adoption == 1
+    assert unchanged == 0
+
+
+def test_a_standalone_request_digests_only_what_changed(monkeypatch):
+    rng = np.random.default_rng(3)
+    store = PageStore()
+    orchestrator = Orchestrator(ClusterRegistry(), BestCheckpoint(), pagestore=store)
+    digested = []
+    real_digests_for = store.digests_for
+
+    def digests_for(content_ids, *args, **kwargs):
+        digested.append(np.asarray(content_ids).copy())
+        return real_digests_for(content_ids, *args, **kwargs)
+
+    monkeypatch.setattr(store, "digests_for", digests_for)
+    image = rng.integers(1, 2**62, size=PAGES, dtype=np.uint64)
+    orchestrator.request_for("vm", image, source_host="h0")
+    assert sum(ids.size for ids in digested) == PAGES
+    digested.clear()
+    churned = rng.choice(PAGES, size=CHURN, replace=False)
+    image[churned] = rng.integers(2**62, 2**63, size=CHURN, dtype=np.uint64)
+    second = orchestrator.request_for("vm", image, source_host="h0")
+    assert [ids.tolist() for ids in digested] == [image[np.sort(churned)].tolist()]
+    # The sketch is the one a full pass gives.
+    assert second.sketch == tuple(hosted.digest_sketch(store.digests_for(image)))

@@ -1,10 +1,11 @@
 """Inventory data model: sketches, JSON round trips, the cluster view."""
 
+import heapq
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.fingerprint import Fingerprint
 from repro.orchestrator.inventory import (
@@ -54,6 +55,48 @@ class TestDigestSketch:
         # The definition the sketch replaced: encode all, sort all, cut.
         assert digest_sketch(digests) == sorted({d.hex() for d in digests})[:SKETCH_K]
         assert digest_sketch(iter(digests)) == digest_sketch(digests)
+
+
+@st.composite
+def one_size_digests(draw):
+    """Digests of one algorithm's size, many sharing an 8-byte prefix,
+    repeated, in one of the shapes callers pass."""
+    size = draw(st.sampled_from([8, 16, 20, 32]))
+    prefixes = draw(st.lists(st.binary(min_size=8, max_size=8), min_size=1, max_size=6))
+    digest = st.builds(
+        bytes.__add__,
+        st.sampled_from(prefixes) | st.binary(min_size=8, max_size=8),
+        st.binary(min_size=size - 8, max_size=size - 8),
+    )
+    distinct = draw(st.lists(digest, max_size=3 * SKETCH_K))
+    digests = draw(st.permutations(distinct * draw(st.integers(1, 4))))
+    shape = draw(st.sampled_from([list, tuple, frozenset, iter]))
+    return digests, shape
+
+
+class TestDigestSketchOracle:
+    @given(one_size_digests())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_heapq_over_the_set(self, case):
+        digests, shape = case
+        expected = [d.hex() for d in heapq.nsmallest(SKETCH_K, set(digests))]
+        assert digest_sketch(shape(digests)) == expected
+
+    def test_a_prefix_tie_at_the_cut_keeps_every_candidate(self):
+        # 100 digests share the smallest 8-byte prefix: the k-th smallest
+        # prefix is theirs, and the order is decided past it.
+        tied = [b"\0" * 8 + i.to_bytes(8, "big") for i in range(100)]
+        others = [(1 + i).to_bytes(8, "big") * 2 for i in range(500)]
+        digests = others[::-1] + tied[::-1] + tied
+        assert digest_sketch(digests) == [d.hex() for d in tied[:SKETCH_K]]
+
+    def test_repeats_that_fill_the_cut_widen_it(self):
+        # The 64 smallest prefixes belong to 2 distinct digests.
+        digests = [b"\1" * 16] * 40 + [b"\2" * 16] * 40
+        digests += [bytes([3 + i]) * 16 for i in range(200)]
+        assert digest_sketch(digests) == [
+            d.hex() for d in heapq.nsmallest(SKETCH_K, set(digests))
+        ]
 
 
 class TestSketchSimilarity:

@@ -8,6 +8,7 @@ produce and accept exactly the same bytes.
 """
 
 import asyncio
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,7 +119,10 @@ class TestEncodePages:
         batches = encode_batches(codec, rows)
         expected = b"".join(encode_single(codec, row) for row in rows)
         assert b"".join(blob for _, blob in batches) == expected
-        assert len(batches) == (1 if rows else 0)
+        # Without a byte limit, one batch per stretch of one kind.
+        assert [tags for tags, _ in batches] == [
+            list(stretch) for _, stretch in groupby(row[0] for row in rows)
+        ]
 
     @given(codec_and_rows(), st.integers(1, 700), st.integers(0, 40))
     @settings(max_examples=120, deadline=None)
@@ -135,9 +139,11 @@ class TestEncodePages:
         at = 0
         for index, (tags, blob) in enumerate(batches):
             assert blob == b"".join(singles[at : at + len(tags)])
+            assert len(set(tags)) == 1, "every batch is one kind"
             ahead = queued if index == 0 else 0
+            kind_changes = at + len(tags) < len(rows) and rows[at + len(tags)][0] != tags[0]
             if index < len(batches) - 1:
-                assert ahead + len(blob) >= batch_bytes
+                assert kind_changes or ahead + len(blob) >= batch_bytes
             # ... and not one frame later than it had to.
             assert ahead + len(blob) - len(singles[at + len(tags) - 1]) < batch_bytes
             at += len(tags)

@@ -8,7 +8,9 @@ fetches page bytes a slice at a time, and a socket read costs the event
 loop a future, not a Task.  The one exception is the run rule's own: a
 buffer that holds fewer than ``RUN_MIN_FRAMES`` frames (the arena's
 first few reads, a round's tail) is applied frame by frame — so the
-sink's per-page calls are counted against exactly those frames.
+sink's per-page calls are counted against exactly those frames.  A
+return with half its slots rewritten at random holds to the same rule:
+its round travels kind by kind, so it arrives as runs too.
 """
 
 import asyncio
@@ -30,7 +32,7 @@ from repro.runtime import (
     idle_vm_scenario,
 )
 from repro.runtime import sink as sink_module
-from repro.runtime.frames import RUN_MIN_FRAMES, PageRun
+from repro.runtime.frames import RUN_MIN_FRAMES, FrameCodec, PageRun
 from repro.runtime.shaping import ShapedStream
 from repro.runtime.source import BATCH_BYTES
 
@@ -48,106 +50,123 @@ def warm_store(content_ids: np.ndarray) -> PageStore:
     return store
 
 
+def migrate_counted(monkeypatch, updates_percent):
+    """One 4 MiB ``VECYCLE`` return with ``updates_percent`` of its slots
+    rewritten at random, the calls of its round counted.
+
+    Returns ``(metrics, calls, in_runs, short_stretches, moved, audit,
+    tasks)``: ``in_runs`` and ``short_stretches`` are the frame counts of
+    every :class:`PageRun` and every frame-by-frame stretch the sink
+    applied; ``moved`` the change of three counters.
+    """
+    scenario = idle_vm_scenario(
+        size_mib=4, updates_percent=updates_percent, strategy=VECYCLE, seed=5
+    )
+    assert scenario.num_pages == PAGES
+    source_store = warm_store(scenario.current.hashes)
+    dest_store = warm_store(scenario.checkpoint.hashes)
+
+    calls = Counter()
+    in_round = False
+
+    def counted(owner, name, always=False):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if in_round or always:
+                calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    apply_pages = sink_module._SinkSession.apply_pages
+    in_runs, short_stretches = [], []
+
+    def recording_apply(self, decoded, frame_bytes):
+        calls["apply_pages"] += 1
+        for run in decoded.runs:
+            if isinstance(run, PageRun):
+                in_runs.append(len(run.slots))
+            else:
+                short_stretches.append(len(run))
+        return apply_pages(self, decoded, frame_bytes)
+
+    receive_pages = CheckpointDaemon._receive_pages
+
+    async def bracketed(self, *args, **kwargs):
+        # ROUND has been read; what follows runs until the round's
+        # last page is applied — COMPLETE is the next frame.
+        nonlocal in_round
+        in_round = True
+        try:
+            return await receive_pages(self, *args, **kwargs)
+        finally:
+            in_round = False
+
+    tasks = []
+
+    def task_factory(loop, coro, **kwargs):
+        tasks.append(getattr(coro, "__qualname__", repr(coro)))
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    async def main():
+        asyncio.get_running_loop().set_task_factory(task_factory)
+        async with CheckpointDaemon(pagestore=dest_store) as daemon:
+            daemon.install_checkpoint(scenario.vm_id, scenario.checkpoint)
+            # Set-up is done: from here on, everything is counted.
+            for name in ("put", "retain", "release", "put_many"):
+                counted(ContentAddressedStore, name)
+            counted(sink_module._SinkSession, "_set_slot")
+            counted(FrameCodec, "_split_page")
+            monkeypatch.setattr(
+                sink_module._SinkSession, "apply_pages", recording_apply
+            )
+            counted(ShapedStream, "fill")
+            counted(PageStore, "page_bytes", always=True)
+            monkeypatch.setattr(CheckpointDaemon, "_receive_pages", bracketed)
+            # Where each counter lives: the daemon's in its own source.
+            home = {
+                names.PAGESTORE_PAGE_EVICTIONS: None,
+                names.RUNTIME_BATCH_FLUSHES: None,
+                names.DAEMON_APPLY_BATCHES: daemon.telemetry.registry,
+            }
+            before = {name: counter(name, home[name]) for name in home}
+            tasks.clear()
+            source = MigrationSource(
+                SourceState(
+                    vm_id=scenario.vm_id,
+                    hashes=scenario.current.hashes,
+                    pagestore=source_store,
+                ),
+                VECYCLE,
+                config=RuntimeConfig(io_timeout_s=5.0),
+            )
+            metrics = await source.migrate(daemon.host, daemon.port)
+            moved = {
+                name: counter(name, home[name]) - was
+                for name, was in before.items()
+            }
+            return metrics, moved, daemon.audit_store(), list(tasks)
+
+    metrics, moved, audit, tasks = asyncio.run(main())
+    assert metrics.outcome == "completed"
+    assert audit == []
+    return metrics, calls, in_runs, short_stretches, moved, tasks
+
+
 class TestNoCallPerPage:
     def test_a_fully_rewritten_vm_migrates_without_one(self, monkeypatch):
-        scenario = idle_vm_scenario(
-            size_mib=4, updates_percent=100, strategy=VECYCLE, seed=5
+        metrics, calls, in_runs, short_buffers, moved, tasks = migrate_counted(
+            monkeypatch, updates_percent=100
         )
-        assert scenario.num_pages == PAGES
-        source_store = warm_store(scenario.current.hashes)
-        dest_store = warm_store(scenario.checkpoint.hashes)
-
-        calls = Counter()
-        in_round = False
-
-        def counted(owner, name, always=False):
-            original = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                if in_round or always:
-                    calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        apply_pages = sink_module._SinkSession.apply_pages
-        in_runs, short_buffers = [], []
-
-        def recording_apply(self, decoded, frame_bytes):
-            calls["apply_pages"] += 1
-            for run in decoded.runs:
-                (in_runs if isinstance(run, PageRun) else short_buffers).append(
-                    len(run.slots) if isinstance(run, PageRun) else len(run)
-                )
-            return apply_pages(self, decoded, frame_bytes)
-
-        receive_pages = CheckpointDaemon._receive_pages
-
-        async def bracketed(self, *args, **kwargs):
-            # ROUND has been read; what follows runs until the round's
-            # last page is applied — COMPLETE is the next frame.
-            nonlocal in_round
-            in_round = True
-            try:
-                return await receive_pages(self, *args, **kwargs)
-            finally:
-                in_round = False
-
-        tasks = []
-
-        def task_factory(loop, coro, **kwargs):
-            tasks.append(getattr(coro, "__qualname__", repr(coro)))
-            return asyncio.Task(coro, loop=loop, **kwargs)
-
-        async def main():
-            asyncio.get_running_loop().set_task_factory(task_factory)
-            async with CheckpointDaemon(pagestore=dest_store) as daemon:
-                daemon.install_checkpoint(scenario.vm_id, scenario.checkpoint)
-                # Set-up is done: from here on, everything is counted.
-                for name in ("put", "retain", "release", "put_many"):
-                    counted(ContentAddressedStore, name)
-                counted(sink_module._SinkSession, "_set_slot")
-                monkeypatch.setattr(
-                    sink_module._SinkSession, "apply_pages", recording_apply
-                )
-                counted(ShapedStream, "fill")
-                counted(PageStore, "page_bytes", always=True)
-                monkeypatch.setattr(CheckpointDaemon, "_receive_pages", bracketed)
-                # Where each counter lives: the daemon's in its own source.
-                home = {
-                    names.PAGESTORE_PAGE_EVICTIONS: None,
-                    names.RUNTIME_BATCH_FLUSHES: None,
-                    names.DAEMON_APPLY_BATCHES: daemon.telemetry.registry,
-                }
-                before = {name: counter(name, home[name]) for name in home}
-                tasks.clear()
-                source = MigrationSource(
-                    SourceState(
-                        vm_id=scenario.vm_id,
-                        hashes=scenario.current.hashes,
-                        pagestore=source_store,
-                    ),
-                    VECYCLE,
-                    config=RuntimeConfig(io_timeout_s=5.0),
-                )
-                metrics = await source.migrate(daemon.host, daemon.port)
-                moved = {
-                    name: counter(name, home[name]) - was
-                    for name, was in before.items()
-                }
-                return metrics, moved, daemon.audit_store(), list(tasks)
-
-        metrics, moved, audit, tasks = asyncio.run(main())
-        assert metrics.outcome == "completed"
         assert metrics.messages_by_type == {"full": PAGES}
-        assert audit == []
 
         # The sink: one store call per run, and a call per page only for
         # the frames of buffers too short to hold a run.
         assert sum(in_runs) + sum(short_buffers) == PAGES
         assert all(frames < RUN_MIN_FRAMES for frames in short_buffers)
         assert sum(short_buffers) <= PAGES // 16
-        for name in ("put", "retain", "_set_slot"):
+        for name in ("put", "retain", "_set_slot", "_split_page"):
             assert calls[name] == sum(short_buffers), (name, calls)
         # Every slot was borrowed from the checkpoint when rewritten: the
         # replaced digest's reference is the checkpoint's, and adoption
@@ -172,6 +191,33 @@ class TestNoCallPerPage:
         assert moved[names.PAGESTORE_PAGE_EVICTIONS] == 0
         assert moved[names.RUNTIME_BATCH_FLUSHES] == -(-PAGES // frames_per_batch)
         assert moved[names.DAEMON_APPLY_BATCHES] == calls["apply_pages"]
+
+    def test_a_half_rewritten_vm_applies_in_runs_too(self, monkeypatch):
+        # Rewritten slots drawn at random: in slot order, FULL and
+        # CHECKSUM frames would alternate every other frame or so, and
+        # every buffer would be decoded and applied frame by frame.
+        # Sent kind by kind, the round is two runs however it arrives.
+        metrics, calls, in_runs, short_stretches, moved, _ = migrate_counted(
+            monkeypatch, updates_percent=50
+        )
+        assert metrics.messages_by_type == {"full": PAGES // 2, "checksum": PAGES // 2}
+        assert sum(in_runs) + sum(short_stretches) == PAGES
+        # A frame goes frame by frame only in a stretch too short to be a
+        # run: a kind's first or last few frames, cut off by a read.
+        assert all(frames < RUN_MIN_FRAMES for frames in short_stretches)
+        assert sum(short_stretches) <= PAGES // 16
+        assert calls["_split_page"] == sum(short_stretches)
+        # A CHECKSUM frame here names its slot's own digest, so only the
+        # short stretches' FULL frames assign a slot one by one.
+        assert calls["_set_slot"] == calls["put"] <= sum(short_stretches)
+        assert calls["release"] == 0
+        assert calls["put_many"] <= len(in_runs)
+        assert calls["page_bytes"] == 0
+        # One batch of CHECKSUM frames, then the FULL ones a batch at a time.
+        full_frame = VECYCLE.wire.message_bytes("full")
+        assert moved[names.RUNTIME_BATCH_FLUSHES] == 1 + -(
+            -(PAGES // 2) // -(-BATCH_BYTES // full_frame)
+        )
 
 
 class TestPagesForIsAPageBytesLoop:

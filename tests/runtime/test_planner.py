@@ -18,6 +18,7 @@ from repro.runtime.planner import (
     KIND_PLAIN,
     KIND_REF,
     KIND_SKIP,
+    SEND_ORDER,
     dirty_round_sends,
     plan_first_round,
 )
@@ -72,7 +73,7 @@ def test_planner_counts_match_analytic_transfer_set(method, scenario):
     ) == N
 
 
-def test_sends_are_slot_ordered_and_refs_point_backward(scenario):
+def test_sends_are_kind_major_slot_ordered_and_refs_point_backward(scenario):
     checkpoint, current, dirty = scenario
     store = PageStore()
     plan = plan_first_round(
@@ -82,8 +83,14 @@ def test_sends_are_slot_ordered_and_refs_point_backward(scenario):
         digest_of=store.digest_for,
     )
     sends = plan.sends()
-    slots = [s.slot for s in sends]
-    assert slots == sorted(slots)
+    # Kind by kind — CHECKSUM, FULL, PLAIN, REF — ascending slot within a kind.
+    order = [s.kind for s in sends]
+    assert order == sorted(order, key=SEND_ORDER.index)
+    assert {s.kind for s in sends} <= set(SEND_ORDER)
+    for kind in SEND_ORDER:
+        slots = [s.slot for s in sends if s.kind == kind]
+        assert slots == sorted(slots)
+    assert sorted(s.slot for s in sends) == np.flatnonzero(plan.kinds != KIND_SKIP).tolist()
     sent_so_far = set()
     for send in sends:
         if send.kind == KIND_REF:

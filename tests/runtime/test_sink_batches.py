@@ -298,7 +298,7 @@ class TestResumeInsideASourceBatch:
             2**62, 2**63, size=dirty.size, dtype=np.uint64
         )
         store = PageStore()
-        abort_after = 101  # FULL and CHECKSUM interleave: no batch ends here
+        abort_after = 101  # inside the one batch of the round's 512 CHECKSUM frames
         counted_at_connect = []
         source = None
         config = RuntimeConfig(
@@ -328,13 +328,10 @@ class TestResumeInsideASourceBatch:
         queued = counted_at_connect[1]
         assert queued > abort_after
 
+        # The plan's send order: every CHECKSUM frame, then every FULL one.
         wire = VECYCLE.wire
-        rewritten = set(dirty.tolist())
-        frames = [
-            ("full", wire.message_bytes("full")) if slot in rewritten
-            else ("checksum", wire.message_bytes("checksum"))
-            for slot in range(pages)
-        ]
+        frames = [("checksum", wire.message_bytes("checksum"))] * (pages - dirty.size)
+        frames += [("full", wire.message_bytes("full"))] * dirty.size
         by_bytes, by_messages, retransmitted, rounds = reference_accounting(
             frames, [(0, queued, queued == pages), (abort_after, pages, True)]
         )
